@@ -60,10 +60,11 @@ from .pseudospectra import (
     PseudospectrumGrid,
     compute_grid,
     default_region,
+    eigenvalues_auto,
     level_set,
-    union_spectrum,
+    spectra_union,
 )
-from .spectral import hermitian_eigenvalues, is_normal, normal_eigenvalues
+from .spectral import EigenvalueSet, hermitian_eigenvalues, is_normal, normal_eigenvalues
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
 
@@ -126,7 +127,12 @@ def clean_bound_exact(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
     qm, qn, _ = _q_triple(expansion, n)
     value = 204 * m_up * (Fraction(1, qm) + Fraction(1, qn))
     # the clean constant majorizes the sharp expression by construction
-    assert sharp_bound_exact(spec, expansion, n) <= value
+    sharp = sharp_bound_exact(spec, expansion, n)
+    if sharp > value:
+        raise CertificateViolation(
+            f"sharp radius {float(sharp):.17g} exceeds the clean radius "
+            f"{float(value):.17g} at level n={n}"
+        )
     return value
 
 
@@ -227,39 +233,52 @@ class ApproximationCertificate:
         return doc
 
 
-def _build_pair(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
-                n: int) -> tuple[MatrixModel, MatrixModel]:
-    models = []
-    for k in (n - 1, n):
-        p, q = expansion.convergent(k)
-        models.append(build_operator(spec, p % q, q))  # v is q-periodic in p
-    return models[0], models[1]
+def _convergent_model(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
+                      k: int) -> MatrixModel:
+    p, q = expansion.convergent(k)
+    return build_operator(spec, p % q, q)  # v is q-periodic in p
 
 
-def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
-                   max_q: Optional[int] = None) -> tuple[PointCloud, ApproximationCertificate]:
-    """sigma(h_{n-1}) union sigma(h_n) with the certified radius
-    min(epsilon_sharp, epsilon_clean); models must be normal."""
+def _check_budget(q: int, max_q: Optional[int], what: str) -> None:
+    """Refuse a matrix order above the budget before anything is built."""
+    if max_q is not None and q > max_q:
+        raise ResourceBudgetExceeded(f"{what} needs order q={q} > budget {max_q}")
+
+
+def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str]:
+    """Input gate of the Hausdorff certificates: irrational theta and the
+    canonical form; returns the irrationality caveat."""
     caveat = _irrationality_caveat(theta)
     if not spec.is_canonical:
         raise NonCanonicalSpec(
             "certified spectra need the canonical four-term form; "
             "general specs get grids with a rate flag via certify_pseudospectrum"
         )
-    expansion = expand(theta, n + 1)
-    _q_triple(expansion, n)
-    if max_q is not None and expansion.q(n) > max_q:
-        raise ResourceBudgetExceeded(
-            f"level n={n} needs order q_n={expansion.q(n)} > budget {max_q}"
+    return caveat
+
+
+def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
+                    k: int) -> EigenvalueSet:
+    """Spectrum of the model at convergent k; a non-Hermitian spec must
+    give a normal model."""
+    model = _convergent_model(spec, expansion, k)
+    if not spec.is_hermitian and not is_normal(model.entries):
+        raise ModelsNotNormal(
+            "models are not normal; use certify_pseudospectrum (Hausdorff "
+            "control of the spectrum alone is not available here)"
         )
-    h_prev, h_curr = _build_pair(spec, expansion, n)
-    if not spec.is_hermitian:
-        if not (is_normal(h_prev.entries) and is_normal(h_curr.entries)):
-            raise ModelsNotNormal(
-                "models are not normal; use certify_pseudospectrum (Hausdorff "
-                "control of the spectrum alone is not available here)"
-            )
-    cloud = union_spectrum(h_prev, h_curr)
+    return eigenvalues_auto(model)
+
+
+def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
+                   expansion: ContinuedFractionExpansion, n: int,
+                   caveat: Optional[str],
+                   spectra: dict[int, EigenvalueSet]) -> tuple[PointCloud, ApproximationCertificate]:
+    """Level-n cloud and certificate; spectra memoizes the model spectra
+    by convergent index and gains the two this level needs."""
+    for k in (n - 1, n):
+        if k not in spectra:
+            spectra[k] = _model_spectrum(spec, expansion, k)
     cert = ApproximationCertificate(
         theta=theta,
         spec=spec,
@@ -270,7 +289,18 @@ def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
         mode="normal_hausdorff",
         caveat=caveat,
     )
-    return cloud, cert
+    return spectra_union(spectra[n - 1], spectra[n]), cert
+
+
+def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
+                   max_q: Optional[int] = None) -> tuple[PointCloud, ApproximationCertificate]:
+    """sigma(h_{n-1}) union sigma(h_n) with the certified radius
+    min(epsilon_sharp, epsilon_clean); models must be normal."""
+    caveat = _spectrum_caveat(theta, spec)
+    expansion = expand(theta, n + 1)
+    _q_triple(expansion, n)
+    _check_budget(expansion.q(n), max_q, f"level n={n}")
+    return _certify_level(theta, spec, expansion, n, caveat, {})
 
 
 @dataclass(frozen=True)
@@ -326,14 +356,16 @@ class PseudospectrumSandwich:
 
 def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
                            epsilon: float,
-                           grid_params: Optional[GridParams] = None) -> PseudospectrumSandwich:
+                           grid_params: Optional[GridParams] = None,
+                           max_q: Optional[int] = None) -> PseudospectrumSandwich:
     """Grids for both convergent models plus the sandwich masks; the
-    operator itself is never materialized."""
+    operator itself is never materialized. max_q bounds the model order."""
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
     caveat = _irrationality_caveat(theta)
     expansion = expand(theta, n + 1)
     _q_triple(expansion, n)
+    _check_budget(expansion.q(n), max_q, f"level n={n}")
     gp = grid_params or GridParams()
 
     if spec.is_canonical:
@@ -345,7 +377,7 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
         eps_sharp = eps_clean = eps_n = None
         certified = False
 
-    h_prev, h_curr = _build_pair(spec, expansion, n)
+    h_prev, h_curr = (_convergent_model(spec, expansion, k) for k in (n - 1, n))
     margin = epsilon + 2 * (eps_n or 0.0)
     region = gp.region or default_region(spec_norm_bound(spec), margin)
     levels = (epsilon,) if eps_n is None else (epsilon, epsilon + eps_n, epsilon + 2 * eps_n)
@@ -405,12 +437,14 @@ OneSidedResult = Union[PointCloud, PseudospectrumGrid]
 
 
 def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
-              grid_params: Optional[GridParams] = None) -> tuple[OneSidedResult, OneSidedCertificate]:
+              grid_params: Optional[GridParams] = None,
+              max_q: Optional[int] = None) -> tuple[OneSidedResult, OneSidedCertificate]:
     """Single model at denominator n with p = round(n*theta); returns its
     spectrum (normal case) or a sigma_min grid, plus the sqrt(n)-rate
-    certificate."""
+    certificate. max_q bounds the model order n."""
     if n < 1:
         raise InvalidInput(f"denominator must be >= 1, got {n}")
+    _check_budget(n, max_q, f"denominator n={n}")
     caveat = _irrationality_caveat(theta)
     p_star, tie = round_nearest(theta, n)
     p = p_star % n
@@ -485,9 +519,18 @@ def parameter_continuity_bound(spec: OperatorSpec, theta: ThetaLike,
 # set geometry
 # ---------------------------------------------------------------------------
 
+_DIRECTED_CHUNK = 1 << 18  # complex distances per block of rows of P
+
+
 def _directed(p: np.ndarray, q: np.ndarray) -> float:
-    dist = np.abs(p[:, None] - q[None, :])
-    return float(np.max(np.min(dist, axis=1)))
+    """max over p of the distance to q, over row blocks of about
+    _DIRECTED_CHUNK distances; min and max are exact, so the result is
+    the same float as one |P| x |Q| pass."""
+    rows = max(1, _DIRECTED_CHUNK // len(q))
+    return max(
+        float(np.max(np.min(np.abs(p[s:s + rows, None] - q[None, :]), axis=1)))
+        for s in range(0, len(p), rows)
+    )
 
 
 def hausdorff_distance(P: PointCloud, Q: PointCloud) -> float:
@@ -567,16 +610,16 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
     if levels[0] < 1:
         raise InvalidInput(f"levels must be >= 1, got {levels[0]}")
     n_max = levels[-1]
+    caveat = _spectrum_caveat(theta, spec)
     expansion = expand(theta, n_max + 1)
-    if expansion.q(n_max) > max_q:
-        raise ResourceBudgetExceeded(
-            f"deepest level n={n_max} needs q={expansion.q(n_max)} > budget {max_q}"
-        )
+    _q_triple(expansion, n_max)
+    _check_budget(expansion.q(n_max), max_q, f"deepest level n={n_max}")
 
     clouds: dict[int, PointCloud] = {}
     certs: dict[int, ApproximationCertificate] = {}
+    spectra: dict[int, EigenvalueSet] = {}  # each convergent's model is solved once
     for n in levels:
-        clouds[n], certs[n] = certify_normal(theta, spec, n)
+        clouds[n], certs[n] = _certify_level(theta, spec, expansion, n, caveat, spectra)
     ref_sharp = certs[n_max].epsilon_sharp
     rows = tuple(
         ConvergenceRow(

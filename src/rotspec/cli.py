@@ -36,6 +36,7 @@ from .errors import (
     InvalidInput,
     NotHermitian,
     PrecisionExhausted,
+    ResourceBudgetExceeded,
     RotspecError,
 )
 from .matmodel import OperatorSpec, build_operator
@@ -286,7 +287,8 @@ def cmd_pseudospectrum(args, cfg) -> int:
     if epsilon <= 0:
         raise _UsageError(f"--epsilon must be > 0, got {epsilon}")
     gp = _resolve_grid_params(args, cfg)
-    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp)
+    max_q = int(_resolve(args, cfg, "max_q"))
+    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp, max_q=max_q)
     out = _out_dir(args, cfg)
     formats = _resolve_formats(args, cfg)
     written = []
@@ -319,6 +321,9 @@ def cmd_butterfly(args, cfg) -> int:
     q_max = int(_resolve(args, cfg, "q_max"))
     if q_max < 1:
         raise _UsageError(f"--q-max must be >= 1, got {q_max}")
+    max_q = int(_resolve(args, cfg, "max_q"))
+    if q_max > max_q:
+        raise ResourceBudgetExceeded(f"--q-max {q_max} exceeds the order budget {max_q}")
     lines = ["p,q,eigenvalue"]
     fractions = 0
     for q in range(1, q_max + 1):
@@ -358,6 +363,10 @@ def cmd_onesided(args, cfg) -> int:
     n_list = _parse_n_list(raw)
     if not n_list:
         raise _UsageError("--n-list is empty")
+    max_q = int(_resolve(args, cfg, "max_q"))
+    if max(n_list) > max_q:
+        raise ResourceBudgetExceeded(
+            f"--n-list entry {max(n_list)} exceeds the order budget {max_q}")
     gp = _resolve_grid_params(args, cfg)
     out = _out_dir(args, cfg)
     formats = _resolve_formats(args, cfg)

@@ -22,8 +22,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyCloud, InvalidInput
+from .errors import ConvergenceFailure, EmptyCloud, InvalidInput, NotHermitian
 from .spectral import (
+    EigenvalueSet,
     MatrixLike,
     as_matrix,
     hermitian_eigenvalues,
@@ -293,26 +294,30 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
 # direct-sum spectra
 # ---------------------------------------------------------------------------
 
-def eigenvalues_auto(A: MatrixLike):
+def eigenvalues_auto(A: MatrixLike) -> EigenvalueSet:
     """Dispatch to the Hermitian path when the matrix is Hermitian within
-    tolerance, else the normal path."""
-    a = as_matrix(A)
-    scale = float(np.linalg.norm(a))
-    if float(np.linalg.norm(a - a.conj().T)) <= 1e-12 * max(scale, 1e-300):
-        return hermitian_eigenvalues(a)
-    return normal_eigenvalues(a)
+    tolerance, else the normal path; the Hermitian path's own defect
+    check decides, so each matrix is tested once."""
+    try:
+        return hermitian_eigenvalues(A)
+    except NotHermitian:
+        return normal_eigenvalues(A)
 
 
-def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:
-    """Multiset union of the two spectra: the spectrum of the direct sum
-    without building it."""
-    ea, eb = eigenvalues_auto(A), eigenvalues_auto(B)
+def spectra_union(ea: EigenvalueSet, eb: EigenvalueSet) -> PointCloud:
+    """Multiset union of two computed spectra, in lexicographic order."""
     values = np.concatenate([
         np.asarray(ea.values, dtype=np.complex128),
         np.asarray(eb.values, dtype=np.complex128),
     ])
     values = values[np.lexsort((values.imag, values.real))]
     return PointCloud(points=values, label=f"sigma(A) u sigma(B), orders {ea.order}+{eb.order}")
+
+
+def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:
+    """Multiset union of the two spectra: the spectrum of the direct sum
+    without building it."""
+    return spectra_union(eigenvalues_auto(A), eigenvalues_auto(B))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rotspec.approx as approx
 from rotspec.approx import (
     RATE_FLAG,
     ApproximationCertificate,
@@ -35,6 +36,7 @@ from rotspec.approx import (
 )
 from rotspec.contfrac import expand, parse_theta
 from rotspec.errors import (
+    CertificateViolation,
     EmptyCloud,
     IndexOutOfRange,
     InvalidInput,
@@ -91,6 +93,12 @@ class TestBounds:
                 for n in range(1, 9):
                     assert (sharp_bound_exact(spec, e, n)
                             <= clean_bound_exact(spec, e, n))
+
+    def test_clean_majorization_is_checked(self, monkeypatch):
+        e = expand(GOLDEN, 9)
+        monkeypatch.setattr(approx, "sharp_bound_exact", lambda *a: Fraction(10 ** 6))
+        with pytest.raises(CertificateViolation):
+            clean_bound_exact(AM, e, 5)
 
     def test_bounds_strictly_decrease(self):
         e = expand(GOLDEN, 10)
@@ -242,6 +250,14 @@ class TestCertifyPseudospectrum:
             certify_pseudospectrum(parse_theta("rational:1/3"), AM, 2, 0.5,
                                    self.PARAMS)
 
+    def test_budget_checked_before_any_model(self, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        with pytest.raises(ResourceBudgetExceeded):
+            certify_pseudospectrum(GOLDEN, AM, 12, 0.5, self.PARAMS, max_q=50)
+        monkeypatch.undo()
+        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS, max_q=3)
+        assert s.q_pair == (2, 3)
+
 
 class TestOneSided:
     def test_golden_n10(self):
@@ -287,6 +303,14 @@ class TestOneSided:
             one_sided(parse_theta("rational:1/2"), AM, 4)
         with pytest.raises(InvalidInput):
             one_sided(GOLDEN, AM, 0)
+
+    def test_budget_checked_before_any_model(self, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        with pytest.raises(ResourceBudgetExceeded):
+            one_sided(GOLDEN, AM, 300, max_q=50)
+        monkeypatch.undo()
+        cloud, _ = one_sided(GOLDEN, AM, 50, max_q=50)
+        assert len(cloud) == 50
 
     def test_json_keys(self):
         _, cert = one_sided(GOLDEN, AM, 10)
@@ -356,6 +380,17 @@ class TestSetGeometry:
         assert (hausdorff_distance(a, c)
                 <= hausdorff_distance(a, b) + hausdorff_distance(b, c) + 1e-15)
 
+    def test_chunked_directed_matches_one_pass(self):
+        # |P| x |Q| on both sides of the 2^18-distance block size, complex
+        # and real clouds; min and max are exact, so the floats are equal
+        rng = np.random.default_rng(17)
+        for np_, nq in ((300, 700), (700, 400), (3, 2 ** 18 + 5), (1000, 1)):
+            p = rng.standard_normal(np_) + 1j * rng.standard_normal(np_)
+            q = rng.standard_normal(nq) + 1j * rng.standard_normal(nq)
+            for a, b in ((p, q), (p.real + 0j, q.real + 0j), (q, p)):
+                one_pass = float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+                assert approx._directed(a, b) == one_pass
+
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
             hausdorff_distance(PointCloud(np.array([])), PointCloud(np.array([1.0])))
@@ -405,6 +440,27 @@ class TestConvergenceStudy:
         assert lines[0] == "n,q_prev,q_n,epsilon_sharp,epsilon_clean,empirical_dH"
         assert len(lines) == 3
         assert lines[1].startswith("3,2,3,")
+
+    def test_each_model_solved_once(self, monkeypatch):
+        solved, expansions = [], []
+        solve, expand_ = approx.eigenvalues_auto, approx.expand
+        monkeypatch.setattr(approx, "eigenvalues_auto",
+                            lambda m: solved.append(m.order) or solve(m))
+        monkeypatch.setattr(approx, "expand",
+                            lambda *a: expansions.append(a) or expand_(*a))
+        table = convergence_study(GOLDEN, AM, range(3, 9))
+        assert sorted(solved) == [2, 3, 5, 8, 13, 21, 34]
+        assert len(expansions) == 1
+        monkeypatch.undo()
+        # memoized clouds are the bytes certify_normal builds level by level
+        ref = certify_normal(GOLDEN, AM, 8)[0]
+        for row in table.rows:
+            cloud = certify_normal(GOLDEN, AM, row.n)[0]
+            assert row.empirical_dh == hausdorff_distance(cloud, ref)
+
+    def test_normality_gate(self):
+        with pytest.raises(ModelsNotNormal):
+            convergence_study(GOLDEN, U_PLUS_2V, [3, 4])
 
     def test_duplicate_levels_collapse(self):
         table = convergence_study(GOLDEN, AM, [4, 3, 4])

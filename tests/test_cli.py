@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import rotspec.approx as approx
 import rotspec.cli as cli
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
@@ -164,6 +165,14 @@ class TestPseudospectrum:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        code = main(["pseudospectrum", "--theta", GOLDEN, "--level", "12",
+                     "--max-q", "50", "--epsilon", "0.5", "--out-dir", str(tmp_path)])
+        assert code == 3  # q_12 = 233
+        assert "budget 50" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_epsilon_validation(self, tmp_path, capsys):
         base = ["pseudospectrum", "--theta", GOLDEN, "--out-dir", str(tmp_path)]
         assert main(base) == 2  # epsilon required
@@ -206,6 +215,14 @@ class TestButterfly:
         assert main(["butterfly", "--q-max", "0", "--out-dir", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_operator", None)  # any build would fail
+        code = main(["butterfly", "--q-max", "60", "--max-q", "50",
+                     "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "budget 50" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestOnesided:
     def test_cloud_kind(self, tmp_path, capsys):
@@ -238,6 +255,18 @@ class TestOnesided:
         doc = json.loads((tmp_path / "onesided_summary.json").read_text())
         assert doc["certificates"][0]["kind"] == "grid"
         assert doc["certificates"][0]["resolution"] == [6, 6]
+
+    def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        code = main(["onesided", "--theta", GOLDEN, "--n-list", "300",
+                     "--max-q", "50", "--out-dir", str(tmp_path)])
+        assert code == 3
+        assert "budget 50" in capsys.readouterr().err
+        # the whole list is checked before the first model is built
+        assert main(["onesided", "--theta", GOLDEN, "--n-list", "10,300",
+                     "--max-q", "50", "--out-dir", str(tmp_path)]) == 3
+        capsys.readouterr()
+        assert not list(tmp_path.iterdir())
 
     def test_n_list_validation(self, tmp_path, capsys):
         base = ["onesided", "--theta", GOLDEN, "--out-dir", str(tmp_path)]

@@ -1,7 +1,8 @@
 """Eigensolvers and smallest singular values.
 
 Oracle strategy: planted-spectrum constructions (unitary conjugations of
-known diagonals), closed forms for circulants and 2x2 Jordan blocks, and
+known diagonals), closed forms for circulants and 2x2 Jordan blocks,
+dense LAPACK eigvalsh against the banded Hermitian route, and
 cross-route agreement between the inverse-iteration sigma_min path and
 the full SVD.
 """
@@ -14,6 +15,7 @@ import pytest
 from rotspec.errors import InvalidInput, NotHermitian, NotNormal
 from rotspec.matmodel import OperatorSpec, build_operator, shift_matrix
 from rotspec.spectral import (
+    _interleaved_band,
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
     is_normal,
@@ -54,7 +56,7 @@ class TestHermitian:
         r = 2 * math.sqrt(2)
         assert np.allclose(ev.values, [-r, r], atol=1e-12)
         assert ev.method_tag == "hermitian"
-        assert ev.residual_bound < 1e-12
+        assert ev.residual_bound is None
 
     def test_identity(self):
         ev = hermitian_eigenvalues(np.eye(4, dtype=complex))
@@ -88,6 +90,79 @@ class TestHermitian:
         va = hermitian_eigenvalues(a).values
         vb = hermitian_eigenvalues(a + e).values
         assert np.max(np.abs(va - vb)) <= operator_norm(e) + 1e-12
+
+
+def random_phase(rng: np.random.Generator, modulus: float = 1.0) -> complex:
+    return modulus * complex(np.exp(2j * np.pi * rng.random()))
+
+
+def hermitian_axis_spec(rng: np.random.Generator, u_powers, v_powers) -> OperatorSpec:
+    """Hermitian general spec: conjugate pairs c U^j + conj(c) U^-j and
+    d V^k + conj(d) V^-k with random-phase coefficients."""
+    terms = []
+    for j in u_powers:
+        c = random_phase(rng, 1 + rng.random())
+        terms += [(j, 0, c), (-j, 0, c.conjugate())]
+    for k in v_powers:
+        d = random_phase(rng, 1 + rng.random())
+        terms += [(0, k, d), (0, -k, d.conjugate())]
+    return OperatorSpec.general(terms)
+
+
+class TestBandedHermitian:
+    """The banded route against dense eigvalsh, within 1e-12 * max(1, ||A||)."""
+
+    GOLDEN_Q = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
+
+    @staticmethod
+    def assert_matches_eigvalsh(a: np.ndarray) -> None:
+        expect = np.linalg.eigvalsh(a)
+        got = hermitian_eigenvalues(a).values
+        norm = float(np.max(np.abs(expect)))  # ||A||_2 of a Hermitian A
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, norm)
+
+    def test_canonical_random_phases_small_q(self):
+        rng = np.random.default_rng(41)
+        for q in range(1, 41):
+            a, b = random_phase(rng), random_phase(rng, 2.0)
+            spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
+            h = build_operator(spec, int(rng.integers(q)), q)
+            assert _interleaved_band(h.entries).shape == (min(3, q), q)
+            self.assert_matches_eigvalsh(h.entries)
+
+    def test_canonical_golden_convergents(self):
+        rng = np.random.default_rng(42)
+        for p, q in zip((0,) + self.GOLDEN_Q, self.GOLDEN_Q):
+            a, b = random_phase(rng), random_phase(rng)
+            spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
+            self.assert_matches_eigvalsh(build_operator(spec, p % q, q).entries)
+
+    def test_general_specs_bandwidth_2j(self):
+        rng = np.random.default_rng(43)
+        for u_powers in ((1, 2), (2,), (1, 3), (3,)):
+            spec = hermitian_axis_spec(rng, u_powers, (1, 2))
+            j = max(u_powers)
+            for q in (7, 13, 34, 89):
+                h = build_operator(spec, int(rng.integers(1, q)), q).entries
+                assert _interleaved_band(h).shape == (2 * j + 1, q)
+                self.assert_matches_eigvalsh(h)
+
+    def test_clock_part_alone_is_diagonal(self):
+        h = build_operator(OperatorSpec.canonical(0, 0, 1, 1), 21, 34).entries
+        assert _interleaved_band(h).shape == (1, 34)
+        self.assert_matches_eigvalsh(h)
+
+    def test_dense_matrix_full_bandwidth(self):
+        rng = np.random.default_rng(44)
+        z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        a = (z + z.conj().T) / 2
+        assert _interleaved_band(a).shape == (40, 40)
+        self.assert_matches_eigvalsh(a)
+
+    def test_zero_and_empty(self):
+        assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))).values, np.zeros(3))
+        assert hermitian_eigenvalues(np.zeros((0, 0))).values.shape == (0,)
 
 
 class TestCirculant:
