@@ -49,6 +49,7 @@ from .errors import (
     InvalidInput,
     ModelsNotNormal,
     NonCanonicalSpec,
+    NotNormal,
     ResourceBudgetExceeded,
     ThetaRational,
 )
@@ -64,7 +65,7 @@ from .pseudospectra import (
     level_set,
     spectra_union,
 )
-from .spectral import EigenvalueSet, hermitian_eigenvalues, is_normal, normal_eigenvalues
+from .spectral import EigenvalueSet, hermitian_eigenvalues, normal_eigenvalues
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
 
@@ -261,13 +262,13 @@ def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
                     k: int) -> EigenvalueSet:
     """Spectrum of the model at convergent k; a non-Hermitian spec must
     give a normal model."""
-    model = _convergent_model(spec, expansion, k)
-    if not spec.is_hermitian and not is_normal(model.entries):
+    try:
+        return eigenvalues_auto(_convergent_model(spec, expansion, k))
+    except NotNormal as exc:
         raise ModelsNotNormal(
             "models are not normal; use certify_pseudospectrum (Hausdorff "
             "control of the spectrum alone is not available here)"
-        )
-    return eigenvalues_auto(model)
+        ) from exc
 
 
 def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
@@ -381,10 +382,10 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
     margin = epsilon + 2 * (eps_n or 0.0)
     region = gp.region or default_region(spec_norm_bound(spec), margin)
     levels = (epsilon,) if eps_n is None else (epsilon, epsilon + eps_n, epsilon + 2 * eps_n)
-    grid_prev = compute_grid(h_prev, region, gp.resolution, gp.method, gp.jobs,
-                             gp.seed).with_levels(levels)
-    grid_curr = compute_grid(h_curr, region, gp.resolution, gp.method, gp.jobs,
-                             gp.seed).with_levels(levels)
+    grid_prev = compute_grid(h_prev, region, gp.resolution,
+                             gp.jobs).with_levels(levels)
+    grid_curr = compute_grid(h_curr, region, gp.resolution,
+                             gp.jobs).with_levels(levels)
 
     inner = level_set(grid_prev, epsilon) | level_set(grid_curr, epsilon)
     if eps_n is not None:
@@ -459,16 +460,17 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
 
     model = build_operator(spec, p, n)
     result: OneSidedResult
+    label = f"sigma(h_{p}/{n})"
     if spec.is_hermitian:
         result = PointCloud(hermitian_eigenvalues(model).values.astype(np.complex128),
-                            label=f"sigma(h_{p}/{n})")
-    elif is_normal(model.entries):
-        result = PointCloud(normal_eigenvalues(model).values,
-                            label=f"sigma(h_{p}/{n})")
+                            label=label)
     else:
-        gp = grid_params or GridParams()
-        region = gp.region or default_region(spec_norm_bound(spec), radius)
-        result = compute_grid(model, region, gp.resolution, gp.method, gp.jobs, gp.seed)
+        try:
+            result = PointCloud(normal_eigenvalues(model).values, label=label)
+        except NotNormal:
+            gp = grid_params or GridParams()
+            region = gp.region or default_region(spec_norm_bound(spec), radius)
+            result = compute_grid(model, region, gp.resolution, gp.jobs)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,

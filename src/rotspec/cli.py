@@ -63,15 +63,12 @@ _DEFAULTS = {
     "terms": 20,
     "level": 5,
     "resolution": [256, 256],
-    "method": "auto",
-    "seed": 0,
     "q_max": 50,
 }
 
 _CONFIG_KEYS = {
     "theta", "spec", "out_dir", "format", "jobs", "max_q", "terms", "level",
-    "epsilon", "region", "resolution", "method", "seed", "q_max", "n_list",
-    "n_range",
+    "epsilon", "region", "resolution", "q_max", "n_list", "n_range",
 }
 
 _FORMATS = ("csv", "json", "pgm")
@@ -195,9 +192,7 @@ def _resolve_grid_params(args, cfg) -> GridParams:
     return GridParams(
         region=region,
         resolution=resolution,
-        method=str(_resolve(args, cfg, "method")),
         jobs=int(_resolve(args, cfg, "jobs")),
-        seed=int(_resolve(args, cfg, "seed")),
     )
 
 
@@ -500,8 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", nargs=4, type=float,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--resolution", nargs=2, type=int, metavar=("NX", "NY"))
-    p.add_argument("--method", choices=["auto", "svd", "inverse"])
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_pseudospectrum)
 
     p = sub.add_parser("butterfly", parents=[common],
@@ -516,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", nargs=4, type=float,
                    metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     p.add_argument("--resolution", nargs=2, type=int, metavar=("NX", "NY"))
-    p.add_argument("--method", choices=["auto", "svd", "inverse"])
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_onesided)
 
     p = sub.add_parser("converge", parents=[common],

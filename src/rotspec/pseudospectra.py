@@ -8,9 +8,10 @@ mask_S(eps+2*delta) for delta = ||S - T||, and forms direct-sum spectra
 as multiset unions without materializing block matrices.
 
 Grid evaluation is deterministic by construction: points are split into
-fixed-size chunks (independent of the worker count), every point's value
-depends only on (matrix, lambda, point index), and workers write disjoint
-slices, so the same bytes come out at any parallelism degree.
+chunks whose size depends only on the order q (never on the worker
+count), each chunk's values come from one batched SVD of its stack of
+lambda*I - A, and workers write disjoint slices, so the same bytes come
+out at any parallelism degree.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from .spectral import (
     normal_eigenvalues,
     operator_norm,
     sigma_min_stack,
-    _inverse_iteration_sigma_min,
 )
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
 DEFAULT_RESOLUTION = (256, 256)
-_CHUNK_BUDGET = 1 << 22  # complex entries per chunk stack (~64 MB)
+_CHUNK_BUDGET = 1 << 18  # complex entries per chunk stack: 4 MiB caps grid memory (q <= 512)
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,7 @@ class GridParams:
 
     region: Optional[Region] = None
     resolution: tuple[int, int] = DEFAULT_RESOLUTION
-    method: str = "auto"
     jobs: int = 1
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,20 +136,17 @@ def default_region(norm_bound: float, margin: float) -> Region:
 
 
 def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
-                 method: str = "auto", jobs: int = 1, seed: int = 0) -> PseudospectrumGrid:
+                 jobs: int = 1) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid.
 
-    method "svd" batches the gufunc SVD over fixed-size chunks; "inverse"
-    runs the per-point inverse-iteration fast path (better for large q);
-    "auto" picks by order. Results are independent of jobs.
+    Points go in row-major order into chunks of at most 4096 and at most
+    _CHUNK_BUDGET // q^2 points; each chunk is one batched SVD
+    (sigma_min_stack). jobs threads share the chunks, and the values do
+    not depend on jobs.
     """
     a = as_matrix(A)
     _validate_grid_request(region, resolution)
     q = a.shape[0]
-    if method == "auto":
-        method = "svd" if q <= 128 else "inverse"
-    if method not in ("svd", "inverse"):
-        raise InvalidInput(f"unknown grid method {method!r}")
 
     nx, ny = resolution
     re = np.linspace(region[0], region[1], nx)
@@ -166,24 +161,13 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     def eval_chunk(start: int) -> None:
         stop = min(start + chunk, lam.size)
         lam_c = lam[start:stop]
-        if method == "svd":
-            stack = lam_c[:, None, None] * eye - a
-            try:
-                out[start:stop] = sigma_min_stack(stack)
-            except ConvergenceFailure as exc:
-                raise ConvergenceFailure(
-                    f"sigma_min failed in chunk starting at lambda={lam_c[0]}: {exc}"
-                ) from exc
-        else:
-            for k, lv in enumerate(lam_c):
-                try:
-                    out[start + k] = _inverse_iteration_sigma_min(
-                        lv * eye - a, seed=(seed << 32) ^ (start + k)
-                    )
-                except ConvergenceFailure as exc:
-                    raise ConvergenceFailure(
-                        f"sigma_min failed at lambda={lv}: {exc}"
-                    ) from exc
+        stack = lam_c[:, None, None] * eye - a
+        try:
+            out[start:stop] = sigma_min_stack(stack)
+        except ConvergenceFailure as exc:
+            raise ConvergenceFailure(
+                f"sigma_min failed in chunk starting at lambda={lam_c[0]}: {exc}"
+            ) from exc
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -249,8 +233,8 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     norm_scale = max(operator_norm(s), operator_norm(t))
     region = gp.region or default_region(norm_scale, epsilon / 2 + delta + 0.25)
 
-    grid_s = compute_grid(s, region, gp.resolution, gp.method, gp.jobs, gp.seed)
-    grid_t = compute_grid(t, region, gp.resolution, gp.method, gp.jobs, gp.seed)
+    grid_s = compute_grid(s, region, gp.resolution, gp.jobs)
+    grid_t = compute_grid(t, region, gp.resolution, gp.jobs)
     lam = grid_s.lambda_grid()
     lam_max = float(np.max(np.abs(lam)))
     slack = 1e-7 * (norm_scale + lam_max)

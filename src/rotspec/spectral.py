@@ -19,15 +19,9 @@ eigenspace clusters (threshold 1e-8 * ||A||), diagonalizes H2 restricted
 to each cluster, and reads eigenvalues off as Rayleigh quotient pairs
 mu + i*nu.
 
-smallest_singular_value has two routes: full SVD (the fallback and the
-test oracle) and an inverse-iteration fast path for grid workloads that
-factors lambda*I - A once by QR and then iterates x <- R^-1 R^-* x, since
-(B*B)^-1 = R^-1 R^-* when B = QR. Each Rayleigh estimate 1/||R^-* x|| is
-an upper bound on sigma_min, so the fast path runs the iteration twice -
-once from a seeded random start and once from a fresh start
-orthogonalized against the first converged vector, which would expose a
-missed smaller singular value - and returns the smaller estimate. Any
-non-convergence within the iteration cap falls back to the SVD.
+smallest_singular_value and sigma_min_stack have one route: the SVD,
+batched through the gufunc over (..., q, q) stacks, with a per-matrix
+retry through scipy's LAPACK when numpy's SVD fails to converge.
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ MatrixLike = Union[MatrixModel, np.ndarray]
 CLUSTER_TOL = 1e-8        # relative eigenspace clustering threshold for H1
 HERMITIAN_TOL = 1e-12     # relative Hermitian-defect acceptance
 NORMAL_TOL = 1e-10        # default relative normality tolerance
-SIGMA_REL_TOL = 1e-9      # inverse-iteration relative stagnation tolerance
-SIGMA_MAX_ITER = 50
 
 
 def as_matrix(A: MatrixLike) -> np.ndarray:
@@ -241,77 +233,12 @@ def _svd_sigma_min(a: np.ndarray) -> float:
             raise ConvergenceFailure(f"SVD failed: {exc}") from exc
 
 
-def _inverse_iteration_sigma_min(a: np.ndarray, seed: int = 0) -> float:
-    """sigma_min via inverse iteration on (B*B)^-1 = R^-1 R^-*, B = QR.
-
-    Every Rayleigh estimate 1/||R^-* x|| bounds sigma_min from above and
-    decreases monotonically under the iteration, so stagnation to
-    SIGMA_REL_TOL certifies convergence to the smallest singular value
-    represented in the start vector. A start deficient in the minimal
-    singular direction would converge to the wrong value, so a second run
-    starts from a fresh random vector orthogonalized against the first
-    converged direction and the smaller estimate wins. Non-convergence
-    within SIGMA_MAX_ITER sweeps or an exactly singular R falls back to
-    the SVD.
-    """
-    q = a.shape[0]
-    r = np.linalg.qr(a, mode="r")
-    rdiag = np.abs(np.diag(r))
-    if not np.all(np.isfinite(r)) or np.any(rdiag == 0.0):
-        return _svd_sigma_min(a)
-
-    def run(x0: np.ndarray) -> tuple[float, np.ndarray]:
-        x = x0 / np.linalg.norm(x0)
-        est_prev = np.inf
-        for _ in range(SIGMA_MAX_ITER):
-            try:
-                y = scipy.linalg.solve_triangular(r, x, trans="C", lower=False,
-                                                  check_finite=False)
-                z = scipy.linalg.solve_triangular(r, y, lower=False,
-                                                  check_finite=False)
-            except Exception:
-                return -1.0, x
-            ny, nz = np.linalg.norm(y), np.linalg.norm(z)
-            if not np.isfinite(nz) or nz == 0.0 or ny == 0.0:
-                return -1.0, x
-            # Rayleigh quotient of (B*B)^-1 at unit x is ||y||^2
-            est = 1.0 / ny
-            x = z / nz
-            if abs(est - est_prev) <= SIGMA_REL_TOL * max(est, 1e-300):
-                return est, x
-            est_prev = est
-        return -1.0, x
-
-    rng = np.random.default_rng(np.random.SeedSequence([0x5157, seed]))
-    x1 = (rng.standard_normal(q) + 1j * rng.standard_normal(q)).astype(np.complex128)
-    est1, v1 = run(x1)
-    if est1 < 0.0:
-        return _svd_sigma_min(a)
-    x2 = (rng.standard_normal(q) + 1j * rng.standard_normal(q)).astype(np.complex128)
-    x2 = x2 - v1 * (v1.conj() @ x2)
-    n2 = np.linalg.norm(x2)
-    if n2 < 1e-8:
-        x2 = (rng.standard_normal(q) + 1j * rng.standard_normal(q)).astype(np.complex128)
-    est2, _ = run(x2)
-    if est2 < 0.0:
-        # second run converging to sigma_2 can be slow; the first estimate
-        # already stagnated, so cross-check it against the oracle instead
-        svd = _svd_sigma_min(a)
-        return min(est1, svd)
-    return min(est1, est2)
-
-
-def smallest_singular_value(A: MatrixLike, method: str = "svd", seed: int = 0) -> float:
-    """sigma_min(A); never negative. method "svd" (oracle/fallback) or
-    "inverse" (grid fast path)."""
+def smallest_singular_value(A: MatrixLike) -> float:
+    """sigma_min(A) by the SVD; never negative."""
     a = as_matrix(A)
     if a.shape[0] == 0:
         raise InvalidInput("empty matrix")
-    if method == "svd":
-        return _svd_sigma_min(a)
-    if method == "inverse":
-        return _inverse_iteration_sigma_min(a, seed)
-    raise InvalidInput(f"unknown sigma_min method {method!r}")
+    return _svd_sigma_min(a)
 
 
 def sigma_min_stack(stack: np.ndarray) -> np.ndarray:

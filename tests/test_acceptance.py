@@ -171,7 +171,7 @@ def test_criterion_06_sharpness_floor():
 def test_criterion_07_sandwich_bulk():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
-    gp = GridParams(resolution=(128, 128), method="svd")
+    gp = GridParams(resolution=(128, 128))
     total_hard = 0
     deltas = []
     for _ in range(100):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import rotspec.approx as approx
+import rotspec.spectral as spectral
 from rotspec.approx import (
     RATE_FLAG,
     ApproximationCertificate,
@@ -188,6 +189,26 @@ class TestCertifyNormal:
         # so no Hausdorff-certified point cloud exists
         with pytest.raises(ModelsNotNormal):
             certify_normal(GOLDEN, U_PLUS_2V, 3)
+
+    def test_normality_tested_once_per_model(self, monkeypatch):
+        orders = []
+        real_is_normal = spectral.is_normal
+
+        def counting(a, *args, **kwargs):
+            orders.append(np.asarray(a).shape[0])
+            return real_is_normal(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "is_normal", counting)
+        # a normality gate in approx itself would be counted too
+        monkeypatch.setattr(approx, "is_normal", counting, raising=False)
+        shift = OperatorSpec.canonical(1, 0, 0, 0)
+        cloud, _ = certify_normal(GOLDEN, shift, 5)
+        assert orders == [5, 8]
+        assert len(cloud) == 13
+        orders.clear()
+        result, _ = one_sided(GOLDEN, shift, 8)
+        assert orders == [8]
+        assert isinstance(result, PointCloud) and len(result) == 8
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetExceeded):

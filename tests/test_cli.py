@@ -178,6 +178,8 @@ class TestPseudospectrum:
         assert main(base) == 2  # epsilon required
         assert main(base + ["--epsilon", "0"]) == 2
         assert main(base + ["--epsilon", "-1"]) == 2
+        assert main(base + ["--epsilon", "1", "--method", "svd"]) == 2  # no such flag
+        assert main(base + ["--epsilon", "1", "--seed", "0"]) == 2
         capsys.readouterr()
 
 
@@ -353,9 +355,10 @@ class TestConfigAndSpecResolution:
 
     def test_config_validation(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"tehta": GOLDEN}))
-        assert main(["expand", "--config", str(bad)]) == 3
-        assert "unknown config keys" in capsys.readouterr().err
+        for unknown in ({"tehta": GOLDEN}, {"method": "svd"}, {"seed": 0}):
+            bad.write_text(json.dumps(unknown))
+            assert main(["expand", "--config", str(bad)]) == 3
+            assert "unknown config keys" in capsys.readouterr().err
         bad.write_text(json.dumps([1, 2]))
         assert main(["expand", "--config", str(bad)]) == 3
         assert main(["expand", "--config", str(tmp_path / "missing.json")]) == 3

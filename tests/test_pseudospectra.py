@@ -31,6 +31,7 @@ from rotspec.pseudospectra import (
 from rotspec.spectral import normal_eigenvalues
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
+U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
 
 
 def make_grid(sigma: np.ndarray, region=(0.0, 1.0, 0.0, 1.0)) -> PseudospectrumGrid:
@@ -47,7 +48,7 @@ class TestComputeGrid:
     def test_values_equal_distance_for_normal_matrix(self):
         eigs = np.array([0.0 + 0j, 1.0 + 0j, 0.5 + 0.5j])
         a = np.diag(eigs)
-        grid = compute_grid(a, (-1, 2, -1, 1), (13, 9), method="svd")
+        grid = compute_grid(a, (-1, 2, -1, 1), (13, 9))
         re, im = grid.lambda_axes()
         for i in range(13):
             for j in range(9):
@@ -62,31 +63,44 @@ class TestComputeGrid:
         assert np.allclose(im, [-1, 0, 1])
         assert grid.h_x == 1.0 and grid.h_y == 1.0
 
-    def test_methods_agree(self):
-        h = build_operator(CANONICAL, 3, 8)
-        g_svd = compute_grid(h, (-4, 4, -2, 2), (21, 11), method="svd")
-        g_inv = compute_grid(h, (-4, 4, -2, 2), (21, 11), method="inverse")
-        assert np.allclose(g_svd.sigma_min_values, g_inv.sigma_min_values,
-                           rtol=1e-8, atol=1e-10)
-
     def test_jobs_do_not_change_bytes(self):
-        h = build_operator(CANONICAL, 2, 5)
-        grids = [compute_grid(h, (-4, 4, -1, 1), (32, 16), method="svd", jobs=j)
-                 for j in (1, 2, 8)]
-        base = grid_to_csv(grids[0])
-        for g in grids[1:]:
-            assert grid_to_csv(g) == base
-        inv = [compute_grid(h, (-4, 4, -1, 1), (16, 8), method="inverse", jobs=j)
-               for j in (1, 3)]
-        assert grid_to_csv(inv[0]) == grid_to_csv(inv[1])
+        # q=5 fits one chunk; q=89 splits 100 points into chunks of 33
+        cases = (
+            (build_operator(CANONICAL, 2, 5), (-4, 4, -1, 1), (32, 16), (1, 2, 8)),
+            (build_operator(U_PLUS_2V, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
+        )
+        for h, region, resolution, jobs in cases:
+            grids = [compute_grid(h, region, resolution, jobs=j) for j in jobs]
+            base = grid_to_csv(grids[0])
+            for g in grids[1:]:
+                assert grid_to_csv(g) == base
+
+    def test_values_match_pointwise_svd(self):
+        h = build_operator(U_PLUS_2V, 55, 89).entries
+        grid = compute_grid(h, (-3.5, 3.5, -3.5, 3.5), (10, 10), jobs=3)
+        lam = grid.lambda_grid()
+        for i, j in np.ndindex(*grid.resolution):
+            ref = np.linalg.svd(lam[i, j] * np.eye(89) - h, compute_uv=False)[-1]
+            assert grid.sigma_min_values[i, j] == pytest.approx(ref, rel=1e-12)
+
+    def test_chunk_stacks_stay_within_4_mib(self, monkeypatch):
+        sizes = []
+        real_stack = psp.sigma_min_stack
+
+        def recording(stack):
+            sizes.append(stack.nbytes)
+            return real_stack(stack)
+
+        monkeypatch.setattr(psp, "sigma_min_stack", recording)
+        compute_grid(build_operator(U_PLUS_2V, 89, 144), (-3, 3, -3, 3), (6, 6))
+        assert max(sizes) <= 4 << 20
+        assert len(sizes) > 1
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
             compute_grid(np.eye(2), (1, -1, 0, 1), (8, 8))
         with pytest.raises(InvalidInput):
             compute_grid(np.eye(2), (-1, 1, 0, 1), (1, 8))
-        with pytest.raises(InvalidInput):
-            compute_grid(np.eye(2), (-1, 1, 0, 1), (8, 8), method="magic")
 
     def test_scalar_matrix(self):
         grid = compute_grid(np.array([[0.5 + 0.5j]]), (0, 1, 0, 1), (3, 3))
@@ -145,7 +159,7 @@ class TestSandwich:
         s = (z + z.conj().T) / 2
         t = s + 0.05 * np.diag(rng.standard_normal(6))
         t = (t + t.conj().T) / 2
-        rep = sandwich_check(s, t, 0.4, GridParams(resolution=(28, 28), seed=4))
+        rep = sandwich_check(s, t, 0.4, GridParams(resolution=(28, 28)))
         assert rep.passed
         assert rep.grid_too_coarse == (rep.advisory_count > 0)
 
@@ -155,8 +169,8 @@ class TestSandwich:
         real_compute = psp.compute_grid
         calls = {}
 
-        def corrupting(a, region, resolution, method="auto", jobs=1, seed=0):
-            grid = real_compute(a, region, resolution, method, jobs, seed)
+        def corrupting(a, region, resolution, jobs=1):
+            grid = real_compute(a, region, resolution, jobs)
             tag = len(calls)
             calls[tag] = grid
             if tag == 1:  # second call = grid of T in sandwich_check
