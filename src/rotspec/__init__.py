@@ -36,7 +36,6 @@ from .errors import (
     InvalidOrder,
     ModelsNotNormal,
     NonCanonicalSpec,
-    NotCertifiable,
     NotHermitian,
     NotNormal,
     PrecisionExhausted,
@@ -50,7 +49,6 @@ from .matmodel import (
     build_operator,
     clock_matrix,
     commutation_defect,
-    matrix_csv_triplets,
     shift_matrix,
     spec_norm_bound,
     unitarity_defect,

@@ -61,13 +61,13 @@ from .pseudospectra import (
     PseudospectrumGrid,
     compute_grid,
     default_region,
-    eigenvalues_auto,
     level_set,
     spectra_union,
 )
-from .spectral import EigenvalueSet, hermitian_eigenvalues, normal_eigenvalues
+from .spectral import EigenvalueSet, eigenvalues_auto
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
+MAX_Q = 4096  # default matrix-order budget of every entry point
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +240,9 @@ def _convergent_model(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
     return build_operator(spec, p % q, q)  # v is q-periodic in p
 
 
-def _check_budget(q: int, max_q: Optional[int], what: str) -> None:
+def _check_budget(q: int, max_q: int, what: str) -> None:
     """Refuse a matrix order above the budget before anything is built."""
-    if max_q is not None and q > max_q:
+    if q > max_q:
         raise ResourceBudgetExceeded(f"{what} needs order q={q} > budget {max_q}")
 
 
@@ -294,7 +294,7 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
 
 
 def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
-                   max_q: Optional[int] = None) -> tuple[PointCloud, ApproximationCertificate]:
+                   max_q: int = MAX_Q) -> tuple[PointCloud, ApproximationCertificate]:
     """sigma(h_{n-1}) union sigma(h_n) with the certified radius
     min(epsilon_sharp, epsilon_clean); models must be normal."""
     caveat = _spectrum_caveat(theta, spec)
@@ -358,7 +358,7 @@ class PseudospectrumSandwich:
 def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
                            epsilon: float,
                            grid_params: Optional[GridParams] = None,
-                           max_q: Optional[int] = None) -> PseudospectrumSandwich:
+                           max_q: int = MAX_Q) -> PseudospectrumSandwich:
     """Grids for both convergent models plus the sandwich masks; the
     operator itself is never materialized. max_q bounds the model order."""
     if epsilon <= 0:
@@ -381,11 +381,8 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
     h_prev, h_curr = (_convergent_model(spec, expansion, k) for k in (n - 1, n))
     margin = epsilon + 2 * (eps_n or 0.0)
     region = gp.region or default_region(spec_norm_bound(spec), margin)
-    levels = (epsilon,) if eps_n is None else (epsilon, epsilon + eps_n, epsilon + 2 * eps_n)
-    grid_prev = compute_grid(h_prev, region, gp.resolution,
-                             gp.jobs).with_levels(levels)
-    grid_curr = compute_grid(h_curr, region, gp.resolution,
-                             gp.jobs).with_levels(levels)
+    grid_prev = compute_grid(h_prev, region, gp.resolution, gp.jobs)
+    grid_curr = compute_grid(h_curr, region, gp.resolution, gp.jobs)
 
     inner = level_set(grid_prev, epsilon) | level_set(grid_curr, epsilon)
     if eps_n is not None:
@@ -439,7 +436,7 @@ OneSidedResult = Union[PointCloud, PseudospectrumGrid]
 
 def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
               grid_params: Optional[GridParams] = None,
-              max_q: Optional[int] = None) -> tuple[OneSidedResult, OneSidedCertificate]:
+              max_q: int = MAX_Q) -> tuple[OneSidedResult, OneSidedCertificate]:
     """Single model at denominator n with p = round(n*theta); returns its
     spectrum (normal case) or a sigma_min grid, plus the sqrt(n)-rate
     certificate. max_q bounds the model order n."""
@@ -460,17 +457,12 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
 
     model = build_operator(spec, p, n)
     result: OneSidedResult
-    label = f"sigma(h_{p}/{n})"
-    if spec.is_hermitian:
-        result = PointCloud(hermitian_eigenvalues(model).values.astype(np.complex128),
-                            label=label)
-    else:
-        try:
-            result = PointCloud(normal_eigenvalues(model).values, label=label)
-        except NotNormal:
-            gp = grid_params or GridParams()
-            region = gp.region or default_region(spec_norm_bound(spec), radius)
-            result = compute_grid(model, region, gp.resolution, gp.jobs)
+    try:
+        result = PointCloud(eigenvalues_auto(model).values, label=f"sigma(h_{p}/{n})")
+    except NotNormal:
+        gp = grid_params or GridParams()
+        region = gp.region or default_region(spec_norm_bound(spec), radius)
+        result = compute_grid(model, region, gp.resolution, gp.jobs)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,
@@ -601,7 +593,7 @@ class ConvergenceTable:
 
 
 def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
-                      n_range, max_q: int = 4096) -> ConvergenceTable:
+                      n_range, max_q: int = MAX_Q) -> ConvergenceTable:
     """Ladder of certificates with the deepest level as the reference
     proxy for the operator's spectrum: empirical_dH(n) compares cloud(n)
     against cloud(n_max) and must stay below epsilon_sharp(n) +

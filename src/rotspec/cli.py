@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .approx import (
+    MAX_Q,
     certify_normal,
     certify_pseudospectrum,
     convergence_study,
@@ -59,7 +60,7 @@ _DEFAULTS = {
     "out_dir": ".",
     "format": ["csv", "json"],
     "jobs": 1,
-    "max_q": 4096,
+    "max_q": MAX_Q,
     "terms": 20,
     "level": 5,
     "resolution": [256, 256],
@@ -367,7 +368,7 @@ def cmd_onesided(args, cfg) -> int:
     formats = _resolve_formats(args, cfg)
     written, summaries = [], []
     for n in n_list:
-        result, cert = one_sided(theta, spec, n, gp)
+        result, cert = one_sided(theta, spec, n, gp, max_q=max_q)
         entry = cert.to_json()
         if isinstance(result, PointCloud):
             entry["kind"] = "cloud"
@@ -470,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format, repeatable (default csv and json)")
     common.add_argument("--jobs", type=int, help="worker threads (results identical)")
     common.add_argument("--max-q", dest="max_q", type=int,
-                        help="matrix-order budget (default 4096)")
+                        help=f"matrix-order budget (default {MAX_Q})")
 
     parser = argparse.ArgumentParser(
         prog="rotspec",

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import (
+    CertificateViolation,
     IndexOutOfRange,
     InsufficientTerms,
     InvalidInput,
@@ -425,8 +426,10 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         lo, hi = diff.enclosure(_gap_digits(q * qnext))
         exact_gap = None
         # exact strictness check, independent of the enclosure
-        cmp = diff.compare(bound)
-        assert cmp < 0
+        if diff.compare(bound) >= 0:
+            raise CertificateViolation(
+                f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1}) for {theta}"
+            )
         certified = True
     else:
         tlo, thi = theta.interval()
@@ -438,15 +441,16 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
     strict = True
     if exact_gap is not None:
         at_terminal = expansion.terminated and n == expansion.n_terms - 1
-        if at_terminal:
-            # consecutive-convergent determinant makes this an equality
-            assert exact_gap == bound
-            strict = False
-        else:
-            assert exact_gap < bound
+        # consecutive-convergent determinant makes the terminal gap an equality
+        holds = exact_gap == bound if at_terminal else exact_gap < bound
+        if not holds:
+            raise CertificateViolation(
+                f"exact gap {exact_gap} against bound {bound} at n={n} for {theta}"
+            )
+        strict = not at_terminal
     squared = bound < Fraction(1, q) ** 2
-    if n >= 1:
-        assert squared
+    if n >= 1 and not squared:
+        raise CertificateViolation(f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for {theta}")
     return GapBound(
         n=n, p=p, q=q, bound=bound, gap_lower=lo, gap_upper=hi,
         exact_gap=exact_gap, strict=strict, squared_bound_holds=squared,
@@ -534,7 +538,8 @@ def round_nearest(theta: RealNumberInput, n: int) -> tuple[int, bool]:
         x = theta.surd() * n
         m = x.floor()
         cmp = x.compare(Fraction(2 * m + 1, 2))
-        assert cmp != 0  # n * irrational is never a half-integer
+        if cmp == 0:  # n * irrational is never a half-integer
+            raise CertificateViolation(f"{n} * {theta} compares equal to a half-integer")
         return (m if cmp < 0 else m + 1), False
     v = theta.value * n
     tie = v - math.floor(v) == Fraction(1, 2)

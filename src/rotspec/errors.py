@@ -32,11 +32,6 @@ class IndexOutOfRange(RotspecError):
     """Convergent or partial-quotient index outside the computed range."""
 
 
-class NotCertifiable(RotspecError):
-    """The requested certificate is not available for this operator class
-    (e.g. a certified radius for a non-canonical polynomial spec)."""
-
-
 class ConvergenceFailure(RotspecError):
     """An iterative numerical kernel failed to meet its tolerance."""
 

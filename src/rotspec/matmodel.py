@@ -159,20 +159,15 @@ def spec_norm_bound(spec: OperatorSpec) -> float:
 @dataclass(frozen=True)
 class MatrixModel:
     """Dense complex q x q realization with its structural tag. entries is
-    column-major, write-protected; numerator is the p of omega = e^{2 pi i p/q}
-    (0 for the shift, which does not depend on p)."""
+    column-major, write-protected."""
 
     order: int
-    numerator: int
     entries: np.ndarray
     structure_tag: str
     spec: Optional[OperatorSpec] = None
 
     def __post_init__(self):
         self.entries.setflags(write=False)
-
-    def matrix(self) -> np.ndarray:
-        return self.entries
 
 
 def _check_order(q: int, p: Optional[int] = None) -> None:
@@ -201,7 +196,7 @@ def _clock_diagonal(p: int, q: int, power: int = 1) -> np.ndarray:
 def shift_matrix(q: int) -> MatrixModel:
     """Cyclic forward shift: ones at (i, i+1), i = 1..q-1, and at (q, 1)."""
     _check_order(q)
-    return MatrixModel(order=q, numerator=0, entries=_shift_entries(q), structure_tag="shift")
+    return MatrixModel(order=q, entries=_shift_entries(q), structure_tag="shift")
 
 
 def clock_matrix(p: int, q: int) -> MatrixModel:
@@ -209,7 +204,7 @@ def clock_matrix(p: int, q: int) -> MatrixModel:
     _check_order(q, p)
     entries = np.zeros((q, q), dtype=np.complex128, order="F")
     np.fill_diagonal(entries, _clock_diagonal(p, q))
-    return MatrixModel(order=q, numerator=p, entries=entries, structure_tag="clock")
+    return MatrixModel(order=q, entries=entries, structure_tag="clock")
 
 
 def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
@@ -228,7 +223,7 @@ def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
         cols = (rows + j) % q
         entries[rows, cols] += c * _clock_diagonal(p, q, power=k)[cols]
     tag = "four_term" if spec.is_canonical else "general"
-    return MatrixModel(order=q, numerator=p, entries=entries, structure_tag=tag, spec=spec)
+    return MatrixModel(order=q, entries=entries, structure_tag=tag, spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -274,15 +269,3 @@ def unitarity_defect(model: MatrixModel) -> float:
     defect = a.conj().T @ a - np.eye(q)
     return float(np.linalg.norm(defect, 2))
 
-
-def matrix_csv_triplets(model: MatrixModel) -> list[str]:
-    """Header plus nonzero entries as "row,col,re,im" lines (0-based
-    indices, row-major scan, 17 significant digits)."""
-    lines = ["row,col,re,im"]
-    a = model.entries
-    for i in range(model.order):
-        for j in range(model.order):
-            z = a[i, j]
-            if z != 0:
-                lines.append(f"{i},{j},{z.real:.17g},{z.imag:.17g}")
-    return lines

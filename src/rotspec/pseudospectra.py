@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyCloud, InvalidInput, NotHermitian
+from .errors import ConvergenceFailure, EmptyCloud, InvalidInput
 from .spectral import (
     EigenvalueSet,
     MatrixLike,
     as_matrix,
-    hermitian_eigenvalues,
-    normal_eigenvalues,
+    eigenvalues_auto,
     operator_norm,
     sigma_min_stack,
 )
@@ -79,7 +78,6 @@ class PseudospectrumGrid:
     resolution: tuple[int, int]
     sigma_min_values: np.ndarray
     matrix_fingerprint: str
-    epsilon_levels: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.sigma_min_values.setflags(write=False)
@@ -100,14 +98,6 @@ class PseudospectrumGrid:
     def lambda_grid(self) -> np.ndarray:
         re, im = self.lambda_axes()
         return re[:, None] + 1j * im[None, :]
-
-    def with_levels(self, levels: tuple[float, ...]) -> "PseudospectrumGrid":
-        return PseudospectrumGrid(
-            region=self.region, resolution=self.resolution,
-            sigma_min_values=self.sigma_min_values,
-            matrix_fingerprint=self.matrix_fingerprint,
-            epsilon_levels=levels,
-        )
 
 
 def matrix_fingerprint(A: MatrixLike) -> str:
@@ -277,16 +267,6 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
 # ---------------------------------------------------------------------------
 # direct-sum spectra
 # ---------------------------------------------------------------------------
-
-def eigenvalues_auto(A: MatrixLike) -> EigenvalueSet:
-    """Dispatch to the Hermitian path when the matrix is Hermitian within
-    tolerance, else the normal path; the Hermitian path's own defect
-    check decides, so each matrix is tested once."""
-    try:
-        return hermitian_eigenvalues(A)
-    except NotHermitian:
-        return normal_eigenvalues(A)
-
 
 def spectra_union(ea: EigenvalueSet, eb: EigenvalueSet) -> PointCloud:
     """Multiset union of two computed spectra, in lexicographic order."""

@@ -12,22 +12,29 @@ inverse permutation, with no permuted dense copy, and LAPACK's banded
 Hermitian eigensolver returns the values without eigenvectors: O(q*J)
 band storage and O(q^2 * J) time, against O(q^3) for a dense solve.
 
-The normal path deliberately avoids a general nonsymmetric eigensolver:
-a normal A has commuting Hermitian and skew parts H1 = (A+A*)/2 and
-H2 = (A-A*)/(2i), so it diagonalizes H1, splits the basis into
-eigenspace clusters (threshold 1e-8 * ||A||), diagonalizes H2 restricted
-to each cluster, and reads eigenvalues off as Rayleigh quotient pairs
-mu + i*nu.
+The normal path also computes eigenvalues only, and avoids a general
+nonsymmetric eigensolver: a normal A has commuting Hermitian and skew
+parts H1 = (A+A*)/2 and H2 = (A-A*)/(2i). It diagonalizes H1 once,
+splits the eigenvalues w1 into clusters where consecutive values
+separate by more than 1e-8 * ||A||, and forms C = W* H2 W in H1's
+eigenbasis W, which commuting makes block diagonal over the clusters.
+One small Hermitian eigensolve per cluster block gives nu and the
+rotation R; mu, the diagonal of R* diag(w1) R over the cluster, is the
+|R|^2-weighted mean of its w1. The eigenvalues are mu + i*nu.
+
+eigenvalues_auto is the one route picker: the Hermitian route when its
+defect check accepts the matrix, else the normal route.
 
 smallest_singular_value and sigma_min_stack have one route: the SVD,
 batched through the gufunc over (..., q, q) stacks, with a per-matrix
-retry through scipy's LAPACK when numpy's SVD fails to converge.
+retry through LAPACK's QR-iteration SVD (gesvd) when numpy's
+divide-and-conquer SVD fails to converge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -39,7 +46,7 @@ MatrixLike = Union[MatrixModel, np.ndarray]
 
 CLUSTER_TOL = 1e-8        # relative eigenspace clustering threshold for H1
 HERMITIAN_TOL = 1e-12     # relative Hermitian-defect acceptance
-NORMAL_TOL = 1e-10        # default relative normality tolerance
+NORMAL_TOL = 1e-10        # relative normality tolerance
 
 
 def as_matrix(A: MatrixLike) -> np.ndarray:
@@ -53,30 +60,18 @@ def as_matrix(A: MatrixLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenvalueSet:
-    """Eigenvalues with multiplicity; real dtype on the hermitian path.
-
-    residual_bound is max_j ||A v_j - lambda_j v_j|| over the computed
-    eigenpairs on the normal path, 0.0 for the analytic circulant path,
-    and None on the hermitian path, which computes no eigenvectors. Ties
-    in the complex ordering break by ascending real part, then ascending
-    imaginary part.
+    """Eigenvalues with multiplicity, without eigenvectors; real dtype on
+    the hermitian path. Complex values are ordered by ascending real
+    part, then ascending imaginary part.
     """
 
     values: np.ndarray
     order: int
-    residual_bound: Optional[float]
     method_tag: str  # hermitian | normal | circulant_analytic
 
 
 def _sort_complex(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
-
-
-def _residual(a: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> float:
-    if a.shape[0] == 0:
-        return 0.0
-    resid = a @ vectors - vectors * values[np.newaxis, :]
-    return float(np.max(np.linalg.norm(resid, axis=0)))
 
 
 def operator_norm(A: MatrixLike) -> float:
@@ -87,8 +82,8 @@ def operator_norm(A: MatrixLike) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def is_normal(A: MatrixLike, tol: float = NORMAL_TOL) -> bool:
-    """||A A* - A* A|| <= tol * ||A||^2.
+def is_normal(A: MatrixLike) -> bool:
+    """||A A* - A* A|| <= NORMAL_TOL * ||A||^2.
 
     A Frobenius-norm screen decides clear cases first (it bounds the
     2-norm from above, and divided by sqrt(q) from below); only the
@@ -99,13 +94,13 @@ def is_normal(A: MatrixLike, tol: float = NORMAL_TOL) -> bool:
     defect = a @ a.conj().T - a.conj().T @ a
     dfro = float(np.linalg.norm(defect))
     afro = float(np.linalg.norm(a))
-    if dfro <= tol * afro * afro / q:
+    if dfro <= NORMAL_TOL * afro * afro / q:
         return True
-    if dfro > tol * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
-        if dfro / np.sqrt(q) > tol * afro * afro:
+    if dfro > NORMAL_TOL * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
+        if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:
             return False
     nrm = operator_norm(a)
-    return float(np.linalg.norm(defect, 2)) <= tol * nrm * nrm
+    return float(np.linalg.norm(defect, 2)) <= NORMAL_TOL * nrm * nrm
 
 
 def _interleaved_band(a: np.ndarray) -> np.ndarray:
@@ -145,18 +140,17 @@ def hermitian_eigenvalues(A: MatrixLike) -> EigenvalueSet:
     return EigenvalueSet(
         values=values,
         order=a.shape[0],
-        residual_bound=None,
         method_tag="hermitian",
     )
 
 
-def normal_eigenvalues(A: MatrixLike, tol: float = NORMAL_TOL) -> EigenvalueSet:
-    """Complex eigenvalues of a normal matrix via the commuting pair
-    (H1, H2); see the module docstring for the clustering scheme."""
+def normal_eigenvalues(A: MatrixLike) -> EigenvalueSet:
+    """Complex eigenvalues of a normal matrix (normality tested against
+    NORMAL_TOL) via the commuting pair (H1, H2); only H1's eigenbasis is
+    formed, no eigenvector of A. See the module docstring."""
     a = as_matrix(A)
-    if not is_normal(a, tol):
-        raise NotNormal(f"matrix is not normal within relative tolerance {tol:.0e}")
-    q = a.shape[0]
+    if not is_normal(a):
+        raise NotNormal(f"matrix is not normal within relative tolerance {NORMAL_TOL:.0e}")
     h1 = (a + a.conj().T) / 2
     h2 = (a - a.conj().T) / 2j
     try:
@@ -164,48 +158,35 @@ def normal_eigenvalues(A: MatrixLike, tol: float = NORMAL_TOL) -> EigenvalueSet:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed on Hermitian part: {exc}") from exc
 
-    scale = max(float(np.linalg.norm(a, 2)) if a.any() else 0.0, 1e-300)
-    gap = CLUSTER_TOL * scale
-    # cluster boundaries where consecutive H1 eigenvalues separate
-    boundaries = [0]
-    for i in range(1, q):
-        if w1[i] - w1[i - 1] > gap:
-            boundaries.append(i)
-    boundaries.append(q)
-
-    values = np.empty(q, dtype=np.complex128)
-    vectors = np.empty_like(basis)
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        block = basis[:, lo:hi]
-        sub = block.conj().T @ h2 @ block  # Hermitian because H1, H2 commute
-        sub = (sub + sub.conj().T) / 2
+    gap = CLUSTER_TOL * max(operator_norm(a), 1e-300)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w1) > gap) + 1, [w1.size]))
+    c = basis.conj().T @ (h2 @ basis)  # block diagonal over the clusters
+    values = np.empty(w1.size, dtype=np.complex128)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = c[lo:hi, lo:hi]
         try:
-            _, rot = np.linalg.eigh(sub)
+            nu, rot = np.linalg.eigh((block + block.conj().T) / 2)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed on a cluster: {exc}") from exc
-        rotated = block @ rot
-        vectors[:, lo:hi] = rotated
-        # Rayleigh quotients on both parts give second-order accuracy
-        mu = np.real(np.sum(rotated.conj() * (h1 @ rotated), axis=0))
-        nu = np.real(np.sum(rotated.conj() * (h2 @ rotated), axis=0))
-        values[lo:hi] = mu + 1j * nu
+        values[lo:hi] = (np.abs(rot) ** 2).T @ w1[lo:hi] + 1j * nu
+    return EigenvalueSet(values=_sort_complex(values), order=w1.size, method_tag="normal")
 
-    order_idx = np.lexsort((values.imag, values.real))
-    values = values[order_idx]
-    vectors = vectors[:, order_idx]
-    return EigenvalueSet(
-        values=values,
-        order=q,
-        residual_bound=_residual(a, vectors, values),
-        method_tag="normal",
-    )
+
+def eigenvalues_auto(A: MatrixLike) -> EigenvalueSet:
+    """The Hermitian route when the matrix is Hermitian within tolerance,
+    else the normal route; the Hermitian route's own defect check
+    decides, so each matrix is tested once."""
+    try:
+        return hermitian_eigenvalues(A)
+    except NotHermitian:
+        return normal_eigenvalues(A)
 
 
 def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
                                     q: int) -> EigenvalueSet:
     """Analytic eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the
     q-th roots of unity zeta^k; the independent oracle for circulant
-    four-term specs (beta terms zero). No vectors, residual 0 by fiat."""
+    four-term specs (beta terms zero)."""
     if q < 1:
         raise InvalidInput(f"order must be >= 1, got {q}")
     zeta = np.exp(2j * np.pi * (np.arange(q) / q))
@@ -213,7 +194,6 @@ def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
     return EigenvalueSet(
         values=_sort_complex(values),
         order=q,
-        residual_bound=0.0,
         method_tag="circulant_analytic",
     )
 
@@ -226,9 +206,11 @@ def _svd_sigma_min(a: np.ndarray) -> float:
     try:
         return float(np.linalg.svd(a, compute_uv=False)[-1])
     except np.linalg.LinAlgError:
-        # divide-and-conquer can fail to converge; QR-based driver is sturdier
+        # numpy's divide-and-conquer (gesdd) can fail to converge; retry
+        # with LAPACK's QR-iteration driver, a different algorithm
         try:
-            return float(scipy.linalg.svdvals(a, check_finite=False)[-1])
+            return float(scipy.linalg.svd(a, compute_uv=False, check_finite=False,
+                                          lapack_driver="gesvd")[-1])
         except Exception as exc:  # pragma: no cover - last resort
             raise ConvergenceFailure(f"SVD failed: {exc}") from exc
 

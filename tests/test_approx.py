@@ -47,8 +47,8 @@ from rotspec.errors import (
     ThetaRational,
 )
 from rotspec.matmodel import OperatorSpec, build_operator
-from rotspec.pseudospectra import GridParams, PointCloud, PseudospectrumGrid
-from rotspec.spectral import hermitian_eigenvalues
+from rotspec.pseudospectra import GridParams, PointCloud, PseudospectrumGrid, cloud_to_csv
+from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -149,6 +149,24 @@ class TestConstants:
         assert audit.tail_upper - audit.tail_lower < 1e-12
 
 
+class TestDefaultBudget:
+    """Every library entry point defaults to the MAX_Q = 4096 order budget."""
+
+    def test_default_is_4096(self):
+        assert approx.MAX_Q == 4096
+
+    def test_entry_points_refuse_q_4181_by_default(self, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        with pytest.raises(ResourceBudgetExceeded):
+            certify_normal(GOLDEN, AM, 18)  # q_18 = 4181
+        with pytest.raises(ResourceBudgetExceeded):
+            certify_pseudospectrum(GOLDEN, U_PLUS_2V, 18, 0.5)
+        with pytest.raises(ResourceBudgetExceeded):
+            one_sided(GOLDEN, AM, 4097)
+        with pytest.raises(ResourceBudgetExceeded):
+            convergence_study(GOLDEN, AM, [3, 18])
+
+
 class TestCertifyNormal:
     def test_golden_level5(self):
         cloud, cert = certify_normal(GOLDEN, AM, 5)
@@ -238,8 +256,6 @@ class TestCertifyPseudospectrum:
         assert s.q_pair == (2, 3)
         assert s.rate == RATE_FLAG
         assert s.inclusion_verified
-        assert s.grid_prev.epsilon_levels == (0.5, 0.5 + s.epsilon_n,
-                                              0.5 + 2 * s.epsilon_n)
         # masks nest by construction
         assert np.all(s.outer_mask | ~s.inner_mask)
 
@@ -314,6 +330,15 @@ class TestOneSided:
         assert cert.chosen_p == 3  # round(5*0.618...) = 3
         assert cert.radius == pytest.approx(
             2 * 36 * math.sqrt(3 * math.pi) / math.sqrt(5), rel=1e-10)  # M = 2
+
+    def test_one_dispatcher_picks_the_route(self):
+        # the shift model is normal, AM's is Hermitian; the cloud is the
+        # chosen route's output, byte for byte
+        shift = OperatorSpec.canonical(1, 0, 0, 0)
+        for spec, n, route in ((shift, 8, normal_eigenvalues), (AM, 50, hermitian_eigenvalues)):
+            cloud, cert = one_sided(GOLDEN, spec, n)
+            direct = route(build_operator(spec, cert.chosen_p, n)).values
+            assert cloud_to_csv(cloud) == cloud_to_csv(PointCloud(direct))
 
     def test_general_spec_rejected(self):
         with pytest.raises(NonCanonicalSpec):

@@ -270,6 +270,16 @@ class TestOnesided:
         capsys.readouterr()
         assert not list(tmp_path.iterdir())
 
+    def test_max_q_reaches_the_library(self, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.one_sided
+        monkeypatch.setattr(cli, "one_sided",
+                            lambda *a, **kw: seen.append(kw.get("max_q")) or real(*a, **kw))
+        assert main(["onesided", "--theta", GOLDEN, "--n-list", "10", "--max-q", "5000",
+                     "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert seen == [5000]
+
     def test_n_list_validation(self, tmp_path, capsys):
         base = ["onesided", "--theta", GOLDEN, "--out-dir", str(tmp_path)]
         assert main(base) == 2

@@ -8,7 +8,12 @@ re-derived in exact Fraction arithmetic inside the test.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +34,7 @@ from rotspec.contfrac import (
     theta_float,
 )
 from rotspec.errors import (
+    CertificateViolation,
     IndexOutOfRange,
     InsufficientTerms,
     InvalidInput,
@@ -199,6 +205,45 @@ class TestGapBound:
         g1 = convergent_gap(e, 1)
         assert g1.exact_gap == Fraction(3, 10) < g1.bound
         assert g1.strict
+
+    @staticmethod
+    def tampered(text: str):
+        """Expansion whose q_6 is 10 times too large, set past the
+        dataclass's own recursion checks."""
+        e = expand(parse_theta(text), 12)
+        conv = list(e.convergents)
+        conv[6] = (conv[6][0], 10 * conv[6][1])
+        object.__setattr__(e, "convergents", tuple(conv))
+        return e
+
+    @pytest.mark.parametrize("text", [GOLDEN, "rational:89/144"])
+    def test_violated_gap_raises(self, text):
+        with pytest.raises(CertificateViolation):
+            convergent_gap(self.tampered(text), 5)
+
+    def test_violated_gap_raises_without_asserts(self):
+        # python -O strips assert statements; the certificate must not
+        # depend on them
+        code = textwrap.dedent("""
+            from rotspec.contfrac import convergent_gap, expand, parse_theta
+            from rotspec.errors import CertificateViolation
+            for text in ("surd:(-1+1*sqrt(5))/2", "rational:89/144"):
+                e = expand(parse_theta(text), 12)
+                conv = list(e.convergents)
+                conv[6] = (conv[6][0], 10 * conv[6][1])
+                object.__setattr__(e, "convergents", tuple(conv))
+                try:
+                    convergent_gap(e, 5)
+                except CertificateViolation:
+                    continue
+                raise SystemExit("no violation raised for " + text)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stdout + run.stderr
 
     def test_needs_next_convergent(self):
         e = expand(parse_theta(GOLDEN), 5)

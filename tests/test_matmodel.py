@@ -18,7 +18,6 @@ from rotspec.matmodel import (
     build_operator,
     clock_matrix,
     commutation_defect,
-    matrix_csv_triplets,
     shift_matrix,
     spec_norm_bound,
     unitarity_defect,
@@ -242,20 +241,3 @@ class TestBuildOperator:
         s = OperatorSpec.general([(2, 1, 1)])
         assert build_operator(s, 1, 3).structure_tag == "general"
 
-
-class TestCsvTriplets:
-    def test_header_and_count(self):
-        m = build_operator(CANONICAL, 2, 5)
-        lines = matrix_csv_triplets(m)
-        assert lines[0] == "row,col,re,im"
-        # u and u* each contribute q off-diagonal slots, v+v* fills the diagonal
-        assert len(lines) - 1 == np.count_nonzero(m.entries)
-        assert len(lines) - 1 <= 3 * 5
-
-    def test_round_trip_values(self):
-        m = build_operator(OperatorSpec.canonical(1j, -1j, 0.5, 0.5), 1, 4)
-        rebuilt = np.zeros((4, 4), dtype=complex)
-        for line in matrix_csv_triplets(m)[1:]:
-            r, c, re, im = line.split(",")
-            rebuilt[int(r), int(c)] = complex(float(re), float(im))
-        assert np.array_equal(rebuilt, m.entries)

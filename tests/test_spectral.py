@@ -2,15 +2,17 @@
 
 Oracle strategy: planted-spectrum constructions (unitary conjugations of
 known diagonals), closed forms for circulants and 2x2 Jordan blocks,
-and dense LAPACK eigvalsh against the banded Hermitian route. sigma_min
-has one route, the SVD; its grid values are checked point by point
-against np.linalg.svd in test_pseudospectra.
+and dense LAPACK eigvalsh against the banded Hermitian route and against
+the normal route on rotated Hermitian models. sigma_min has one route,
+the SVD; its grid values are checked point by point against
+np.linalg.svd in test_pseudospectra.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rotspec.errors import NotHermitian, NotNormal
 from rotspec.matmodel import OperatorSpec, build_operator, shift_matrix
@@ -56,7 +58,6 @@ class TestHermitian:
         r = 2 * math.sqrt(2)
         assert np.allclose(ev.values, [-r, r], atol=1e-12)
         assert ev.method_tag == "hermitian"
-        assert ev.residual_bound is None
 
     def test_identity(self):
         ev = hermitian_eigenvalues(np.eye(4, dtype=complex))
@@ -179,7 +180,6 @@ class TestCirculant:
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
             numeric = normal_eigenvalues(h)
             assert np.allclose(analytic.values, numeric.values, atol=1e-12)
-            assert analytic.residual_bound == 0.0
 
 
 class TestNormal:
@@ -201,7 +201,6 @@ class TestNormal:
             a = u @ np.diag(lam) @ u.conj().T
             ev = normal_eigenvalues(a)
             assert np.allclose(ev.values, sort_complex(lam), atol=1e-10)
-            assert ev.residual_bound < 1e-10
 
     def test_planted_with_clustered_real_parts(self):
         # eigenvalues sharing a real part force the two-stage solver to
@@ -237,6 +236,43 @@ class TestNormal:
     def test_rejects_jordan(self):
         with pytest.raises(NotNormal):
             normal_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rotated_hermitian_golden_models(self):
+        # e^{i phi} H is normal with spectrum e^{i phi} sigma(H); the H1
+        # clusters are H's eigenvalue clusters, mostly singletons
+        rng = np.random.default_rng(47)
+        for p, q in zip((0,) + TestBandedHermitian.GOLDEN_Q[:12],
+                        TestBandedHermitian.GOLDEN_Q[:13]):
+            a, b = random_phase(rng), random_phase(rng)
+            spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
+            h = build_operator(spec, p % q, q).entries
+            phase = random_phase(rng)
+            expect = np.linalg.eigvalsh(h)
+            got = normal_eigenvalues(phase * h).values / phase  # back onto the real line
+            norm = float(np.max(np.abs(expect)))
+            assert got.shape == expect.shape
+            got = got[np.argsort(got.real)]
+            assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, norm)
+
+    def test_planted_large_cluster_and_triple(self, monkeypatch):
+        # 16 eigenvalues share one real part (a 16 x 16 H1 cluster) and a
+        # triple eigenvalue makes a 3 x 3 cluster with a scalar H2 block
+        rng = np.random.default_rng(48)
+        lam = np.concatenate([
+            0.3 + 1j * rng.uniform(-2, 2, 16),
+            np.full(3, -1.1 + 0.5j),
+            rng.uniform(-2, 2, 21) + 1j * rng.uniform(-2, 2, 21),
+        ])
+        u = random_unitary(rng, 40)
+        a = u @ np.diag(lam) @ u.conj().T
+        sizes = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda m: sizes.append(m.shape[0]) or real_eigh(m))
+        ev = normal_eigenvalues(a)
+        monkeypatch.undo()
+        assert sizes[0] == 40 and 16 in sizes[1:] and 3 in sizes[1:]
+        assert_multiset_close(ev.values, lam, tol=1e-12 * max(1.0, np.max(np.abs(lam))))
 
     def test_hermitian_input_agrees_with_hermitian_route(self):
         rng = np.random.default_rng(19)
@@ -278,6 +314,28 @@ class TestSigmaMin:
     def test_singular_matrix(self):
         a = np.array([[1, 0], [0, 0]], dtype=complex)
         assert smallest_singular_value(a) == 0.0
+
+    def test_retry_uses_a_different_driver(self, monkeypatch):
+        # numpy's batched SVD is divide-and-conquer (gesdd); the retry
+        # must switch to QR iteration (gesvd), not rerun gesdd
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        expect = np.linalg.svd(stack, compute_uv=False)[..., -1]
+        drivers = []
+        real_svd = scipy.linalg.svd
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def spy(*args, **kwargs):
+            drivers.append(kwargs.get("lapack_driver"))
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        got = sigma_min_stack(stack)
+        assert drivers == ["gesvd"] * 5
+        assert np.max(np.abs(got - expect) / expect) <= 1e-12
 
     def test_stack(self):
         rng = np.random.default_rng(8)
