@@ -307,9 +307,10 @@ def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
 @dataclass(frozen=True)
 class PseudospectrumSandwich:
     """Grid enclosure pair: the inner union of level-epsilon masks and
-    the outer union at epsilon + 2*epsilon_n bracket the operator's
-    (epsilon + epsilon_n)-pseudospectrum. For non-canonical specs no
-    epsilon_n exists and only the rate flag is carried."""
+    the outer union at epsilon + 2*epsilon_n (the exact sum rounded up to
+    a float) bracket the operator's (epsilon + epsilon_n)-pseudospectrum.
+    For non-canonical specs no epsilon_n exists and only the rate flag is
+    carried."""
 
     theta: RealNumberInput
     spec: OperatorSpec
@@ -386,7 +387,8 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
 
     inner = level_set(grid_prev, epsilon) | level_set(grid_curr, epsilon)
     if eps_n is not None:
-        outer = level_set(grid_prev, epsilon + 2 * eps_n) | level_set(grid_curr, epsilon + 2 * eps_n)
+        outer_level = float_up(Fraction(epsilon) + 2 * Fraction(eps_n))
+        outer = level_set(grid_prev, outer_level) | level_set(grid_curr, outer_level)
         verified = bool(np.all(outer | ~inner))
     else:
         outer = None

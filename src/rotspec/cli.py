@@ -190,11 +190,10 @@ def _resolve_grid_params(args, cfg) -> GridParams:
     resolution = tuple(int(x) for x in resolution)
     if len(resolution) != 2:
         raise InvalidInput("resolution needs two integers: nx ny")
-    return GridParams(
-        region=region,
-        resolution=resolution,
-        jobs=int(_resolve(args, cfg, "jobs")),
-    )
+    jobs = int(_resolve(args, cfg, "jobs"))
+    if jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {jobs}")
+    return GridParams(region=region, resolution=resolution, jobs=jobs)
 
 
 def _out_dir(args, cfg) -> Path:

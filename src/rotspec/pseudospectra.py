@@ -19,11 +19,13 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConvergenceFailure, EmptyCloud, InvalidInput
+from .exact import float_up
 from .spectral import (
     EigenvalueSet,
     MatrixLike,
@@ -136,6 +138,8 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     """
     a = as_matrix(A)
     _validate_grid_request(region, resolution)
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     q = a.shape[0]
 
     nx, ny = resolution
@@ -212,7 +216,8 @@ class SandwichReport:
 def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
                    grid_params: Optional[GridParams] = None) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
-    pointwise on a shared grid, delta = ||S - T||."""
+    pointwise on a shared grid, delta = ||S - T||; both levels are the
+    exact sums rounded up to a float."""
     s, t = as_matrix(S), as_matrix(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
@@ -230,15 +235,17 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     slack = 1e-7 * (norm_scale + lam_max)
 
     sig_s, sig_t = grid_s.sigma_min_values, grid_t.sigma_min_values
+    middle_level = float_up(Fraction(epsilon) + Fraction(delta))
+    outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
     inner = sig_s <= epsilon
-    middle = sig_t <= epsilon + delta
-    outer = sig_s <= epsilon + 2 * delta
+    middle = sig_t <= middle_level
+    outer = sig_s <= outer_level
 
     hard: list[complex] = []
     advisory = 0
     for bad_mask, sig, level in (
-        (inner & ~middle, sig_t, epsilon + delta),
-        (middle & ~outer, sig_s, epsilon + 2 * delta),
+        (inner & ~middle, sig_t, middle_level),
+        (middle & ~outer, sig_s, outer_level),
     ):
         if not bad_mask.any():
             continue
@@ -305,14 +312,18 @@ def read_cloud_csv(text: str, label: str = "") -> PointCloud:
 
 
 def grid_to_csv(grid: PseudospectrumGrid) -> str:
+    """One line re,im,sigma_min per grid point in row-major order, every
+    float as %.17g. Formatted a row at a time: each imaginary-axis value
+    is formatted once, and no whole-grid list of floats or lines is built."""
     re_ax, im_ax = grid.lambda_axes()
     sig = grid.sigma_min_values
-    lines = ["re,im,sigma_min"]
-    nx, ny = grid.resolution
-    for i in range(nx):
-        for j in range(ny):
-            lines.append(f"{re_ax[i]:.17g},{im_ax[j]:.17g},{sig[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    ims = [f",{y:.17g}," for y in im_ax.tolist()]
+    rows = ["re,im,sigma_min\n"]
+    for x, sig_row in zip(re_ax.tolist(), sig):
+        re_txt = f"{x:.17g}"
+        rows.append("".join([f"{re_txt}{im_txt}{s:.17g}\n"
+                             for im_txt, s in zip(ims, sig_row.tolist())]))
+    return "".join(rows)
 
 
 def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

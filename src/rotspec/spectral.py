@@ -29,6 +29,10 @@ smallest_singular_value and sigma_min_stack have one route: the SVD,
 batched through the gufunc over (..., q, q) stacks, with a per-matrix
 retry through LAPACK's QR-iteration SVD (gesvd) when numpy's
 divide-and-conquer SVD fails to converge.
+
+scipy is loaded on first use, inside the Hermitian route and the SVD
+retry, so the grid path (numpy's batched SVD) and `expand` never pay for
+its import.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, InvalidInput, NotHermitian, NotNormal
 from .matmodel import MatrixModel
@@ -94,7 +97,7 @@ def is_normal(A: MatrixLike) -> bool:
     defect = a @ a.conj().T - a.conj().T @ a
     dfro = float(np.linalg.norm(defect))
     afro = float(np.linalg.norm(a))
-    if dfro <= NORMAL_TOL * afro * afro / q:
+    if dfro * q <= NORMAL_TOL * afro * afro:  # multiplied out: an empty matrix (q = 0) is normal
         return True
     if dfro > NORMAL_TOL * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
         if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:
@@ -132,6 +135,8 @@ def hermitian_eigenvalues(A: MatrixLike) -> EigenvalueSet:
         raise NotHermitian(
             f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e} * ||A||"
         )
+    import scipy.linalg
+
     try:
         values = scipy.linalg.eig_banded(_interleaved_band(a), lower=True,
                                          eigvals_only=True, check_finite=False)
@@ -208,6 +213,8 @@ def _svd_sigma_min(a: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         # numpy's divide-and-conquer (gesdd) can fail to converge; retry
         # with LAPACK's QR-iteration driver, a different algorithm
+        import scipy.linalg
+
         try:
             return float(scipy.linalg.svd(a, compute_uv=False, check_finite=False,
                                           lapack_driver="gesvd")[-1])

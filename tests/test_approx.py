@@ -46,6 +46,7 @@ from rotspec.errors import (
     ResourceBudgetExceeded,
     ThetaRational,
 )
+from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator
 from rotspec.pseudospectra import GridParams, PointCloud, PseudospectrumGrid, cloud_to_csv
 from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
@@ -294,6 +295,26 @@ class TestCertifyPseudospectrum:
         monkeypatch.undo()
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS, max_q=3)
         assert s.q_pair == (2, 3)
+
+    def test_outer_level_is_rounded_up(self, monkeypatch):
+        # 0.7 + 2*0.05 rounds to nearest below the exact sum, so a
+        # sigma_min equal to the rounded-up sum must still be in the outer set
+        epsilon, eps_n = 0.7, 0.05
+        exact = Fraction(epsilon) + 2 * Fraction(eps_n)
+        assert Fraction(epsilon + 2 * eps_n) < exact
+        level = float_up(exact)
+        monkeypatch.setattr(approx, "sharp_bound", lambda *args: eps_n)
+        monkeypatch.setattr(approx, "clean_bound", lambda *args: eps_n)
+
+        def flat_grid(a, region, resolution, jobs=1):
+            return PseudospectrumGrid(region=region, resolution=resolution,
+                                      sigma_min_values=np.full(resolution, level),
+                                      matrix_fingerprint="flat")
+
+        monkeypatch.setattr(approx, "compute_grid", flat_grid)
+        s = certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
+        assert s.epsilon_n == eps_n
+        assert s.outer_mask.all()
 
 
 class TestOneSided:

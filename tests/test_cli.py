@@ -4,6 +4,10 @@ against library-level recomputations or hand-derived values."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,18 @@ class TestPseudospectrum:
         assert main(base + ["--epsilon", "1", "--method", "svd"]) == 2  # no such flag
         assert main(base + ["--epsilon", "1", "--seed", "0"]) == 2
         capsys.readouterr()
+
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"jobs": 0}))
+        for extra in (["--jobs", "0"], ["--jobs", "-2"], ["--config", str(cfg)]):
+            assert main(self.ARGS + ["--out-dir", str(out)] + extra) == 2
+            assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert main(["onesided", "--theta", GOLDEN, "--n-list", "8", "--jobs", "0",
+                     "--out-dir", str(out)]) == 2
+        capsys.readouterr()
+        assert not out.exists()
 
 
 class TestButterfly:
@@ -399,3 +415,26 @@ class TestConfigAndSpecResolution:
         assert main([]) == 2
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestLazyScipy:
+    """scipy is imported only by the routes that call it. Each check runs
+    in a fresh interpreter, because this test process has scipy loaded."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (None, False),  # import and build the parser only
+        (["expand", "--theta", GOLDEN, "--terms", "6"], False),
+        (["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "3",
+          "--epsilon", "0.5", "--resolution", "6", "5"], False),
+        (["spectrum", "--theta", GOLDEN], True),
+    ], ids=["parser", "expand", "pseudospectrum", "spectrum"])
+    def test_scipy_loaded_only_where_called(self, tmp_path, argv, loaded):
+        run = ("cli.build_parser()" if argv is None else
+               f"assert cli.main({argv + ['--out-dir', str(tmp_path)]!r}) == 0")
+        code = f"import sys\nimport rotspec.cli as cli\n{run}\nprint('scipy' in sys.modules)\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loaded)

@@ -6,11 +6,14 @@ value; PGM bytes are checked against the documented gray mapping
 computed by hand.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import rotspec.pseudospectra as psp
 from rotspec.errors import EmptyCloud, InvalidInput
+from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator
 from rotspec.pseudospectra import (
     GridParams,
@@ -101,6 +104,9 @@ class TestComputeGrid:
             compute_grid(np.eye(2), (1, -1, 0, 1), (8, 8))
         with pytest.raises(InvalidInput):
             compute_grid(np.eye(2), (-1, 1, 0, 1), (1, 8))
+        for jobs in (0, -2):
+            with pytest.raises(InvalidInput):
+                compute_grid(np.eye(2), (-1, 1, -1, 1), (4, 4), jobs=jobs)
 
     def test_scalar_matrix(self):
         grid = compute_grid(np.array([[0.5 + 0.5j]]), (0, 1, 0, 1), (3, 3))
@@ -194,6 +200,35 @@ class TestSandwich:
         with pytest.raises(InvalidInput):
             sandwich_check(np.eye(2), np.eye(3), 0.5)
 
+    def test_levels_are_rounded_up(self, monkeypatch):
+        # 0.7 + 0.1 and 0.7 + 2*0.1 both round to nearest below the exact
+        # sums; sigma_min values equal to the rounded-up sums must pass
+        # both inclusions without even an advisory
+        epsilon, delta = 0.7, 0.1
+        middle = Fraction(epsilon) + Fraction(delta)
+        outer = Fraction(epsilon) + 2 * Fraction(delta)
+        assert Fraction(epsilon + delta) < middle
+        assert Fraction(epsilon + 2 * delta) < outer
+        n = 8
+        sig_s = np.zeros((n, n))
+        sig_t = np.zeros((n, n))
+        sig_t[:, : n // 2] = float_up(middle)  # inner (sig_s = 0) within middle
+        sig_s[:, n // 2:] = float_up(outer)    # middle (sig_t = 0) within outer
+        grids = iter((sig_s, sig_t))
+
+        def planted(a, region, resolution, jobs=1):
+            return PseudospectrumGrid(region=region, resolution=resolution,
+                                      sigma_min_values=next(grids),
+                                      matrix_fingerprint="planted")
+
+        monkeypatch.setattr(psp, "compute_grid", planted)
+        s, t = np.zeros((1, 1)), np.full((1, 1), delta)
+        rep = psp.sandwich_check(s, t, epsilon, GridParams(resolution=(n, n)))
+        assert rep.delta == delta
+        assert rep.middle_count == rep.outer_count == n * n
+        assert rep.advisory_count == 0 and not rep.grid_too_coarse
+        assert rep.passed
+
 
 class TestUnionSpectrum:
     def test_matches_block_diagonal(self):
@@ -240,6 +275,22 @@ class TestSerialization:
         assert lines[4].startswith("1,0,4")
         re, im, sig = read_grid_csv(text)
         assert np.array_equal(sig.reshape(2, 3), sigma)
+
+    def test_grid_csv_bytes_match_per_cell_formula(self):
+        # non-square, so swapped axes fail; sigma covers zero, the
+        # smallest subnormal, a huge value and values needing 17 digits
+        rng = np.random.default_rng(5)
+        sigma = rng.random((7, 5))
+        sigma[0, :4] = [0.0, 5e-324, 1e300, 0.1]
+        sigma[6, 4] = 1 / 3
+        grid = make_grid(sigma, region=(-1 / 3, 2 / 7, -0.1, 0.7))
+        re_ax, im_ax = grid.lambda_axes()
+        expect = "re,im,sigma_min\n" + "".join(
+            f"{re_ax[i]:.17g},{im_ax[j]:.17g},{sigma[i, j]:.17g}\n"
+            for i in range(7) for j in range(5))
+        text = grid_to_csv(grid)
+        assert text == expect
+        assert "0.10000000000000001" in text and "4.9406564584124654e-324" in text
 
     def test_pgm_gray_mapping(self):
         # sigma = 1 -> (0+8)/10*65535 = 52428; >= 100 clips to 65535;

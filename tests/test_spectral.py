@@ -233,6 +233,11 @@ class TestNormal:
         assert np.sum(ev.values) == pytest.approx(np.trace(a), abs=1e-9)
         assert np.prod(ev.values) == pytest.approx(np.linalg.det(a), abs=1e-8)
 
+    def test_empty_matrix(self):
+        ev = normal_eigenvalues(np.zeros((0, 0)))
+        assert ev.order == 0 and ev.method_tag == "normal"
+        assert ev.values.size == 0
+
     def test_rejects_jordan(self):
         with pytest.raises(NotNormal):
             normal_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
