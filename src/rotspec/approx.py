@@ -23,6 +23,7 @@ caveat that irrationality is assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -362,8 +363,8 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
                            max_q: int = MAX_Q) -> PseudospectrumSandwich:
     """Grids for both convergent models plus the sandwich masks; the
     operator itself is never materialized. max_q bounds the model order."""
-    if epsilon <= 0:
-        raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     caveat = _irrationality_caveat(theta)
     expansion = expand(theta, n + 1)
     _q_triple(expansion, n)

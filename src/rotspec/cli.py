@@ -67,9 +67,44 @@ _DEFAULTS = {
     "q_max": 50,
 }
 
-_CONFIG_KEYS = {
-    "theta", "spec", "out_dir", "format", "jobs", "max_q", "terms", "level",
-    "epsilon", "region", "resolution", "q_max", "n_list", "n_range",
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(item, length: Optional[int] = None):
+    return lambda value: (isinstance(value, list)
+                          and (length is None or len(value) == length)
+                          and all(item(x) for x in value))
+
+
+# each config key takes the type of its flag (bools are not ints)
+_CONFIG_TYPES = {
+    "theta": (_is_str, "a string"),
+    "spec": (lambda v: isinstance(v, dict), "an object"),
+    "out_dir": (_is_str, "a string"),
+    "format": (lambda v: _is_str(v) or _list_of(_is_str)(v),
+               "a string or a list of strings"),
+    "jobs": (_is_int, "an integer"),
+    "max_q": (_is_int, "an integer"),
+    "terms": (_is_int, "an integer"),
+    "level": (_is_int, "an integer"),
+    "epsilon": (_is_number, "a number"),
+    "region": (_list_of(_is_number, 4), "a list of four numbers"),
+    "resolution": (_list_of(_is_int, 2), "a list of two integers"),
+    "q_max": (_is_int, "an integer"),
+    "n_list": (lambda v: _is_str(v) or _list_of(_is_int)(v),
+               "a string or a list of integers"),
+    "n_range": (lambda v: _is_str(v) or _list_of(_is_int, 2)(v),
+                "a string a:b or a list of two integers"),
 }
 
 _FORMATS = ("csv", "json", "pgm")
@@ -127,9 +162,13 @@ def _load_config(path: Optional[str]) -> dict:
         raise InvalidInput(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise InvalidInput("config must be a JSON object")
-    unknown = sorted(set(doc) - _CONFIG_KEYS)
+    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
     if unknown:
         raise InvalidInput(f"unknown config keys: {unknown}")
+    for key, value in doc.items():
+        check, kind = _CONFIG_TYPES[key]
+        if not check(value):
+            raise InvalidInput(f"config key {key!r} must be {kind}, got {value!r}")
     return doc
 
 
@@ -184,12 +223,9 @@ def _resolve_grid_params(args, cfg) -> GridParams:
     region = _resolve(args, cfg, "region")
     if region is not None:
         region = tuple(float(x) for x in region)
-        if len(region) != 4:
-            raise InvalidInput("region needs four numbers: re_min re_max im_min im_max")
-    resolution = _resolve(args, cfg, "resolution")
-    resolution = tuple(int(x) for x in resolution)
-    if len(resolution) != 2:
-        raise InvalidInput("resolution needs two integers: nx ny")
+        if not all(math.isfinite(x) for x in region):
+            raise _UsageError(f"--region must be finite, got {region}")
+    resolution = tuple(int(x) for x in _resolve(args, cfg, "resolution"))
     jobs = int(_resolve(args, cfg, "jobs"))
     if jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {jobs}")
@@ -279,8 +315,8 @@ def cmd_pseudospectrum(args, cfg) -> int:
     if epsilon is None:
         raise _UsageError("--epsilon is required")
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise _UsageError(f"--epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise _UsageError(f"--epsilon must be finite and > 0, got {epsilon}")
     gp = _resolve_grid_params(args, cfg)
     max_q = int(_resolve(args, cfg, "max_q"))
     sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp, max_q=max_q)

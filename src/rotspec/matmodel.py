@@ -8,18 +8,20 @@ the canonical four-term form alpha_1 U + alpha_-1 U* + beta_1 V +
 beta_-1 V* is recognized structurally because the certified error radii
 only exist for it.
 
-All matrix entries come from exact integer residues: omega^k is evaluated
-at the reduced exponent (p*k) mod q, and negative powers use conjugated
-phases and shifted indices rather than numerical inversion, so adjoint
-pairs are exactly adjoint in floating point.
+A model is stored as its nonzeros, one per row and term, and the dense
+matrix is built on demand. Entries come from exact integer residues:
+omega^k is evaluated at the reduced exponent (p*k) mod q, and negative
+powers use conjugated phases and shifted indices, so each adjoint pair
+of terms is exactly adjoint in floating point; terms whose u-powers
+agree mod q share slots, which can leave a few ulps of Hermitian defect.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -31,6 +33,12 @@ from .errors import EmptySpec, InvalidInput, InvalidOrder
 # ---------------------------------------------------------------------------
 
 _CANONICAL_SLOTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _check_finite(coefficients: Iterable[complex]) -> None:
+    bad = [c for c in coefficients if not cmath.isfinite(c)]
+    if bad:
+        raise InvalidInput(f"operator spec coefficients must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,7 @@ class OperatorSpec:
         merged: dict[tuple[int, int], complex] = {}
         for j, k, c in terms:
             merged[(j, k)] = merged.get((j, k), 0) + complex(c)
+        _check_finite(merged.values())
         kept = tuple(
             (j, k, c) for (j, k), c in sorted(merged.items()) if c != 0
         )
@@ -67,6 +76,7 @@ class OperatorSpec:
                   beta_plus: complex, beta_minus: complex) -> "OperatorSpec":
         coeffs = (complex(alpha_plus), complex(alpha_minus),
                   complex(beta_plus), complex(beta_minus))
+        _check_finite(coeffs)
         # same term ordering as general() so equal specs compare equal
         terms = tuple(
             (j, k, c)
@@ -158,30 +168,33 @@ def spec_norm_bound(spec: OperatorSpec) -> float:
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """Dense complex q x q realization with its structural tag. entries is
-    column-major, write-protected."""
+    """q x q realization of spec: term t puts values[t, i] at row i,
+    column columns[t, i]. entries, the dense column-major matrix, sums the
+    terms in order on first use. All arrays are write-protected."""
 
     order: int
-    entries: np.ndarray
-    structure_tag: str
-    spec: Optional[OperatorSpec] = None
+    spec: OperatorSpec
+    columns: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.entries.setflags(write=False)
+        self.columns.setflags(write=False)
+        self.values.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        a = np.zeros((self.order, self.order), dtype=np.complex128, order="F")
+        for cols, vals in zip(self.columns, self.values):
+            a[np.arange(self.order), cols] += vals
+        a.setflags(write=False)
+        return a
 
 
-def _check_order(q: int, p: Optional[int] = None) -> None:
+def _check_order(q: int, p: int) -> None:
     if q < 1:
         raise InvalidOrder(f"matrix order must be >= 1, got q={q}")
-    if p is not None and not 0 <= p < q:
+    if not 0 <= p < q:
         raise InvalidOrder(f"need 0 <= p < q, got p={p}, q={q}")
-
-
-def _shift_entries(q: int) -> np.ndarray:
-    u = np.zeros((q, q), dtype=np.complex128, order="F")
-    idx = np.arange(q)
-    u[idx, (idx + 1) % q] = 1.0
-    return u
 
 
 def _clock_diagonal(p: int, q: int, power: int = 1) -> np.ndarray:
@@ -195,35 +208,31 @@ def _clock_diagonal(p: int, q: int, power: int = 1) -> np.ndarray:
 
 def shift_matrix(q: int) -> MatrixModel:
     """Cyclic forward shift: ones at (i, i+1), i = 1..q-1, and at (q, 1)."""
-    _check_order(q)
-    return MatrixModel(order=q, entries=_shift_entries(q), structure_tag="shift")
+    return build_operator(OperatorSpec.general([(1, 0, 1)]), 0, q)
 
 
 def clock_matrix(p: int, q: int) -> MatrixModel:
     """diag(1, omega, ..., omega^{q-1}) with omega = e^{2 pi i p/q}."""
-    _check_order(q, p)
-    entries = np.zeros((q, q), dtype=np.complex128, order="F")
-    np.fill_diagonal(entries, _clock_diagonal(p, q))
-    return MatrixModel(order=q, entries=entries, structure_tag="clock")
+    return build_operator(OperatorSpec.general([(0, 1, 1)]), p, q)
 
 
 def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
     """Evaluate sum c_{jk} u^j v^k at u = shift_matrix(q), v = clock_matrix(p,q).
 
     u^j v^k has its only nonzero per row i at column (i+j) mod q, with
-    value (v^k)_{(i+j) mod q}; entries are accumulated slot-wise, so no
-    matrix products are formed.
+    value (v^k)_{(i+j) mod q}; the model stores these per term, so no
+    matrix products and no dense matrix are formed.
     """
     _check_order(q, p)
     if not spec.terms and not spec.is_canonical:
         raise EmptySpec("operator spec has no terms")
-    entries = np.zeros((q, q), dtype=np.complex128, order="F")
     rows = np.arange(q)
-    for j, k, c in spec.terms:
-        cols = (rows + j) % q
-        entries[rows, cols] += c * _clock_diagonal(p, q, power=k)[cols]
-    tag = "four_term" if spec.is_canonical else "general"
-    return MatrixModel(order=q, entries=entries, structure_tag=tag, spec=spec)
+    columns = np.empty((len(spec.terms), q), dtype=np.intp)
+    values = np.empty((len(spec.terms), q), dtype=np.complex128)
+    for t, (j, k, c) in enumerate(spec.terms):
+        columns[t] = (rows + j) % q
+        values[t] = c * _clock_diagonal(p, q, power=k)[columns[t]]
+    return MatrixModel(order=q, spec=spec, columns=columns, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +258,12 @@ def commutation_defect(p: int, q: int) -> float:
 
 
 def unitarity_defect(model: MatrixModel) -> float:
-    """Operator norm of A*A - I, exploiting structure where it is exact:
-    for the shift, A*A composes inverse permutations and is the identity
-    with exact 0/1 entries; for the clock, A*A - I is diagonal with
-    entries |d_k|^2 - 1. Other tags fall back to the dense 2-norm."""
+    """Operator norm of A*A - I. A one-term model (the shift, the clock,
+    any c u^j v^k) is a scaled permutation, so A*A - I is diagonal with
+    entries |a_i|^2 - 1 over its stored values; other models take the
+    dense 2-norm."""
+    if len(model.values) == 1:
+        a = model.values[0]
+        return float(np.max(np.abs(np.conj(a) * a - 1.0)))
     a = model.entries
-    if model.structure_tag == "shift":
-        idx = np.arange(model.order)
-        cols = (idx + 1) % model.order
-        # (u* u)_{jj'} = sum_i conj(u_{ij}) u_{ij'}; composing the index
-        # maps gives exactly the identity, entrywise in floating point
-        vals = a[idx, cols]
-        gram_diag = np.conj(vals) * vals
-        return float(np.max(np.abs(gram_diag - 1.0)))
-    if model.structure_tag == "clock":
-        d = np.diag(a)
-        return float(np.max(np.abs(np.conj(d) * d - 1.0)))
-    q = model.order
-    defect = a.conj().T @ a - np.eye(q)
-    return float(np.linalg.norm(defect, 2))
-
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(model.order), 2))

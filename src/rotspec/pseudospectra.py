@@ -17,6 +17,7 @@ out at any parallelism degree.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,6 +114,8 @@ def matrix_fingerprint(A: MatrixLike) -> str:
 def _validate_grid_request(region: Region, resolution: tuple[int, int]) -> None:
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
+    if not all(math.isfinite(x) for x in region):
+        raise InvalidInput(f"region must be finite, got {region}")
     if not (re_min < re_max and im_min < im_max):
         raise InvalidInput(f"degenerate region {region}")
     if nx < 2 or ny < 2:
@@ -221,8 +224,8 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     s, t = as_matrix(S), as_matrix(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
-    if epsilon <= 0:
-        raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     gp = grid_params or GridParams()
     delta = operator_norm(s - t)
     norm_scale = max(operator_norm(s), operator_norm(t))

@@ -7,8 +7,8 @@ nonzeros sit within cyclic distance J of the diagonal. The interleave
 permutation 0, q-1, 1, q-2, ... is a unitary similarity, so it leaves
 the spectrum exact, and it turns the cyclic band into an ordinary band
 of half-bandwidth 2J (a full matrix gets q-1). The lower-triangle
-nonzeros are scattered straight into LAPACK band storage through the
-inverse permutation, with no permuted dense copy, and LAPACK's banded
+nonzeros (a model's own, an array's from a dense scan) go straight into
+LAPACK band storage through the inverse permutation, and LAPACK's banded
 Hermitian eigensolver returns the values without eigenvectors: O(q*J)
 band storage and O(q^2 * J) time, against O(q^3) for a dense solve.
 
@@ -22,8 +22,8 @@ One small Hermitian eigensolve per cluster block gives nu and the
 rotation R; mu, the diagonal of R* diag(w1) R over the cluster, is the
 |R|^2-weighted mean of its w1. The eigenvalues are mu + i*nu.
 
-eigenvalues_auto is the one route picker: the Hermitian route when its
-defect check accepts the matrix, else the normal route.
+eigenvalues_auto is the one route picker: the Hermitian route when it
+accepts the matrix (a Hermitian spec's model always), else the normal route.
 
 smallest_singular_value and sigma_min_stack have one route: the SVD,
 batched through the gufunc over (..., q, q) stacks, with a per-matrix
@@ -106,45 +106,54 @@ def is_normal(A: MatrixLike) -> bool:
     return float(np.linalg.norm(defect, 2)) <= NORMAL_TOL * nrm * nrm
 
 
-def _interleaved_band(a: np.ndarray) -> np.ndarray:
+def _interleaved_band(A: MatrixLike) -> np.ndarray:
     """Lower band storage ab[r - c, c] = B[r, c] of B = P A P^T, where P
     is the interleave permutation 0, q-1, 1, q-2, ...; the half-bandwidth
-    is read off the nonzero pattern, so ab has k + 1 rows."""
-    q = a.shape[0]
+    is read off the nonzeros, so ab has k + 1 rows. A model's colliding
+    terms sum in term order, as in its entries, and a sum that cancels
+    exactly is no nonzero, as in a dense scan."""
+    if isinstance(A, MatrixModel):
+        q, cols, vals = A.order, A.columns.ravel(), A.values.ravel()
+        rows = np.arange(cols.size) % q
+    else:
+        a = as_matrix(A)
+        q, (rows, cols) = a.shape[0], np.nonzero(a)
+        vals = a[rows, cols]
     perm = np.empty(q, dtype=np.intp)
     perm[0::2] = np.arange((q + 1) // 2)
     perm[1::2] = q - 1 - np.arange(q // 2)
     position = np.empty_like(perm)  # A's index i sits at row position[i] of B
     position[perm] = np.arange(q)
-    rows, cols = np.nonzero(a)
     r, c = position[rows], position[cols]
     lower = r >= c
     offset, col = r[lower] - c[lower], c[lower]
     ab = np.zeros((int(offset.max(initial=0)) + 1, q), dtype=np.complex128)
-    ab[offset, col] = a[rows[lower], cols[lower]]
-    return ab
+    np.add.at(ab, (offset, col), vals[lower])
+    return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=0) + 1]
 
 
 def hermitian_eigenvalues(A: MatrixLike) -> EigenvalueSet:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
-    (see the module docstring for the banded route)."""
-    a = as_matrix(A)
-    scale = float(np.linalg.norm(a))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > HERMITIAN_TOL * max(scale, 1e-300) and scale > 0:
-        raise NotHermitian(
-            f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e} * ||A||"
-        )
+    (see the module docstring for the banded route). A Hermitian spec's
+    model is Hermitian by construction and skips the defect check."""
+    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian):
+        a = as_matrix(A)
+        scale = float(np.linalg.norm(a))
+        defect = float(np.linalg.norm(a - a.conj().T))
+        if defect > HERMITIAN_TOL * max(scale, 1e-300) and scale > 0:
+            raise NotHermitian(
+                f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e} * ||A||"
+            )
     import scipy.linalg
 
     try:
-        values = scipy.linalg.eig_banded(_interleaved_band(a), lower=True,
+        values = scipy.linalg.eig_banded(_interleaved_band(A), lower=True,
                                          eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"hermitian eigensolver failed: {exc}") from exc
     return EigenvalueSet(
         values=values,
-        order=a.shape[0],
+        order=values.size,
         method_tag="hermitian",
     )
 

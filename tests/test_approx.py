@@ -274,8 +274,9 @@ class TestCertifyPseudospectrum:
         assert doc["rate"] == RATE_FLAG
 
     def test_epsilon_validation(self):
-        with pytest.raises(InvalidInput):
-            certify_pseudospectrum(GOLDEN, AM, 3, 0.0, self.PARAMS)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidInput):
+                certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
 
     def test_distinct_fingerprints(self):
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS)

@@ -131,6 +131,10 @@ class TestSpectrum:
         assert main(base + ["--theta", GOLDEN, "--spec",
                             '{"terms": [{"u": 1, "v": 1, "re": 1, "im": 0}]}']) == 3
         assert main(base + ["--theta", GOLDEN, "--spec", U2V_JSON]) == 3
+        for spec in ('{"canonical": {"a+": [Infinity, 0], "a-": [Infinity, 0]}}',
+                     '{"canonical": {"a+": [NaN, 0]}}'):
+            assert main(base + ["--theta", GOLDEN, "--spec", spec]) == 3
+            assert "must be finite" in capsys.readouterr().err
         capsys.readouterr()
 
 
@@ -185,6 +189,29 @@ class TestPseudospectrum:
         assert main(base + ["--epsilon", "1", "--method", "svd"]) == 2  # no such flag
         assert main(base + ["--epsilon", "1", "--seed", "0"]) == 2
         capsys.readouterr()
+
+    def test_non_finite_epsilon_and_region_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        base = ["pseudospectrum", "--theta", GOLDEN, "--level", "2",
+                "--resolution", "4", "4", "--out-dir", str(out)]
+        region = ["--region", "-4", "4", "-4", "4"]
+        for extra in (["--epsilon", "inf"] + region,
+                      ["--epsilon", "nan"] + region,
+                      ["--epsilon", "1", "--region", "0", "inf", "-4", "4"]):
+            assert main(base + extra) == 2
+            assert "must be finite" in capsys.readouterr().err
+        for doc in ({"epsilon": math.inf}, {"epsilon": 1, "region": [0, math.nan, -4, 4]}):
+            cfg.write_text(json.dumps(doc))
+            assert main(base + ["--config", str(cfg)]) == 2
+            assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_spec_coefficient(self, tmp_path, capsys):
+        spec = '{"canonical": {"a+": [1, 0], "b+": [Infinity, 0]}}'
+        assert main(self.ARGS + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -385,6 +412,15 @@ class TestConfigAndSpecResolution:
             bad.write_text(json.dumps(unknown))
             assert main(["expand", "--config", str(bad)]) == 3
             assert "unknown config keys" in capsys.readouterr().err
+        out = tmp_path / "out"
+        for argv, wrong in ((["pseudospectrum", "--epsilon", "0.5"], {"jobs": "two"}),
+                            (["spectrum"], {"level": 2.5}),
+                            (["spectrum"], {"level": True})):
+            bad.write_text(json.dumps(wrong))
+            assert main(argv + ["--theta", GOLDEN, "--config", str(bad),
+                                "--out-dir", str(out)]) == 3
+            assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
         bad.write_text(json.dumps([1, 2]))
         assert main(["expand", "--config", str(bad)]) == 3
         assert main(["expand", "--config", str(tmp_path / "missing.json")]) == 3

@@ -85,6 +85,20 @@ class TestSpec:
             back = OperatorSpec.from_json(doc)
             assert back == s
 
+    def test_non_finite_coefficients_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan, complex(0, math.inf)):
+            with pytest.raises(InvalidInput):
+                OperatorSpec.general([(1, 0, 1), (0, 1, bad)])
+            with pytest.raises(InvalidInput):
+                OperatorSpec.canonical(bad, 1, 1, 1)
+        with pytest.raises(InvalidInput):  # inf - inf merges to nan
+            OperatorSpec.general([(1, 0, math.inf), (1, 0, -math.inf)])
+        for doc in ('{"canonical": {"a+": [Infinity, 0], "a-": [Infinity, 0]}}',
+                    '{"canonical": {"a+": [NaN, 0]}}',
+                    '{"terms": [{"u": 1, "v": 0, "re": 1, "im": Infinity}]}'):
+            with pytest.raises(InvalidInput):
+                OperatorSpec.from_json(json.loads(doc))
+
     def test_from_json_rejects_inconsistent_canonical_block(self):
         doc = CANONICAL.to_json()
         doc["canonical"]["a+"] = [2.0, 0.0]
@@ -176,6 +190,17 @@ class TestUnitarity:
             dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
             assert abs(d - dense) <= 1e-15
 
+    def test_one_term_model_is_a_scaled_permutation(self):
+        # (2+i) u^2 v^3 has one entry of modulus sqrt(5) per row and
+        # column, so A*A - I = 4 I up to rounding
+        spec = OperatorSpec.general([(2, 3, 2 + 1j)])
+        for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (8, 13)):
+            model = build_operator(spec, p, q)
+            a = model.entries
+            dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
+            assert unitarity_defect(model) == pytest.approx(dense, abs=1e-14)
+            assert unitarity_defect(model) == pytest.approx(4.0, abs=1e-14)
+
 
 class TestBuildOperator:
     def test_pinned_half_model(self):
@@ -235,9 +260,4 @@ class TestBuildOperator:
         for p, q in ((1, 3), (2, 5), (3, 8)):
             h = build_operator(CANONICAL, p, q).entries
             assert abs(np.trace(h)) < 1e-13
-
-    def test_structure_tag(self):
-        assert build_operator(CANONICAL, 1, 3).structure_tag == "four_term"
-        s = OperatorSpec.general([(2, 1, 1)])
-        assert build_operator(s, 1, 3).structure_tag == "general"
 

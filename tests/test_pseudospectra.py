@@ -104,6 +104,9 @@ class TestComputeGrid:
             compute_grid(np.eye(2), (1, -1, 0, 1), (8, 8))
         with pytest.raises(InvalidInput):
             compute_grid(np.eye(2), (-1, 1, 0, 1), (1, 8))
+        for region in ((0, np.inf, -1, 1), (-1, 1, np.nan, 1)):
+            with pytest.raises(InvalidInput):
+                compute_grid(np.eye(2), region, (4, 4))
         for jobs in (0, -2):
             with pytest.raises(InvalidInput):
                 compute_grid(np.eye(2), (-1, 1, -1, 1), (4, 4), jobs=jobs)
@@ -199,6 +202,11 @@ class TestSandwich:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             sandwich_check(np.eye(2), np.eye(3), 0.5)
+
+    def test_epsilon_must_be_finite(self):
+        for epsilon in (np.inf, np.nan):
+            with pytest.raises(InvalidInput):
+                sandwich_check(np.eye(2), np.eye(2), epsilon)
 
     def test_levels_are_rounded_up(self, monkeypatch):
         # 0.7 + 0.1 and 0.7 + 2*0.1 both round to nearest below the exact

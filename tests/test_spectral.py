@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 
 from rotspec.errors import NotHermitian, NotNormal
-from rotspec.matmodel import OperatorSpec, build_operator, shift_matrix
+from rotspec.matmodel import OperatorSpec, _clock_diagonal, build_operator, shift_matrix
 from rotspec.spectral import (
     _interleaved_band,
     circulant_four_term_eigenvalues,
@@ -164,6 +164,101 @@ class TestBandedHermitian:
     def test_zero_and_empty(self):
         assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))).values, np.zeros(3))
         assert hermitian_eigenvalues(np.zeros((0, 0))).values.shape == (0,)
+
+
+def dense_slotwise_build(spec: OperatorSpec, p: int, q: int) -> np.ndarray:
+    """The dense builder that stored models replaced, kept as their
+    oracle: every term accumulated slot-wise into a q x q array, in term
+    order."""
+    entries = np.zeros((q, q), dtype=np.complex128, order="F")
+    rows = np.arange(q)
+    for j, k, c in spec.terms:
+        cols = (rows + j) % q
+        entries[rows, cols] += c * _clock_diagonal(p, q, power=k)[cols]
+    return entries
+
+
+def colliding_terms(rng: np.random.Generator, q: int, count: int) -> list:
+    """count random terms, each with a partner at (j +- q, k +- q): the
+    partner shares its slots (u-powers agree mod q) and its phases (v-powers
+    agree mod q)."""
+    terms = []
+    for _ in range(count):
+        j, k = (int(x) for x in rng.integers(-3, 4, size=2))
+        shift = q * int(rng.choice((-1, 1)))
+        terms += [(j, k, complex(*rng.standard_normal(2))),
+                  (j + shift, k + shift, complex(*rng.standard_normal(2)))]
+    return terms
+
+
+class TestModelNonzeros:
+    """Models are stored as nonzeros; their dense entries and their band
+    must reproduce the dense slot-wise builder bit for bit."""
+
+    def test_entries_and_band_match_dense_builder(self):
+        rng = np.random.default_rng(61)
+        cases = [(int(rng.integers(q)), q) for q in range(1, 8) for _ in range(20)]
+        golden = TestBandedHermitian.GOLDEN_Q
+        cases += [(p % q, q) for p, q in zip((0,) + golden, golden)]
+        for p, q in cases:
+            spec = OperatorSpec.general(colliding_terms(rng, q, 3))
+            model = build_operator(spec, p, q)
+            assert "entries" not in vars(model)
+            dense = dense_slotwise_build(spec, p, q)
+            assert model.entries.flags["F_CONTIGUOUS"]
+            assert model.entries.tobytes() == dense.tobytes()
+            band, dense_band = _interleaved_band(model), _interleaved_band(dense)
+            assert band.shape == dense_band.shape
+            assert band.tobytes() == dense_band.tobytes()
+
+    def test_exact_cancellation_leaves_no_band_rows(self):
+        # i U^2 - i U^-2 vanishes at q = 4, where U^2 = U^-2
+        spec = OperatorSpec.general([(2, 0, 1j), (-2, 0, -1j), (0, 1, 1), (0, -1, 1)])
+        model = build_operator(spec, 1, 4)
+        assert _interleaved_band(model).tobytes() == \
+            _interleaved_band(dense_slotwise_build(spec, 1, 4)).tobytes()
+        assert _interleaved_band(model).shape == (1, 4)
+
+    def test_hermitian_specs_pass_the_check_they_skip(self):
+        # colliding powers sum in different orders above and below the
+        # diagonal, so some entries are Hermitian only up to a few ulps;
+        # the numeric check must still accept every one of them
+        rng = np.random.default_rng(62)
+        not_bit_hermitian = 0
+        for q in range(1, 8):
+            for _ in range(30):
+                u_powers = rng.choice(np.arange(1, 2 * q + 1), size=min(2, 2 * q),
+                                      replace=False)
+                v_powers = rng.choice(np.arange(1, 2 * q + 1), size=min(2, 2 * q),
+                                      replace=False)
+                spec = hermitian_axis_spec(rng, u_powers.tolist(), v_powers.tolist())
+                assert spec.is_hermitian
+                model = build_operator(spec, int(rng.integers(q)), q)
+                got = hermitian_eigenvalues(model).values
+                assert "entries" not in vars(model)
+                a = model.entries
+                not_bit_hermitian += not np.array_equal(a, a.conj().T)
+                assert np.array_equal(hermitian_eigenvalues(a).values, got)
+                expect = np.linalg.eigvalsh(a)
+                assert np.max(np.abs(got - expect)) <= \
+                    1e-12 * max(1.0, float(np.max(np.abs(expect))))
+        assert not_bit_hermitian > 0
+
+    def test_hermitian_route_never_builds_dense_entries(self):
+        import tracemalloc
+
+        import scipy.linalg  # noqa: F401  (imported outside the measured window)
+
+        tracemalloc.start()
+        try:
+            model = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1597, 2584)
+            values = hermitian_eigenvalues(model).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "entries" not in vars(model)
+        assert values.shape == (2584,)
+        assert peak < 16 << 20  # the dense matrix alone is 107 MB
 
 
 class TestCirculant:
