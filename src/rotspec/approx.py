@@ -461,7 +461,7 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
     model = build_operator(spec, p, n)
     result: OneSidedResult
     try:
-        result = PointCloud(eigenvalues_auto(model).values, label=f"sigma(h_{p}/{n})")
+        result = PointCloud(eigenvalues_auto(model).values)
     except NotNormal:
         gp = grid_params or GridParams()
         region = gp.region or default_region(spec_norm_bound(spec), radius)

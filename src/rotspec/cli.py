@@ -7,6 +7,14 @@ computes sqrt(n)-rate single-model certificates, and `converge` runs a
 ladder of levels and cross-checks the empirical Hausdorff distances
 against the certified radii.
 
+Each option is declared once in `_OPTIONS`: its flag, argparse keywords,
+default and config type. `_COMMANDS` lists the options each subcommand
+reads and the formats it writes; the parser, the config check and the
+defaults are generated from the two. A subcommand rejects a flag it does
+not read, while a config key it does not read is ignored, so one config
+file serves every subcommand. Flags override the config, which overrides
+the defaults.
+
 Deterministic batch semantics: fixed inputs produce byte-identical
 outputs at any --jobs setting. Exit codes: 0 success, 2 usage, 3 invalid
 or insufficient input, 4 numerical failure, 5 certificate violation.
@@ -19,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,6 +50,7 @@ from .errors import (
 )
 from .matmodel import OperatorSpec, build_operator
 from .pseudospectra import (
+    DEFAULT_RESOLUTION,
     GridParams,
     PointCloud,
     cloud_to_csv,
@@ -55,17 +64,6 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 EXIT_CERTIFICATE = 5
-
-_DEFAULTS = {
-    "out_dir": ".",
-    "format": ["csv", "json"],
-    "jobs": 1,
-    "max_q": MAX_Q,
-    "terms": 20,
-    "level": 5,
-    "resolution": [256, 256],
-    "q_max": 50,
-}
 
 
 def _is_str(value) -> bool:
@@ -86,28 +84,57 @@ def _list_of(item, length: Optional[int] = None):
                           and all(item(x) for x in value))
 
 
-# each config key takes the type of its flag (bools are not ints)
-_CONFIG_TYPES = {
-    "theta": (_is_str, "a string"),
-    "spec": (lambda v: isinstance(v, dict), "an object"),
-    "out_dir": (_is_str, "a string"),
-    "format": (lambda v: _is_str(v) or _list_of(_is_str)(v),
-               "a string or a list of strings"),
-    "jobs": (_is_int, "an integer"),
-    "max_q": (_is_int, "an integer"),
-    "terms": (_is_int, "an integer"),
-    "level": (_is_int, "an integer"),
-    "epsilon": (_is_number, "a number"),
-    "region": (_list_of(_is_number, 4), "a list of four numbers"),
-    "resolution": (_list_of(_is_int, 2), "a list of two integers"),
-    "q_max": (_is_int, "an integer"),
-    "n_list": (lambda v: _is_str(v) or _list_of(_is_int)(v),
-               "a string or a list of integers"),
-    "n_range": (lambda v: _is_str(v) or _list_of(_is_int, 2)(v),
-                "a string a:b or a list of two integers"),
-}
+_STRING = (_is_str, "a string")
+_INTEGER = (_is_int, "an integer")
 
-_FORMATS = ("csv", "json", "pgm")
+
+class _Option(NamedTuple):
+    """One option: its flag, the argparse keywords for it, its default,
+    and the check and description of the JSON value a config file may
+    give it (None: the option has no config key). Config values take the
+    type of the flag, and bools are not ints."""
+
+    flag: str
+    argparse_kw: dict
+    default: object = None
+    config: Optional[tuple[Callable[[object], bool], str]] = None
+
+
+_OPTIONS = {
+    "config": _Option("--config", {"help": "JSON config file; flags override it"}),
+    "theta": _Option("--theta", {"help": "rational:p/q | surd:(a+b*sqrt(d))/c | decimal:0.xxxx"},
+                     config=_STRING),
+    "spec": _Option("--spec", {"help": "operator spec as inline JSON"},
+                    config=(lambda v: isinstance(v, dict), "an object")),
+    "spec_file": _Option("--spec-file", {"help": "path to spec JSON"}),
+    "out_dir": _Option("--out-dir", {"help": "output directory"}, ".", _STRING),
+    "format": _Option("--format", {"action": "append", "help": "output format, repeatable"},
+                      ("csv", "json"),
+                      (lambda v: _is_str(v) or _list_of(_is_str)(v),
+                       "a string or a list of strings")),
+    "jobs": _Option("--jobs", {"type": int, "help": "worker threads; results are identical"},
+                    1, _INTEGER),
+    "max_q": _Option("--max-q", {"type": int, "help": "matrix-order budget"}, MAX_Q, _INTEGER),
+    "terms": _Option("--terms", {"type": int, "help": "number of partial quotients"},
+                     20, _INTEGER),
+    "level": _Option("--level", {"type": int, "help": "convergent level n"}, 5, _INTEGER),
+    "epsilon": _Option("--epsilon", {"type": float, "help": "pseudospectrum level (> 0)"},
+                       config=(_is_number, "a number")),
+    "region": _Option("--region", {"nargs": 4, "type": float,
+                                   "metavar": ("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"),
+                                   "help": "grid rectangle (default from the matrix norms)"},
+                      config=(_list_of(_is_number, 4), "a list of four numbers")),
+    "resolution": _Option("--resolution", {"nargs": 2, "type": int, "metavar": ("NX", "NY"),
+                                           "help": "grid points per axis"},
+                          DEFAULT_RESOLUTION, (_list_of(_is_int, 2), "a list of two integers")),
+    "q_max": _Option("--q-max", {"type": int, "help": "largest denominator"}, 50, _INTEGER),
+    "n_list": _Option("--n-list", {"help": "comma-separated denominators"},
+                      config=(lambda v: _is_str(v) or _list_of(_is_int)(v),
+                              "a string or a list of integers")),
+    "n_range": _Option("--n-range", {"help": "inclusive level range a:b"},
+                       config=(lambda v: _is_str(v) or _list_of(_is_int, 2)(v),
+                               "a string a:b or a list of two integers")),
+}
 
 
 class _UsageError(Exception):
@@ -162,46 +189,50 @@ def _load_config(path: Optional[str]) -> dict:
         raise InvalidInput(f"cannot read config {path}: {exc}")
     if not isinstance(doc, dict):
         raise InvalidInput("config must be a JSON object")
-    unknown = sorted(set(doc) - set(_CONFIG_TYPES))
+    unknown = sorted(k for k in doc if k not in _OPTIONS or _OPTIONS[k].config is None)
     if unknown:
         raise InvalidInput(f"unknown config keys: {unknown}")
     for key, value in doc.items():
-        check, kind = _CONFIG_TYPES[key]
+        check, kind = _OPTIONS[key].config
         if not check(value):
             raise InvalidInput(f"config key {key!r} must be {kind}, got {value!r}")
     return doc
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str):
-    value = getattr(args, key, None)
-    if value is None:
-        value = cfg.get(key)
-    if value is None:
-        value = _DEFAULTS.get(key)
-    return value
+def _resolve(args: argparse.Namespace, cfg: dict, command: _Command) -> argparse.Namespace:
+    """The value of each option the subcommand reads. A config format the
+    subcommand does not write is refused here, before anything runs."""
+    opts = argparse.Namespace()
+    for key in command.reads:
+        value = getattr(args, key)
+        setattr(opts, key, cfg.get(key, _OPTIONS[key].default) if value is None else value)
+    if command.formats:
+        fmts = [opts.format] if isinstance(opts.format, str) else opts.format
+        bad = [f for f in fmts if f not in command.formats]
+        if bad:
+            raise InvalidInput(f"unknown output formats {bad}; choose from {command.formats}")
+        opts.format = tuple(dict.fromkeys(fmts))
+    return opts
 
 
-def _resolve_theta(args, cfg):
-    text = _resolve(args, cfg, "theta")
-    if not text:
+def _resolve_theta(opts):
+    if not opts.theta:
         raise _UsageError("--theta is required (or set \"theta\" in --config)")
-    return parse_theta(str(text))
+    return parse_theta(opts.theta)
 
 
-def _resolve_spec(args, cfg) -> OperatorSpec:
-    doc = None
-    if getattr(args, "spec", None) is not None:
+def _resolve_spec(opts) -> OperatorSpec:
+    doc = opts.spec  # --spec text, or the config's object
+    if opts.spec_file is not None:  # --spec excludes it, and it overrides the config
         try:
-            doc = json.loads(args.spec)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"--spec is not valid JSON: {exc}")
-    elif getattr(args, "spec_file", None) is not None:
-        try:
-            doc = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
+            doc = json.loads(Path(opts.spec_file).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInput(f"cannot read spec file: {exc}")
-    elif "spec" in cfg:
-        doc = cfg["spec"]
+    elif isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"--spec is not valid JSON: {exc}")
     if doc is None:
         return OperatorSpec.canonical(1, 1, 1, 1)
     if not isinstance(doc, dict):
@@ -209,50 +240,52 @@ def _resolve_spec(args, cfg) -> OperatorSpec:
     return OperatorSpec.from_json(doc)
 
 
-def _resolve_formats(args, cfg) -> tuple[str, ...]:
-    fmts = _resolve(args, cfg, "format")
-    if isinstance(fmts, str):
-        fmts = [fmts]
-    bad = [f for f in fmts if f not in _FORMATS]
-    if bad:
-        raise InvalidInput(f"unknown output formats {bad}; choose from {_FORMATS}")
-    return tuple(dict.fromkeys(fmts))
-
-
-def _resolve_grid_params(args, cfg) -> GridParams:
-    region = _resolve(args, cfg, "region")
+def _resolve_grid_params(opts) -> GridParams:
+    region = opts.region
     if region is not None:
         region = tuple(float(x) for x in region)
         if not all(math.isfinite(x) for x in region):
             raise _UsageError(f"--region must be finite, got {region}")
-    resolution = tuple(int(x) for x in _resolve(args, cfg, "resolution"))
-    jobs = int(_resolve(args, cfg, "jobs"))
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be >= 1, got {jobs}")
-    return GridParams(region=region, resolution=resolution, jobs=jobs)
+    if opts.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {opts.jobs}")
+    return GridParams(region=region, resolution=tuple(opts.resolution), jobs=opts.jobs)
 
 
-def _out_dir(args, cfg) -> Path:
-    out = Path(str(_resolve(args, cfg, "out_dir")))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Output:
+    """Writes a run's artifacts in the requested formats to --out-dir,
+    creating it at the first write, and reports what it wrote."""
 
+    def __init__(self, opts):
+        self.dir = Path(opts.out_dir)
+        self.formats = opts.format
+        self.written: list[Path] = []
 
-def _write(path: Path, payload) -> Path:
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(payload, encoding="utf-8")
-    return path
+    def write(self, fmt: str, name: str, payload: Callable[[], str | bytes]) -> None:
+        """Write payload() to name if fmt was requested; the payload is
+        built only then."""
+        if fmt not in self.formats:
+            return
+        self.dir.mkdir(parents=True, exist_ok=True)
+        path = self.dir / name
+        data = payload()
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data, encoding="utf-8")
+        self.written.append(path)
+
+    def report(self) -> None:
+        for path in self.written:
+            print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_expand(args, cfg) -> int:
-    theta = _resolve_theta(args, cfg)
-    terms = int(_resolve(args, cfg, "terms"))
+def cmd_expand(opts) -> int:
+    theta = _resolve_theta(opts)
+    terms = opts.terms
     if terms < 1:
         raise _UsageError(f"--terms must be >= 1, got {terms}")
     expansion = expand(theta, terms)
@@ -286,75 +319,59 @@ def cmd_expand(args, cfg) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, cfg) -> int:
-    theta = _resolve_theta(args, cfg)
-    spec = _resolve_spec(args, cfg)
-    n = int(_resolve(args, cfg, "level"))
-    max_q = int(_resolve(args, cfg, "max_q"))
-    cloud, cert = certify_normal(theta, spec, n, max_q=max_q)
-    out = _out_dir(args, cfg)
-    written = []
-    formats = _resolve_formats(args, cfg)
-    if "csv" in formats:
-        written.append(_write(out / "spectrum_cloud.csv", cloud_to_csv(cloud)))
-    if "json" in formats:
-        written.append(_write(out / "spectrum_certificate.json",
-                              dumps_17g(cert.to_json(cloud)) + "\n"))
+def cmd_spectrum(opts) -> int:
+    theta = _resolve_theta(opts)
+    spec = _resolve_spec(opts)
+    n = opts.level
+    cloud, cert = certify_normal(theta, spec, n, max_q=opts.max_q)
+    out = _Output(opts)
+    out.write("csv", "spectrum_cloud.csv", lambda: cloud_to_csv(cloud))
+    out.write("json", "spectrum_certificate.json",
+              lambda: dumps_17g(cert.to_json(cloud)) + "\n")
     print(f"spectrum: n={n} q_pair={cert.q_pair} points={len(cloud)} "
           f"radius={cert.radius:.17g}")
-    for path in written:
-        print(f"wrote {path}")
+    out.report()
     return EXIT_OK
 
 
-def cmd_pseudospectrum(args, cfg) -> int:
-    theta = _resolve_theta(args, cfg)
-    spec = _resolve_spec(args, cfg)
-    n = int(_resolve(args, cfg, "level"))
-    epsilon = _resolve(args, cfg, "epsilon")
-    if epsilon is None:
+def cmd_pseudospectrum(opts) -> int:
+    theta = _resolve_theta(opts)
+    spec = _resolve_spec(opts)
+    n = opts.level
+    if opts.epsilon is None:
         raise _UsageError("--epsilon is required")
-    epsilon = float(epsilon)
+    epsilon = float(opts.epsilon)
     if not 0 < epsilon < math.inf:
         raise _UsageError(f"--epsilon must be finite and > 0, got {epsilon}")
-    gp = _resolve_grid_params(args, cfg)
-    max_q = int(_resolve(args, cfg, "max_q"))
-    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp, max_q=max_q)
-    out = _out_dir(args, cfg)
-    formats = _resolve_formats(args, cfg)
-    written = []
-    if "csv" in formats:
-        written.append(_write(out / "grid_prev.csv", grid_to_csv(sandwich.grid_prev)))
-        written.append(_write(out / "grid_curr.csv", grid_to_csv(sandwich.grid_curr)))
-    if "pgm" in formats:
-        written.append(_write(out / "grid_prev.pgm", grid_to_pgm(sandwich.grid_prev)))
-        written.append(_write(out / "grid_curr.pgm", grid_to_pgm(sandwich.grid_curr)))
-    if "json" in formats:
-        written.append(_write(out / "sandwich_report.json",
-                              dumps_17g(sandwich.to_json()) + "\n"))
+    gp = _resolve_grid_params(opts)
+    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp, max_q=opts.max_q)
+    out = _Output(opts)
+    out.write("csv", "grid_prev.csv", lambda: grid_to_csv(sandwich.grid_prev))
+    out.write("csv", "grid_curr.csv", lambda: grid_to_csv(sandwich.grid_curr))
+    out.write("pgm", "grid_prev.pgm", lambda: grid_to_pgm(sandwich.grid_prev))
+    out.write("pgm", "grid_curr.pgm", lambda: grid_to_pgm(sandwich.grid_curr))
+    out.write("json", "sandwich_report.json", lambda: dumps_17g(sandwich.to_json()) + "\n")
     eps_n = "-" if sandwich.epsilon_n is None else format(sandwich.epsilon_n, ".17g")
     print(f"pseudospectrum: n={n} q_pair={sandwich.q_pair} epsilon={epsilon:.17g} "
           f"epsilon_n={eps_n} certified={sandwich.certified} rate={sandwich.rate}")
-    for path in written:
-        print(f"wrote {path}")
+    out.report()
     if not sandwich.inclusion_verified:
         print("inner/outer grid inclusion failed", file=sys.stderr)
         return EXIT_CERTIFICATE
     return EXIT_OK
 
 
-def cmd_butterfly(args, cfg) -> int:
-    spec = _resolve_spec(args, cfg)
+def cmd_butterfly(opts) -> int:
+    spec = _resolve_spec(opts)
     if not spec.is_hermitian:
         raise NotHermitian(
             "the butterfly sweep plots real eigenvalues; the spec must be hermitian"
         )
-    q_max = int(_resolve(args, cfg, "q_max"))
+    q_max = opts.q_max
     if q_max < 1:
         raise _UsageError(f"--q-max must be >= 1, got {q_max}")
-    max_q = int(_resolve(args, cfg, "max_q"))
-    if q_max > max_q:
-        raise ResourceBudgetExceeded(f"--q-max {q_max} exceeds the order budget {max_q}")
+    if q_max > opts.max_q:
+        raise ResourceBudgetExceeded(f"--q-max {q_max} exceeds the order budget {opts.max_q}")
     lines = ["p,q,eigenvalue"]
     fractions = 0
     for q in range(1, q_max + 1):
@@ -364,101 +381,85 @@ def cmd_butterfly(args, cfg) -> int:
             fractions += 1
             eigen = hermitian_eigenvalues(build_operator(spec, p, q))
             lines.extend(f"{p},{q},{v:.17g}" for v in eigen.values)
-    out = _out_dir(args, cfg)
-    formats = _resolve_formats(args, cfg)
-    written = []
-    if "csv" in formats:
-        written.append(_write(out / "butterfly.csv", "\n".join(lines) + "\n"))
-    if "json" in formats:
-        doc = {"spec": spec.to_json(), "q_max": q_max,
-               "fractions": fractions, "rows": len(lines) - 1}
-        written.append(_write(out / "butterfly_summary.json", dumps_17g(doc) + "\n"))
+    out = _Output(opts)
+    out.write("csv", "butterfly.csv", lambda: "\n".join(lines) + "\n")
+    out.write("json", "butterfly_summary.json",
+              lambda: dumps_17g({"spec": spec.to_json(), "q_max": q_max,
+                                 "fractions": fractions, "rows": len(lines) - 1}) + "\n")
     print(f"butterfly: q_max={q_max} fractions={fractions} rows={len(lines) - 1}")
-    for path in written:
-        print(f"wrote {path}")
+    out.report()
     return EXIT_OK
 
 
 def _parse_n_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [int(x) for x in value]
-    return [int(x) for x in str(value).split(",") if x.strip()]
+    if isinstance(value, list):
+        return value
+    try:
+        return [int(x) for x in value.split(",") if x.strip()]
+    except ValueError:
+        raise _UsageError(f"--n-list must be comma-separated integers, got {value!r}")
 
 
-def cmd_onesided(args, cfg) -> int:
-    theta = _resolve_theta(args, cfg)
-    spec = _resolve_spec(args, cfg)
-    raw = _resolve(args, cfg, "n_list")
-    if raw is None:
+def cmd_onesided(opts) -> int:
+    theta = _resolve_theta(opts)
+    spec = _resolve_spec(opts)
+    if opts.n_list is None:
         raise _UsageError("--n-list is required, e.g. --n-list 10,50,200")
-    n_list = _parse_n_list(raw)
+    n_list = _parse_n_list(opts.n_list)
     if not n_list:
         raise _UsageError("--n-list is empty")
-    max_q = int(_resolve(args, cfg, "max_q"))
-    if max(n_list) > max_q:
+    if max(n_list) > opts.max_q:
         raise ResourceBudgetExceeded(
-            f"--n-list entry {max(n_list)} exceeds the order budget {max_q}")
-    gp = _resolve_grid_params(args, cfg)
-    out = _out_dir(args, cfg)
-    formats = _resolve_formats(args, cfg)
-    written, summaries = [], []
+            f"--n-list entry {max(n_list)} exceeds the order budget {opts.max_q}")
+    gp = _resolve_grid_params(opts)
+    out = _Output(opts)
+    summaries = []
     for n in n_list:
-        result, cert = one_sided(theta, spec, n, gp, max_q=max_q)
+        result, cert = one_sided(theta, spec, n, gp, max_q=opts.max_q)
         entry = cert.to_json()
         if isinstance(result, PointCloud):
             entry["kind"] = "cloud"
             entry["points"] = len(result)
-            if "csv" in formats:
-                written.append(_write(out / f"onesided_n{n}.csv", cloud_to_csv(result)))
+            out.write("csv", f"onesided_n{n}.csv", lambda: cloud_to_csv(result))
         else:
             entry["kind"] = "grid"
             entry["region"] = list(result.region)
             entry["resolution"] = list(result.resolution)
-            if "csv" in formats:
-                written.append(_write(out / f"onesided_n{n}.csv", grid_to_csv(result)))
-            if "pgm" in formats:
-                written.append(_write(out / f"onesided_n{n}.pgm", grid_to_pgm(result)))
+            out.write("csv", f"onesided_n{n}.csv", lambda: grid_to_csv(result))
+            out.write("pgm", f"onesided_n{n}.pgm", lambda: grid_to_pgm(result))
         summaries.append(entry)
         print(f"onesided: n={n} p={cert.chosen_p} radius={cert.radius:.17g} "
               f"kind={entry['kind']}")
-    if "json" in formats:
-        written.append(_write(out / "onesided_summary.json",
-                              dumps_17g({"certificates": summaries}) + "\n"))
-    for path in written:
-        print(f"wrote {path}")
+    out.write("json", "onesided_summary.json",
+              lambda: dumps_17g({"certificates": summaries}) + "\n")
+    out.report()
     return EXIT_OK
 
 
 def _parse_n_range(value) -> list[int]:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        a, b = int(value[0]), int(value[1])
+    if isinstance(value, list):
+        a, b = value
     else:
-        text = str(value)
-        if ":" not in text:
-            raise _UsageError(f"--n-range must look like a:b, got {text!r}")
-        lo, hi = text.split(":", 1)
-        a, b = int(lo), int(hi)
+        lo, _, hi = value.partition(":")
+        try:
+            a, b = int(lo), int(hi)
+        except ValueError:
+            raise _UsageError(f"--n-range must look like a:b, got {value!r}")
     if a > b:
         raise _UsageError(f"empty level range {a}:{b}")
     return list(range(a, b + 1))
 
 
-def cmd_converge(args, cfg) -> int:
-    theta = _resolve_theta(args, cfg)
-    spec = _resolve_spec(args, cfg)
-    raw = _resolve(args, cfg, "n_range")
-    if raw is None:
+def cmd_converge(opts) -> int:
+    theta = _resolve_theta(opts)
+    spec = _resolve_spec(opts)
+    if opts.n_range is None:
         raise _UsageError("--n-range is required, e.g. --n-range 3:8")
-    levels = _parse_n_range(raw)
-    max_q = int(_resolve(args, cfg, "max_q"))
-    table = convergence_study(theta, spec, levels, max_q=max_q)
-    out = _out_dir(args, cfg)
-    formats = _resolve_formats(args, cfg)
-    written = []
-    if "csv" in formats:
-        written.append(_write(out / "convergence.csv", table.to_csv()))
-    if "json" in formats:
-        doc = {
+    levels = _parse_n_range(opts.n_range)
+    table = convergence_study(theta, spec, levels, max_q=opts.max_q)
+
+    def report() -> dict:
+        return {
             "theta": str(theta),
             "spec": spec.to_json(),
             "reference_n": table.reference_n,
@@ -475,13 +476,15 @@ def cmd_converge(args, cfg) -> int:
                 for r in table.rows
             ],
         }
-        written.append(_write(out / "convergence.json", dumps_17g(doc) + "\n"))
+
+    out = _Output(opts)
+    out.write("csv", "convergence.csv", table.to_csv)
+    out.write("json", "convergence.json", lambda: dumps_17g(report()) + "\n")
     for r in table.rows:
         print(f"converge: n={r.n} q=({r.q_prev},{r.q_n}) "
               f"eps_sharp={r.epsilon_sharp:.17g} dH={r.empirical_dh:.17g} "
               f"ok={r.within_bound}")
-    for path in written:
-        print(f"wrote {path}")
+    out.report()
     if not table.all_verified:
         bad = [r.n for r in table.rows if not r.within_bound]
         raise CertificateViolation(
@@ -494,64 +497,53 @@ def cmd_converge(args, cfg) -> int:
 # parser / main
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--theta", help="rational:p/q | surd:(a+b*sqrt(d))/c | decimal:0.xxxx")
-    grp = common.add_mutually_exclusive_group()
-    grp.add_argument("--spec", help="operator spec as inline JSON")
-    grp.add_argument("--spec-file", dest="spec_file", help="path to spec JSON")
-    common.add_argument("--config", help="JSON config file; flags override it")
-    common.add_argument("--out-dir", dest="out_dir", help="output directory (default .)")
-    common.add_argument("--format", action="append", choices=list(_FORMATS),
-                        help="output format, repeatable (default csv and json)")
-    common.add_argument("--jobs", type=int, help="worker threads (results identical)")
-    common.add_argument("--max-q", dest="max_q", type=int,
-                        help=f"matrix-order budget (default {MAX_Q})")
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    reads: tuple[str, ...]  # options besides --config; --spec and --spec-file exclude each other
+    formats: tuple[str, ...] = ()  # --format choices
 
+
+_WRITES = ("out_dir", "format")
+_SPEC = ("spec", "spec_file")
+
+_COMMANDS = {
+    "expand": _Command(cmd_expand, "print the continued-fraction convergent table",
+                       ("theta", "terms")),
+    "spectrum": _Command(cmd_spectrum, "certified spectrum cloud at level n",
+                         ("theta", *_SPEC, *_WRITES, "max_q", "level"), ("csv", "json")),
+    "pseudospectrum": _Command(cmd_pseudospectrum, "certified pseudospectrum grids at level n",
+                               ("theta", *_SPEC, *_WRITES, "jobs", "max_q", "level",
+                                "epsilon", "region", "resolution"), ("csv", "json", "pgm")),
+    "butterfly": _Command(cmd_butterfly,
+                          "eigenvalues over all reduced rationals p/q, q <= q_max",
+                          (*_SPEC, *_WRITES, "max_q", "q_max"), ("csv", "json")),
+    "onesided": _Command(cmd_onesided,
+                         "one-sided sqrt(n)-rate certificates at chosen denominators",
+                         ("theta", *_SPEC, *_WRITES, "jobs", "max_q", "n_list",
+                          "region", "resolution"), ("csv", "json", "pgm")),
+    "converge": _Command(cmd_converge, "ladder of levels with certified-vs-empirical check",
+                         ("theta", *_SPEC, *_WRITES, "max_q", "n_range"), ("csv", "json")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotspec",
         description="certified finite-matrix spectra for rotation-algebra operators",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("expand", parents=[common],
-                       help="print the continued-fraction convergent table")
-    p.add_argument("--terms", type=int, help="number of partial quotients (default 20)")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="certified spectrum cloud at level n")
-    p.add_argument("--level", type=int, help="convergent level n (default 5)")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("pseudospectrum", parents=[common],
-                       help="certified pseudospectrum grids at level n")
-    p.add_argument("--level", type=int, help="convergent level n (default 5)")
-    p.add_argument("--epsilon", type=float, help="pseudospectrum level (> 0)")
-    p.add_argument("--region", nargs=4, type=float,
-                   metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--resolution", nargs=2, type=int, metavar=("NX", "NY"))
-    p.set_defaults(func=cmd_pseudospectrum)
-
-    p = sub.add_parser("butterfly", parents=[common],
-                       help="eigenvalues over all reduced rationals p/q, q <= q_max")
-    p.add_argument("--q-max", dest="q_max", type=int,
-                   help="largest denominator (default 50)")
-    p.set_defaults(func=cmd_butterfly)
-
-    p = sub.add_parser("onesided", parents=[common],
-                       help="one-sided sqrt(n)-rate certificates at chosen denominators")
-    p.add_argument("--n-list", dest="n_list", help="comma-separated denominators")
-    p.add_argument("--region", nargs=4, type=float,
-                   metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
-    p.add_argument("--resolution", nargs=2, type=int, metavar=("NX", "NY"))
-    p.set_defaults(func=cmd_onesided)
-
-    p = sub.add_parser("converge", parents=[common],
-                       help="ladder of levels with certified-vs-empirical check")
-    p.add_argument("--n-range", dest="n_range", help="inclusive level range a:b")
-    p.set_defaults(func=cmd_converge)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        spec_group = p.add_mutually_exclusive_group() if "spec" in command.reads else None
+        for key in ("config", *command.reads):
+            opt = _OPTIONS[key]
+            kw = dict(opt.argparse_kw, dest=key)
+            if key == "format":
+                kw["choices"] = command.formats
+            if opt.default is not None:
+                kw["help"] += f" (default {json.dumps(opt.default)})"
+            (spec_group if key in _SPEC else p).add_argument(opt.flag, **kw)
     return parser
 
 
@@ -564,12 +556,13 @@ def main(argv=None) -> int:
         if code is None:
             return EXIT_OK
         return code if isinstance(code, int) else EXIT_USAGE
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    command = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
-        return args.func(args, cfg)
+        return command.run(_resolve(args, cfg, command))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

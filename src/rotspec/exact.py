@@ -11,8 +11,11 @@ involved in any decision.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
+
+from .errors import InvalidInput
 
 Rational = Union[int, Fraction]
 
@@ -21,6 +24,8 @@ Rational = Union[int, Fraction]
 _PI_39 = 3141592653589793238462643383279502884197
 PI_LO = Fraction(_PI_39, 10**39)
 PI_HI = Fraction(_PI_39 + 1, 10**39)
+
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 def is_perfect_square(n: int) -> bool:
@@ -55,21 +60,28 @@ def sqrt_upper(x: Rational, digits: int = 30) -> Fraction:
     return sqrt_enclosure(x, digits)[1]
 
 
+def _in_float_range(x: Rational) -> Fraction:
+    """x as a Fraction; InvalidInput, naming x, when |x| exceeds the
+    largest float."""
+    x = Fraction(x)
+    if abs(x) > _FLOAT_MAX:
+        from decimal import Decimal
+        value = Decimal(x.numerator) / Decimal(x.denominator)
+        raise InvalidInput(f"{value:.6e} is outside the float range")
+    return x
+
+
 def float_up(x: Rational) -> float:
     """Smallest representable float >= x (x exact rational)."""
-    x = Fraction(x)
+    x = _in_float_range(x)
     f = x.numerator / x.denominator
-    if math.isinf(f):
-        return f
     return f if Fraction(f) >= x else math.nextafter(f, math.inf)
 
 
 def float_down(x: Rational) -> float:
     """Largest representable float <= x (x exact rational)."""
-    x = Fraction(x)
+    x = _in_float_range(x)
     f = x.numerator / x.denominator
-    if math.isinf(f):
-        return f
     return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
 
 

@@ -106,9 +106,6 @@ class OperatorSpec:
         operator exactly when each term sits on an axis (j*k = 0); mixed
         terms pick up the parameter-dependent phase and are rejected.
         """
-        if self.is_canonical:
-            a1, am, b1, bm = self.canonical_four_term
-            return am == a1.conjugate() and bm == b1.conjugate()
         by_slot = {(j, k): c for j, k, c in self.terms}
         return all(
             j * k == 0 and by_slot.get((-j, -k)) == c.conjugate()

@@ -47,7 +47,6 @@ class PointCloud:
     """Finite multiset of complex points (duplicates carry multiplicity)."""
 
     points: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         pts = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
@@ -285,7 +284,7 @@ def spectra_union(ea: EigenvalueSet, eb: EigenvalueSet) -> PointCloud:
         np.asarray(eb.values, dtype=np.complex128),
     ])
     values = values[np.lexsort((values.imag, values.real))]
-    return PointCloud(points=values, label=f"sigma(A) u sigma(B), orders {ea.order}+{eb.order}")
+    return PointCloud(points=values)
 
 
 def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:
@@ -304,14 +303,14 @@ def cloud_to_csv(cloud: PointCloud) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_cloud_csv(text: str, label: str = "") -> PointCloud:
+def read_cloud_csv(text: str) -> PointCloud:
     rows = text.strip().splitlines()
     if not rows or rows[0] != "re,im":
         raise InvalidInput("cloud CSV must start with header re,im")
     pts = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows[1:]]
     if not pts:
         raise EmptyCloud("cloud CSV has no points")
-    return PointCloud(points=np.array(pts), label=label)
+    return PointCloud(points=np.array(pts))
 
 
 def grid_to_csv(grid: PseudospectrumGrid) -> str:

@@ -137,6 +137,13 @@ class TestSpectrum:
             assert "must be finite" in capsys.readouterr().err
         capsys.readouterr()
 
+    def test_radius_outside_the_float_range(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = '{"canonical": {"a+": [1e308, 0], "a-": [1e308, 0]}}'
+        assert main(["spectrum", "--theta", GOLDEN, "--spec", spec, "--out-dir", str(out)]) == 3
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPseudospectrum:
     ARGS = ["pseudospectrum", "--theta", GOLDEN, "--level", "2",
@@ -329,6 +336,16 @@ class TestOnesided:
         assert main(base + ["--n-list", ","]) == 2
         capsys.readouterr()
 
+    def test_malformed_n_list_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_list": "10,x"}))
+        base = ["onesided", "--theta", GOLDEN, "--out-dir", str(out)]
+        for extra in (["--n-list", "x"], ["--n-list", "10,,x"], ["--config", str(cfg)]):
+            assert main(base + extra) == 2
+            assert "--n-list must be comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConverge:
     def test_ladder_passes(self, tmp_path, capsys):
@@ -352,6 +369,16 @@ class TestConverge:
         assert main(base + ["--n-range", "3-6"]) == 2
         assert main(base + ["--n-range", "6:3"]) == 2
         capsys.readouterr()
+
+    def test_malformed_n_range_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_range": "3:b"}))
+        base = ["converge", "--theta", GOLDEN, "--out-dir", str(out)]
+        for extra in (["--n-range", "a:b"], ["--n-range", "3:"], ["--config", str(cfg)]):
+            assert main(base + extra) == 2
+            assert "--n-range must look like a:b" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_violation_exits_5_after_writing(self, tmp_path, capsys, monkeypatch):
         spec = OperatorSpec.canonical(1, 1, 1, 1)
@@ -453,6 +480,67 @@ class TestConfigAndSpecResolution:
         capsys.readouterr()
 
 
+class TestOptionsPerSubcommand:
+    """Each subcommand accepts exactly the options it reads and the formats
+    it writes; a config file serves every subcommand."""
+
+    BASE = {
+        "expand": ["expand", "--theta", GOLDEN, "--terms", "3"],
+        "spectrum": ["spectrum", "--theta", GOLDEN, "--level", "3"],
+        "butterfly": ["butterfly", "--q-max", "2"],
+        "converge": ["converge", "--theta", GOLDEN, "--n-range", "3:4"],
+    }
+
+    @pytest.mark.parametrize("command, extra", [
+        ("expand", ["--spec", "{}"]),
+        ("expand", ["--spec-file", "spec.json"]),
+        ("expand", ["--out-dir", "out"]),
+        ("expand", ["--format", "csv"]),
+        ("expand", ["--jobs", "4"]),
+        ("expand", ["--max-q", "10"]),
+        ("spectrum", ["--jobs", "8"]),
+        ("butterfly", ["--theta", "rational:1/2"]),
+        ("butterfly", ["--jobs", "3"]),
+        ("converge", ["--jobs", "8"]),
+        ("spectrum", ["--format", "pgm"]),
+        ("butterfly", ["--format", "pgm"]),
+        ("converge", ["--format", "pgm"]),
+    ])
+    def test_unread_flag_or_format_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    command, extra):
+        monkeypatch.chdir(tmp_path)
+        argv = self.BASE[command] + extra
+        if command != "expand":
+            argv += ["--out-dir", "out"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_config_format_not_written_is_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        for fmt in ("pgm", "xml", ["csv", "pgm"]):
+            cfg.write_text(json.dumps({"format": fmt}))
+            assert main(self.BASE["spectrum"] + ["--config", str(cfg),
+                                                 "--out-dir", str(out)]) == 3
+            assert "unknown output formats" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_config_serves_spectrum_and_pseudospectrum(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta": GOLDEN, "spec": {"canonical": {"a+": [1, 0]}},
+                                   "level": 2, "epsilon": 1.0}))
+        assert main(["spectrum", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+        assert "spectrum: n=2 q_pair=(1, 2)" in capsys.readouterr().out
+        assert main(["pseudospectrum", "--config", str(cfg), "--resolution", "4", "4",
+                     "--out-dir", str(tmp_path / "p")]) == 0
+        assert "pseudospectrum: n=2 q_pair=(1, 2) epsilon=1" in capsys.readouterr().out
+        doc = json.loads((tmp_path / "p" / "sandwich_report.json").read_text())
+        assert doc["epsilon"] == 1.0
+
+
 class TestLazyScipy:
     """scipy is imported only by the routes that call it. Each check runs
     in a fresh interpreter, because this test process has scipy loaded."""
@@ -467,8 +555,9 @@ class TestLazyScipy:
         (["spectrum", "--theta", GOLDEN], True),
     ], ids=["parser", "expand", "pseudospectrum", "spectrum"])
     def test_scipy_loaded_only_where_called(self, tmp_path, argv, loaded):
-        run = ("cli.build_parser()" if argv is None else
-               f"assert cli.main({argv + ['--out-dir', str(tmp_path)]!r}) == 0")
+        if argv is not None and argv[0] != "expand":  # expand writes no files
+            argv = argv + ["--out-dir", str(tmp_path)]
+        run = "cli.build_parser()" if argv is None else f"assert cli.main({argv!r}) == 0"
         code = f"import sys\nimport rotspec.cli as cli\n{run}\nprint('scipy' in sys.modules)\n"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})

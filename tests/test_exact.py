@@ -8,10 +8,12 @@ series bracket the true value.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from rotspec.errors import InvalidInput
 from rotspec.exact import (
     PI_HI,
     PI_LO,
@@ -114,6 +116,16 @@ class TestOutwardFloatRounding:
     def test_exact_values_round_trip(self):
         for x in (Fraction(3, 4), Fraction(0), Fraction(5), Fraction(-7, 8)):
             assert float_up(x) == float_down(x) == float(x)
+
+    def test_outside_the_float_range_is_invalid_input(self):
+        top = Fraction(sys.float_info.max)
+        assert float_up(top) == float_down(top) == sys.float_info.max
+        assert float_up(-top) == float_down(-top) == -sys.float_info.max
+        # 10**400 overflows the division; top + 2**-60 rounds to the top float
+        for x in (Fraction(10 ** 400), Fraction(-10 ** 400, 3), top + Fraction(1, 2 ** 60)):
+            for rounding in (float_up, float_down):
+                with pytest.raises(InvalidInput, match="outside the float range"):
+                    rounding(x)
 
 
 def random_surd(rng: random.Random) -> Surd:
