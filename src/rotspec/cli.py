@@ -201,13 +201,16 @@ def _load_config(path: Optional[str]) -> dict:
 
 def _resolve(args: argparse.Namespace, cfg: dict, command: _Command) -> argparse.Namespace:
     """The value of each option the subcommand reads. A config format the
-    subcommand does not write is refused here, before anything runs."""
+    subcommand does not write, or an empty format list, is refused here,
+    before anything runs."""
     opts = argparse.Namespace()
     for key in command.reads:
         value = getattr(args, key)
         setattr(opts, key, cfg.get(key, _OPTIONS[key].default) if value is None else value)
     if command.formats:
         fmts = [opts.format] if isinstance(opts.format, str) else opts.format
+        if not fmts:
+            raise InvalidInput(f"no output format requested; choose from {command.formats}")
         bad = [f for f in fmts if f not in command.formats]
         if bad:
             raise InvalidInput(f"unknown output formats {bad}; choose from {command.formats}")

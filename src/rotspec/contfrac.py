@@ -4,13 +4,18 @@ The rotation parameter theta lives in (0,1) and is given exactly as a big
 rational or quadratic surd, or approximately as a decimal string. This
 module expands theta into partial quotients a_1..a_N and convergents
 p_k/q_k (p_0 = 0, p_1 = 1, q_0 = 1, q_1 = a_1, then the usual three-term
-recursion), entirely with big integers and rationals:
+recursion), entirely in exact arithmetic. Every exact theta has one
+exact .value (a Fraction for rationals, an exact.Surd for quadratic
+surds); a decimal stands for the certified interval
+[v - 10^-prec, v + 10^-prec]. One loop runs the map x -> 1/x - floor(1/x)
+on an interval (lo, hi), a point for exact theta, and emits a quotient
+only when both ends agree on it:
 
   * rational inputs terminate at the exact finite expansion,
-  * quadratic surds use the periodic integer-state algorithm with period
-    detection, exact to arbitrary depth,
-  * decimal inputs denote the certified interval [v - 10^-prec, v + 10^-prec]
-    and a quotient is emitted only when both endpoints agree on it.
+  * quadratic surds expand to arbitrary depth, and their first recurring
+    state gives the periodic part,
+  * decimal inputs stop, with the number of certified terms, once the
+    ends disagree.
 
 On top of the expansion sit the quantitative facts the error radii need:
 the gap bound |theta - p_n/q_n| < 1/(q_n q_{n+1}), the Fibonacci growth of
@@ -84,7 +89,8 @@ class QuadraticSurd:
         if self.d < 2 or is_perfect_square(self.d):
             raise InvalidInput(f"surd radicand d={self.d} must be >= 2 and non-square")
 
-    def surd(self) -> Surd:
+    @property
+    def value(self) -> Surd:
         return Surd(Fraction(self.a, self.c), Fraction(self.b, self.c), self.d)
 
     def __str__(self) -> str:
@@ -150,22 +156,16 @@ def theta_is_exact(theta: RealNumberInput) -> bool:
 def theta_is_irrational(theta: RealNumberInput) -> Optional[bool]:
     """True for surds, False for rationals, None (unknown, assumed) for
     decimal inputs."""
-    if isinstance(theta, QuadraticSurd):
-        return True
-    if isinstance(theta, BigRational):
-        return False
-    return None
+    return isinstance(theta.value, Surd) if theta_is_exact(theta) else None
 
 
 def theta_bounds(theta: RealNumberInput, digits: int = 40) -> tuple[Fraction, Fraction]:
     """Rational enclosure of the represented value (a point for exact
     inputs, the certified interval for decimals)."""
-    if isinstance(theta, BigRational):
-        v = theta.value
-        return v, v
-    if isinstance(theta, QuadraticSurd):
-        return theta.surd().enclosure(digits)
-    return theta.interval()
+    if not theta_is_exact(theta):
+        return theta.interval()
+    v = theta.value
+    return v.enclosure(digits) if theta_is_irrational(theta) else (v, v)
 
 
 def theta_float(theta: RealNumberInput) -> float:
@@ -176,14 +176,7 @@ def theta_float(theta: RealNumberInput) -> float:
 def require_unit_interval(theta: RealNumberInput) -> None:
     """Reject rotation parameters outside the open interval (0,1). For a
     decimal input the check applies to the written value."""
-    if isinstance(theta, BigRational):
-        ok = 0 < theta.value < 1
-    elif isinstance(theta, QuadraticSurd):
-        s = theta.surd()
-        ok = s.sign() > 0 and s.compare(1) < 0
-    else:
-        ok = 0 < theta.value < 1
-    if not ok:
+    if not 0 < theta.value < 1:
         raise InvalidInput(f"theta {theta} is not in (0,1)")
 
 
@@ -225,19 +218,21 @@ class ContinuedFractionExpansion:
         return self.convergent(k)[1]
 
     def __post_init__(self):
-        # exact-integer recursion invariants; cheap and always on
+        # exact-integer recursion invariants; cheap, always on, and raised
+        # rather than asserted so that python -O keeps them
         a, conv = self.partial_quotients, self.convergents
-        assert len(conv) == len(a) + 1
-        assert conv[0] == (0, 1)
+        if len(conv) != len(a) + 1 or conv[0] != (0, 1):
+            raise CertificateViolation(f"convergents of {self.theta} must be (0, 1) "
+                                       "followed by one per partial quotient")
         pm2, qm2 = 1, 0
         for k in range(1, len(conv)):
-            p, q = conv[k]
-            pprev, qprev = conv[k - 1]
-            assert a[k - 1] >= 1
-            assert p == a[k - 1] * pprev + pm2 and q == a[k - 1] * qprev + qm2
-            assert p * qprev - pprev * q == (-1) ** (k - 1)  # gcd(p_k, q_k) = 1
-            if k >= 2:
-                assert q > qprev
+            (p, q), (pprev, qprev), ak = conv[k], conv[k - 1], a[k - 1]
+            if not (ak >= 1 and p == ak * pprev + pm2 and q == ak * qprev + qm2
+                    and p * qprev - pprev * q == (-1) ** (k - 1)  # gcd(p_k, q_k) = 1
+                    and (k < 2 or q > qprev)):
+                raise CertificateViolation(
+                    f"convergent {k} = {p}/{q} of {self.theta} breaks a_k >= 1, the "
+                    "recursion, the determinant +-1 or increasing q_k")
             pm2, qm2 = pprev, qprev
 
 
@@ -249,89 +244,6 @@ def _convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
         p, q, pm1, qm1 = a * p + pm1, a * q + qm1, p, q
         conv.append((p, q))
     return tuple(conv)
-
-
-def _expand_rational(value: Fraction, max_terms: int) -> tuple[list[int], bool]:
-    # quotients of theta = p/q in (0,1) are the Euclidean quotients of (q, p)
-    num, den = value.denominator, value.numerator
-    quotients: list[int] = []
-    while den != 0 and len(quotients) < max_terms:
-        a, rem = divmod(num, den)
-        quotients.append(a)
-        num, den = den, rem
-    return quotients, den == 0
-
-
-def _floor_state(P: int, D: int, Q: int) -> int:
-    """Exact floor of (P + sqrt(D))/Q for non-square D. sqrt(D) lies in
-    the open interval (s, s+1) with s = isqrt(D), which contains no
-    integers, so the floor is constant there."""
-    s = math.isqrt(D)
-    if Q > 0:
-        return (P + s) // Q
-    return (-P - s - 1) // (-Q)
-
-
-def _expand_surd(theta: QuadraticSurd, max_terms: int):
-    """Periodic integer-state algorithm on states x_k = (P_k + sqrt(D))/Q_k
-    with invariant Q_k | D - P_k^2; the next state is P' = a*Q - P,
-    Q' = (D - P'^2)/Q. States repeat, which yields the period."""
-    # normalize (a + b*sqrt(d))/c to (P + sqrt(D))/Q with the + sign on the root
-    a, b, c, d = theta.a, theta.b, theta.c, theta.d
-    if b > 0:
-        P, D, Q = a, b * b * d, c
-    else:
-        P, D, Q = -a, b * b * d, -c
-    if (D - P * P) % Q != 0:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-
-    a0 = _floor_state(P, D, Q)
-    assert a0 == 0  # theta in (0,1)
-    P = -P  # state of x - a0 reciprocated below
-    # reciprocal of (P0 - a0*Q0 ... ) handled by the generic step with a = a0
-    # here: x1 = 1/(x0 - 0) has state P1 = -P0, Q1 = (D - P0^2)/Q0
-    Q = (D - P * P) // Q
-
-    quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    periodic_part: Optional[tuple[int, int]] = None
-    while len(quotients) < max_terms:
-        state = (P, Q)
-        if periodic_part is None:
-            if state in seen:
-                first = seen[state]
-                periodic_part = (first, len(quotients) - first)
-            else:
-                seen[state] = len(quotients)
-        ak = _floor_state(P, D, Q)
-        quotients.append(ak)
-        P = ak * Q - P
-        Q = (D - P * P) // Q
-    return quotients, periodic_part
-
-
-def _expand_decimal(theta: DecimalString, max_terms: int) -> list[int]:
-    lo, hi = theta.interval()
-    quotients: list[int] = []
-    while len(quotients) < max_terms:
-        # next quotient is floor(1/x); certified only if both endpoints agree
-        if lo <= 0:
-            raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
-                f"(interval endpoint reached 0); supply more digits",
-                certified_terms=len(quotients),
-            )
-        a_hi, a_lo = (1 / hi).__floor__(), (1 / lo).__floor__()
-        if a_hi != a_lo:
-            raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
-                f"(endpoints give floors {a_hi} and {a_lo}); supply more digits "
-                "or use rational:<p>/<q> for an exact rational",
-                certified_terms=len(quotients),
-            )
-        quotients.append(a_hi)
-        lo, hi = 1 / hi - a_hi, 1 / lo - a_hi
-    return quotients
 
 
 def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion:
@@ -346,14 +258,40 @@ def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion
         raise InvalidInput(f"max_terms must be >= 1, got {max_terms}")
     require_unit_interval(theta)
 
-    periodic_part = None
-    terminated = False
-    if isinstance(theta, BigRational):
-        quotients, terminated = _expand_rational(theta.value, max_terms)
-    elif isinstance(theta, QuadraticSurd):
-        quotients, periodic_part = _expand_surd(theta, max_terms)
-    else:
-        quotients = _expand_decimal(theta, max_terms)
+    # the remainder x_k = 1/x_{k-1} - a_{k-1} (x_0 = theta) lies in [lo, hi],
+    # a point for exact theta
+    lo = hi = theta.value
+    if not theta_is_exact(theta):
+        lo, hi = theta.interval()
+    quotients: list[int] = []
+    seen: dict = {}  # remainder -> its index, until one recurs
+    periodic_part: Optional[tuple[int, int]] = None
+    while len(quotients) < max_terms and hi != 0:  # hi = 0: a rational theta ended
+        if lo <= 0:
+            raise PrecisionExhausted(
+                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"(interval endpoint reached 0); supply more digits",
+                certified_terms=len(quotients),
+            )
+        if periodic_part is None:
+            first = seen.setdefault((lo, hi), len(quotients))
+            if first < len(quotients):
+                periodic_part = (first, len(quotients) - first)
+        # 1/x maps [lo, hi] onto [1/hi, 1/lo]; a point keeps lo is hi, so an
+        # exact theta pays for one end only
+        inv_hi = 1 / hi
+        inv_lo = inv_hi if lo is hi else 1 / lo
+        a_hi, a_lo = math.floor(inv_hi), math.floor(inv_lo)
+        if a_hi != a_lo:
+            raise PrecisionExhausted(
+                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"(endpoints give floors {a_hi} and {a_lo}); supply more digits "
+                "or use rational:<p>/<q> for an exact rational",
+                certified_terms=len(quotients),
+            )
+        quotients.append(a_hi)
+        lo = inv_hi - a_hi
+        hi = lo if inv_lo is inv_hi else inv_lo - a_hi
 
     return ContinuedFractionExpansion(
         theta=theta,
@@ -361,7 +299,7 @@ def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion
         convergents=_convergents_from_quotients(quotients),
         exact=theta_is_exact(theta),
         periodic_part=periodic_part,
-        terminated=terminated,
+        terminated=hi == 0,
     )
 
 
@@ -397,10 +335,6 @@ class GapBound:
         return float((self.gap_lower + self.gap_upper) / 2)
 
 
-def _gap_digits(qprod: int) -> int:
-    return max(40, len(str(qprod)) + 20)
-
-
 def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
     """Certified gap data at index n; needs q_{n+1}, so n+1 must be
     within the computed range."""
@@ -414,40 +348,27 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
     target = Fraction(p, q)
     theta = expansion.theta
 
-    if isinstance(theta, BigRational):
+    exact_gap = None
+    strict = certified = True
+    if theta_is_exact(theta):
         gap = abs(theta.value - target)
-        lo = hi = gap
-        exact_gap = gap
-        certified = True
-    elif isinstance(theta, QuadraticSurd):
-        diff = theta.surd() - target
-        if diff.sign() < 0:
-            diff = -diff
-        lo, hi = diff.enclosure(_gap_digits(q * qnext))
-        exact_gap = None
-        # exact strictness check, independent of the enclosure
-        if diff.compare(bound) >= 0:
-            raise CertificateViolation(
-                f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1}) for {theta}"
-            )
-        certified = True
+        # consecutive-convergent determinant makes the terminal gap of a
+        # terminated rational an equality; every other gap is strict
+        strict = not (expansion.terminated and n == expansion.n_terms - 1)
+        if isinstance(gap, Surd):
+            lo, hi = gap.enclosure(max(40, len(str(q * qnext)) + 20))
+            violation = f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1})"
+        else:
+            lo = hi = exact_gap = gap
+            violation = f"exact gap {gap} against bound {bound} at n={n}"
+        if not (gap < bound if strict else gap == bound):
+            raise CertificateViolation(f"{violation} for {theta}")
     else:
         tlo, thi = theta.interval()
         lo = max(Fraction(0), tlo - target, target - thi)
         hi = max(abs(tlo - target), abs(thi - target))
-        exact_gap = None
         certified = hi < bound
 
-    strict = True
-    if exact_gap is not None:
-        at_terminal = expansion.terminated and n == expansion.n_terms - 1
-        # consecutive-convergent determinant makes the terminal gap an equality
-        holds = exact_gap == bound if at_terminal else exact_gap < bound
-        if not holds:
-            raise CertificateViolation(
-                f"exact gap {exact_gap} against bound {bound} at n={n} for {theta}"
-            )
-        strict = not at_terminal
     squared = bound < Fraction(1, q) ** 2
     if n >= 1 and not squared:
         raise CertificateViolation(f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for {theta}")
@@ -516,13 +437,7 @@ def sufficient_condition_check(p: int, q: int, theta: RealNumberInput) -> bool:
         raise InvalidInput(f"need 0 < p < q, got {p}/{q}")
     if not theta_is_exact(theta):
         raise InvalidInput("sufficient-condition test needs an exact theta")
-    bound = Fraction(1, 2 * q * q)
-    if isinstance(theta, BigRational):
-        return abs(theta.value - Fraction(p, q)) < bound
-    diff = theta.surd() - Fraction(p, q)
-    if diff.sign() < 0:
-        diff = -diff
-    return diff.compare(bound) < 0
+    return abs(theta.value - Fraction(p, q)) < Fraction(1, 2 * q * q)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +449,9 @@ def round_nearest(theta: RealNumberInput, n: int) -> tuple[int, bool]:
     rational-valued inputs) broken to even. Returns (value, tie_was_broken)."""
     if n < 1:
         raise InvalidInput(f"n must be >= 1, got {n}")
-    if isinstance(theta, QuadraticSurd):
-        x = theta.surd() * n
-        m = x.floor()
-        cmp = x.compare(Fraction(2 * m + 1, 2))
-        if cmp == 0:  # n * irrational is never a half-integer
-            raise CertificateViolation(f"{n} * {theta} compares equal to a half-integer")
-        return (m if cmp < 0 else m + 1), False
     v = theta.value * n
-    tie = v - math.floor(v) == Fraction(1, 2)
-    return round(v), tie
+    m = math.floor(v)
+    half = Fraction(2 * m + 1, 2)
+    if v == half:
+        return m + m % 2, True
+    return (m if v < half else m + 1), False

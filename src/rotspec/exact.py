@@ -3,13 +3,17 @@
 Every analytic constant that enters a certified error radius is produced
 here as a pair of rationals (lower, upper) bracketing the true value, so
 that downstream bounds can be rounded outward instead of trusting float
-round-off. Quadratic surds a + b*sqrt(d) get exact sign, comparison and
-floor operations built on integer square roots; no floating point is
-involved in any decision.
+round-off. Quadratic surds a + b*sqrt(d) (class Surd) are exact numbers
+that mix with ints and Fractions: + and - with ints, Fractions and
+same-radicand surds, * by a rational, 1 / s, abs(s), -s, math.floor(s),
+the comparisons <, <=, >, >= and == in either operand order, and hashing
+consistent with ==. Every decision is made in exact integer arithmetic;
+no floating point is involved in any of them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -85,11 +89,22 @@ def float_down(x: Rational) -> float:
     return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
 
 
+def _surd_sign(ra: Fraction, rb: Fraction, d: int) -> int:
+    """Sign of ra + rb*sqrt(d), exactly. When ra and rb have opposite
+    signs, the term with the larger square wins: rb^2*d against ra^2,
+    never equal for rb != 0 since d is non-square."""
+    sa, sb = (ra > 0) - (ra < 0), (rb > 0) - (rb < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sb if rb * rb * d > ra * ra else sa
+
+
+@functools.total_ordering
 class Surd:
     """Exact value ra + rb*sqrt(d), ra/rb rational, d a non-square
-    positive integer. Immutable. Supports the operations the continued
-    fraction layer needs: sign, floor, comparison with rationals, affine
-    shifts and reciprocals. All decisions reduce to integer comparisons.
+    integer >= 2. Immutable. Surds with different radicands are not
+    compared or added (ValueError); anything but an int, a Fraction or a
+    Surd is not a Surd operand (TypeError, or == is False).
     """
 
     __slots__ = ("ra", "rb", "d")
@@ -107,19 +122,34 @@ class Surd:
     def __repr__(self) -> str:
         return f"Surd({self.ra} + {self.rb}*sqrt({self.d}))"
 
+    def _parts(self, other) -> tuple[Rational, Rational]:
+        """(ra, rb) of an int, a Fraction or a surd with this radicand."""
+        if isinstance(other, Surd):
+            if other.d != self.d:
+                raise ValueError(f"surds with radicands {self.d} and {other.d}")
+            return other.ra, other.rb
+        if isinstance(other, (int, Fraction)):
+            return other, 0
+        raise TypeError(f"{type(other).__name__} is not a Surd operand")
+
     def __neg__(self) -> "Surd":
         return Surd(-self.ra, -self.rb, self.d)
 
-    def __add__(self, other: Rational) -> "Surd":
-        return Surd(self.ra + Fraction(other), self.rb, self.d)
+    def __abs__(self) -> "Surd":
+        return -self if self.sign() < 0 else self
+
+    def __add__(self, other) -> "Surd":
+        ra, rb = self._parts(other)
+        return Surd(self.ra + ra, self.rb + rb, self.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other: Rational) -> "Surd":
-        return Surd(self.ra - Fraction(other), self.rb, self.d)
+    def __sub__(self, other) -> "Surd":
+        ra, rb = self._parts(other)
+        return Surd(self.ra - ra, self.rb - rb, self.d)
 
-    def __rsub__(self, other: Rational) -> "Surd":
-        return Surd(Fraction(other) - self.ra, -self.rb, self.d)
+    def __rsub__(self, other) -> "Surd":
+        return -self + other
 
     def __mul__(self, other: Rational) -> "Surd":
         r = Fraction(other)
@@ -127,32 +157,38 @@ class Surd:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Surd":
-        """1/(ra + rb*sqrt(d)) via conjugate; the norm ra^2 - rb^2*d is
-        nonzero whenever the value is (rb != 0 makes it irrational)."""
+    def __rtruediv__(self, other: Rational) -> "Surd":
+        """other/(ra + rb*sqrt(d)) via the conjugate; the norm
+        ra^2 - rb^2*d is nonzero whenever the value is (d is non-square)."""
         norm = self.ra * self.ra - self.rb * self.rb * self.d
         if norm == 0:
             raise ZeroDivisionError("zero norm")
-        return Surd(self.ra / norm, -self.rb / norm, self.d)
+        f = Fraction(other) / norm
+        return Surd(self.ra * f, -self.rb * f, self.d)
+
+    def reciprocal(self) -> "Surd":
+        return 1 / self
 
     def sign(self) -> int:
-        """Sign of ra + rb*sqrt(d), exactly. rb*sqrt(d) vs -ra reduces to
-        comparing rb^2*d with ra^2 once the easy same-sign cases are out;
-        equality cannot occur for rb != 0 since d is non-square."""
-        if self.rb == 0:
-            return (self.ra > 0) - (self.ra < 0)
-        if self.rb > 0:
-            if self.ra >= 0:
-                return 1
-            return 1 if self.rb * self.rb * self.d > self.ra * self.ra else -1
-        return -(-self).sign()
+        return _surd_sign(self.ra, self.rb, self.d)
 
-    def compare(self, other: Rational) -> int:
+    def compare(self, other) -> int:
         """Sign of self - other, exactly."""
-        return (self - other).sign()
+        ra, rb = self._parts(other)
+        return _surd_sign(self.ra - ra, self.rb - rb, self.d)
 
-    def is_irrational(self) -> bool:
-        return self.rb != 0
+    def __lt__(self, other) -> bool:
+        return self.compare(other) < 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (int, Fraction, Surd)):
+            return NotImplemented
+        ra, rb = self._parts(other)
+        return self.ra == ra and self.rb == rb
+
+    def __hash__(self) -> int:
+        # a surd with rb = 0 equals the rational ra and must hash like it
+        return hash(self.ra) if self.rb == 0 else hash((self.ra, self.rb, self.d))
 
     def floor(self) -> int:
         """Exact floor. Clears denominators to (e + f*sqrt(d))/g and uses
@@ -168,6 +204,8 @@ class Surd:
         if f > 0:
             return (e + n) // g
         return (e - n - 1) // g
+
+    __floor__ = floor
 
     def enclosure(self, digits: int = 30) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, width <= 2*|rb|*10**-digits."""

@@ -528,6 +528,23 @@ class TestOptionsPerSubcommand:
             assert "unknown output formats" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        BASE["spectrum"],
+        ["pseudospectrum", "--theta", GOLDEN, "--level", "3", "--epsilon", "0.5",
+         "--resolution", "4", "4"],
+    ], ids=["spectrum", "pseudospectrum"])
+    def test_empty_config_format_list_is_refused_before_any_build(
+            self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": []}))
+        assert main(argv + ["--config", str(cfg), "--out-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "no output format requested" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_one_config_serves_spectrum_and_pseudospectrum(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"theta": GOLDEN, "spec": {"canonical": {"a+": [1, 0]}},

@@ -9,6 +9,7 @@ re-derived in exact Fraction arithmetic inside the test.
 
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ import pytest
 
 from rotspec.contfrac import (
     BigRational,
+    ContinuedFractionExpansion,
     DecimalString,
     QuadraticSurd,
     convergent_gap,
@@ -164,6 +166,216 @@ class TestExpansion:
             e.convergent(6)
         with pytest.raises(IndexOutOfRange):
             e.convergent(-1)
+
+
+def run_without_asserts(code: str) -> subprocess.CompletedProcess:
+    """Run code under python -O, which strips assert statements, with the
+    package source on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestExpansionInvariants:
+    """ContinuedFractionExpansion refuses quotients and convergents that
+    break the recursion invariants, also under python -O."""
+
+    @pytest.mark.parametrize("quotients, convergents", [
+        ((1, 1), ((0, 1), (1, 1))),                    # one convergent short
+        ((1, 1), ((1, 1), (1, 1), (1, 2))),            # (p_0, q_0) != (0, 1)
+        ((0, 1), ((0, 1), (1, 0), (1, 1))),            # a_1 < 1
+        ((1, 1), ((0, 1), (1, 1), (1, 3))),            # recursion and determinant
+        ((1, 2), ((0, 1), (1, 1), (3, 3))),            # recursion and gcd
+    ])
+    def test_broken_invariant_raises(self, quotients, convergents):
+        with pytest.raises(CertificateViolation):
+            ContinuedFractionExpansion(theta=parse_theta(GOLDEN), partial_quotients=quotients,
+                                       convergents=convergents, exact=True)
+
+    def test_broken_determinant_raises_without_asserts(self):
+        run = run_without_asserts("""
+            from rotspec.contfrac import ContinuedFractionExpansion, parse_theta
+            from rotspec.errors import CertificateViolation
+            try:
+                ContinuedFractionExpansion(
+                    theta=parse_theta("surd:(-1+1*sqrt(5))/2"), partial_quotients=(1, 1),
+                    convergents=((0, 1), (1, 1), (1, 3)), exact=True)
+            except CertificateViolation:
+                raise SystemExit(0)
+            raise SystemExit("no violation raised for p_2 q_1 - p_1 q_2 = -2")
+        """)
+        assert run.returncode == 0, run.stdout + run.stderr
+
+
+# The expansion routines that the single interval loop of expand replaced,
+# kept here as an oracle: one routine per kind of theta, with the
+# integer-state machine on (P + sqrt(D))/Q for quadratic surds.
+
+def reference_expand_rational(value: Fraction, max_terms: int):
+    num, den = value.denominator, value.numerator
+    quotients = []
+    while den != 0 and len(quotients) < max_terms:
+        a, rem = divmod(num, den)
+        quotients.append(a)
+        num, den = den, rem
+    return quotients, den == 0
+
+
+def reference_floor_state(P: int, D: int, Q: int) -> int:
+    s = math.isqrt(D)
+    if Q > 0:
+        return (P + s) // Q
+    return (-P - s - 1) // (-Q)
+
+
+def surd_state(theta: QuadraticSurd) -> tuple[int, int, int]:
+    """(P, D, Q) with theta = (P + sqrt(D))/Q, before any rescaling."""
+    a, b, c, d = theta.a, theta.b, theta.c, theta.d
+    return (a, b * b * d, c) if b > 0 else (-a, b * b * d, -c)
+
+
+def reference_expand_surd(theta: QuadraticSurd, max_terms: int):
+    P, D, Q = surd_state(theta)
+    if (D - P * P) % Q != 0:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    assert reference_floor_state(P, D, Q) == 0
+    P = -P
+    Q = (D - P * P) // Q
+    quotients = []
+    seen = {}
+    periodic_part = None
+    while len(quotients) < max_terms:
+        state = (P, Q)
+        if periodic_part is None:
+            if state in seen:
+                first = seen[state]
+                periodic_part = (first, len(quotients) - first)
+            else:
+                seen[state] = len(quotients)
+        ak = reference_floor_state(P, D, Q)
+        quotients.append(ak)
+        P = ak * Q - P
+        Q = (D - P * P) // Q
+    return quotients, periodic_part
+
+
+def reference_expand_decimal(theta: DecimalString, max_terms: int):
+    lo, hi = theta.interval()
+    quotients = []
+    while len(quotients) < max_terms:
+        if lo <= 0:
+            raise PrecisionExhausted(
+                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"(interval endpoint reached 0); supply more digits",
+                certified_terms=len(quotients),
+            )
+        a_hi, a_lo = (1 / hi).__floor__(), (1 / lo).__floor__()
+        if a_hi != a_lo:
+            raise PrecisionExhausted(
+                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"(endpoints give floors {a_hi} and {a_lo}); supply more digits "
+                "or use rational:<p>/<q> for an exact rational",
+                certified_terms=len(quotients),
+            )
+        quotients.append(a_hi)
+        lo, hi = 1 / hi - a_hi, 1 / lo - a_hi
+    return quotients
+
+
+def reference_convergents(quotients) -> tuple[tuple[int, int], ...]:
+    p, q = [1, 0], [0, 1]  # p_{-1}, p_0 and q_{-1}, q_0
+    for k, a in enumerate(quotients, 1):
+        p.append(a * p[k] + p[k - 1])
+        q.append(a * q[k] + q[k - 1])
+    return tuple(zip(p[1:], q[1:]))
+
+
+def reference_outcome(theta, max_terms: int):
+    try:
+        periodic, terminated = None, False
+        if isinstance(theta, BigRational):
+            quotients, terminated = reference_expand_rational(theta.value, max_terms)
+        elif isinstance(theta, QuadraticSurd):
+            quotients, periodic = reference_expand_surd(theta, max_terms)
+        else:
+            quotients = reference_expand_decimal(theta, max_terms)
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted", exc.certified_terms, str(exc)
+    return (tuple(quotients), reference_convergents(quotients), periodic, terminated)
+
+
+def expand_outcome(theta, max_terms: int):
+    try:
+        e = expand(theta, max_terms)
+    except PrecisionExhausted as exc:
+        return "PrecisionExhausted", exc.certified_terms, str(exc)
+    return e.partial_quotients, e.convergents, e.periodic_part, e.terminated
+
+
+def random_unit_surd(rng: random.Random) -> QuadraticSurd:
+    while True:
+        d = rng.randint(2, 60)
+        if math.isqrt(d) ** 2 == d:
+            continue
+        b = rng.choice([x for x in range(-9, 10) if x != 0])
+        c = rng.choice([x for x in range(-24, 25) if x != 0])
+        th = QuadraticSurd(rng.randint(-40, 40), b, c, d)
+        if reference_floor_state(*surd_state(th)) == 0:  # an irrational in [0, 1)
+            return th
+
+
+class TestExpandAgainstReference:
+    """expand against the per-kind routines it replaced, on a fixed seed:
+    quotients, convergents, periodic part, termination, and for decimals
+    the PrecisionExhausted error, its certified_terms and its message."""
+
+    N = 1000
+
+    def test_surds(self):
+        rng = random.Random(20260808)
+        thetas = [parse_theta("surd:(1+1*sqrt(3))/4"), parse_theta(GOLDEN),
+                  parse_theta(INV_SQRT2)] + [random_unit_surd(rng) for _ in range(self.N)]
+        rescaled = 0
+        for th in thetas:
+            P, D, Q = surd_state(th)
+            rescaled += (D - P * P) % Q != 0
+            n = rng.randint(1, 30)
+            assert expand_outcome(th, n) == reference_outcome(th, n), str(th)
+        P, D, Q = surd_state(thetas[0])
+        assert (D - P * P) % Q != 0  # (1+sqrt(3))/4 takes the rescaling branch
+        assert rescaled >= self.N // 4
+
+    def test_rationals(self):
+        rng = random.Random(16180339)
+        terminated = truncated = 0
+        for _ in range(self.N):
+            q = rng.randint(2, 10 ** rng.randint(1, 15))
+            th = BigRational(rng.randint(1, q - 1), q)
+            n = rng.randint(1, 30)
+            outcome = expand_outcome(th, n)
+            assert outcome == reference_outcome(th, n), str(th)
+            terminated += outcome[3]
+            truncated += not outcome[3]
+        assert terminated >= 100 and truncated >= 100
+
+    def test_decimals(self):
+        rng = random.Random(27182818)
+        kinds = {"endpoint": 0, "floors": 0, "certified": 0}
+        for _ in range(self.N):
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 25)))
+            if int(digits) == 0:
+                continue
+            th = DecimalString("0." + digits)
+            n = rng.randint(1, 30)
+            outcome = expand_outcome(th, n)
+            assert outcome == reference_outcome(th, n), str(th)
+            if outcome[0] != "PrecisionExhausted":
+                kinds["certified"] += 1
+            else:
+                kinds["endpoint" if "reached 0" in outcome[2] else "floors"] += 1
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestGapBound:

@@ -202,3 +202,65 @@ class TestSurd:
 
     def test_to_float(self):
         assert abs(Surd(0, 1, 2).to_float() - math.sqrt(2)) < 1e-15
+
+
+class TestSurdProtocol:
+    """Surd mixes with ints and Fractions as an exact number: comparisons
+    in both operand orders, ==, hashing, abs, math.floor and 1 / s, each
+    checked against sign, floor and the enclosure."""
+
+    def test_comparisons_both_orders(self):
+        rng = random.Random(141421)
+        for _ in range(300):
+            s = random_surd(rng)
+            for r in (rng.randint(-40, 40), Fraction(rng.randint(-400, 400), rng.randint(1, 30))):
+                c = s.compare(r)
+                assert c != 0  # an irrational never equals a rational
+                assert (s < r, s <= r, s > r, s >= r) == (c < 0, c < 0, c > 0, c > 0)
+                assert (r < s, r <= s, r > s, r >= s) == (c > 0, c > 0, c < 0, c < 0)
+                assert s != r and r != s and not s == r and not r == s
+
+    def test_same_radicand_surds(self):
+        rng = random.Random(173205)
+        for _ in range(200):
+            s, t = random_surd(rng), random_surd(rng)
+            t = Surd(t.ra, t.rb, s.d)
+            assert (s < t) == ((s - t).sign() < 0) == (t > s)
+            assert (s == t) == (s.ra == t.ra and s.rb == t.rb)
+            assert s - t + t == s and t + (s - t) == s
+        golden = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
+        assert golden < Surd(0, Fraction(1, 2), 5) and Surd(0, 1, 5) > golden
+        with pytest.raises(ValueError):
+            golden < Surd(0, 1, 2)  # different radicands
+        with pytest.raises(TypeError):
+            golden < 0.5  # a float is not an exact operand
+        assert golden != "golden" and golden != 0.5
+
+    def test_equal_values_hash_equal(self):
+        a = Surd(Fraction(1, 2), Fraction(3, 4), 7)
+        b = Surd(Fraction(2, 4), Fraction(6, 8), 7)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Surd(1, 1, 7) - Fraction(1, 2) - Fraction(1, 4) * Surd(0, 1, 7)}) == 1
+        # rb = 0 leaves a rational, which equals and hashes like the int or Fraction
+        for r in (3, Fraction(-5, 7)):
+            z = Surd(r, 0, 7)
+            assert z == r and r == z and hash(z) == hash(r)
+        assert Surd(0, 1, 2) - Surd(0, 1, 2) == 0
+
+    def test_abs_floor_and_division(self):
+        rng = random.Random(223606)
+        for _ in range(300):
+            s = random_surd(rng)
+            a = abs(s)
+            assert a.sign() == 1 and a in (s, -s)
+            assert math.floor(s) == s.floor()
+            lo, hi = s.enclosure(40)
+            assert math.floor(s) <= hi and lo < math.floor(s) + 1
+            r = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+            q = r / s
+            assert q.d == s.d
+            assert q.ra * s.ra + q.rb * s.rb * s.d == r  # rational part of q*s
+            assert q.ra * s.rb + q.rb * s.ra == 0        # sqrt(d) part of q*s
+            assert 1 / s == s.reciprocal() and 3 / s == s.reciprocal() * 3
+        with pytest.raises(ZeroDivisionError):
+            1 / Surd(0, 0, 2)
