@@ -54,7 +54,6 @@ from .matmodel import (
     unitarity_defect,
 )
 from .spectral import (
-    EigenvalueSet,
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
     is_normal,

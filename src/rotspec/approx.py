@@ -38,6 +38,7 @@ from .contfrac import (
     QuadraticSurd,
     RealNumberInput,
     expand,
+    fibonacci,
     round_nearest,
     tail_constant_enclosure,
     theta_bounds,
@@ -51,6 +52,7 @@ from .errors import (
     ModelsNotNormal,
     NonCanonicalSpec,
     NotNormal,
+    PrecisionExhausted,
     ResourceBudgetExceeded,
     ThetaRational,
 )
@@ -65,7 +67,7 @@ from .pseudospectra import (
     level_set,
     spectra_union,
 )
-from .spectral import EigenvalueSet, eigenvalues_auto
+from .spectral import eigenvalues_auto
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
 MAX_Q = 4096  # default matrix-order budget of every entry point
@@ -198,8 +200,7 @@ def _irrationality_caveat(theta: RealNumberInput) -> Optional[str]:
 @dataclass(frozen=True)
 class ApproximationCertificate:
     """Two-sided certificate at level n: every spectral point of the
-    operator is within radius of the returned cloud and vice versa
-    (normal mode), or the pseudospectrum sandwich radius (grid mode)."""
+    operator is within radius of the returned cloud and vice versa."""
 
     theta: RealNumberInput
     spec: OperatorSpec
@@ -212,7 +213,7 @@ class ApproximationCertificate:
 
     @property
     def radius(self) -> float:
-        return min(self.epsilon_sharp, self.epsilon_clean)
+        return self.epsilon_sharp  # clean_bound refuses a sharp radius above the clean one
 
     @property
     def q_pair(self) -> tuple[int, int]:
@@ -247,6 +248,18 @@ def _check_budget(q: int, max_q: int, what: str) -> None:
         raise ResourceBudgetExceeded(f"{what} needs order q={q} > budget {max_q}")
 
 
+def _check_level_budget(n: int, max_q: int) -> None:
+    """Refuse level n before theta is expanded when q_n >= F(n) (Fibonacci,
+    F(0) = F(1) = 1) already exceeds the budget: n reaches the first
+    index k with F(k) > max_q. The message names F(k), never q_n."""
+    k = 0
+    while fibonacci(k) <= max_q:
+        k += 1
+    if n >= k:
+        raise ResourceBudgetExceeded(
+            f"level n={n} needs order q_{n} >= F({k}) = {fibonacci(k)} > budget {max_q}")
+
+
 def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str]:
     """Input gate of the Hausdorff certificates: irrational theta and the
     canonical form; returns the irrationality caveat."""
@@ -260,7 +273,7 @@ def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str
 
 
 def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
-                    k: int) -> EigenvalueSet:
+                    k: int) -> np.ndarray:
     """Spectrum of the model at convergent k; a non-Hermitian spec must
     give a normal model."""
     try:
@@ -275,7 +288,7 @@ def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
 def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
                    expansion: ContinuedFractionExpansion, n: int,
                    caveat: Optional[str],
-                   spectra: dict[int, EigenvalueSet]) -> tuple[PointCloud, ApproximationCertificate]:
+                   spectra: dict[int, np.ndarray]) -> tuple[PointCloud, ApproximationCertificate]:
     """Level-n cloud and certificate; spectra memoizes the model spectra
     by convergent index and gains the two this level needs."""
     for k in (n - 1, n):
@@ -297,8 +310,9 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
 def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
                    max_q: int = MAX_Q) -> tuple[PointCloud, ApproximationCertificate]:
     """sigma(h_{n-1}) union sigma(h_n) with the certified radius
-    min(epsilon_sharp, epsilon_clean); models must be normal."""
+    epsilon_sharp; models must be normal."""
     caveat = _spectrum_caveat(theta, spec)
+    _check_level_budget(n, max_q)
     expansion = expand(theta, n + 1)
     _q_triple(expansion, n)
     _check_budget(expansion.q(n), max_q, f"level n={n}")
@@ -366,6 +380,7 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
     if not 0 < epsilon < math.inf:
         raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     caveat = _irrationality_caveat(theta)
+    _check_level_budget(n, max_q)
     expansion = expand(theta, n + 1)
     _q_triple(expansion, n)
     _check_budget(expansion.q(n), max_q, f"level n={n}")
@@ -374,7 +389,7 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
     if spec.is_canonical:
         eps_sharp = sharp_bound(spec, expansion, n)
         eps_clean = clean_bound(spec, expansion, n)
-        eps_n: Optional[float] = min(eps_sharp, eps_clean)
+        eps_n: Optional[float] = eps_sharp
         certified = True
     else:
         eps_sharp = eps_clean = eps_n = None
@@ -449,19 +464,19 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
     caveat = _irrationality_caveat(theta)
     p_star, tie = round_nearest(theta, n)
     p = p_star % n
-    # |theta - p*/n| <= 1/(2n) holds by the choice of p*; check it exactly
-    lo, hi = theta_bounds(theta)
-    mid = (lo + hi) / 2
-    if abs(mid - Fraction(p_star, n)) > Fraction(1, 2 * n):
-        raise CertificateViolation(
-            f"rounded p*={p_star} violates |theta - p*/n| <= 1/(2n)"
+    # the hypothesis |theta - p*/n| <= 1/(2n) must hold over theta's whole
+    # enclosure; |x - p*/n| is convex, so checking both ends suffices
+    if any(abs(end - Fraction(p_star, n)) > Fraction(1, 2 * n) for end in theta_bounds(theta)):
+        raise PrecisionExhausted(
+            f"theta {theta} is not known closely enough to certify "
+            f"|theta - {p_star}/{n}| <= 1/(2n)"
         )
     radius = float_up(one_sided_constant_exact(spec) / sqrt_lower(n))
 
     model = build_operator(spec, p, n)
     result: OneSidedResult
     try:
-        result = PointCloud(eigenvalues_auto(model).values)
+        result = PointCloud(eigenvalues_auto(model))
     except NotNormal:
         gp = grid_params or GridParams()
         region = gp.region or default_region(spec_norm_bound(spec), radius)
@@ -608,13 +623,14 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
         raise InvalidInput(f"levels must be >= 1, got {levels[0]}")
     n_max = levels[-1]
     caveat = _spectrum_caveat(theta, spec)
+    _check_level_budget(n_max, max_q)
     expansion = expand(theta, n_max + 1)
     _q_triple(expansion, n_max)
     _check_budget(expansion.q(n_max), max_q, f"deepest level n={n_max}")
 
     clouds: dict[int, PointCloud] = {}
     certs: dict[int, ApproximationCertificate] = {}
-    spectra: dict[int, EigenvalueSet] = {}  # each convergent's model is solved once
+    spectra: dict[int, np.ndarray] = {}  # each convergent's model is solved once
     for n in levels:
         clouds[n], certs[n] = _certify_level(theta, spec, expansion, n, caveat, spectra)
     ref_sharp = certs[n_max].epsilon_sharp

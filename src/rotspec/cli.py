@@ -383,7 +383,7 @@ def cmd_butterfly(opts) -> int:
                 continue
             fractions += 1
             eigen = hermitian_eigenvalues(build_operator(spec, p, q))
-            lines.extend(f"{p},{q},{v:.17g}" for v in eigen.values)
+            lines.extend(f"{p},{q},{v:.17g}" for v in eigen)
     out = _Output(opts)
     out.write("csv", "butterfly.csv", lambda: "\n".join(lines) + "\n")
     out.write("json", "butterfly_summary.json",
@@ -411,14 +411,17 @@ def cmd_onesided(opts) -> int:
     n_list = _parse_n_list(opts.n_list)
     if not n_list:
         raise _UsageError("--n-list is empty")
+    if min(n_list) < 1:
+        raise _UsageError(f"--n-list entries must be >= 1, got {min(n_list)}")
     if max(n_list) > opts.max_q:
         raise ResourceBudgetExceeded(
             f"--n-list entry {max(n_list)} exceeds the order budget {opts.max_q}")
     gp = _resolve_grid_params(opts)
+    # every denominator is certified before the first file is written
+    runs = [(n, *one_sided(theta, spec, n, gp, max_q=opts.max_q)) for n in n_list]
     out = _Output(opts)
     summaries = []
-    for n in n_list:
-        result, cert = one_sided(theta, spec, n, gp, max_q=opts.max_q)
+    for n, result, cert in runs:
         entry = cert.to_json()
         if isinstance(result, PointCloud):
             entry["kind"] = "cloud"

@@ -356,7 +356,11 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         # terminated rational an equality; every other gap is strict
         strict = not (expansion.terminated and n == expansion.n_terms - 1)
         if isinstance(gap, Surd):
-            lo, hi = gap.enclosure(max(40, len(str(q * qnext)) + 20))
+            # the decimal digits of q*q_{n+1}, from its bit length: an int
+            # of 4300 digits or more cannot be formatted
+            digits = (q * qnext).bit_length() * 30103 // 100000 + 1  # exact or one more
+            digits -= q * qnext < 10 ** (digits - 1)
+            lo, hi = gap.enclosure(max(40, digits + 20))
             violation = f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1})"
         else:
             lo = hi = exact_gap = gap

@@ -262,5 +262,7 @@ def unitarity_defect(model: MatrixModel) -> float:
     if len(model.values) == 1:
         a = model.values[0]
         return float(np.max(np.abs(np.conj(a) * a - 1.0)))
+    from .spectral import operator_norm  # spectral imports this module
+
     a = model.entries
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(model.order), 2))
+    return operator_norm(a.conj().T @ a - np.eye(model.order))

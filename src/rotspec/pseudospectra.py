@@ -27,14 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, EmptyCloud, InvalidInput
 from .exact import float_up
-from .spectral import (
-    EigenvalueSet,
-    MatrixLike,
-    as_matrix,
-    eigenvalues_auto,
-    operator_norm,
-    sigma_min_stack,
-)
+from .spectral import MatrixLike, as_matrix, eigenvalues_auto, operator_norm, sigma_min_stack
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
@@ -93,13 +86,17 @@ class PseudospectrumGrid:
         return (self.region[3] - self.region[2]) / (self.resolution[1] - 1)
 
     def lambda_axes(self) -> tuple[np.ndarray, np.ndarray]:
-        nx, ny = self.resolution
-        return (np.linspace(self.region[0], self.region[1], nx),
-                np.linspace(self.region[2], self.region[3], ny))
+        return _axes(self.region, self.resolution)
 
     def lambda_grid(self) -> np.ndarray:
         re, im = self.lambda_axes()
         return re[:, None] + 1j * im[None, :]
+
+
+def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary grid axes."""
+    return (np.linspace(region[0], region[1], resolution[0]),
+            np.linspace(region[2], region[3], resolution[1]))
 
 
 def matrix_fingerprint(A: MatrixLike) -> str:
@@ -135,21 +132,18 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
 
     Points go in row-major order into chunks of at most 4096 and at most
     _CHUNK_BUDGET // q^2 points; each chunk is one batched SVD
-    (sigma_min_stack). jobs threads share the chunks, and the values do
-    not depend on jobs.
+    (sigma_min_stack). A pool of jobs threads shares the chunks, and the
+    values do not depend on jobs.
     """
     a = as_matrix(A)
     _validate_grid_request(region, resolution)
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     q = a.shape[0]
-
-    nx, ny = resolution
-    re = np.linspace(region[0], region[1], nx)
-    im = np.linspace(region[2], region[3], ny)
+    re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    out = np.empty(nx * ny, dtype=np.float64)
+    out = np.empty(lam.size, dtype=np.float64)
     eye = np.eye(q, dtype=np.complex128)
     chunk = max(1, min(4096, _CHUNK_BUDGET // max(1, q * q)))
     starts = range(0, lam.size, chunk)
@@ -165,17 +159,13 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
                 f"sigma_min failed in chunk starting at lambda={lam_c[0]}: {exc}"
             ) from exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(eval_chunk, starts))
-    else:
-        for s in starts:
-            eval_chunk(s)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(eval_chunk, starts))
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
-        resolution=(nx, ny),
-        sigma_min_values=out.reshape(nx, ny),
+        resolution=tuple(resolution),
+        sigma_min_values=out.reshape(re.size, im.size),
         matrix_fingerprint=matrix_fingerprint(a),
     )
 
@@ -277,14 +267,10 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
 # direct-sum spectra
 # ---------------------------------------------------------------------------
 
-def spectra_union(ea: EigenvalueSet, eb: EigenvalueSet) -> PointCloud:
+def spectra_union(ea: np.ndarray, eb: np.ndarray) -> PointCloud:
     """Multiset union of two computed spectra, in lexicographic order."""
-    values = np.concatenate([
-        np.asarray(ea.values, dtype=np.complex128),
-        np.asarray(eb.values, dtype=np.complex128),
-    ])
-    values = values[np.lexsort((values.imag, values.real))]
-    return PointCloud(points=values)
+    values = np.concatenate([ea, eb]).astype(np.complex128, copy=False)
+    return PointCloud(points=values[np.lexsort((values.imag, values.real))])
 
 
 def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:

@@ -1,6 +1,10 @@
 """Numerical spectral kernels: Hermitian and normal eigenvalues, smallest
 singular values, operator norms, and normality tests.
 
+Every eigen route returns a bare array of eigenvalues with multiplicity:
+real and ascending on the Hermitian route, complex in lexicographic
+order (real part, then imaginary part) on the others.
+
 The Hermitian path computes eigenvalues only, through one banded route.
 A clock-and-shift model with largest |u-power| J is cyclic-banded: its
 nonzeros sit within cyclic distance J of the diagonal. The interleave
@@ -25,10 +29,12 @@ rotation R; mu, the diagonal of R* diag(w1) R over the cluster, is the
 eigenvalues_auto is the one route picker: the Hermitian route when it
 accepts the matrix (a Hermitian spec's model always), else the normal route.
 
-smallest_singular_value and sigma_min_stack have one route: the SVD,
-batched through the gufunc over (..., q, q) stacks, with a per-matrix
-retry through LAPACK's QR-iteration SVD (gesvd) when numpy's
-divide-and-conquer SVD fails to converge.
+Every singular value comes from one SVD route, _singular_values:
+numpy's divide-and-conquer SVD, batched through the gufunc over
+(..., m, n) stacks, with a per-matrix retry through LAPACK's
+QR-iteration SVD (gesvd) when it fails to converge, and
+ConvergenceFailure when the retry fails too. smallest_singular_value,
+sigma_min_stack, operator_norm and the 2-norm in is_normal all read it.
 
 scipy is loaded on first use, inside the Hermitian route and the SVD
 retry, so the grid path (numpy's batched SVD) and `expand` never pay for
@@ -37,7 +43,6 @@ its import.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -61,20 +66,27 @@ def as_matrix(A: MatrixLike) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class EigenvalueSet:
-    """Eigenvalues with multiplicity, without eigenvectors; real dtype on
-    the hermitian path. Complex values are ordered by ascending real
-    part, then ascending imaginary part.
-    """
-
-    values: np.ndarray
-    order: int
-    method_tag: str  # hermitian | normal | circulant_analytic
-
-
 def _sort_complex(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values, descending, of a matrix or of each matrix in a
+    (..., m, n) stack. numpy's divide-and-conquer SVD (gesdd) can fail to
+    converge; the stack is then redone a matrix at a time with LAPACK's
+    QR-iteration driver (gesvd), a different algorithm."""
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        import scipy.linalg
+
+        flat = a.reshape(-1, *a.shape[-2:])
+        try:
+            out = [scipy.linalg.svd(m, compute_uv=False, check_finite=False,
+                                    lapack_driver="gesvd") for m in flat]
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+        return np.reshape(out, (*a.shape[:-2], -1))
 
 
 def operator_norm(A: MatrixLike) -> float:
@@ -82,7 +94,7 @@ def operator_norm(A: MatrixLike) -> float:
     a = as_matrix(A)
     if a.size == 0 or not a.any():
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_singular_values(a)[0])
 
 
 def is_normal(A: MatrixLike) -> bool:
@@ -103,7 +115,7 @@ def is_normal(A: MatrixLike) -> bool:
         if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:
             return False
     nrm = operator_norm(a)
-    return float(np.linalg.norm(defect, 2)) <= NORMAL_TOL * nrm * nrm
+    return operator_norm(defect) <= NORMAL_TOL * nrm * nrm
 
 
 def _interleaved_band(A: MatrixLike) -> np.ndarray:
@@ -132,7 +144,7 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     return ab[:np.flatnonzero(ab.any(axis=1)).max(initial=0) + 1]
 
 
-def hermitian_eigenvalues(A: MatrixLike) -> EigenvalueSet:
+def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
     (see the module docstring for the banded route). A Hermitian spec's
     model is Hermitian by construction and skips the defect check."""
@@ -147,21 +159,17 @@ def hermitian_eigenvalues(A: MatrixLike) -> EigenvalueSet:
     import scipy.linalg
 
     try:
-        values = scipy.linalg.eig_banded(_interleaved_band(A), lower=True,
-                                         eigvals_only=True, check_finite=False)
+        return scipy.linalg.eig_banded(_interleaved_band(A), lower=True,
+                                       eigvals_only=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"hermitian eigensolver failed: {exc}") from exc
-    return EigenvalueSet(
-        values=values,
-        order=values.size,
-        method_tag="hermitian",
-    )
 
 
-def normal_eigenvalues(A: MatrixLike) -> EigenvalueSet:
-    """Complex eigenvalues of a normal matrix (normality tested against
-    NORMAL_TOL) via the commuting pair (H1, H2); only H1's eigenbasis is
-    formed, no eigenvector of A. See the module docstring."""
+def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
+    """Complex eigenvalues, in lexicographic order, of a normal matrix
+    (normality tested against NORMAL_TOL) via the commuting pair
+    (H1, H2); only H1's eigenbasis is formed, no eigenvector of A. See
+    the module docstring."""
     a = as_matrix(A)
     if not is_normal(a):
         raise NotNormal(f"matrix is not normal within relative tolerance {NORMAL_TOL:.0e}")
@@ -183,10 +191,10 @@ def normal_eigenvalues(A: MatrixLike) -> EigenvalueSet:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed on a cluster: {exc}") from exc
         values[lo:hi] = (np.abs(rot) ** 2).T @ w1[lo:hi] + 1j * nu
-    return EigenvalueSet(values=_sort_complex(values), order=w1.size, method_tag="normal")
+    return _sort_complex(values)
 
 
-def eigenvalues_auto(A: MatrixLike) -> EigenvalueSet:
+def eigenvalues_auto(A: MatrixLike) -> np.ndarray:
     """The Hermitian route when the matrix is Hermitian within tolerance,
     else the normal route; the Hermitian route's own defect check
     decides, so each matrix is tested once."""
@@ -197,53 +205,28 @@ def eigenvalues_auto(A: MatrixLike) -> EigenvalueSet:
 
 
 def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
-                                    q: int) -> EigenvalueSet:
+                                    q: int) -> np.ndarray:
     """Analytic eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the
     q-th roots of unity zeta^k; the independent oracle for circulant
     four-term specs (beta terms zero)."""
     if q < 1:
         raise InvalidInput(f"order must be >= 1, got {q}")
     zeta = np.exp(2j * np.pi * (np.arange(q) / q))
-    values = complex(alpha_plus) * zeta + complex(alpha_minus) * np.conj(zeta)
-    return EigenvalueSet(
-        values=_sort_complex(values),
-        order=q,
-        method_tag="circulant_analytic",
-    )
+    return _sort_complex(complex(alpha_plus) * zeta + complex(alpha_minus) * np.conj(zeta))
 
 
 # ---------------------------------------------------------------------------
 # smallest singular values
 # ---------------------------------------------------------------------------
 
-def _svd_sigma_min(a: np.ndarray) -> float:
-    try:
-        return float(np.linalg.svd(a, compute_uv=False)[-1])
-    except np.linalg.LinAlgError:
-        # numpy's divide-and-conquer (gesdd) can fail to converge; retry
-        # with LAPACK's QR-iteration driver, a different algorithm
-        import scipy.linalg
-
-        try:
-            return float(scipy.linalg.svd(a, compute_uv=False, check_finite=False,
-                                          lapack_driver="gesvd")[-1])
-        except Exception as exc:  # pragma: no cover - last resort
-            raise ConvergenceFailure(f"SVD failed: {exc}") from exc
-
-
 def smallest_singular_value(A: MatrixLike) -> float:
     """sigma_min(A) by the SVD; never negative."""
     a = as_matrix(A)
     if a.shape[0] == 0:
         raise InvalidInput("empty matrix")
-    return _svd_sigma_min(a)
+    return float(_singular_values(a)[-1])
 
 
 def sigma_min_stack(stack: np.ndarray) -> np.ndarray:
-    """Batched sigma_min over a (..., q, q) stack via the gufunc SVD."""
-    try:
-        return np.linalg.svd(stack, compute_uv=False)[..., -1]
-    except np.linalg.LinAlgError:
-        flat = stack.reshape(-1, *stack.shape[-2:])
-        out = np.array([_svd_sigma_min(m) for m in flat])
-        return out.reshape(stack.shape[:-2])
+    """Batched sigma_min over a (..., q, q) stack."""
+    return _singular_values(stack)[..., -1]

@@ -43,6 +43,7 @@ from rotspec.errors import (
     InvalidInput,
     ModelsNotNormal,
     NonCanonicalSpec,
+    PrecisionExhausted,
     ResourceBudgetExceeded,
     ThetaRational,
 )
@@ -167,6 +168,27 @@ class TestDefaultBudget:
         with pytest.raises(ResourceBudgetExceeded):
             convergence_study(GOLDEN, AM, [3, 18])
 
+    def test_level_refused_before_theta_is_expanded(self, monkeypatch):
+        # q_n >= F(n), and F(18) = 4181 > 4096: a deep level is refused
+        # without expanding theta, and the message prints no q_n
+        class Expanded(Exception):
+            pass
+
+        def no_expansion(*args, **kwargs):
+            raise Expanded
+
+        monkeypatch.setattr(approx, "expand", no_expansion)
+        for run in (lambda: certify_normal(GOLDEN, AM, 10 ** 6),
+                    lambda: certify_pseudospectrum(GOLDEN, U_PLUS_2V, 10 ** 6, 0.5),
+                    lambda: convergence_study(GOLDEN, AM, [3, 10 ** 6]),
+                    lambda: certify_normal(GOLDEN, AM, 18)):
+            with pytest.raises(ResourceBudgetExceeded, match=r"F\(18\) = 4181 > budget 4096"):
+                run()
+        with pytest.raises(ResourceBudgetExceeded, match=r"F\(9\) = 55 > budget 50"):
+            certify_normal(GOLDEN, AM, 9, max_q=50)
+        with pytest.raises(Expanded):
+            certify_normal(GOLDEN, AM, 17)  # F(17) = 2584 fits: expansion goes ahead
+
 
 class TestCertifyNormal:
     def test_golden_level5(self):
@@ -183,8 +205,8 @@ class TestCertifyNormal:
     def test_cloud_is_union_of_model_spectra(self):
         cloud, _ = certify_normal(GOLDEN, AM, 5)
         direct = np.concatenate([
-            hermitian_eigenvalues(build_operator(AM, 3, 5)).values,
-            hermitian_eigenvalues(build_operator(AM, 5, 8)).values,
+            hermitian_eigenvalues(build_operator(AM, 3, 5)),
+            hermitian_eigenvalues(build_operator(AM, 5, 8)),
         ])
         assert np.allclose(np.sort(cloud.points.real), np.sort(direct), atol=1e-12)
         assert np.all(cloud.points.imag == 0)
@@ -343,7 +365,7 @@ class TestOneSided:
 
     def test_cloud_is_model_spectrum(self):
         cloud, cert = one_sided(GOLDEN, AM, 10)
-        direct = hermitian_eigenvalues(build_operator(AM, 6, 10)).values
+        direct = hermitian_eigenvalues(build_operator(AM, 6, 10))
         assert np.allclose(np.sort(cloud.points.real), np.sort(direct), atol=1e-12)
 
     def test_nonnormal_model_gets_grid(self):
@@ -359,12 +381,22 @@ class TestOneSided:
         shift = OperatorSpec.canonical(1, 0, 0, 0)
         for spec, n, route in ((shift, 8, normal_eigenvalues), (AM, 50, hermitian_eigenvalues)):
             cloud, cert = one_sided(GOLDEN, spec, n)
-            direct = route(build_operator(spec, cert.chosen_p, n)).values
+            direct = route(build_operator(spec, cert.chosen_p, n))
             assert cloud_to_csv(cloud) == cloud_to_csv(PointCloud(direct))
 
     def test_general_spec_rejected(self):
         with pytest.raises(NonCanonicalSpec):
             one_sided(GOLDEN, MIXED, 4)
+
+    def test_hypothesis_checked_at_both_ends_of_a_decimal_interval(self):
+        # decimal:0.25 is [6/25, 13/50]; n = 2 rounds the tie to p* = 0,
+        # and |13/50 - 0| > 1/4 at the upper end
+        with pytest.raises(PrecisionExhausted, match="1/\\(2n\\)"):
+            one_sided(parse_theta("decimal:0.25"), AM, 2)
+        theta = parse_theta("decimal:0.6180339887")
+        for n, p, radius in ((10, 6, 34.94926642600259), (50, 31, 15.629787098458582)):
+            _, cert = one_sided(theta, AM, n)
+            assert (cert.chosen_p, cert.radius) == (p, radius)
 
     def test_rational_rejected_and_n_validated(self):
         with pytest.raises(ThetaRational):

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rotspec.approx as approx
 import rotspec.cli as cli
@@ -21,6 +22,7 @@ from rotspec.matmodel import OperatorSpec
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
 U2V_JSON = '{"canonical": {"a+": [1,0], "a-": [0,0], "b+": [2,0], "b-": [0,0]}}'
+U_JSON = '{"canonical": {"a+": [1,0]}}'
 
 
 class TestDumps17g:
@@ -136,6 +138,40 @@ class TestSpectrum:
             assert main(base + ["--theta", GOLDEN, "--spec", spec]) == 3
             assert "must be finite" in capsys.readouterr().err
         capsys.readouterr()
+
+    def test_deep_level_refused_before_expansion(self, tmp_path, capsys):
+        # expanding to q_25000 would take seconds, and formatting it (over
+        # 5000 digits) would raise; q_n >= F(n) refuses the level first
+        out = tmp_path / "out"
+        assert main(["spectrum", "--theta", GOLDEN, "--level", "25000",
+                     "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "F(18) = 4181 > budget 4096" in err and len(err) < 200
+        assert not out.exists()
+
+    def test_svd_failure_takes_the_gesvd_retry_then_exits_4(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the normal route of spec U reads operator norms from the SVD
+        argv = ["spectrum", "--theta", GOLDEN, "--spec", U_JSON, "--format", "csv",
+                "--out-dir"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        failures = []
+
+        def failing(*args, **kwargs):
+            failures.append(kwargs.get("lapack_driver"))
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        assert main(argv + [str(tmp_path / "retry")]) == 0
+        assert failures
+        plain, retry = (np.loadtxt(tmp_path / d / "spectrum_cloud.csv", delimiter=",",
+                                   skiprows=1) for d in ("plain", "retry"))
+        assert plain.shape == retry.shape == (13, 2)
+        assert np.max(np.abs(plain - retry)) <= 1e-12
+        monkeypatch.setattr(scipy.linalg, "svd", failing)
+        assert main(argv + [str(tmp_path / "failed")]) == 4
+        assert "numerical failure: SVD failed" in capsys.readouterr().err
+        assert "gesvd" in failures
 
     def test_radius_outside_the_float_range(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -335,6 +371,24 @@ class TestOnesided:
         assert main(base) == 2
         assert main(base + ["--n-list", ","]) == 2
         capsys.readouterr()
+
+    def test_denominator_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
+        out = tmp_path / "out"
+        for n_list in ("10,0", "-3"):
+            assert main(["onesided", "--theta", GOLDEN, "--n-list", n_list,
+                         "--out-dir", str(out)]) == 2
+            assert "--n-list entries must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_denominator_is_certified_before_any_write(self, tmp_path, capsys):
+        # n = 1 certifies; at n = 2 the interval of decimal:0.25 breaks the
+        # hypothesis |theta - p*/n| <= 1/(2n), so nothing may be written
+        out = tmp_path / "out"
+        assert main(["onesided", "--theta", "decimal:0.25", "--n-list", "1,2",
+                     "--out-dir", str(out)]) == 3
+        assert "1/(2n)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_n_list_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

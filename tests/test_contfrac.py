@@ -409,6 +409,14 @@ class TestGapBound:
                     assert g.bound < Fraction(1, g.q) ** 2
                     assert g.squared_bound_holds
 
+    def test_gap_past_the_int_to_str_digit_limit(self):
+        # q_10300 * q_10301 has about 4300 decimal digits, past the limit
+        # on formatting an int as text; the enclosure is sized without it
+        e = expand(parse_theta(GOLDEN), 10402)
+        g = convergent_gap(e, 10300)
+        assert g.strict and g.certified
+        assert g.gap_lower <= g.gap_upper < g.bound
+
     def test_rational_equality_at_last_interior_index(self):
         e = expand(parse_theta("rational:7/10"), 10)
         g = convergent_gap(e, 2)  # |7/10 - 2/3| = 1/30 = 1/(3*10) exactly

@@ -246,7 +246,7 @@ class TestUnionSpectrum:
         block = np.zeros((8, 8), dtype=complex)
         block[:3, :3] = a.entries
         block[3:, 3:] = b.entries
-        direct = normal_eigenvalues(block).values
+        direct = normal_eigenvalues(block)
         assert np.allclose(np.sort(cloud.points.real), np.sort(direct.real),
                            atol=1e-10)
         assert np.allclose(cloud.points.imag, 0, atol=1e-10)

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rotspec.errors import NotHermitian, NotNormal
+from rotspec.errors import ConvergenceFailure, NotHermitian, NotNormal
 from rotspec.matmodel import OperatorSpec, _clock_diagonal, build_operator, shift_matrix
 from rotspec.spectral import (
     _interleaved_band,
     circulant_four_term_eigenvalues,
+    eigenvalues_auto,
     hermitian_eigenvalues,
     is_normal,
     normal_eigenvalues,
@@ -51,30 +52,48 @@ def assert_multiset_close(got, expected, tol=1e-10):
         got.pop(idx)
 
 
+class TestRoutesReturnArrays:
+    def test_each_route_returns_its_eigenvalues_as_an_array(self):
+        rng = np.random.default_rng(3)
+        lam = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        u = random_unitary(rng, 7)
+        normal = u @ np.diag(lam) @ u.conj().T
+        hermitian = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 3, 8)
+        for got, dtype, n in ((hermitian_eigenvalues(hermitian), np.float64, 8),
+                              (eigenvalues_auto(hermitian), np.float64, 8),
+                              (normal_eigenvalues(normal), np.complex128, 7),
+                              (eigenvalues_auto(normal), np.complex128, 7),
+                              (circulant_four_term_eigenvalues(1, 2j, 9), np.complex128, 9)):
+            assert type(got) is np.ndarray and got.dtype == dtype and got.shape == (n,)
+            if dtype is np.float64:
+                assert np.all(np.diff(got) >= 0)
+            else:
+                assert np.array_equal(got, sort_complex(got))
+
+
 class TestHermitian:
     def test_pinned_half_model(self):
         h = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1, 2)
         ev = hermitian_eigenvalues(h)
         r = 2 * math.sqrt(2)
-        assert np.allclose(ev.values, [-r, r], atol=1e-12)
-        assert ev.method_tag == "hermitian"
+        assert np.allclose(ev, [-r, r], atol=1e-12)
 
     def test_identity(self):
         ev = hermitian_eigenvalues(np.eye(4, dtype=complex))
-        assert np.array_equal(ev.values, np.ones(4))
+        assert np.array_equal(ev, np.ones(4))
 
     def test_u_plus_ustar_q3(self):
         h = build_operator(OperatorSpec.general([(1, 0, 1), (-1, 0, 1)]), 0, 3)
         ev = hermitian_eigenvalues(h)
-        assert np.allclose(ev.values, [-1, -1, 2], atol=1e-12)
+        assert np.allclose(ev, [-1, -1, 2], atol=1e-12)
 
     def test_values_ascending(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
         a = (z + z.conj().T) / 2
         ev = hermitian_eigenvalues(a)
-        assert np.all(np.diff(ev.values) >= 0)
-        assert np.allclose(ev.values, np.linalg.eigvalsh(a), atol=1e-12)
+        assert np.all(np.diff(ev) >= 0)
+        assert np.allclose(ev, np.linalg.eigvalsh(a), atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -88,8 +107,8 @@ class TestHermitian:
         a = (z + z.conj().T) / 2
         e = rng.standard_normal((10, 10))
         e = (e + e.T) / 2 * 1e-6
-        va = hermitian_eigenvalues(a).values
-        vb = hermitian_eigenvalues(a + e).values
+        va = hermitian_eigenvalues(a)
+        vb = hermitian_eigenvalues(a + e)
         assert np.max(np.abs(va - vb)) <= operator_norm(e) + 1e-12
 
 
@@ -118,7 +137,7 @@ class TestBandedHermitian:
     @staticmethod
     def assert_matches_eigvalsh(a: np.ndarray) -> None:
         expect = np.linalg.eigvalsh(a)
-        got = hermitian_eigenvalues(a).values
+        got = hermitian_eigenvalues(a)
         norm = float(np.max(np.abs(expect)))  # ||A||_2 of a Hermitian A
         assert got.shape == expect.shape
         assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, norm)
@@ -162,8 +181,8 @@ class TestBandedHermitian:
         self.assert_matches_eigvalsh(a)
 
     def test_zero_and_empty(self):
-        assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))).values, np.zeros(3))
-        assert hermitian_eigenvalues(np.zeros((0, 0))).values.shape == (0,)
+        assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+        assert hermitian_eigenvalues(np.zeros((0, 0))).shape == (0,)
 
 
 def dense_slotwise_build(spec: OperatorSpec, p: int, q: int) -> np.ndarray:
@@ -234,11 +253,11 @@ class TestModelNonzeros:
                 spec = hermitian_axis_spec(rng, u_powers.tolist(), v_powers.tolist())
                 assert spec.is_hermitian
                 model = build_operator(spec, int(rng.integers(q)), q)
-                got = hermitian_eigenvalues(model).values
+                got = hermitian_eigenvalues(model)
                 assert "entries" not in vars(model)
                 a = model.entries
                 not_bit_hermitian += not np.array_equal(a, a.conj().T)
-                assert np.array_equal(hermitian_eigenvalues(a).values, got)
+                assert np.array_equal(hermitian_eigenvalues(a), got)
                 expect = np.linalg.eigvalsh(a)
                 assert np.max(np.abs(got - expect)) <= \
                     1e-12 * max(1.0, float(np.max(np.abs(expect))))
@@ -252,7 +271,7 @@ class TestModelNonzeros:
         tracemalloc.start()
         try:
             model = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1597, 2584)
-            values = hermitian_eigenvalues(model).values
+            values = hermitian_eigenvalues(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,7 +283,7 @@ class TestModelNonzeros:
 class TestCirculant:
     def test_shift_only_roots_of_unity(self):
         ev = circulant_four_term_eigenvalues(1.0, 0.0, 4)
-        assert np.allclose(sort_complex(ev.values),
+        assert np.allclose(sort_complex(ev),
                            sort_complex(np.exp(2j * np.pi * np.arange(4) / 4)),
                            atol=1e-14)
 
@@ -274,18 +293,18 @@ class TestCirculant:
             spec_terms = [(1, 0, ap)] + ([(-1, 0, am)] if am != 0 else [])
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
             numeric = normal_eigenvalues(h)
-            assert np.allclose(analytic.values, numeric.values, atol=1e-12)
+            assert np.allclose(analytic, numeric, atol=1e-12)
 
 
 class TestNormal:
     def test_shift4_roots(self):
         ev = normal_eigenvalues(shift_matrix(4))
         expect = sort_complex([1, -1, 1j, -1j])
-        assert np.allclose(ev.values, expect, atol=1e-12)
+        assert np.allclose(ev, expect, atol=1e-12)
 
     def test_diagonal(self):
         ev = normal_eigenvalues(np.diag([1 + 2j, 3 + 0j]))
-        assert np.allclose(ev.values, [1 + 2j, 3 + 0j], atol=1e-15)
+        assert np.allclose(ev, [1 + 2j, 3 + 0j], atol=1e-15)
 
     def test_planted_spectrum(self):
         rng = np.random.default_rng(101)
@@ -295,7 +314,7 @@ class TestNormal:
             u = random_unitary(rng, n)
             a = u @ np.diag(lam) @ u.conj().T
             ev = normal_eigenvalues(a)
-            assert np.allclose(ev.values, sort_complex(lam), atol=1e-10)
+            assert np.allclose(ev, sort_complex(lam), atol=1e-10)
 
     def test_planted_with_clustered_real_parts(self):
         # eigenvalues sharing a real part force the two-stage solver to
@@ -305,7 +324,7 @@ class TestNormal:
         u = random_unitary(rng, 4)
         a = u @ np.diag(lam) @ u.conj().T
         ev = normal_eigenvalues(a)
-        assert_multiset_close(ev.values, lam)
+        assert_multiset_close(ev, lam)
 
     def test_planted_with_repeated_eigenvalue(self):
         rng = np.random.default_rng(78)
@@ -313,11 +332,11 @@ class TestNormal:
         u = random_unitary(rng, 3)
         a = u @ np.diag(lam) @ u.conj().T
         ev = normal_eigenvalues(a)
-        assert_multiset_close(ev.values, lam)
+        assert_multiset_close(ev, lam)
 
     def test_ordering_lexicographic(self):
         ev = normal_eigenvalues(np.diag([1 + 1j, 1 - 1j, 0 + 0j]))
-        assert np.allclose(ev.values, [0, 1 - 1j, 1 + 1j], atol=1e-15)
+        assert np.allclose(ev, [0, 1 - 1j, 1 + 1j], atol=1e-15)
 
     def test_trace_and_determinant_invariants(self):
         rng = np.random.default_rng(13)
@@ -325,13 +344,12 @@ class TestNormal:
         lam = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         a = u @ np.diag(lam) @ u.conj().T
         ev = normal_eigenvalues(a)
-        assert np.sum(ev.values) == pytest.approx(np.trace(a), abs=1e-9)
-        assert np.prod(ev.values) == pytest.approx(np.linalg.det(a), abs=1e-8)
+        assert np.sum(ev) == pytest.approx(np.trace(a), abs=1e-9)
+        assert np.prod(ev) == pytest.approx(np.linalg.det(a), abs=1e-8)
 
     def test_empty_matrix(self):
         ev = normal_eigenvalues(np.zeros((0, 0)))
-        assert ev.order == 0 and ev.method_tag == "normal"
-        assert ev.values.size == 0
+        assert ev.size == 0
 
     def test_rejects_jordan(self):
         with pytest.raises(NotNormal):
@@ -348,7 +366,7 @@ class TestNormal:
             h = build_operator(spec, p % q, q).entries
             phase = random_phase(rng)
             expect = np.linalg.eigvalsh(h)
-            got = normal_eigenvalues(phase * h).values / phase  # back onto the real line
+            got = normal_eigenvalues(phase * h) / phase  # back onto the real line
             norm = float(np.max(np.abs(expect)))
             assert got.shape == expect.shape
             got = got[np.argsort(got.real)]
@@ -372,14 +390,14 @@ class TestNormal:
         ev = normal_eigenvalues(a)
         monkeypatch.undo()
         assert sizes[0] == 40 and 16 in sizes[1:] and 3 in sizes[1:]
-        assert_multiset_close(ev.values, lam, tol=1e-12 * max(1.0, np.max(np.abs(lam))))
+        assert_multiset_close(ev, lam, tol=1e-12 * max(1.0, np.max(np.abs(lam))))
 
     def test_hermitian_input_agrees_with_hermitian_route(self):
         rng = np.random.default_rng(19)
         z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         a = (z + z.conj().T) / 2
-        hv = hermitian_eigenvalues(a).values
-        nv = normal_eigenvalues(a).values
+        hv = hermitian_eigenvalues(a)
+        nv = normal_eigenvalues(a)
         assert np.allclose(nv.imag, 0, atol=1e-10)
         assert np.allclose(np.sort(nv.real), hv, atol=1e-10)
 
@@ -444,6 +462,50 @@ class TestSigmaMin:
         for i in range(7):
             assert out[i] == pytest.approx(
                 np.linalg.svd(stack[i], compute_uv=False)[-1], rel=1e-12)
+
+
+class TestOneSvdRoute:
+    """operator_norm, is_normal's 2-norm, smallest_singular_value and
+    sigma_min_stack share one SVD route: numpy's SVD, then a gesvd retry,
+    then ConvergenceFailure."""
+
+    @staticmethod
+    def fail_numpy(monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(kwargs.get("lapack_driver"))
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        return failing, calls
+
+    def test_every_consumer_takes_the_retry(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        s = np.linalg.svd(a, compute_uv=False)
+        _, calls = self.fail_numpy(monkeypatch)
+        assert operator_norm(a) == pytest.approx(s[0], rel=1e-12)
+        assert smallest_singular_value(a) == pytest.approx(s[-1], rel=1e-12)
+        assert sigma_min_stack(a[None])[0] == pytest.approx(s[-1], rel=1e-12)
+        # I + eps*E_12: ||defect||_F = sqrt(2)*eps^2 lies between the two
+        # Frobenius screens, so is_normal decides by 2-norms, eps^2 against
+        # 1e-10 * ||A||^2
+        for eps, normal in ((0.9e-5, True), (1.4e-5, False)):
+            calls.clear()
+            a = np.eye(3, dtype=complex)
+            a[0, 1] = eps
+            assert is_normal(a) is normal
+            assert len(calls) == 2  # ||A|| and ||defect||
+
+    def test_failed_retry_is_a_convergence_failure(self, monkeypatch):
+        failing, _ = self.fail_numpy(monkeypatch)
+        monkeypatch.setattr(scipy.linalg, "svd", failing)
+        a = np.array([[1, 2], [3, 4]], dtype=complex)
+        for run in (operator_norm, smallest_singular_value,
+                    lambda m: sigma_min_stack(m[None])):
+            with pytest.raises(ConvergenceFailure, match="SVD failed"):
+                run(a)
 
 
 class TestOperatorNorm:
