@@ -15,6 +15,7 @@ import scipy.linalg
 
 import rotspec.approx as approx
 import rotspec.cli as cli
+import rotspec.spectral as spectral
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
 from rotspec.errors import ConvergenceFailure, InvalidInput
@@ -215,6 +216,17 @@ class TestPseudospectrum:
         for name in ("grid_prev.csv", "grid_curr.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_banded_value_outside_its_bracket_exits_4(self, tmp_path, capsys, monkeypatch):
+        # without inverse iteration the banded route reports a value far
+        # above its bisection bracket; the run must fail, not write it
+        monkeypatch.setattr(spectral, "_INVERSE_STEPS", 0)
+        out = tmp_path / "out"
+        assert main(self.ARGS + ["--spec", U2V_JSON, "--out-dir", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "outside its bisection bracket" in err
+        assert "lambda=" in err
+        assert not out.exists()
 
     def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
@@ -623,8 +635,10 @@ class TestLazyScipy:
         (["expand", "--theta", GOLDEN, "--terms", "6"], False),
         (["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "3",
           "--epsilon", "0.5", "--resolution", "6", "5"], False),
+        (["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "11",
+          "--epsilon", "0.5", "--resolution", "4", "3"], False),  # banded route, q = 89, 144
         (["spectrum", "--theta", GOLDEN], True),
-    ], ids=["parser", "expand", "pseudospectrum", "spectrum"])
+    ], ids=["parser", "expand", "pseudospectrum", "pseudospectrum-banded", "spectrum"])
     def test_scipy_loaded_only_where_called(self, tmp_path, argv, loaded):
         if argv is not None and argv[0] != "expand":  # expand writes no files
             argv = argv + ["--out-dir", str(tmp_path)]

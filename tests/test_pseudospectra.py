@@ -2,19 +2,24 @@
 
 Oracle strategy: for normal matrices sigma_min(lambda*I - A) equals the
 distance from lambda to the nearest eigenvalue, which pins every grid
-value; PGM bytes are checked against the documented gray mapping
-computed by hand.
+value; every route (distances, the banded Gram-Cholesky test, the SVD)
+is checked point by point against np.linalg.svd of the dense matrix;
+PGM bytes are checked against the documented gray mapping computed by
+hand.
 """
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import rotspec.pseudospectra as psp
-from rotspec.errors import EmptyCloud, InvalidInput
+import rotspec.spectral as spectral
+from rotspec.errors import ConvergenceFailure, EmptyCloud, InvalidInput
 from rotspec.exact import float_up
-from rotspec.matmodel import OperatorSpec, build_operator
+from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import (
     GridParams,
     PointCloud,
@@ -31,7 +36,7 @@ from rotspec.pseudospectra import (
     sandwich_check,
     union_spectrum,
 )
-from rotspec.spectral import normal_eigenvalues
+from rotspec.spectral import _banded_sigma_min, _gram_band, normal_eigenvalues, operator_norm
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
@@ -67,10 +72,14 @@ class TestComputeGrid:
         assert grid.h_x == 1.0 and grid.h_y == 1.0
 
     def test_jobs_do_not_change_bytes(self):
-        # q=5 fits one chunk; q=89 splits 100 points into chunks of 33
+        # one case per route: distances (Hermitian q=5), the band (U+2V
+        # at q=89, one chunk) and the SVD (its dense matrix, 100 points in
+        # chunks of 33)
         cases = (
             (build_operator(CANONICAL, 2, 5), (-4, 4, -1, 1), (32, 16), (1, 2, 8)),
             (build_operator(U_PLUS_2V, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
+            (build_operator(U_PLUS_2V, 55, 89).entries, (-3.5, 3.5, -3.5, 3.5), (10, 10),
+             (1, 2, 3)),
         )
         for h, region, resolution, jobs in cases:
             grids = [compute_grid(h, region, resolution, jobs=j) for j in jobs]
@@ -95,7 +104,7 @@ class TestComputeGrid:
             return real_stack(stack)
 
         monkeypatch.setattr(psp, "sigma_min_stack", recording)
-        compute_grid(build_operator(U_PLUS_2V, 89, 144), (-3, 3, -3, 3), (6, 6))
+        compute_grid(build_operator(U_PLUS_2V, 89, 144).entries, (-3, 3, -3, 3), (6, 6))
         assert max(sizes) <= 4 << 20
         assert len(sizes) > 1
 
@@ -125,6 +134,205 @@ class TestComputeGrid:
         assert grid.matrix_fingerprint == matrix_fingerprint(h)
         other = matrix_fingerprint(h.entries + 1e-12)
         assert other != grid.matrix_fingerprint
+
+    def test_fingerprint_of_a_model_is_the_dense_formula(self):
+        # u-powers 1, -1 and 3 share slots at q = 1 and 2, and these
+        # coefficients sum to other bits in reverse term order; the
+        # fingerprint must sum them in term order, as the dense entries do
+        spec = OperatorSpec.general([(1, 0, 0.1), (-1, 0, 0.2), (3, 2, 0.3),
+                                     (0, 1, 1 / 3), (-3, -2, 0.3 + 1j)])
+        for p, q in ((0, 1), (1, 2), (89, 144)):
+            model = build_operator(spec, p, q)
+            got = matrix_fingerprint(model)
+            assert "entries" not in vars(model)
+            dense = np.ascontiguousarray(model.entries)
+            expect = hashlib.sha256(str(dense.shape).encode() + dense.tobytes()).hexdigest()
+            assert got == expect == matrix_fingerprint(dense)
+
+    def test_model_grid_builds_no_dense_matrix(self):
+        for spec in (U_PLUS_2V, CANONICAL):
+            model = build_operator(spec, 89, 144)
+            compute_grid(model, (-3, 3, -3, 3), (4, 4))
+            assert "entries" not in model.__dict__
+
+
+def sigma_tolerance(lam, spec: OperatorSpec) -> np.ndarray:
+    """The absolute part of the band route's tolerance, 1e-13 of the
+    scale |lambda| + sum |c| at which it works; the tests add 1e-10
+    relative."""
+    return 1e-13 * (np.abs(lam) + spec_norm_bound(spec))
+
+
+def pointwise_svd(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    eye = np.eye(a.shape[0])
+    return np.array([np.linalg.svd(z * eye - a, compute_uv=False)[-1] for z in lam])
+
+
+FOUR_TERM = OperatorSpec.canonical(1, 0.5j, 2, -0.3 + 0.1j)
+WIDE = OperatorSpec.general([(2, 0, 1), (0, 1, 1j), (-1, 1, 0.5), (1, -2, 0.25)])
+GOLDEN_ORDERS = ((0, 1), (1, 2), (2, 5), (3, 8), (55, 89), (89, 144))
+
+
+class TestBandRoute:
+    """Models of non-Hermitian specs take the banded Gram-Cholesky test;
+    every value must agree with a pointwise SVD of the dense matrix."""
+
+    @staticmethod
+    def banded(model, lam):
+        return _banded_sigma_min(_gram_band(model), np.asarray(lam, dtype=complex))
+
+    def assert_matches_svd(self, model, lam, got):
+        ref = pointwise_svd(model.entries, lam)
+        assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, model.spec))
+
+    def test_grids_match_pointwise_svd(self):
+        for spec in (U_PLUS_2V, FOUR_TERM, WIDE):
+            assert not spec.is_hermitian
+            for p, q in GOLDEN_ORDERS:
+                model = build_operator(spec, p, q)
+                grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
+                self.assert_matches_svd(model, grid.lambda_grid().ravel(),
+                                        grid.sigma_min_values.ravel())
+
+    def test_at_and_near_eigenvalues(self):
+        for spec in (U_PLUS_2V, FOUR_TERM):
+            for p, q in GOLDEN_ORDERS:
+                model = build_operator(spec, p, q)
+                eigs = np.linalg.eigvals(model.entries)[::max(1, q // 30)]
+                lam = np.concatenate([eigs, eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))])
+                got = self.banded(model, lam)
+                self.assert_matches_svd(model, lam, got)
+                assert np.all(got[:eigs.size] <= 1e-12 * spec_norm_bound(spec))
+
+    def test_shift_against_roots_of_unity(self):
+        spec = OperatorSpec.general([(1, 0, 1)])
+        for p, q in GOLDEN_ORDERS:
+            model = build_operator(spec, p, q)
+            roots = np.exp(2j * np.pi * np.arange(q) / q)
+            grid = compute_grid(model, (-1.5, 1.5, -1.2, 1.2), (9, 7))
+            on_grid = grid.sigma_min_values.ravel()
+            lam = np.concatenate([grid.lambda_grid().ravel(), roots, 1.000001 * roots])
+            exact = np.min(np.abs(lam[:, None] - roots[None, :]), axis=1)
+            got = np.concatenate([on_grid, self.banded(model, lam[on_grid.size:])])
+            assert np.all(np.abs(got - exact) <= 1e-10 * exact + sigma_tolerance(lam, spec))
+
+    def test_coefficient_scale_of_1e150_either_way(self):
+        for scale in (1e150, 1e-150):
+            big = OperatorSpec.canonical(scale, 0.5j * scale, 2 * scale, -0.3 * scale)
+            small = OperatorSpec.canonical(1, 0.5j, 2, -0.3)
+            for p, q in ((2, 5), (55, 89)):
+                model = build_operator(big, p, q)
+                region = tuple(scale * x for x in (-3.7, 3.1, -3.3, 3.5))
+                grid = compute_grid(model, region, (6, 5))
+                lam = grid.lambda_grid().ravel()
+                ref = scale * pointwise_svd(build_operator(small, p, q).entries, lam / scale)
+                got = grid.sigma_min_values.ravel()
+                assert np.all(np.isfinite(got)) and np.all(got > 0)
+                assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, big))
+
+    def test_jobs_across_chunk_boundaries(self):
+        # 2112 points at q = 8 are chunks of 2048 + 64 (the point cap);
+        # 625 points at q = 144 are 606 + 19 (the 4 MiB array budget)
+        for p, q, resolution in ((3, 8, (64, 33)), (89, 144, (25, 25))):
+            model = build_operator(U_PLUS_2V, p, q)
+            texts = [grid_to_csv(compute_grid(model, (-3.5, 3.5, -3.5, 3.5), resolution,
+                                              jobs=j))
+                     for j in (1, 2, 3)]
+            assert texts[0] == texts[1] == texts[2]
+
+    def test_value_outside_the_bracket_is_a_convergence_failure(self, monkeypatch):
+        # with no inverse iteration the start vector's ||Bx||/||x|| is
+        # reported, far above the bracket; the check must catch it
+        monkeypatch.setattr(spectral, "_INVERSE_STEPS", 0)
+        with pytest.raises(ConvergenceFailure, match="outside its bisection bracket"):
+            compute_grid(build_operator(U_PLUS_2V, 3, 8), (-1, 1, -1, 1), (3, 3))
+
+    def test_band_arrays_stay_within_4_mib(self, monkeypatch):
+        sizes = []
+        real_cholesky = spectral._band_cholesky
+
+        def recording(g):
+            cholesky = real_cholesky(g)
+
+            def factor(shift):
+                f, ok = cholesky(shift)
+                sizes.append(max(g.nbytes, f.nbytes))
+                return f, ok
+
+            return factor
+
+        monkeypatch.setattr(spectral, "_band_cholesky", recording)
+        # 625 points at q = 144 are two chunks (606 + 19); 88 points at
+        # q = 987 are one full chunk
+        for p, q, resolution, chunks in ((89, 144, (25, 25), 2), (610, 987, (11, 8), 1)):
+            model = build_operator(U_PLUS_2V, p, q)
+            sizes.clear()
+            tracemalloc.start()
+            try:
+                compute_grid(model, (-3, 3, -3, 3), resolution)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(sizes) == chunks * (spectral._HALVINGS + 1)
+            assert max(sizes) <= 4 << 20
+            # the Gram stack and its factor, then vectors; one dense
+            # matrix at q = 987 alone is 14.9 MiB
+            assert peak <= 12 << 20
+
+
+def random_hermitian(n: int) -> np.ndarray:
+    """Equal to its conjugate transpose bit for bit: z + z* sums the same
+    two numbers in either order."""
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (z + z.conj().T) / 2
+
+
+class TestDistanceRoute:
+    """Hermitian inputs take one eigensolve and distances to its values."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        real_eigs, real_stack = psp.hermitian_eigenvalues, psp.sigma_min_stack
+
+        def eigs(a):
+            calls.append("eig")
+            return real_eigs(a)
+
+        def stack(st):
+            calls.append("svd")
+            return real_stack(st)
+
+        monkeypatch.setattr(psp, "hermitian_eigenvalues", eigs)
+        monkeypatch.setattr(psp, "sigma_min_stack", stack)
+        return calls
+
+    def test_hermitian_spec_model(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        model = build_operator(CANONICAL, 55, 89)
+        grid = compute_grid(model, (-4.5, 4.5, -1, 1), (19, 7))
+        assert calls == ["eig"] and "entries" not in vars(model)
+        ref = pointwise_svd(model.entries, grid.lambda_grid().ravel())
+        # both sides err by a few ulps of ||A|| <= 4
+        assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * 4
+
+    def test_exactly_hermitian_dense_matrix(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        h = random_hermitian(9)
+        grid = compute_grid(h, (-4, 4, -2, 2), (9, 5))
+        assert calls == ["eig"]
+        ref = pointwise_svd(h, grid.lambda_grid().ravel())
+        assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * operator_norm(h)
+
+    def test_one_ulp_defect_keeps_the_svd(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        h = random_hermitian(9)
+        h[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
+        grid = compute_grid(h, (-4, 4, -2, 2), (9, 5))
+        assert calls == ["svd"]
+        ref = pointwise_svd(h, grid.lambda_grid().ravel())
+        assert np.max(np.abs(grid.sigma_min_values.ravel() - ref) / ref) <= 1e-12
 
 
 class TestLevelSets:

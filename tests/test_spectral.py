@@ -3,9 +3,10 @@
 Oracle strategy: planted-spectrum constructions (unitary conjugations of
 known diagonals), closed forms for circulants and 2x2 Jordan blocks,
 and dense LAPACK eigvalsh against the banded Hermitian route and against
-the normal route on rotated Hermitian models. sigma_min has one route,
-the SVD; its grid values are checked point by point against
-np.linalg.svd in test_pseudospectra.
+the normal route on rotated Hermitian models. sigma_min of a dense
+matrix has one route, the SVD; the grid routes (distances, the banded
+Gram-Cholesky test) are checked point by point against np.linalg.svd
+in test_pseudospectra.
 """
 
 import math
@@ -148,7 +149,7 @@ class TestBandedHermitian:
             a, b = random_phase(rng), random_phase(rng, 2.0)
             spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
             h = build_operator(spec, int(rng.integers(q)), q)
-            assert _interleaved_band(h.entries).shape == (min(3, q), q)
+            assert _interleaved_band(h.entries).shape == (2 * min(3, q) - 1, q)
             self.assert_matches_eigvalsh(h.entries)
 
     def test_canonical_golden_convergents(self):
@@ -165,7 +166,7 @@ class TestBandedHermitian:
             j = max(u_powers)
             for q in (7, 13, 34, 89):
                 h = build_operator(spec, int(rng.integers(1, q)), q).entries
-                assert _interleaved_band(h).shape == (2 * j + 1, q)
+                assert _interleaved_band(h).shape == (4 * j + 1, q)
                 self.assert_matches_eigvalsh(h)
 
     def test_clock_part_alone_is_diagonal(self):
@@ -177,7 +178,7 @@ class TestBandedHermitian:
         rng = np.random.default_rng(44)
         z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
         a = (z + z.conj().T) / 2
-        assert _interleaved_band(a).shape == (40, 40)
+        assert _interleaved_band(a).shape == (79, 40)
         self.assert_matches_eigvalsh(a)
 
     def test_zero_and_empty(self):
