@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -263,18 +263,18 @@ class _Output:
         self.formats = opts.format
         self.written: list[Path] = []
 
-    def write(self, fmt: str, name: str, payload: Callable[[], str | bytes]) -> None:
-        """Write payload() to name if fmt was requested; the payload is
-        built only then."""
+    def write(self, fmt: str, name: str,
+              payload: Callable[[], Iterable[str | bytes]]) -> None:
+        """Write the pieces of payload() to name, each as it arrives, if
+        fmt was requested; the payload is built only then. Text pieces
+        are written as UTF-8."""
         if fmt not in self.formats:
             return
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
-        data = payload()
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
-            path.write_text(data, encoding="utf-8")
+        with open(path, "wb") as fh:
+            for piece in payload():
+                fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
         self.written.append(path)
 
     def report(self) -> None:
@@ -301,6 +301,17 @@ def cmd_expand(opts) -> int:
         except PrecisionExhausted:
             ext = expansion
 
+    # every convergent exists now, so a p_k or q_k past Python's int-to-str
+    # digit limit is refused before the first line is printed
+    convergents = []
+    for k, (p, q) in enumerate(expansion.convergents):
+        try:
+            convergents.append((str(p), str(q)))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            fits = f"--terms {k - 1} is the largest that prints" if k > 1 else "no --terms prints"
+            raise _UsageError(f"p_{k}/q_{k} has more than {limit} decimal digits; {fits}")
+
     notes = [f"# theta = {theta}", f"# exact = {expansion.exact}"]
     if expansion.periodic_part is not None:
         notes.append(f"# periodic_part = {expansion.periodic_part}")
@@ -308,8 +319,7 @@ def cmd_expand(opts) -> int:
         notes.append("# terminating expansion: theta is rational")
     print("\n".join(notes))
     print("k,a_k,p_k,q_k,gap,bound")
-    for k in range(len(expansion.convergents)):
-        p, q = expansion.convergent(k)
+    for k, (p, q) in enumerate(convergents):
         a_k = "-" if k == 0 else str(expansion.partial_quotients[k - 1])
         if k + 1 < len(ext.convergents):
             gb = convergent_gap(ext, k)
@@ -330,7 +340,7 @@ def cmd_spectrum(opts) -> int:
     out = _Output(opts)
     out.write("csv", "spectrum_cloud.csv", lambda: cloud_to_csv(cloud))
     out.write("json", "spectrum_certificate.json",
-              lambda: dumps_17g(cert.to_json(cloud)) + "\n")
+              lambda: (dumps_17g(cert.to_json(cloud)), "\n"))
     print(f"spectrum: n={n} q_pair={cert.q_pair} points={len(cloud)} "
           f"radius={cert.radius:.17g}")
     out.report()
@@ -353,7 +363,7 @@ def cmd_pseudospectrum(opts) -> int:
     out.write("csv", "grid_curr.csv", lambda: grid_to_csv(sandwich.grid_curr))
     out.write("pgm", "grid_prev.pgm", lambda: grid_to_pgm(sandwich.grid_prev))
     out.write("pgm", "grid_curr.pgm", lambda: grid_to_pgm(sandwich.grid_curr))
-    out.write("json", "sandwich_report.json", lambda: dumps_17g(sandwich.to_json()) + "\n")
+    out.write("json", "sandwich_report.json", lambda: (dumps_17g(sandwich.to_json()), "\n"))
     eps_n = "-" if sandwich.epsilon_n is None else format(sandwich.epsilon_n, ".17g")
     print(f"pseudospectrum: n={n} q_pair={sandwich.q_pair} epsilon={epsilon:.17g} "
           f"epsilon_n={eps_n} certified={sandwich.certified} rate={sandwich.rate}")
@@ -375,21 +385,23 @@ def cmd_butterfly(opts) -> int:
         raise _UsageError(f"--q-max must be >= 1, got {q_max}")
     if q_max > opts.max_q:
         raise ResourceBudgetExceeded(f"--q-max {q_max} exceeds the order budget {opts.max_q}")
-    lines = ["p,q,eigenvalue"]
-    fractions = 0
-    for q in range(1, q_max + 1):
-        for p in range(q):
-            if math.gcd(p, q) != 1:
-                continue
-            fractions += 1
-            eigen = hermitian_eigenvalues(build_operator(spec, p, q))
-            lines.extend(f"{p},{q},{v:.17g}" for v in eigen)
+    # every eigensolve finishes before the first file is opened
+    spectra = [(p, q, hermitian_eigenvalues(build_operator(spec, p, q)))
+               for q in range(1, q_max + 1) for p in range(q) if math.gcd(p, q) == 1]
+    fractions = len(spectra)
+    rows = sum(eigen.size for _, _, eigen in spectra)
+
+    def csv() -> Iterator[str]:
+        yield "p,q,eigenvalue\n"
+        for p, q, eigen in spectra:
+            yield "".join([f"{p},{q},{v:.17g}\n" for v in eigen.tolist()])
+
     out = _Output(opts)
-    out.write("csv", "butterfly.csv", lambda: "\n".join(lines) + "\n")
+    out.write("csv", "butterfly.csv", csv)
     out.write("json", "butterfly_summary.json",
-              lambda: dumps_17g({"spec": spec.to_json(), "q_max": q_max,
-                                 "fractions": fractions, "rows": len(lines) - 1}) + "\n")
-    print(f"butterfly: q_max={q_max} fractions={fractions} rows={len(lines) - 1}")
+              lambda: (dumps_17g({"spec": spec.to_json(), "q_max": q_max,
+                                  "fractions": fractions, "rows": rows}), "\n"))
+    print(f"butterfly: q_max={q_max} fractions={fractions} rows={rows}")
     out.report()
     return EXIT_OK
 
@@ -437,7 +449,7 @@ def cmd_onesided(opts) -> int:
         print(f"onesided: n={n} p={cert.chosen_p} radius={cert.radius:.17g} "
               f"kind={entry['kind']}")
     out.write("json", "onesided_summary.json",
-              lambda: dumps_17g({"certificates": summaries}) + "\n")
+              lambda: (dumps_17g({"certificates": summaries}), "\n"))
     out.report()
     return EXIT_OK
 
@@ -485,7 +497,7 @@ def cmd_converge(opts) -> int:
 
     out = _Output(opts)
     out.write("csv", "convergence.csv", table.to_csv)
-    out.write("json", "convergence.json", lambda: dumps_17g(report()) + "\n")
+    out.write("json", "convergence.json", lambda: (dumps_17g(report()), "\n"))
     for r in table.rows:
         print(f"converge: n={r.n} q=({r.q_prev},{r.q_n}) "
               f"eps_sharp={r.epsilon_sharp:.17g} dH={r.empirical_dh:.17g} "

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -44,6 +45,11 @@ from .exact import Surd, is_perfect_square, sqrt_lower, sqrt_upper
 # ---------------------------------------------------------------------------
 # theta input variants
 # ---------------------------------------------------------------------------
+
+def _too_many_digits(what: str, length: int) -> InvalidInput:
+    return InvalidInput(f"{what} of {length} characters has a number past Python's "
+                        f"{sys.get_int_max_str_digits()}-digit int conversion limit")
+
 
 @dataclass(frozen=True)
 class BigRational:
@@ -108,6 +114,10 @@ class DecimalString:
     def __post_init__(self):
         if not re.fullmatch(r"0?\.[0-9]+", self.digits):
             raise InvalidInput(f"malformed decimal digits {self.digits!r}")
+        try:
+            Fraction(self.digits)
+        except ValueError:  # Fraction's int() past sys.get_int_max_str_digits()
+            raise _too_many_digits("decimal text", len(self.digits)) from None
 
     @property
     def precision(self) -> int:
@@ -137,10 +147,14 @@ _THETA_GRAMMAR = {
 def parse_theta(text: str) -> RealNumberInput:
     """Parse "rational:<p>/<q>", "surd:(<a>+<b>*sqrt(<d>))/<c>" or
     "decimal:<digits>" into the corresponding input variant."""
-    if m := _THETA_GRAMMAR["rational"].fullmatch(text):
-        return BigRational(int(m.group(1)), int(m.group(2)))
-    if m := _THETA_GRAMMAR["surd"].fullmatch(text):
-        return QuadraticSurd(int(m.group(1)), int(m.group(2)), int(m.group(4)), int(m.group(3)))
+    try:
+        if m := _THETA_GRAMMAR["rational"].fullmatch(text):
+            return BigRational(int(m.group(1)), int(m.group(2)))
+        if m := _THETA_GRAMMAR["surd"].fullmatch(text):
+            return QuadraticSurd(int(m.group(1)), int(m.group(2)),
+                                 int(m.group(4)), int(m.group(3)))
+    except ValueError:  # int() past sys.get_int_max_str_digits()
+        raise _too_many_digits("theta text", len(text)) from None
     if m := _THETA_GRAMMAR["decimal"].fullmatch(text):
         return DecimalString(m.group(1))
     raise InvalidInput(

@@ -32,7 +32,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -55,6 +55,7 @@ Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 DEFAULT_RESOLUTION = (256, 256)
 _CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB (SVD stacks: q <= 512)
 _BAND_POINTS = 2048      # points per banded chunk, so small orders keep small arrays
+_CSV_LINES = 4096        # cloud points per serialized piece
 
 
 @dataclass(frozen=True)
@@ -353,10 +354,14 @@ def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:
 # serialization
 # ---------------------------------------------------------------------------
 
-def cloud_to_csv(cloud: PointCloud) -> str:
-    lines = ["re,im"]
-    lines.extend(f"{z.real:.17g},{z.imag:.17g}" for z in cloud.points)
-    return "\n".join(lines) + "\n"
+def cloud_to_csv(cloud: PointCloud) -> Iterator[str]:
+    """The header re,im, then one line per point, every float as %.17g,
+    in pieces of at most _CSV_LINES lines."""
+    yield "re,im\n"
+    pts = cloud.points
+    for start in range(0, len(pts), _CSV_LINES):
+        yield "".join([f"{z.real:.17g},{z.imag:.17g}\n"
+                       for z in pts[start:start + _CSV_LINES].tolist()])
 
 
 def read_cloud_csv(text: str) -> PointCloud:
@@ -369,19 +374,19 @@ def read_cloud_csv(text: str) -> PointCloud:
     return PointCloud(points=np.array(pts))
 
 
-def grid_to_csv(grid: PseudospectrumGrid) -> str:
+def grid_to_csv(grid: PseudospectrumGrid) -> Iterator[str]:
     """One line re,im,sigma_min per grid point in row-major order, every
-    float as %.17g. Formatted a row at a time: each imaginary-axis value
-    is formatted once, and no whole-grid list of floats or lines is built."""
+    float as %.17g, after the header. Yields one piece per real-axis
+    value: each imaginary-axis value is formatted once, and no whole-grid
+    list of floats or lines is built."""
     re_ax, im_ax = grid.lambda_axes()
     sig = grid.sigma_min_values
     ims = [f",{y:.17g}," for y in im_ax.tolist()]
-    rows = ["re,im,sigma_min\n"]
+    yield "re,im,sigma_min\n"
     for x, sig_row in zip(re_ax.tolist(), sig):
         re_txt = f"{x:.17g}"
-        rows.append("".join([f"{re_txt}{im_txt}{s:.17g}\n"
-                             for im_txt, s in zip(ims, sig_row.tolist())]))
-    return "".join(rows)
+        yield "".join([f"{re_txt}{im_txt}{s:.17g}\n"
+                       for im_txt, s in zip(ims, sig_row.tolist())])
 
 
 def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,15 +397,16 @@ def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-def grid_to_pgm(grid: PseudospectrumGrid) -> bytes:
+def grid_to_pgm(grid: PseudospectrumGrid) -> Iterator[bytes]:
     """16-bit big-endian P5 graymap: gray = round((clip(log10 sigma, -8, 2)
     + 8)/10 * 65535). Pixel row r, column c shows grid point i = c,
-    j = ny-1-r, so the top image row is the largest imaginary part."""
+    j = ny-1-r, so the top image row is the largest imaginary part.
+    Yields the header, then the pixel buffer."""
     nx, ny = grid.resolution
     with np.errstate(divide="ignore"):
         logs = np.log10(grid.sigma_min_values)
     gray = np.clip(logs, -8.0, 2.0)
     gray = np.rint((gray + 8.0) / 10.0 * 65535.0).astype(np.uint16)
     image = gray.T[::-1, :]  # rows = descending imaginary axis
-    header = f"P5\n{nx} {ny}\n65535\n".encode("ascii")
-    return header + image.astype(">u2").tobytes()
+    yield f"P5\n{nx} {ny}\n65535\n".encode("ascii")
+    yield image.astype(">u2").tobytes()

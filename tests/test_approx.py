@@ -382,7 +382,7 @@ class TestOneSided:
         for spec, n, route in ((shift, 8, normal_eigenvalues), (AM, 50, hermitian_eigenvalues)):
             cloud, cert = one_sided(GOLDEN, spec, n)
             direct = route(build_operator(spec, cert.chosen_p, n))
-            assert cloud_to_csv(cloud) == cloud_to_csv(PointCloud(direct))
+            assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(PointCloud(direct)))
 
     def test_general_spec_rejected(self):
         with pytest.raises(NonCanonicalSpec):
@@ -491,6 +491,29 @@ class TestSetGeometry:
                 one_pass = float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
                 assert approx._directed(a, b) == one_pass
 
+    def test_real_clouds_by_sorted_neighbours_match_one_pass(self):
+        # two real clouds take the nearest sorted neighbour, any other pair
+        # the blocks; the float must equal the |P| x |Q| pass either way,
+        # on real, mixed real/complex and duplicate-heavy clouds
+        rng = np.random.default_rng(23)
+        real = rng.standard_normal(500) + 0j
+        mixed = np.concatenate([rng.standard_normal(250),
+                                rng.standard_normal(250) + 1j * rng.standard_normal(250)])
+        dupes = rng.integers(-4, 5, 400) / 3.0 + 0j
+        clouds = (real, mixed, dupes, np.repeat(real[:20], 15), dupes.conj(),
+                  np.array([0.25 + 0j]))
+        for a in clouds:
+            for b in clouds:
+                one_pass = float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
+                assert approx._directed(a, b) == one_pass
+
+    def test_real_clouds_take_the_sorted_route(self, monkeypatch):
+        monkeypatch.setattr(approx, "_DIRECTED_CHUNK", None)  # the blocks would fail
+        a, b = np.array([3.0, -1.0, 2.0]) + 0j, np.array([0.5, 2.5]) + 0j
+        assert approx._directed(a, b) == 1.5
+        with pytest.raises(TypeError):
+            approx._directed(a + 1j, b)
+
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
             hausdorff_distance(PointCloud(np.array([])), PointCloud(np.array([1.0])))
@@ -536,7 +559,7 @@ class TestConvergenceStudy:
 
     def test_csv_shape(self):
         table = convergence_study(GOLDEN, AM, [3, 4])
-        lines = table.to_csv().strip().splitlines()
+        lines = "".join(table.to_csv()).strip().splitlines()
         assert lines[0] == "n,q_prev,q_n,epsilon_sharp,epsilon_clean,empirical_dH"
         assert len(lines) == 3
         assert lines[1].startswith("3,2,3,")

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,15 @@ import rotspec.spectral as spectral
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
 from rotspec.errors import ConvergenceFailure, InvalidInput
-from rotspec.matmodel import OperatorSpec
+from rotspec.matmodel import OperatorSpec, build_operator
+from rotspec.pseudospectra import (
+    PointCloud,
+    PseudospectrumGrid,
+    cloud_to_csv,
+    grid_to_csv,
+    grid_to_pgm,
+)
+from rotspec.spectral import hermitian_eigenvalues
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
 U2V_JSON = '{"canonical": {"a+": [1,0], "a-": [0,0], "b+": [2,0], "b-": [0,0]}}'
@@ -57,6 +67,97 @@ class TestDumps17g:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             dumps_17g({"x": {1, 2}})
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int/str conversion limit, pinned at its default."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def _writer(tmp_path, *formats):
+    return cli._Output(Namespace(out_dir=str(tmp_path), format=formats))
+
+
+def _grid(sigma, region=(-1 / 3, 2 / 7, -0.1, 0.7)):
+    return PseudospectrumGrid(region=region, resolution=sigma.shape,
+                              sigma_min_values=sigma, matrix_fingerprint="-")
+
+
+class TestStreamedArtifacts:
+    """Each artifact is written piece by piece as it is formatted; the
+    bytes are those of the whole-string formulas it was once built by."""
+
+    def test_grid_csv_and_pgm(self, tmp_path):
+        rng = np.random.default_rng(3)
+        sigma = rng.random((9, 6))
+        sigma[0, :4] = [0.0, 5e-324, 1e300, 0.1]
+        grid = _grid(sigma)
+        out = _writer(tmp_path, "csv", "pgm")
+        out.write("csv", "grid.csv", lambda: grid_to_csv(grid))
+        out.write("pgm", "grid.pgm", lambda: grid_to_pgm(grid))
+        re_ax, im_ax = grid.lambda_axes()
+        csv = "re,im,sigma_min\n" + "".join(
+            f"{re_ax[i]:.17g},{im_ax[j]:.17g},{sigma[i, j]:.17g}\n"
+            for i in range(9) for j in range(6))
+        assert (tmp_path / "grid.csv").read_bytes() == csv.encode()
+        with np.errstate(divide="ignore"):
+            gray = np.rint((np.clip(np.log10(sigma), -8.0, 2.0) + 8.0) / 10.0 * 65535.0)
+        pgm = b"P5\n9 6\n65535\n" + gray.astype(np.uint16).T[::-1, :].astype(">u2").tobytes()
+        assert (tmp_path / "grid.pgm").read_bytes() == pgm
+        # one piece per real-axis value after the header
+        assert len(list(grid_to_csv(grid))) == 1 + 9
+
+    def test_cloud_csv_across_pieces(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal(9000) + 1j * rng.standard_normal(9000)
+        pts[:4] = [-0.0 + 0j, 5e-324 - 0.1j, 1e300 + 0j, complex(0.1, -0.0)]
+        out = _writer(tmp_path, "csv")
+        out.write("csv", "cloud.csv", lambda: cloud_to_csv(PointCloud(pts)))
+        out.write("csv", "empty.csv", lambda: cloud_to_csv(PointCloud(np.array([]))))
+        lines = ["re,im"] + [f"{z.real:.17g},{z.imag:.17g}" for z in pts]
+        assert (tmp_path / "cloud.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "empty.csv").read_bytes() == b"re,im\n"
+
+    def test_convergence_csv(self, tmp_path):
+        rows = tuple(ConvergenceRow(n, n - 1, n, 0.1 * n, 1 / 3 * n, 1e-300 * n, 0.5 * n)
+                     for n in range(3, 7))
+        table = ConvergenceTable(theta=None, spec=None, rows=rows, reference_n=6)
+        _writer(tmp_path, "csv").write("csv", "convergence.csv", table.to_csv)
+        lines = ["n,q_prev,q_n,epsilon_sharp,epsilon_clean,empirical_dH"]
+        lines.extend(f"{r.n},{r.q_prev},{r.q_n},{r.epsilon_sharp:.17g},"
+                     f"{r.epsilon_clean:.17g},{r.empirical_dh:.17g}" for r in rows)
+        assert (tmp_path / "convergence.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_butterfly_csv(self, tmp_path, capsys):
+        assert main(["butterfly", "--q-max", "7", "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        spec = OperatorSpec.canonical(1, 1, 1, 1)
+        lines = ["p,q,eigenvalue"]
+        for q in range(1, 8):
+            for p in range(q):
+                if math.gcd(p, q) == 1:
+                    eigen = hermitian_eigenvalues(build_operator(spec, p, q))
+                    lines.extend(f"{p},{q},{v:.17g}" for v in eigen)
+        assert (tmp_path / "butterfly.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_grid_csv_memory_is_one_row(self, tmp_path):
+        # a 512 x 512 grid CSV is about 15 MB; built whole, its text and
+        # encoded copy would peak near twice that
+        grid = _grid(np.random.default_rng(5).random((512, 512)), region=(-4, 4, -4, 4))
+        out = _writer(tmp_path, "csv")
+        tracemalloc.start()
+        try:
+            out.write("csv", "grid.csv", lambda: grid_to_csv(grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = (tmp_path / "grid.csv").read_bytes()
+        assert len(data) > 10 * 2**20 and data.count(b"\n") == 1 + 512 * 512
+        assert peak < 2**20
 
 
 class TestExpand:
@@ -102,6 +203,27 @@ class TestExpand:
     def test_uncertifiable_decimal(self, capsys):
         assert main(["expand", "--theta", "decimal:0.5"]) == 3
         capsys.readouterr()
+
+
+    def test_theta_past_the_int_digit_limit_exits_3(self, capsys, digit_limit):
+        for theta in ("rational:1/1" + "0" * 5000, "decimal:0." + "0" * 4400 + "1"):
+            assert main(["expand", "--theta", theta]) == 3
+            err = capsys.readouterr().err
+            assert f"{digit_limit}-digit" in err and len(err) < 200
+
+    def test_q_past_the_int_digit_limit_is_refused_before_any_row(self, capsys,
+                                                                  digit_limit):
+        # theta = sqrt(A^2 + 1) - A = [0; 2A, 2A, ...], so q_k ~ (2A)^k:
+        # q_4 has 4002 digits, q_5 5002
+        big = 10**1000
+        theta = f"surd:(-{big}+1*sqrt({big * big + 1}))/1"
+        assert main(["expand", "--theta", theta, "--terms", "6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "q_5 has more than 4300 decimal digits; --terms 4 is the largest" in err
+        assert main(["expand", "--theta", theta, "--terms", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1].startswith("4,2") and len(rows[-1].split(",")[3]) == 4002
 
 
 class TestSpectrum:

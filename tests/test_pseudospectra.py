@@ -83,9 +83,9 @@ class TestComputeGrid:
         )
         for h, region, resolution, jobs in cases:
             grids = [compute_grid(h, region, resolution, jobs=j) for j in jobs]
-            base = grid_to_csv(grids[0])
+            base = "".join(grid_to_csv(grids[0]))
             for g in grids[1:]:
-                assert grid_to_csv(g) == base
+                assert "".join(grid_to_csv(g)) == base
 
     def test_values_match_pointwise_svd(self):
         h = build_operator(U_PLUS_2V, 55, 89).entries
@@ -235,8 +235,8 @@ class TestBandRoute:
         # 625 points at q = 144 are 606 + 19 (the 4 MiB array budget)
         for p, q, resolution in ((3, 8, (64, 33)), (89, 144, (25, 25))):
             model = build_operator(U_PLUS_2V, p, q)
-            texts = [grid_to_csv(compute_grid(model, (-3.5, 3.5, -3.5, 3.5), resolution,
-                                              jobs=j))
+            texts = ["".join(grid_to_csv(compute_grid(model, (-3.5, 3.5, -3.5, 3.5),
+                                                      resolution, jobs=j)))
                      for j in (1, 2, 3)]
             assert texts[0] == texts[1] == texts[2]
 
@@ -468,7 +468,7 @@ class TestUnionSpectrum:
 class TestSerialization:
     def test_cloud_round_trip(self):
         pts = np.array([0.1 + 0.2j, -1.5 + 0j, 1 / 3 - 2 / 7j])
-        text = cloud_to_csv(PointCloud(points=pts))
+        text = "".join(cloud_to_csv(PointCloud(points=pts)))
         back = read_cloud_csv(text)
         assert np.array_equal(back.points, pts)  # 17 digits round-trip exactly
 
@@ -481,7 +481,7 @@ class TestSerialization:
     def test_grid_round_trip_row_major(self):
         sigma = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # (nx=2, ny=3)
         grid = make_grid(sigma, region=(0, 1, 0, 2))
-        text = grid_to_csv(grid)
+        text = "".join(grid_to_csv(grid))
         lines = text.strip().splitlines()
         assert lines[0] == "re,im,sigma_min"
         assert len(lines) == 1 + 6
@@ -504,7 +504,7 @@ class TestSerialization:
         expect = "re,im,sigma_min\n" + "".join(
             f"{re_ax[i]:.17g},{im_ax[j]:.17g},{sigma[i, j]:.17g}\n"
             for i in range(7) for j in range(5))
-        text = grid_to_csv(grid)
+        text = "".join(grid_to_csv(grid))
         assert text == expect
         assert "0.10000000000000001" in text and "4.9406564584124654e-324" in text
 
@@ -514,7 +514,7 @@ class TestSerialization:
         # half-to-even to 32768
         sigma = np.array([[1.0, 100.0], [1e-8, 1e-3]])
         grid = make_grid(sigma)
-        data = grid_to_pgm(grid)
+        data = b"".join(grid_to_pgm(grid))
         header = b"P5\n2 2\n65535\n"
         assert data.startswith(header)
         pix = np.frombuffer(data[len(header):], dtype=">u2").reshape(2, 2)
@@ -526,7 +526,7 @@ class TestSerialization:
 
     def test_pgm_zero_sigma(self):
         grid = make_grid(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        data = grid_to_pgm(grid)
+        data = b"".join(grid_to_pgm(grid))
         pix = np.frombuffer(data[-8:], dtype=">u2").reshape(2, 2)
         assert pix[1, 0] == 0
 

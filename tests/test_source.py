@@ -92,3 +92,15 @@ def test_traced_bench_wraps_existing_functions_and_arguments():
             assert args.read and args.read <= set(params), (module_name, attr, args.read)
             sized.add(span)
     assert sized == set(traced.SIZES)
+
+
+def test_artifacts_go_through_the_streaming_writer():
+    # cli._Output.write writes each artifact piece by piece as it is
+    # formatted; a whole-file write_text or write_bytes would hold the
+    # whole artifact in memory, and twice over once encoded
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("write_text", "write_bytes")]
+    assert not found, f"whole-file writes under src/: {found}"
