@@ -16,14 +16,9 @@ from .contfrac import (
     convergent_gap,
     expand,
     fibonacci,
-    fibonacci_growth_check,
-    is_convergent,
     parse_theta,
     round_nearest,
-    sufficient_condition_check,
     tail_constant_enclosure,
-    tail_sum_bound,
-    theta_float,
 )
 from .errors import (
     CertificateViolation,
@@ -31,7 +26,6 @@ from .errors import (
     EmptyCloud,
     EmptySpec,
     IndexOutOfRange,
-    InsufficientTerms,
     InvalidInput,
     InvalidOrder,
     ModelsNotNormal,
@@ -71,8 +65,6 @@ from .pseudospectra import (
     grid_to_csv,
     grid_to_pgm,
     level_set,
-    read_cloud_csv,
-    read_grid_csv,
     sandwich_check,
     union_spectrum,
 )
@@ -87,13 +79,10 @@ from .approx import (
     clean_bound,
     constant_audit,
     convergence_study,
-    haagerup_rordam_bound,
     hausdorff_distance,
     one_sided,
     one_sided_contains,
-    parameter_continuity_bound,
     sharp_bound,
-    sharpness_floor,
 )
 
 __version__ = "0.1.0"

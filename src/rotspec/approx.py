@@ -1,6 +1,6 @@
 """Certified spectral approximation: error radii with outward rounding.
 
-Three certified statements are implemented, each as a computed radius
+Two certified statements are implemented, each as a computed radius
 attached to finite data:
 
   * two-sided level-n certificates: the union of the spectra (or epsilon-
@@ -10,9 +10,7 @@ attached to finite data:
     and a sharper practical form assembled from 2*pi / tail-sum pieces;
   * one-sided sqrt(n) certificates: for any denominator n and
     p = round(n*theta), sigma(h_{p/n}) lies within C1/sqrt(n) of the
-    operator's spectrum, C1 = 36*M*sqrt(3*pi);
-  * parameter continuity: changing theta moves the generators by at most
-    9*sqrt(6*pi*|theta - theta'|).
+    operator's spectrum, C1 = 36*M*sqrt(3*pi).
 
 Every irrational constant enters through rational enclosures and the
 final float conversion rounds up, so returned radii are true bounds.
@@ -30,12 +28,8 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from . import contfrac
 from .contfrac import (
-    BigRational,
     ContinuedFractionExpansion,
-    DecimalString,
-    QuadraticSurd,
     RealNumberInput,
     expand,
     fibonacci,
@@ -249,16 +243,24 @@ def _check_budget(q: int, max_q: int, what: str) -> None:
         raise ResourceBudgetExceeded(f"{what} needs order q={q} > budget {max_q}")
 
 
-def _check_level_budget(n: int, max_q: int) -> None:
-    """Refuse level n before theta is expanded when q_n >= F(n) (Fibonacci,
-    F(0) = F(1) = 1) already exceeds the budget: n reaches the first
-    index k with F(k) > max_q. The message names F(k), never q_n."""
+def _expand_to_level(theta: RealNumberInput, n: int, max_q: int,
+                     label: str) -> ContinuedFractionExpansion:
+    """theta expanded through convergent n + 1, for a level-n certificate
+    whose order q_n fits the budget. Level n is refused before theta is
+    expanded when q_n >= F(n) (Fibonacci, F(0) = F(1) = 1) already
+    exceeds the budget: n reaches the first index k with F(k) > max_q,
+    and the message names F(k), never q_n. Then q_n itself is checked,
+    with label naming the level."""
     k = 0
     while fibonacci(k) <= max_q:
         k += 1
     if n >= k:
         raise ResourceBudgetExceeded(
             f"level n={n} needs order q_{n} >= F({k}) = {fibonacci(k)} > budget {max_q}")
+    expansion = expand(theta, n + 1)
+    _q_triple(expansion, n)
+    _check_budget(expansion.q(n), max_q, f"{label} n={n}")
+    return expansion
 
 
 def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str]:
@@ -313,10 +315,7 @@ def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
     """sigma(h_{n-1}) union sigma(h_n) with the certified radius
     epsilon_sharp; models must be normal."""
     caveat = _spectrum_caveat(theta, spec)
-    _check_level_budget(n, max_q)
-    expansion = expand(theta, n + 1)
-    _q_triple(expansion, n)
-    _check_budget(expansion.q(n), max_q, f"level n={n}")
+    expansion = _expand_to_level(theta, n, max_q, "level")
     return _certify_level(theta, spec, expansion, n, caveat, {})
 
 
@@ -381,10 +380,7 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
     if not 0 < epsilon < math.inf:
         raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     caveat = _irrationality_caveat(theta)
-    _check_level_budget(n, max_q)
-    expansion = expand(theta, n + 1)
-    _q_triple(expansion, n)
-    _check_budget(expansion.q(n), max_q, f"level n={n}")
+    expansion = _expand_to_level(theta, n, max_q, "level")
     gp = grid_params or GridParams()
 
     if spec.is_canonical:
@@ -491,44 +487,6 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
 
 
 # ---------------------------------------------------------------------------
-# parameter continuity
-# ---------------------------------------------------------------------------
-
-ThetaLike = Union[RealNumberInput, Fraction, int, float]
-
-
-def _theta_like_bounds(x: ThetaLike) -> tuple[Fraction, Fraction]:
-    if isinstance(x, (BigRational, QuadraticSurd, DecimalString)):
-        return theta_bounds(x)
-    v = Fraction(x)
-    return v, v
-
-
-def haagerup_rordam_bound(theta: ThetaLike, theta_prime: ThetaLike) -> float:
-    """9*sqrt(6*pi*|theta - theta'|): the guaranteed displacement of each
-    generator pair under a common representation."""
-    (alo, ahi), (blo, bhi) = _theta_like_bounds(theta), _theta_like_bounds(theta_prime)
-    for lo, hi in ((alo, ahi), (blo, bhi)):
-        if (lo + hi) / 2 < 0 or (lo + hi) / 2 >= 1:
-            raise InvalidInput("parameters must lie in [0,1)")
-    delta_up = max(abs(alo - bhi), abs(ahi - blo))
-    if delta_up == 0:
-        return 0.0
-    return float_up(9 * sqrt_upper(6 * PI_HI * delta_up))
-
-
-def parameter_continuity_bound(spec: OperatorSpec, theta: ThetaLike,
-                               theta_prime: ThetaLike) -> float:
-    """Spectral-variation bound: each term U^j V^k moves by at most
-    (|j| + |k|) generator displacements (telescoping with unitaries), so
-    sum |c_jk| (|j|+|k|) times the displacement bound controls ||h - h'||.
-    For the canonical form the weight is the plain coefficient-modulus sum."""
-    hr = haagerup_rordam_bound(theta, theta_prime)
-    weight = sum(_abs_upper(c) * (abs(j) + abs(k)) for j, k, c in spec.terms)
-    return float_up(Fraction(hr) * weight)
-
-
-# ---------------------------------------------------------------------------
 # set geometry
 # ---------------------------------------------------------------------------
 
@@ -567,14 +525,6 @@ def one_sided_contains(P: PointCloud, Q: PointCloud, delta: float) -> bool:
     if len(P) == 0 or len(Q) == 0:
         raise EmptyCloud("containment test needs nonempty clouds")
     return _directed(P.points, Q.points) < delta
-
-
-def sharpness_floor(expansion: ContinuedFractionExpansion, n: int) -> float:
-    """pi / (2*(q_{n-1} + q_n)), rounded down: at most q_{n-1} + q_n
-    distinct points cover the unit circle, forcing a gap of at least this
-    size (the shift-only model at golden theta realizes it)."""
-    qm, qn, _ = _q_triple(expansion, n)
-    return float_down(PI_LO / (2 * (qm + qn)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +578,7 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
         raise InvalidInput(f"levels must be >= 1, got {levels[0]}")
     n_max = levels[-1]
     caveat = _spectrum_caveat(theta, spec)
-    _check_level_budget(n_max, max_q)
-    expansion = expand(theta, n_max + 1)
-    _q_triple(expansion, n_max)
-    _check_budget(expansion.q(n_max), max_q, f"deepest level n={n_max}")
+    expansion = _expand_to_level(theta, n_max, max_q, "deepest level")
 
     clouds: dict[int, PointCloud] = {}
     certs: dict[int, ApproximationCertificate] = {}

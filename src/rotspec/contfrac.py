@@ -18,9 +18,10 @@ only when both ends agree on it:
     ends disagree.
 
 On top of the expansion sit the quantitative facts the error radii need:
-the gap bound |theta - p_n/q_n| < 1/(q_n q_{n+1}), the Fibonacci growth of
-the q_k, the geometric tail-sum constant 2*sqrt(5)/(sqrt(5)-1), and the
-convergent membership tests.
+the gap bound |theta - p_n/q_n| < 1/(q_n q_{n+1}), the Fibonacci numbers
+F(k) <= q_{n+k}/q_n that bound a level's order from below, and the
+geometric tail-sum constant 2*sqrt(5)/(sqrt(5)-1), which bounds
+sum_k 1/q_{n+k} by its value over q_n.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Optional, Union
 from .errors import (
     CertificateViolation,
     IndexOutOfRange,
-    InsufficientTerms,
     InvalidInput,
     PrecisionExhausted,
 )
@@ -157,8 +157,9 @@ def parse_theta(text: str) -> RealNumberInput:
         raise _too_many_digits("theta text", len(text)) from None
     if m := _THETA_GRAMMAR["decimal"].fullmatch(text):
         return DecimalString(m.group(1))
+    shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
     raise InvalidInput(
-        f"cannot parse theta {text!r}; expected rational:<p>/<q>, "
+        f"cannot parse theta {shown}; expected rational:<p>/<q>, "
         "surd:(<a>+<b>*sqrt(<d>))/<c> or decimal:<digits>"
     )
 
@@ -180,11 +181,6 @@ def theta_bounds(theta: RealNumberInput, digits: int = 40) -> tuple[Fraction, Fr
         return theta.interval()
     v = theta.value
     return v.enclosure(digits) if theta_is_irrational(theta) else (v, v)
-
-
-def theta_float(theta: RealNumberInput) -> float:
-    lo, hi = theta_bounds(theta)
-    return float((lo + hi) / 2)
 
 
 def require_unit_interval(theta: RealNumberInput) -> None:
@@ -326,11 +322,10 @@ class GapBound:
     """Certified data for |theta - p_n/q_n| against 1/(q_n * q_{n+1}).
 
     gap_lower/gap_upper is a rational enclosure of the gap (a point for
-    exact theta, where exact_gap is also set for rational inputs);
-    strict records whether gap < bound strictly (it fails, with exact
-    equality, only at the final index of a terminated rational
-    expansion); squared_bound_holds records bound < (1/q_n)^2, which
-    requires q_{n+1} > q_n and so can fail only at n = 0 with a_1 = 1.
+    rational theta); strict records whether gap < bound strictly (it
+    fails, with exact equality, only at the final index of a terminated
+    rational expansion). For n >= 1, convergent_gap also checks
+    bound < (1/q_n)^2 and raises CertificateViolation when it fails.
     """
 
     n: int
@@ -339,9 +334,7 @@ class GapBound:
     bound: Fraction
     gap_lower: Fraction
     gap_upper: Fraction
-    exact_gap: Optional[Fraction] = None
     strict: bool = True
-    squared_bound_holds: bool = True
     certified: bool = True
 
     @property
@@ -362,7 +355,6 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
     target = Fraction(p, q)
     theta = expansion.theta
 
-    exact_gap = None
     strict = certified = True
     if theta_is_exact(theta):
         gap = abs(theta.value - target)
@@ -377,7 +369,7 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
             lo, hi = gap.enclosure(max(40, digits + 20))
             violation = f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1})"
         else:
-            lo = hi = exact_gap = gap
+            lo = hi = gap
             violation = f"exact gap {gap} against bound {bound} at n={n}"
         if not (gap < bound if strict else gap == bound):
             raise CertificateViolation(f"{violation} for {theta}")
@@ -387,13 +379,11 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         hi = max(abs(tlo - target), abs(thi - target))
         certified = hi < bound
 
-    squared = bound < Fraction(1, q) ** 2
-    if n >= 1 and not squared:
+    if n >= 1 and not bound < Fraction(1, q) ** 2:
         raise CertificateViolation(f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for {theta}")
     return GapBound(
         n=n, p=p, q=q, bound=bound, gap_lower=lo, gap_upper=hi,
-        exact_gap=exact_gap, strict=strict, squared_bound_holds=squared,
-        certified=certified,
+        strict=strict, certified=certified,
     )
 
 
@@ -401,16 +391,6 @@ def tail_constant_enclosure(digits: int = 30) -> tuple[Fraction, Fraction]:
     """Rational enclosure of 2*sqrt(5)/(sqrt(5)-1) = (5+sqrt(5))/2, the
     geometric tail-sum constant (about 3.618034)."""
     return (5 + sqrt_lower(5, digits)) / 2, (5 + sqrt_upper(5, digits)) / 2
-
-
-def tail_sum_bound(expansion: ContinuedFractionExpansion, n: int) -> Fraction:
-    """Outward-rounded rational upper bound (1/q_n) * 2*sqrt(5)/(sqrt(5)-1)
-    for the tail sum over 1/q_{n+k}, k >= 0."""
-    if not 0 <= n < len(expansion.convergents):
-        raise IndexOutOfRange(
-            f"tail bound at n={n}; computed 0..{len(expansion.convergents) - 1}"
-        )
-    return tail_constant_enclosure()[1] / expansion.q(n)
 
 
 def fibonacci(k: int) -> int:
@@ -421,41 +401,6 @@ def fibonacci(k: int) -> int:
     for _ in range(k):
         a, b = b, a + b
     return a
-
-
-def fibonacci_growth_check(expansion: ContinuedFractionExpansion, n: int, k: int) -> bool:
-    """q_{n+k} >= F(k) * q_n; always true, exposed as a checkable assertion."""
-    if k < 0 or n < 0 or n + k >= len(expansion.convergents):
-        raise IndexOutOfRange(f"growth check needs convergents {n} and {n + k}")
-    return expansion.q(n + k) >= fibonacci(k) * expansion.q(n)
-
-
-def is_convergent(p: int, q: int, expansion: ContinuedFractionExpansion) -> Optional[int]:
-    """Index k with p/q = p_k/q_k, or None. Decidable only when the
-    expansion reaches denominators >= q."""
-    if not (0 < p < q):
-        raise InvalidInput(f"need 0 < p < q, got {p}/{q}")
-    if math.gcd(p, q) != 1:
-        raise InvalidInput(f"{p}/{q} is not reduced")
-    if expansion.q(expansion.n_terms) < q:
-        raise InsufficientTerms(
-            f"largest computed denominator q_{expansion.n_terms} = "
-            f"{expansion.q(expansion.n_terms)} < {q}; expand further"
-        )
-    for k, pq in enumerate(expansion.convergents):
-        if pq == (p, q):
-            return k
-    return None
-
-
-def sufficient_condition_check(p: int, q: int, theta: RealNumberInput) -> bool:
-    """Exact test of |theta - p/q| < 1/(2q^2); when true, p/q is
-    necessarily one of the convergents of theta."""
-    if not (0 < p < q):
-        raise InvalidInput(f"need 0 < p < q, got {p}/{q}")
-    if not theta_is_exact(theta):
-        raise InvalidInput("sufficient-condition test needs an exact theta")
-    return abs(theta.value - Fraction(p, q)) < Fraction(1, 2 * q * q)
 
 
 # ---------------------------------------------------------------------------

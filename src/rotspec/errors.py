@@ -23,11 +23,6 @@ class PrecisionExhausted(RotspecError):
         self.certified_terms = certified_terms
 
 
-class InsufficientTerms(RotspecError):
-    """A query needs more of the expansion than was computed (convergent
-    index beyond the prefix, denominator past the last computed q_k)."""
-
-
 class IndexOutOfRange(RotspecError):
     """Convergent or partial-quotient index outside the computed range."""
 

@@ -166,9 +166,6 @@ class Surd:
         f = Fraction(other) / norm
         return Surd(self.ra * f, -self.rb * f, self.d)
 
-    def reciprocal(self) -> "Surd":
-        return 1 / self
-
     def sign(self) -> int:
         return _surd_sign(self.ra, self.rb, self.d)
 
@@ -213,7 +210,3 @@ class Surd:
         if self.rb >= 0:
             return self.ra + self.rb * lo, self.ra + self.rb * hi
         return self.ra + self.rb * hi, self.ra + self.rb * lo
-
-    def to_float(self) -> float:
-        lo, hi = self.enclosure(30)
-        return float((lo + hi) / 2)

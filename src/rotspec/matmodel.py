@@ -90,13 +90,6 @@ class OperatorSpec:
         return self.canonical_four_term is not None
 
     @property
-    def coefficient_bound_M(self) -> float:
-        """max{|alpha_(+/-)1|, |beta_(+/-)1|} for canonical specs."""
-        if not self.is_canonical:
-            raise InvalidInput("coefficient bound M is defined for canonical specs only")
-        return max(abs(c) for c in self.canonical_four_term)
-
-    @property
     def is_hermitian(self) -> bool:
         """True iff every model of the spec is hermitian, independent of
         the rotation parameter.

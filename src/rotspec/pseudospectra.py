@@ -32,11 +32,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, EmptyCloud, InvalidInput
+from .errors import ConvergenceFailure, InvalidInput
 from .exact import float_up
 from .matmodel import MatrixModel
 from .spectral import (
@@ -87,9 +87,9 @@ class PseudospectrumGrid:
     """sigma_min samples on a rectangular grid.
 
     sigma_min_values[i, j] = sigma_min(lambda_ij * I - A) with
-    lambda_ij = re_min + i*h_x + 1j*(im_min + j*h_y); index i walks the
-    real axis, j the imaginary axis, and exports iterate in row-major
-    order (i outer, j inner).
+    lambda_ij = re[i] + 1j*im[j] for the evenly spaced axes of
+    lambda_axes(); index i walks the real axis, j the imaginary axis,
+    and exports iterate in row-major order (i outer, j inner).
     """
 
     region: Region
@@ -99,14 +99,6 @@ class PseudospectrumGrid:
 
     def __post_init__(self):
         self.sigma_min_values.setflags(write=False)
-
-    @property
-    def h_x(self) -> float:
-        return (self.region[1] - self.region[0]) / (self.resolution[0] - 1)
-
-    @property
-    def h_y(self) -> float:
-        return (self.region[3] - self.region[2]) / (self.resolution[1] - 1)
 
     def lambda_axes(self) -> tuple[np.ndarray, np.ndarray]:
         return _axes(self.region, self.resolution)
@@ -364,16 +356,6 @@ def cloud_to_csv(cloud: PointCloud) -> Iterator[str]:
                        for z in pts[start:start + _CSV_LINES].tolist()])
 
 
-def read_cloud_csv(text: str) -> PointCloud:
-    rows = text.strip().splitlines()
-    if not rows or rows[0] != "re,im":
-        raise InvalidInput("cloud CSV must start with header re,im")
-    pts = [complex(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows[1:]]
-    if not pts:
-        raise EmptyCloud("cloud CSV has no points")
-    return PointCloud(points=np.array(pts))
-
-
 def grid_to_csv(grid: PseudospectrumGrid) -> Iterator[str]:
     """One line re,im,sigma_min per grid point in row-major order, every
     float as %.17g, after the header. Yields one piece per real-axis
@@ -387,14 +369,6 @@ def grid_to_csv(grid: PseudospectrumGrid) -> Iterator[str]:
         re_txt = f"{x:.17g}"
         yield "".join([f"{re_txt}{im_txt}{s:.17g}\n"
                        for im_txt, s in zip(ims, sig_row.tolist())])
-
-
-def read_grid_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = text.strip().splitlines()
-    if not rows or rows[0] != "re,im,sigma_min":
-        raise InvalidInput("grid CSV must start with header re,im,sigma_min")
-    data = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
-    return data[:, 0], data[:, 1], data[:, 2]
 
 
 def grid_to_pgm(grid: PseudospectrumGrid) -> Iterator[bytes]:

@@ -54,6 +54,8 @@ import.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -276,6 +278,11 @@ class _GramBand(NamedTuple):
 
 def _gram_band(model: MatrixModel) -> _GramBand:
     norm = spec_norm_bound(model.spec)
+    # numpy divides a complex array by a float as a * (1/norm), which
+    # overflows for a subnormal norm and zeroes the band for an infinite one
+    if norm == math.inf or 0 < norm < sys.float_info.min:
+        raise InvalidInput(f"the banded sigma_min route scales the model by sum |c| = {norm!r}, "
+                           "which is not a normal float")
     band = _interleaved_band(model) / norm
     k, q = band.shape[0] // 2, band.shape[1]
     gram = np.zeros((2 * k + 1, q), dtype=np.complex128)

@@ -26,14 +26,11 @@ from rotspec.approx import (
     constant_audit,
     convergence_study,
     hausdorff_distance,
-    haagerup_rordam_bound,
     one_sided,
     one_sided_constant_exact,
     one_sided_contains,
-    parameter_continuity_bound,
     sharp_bound,
     sharp_bound_exact,
-    sharpness_floor,
 )
 from rotspec.contfrac import expand, parse_theta
 from rotspec.errors import (
@@ -419,46 +416,6 @@ class TestOneSided:
         assert doc["wrapped"] is False and doc["tie_broken"] is False
 
 
-class TestParameterContinuity:
-    def test_haagerup_pinned(self):
-        got = haagerup_rordam_bound(0, Fraction(1, 100))
-        assert got == 3.9074467746146455
-        assert got == pytest.approx(9 * math.sqrt(6 * math.pi * 0.01), rel=1e-12)
-
-    def test_zero_for_equal_parameters(self):
-        assert haagerup_rordam_bound(Fraction(1, 3), Fraction(1, 3)) == 0.0
-        assert haagerup_rordam_bound(0.25, 0.25) == 0.0
-
-    def test_sqrt_scaling(self):
-        one = haagerup_rordam_bound(0, Fraction(1, 100))
-        four = haagerup_rordam_bound(0, Fraction(4, 100))
-        assert four == pytest.approx(2 * one, rel=1e-14)
-
-    def test_half_integer_gap_matches_direct(self):
-        # |theta - theta'| = 1/(2n) at n = 50 equals the 0.01 case exactly
-        assert haagerup_rordam_bound(0, Fraction(1, 100)) == pytest.approx(
-            9 * math.sqrt(3 * math.pi / 50), rel=1e-12)
-
-    def test_domain_validation(self):
-        with pytest.raises(InvalidInput):
-            haagerup_rordam_bound(1, 0)
-        with pytest.raises(InvalidInput):
-            haagerup_rordam_bound(-0.5, 0)
-
-    def test_surd_inputs_give_tiny_bound(self):
-        # identical surds differ only by enclosure width ~1e-40
-        got = haagerup_rordam_bound(GOLDEN, GOLDEN)
-        assert 0 <= got < 1e-18
-
-    def test_spectral_variation_weight(self):
-        hr = haagerup_rordam_bound(0, Fraction(1, 100))
-        got = parameter_continuity_bound(AM, 0, Fraction(1, 100))
-        assert got == pytest.approx(4 * hr, rel=1e-14)  # four unit coefficients
-        got2 = parameter_continuity_bound(OperatorSpec.general([(2, 3, 1j)]),
-                                          0, Fraction(1, 100))
-        assert got2 == pytest.approx(5 * hr, rel=1e-14)  # |j| + |k| = 5
-
-
 class TestSetGeometry:
     def test_hausdorff_asymmetric_example(self):
         p = PointCloud(np.array([0.0 + 0j]))
@@ -533,12 +490,6 @@ class TestSetGeometry:
         q = PointCloud(np.array([0.0, 1.0, 2.0]).astype(complex))
         p = PointCloud(np.array([1.0, 2.0]).astype(complex))
         assert one_sided_contains(p, q, 1e-12)
-
-    def test_sharpness_floor(self):
-        e = expand(GOLDEN, 7)
-        got = sharpness_floor(e, 5)
-        assert got == pytest.approx(math.pi / 26, rel=1e-14)  # q4 + q5 = 13
-        assert got <= math.pi / 26  # floor rounds down
 
 
 class TestConvergenceStudy:

@@ -211,6 +211,13 @@ class TestExpand:
             err = capsys.readouterr().err
             assert f"{digit_limit}-digit" in err and len(err) < 200
 
+    def test_malformed_theta_is_quoted_up_to_64_characters(self, capsys):
+        assert main(["expand", "--theta", "rational:1/x" + "0" * 9988]) == 3
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300 and "(10000 characters)" in err
+        assert main(["expand", "--theta", "rational:1/x"]) == 3
+        assert "cannot parse theta 'rational:1/x'; expected" in capsys.readouterr().err
+
     def test_q_past_the_int_digit_limit_is_refused_before_any_row(self, capsys,
                                                                   digit_limit):
         # theta = sqrt(A^2 + 1) - A = [0; 2A, 2A, ...], so q_k ~ (2A)^k:
@@ -388,6 +395,16 @@ class TestPseudospectrum:
         spec = '{"canonical": {"a+": [1, 0], "b+": [Infinity, 0]}}'
         assert main(self.ARGS + ["--spec", spec, "--out-dir", str(tmp_path / "out")]) == 3
         assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sum_of_moduli_outside_the_normal_floats_exits_3(self, tmp_path, capsys):
+        args = ["pseudospectrum", "--theta", GOLDEN, "--level", "4", "--epsilon", "0.5",
+                "--resolution", "3", "3", "--region", "-1", "1", "-1", "1",
+                "--out-dir", str(tmp_path / "out")]
+        for spec in ('{"terms": [{"u": 1, "v": 1, "re": 1e-320}]}',
+                     '{"terms": [{"u": 1, "v": 1, "re": 1e308}, {"u": 2, "v": 0, "re": 1e308}]}'):
+            assert main(args + ["--spec", spec]) == 3
+            assert "which is not a normal float" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):

@@ -26,19 +26,13 @@ from rotspec.contfrac import (
     convergent_gap,
     expand,
     fibonacci,
-    fibonacci_growth_check,
-    is_convergent,
     parse_theta,
     round_nearest,
-    sufficient_condition_check,
     tail_constant_enclosure,
-    tail_sum_bound,
-    theta_float,
 )
 from rotspec.errors import (
     CertificateViolation,
     IndexOutOfRange,
-    InsufficientTerms,
     InvalidInput,
     PrecisionExhausted,
 )
@@ -389,7 +383,7 @@ class TestGapBound:
         # |theta - 3/5| = (sqrt(5)-1)/2 - 3/5 = (5*sqrt(5)-11)/10
         assert abs(g4.gap_float - 0.018033988749894848) < 1e-15
         assert g4.bound == Fraction(1, 5 * 8)
-        assert g4.strict and g4.squared_bound_holds and g4.certified
+        assert g4.strict and g4.certified
 
     def test_sqrt2_gap_value(self):
         e = expand(parse_theta(SQRT2M1), 8)
@@ -407,7 +401,6 @@ class TestGapBound:
                 assert g.gap_upper < g.bound  # strict inequality, certified
                 if n >= 1:
                     assert g.bound < Fraction(1, g.q) ** 2
-                    assert g.squared_bound_holds
 
     def test_gap_past_the_int_to_str_digit_limit(self):
         # q_10300 * q_10301 has about 4300 decimal digits, past the limit
@@ -420,10 +413,10 @@ class TestGapBound:
     def test_rational_equality_at_last_interior_index(self):
         e = expand(parse_theta("rational:7/10"), 10)
         g = convergent_gap(e, 2)  # |7/10 - 2/3| = 1/30 = 1/(3*10) exactly
-        assert g.exact_gap == Fraction(1, 30) == g.bound
+        assert g.gap_lower == g.gap_upper == Fraction(1, 30) == g.bound
         assert not g.strict
         g1 = convergent_gap(e, 1)
-        assert g1.exact_gap == Fraction(3, 10) < g1.bound
+        assert g1.gap_lower == g1.gap_upper == Fraction(3, 10) < g1.bound
         assert g1.strict
 
     @staticmethod
@@ -490,54 +483,40 @@ class TestTailBounds:
         assert (2 * lo - 5) ** 2 < 5 < (2 * hi - 5) ** 2
 
     def test_tail_sum_bound_dominates_true_tail(self):
+        # sharp_bound's tail term: sum over k >= 0 of 1/q_{n+k} <= T/q_n
         e = expand(parse_theta(GOLDEN), 40)
+        tail_hi = tail_constant_enclosure()[1]
         for n in (2, 5, 8):
-            bound = tail_sum_bound(e, n)
+            bound = tail_hi / e.q(n)
             true_tail = sum(Fraction(1, e.q(n + k)) for k in range(0, 30))
             assert true_tail < bound
-        assert abs(float(tail_sum_bound(e, 5)) - 3.6180339887498949 / 8) < 1e-12
+        assert abs(float(tail_hi / e.q(5)) - 3.6180339887498949 / 8) < 1e-12
 
     def test_fibonacci_convention(self):
         assert [fibonacci(k) for k in range(8)] == [1, 1, 2, 3, 5, 8, 13, 21]
 
     def test_fibonacci_growth_sweep(self):
+        # q_{n+k} >= F(k) * q_n; the level budget refuses level n from F(n)
         for text in (GOLDEN, SQRT2M1, INV_SQRT2, "rational:355/452"):
             e = expand(parse_theta(text), 12)
             top = len(e.convergents) - 1
             for n in range(0, top):
                 for k in range(0, top - n):
-                    assert fibonacci_growth_check(e, n, k)
+                    assert e.q(n + k) >= fibonacci(k) * e.q(n)
 
-    def test_growth_check_range(self):
-        e = expand(parse_theta(GOLDEN), 5)
-        with pytest.raises(IndexOutOfRange):
-            fibonacci_growth_check(e, 3, 10)
+
+def legendre(theta, p: int, q: int) -> bool:
+    """|theta - p/q| < 1/(2q^2), exactly: Legendre's sufficient condition
+    for p/q to be a convergent of theta."""
+    return abs(theta.value - Fraction(p, q)) < Fraction(1, 2 * q * q)
 
 
 class TestConvergentDetection:
-    def test_is_convergent_hits(self):
-        e = expand(parse_theta(GOLDEN), 10)
-        assert is_convergent(2, 3, e) == 3
-        assert is_convergent(1, 2, e) == 2
-        assert is_convergent(3, 7, e) is None
-
-    def test_insufficient_terms(self):
-        e = expand(parse_theta(GOLDEN), 4)  # q_4 = 5
-        with pytest.raises(InsufficientTerms):
-            is_convergent(8, 13, e)
-
-    def test_rejects_unreduced_or_out_of_range(self):
-        e = expand(parse_theta(GOLDEN), 10)
-        with pytest.raises(InvalidInput):
-            is_convergent(2, 4, e)  # gcd 2
-        with pytest.raises(InvalidInput):
-            is_convergent(3, 2, e)  # p >= q
-
     def test_sufficient_condition_pins(self):
         th = parse_theta(GOLDEN)
-        assert sufficient_condition_check(2, 3, th)
-        assert sufficient_condition_check(1, 2, th)
-        assert not sufficient_condition_check(3, 7, th)
+        assert legendre(th, 2, 3)
+        assert legendre(th, 1, 2)
+        assert not legendre(th, 3, 7)
 
     def test_sufficient_condition_implies_convergent(self):
         # Legendre direction: any p/q passing the check must appear among
@@ -549,8 +528,8 @@ class TestConvergentDetection:
                 for p in range(1, q):
                     if math.gcd(p, q) != 1:
                         continue
-                    if sufficient_condition_check(p, q, th):
-                        assert is_convergent(p, q, e) is not None
+                    if legendre(th, p, q):
+                        assert (p, q) in e.convergents
 
     def test_golden_convergents_satisfy_sufficient_condition(self):
         # for the golden conjugate the gap is ~1/(sqrt(5) q^2), and
@@ -559,7 +538,7 @@ class TestConvergentDetection:
         e = expand(th, 15)
         for n in range(2, 15):
             p, q = e.convergent(n)
-            assert sufficient_condition_check(p, q, th)
+            assert legendre(th, p, q)
 
 
 class TestRoundNearest:
@@ -590,10 +569,3 @@ class TestRoundNearest:
         with pytest.raises(InvalidInput):
             round_nearest(parse_theta(GOLDEN), 0)
 
-
-class TestThetaFloat:
-    def test_values(self):
-        assert theta_float(parse_theta(GOLDEN)) == pytest.approx(
-            (math.sqrt(5) - 1) / 2, abs=1e-15)
-        assert theta_float(parse_theta("rational:7/10")) == 0.7
-        assert theta_float(parse_theta("decimal:0.25")) == 0.25

@@ -30,13 +30,11 @@ class TestSpec:
     def test_canonical_flags(self):
         assert CANONICAL.is_canonical
         assert CANONICAL.is_hermitian
-        assert CANONICAL.coefficient_bound_M == 1.0
         assert spec_norm_bound(CANONICAL) == 4.0
 
     def test_almost_mathieu_norm_bound(self):
         am = OperatorSpec.canonical(1, 1, 1.5, 1.5)
         assert spec_norm_bound(am) == 5.0
-        assert am.coefficient_bound_M == 1.5
 
     def test_single_complex_term(self):
         s = OperatorSpec.general([(2, -1, 1 + 1j)])

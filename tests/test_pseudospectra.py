@@ -17,7 +17,7 @@ import pytest
 
 import rotspec.pseudospectra as psp
 import rotspec.spectral as spectral
-from rotspec.errors import ConvergenceFailure, EmptyCloud, InvalidInput
+from rotspec.errors import ConvergenceFailure, InvalidInput
 from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import (
@@ -31,8 +31,6 @@ from rotspec.pseudospectra import (
     grid_to_pgm,
     level_set,
     matrix_fingerprint,
-    read_cloud_csv,
-    read_grid_csv,
     sandwich_check,
     union_spectrum,
 )
@@ -69,7 +67,6 @@ class TestComputeGrid:
         re, im = grid.lambda_axes()
         assert np.allclose(re, [-2, -1, 0, 1, 2])
         assert np.allclose(im, [-1, 0, 1])
-        assert grid.h_x == 1.0 and grid.h_y == 1.0
 
     def test_jobs_do_not_change_bytes(self):
         # one case per route: distances (Hermitian q=5), the band (U+2V
@@ -229,6 +226,15 @@ class TestBandRoute:
                 got = grid.sigma_min_values.ravel()
                 assert np.all(np.isfinite(got)) and np.all(got > 0)
                 assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, big))
+
+    def test_sum_of_moduli_outside_the_normal_floats_is_refused(self):
+        # the band is scaled by 1/sum|c|: a subnormal sum overflows it to
+        # inf/nan and an infinite sum zeroes it, so neither reaches it
+        for terms, shown in (([(1, 1, 1e-320)], "1e-320"),
+                             ([(1, 1, 1e308), (2, 0, 1e308)], "inf")):
+            model = build_operator(OperatorSpec.general(terms), 1, 2)
+            with pytest.raises(InvalidInput, match=f"sum \\|c\\| = {shown},"):
+                compute_grid(model, (-1, 1, -1, 1), (3, 3))
 
     def test_jobs_across_chunk_boundaries(self):
         # 2112 points at q = 8 are chunks of 2048 + 64 (the point cap);
@@ -468,15 +474,10 @@ class TestUnionSpectrum:
 class TestSerialization:
     def test_cloud_round_trip(self):
         pts = np.array([0.1 + 0.2j, -1.5 + 0j, 1 / 3 - 2 / 7j])
-        text = "".join(cloud_to_csv(PointCloud(points=pts)))
-        back = read_cloud_csv(text)
-        assert np.array_equal(back.points, pts)  # 17 digits round-trip exactly
-
-    def test_cloud_header_and_empty(self):
-        with pytest.raises(InvalidInput):
-            read_cloud_csv("x,y\n1,2\n")
-        with pytest.raises(EmptyCloud):
-            read_cloud_csv("re,im\n")
+        lines = "".join(cloud_to_csv(PointCloud(points=pts))).splitlines()
+        assert lines[0] == "re,im"
+        back = np.array([complex(*map(float, line.split(","))) for line in lines[1:]])
+        assert np.array_equal(back, pts)  # 17 digits round-trip exactly
 
     def test_grid_round_trip_row_major(self):
         sigma = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # (nx=2, ny=3)
@@ -489,7 +490,7 @@ class TestSerialization:
         assert lines[1].startswith("0,0,1")
         assert lines[2].startswith("0,1,2")
         assert lines[4].startswith("1,0,4")
-        re, im, sig = read_grid_csv(text)
+        sig = np.array([float(line.split(",")[2]) for line in lines[1:]])
         assert np.array_equal(sig.reshape(2, 3), sigma)
 
     def test_grid_csv_bytes_match_per_cell_formula(self):
@@ -529,10 +530,6 @@ class TestSerialization:
         data = b"".join(grid_to_pgm(grid))
         pix = np.frombuffer(data[-8:], dtype=">u2").reshape(2, 2)
         assert pix[1, 0] == 0
-
-    def test_grid_header_validation(self):
-        with pytest.raises(InvalidInput):
-            read_grid_csv("a,b,c\n1,2,3\n")
 
 
 class TestRegionDefaults:
