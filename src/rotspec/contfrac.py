@@ -144,6 +144,12 @@ _THETA_GRAMMAR = {
 }
 
 
+def _quoted(text: str) -> str:
+    """text for an error message: quoted, and cut to its first 64 characters
+    and its length when longer."""
+    return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+
+
 def parse_theta(text: str) -> RealNumberInput:
     """Parse "rational:<p>/<q>", "surd:(<a>+<b>*sqrt(<d>))/<c>" or
     "decimal:<digits>" into the corresponding input variant."""
@@ -157,9 +163,8 @@ def parse_theta(text: str) -> RealNumberInput:
         raise _too_many_digits("theta text", len(text)) from None
     if m := _THETA_GRAMMAR["decimal"].fullmatch(text):
         return DecimalString(m.group(1))
-    shown = repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
     raise InvalidInput(
-        f"cannot parse theta {shown}; expected rational:<p>/<q>, "
+        f"cannot parse theta {_quoted(text)}; expected rational:<p>/<q>, "
         "surd:(<a>+<b>*sqrt(<d>))/<c> or decimal:<digits>"
     )
 
@@ -187,7 +192,7 @@ def require_unit_interval(theta: RealNumberInput) -> None:
     """Reject rotation parameters outside the open interval (0,1). For a
     decimal input the check applies to the written value."""
     if not 0 < theta.value < 1:
-        raise InvalidInput(f"theta {theta} is not in (0,1)")
+        raise InvalidInput(f"theta {_quoted(str(theta))} is not in (0,1)")
 
 
 # ---------------------------------------------------------------------------

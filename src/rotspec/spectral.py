@@ -43,9 +43,15 @@ sigma_min(lambda*I - A) of a model takes the band instead
 ch. 39): with B the interleaved lambda*I - A, sigma_min(B) > t exactly
 when G - t^2 I is positive definite, G = B* B, and G is a Hermitian band
 of half-bandwidth at most 4J, so a band Cholesky decides each t in
-O(q * J^2). Bisection on that test brackets sigma_min; inverse iteration
-with the last factor gives a vector x, and the value is ||Bx||/||x||,
-never squared. The kernel is vectorized over the grid points of a chunk.
+O(q * J^2). 20 halvings on that test (one more per doubling of q from
+64 on) bracket sigma_min; inverse iteration with the last passing factor
+gives a unit vector x, and the value v = ||Bx|| is never squared. As
+v >= sigma_min, two more factorizations verify it (Rump, BIT 46 (2006)
+433-452): G - v^2(1 - eta)I must factor and G - v^2(1 + eta)I must not,
+eta = 2^-40. The few points that fail resume the bisection to 44
+halvings and redo the inverse iteration, so below q = 64 a point costs
+23 factorizations and 3 band solves where the whole bisection took 45.
+The kernel is vectorized over the grid points of a chunk.
 
 scipy is loaded on first use, inside the Hermitian route and the SVD
 retry, so the non-Hermitian grid paths and `expand` never pay for its
@@ -254,11 +260,24 @@ def sigma_min_stack(stack: np.ndarray) -> np.ndarray:
 
 _HALVINGS = 44        # bisection steps on sigma inside [0, smallest column norm]
 _INVERSE_STEPS = 3    # shifted inverse-iteration steps after the bisection
+# The fewest halvings every point runs before its first inverse
+# iteration (see _coarse_halvings); the rest run only where the value
+# fails to verify. On U+2V at every 31st point of a 256x256 grid of
+# [-4, 4]^2, 16 / 18 / 20 / 22 / 24 of them left 166 / 76 / 57 / 50 / 44
+# of 2114 points to fall back at q = 89 and 63 / 18 / 6 / 2 / 1 of 576 at
+# q = 144: 20 is past the knee.
+_COARSE_HALVINGS = 20
 # In the units of the scaled B, where |mu| + kappa = 1 and G is formed to
 # about 1e-15: the shift below zero when no bisection test passed, and
 # the widening of the bracket, in sigma^2, before a value counts as outside.
 _SHIFT_FLOOR = 1e-13
 _BRACKET_SLACK = 2.0 ** -36
+# The relative gap, in sigma^2, between the squared value and each
+# verifying test, below _BRACKET_SLACK for every scaled value <= 1. On the
+# points above, 2^-38 / 2^-40 / 2^-42 left 47 / 57 / 87 of 2114 points to
+# fall back at q = 89 and 0 / 2 / 4 at q = 8; at 2^-40 a verified value
+# is within 4.6e-13 of sigma_min, relative, for a few more fallbacks.
+_VERIFY_GAP = 2.0 ** -40
 
 
 class _GramBand(NamedTuple):
@@ -381,29 +400,43 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x.real * x.real + x.imag * x.imag).sum(axis=0))
 
 
-def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
-    """sigma_min(lam_p I - A) for each lam_p, from the model's band.
+def _coarse_halvings(q: int) -> int:
+    """The halvings before the first inverse iteration at order q: 20, or
+    14 + the bit length of q when that is more. The singular values next
+    to sigma_min crowd together about like 1/q, so the bracket must narrow
+    with q for three inverse steps to reach the verifying gap. On U+2V at
+    the points of a 12x12 grid of [-4, 4]^2, 20 halvings left 2 / 2 / 5 /
+    37 / 70 of 144 points to fall back at q = 233 / 377 / 610 / 987 /
+    1597, and the counts this gives, 22 / 23 / 24 / 24 / 25, left none. A
+    fallback's column loop costs nearly as much per factorization as the
+    whole chunk's, so a chunk should rarely have one."""
+    return max(_COARSE_HALVINGS, 14 + q.bit_length())
 
-    B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
-    number near 1 for any coefficient scale. sigma_min(B) > t holds when
-    G - t^2 I, G = B* B, has a Cholesky factor; 44 halvings of [0,
-    smallest column norm of B] bracket sigma_min by that test. Three
-    steps of inverse iteration with the factor at the last passing shift
-    (or, when none passed, at -1e-13) then give a vector x, and sigma_min
-    is reported as ||Bx||/||x||, so it is never squared. A value outside
-    the bracket, widened by the test's rounding, is a ConvergenceFailure."""
-    s = np.abs(lam) + gb.norm
-    mu, kappa = lam / s, gb.norm / s
+
+def _gram_stack(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """g[c, d, p] = G_p[c + d, c] for G_p = B_p* B_p, B_p = mu_p I - kappa_p A1',
+    a diagonal at a time: no temporary as large as g."""
     q, width = gb.gram.shape
-    g = np.empty((q, width, lam.size), dtype=np.complex128)
-    for d in range(width):  # a diagonal at a time: no temporary as large as g
+    g = np.empty((q, width, mu.size), dtype=np.complex128)
+    for d in range(width):
         g[:, d] = ((kappa * kappa) * gb.gram[:, d, None]
                    - (kappa * mu.conj()) * gb.lower[:, d, None]
                    - (kappa * mu) * gb.upper[:, d, None])
     g[:, 0] += (mu * mu.conj()).real
-    lo, hi = np.zeros(lam.size), np.sqrt(np.maximum(g[:, 0].real.min(axis=0), 0))
+    return g
+
+
+def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray,
+                        lo: np.ndarray, hi: np.ndarray,
+                        halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Halve each bracket [lo, min(hi, smallest column norm of B)] by the
+    Cholesky test, then run inverse iteration with the factor at the last
+    passing shift (at -1e-13 where none passed). Returns the bracket and
+    ||Bx|| for the unit vector x that the iteration ends at."""
+    g = _gram_stack(gb, mu, kappa)
+    hi = np.minimum(hi, np.sqrt(np.maximum(g[:, 0].real.min(axis=0), 0)))
     cholesky = _band_cholesky(g)
-    for _ in range(_HALVINGS):
+    for _ in range(halvings):
         t = 0.5 * (lo + hi)
         ok = cholesky(t * t)[1]
         lo, hi = np.where(ok, t, lo), np.where(ok, hi, t)
@@ -412,6 +445,7 @@ def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
     if not ok.all():
         raise ConvergenceFailure(
             f"banded sigma_min: no Cholesky factor at lambda={lam[~ok][0]}")
+    q = factor.shape[0]
     x = np.broadcast_to(_start_vector(q)[:, None], (q, lam.size))
     for _ in range(_INVERSE_STEPS):
         x = _band_solve(factor, x)
@@ -420,7 +454,47 @@ def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
     bx = _band_matvec(gb.band, x)
     bx *= -kappa
     bx += mu * x
-    value = _column_norms(bx)
+    return lo, hi, _column_norms(bx)
+
+
+def _verified(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Whether G - v^2 (1 - gap) I factors and G - v^2 (1 + gap) I does
+    not, v the value. As v = ||Bx|| >= sigma_min for a unit x, the two
+    tests put sigma_min^2 in (v^2 (1 - gap), v^2 (1 + gap))."""
+    cholesky = _band_cholesky(_gram_stack(gb, mu, kappa))
+    square = value * value
+    return cholesky(square * (1 - _VERIFY_GAP))[1] & ~cholesky(square * (1 + _VERIFY_GAP))[1]
+
+
+def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
+    """sigma_min(lam_p I - A) for each lam_p, from the model's band.
+
+    B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
+    number near 1 for any coefficient scale. sigma_min(B) > t holds when
+    G - t^2 I, G = B* B, has a Cholesky factor. _coarse_halvings(q)
+    halvings of [0, smallest column norm of B] bracket sigma_min by that
+    test; three steps of inverse iteration with the factor at the last
+    passing shift then give a unit vector x and the value v = ||Bx||, so
+    sigma_min is never squared. Two more tests verify v: G - v^2 (1 -
+    2^-40) I must factor and G - v^2 (1 + 2^-40) I must not. A point that
+    fails either resumes its bisection for the rest of the 44 halvings and
+    redoes the inverse iteration, which gives the value of a 44-halving
+    bisection bit for bit. A value outside its bisection bracket, widened
+    by the test's rounding, is a ConvergenceFailure."""
+    s = np.abs(lam) + gb.norm
+    mu, kappa = lam / s, gb.norm / s
+    coarse = _coarse_halvings(gb.gram.shape[0])
+    lo, hi, value = _bisect_and_iterate(gb, lam, mu, kappa, np.zeros(lam.size),
+                                        np.full(lam.size, np.inf), coarse)
+    redo = np.flatnonzero(~_verified(gb, mu, kappa, value))
+    if redo.size:
+        # numpy's loops along an axis of length 1 round differently (no
+        # fused multiply-add, pairwise sums), so a lone point is redone
+        # beside a copy of itself, as in a chunk of the full bisection
+        redo = np.resize(redo, max(redo.size, 2))
+        lo[redo], hi[redo], value[redo] = _bisect_and_iterate(
+            gb, lam[redo], mu[redo], kappa[redo], lo[redo], hi[redo],
+            _HALVINGS - coarse)
     inside = ((value * value >= lo * lo - _BRACKET_SLACK)
               & (value * value <= hi * hi + _BRACKET_SLACK))
     if not inside.all():

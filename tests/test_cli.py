@@ -218,6 +218,15 @@ class TestExpand:
         assert main(["expand", "--theta", "rational:1/x"]) == 3
         assert "cannot parse theta 'rational:1/x'; expected" in capsys.readouterr().err
 
+    def test_theta_outside_the_unit_interval_is_quoted_up_to_64_characters(self, capsys):
+        for theta in ("rational:1" + "0" * 4000 + "/3",
+                      "surd:(1" + "0" * 3999 + "+1*sqrt(5))/1"):
+            assert main(["expand", "--theta", theta]) == 3
+            err = capsys.readouterr().err
+            assert len(err.encode()) < 300 and "characters) is not in (0,1)" in err
+        assert main(["expand", "--theta", "rational:3/2"]) == 3
+        assert "theta 'rational:3/2' is not in (0,1)" in capsys.readouterr().err
+
     def test_q_past_the_int_digit_limit_is_refused_before_any_row(self, capsys,
                                                                   digit_limit):
         # theta = sqrt(A^2 + 1) - A = [0; 2A, 2A, ...], so q_k ~ (2A)^k:

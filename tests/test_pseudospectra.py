@@ -253,7 +253,76 @@ class TestBandRoute:
         with pytest.raises(ConvergenceFailure, match="outside its bisection bracket"):
             compute_grid(build_operator(U_PLUS_2V, 3, 8), (-1, 1, -1, 1), (3, 3))
 
+    @staticmethod
+    def spy_passes(monkeypatch):
+        """(halvings, lambdas) of every bisection pass: the coarse pass of
+        each chunk, then the fallback of the points that failed to verify."""
+        passes = []
+        real = spectral._bisect_and_iterate
+
+        def recording(gb, lam, mu, kappa, lo, hi, halvings):
+            passes.append((halvings, lam.copy()))
+            return real(gb, lam, mu, kappa, lo, hi, halvings)
+
+        monkeypatch.setattr(spectral, "_bisect_and_iterate", recording)
+        return passes
+
+    @pytest.mark.parametrize("planted", (1.01, 0.99))
+    def test_planted_value_fails_verification_then_the_bracket(self, monkeypatch, planted):
+        # A1'x -> planted * A1'x + (1 - planted) * (lam / norm) * x makes
+        # Bx = mu x - kappa A1'x exactly `planted` times the true Bx, as
+        # kappa * lam / norm = mu: a value 1% high fails the lower test,
+        # one 1% low the upper test, and the fallback's full bracket then
+        # refuses it
+        model, lam = build_operator(U_PLUS_2V, 3, 8), 0.4 + 0.3j
+        coarse = spectral._coarse_halvings(8)
+        rest = spectral._HALVINGS - coarse
+        passes = self.spy_passes(monkeypatch)
+        self.banded(model, [lam])
+        assert [h for h, _ in passes] == [coarse]
+        real_matvec = spectral._band_matvec
+        ratio = lam / spec_norm_bound(U_PLUS_2V)
+        monkeypatch.setattr(spectral, "_band_matvec", lambda band, x: (
+            planted * real_matvec(band, x) + (1 - planted) * ratio * x))
+        passes.clear()
+        with pytest.raises(ConvergenceFailure, match="outside its bisection bracket"):
+            self.banded(model, [lam])
+        assert [h for h, _ in passes] == [coarse, rest]
+
+    def test_fallback_equals_the_full_bisection_bit_for_bit(self, monkeypatch):
+        # at and near eigenvalues the verifying tests sit at rounding level
+        # and fail, while grid points beside them verify. A point that
+        # falls back, with others or alone, must get the value of a run
+        # whose coarse pass is the whole bisection and whose values all
+        # count as verified, bit for bit
+        passes = self.spy_passes(monkeypatch)
+        partial = lone = False
+        for spec in (U_PLUS_2V, FOUR_TERM, WIDE):
+            for p, q in GOLDEN_ORDERS[2:]:
+                coarse = spectral._coarse_halvings(q)
+                model = build_operator(spec, p, q)
+                eigs = np.linalg.eigvals(model.entries)[::max(1, q // 30)]
+                grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6)).lambda_grid().ravel()
+                near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
+                for lam in (np.concatenate([grid, eigs, near]), np.append(grid, eigs[0])):
+                    passes.clear()
+                    got = self.banded(model, lam)
+                    # one chunk: its coarse pass, then at most one fallback
+                    rest = spectral._HALVINGS - coarse
+                    assert [h for h, _ in passes] in ([coarse], [coarse, rest])
+                    redone = np.isin(lam, passes[1][1] if len(passes) > 1 else [])
+                    partial |= 1 < redone.sum() < lam.size
+                    lone |= redone.sum() == 1
+                    with monkeypatch.context() as m:
+                        m.setattr(spectral, "_COARSE_HALVINGS", spectral._HALVINGS)
+                        m.setattr(spectral, "_verified",
+                                  lambda gb, mu, kappa, value: np.ones(value.size, dtype=bool))
+                        full = self.banded(model, lam)
+                    assert np.array_equal(got[redone], full[redone])
+        assert partial and lone
+
     def test_band_arrays_stay_within_4_mib(self, monkeypatch):
+        passes = self.spy_passes(monkeypatch)
         sizes = []
         real_cholesky = spectral._band_cholesky
 
@@ -272,6 +341,7 @@ class TestBandRoute:
         # q = 987 are one full chunk
         for p, q, resolution, chunks in ((89, 144, (25, 25), 2), (610, 987, (11, 8), 1)):
             model = build_operator(U_PLUS_2V, p, q)
+            passes.clear()
             sizes.clear()
             tracemalloc.start()
             try:
@@ -279,7 +349,14 @@ class TestBandRoute:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(sizes) == chunks * (spectral._HALVINGS + 1)
+            # per chunk, the coarse halvings, the factor for inverse
+            # iteration and the two verifying tests; per fallback, the
+            # remaining halvings and its own factor
+            coarse = spectral._coarse_halvings(q)
+            rest = spectral._HALVINGS - coarse
+            fallbacks = len(passes) - chunks
+            assert sorted(h for h, _ in passes) == sorted([coarse] * chunks + [rest] * fallbacks)
+            assert len(sizes) == chunks * (coarse + 1 + 2) + fallbacks * (rest + 1)
             assert max(sizes) <= 4 << 20
             # the Gram stack and its factor, then vectors; one dense
             # matrix at q = 987 alone is 14.9 MiB
