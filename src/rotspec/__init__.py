@@ -57,7 +57,6 @@ from .spectral import (
 )
 from .pseudospectra import (
     GridParams,
-    PointCloud,
     PseudospectrumGrid,
     SandwichReport,
     cloud_to_csv,
@@ -66,7 +65,6 @@ from .pseudospectra import (
     grid_to_pgm,
     level_set,
     sandwich_check,
-    union_spectrum,
 )
 from .approx import (
     ApproximationCertificate,

@@ -53,14 +53,13 @@ from .errors import (
 from .exact import PI_HI, PI_LO, float_down, float_up, sqrt_lower, sqrt_upper
 from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
+    _CHUNK_BUDGET,
     GridParams,
-    PointCloud,
     PseudospectrumGrid,
     _hermitian_distances,
     compute_grid,
     default_region,
     level_set,
-    spectra_union,
 )
 from .spectral import eigenvalues_auto
 
@@ -214,7 +213,7 @@ class ApproximationCertificate:
     def q_pair(self) -> tuple[int, int]:
         return self.pair[0][1], self.pair[1][1]
 
-    def to_json(self, cloud: Optional[PointCloud] = None) -> dict:
+    def to_json(self, cloud: Optional[np.ndarray] = None) -> dict:
         doc = {
             "theta": str(self.theta),
             "spec": self.spec.to_json(),
@@ -227,7 +226,7 @@ class ApproximationCertificate:
         if self.caveat:
             doc["caveat"] = self.caveat
         if cloud is not None:
-            doc["cloud"] = [[z.real, z.imag] for z in cloud.points]
+            doc["cloud"] = [[z.real, z.imag] for z in cloud.tolist()]
         return doc
 
 
@@ -291,9 +290,10 @@ def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
 def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
                    expansion: ContinuedFractionExpansion, n: int,
                    caveat: Optional[str],
-                   spectra: dict[int, np.ndarray]) -> tuple[PointCloud, ApproximationCertificate]:
-    """Level-n cloud and certificate; spectra memoizes the model spectra
-    by convergent index and gains the two this level needs."""
+                   spectra: dict[int, np.ndarray]) -> tuple[np.ndarray, ApproximationCertificate]:
+    """Level-n cloud, the multiset union of the two model spectra in the
+    eigen routes' order, and certificate; spectra memoizes the model
+    spectra by convergent index and gains the two this level needs."""
     for k in (n - 1, n):
         if k not in spectra:
             spectra[k] = _model_spectrum(spec, expansion, k)
@@ -307,11 +307,11 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
         mode="normal_hausdorff",
         caveat=caveat,
     )
-    return spectra_union(spectra[n - 1], spectra[n]), cert
+    return np.sort(np.concatenate([spectra[n - 1], spectra[n]]), kind="stable"), cert
 
 
 def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
-                   max_q: int = MAX_Q) -> tuple[PointCloud, ApproximationCertificate]:
+                   max_q: int = MAX_Q) -> tuple[np.ndarray, ApproximationCertificate]:
     """sigma(h_{n-1}) union sigma(h_n) with the certified radius
     epsilon_sharp; models must be normal."""
     caveat = _spectrum_caveat(theta, spec)
@@ -446,7 +446,7 @@ class OneSidedCertificate:
         }
 
 
-OneSidedResult = Union[PointCloud, PseudospectrumGrid]
+OneSidedResult = Union[np.ndarray, PseudospectrumGrid]
 
 
 def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
@@ -473,7 +473,7 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
     model = build_operator(spec, p, n)
     result: OneSidedResult
     try:
-        result = PointCloud(eigenvalues_auto(model))
+        result = eigenvalues_auto(model)
     except NotNormal:
         gp = grid_params or GridParams()
         region = gp.region or default_region(spec_norm_bound(spec), radius)
@@ -490,41 +490,38 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
 # set geometry
 # ---------------------------------------------------------------------------
 
-_DIRECTED_CHUNK = 1 << 18  # complex distances per block of rows of P
-
-
 def _directed(p: np.ndarray, q: np.ndarray) -> float:
     """max over p of the distance to q, the same float as one |P| x |Q|
     pass of complex abs. Two real clouds take the distance to the nearest
     sorted neighbour: rounded subtraction is monotone, and the abs of a
     real difference is exact. Any other pair takes row blocks of about
-    _DIRECTED_CHUNK distances, whose min and max are exact. (numpy's
+    _CHUNK_BUDGET distances, whose min and max are exact. (numpy's
     complex abs is not np.hypot, and the two can differ in the last bit,
     so a complex p keeps the blocks.)"""
     if not (p.imag.any() or q.imag.any()):
         return float(np.max(_hermitian_distances(np.sort(q.real), p)))
-    rows = max(1, _DIRECTED_CHUNK // len(q))
+    rows = max(1, _CHUNK_BUDGET // len(q))
     return max(
         float(np.max(np.min(np.abs(p[s:s + rows, None] - q[None, :]), axis=1)))
         for s in range(0, len(p), rows)
     )
 
 
-def hausdorff_distance(P: PointCloud, Q: PointCloud) -> float:
+def hausdorff_distance(P: np.ndarray, Q: np.ndarray) -> float:
     """max of the two directed max-min deviations, exact over the finite
-    clouds."""
+    real or complex clouds."""
     if len(P) == 0 or len(Q) == 0:
         raise EmptyCloud("Hausdorff distance needs nonempty clouds")
-    return max(_directed(P.points, Q.points), _directed(Q.points, P.points))
+    return max(_directed(P, Q), _directed(Q, P))
 
 
-def one_sided_contains(P: PointCloud, Q: PointCloud, delta: float) -> bool:
+def one_sided_contains(P: np.ndarray, Q: np.ndarray, delta: float) -> bool:
     """True iff every point of P is strictly within delta of Q."""
     if delta <= 0:
         raise InvalidInput(f"delta must be > 0, got {delta}")
     if len(P) == 0 or len(Q) == 0:
         raise EmptyCloud("containment test needs nonempty clouds")
-    return _directed(P.points, Q.points) < delta
+    return _directed(P, Q) < delta
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +577,7 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
     caveat = _spectrum_caveat(theta, spec)
     expansion = _expand_to_level(theta, n_max, max_q, "deepest level")
 
-    clouds: dict[int, PointCloud] = {}
+    clouds: dict[int, np.ndarray] = {}
     certs: dict[int, ApproximationCertificate] = {}
     spectra: dict[int, np.ndarray] = {}  # each convergent's model is solved once
     for n in levels:

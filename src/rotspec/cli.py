@@ -52,7 +52,7 @@ from .matmodel import OperatorSpec, build_operator
 from .pseudospectra import (
     DEFAULT_RESOLUTION,
     GridParams,
-    PointCloud,
+    PseudospectrumGrid,
     cloud_to_csv,
     grid_to_csv,
     grid_to_pgm,
@@ -407,12 +407,14 @@ def cmd_butterfly(opts) -> int:
 
 
 def _parse_n_list(value) -> list[int]:
-    if isinstance(value, list):
-        return value
-    try:
-        return [int(x) for x in value.split(",") if x.strip()]
-    except ValueError:
-        raise _UsageError(f"--n-list must be comma-separated integers, got {value!r}")
+    """The denominators of a flag's text or a config list, each once, in
+    the order of first occurrence."""
+    if not isinstance(value, list):
+        try:
+            value = [int(x) for x in value.split(",") if x.strip()]
+        except ValueError:
+            raise _UsageError(f"--n-list must be comma-separated integers, got {value!r}")
+    return list(dict.fromkeys(value))
 
 
 def cmd_onesided(opts) -> int:
@@ -435,16 +437,16 @@ def cmd_onesided(opts) -> int:
     summaries = []
     for n, result, cert in runs:
         entry = cert.to_json()
-        if isinstance(result, PointCloud):
-            entry["kind"] = "cloud"
-            entry["points"] = len(result)
-            out.write("csv", f"onesided_n{n}.csv", lambda: cloud_to_csv(result))
-        else:
+        if isinstance(result, PseudospectrumGrid):
             entry["kind"] = "grid"
             entry["region"] = list(result.region)
             entry["resolution"] = list(result.resolution)
             out.write("csv", f"onesided_n{n}.csv", lambda: grid_to_csv(result))
             out.write("pgm", f"onesided_n{n}.pgm", lambda: grid_to_pgm(result))
+        else:
+            entry["kind"] = "cloud"
+            entry["points"] = len(result)
+            out.write("csv", f"onesided_n{n}.csv", lambda: cloud_to_csv(result))
         summaries.append(entry)
         print(f"onesided: n={n} p={cert.chosen_p} radius={cert.radius:.17g} "
               f"kind={entry['kind']}")

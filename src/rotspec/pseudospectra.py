@@ -4,8 +4,8 @@ The epsilon-pseudospectrum of a matrix is the sublevel set
 {lambda : sigma_min(lambda*I - A) <= epsilon}; this module samples
 sigma_min on a rectangular grid, extracts level-set masks, verifies the
 perturbation sandwich mask_S(eps) within mask_T(eps+delta) within
-mask_S(eps+2*delta) for delta = ||S - T||, and forms direct-sum spectra
-as multiset unions without materializing block matrices.
+mask_S(eps+2*delta) for delta = ||S - T||, and serializes grids and
+point clouds (spectra, as the bare arrays the eigen routes return).
 
 compute_grid takes one of three routes, picked by the structure of its
 input and never by an option:
@@ -44,7 +44,6 @@ from .spectral import (
     _banded_sigma_min,
     _gram_band,
     as_matrix,
-    eigenvalues_auto,
     hermitian_eigenvalues,
     operator_norm,
     sigma_min_stack,
@@ -56,21 +55,6 @@ DEFAULT_RESOLUTION = (256, 256)
 _CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB (SVD stacks: q <= 512)
 _BAND_POINTS = 2048      # points per banded chunk, so small orders keep small arrays
 _CSV_LINES = 4096        # cloud points per serialized piece
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Finite multiset of complex points (duplicates carry multiplicity)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_1d(np.asarray(self.points, dtype=np.complex128))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -247,7 +231,8 @@ def level_set(grid: PseudospectrumGrid, epsilon: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Outcome of the two grid inclusions at resolvent tolerance slack.
+    """Outcome of the two grid inclusions at the resolvent tolerance
+    slack = 1e-7 * (max(||S||, ||T||) + max |lambda|) of sandwich_check.
 
     Violations beyond slack mean a computed sigma_min broke a certified
     inequality (a bug), and passed goes False; violations within slack
@@ -256,7 +241,6 @@ class SandwichReport:
 
     epsilon: float
     delta: float
-    slack: float
     resolution: tuple[int, int]
     region: Region
     inner_count: int
@@ -313,7 +297,6 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     return SandwichReport(
         epsilon=float(epsilon),
         delta=float(delta),
-        slack=float(slack),
         resolution=gp.resolution,
         region=grid_s.region,
         inner_count=int(inner.sum()),
@@ -327,33 +310,17 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
 
 
 # ---------------------------------------------------------------------------
-# direct-sum spectra
-# ---------------------------------------------------------------------------
-
-def spectra_union(ea: np.ndarray, eb: np.ndarray) -> PointCloud:
-    """Multiset union of two computed spectra, in lexicographic order."""
-    values = np.concatenate([ea, eb]).astype(np.complex128, copy=False)
-    return PointCloud(points=values[np.lexsort((values.imag, values.real))])
-
-
-def union_spectrum(A: MatrixLike, B: MatrixLike) -> PointCloud:
-    """Multiset union of the two spectra: the spectrum of the direct sum
-    without building it."""
-    return spectra_union(eigenvalues_auto(A), eigenvalues_auto(B))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def cloud_to_csv(cloud: PointCloud) -> Iterator[str]:
-    """The header re,im, then one line per point, every float as %.17g,
-    in pieces of at most _CSV_LINES lines."""
+def cloud_to_csv(cloud: np.ndarray) -> Iterator[str]:
+    """The header re,im, then one line per point of a real or complex
+    cloud, every float as %.17g (a real point's imaginary part is 0), in
+    pieces of at most _CSV_LINES lines."""
     yield "re,im\n"
-    pts = cloud.points
-    for start in range(0, len(pts), _CSV_LINES):
+    for start in range(0, len(cloud), _CSV_LINES):
         yield "".join([f"{z.real:.17g},{z.imag:.17g}\n"
-                       for z in pts[start:start + _CSV_LINES].tolist()])
+                       for z in cloud[start:start + _CSV_LINES].tolist()])
 
 
 def grid_to_csv(grid: PseudospectrumGrid) -> Iterator[str]:

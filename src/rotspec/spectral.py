@@ -3,7 +3,9 @@ singular values, operator norms, and normality tests.
 
 Every eigen route returns a bare array of eigenvalues with multiplicity:
 real and ascending on the Hermitian route, complex in lexicographic
-order (real part, then imaginary part) on the others.
+order (real part, then imaginary part) on the others. That is numpy's
+order for complex values; the stable sort keeps exact ties in input
+order.
 
 The Hermitian path computes eigenvalues only, through one banded route.
 A clock-and-shift model with largest |u-power| J is cyclic-banded: its
@@ -83,10 +85,6 @@ def as_matrix(A: MatrixLike) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def _sort_complex(values: np.ndarray) -> np.ndarray:
-    return values[np.lexsort((values.imag, values.real))]
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
@@ -213,7 +211,7 @@ def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver failed on a cluster: {exc}") from exc
         values[lo:hi] = (np.abs(rot) ** 2).T @ w1[lo:hi] + 1j * nu
-    return _sort_complex(values)
+    return np.sort(values, kind="stable")
 
 
 def eigenvalues_auto(A: MatrixLike) -> np.ndarray:
@@ -234,7 +232,8 @@ def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
     if q < 1:
         raise InvalidInput(f"order must be >= 1, got {q}")
     zeta = np.exp(2j * np.pi * (np.arange(q) / q))
-    return _sort_complex(complex(alpha_plus) * zeta + complex(alpha_minus) * np.conj(zeta))
+    values = complex(alpha_plus) * zeta + complex(alpha_minus) * np.conj(zeta)
+    return np.sort(values, kind="stable")
 
 
 # ---------------------------------------------------------------------------

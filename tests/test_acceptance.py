@@ -31,7 +31,7 @@ from rotspec.matmodel import (
     shift_matrix,
     unitarity_defect,
 )
-from rotspec.pseudospectra import GridParams, PointCloud, sandwich_check
+from rotspec.pseudospectra import GridParams, sandwich_check
 from rotspec.spectral import (
     hermitian_eigenvalues,
     normal_eigenvalues,
@@ -150,7 +150,7 @@ def test_criterion_05_two_sided_rate_ladder():
 
 
 def test_criterion_06_sharpness_floor():
-    samples = PointCloud(np.exp(2j * np.pi * np.arange(4096) / 4096))
+    samples = np.exp(2j * np.pi * np.arange(4096) / 4096)
     slack = 2 * np.pi / 4096
     e = expand(GOLDEN, 14)
     floors, dhs = [], []

@@ -32,6 +32,7 @@ from rotspec.approx import (
     sharp_bound,
     sharp_bound_exact,
 )
+from rotspec.cli import dumps_17g
 from rotspec.contfrac import expand, parse_theta
 from rotspec.errors import (
     CertificateViolation,
@@ -46,7 +47,7 @@ from rotspec.errors import (
 )
 from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator
-from rotspec.pseudospectra import GridParams, PointCloud, PseudospectrumGrid, cloud_to_csv
+from rotspec.pseudospectra import GridParams, PseudospectrumGrid, cloud_to_csv
 from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
@@ -205,8 +206,37 @@ class TestCertifyNormal:
             hermitian_eigenvalues(build_operator(AM, 3, 5)),
             hermitian_eigenvalues(build_operator(AM, 5, 8)),
         ])
-        assert np.allclose(np.sort(cloud.points.real), np.sort(direct), atol=1e-12)
-        assert np.all(cloud.points.imag == 0)
+        assert np.allclose(np.sort(cloud.real), np.sort(direct), atol=1e-12)
+        assert np.all(cloud.imag == 0)
+
+    def test_cloud_matches_block_diagonal(self):
+        # the cloud is the spectrum of the direct sum of the two models
+        cloud, cert = certify_normal(GOLDEN, AM, 4)
+        assert cert.q_pair == (3, 5)
+        (pa, qa), (pb, qb) = cert.pair
+        a, b = build_operator(AM, pa % qa, qa), build_operator(AM, pb % qb, qb)
+        block = np.zeros((8, 8), dtype=complex)
+        block[:3, :3] = a.entries
+        block[3:, 3:] = b.entries
+        direct = normal_eigenvalues(block)
+        assert np.allclose(np.sort(cloud.real), np.sort(direct.real), atol=1e-10)
+        assert np.allclose(cloud.imag, 0, atol=1e-10)
+        assert len(cloud) == 8
+
+    def test_cloud_keeps_duplicates(self):
+        # U at level 2 pairs q = 1 and 2: sigma = {1} and {-1, 1}
+        cloud, _ = certify_normal(GOLDEN, OperatorSpec.canonical(1, 0, 0, 0), 2)
+        assert np.allclose(cloud, [-1, 1, 1], atol=1e-14)
+
+    def test_real_cloud_writes_the_bytes_of_its_complex_cast(self):
+        # a Hermitian union stays real; its CSV and JSON are those of the
+        # same values cast to complex, signed zeros included
+        cloud, cert = certify_normal(GOLDEN, AM, 6)
+        assert cloud.dtype == np.float64
+        for values in (cloud, np.array([-0.0, 0.0, 1 / 3, -2.5, 5e-324])):
+            cast = values.astype(complex)
+            assert "".join(cloud_to_csv(values)) == "".join(cloud_to_csv(cast))
+            assert dumps_17g(cert.to_json(values)) == dumps_17g(cert.to_json(cast))
 
     def test_rational_theta_rejected(self):
         with pytest.raises(ThetaRational):
@@ -246,7 +276,7 @@ class TestCertifyNormal:
         orders.clear()
         result, _ = one_sided(GOLDEN, shift, 8)
         assert orders == [8]
-        assert isinstance(result, PointCloud) and len(result) == 8
+        assert isinstance(result, np.ndarray) and len(result) == 8
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetExceeded):
@@ -340,7 +370,7 @@ class TestCertifyPseudospectrum:
 class TestOneSided:
     def test_golden_n10(self):
         cloud, cert = one_sided(GOLDEN, AM, 10)
-        assert isinstance(cloud, PointCloud) and len(cloud) == 10
+        assert isinstance(cloud, np.ndarray) and len(cloud) == 10
         assert cert.chosen_p == 6  # round(10*0.618...) = 6
         assert cert.radius == 34.94926642600259
         assert not cert.wrapped and not cert.tie_broken
@@ -357,13 +387,13 @@ class TestOneSided:
         cloud, cert = one_sided(GOLDEN, AM, 1)
         assert cert.chosen_p == 0 and cert.wrapped  # round(0.618) = 1 = n
         assert len(cloud) == 1
-        assert cloud.points[0] == pytest.approx(4.0, abs=1e-14)  # h = [[4]]
+        assert cloud[0] == pytest.approx(4.0, abs=1e-14)  # h = [[4]]
         assert cert.radius == pytest.approx(36 * math.sqrt(3 * math.pi), rel=1e-12)
 
     def test_cloud_is_model_spectrum(self):
         cloud, cert = one_sided(GOLDEN, AM, 10)
         direct = hermitian_eigenvalues(build_operator(AM, 6, 10))
-        assert np.allclose(np.sort(cloud.points.real), np.sort(direct), atol=1e-12)
+        assert np.allclose(np.sort(cloud.real), np.sort(direct), atol=1e-12)
 
     def test_nonnormal_model_gets_grid(self):
         result, cert = one_sided(GOLDEN, U_PLUS_2V, 5, GridParams(resolution=(8, 8)))
@@ -379,7 +409,7 @@ class TestOneSided:
         for spec, n, route in ((shift, 8, normal_eigenvalues), (AM, 50, hermitian_eigenvalues)):
             cloud, cert = one_sided(GOLDEN, spec, n)
             direct = route(build_operator(spec, cert.chosen_p, n))
-            assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(PointCloud(direct)))
+            assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(direct))
 
     def test_general_spec_rejected(self):
         with pytest.raises(NonCanonicalSpec):
@@ -418,19 +448,18 @@ class TestOneSided:
 
 class TestSetGeometry:
     def test_hausdorff_asymmetric_example(self):
-        p = PointCloud(np.array([0.0 + 0j]))
-        q = PointCloud(np.array([3.0 + 0j, 4.0 + 0j]))
+        p = np.array([0.0 + 0j])
+        q = np.array([3.0 + 0j, 4.0 + 0j])
         assert hausdorff_distance(p, q) == 4.0
 
     def test_roots_of_unity_pair(self):
-        p = PointCloud(np.exp(2j * np.pi * np.arange(2) / 2))
-        q = PointCloud(np.exp(2j * np.pi * np.arange(4) / 4))
+        p = np.exp(2j * np.pi * np.arange(2) / 2)
+        q = np.exp(2j * np.pi * np.arange(4) / 4)
         assert hausdorff_distance(p, q) == pytest.approx(math.sqrt(2), rel=1e-15)
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(5)
-        clouds = [PointCloud(rng.standard_normal(k) + 1j * rng.standard_normal(k))
-                  for k in (4, 7, 5)]
+        clouds = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in (4, 7, 5)]
         a, b, c = clouds
         assert hausdorff_distance(a, a) == 0.0
         assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
@@ -464,8 +493,23 @@ class TestSetGeometry:
                 one_pass = float(np.max(np.min(np.abs(a[:, None] - b[None, :]), axis=1)))
                 assert approx._directed(a, b) == one_pass
 
+    def test_hausdorff_of_real_complex_and_mixed_arrays(self):
+        # real arrays, complex arrays and one of each: the same float as
+        # one |P| x |Q| pass of complex abs over the complex casts
+        rng = np.random.default_rng(29)
+        real = rng.standard_normal(60)
+        dupes = rng.integers(-3, 4, 50) / 3.0
+        cplx = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        clouds = (real, dupes, cplx, real.astype(complex), np.array([-0.0]))
+        for a in clouds:
+            for b in clouds:
+                d = np.abs(a.astype(complex)[:, None] - b.astype(complex)[None, :])
+                blocked = max(float(np.max(np.min(d, axis=1))),
+                              float(np.max(np.min(d, axis=0))))
+                assert hausdorff_distance(a, b) == blocked
+
     def test_real_clouds_take_the_sorted_route(self, monkeypatch):
-        monkeypatch.setattr(approx, "_DIRECTED_CHUNK", None)  # the blocks would fail
+        monkeypatch.setattr(approx, "_CHUNK_BUDGET", None)  # the blocks would fail
         a, b = np.array([3.0, -1.0, 2.0]) + 0j, np.array([0.5, 2.5]) + 0j
         assert approx._directed(a, b) == 1.5
         with pytest.raises(TypeError):
@@ -473,22 +517,22 @@ class TestSetGeometry:
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
-            hausdorff_distance(PointCloud(np.array([])), PointCloud(np.array([1.0])))
+            hausdorff_distance(np.array([]), np.array([1.0]))
 
     def test_containment_is_strict(self):
-        p = PointCloud(np.array([0.0 + 0j]))
-        q = PointCloud(np.array([1.0 + 0j]))
+        p = np.array([0.0 + 0j])
+        q = np.array([1.0 + 0j])
         assert not one_sided_contains(p, q, 0.5)
         assert one_sided_contains(p, q, 1.001)
         assert not one_sided_contains(p, q, 1.0)  # strictly within
         with pytest.raises(InvalidInput):
             one_sided_contains(p, q, 0.0)
         with pytest.raises(EmptyCloud):
-            one_sided_contains(PointCloud(np.array([])), q, 1.0)
+            one_sided_contains(np.array([]), q, 1.0)
 
     def test_subset_always_contained(self):
-        q = PointCloud(np.array([0.0, 1.0, 2.0]).astype(complex))
-        p = PointCloud(np.array([1.0, 2.0]).astype(complex))
+        q = np.array([0.0, 1.0, 2.0]).astype(complex)
+        p = np.array([1.0, 2.0]).astype(complex)
         assert one_sided_contains(p, q, 1e-12)
 
 

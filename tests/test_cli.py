@@ -22,13 +22,7 @@ from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
 from rotspec.errors import ConvergenceFailure, InvalidInput
 from rotspec.matmodel import OperatorSpec, build_operator
-from rotspec.pseudospectra import (
-    PointCloud,
-    PseudospectrumGrid,
-    cloud_to_csv,
-    grid_to_csv,
-    grid_to_pgm,
-)
+from rotspec.pseudospectra import PseudospectrumGrid, cloud_to_csv, grid_to_csv, grid_to_pgm
 from rotspec.spectral import hermitian_eigenvalues
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
@@ -116,8 +110,8 @@ class TestStreamedArtifacts:
         pts = rng.standard_normal(9000) + 1j * rng.standard_normal(9000)
         pts[:4] = [-0.0 + 0j, 5e-324 - 0.1j, 1e300 + 0j, complex(0.1, -0.0)]
         out = _writer(tmp_path, "csv")
-        out.write("csv", "cloud.csv", lambda: cloud_to_csv(PointCloud(pts)))
-        out.write("csv", "empty.csv", lambda: cloud_to_csv(PointCloud(np.array([]))))
+        out.write("csv", "cloud.csv", lambda: cloud_to_csv(pts))
+        out.write("csv", "empty.csv", lambda: cloud_to_csv(np.array([])))
         lines = ["re,im"] + [f"{z.real:.17g},{z.imag:.17g}" for z in pts]
         assert (tmp_path / "cloud.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         assert (tmp_path / "empty.csv").read_bytes() == b"re,im\n"
@@ -559,6 +553,29 @@ class TestOnesided:
             assert main(base + extra) == 2
             assert "--n-list must be comma-separated integers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_repeated_denominators_run_once(self, tmp_path, capsys, monkeypatch):
+        # a repeat is dropped, first occurrence kept, from the flag and
+        # from a config list alike
+        seen = []
+        real = cli.one_sided
+        monkeypatch.setattr(cli, "one_sided",
+                            lambda theta, spec, n, *a, **kw: seen.append(n)
+                            or real(theta, spec, n, *a, **kw))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_list": [8, 8, 5]}))
+        for i, extra in enumerate((["--n-list", "8,8,5"], ["--config", str(cfg)])):
+            out = tmp_path / f"out{i}"
+            seen.clear()
+            assert main(["onesided", "--theta", GOLDEN, "--out-dir", str(out), *extra]) == 0
+            assert seen == [8, 5]
+            printed = capsys.readouterr().out
+            assert printed.count("onesided: n=8 ") == 1
+            assert printed.count(f"wrote {out / 'onesided_n8.csv'}\n") == 1
+            assert sorted(p.name for p in out.iterdir()) == [
+                "onesided_n5.csv", "onesided_n8.csv", "onesided_summary.json"]
+            doc = json.loads((out / "onesided_summary.json").read_text())
+            assert [c["n"] for c in doc["certificates"]] == [8, 5]
 
 
 class TestConverge:

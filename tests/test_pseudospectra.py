@@ -22,7 +22,6 @@ from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import (
     GridParams,
-    PointCloud,
     PseudospectrumGrid,
     cloud_to_csv,
     compute_grid,
@@ -32,9 +31,8 @@ from rotspec.pseudospectra import (
     level_set,
     matrix_fingerprint,
     sandwich_check,
-    union_spectrum,
 )
-from rotspec.spectral import _banded_sigma_min, _gram_band, normal_eigenvalues, operator_norm
+from rotspec.spectral import _banded_sigma_min, _gram_band, operator_norm
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
@@ -529,29 +527,10 @@ class TestSandwich:
         assert rep.passed
 
 
-class TestUnionSpectrum:
-    def test_matches_block_diagonal(self):
-        a = build_operator(CANONICAL, 1, 3)
-        b = build_operator(CANONICAL, 2, 5)
-        cloud = union_spectrum(a, b)
-        block = np.zeros((8, 8), dtype=complex)
-        block[:3, :3] = a.entries
-        block[3:, 3:] = b.entries
-        direct = normal_eigenvalues(block)
-        assert np.allclose(np.sort(cloud.points.real), np.sort(direct.real),
-                           atol=1e-10)
-        assert np.allclose(cloud.points.imag, 0, atol=1e-10)
-        assert len(cloud) == 8
-
-    def test_multiset_keeps_duplicates(self):
-        cloud = union_spectrum(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
-        assert np.allclose(cloud.points, np.ones(5), atol=1e-14)
-
-
 class TestSerialization:
     def test_cloud_round_trip(self):
         pts = np.array([0.1 + 0.2j, -1.5 + 0j, 1 / 3 - 2 / 7j])
-        lines = "".join(cloud_to_csv(PointCloud(points=pts))).splitlines()
+        lines = "".join(cloud_to_csv(pts)).splitlines()
         assert lines[0] == "re,im"
         back = np.array([complex(*map(float, line.split(","))) for line in lines[1:]])
         assert np.array_equal(back, pts)  # 17 digits round-trip exactly

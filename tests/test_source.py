@@ -104,3 +104,22 @@ def test_artifacts_go_through_the_streaming_writer():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("write_text", "write_bytes")]
     assert not found, f"whole-file writes under src/: {found}"
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in that module, so a deletion
+    # cannot leave an import behind; __init__.py imports to re-export
+    found = []
+    for path, tree in _trees():
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, f"unused imports under src/: {found}"

@@ -339,6 +339,22 @@ class TestNormal:
         ev = normal_eigenvalues(np.diag([1 + 1j, 1 - 1j, 0 + 0j]))
         assert np.allclose(ev, [0, 1 - 1j, 1 + 1j], atol=1e-15)
 
+    def test_stable_sort_is_the_lexsort_bit_for_bit(self):
+        # numpy orders complex values by real part, then imaginary part,
+        # and the stable sort keeps exact ties (-0.0 == 0.0 among them) in
+        # input order, as a lexsort on (imag, real) does
+        rng = np.random.default_rng(31)
+        parts = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+        for size in (1, 2, 7, 40, 300):
+            for _ in range(20):
+                v = np.empty(size, dtype=complex)
+                v.real, v.imag = rng.choice(parts, size), rng.choice(parts, size)
+                got = np.sort(v, kind="stable")
+                assert got.tobytes() == v[np.lexsort((v.imag, v.real))].tobytes()
+        # the circulant oracle's real parts 2cos(2 pi k/q) tie in pairs
+        ev = circulant_four_term_eigenvalues(1, 1, 12)
+        assert ev.tobytes() == sort_complex(ev).tobytes()
+
     def test_trace_and_determinant_invariants(self):
         rng = np.random.default_rng(13)
         u = random_unitary(rng, 6)
