@@ -45,13 +45,12 @@ from .errors import (
     InvalidInput,
     ModelsNotNormal,
     NonCanonicalSpec,
-    NotNormal,
     PrecisionExhausted,
     ResourceBudgetExceeded,
     ThetaRational,
 )
 from .exact import PI_HI, PI_LO, float_down, float_up, sqrt_lower, sqrt_upper
-from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
+from .matmodel import OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
     _CHUNK_BUDGET,
     GridParams,
@@ -61,7 +60,7 @@ from .pseudospectra import (
     default_region,
     level_set,
 )
-from .spectral import eigenvalues_auto
+from .spectral import model_eigenvalues
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
 MAX_Q = 4096  # default matrix-order budget of every entry point
@@ -230,12 +229,6 @@ class ApproximationCertificate:
         return doc
 
 
-def _convergent_model(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
-                      k: int) -> MatrixModel:
-    p, q = expansion.convergent(k)
-    return build_operator(spec, p % q, q)  # v is q-periodic in p
-
-
 def _check_budget(q: int, max_q: int, what: str) -> None:
     """Refuse a matrix order above the budget before anything is built."""
     if q > max_q:
@@ -274,19 +267,6 @@ def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str
     return caveat
 
 
-def _model_spectrum(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
-                    k: int) -> np.ndarray:
-    """Spectrum of the model at convergent k; a non-Hermitian spec must
-    give a normal model."""
-    try:
-        return eigenvalues_auto(_convergent_model(spec, expansion, k))
-    except NotNormal as exc:
-        raise ModelsNotNormal(
-            "models are not normal; use certify_pseudospectrum (Hausdorff "
-            "control of the spectrum alone is not available here)"
-        ) from exc
-
-
 def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
                    expansion: ContinuedFractionExpansion, n: int,
                    caveat: Optional[str],
@@ -294,9 +274,15 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
     """Level-n cloud, the multiset union of the two model spectra in the
     eigen routes' order, and certificate; spectra memoizes the model
     spectra by convergent index and gains the two this level needs."""
-    for k in (n - 1, n):
+    for k in (n, n - 1):  # the larger order first: a refusal at q >= 3 builds no model
         if k not in spectra:
-            spectra[k] = _model_spectrum(spec, expansion, k)
+            p, q = expansion.convergent(k)
+            values = model_eigenvalues(spec, p % q, q)  # v is q-periodic in p
+            if values is None:
+                raise ModelsNotNormal("models are not normal; use certify_pseudospectrum "
+                                      "(Hausdorff control of the spectrum alone is not "
+                                      "available here)")
+            spectra[k] = values
     cert = ApproximationCertificate(
         theta=theta,
         spec=spec,
@@ -392,7 +378,8 @@ def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
         eps_sharp = eps_clean = eps_n = None
         certified = False
 
-    h_prev, h_curr = (_convergent_model(spec, expansion, k) for k in (n - 1, n))
+    h_prev, h_curr = (build_operator(spec, p % q, q)  # v is q-periodic in p
+                      for p, q in map(expansion.convergent, (n - 1, n)))
     margin = epsilon + 2 * (eps_n or 0.0)
     region = gp.region or default_region(spec_norm_bound(spec), margin)
     grid_prev = compute_grid(h_prev, region, gp.resolution, gp.jobs)
@@ -470,14 +457,11 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
         )
     radius = float_up(one_sided_constant_exact(spec) / sqrt_lower(n))
 
-    model = build_operator(spec, p, n)
-    result: OneSidedResult
-    try:
-        result = eigenvalues_auto(model)
-    except NotNormal:
+    result: Optional[OneSidedResult] = model_eigenvalues(spec, p, n)
+    if result is None:
         gp = grid_params or GridParams()
         region = gp.region or default_region(spec_norm_bound(spec), radius)
-        result = compute_grid(model, region, gp.resolution, gp.jobs)
+        result = compute_grid(build_operator(spec, p, n), region, gp.resolution, gp.jobs)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,
@@ -580,7 +564,7 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
     clouds: dict[int, np.ndarray] = {}
     certs: dict[int, ApproximationCertificate] = {}
     spectra: dict[int, np.ndarray] = {}  # each convergent's model is solved once
-    for n in levels:
+    for n in reversed(levels):  # deepest first: a spec without normal models builds none
         clouds[n], certs[n] = _certify_level(theta, spec, expansion, n, caveat, spectra)
     ref_sharp = certs[n_max].epsilon_sharp
     rows = tuple(

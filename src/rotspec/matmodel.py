@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -104,6 +105,23 @@ class OperatorSpec:
             j * k == 0 and by_slot.get((-j, -k)) == c.conjugate()
             for j, k, c in self.terms
         )
+
+    @property
+    def is_normal(self) -> bool:
+        """True iff the spec is canonical with a1 conj(b-1) = conj(a-1) b1 and
+        a1 conj(b1) = conj(a-1) b-1, exactly on the float parts. [A, A*] = K + K*
+        for K = c1 (1 - conj(omega)) u v + c2 (1 - omega) u v* on (i, i+1), c1
+        and c2 the differences: every model is normal when they vanish, and at
+        q >= 3 with omega^2 != 1 (every convergent's model there) only then."""
+        def times_conj(x: complex, y: complex) -> tuple[Fraction, Fraction]:
+            (xr, xi), (yr, yi) = (map(Fraction, (z.real, z.imag)) for z in (x, y))
+            return xr * yr + xi * yi, xi * yr - xr * yi
+
+        if not self.is_canonical:
+            return False
+        a1, am, b1, bm = self.canonical_four_term
+        return (times_conj(a1, bm) == times_conj(b1, am)
+                and times_conj(a1, b1) == times_conj(bm, am))
 
     def to_json(self) -> dict:
         doc = {

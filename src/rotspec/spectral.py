@@ -30,8 +30,14 @@ One small Hermitian eigensolve per cluster block gives nu and the
 rotation R; mu, the diagonal of R* diag(w1) R over the cluster, is the
 |R|^2-weighted mean of its w1. The eigenvalues are mu + i*nu.
 
-eigenvalues_auto is the one route picker: the Hermitian route when it
-accepts the matrix (a Hermitian spec's model always), else the normal route.
+model_eigenvalues takes one route per model, picked by the spec's
+coefficients (OperatorSpec.is_normal decides normality exactly):
+  Hermitian spec          the Hermitian route
+  order q <= 2 (u = u*)   the dense Hermitian check, then that or the normal route
+  (i) no V terms          circulant_four_term_eigenvalues
+  (ii) no U terms         the same closed form over the powers of omega
+  (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
+  other canonical spec    not normal (None), and no model is built
 
 Every singular value of a dense matrix comes from one SVD route,
 _singular_values: numpy's divide-and-conquer SVD, batched through the
@@ -62,14 +68,15 @@ import.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidInput, NotHermitian, NotNormal
-from .matmodel import MatrixModel, spec_norm_bound
+from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 
 MatrixLike = Union[MatrixModel, np.ndarray]
 
@@ -163,18 +170,19 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     return ab[k - kept:k + kept + 1]
 
 
+def _hermitian_within_tolerance(a: np.ndarray) -> bool:  # in Frobenius norms
+    scale = float(np.linalg.norm(a))
+    defect = float(np.linalg.norm(a - a.conj().T))
+    return not (defect > HERMITIAN_TOL * max(scale, 1e-300) and scale > 0)
+
+
 def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
     (see the module docstring for the banded route). A Hermitian spec's
     model is Hermitian by construction and skips the defect check."""
-    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian):
-        a = as_matrix(A)
-        scale = float(np.linalg.norm(a))
-        defect = float(np.linalg.norm(a - a.conj().T))
-        if defect > HERMITIAN_TOL * max(scale, 1e-300) and scale > 0:
-            raise NotHermitian(
-                f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e} * ||A||"
-            )
+    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian
+            or _hermitian_within_tolerance(as_matrix(A))):
+        raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
     import scipy.linalg
 
     try:
@@ -193,6 +201,10 @@ def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
     a = as_matrix(A)
     if not is_normal(a):
         raise NotNormal(f"matrix is not normal within relative tolerance {NORMAL_TOL:.0e}")
+    return _commuting_pair_eigenvalues(a)
+
+
+def _commuting_pair_eigenvalues(a: np.ndarray) -> np.ndarray:
     h1 = (a + a.conj().T) / 2
     h2 = (a - a.conj().T) / 2j
     try:
@@ -214,26 +226,42 @@ def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
     return np.sort(values, kind="stable")
 
 
-def eigenvalues_auto(A: MatrixLike) -> np.ndarray:
-    """The Hermitian route when the matrix is Hermitian within tolerance,
-    else the normal route; the Hermitian route's own defect check
-    decides, so each matrix is tested once."""
-    try:
-        return hermitian_eigenvalues(A)
-    except NotHermitian:
-        return normal_eigenvalues(A)
-
-
 def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
                                     q: int) -> np.ndarray:
-    """Analytic eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the
-    q-th roots of unity zeta^k; the independent oracle for circulant
-    four-term specs (beta terms zero)."""
+    """Eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the q-th
+    roots of unity zeta^k, in closed form: the route of the circulant
+    alpha_1 u + alpha_-1 u* and, over the powers of omega, of the
+    diagonal beta_1 v + beta_-1 v* (model_eigenvalues)."""
     if q < 1:
         raise InvalidInput(f"order must be >= 1, got {q}")
     zeta = np.exp(2j * np.pi * (np.arange(q) / q))
     values = complex(alpha_plus) * zeta + complex(alpha_minus) * np.conj(zeta)
     return np.sort(values, kind="stable")
+
+
+def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray]:
+    """Eigenvalues of the model of a Hermitian or canonical spec at p/q by
+    the route table of the module docstring; None when it is not normal,
+    also at q >= 3 when omega^2 = 1 (p = 0 or 2p = q) would make it so."""
+    if spec.is_hermitian:
+        return hermitian_eigenvalues(build_operator(spec, p, q))
+    if q <= 2:
+        model = build_operator(spec, p, q)
+        if _hermitian_within_tolerance(model.entries):
+            return hermitian_eigenvalues(model)
+        return _commuting_pair_eigenvalues(model.entries) if is_normal(model) else None
+    if not spec.is_normal:
+        return None
+    a1, am, b1, bm = spec.canonical_four_term
+    if not (b1 or bm):
+        return circulant_four_term_eigenvalues(a1, am, q)
+    if not (a1 or am):  # v takes each (q/g)-th root of unity g = gcd(p, q) times
+        g = math.gcd(p, q)
+        return np.repeat(circulant_four_term_eigenvalues(b1, bm, q // g), g)
+    r = cmath.sqrt(a1 / abs(a1) * (am / abs(am)))  # e^(i phi): |a1| = |am| in class (iii)
+    h, g = a1 * r.conjugate(), b1 * r.conjugate()
+    rotated = OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())
+    return np.sort(r * hermitian_eigenvalues(build_operator(rotated, p, q)), kind="stable")
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,13 @@ from rotspec.errors import (
     ThetaRational,
 )
 from rotspec.exact import float_up
-from rotspec.matmodel import OperatorSpec, build_operator
+from rotspec.matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import GridParams, PseudospectrumGrid, cloud_to_csv
-from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
+from rotspec.spectral import (
+    circulant_four_term_eigenvalues,
+    hermitian_eigenvalues,
+    normal_eigenvalues,
+)
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -259,11 +263,13 @@ class TestCertifyNormal:
             certify_normal(GOLDEN, U_PLUS_2V, 3)
 
     def test_normality_tested_once_per_model(self, monkeypatch):
+        # from order 3 on the spec's coefficients decide normality, so no
+        # model is tested densely; below it each model is tested once
         orders = []
         real_is_normal = spectral.is_normal
 
         def counting(a, *args, **kwargs):
-            orders.append(np.asarray(a).shape[0])
+            orders.append(spectral.as_matrix(a).shape[0])
             return real_is_normal(a, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "is_normal", counting)
@@ -271,12 +277,46 @@ class TestCertifyNormal:
         monkeypatch.setattr(approx, "is_normal", counting, raising=False)
         shift = OperatorSpec.canonical(1, 0, 0, 0)
         cloud, _ = certify_normal(GOLDEN, shift, 5)
-        assert orders == [5, 8]
+        assert orders == []
         assert len(cloud) == 13
-        orders.clear()
         result, _ = one_sided(GOLDEN, shift, 8)
-        assert orders == [8]
+        assert orders == []
         assert isinstance(result, np.ndarray) and len(result) == 8
+        # level 2 pairs q = 1 and 2, the larger first; iU + iV is normal and
+        # not Hermitian there, U + iV is not normal at q = 2
+        cloud, _ = certify_normal(GOLDEN, OperatorSpec.canonical(1j, 0, 1j, 0), 2)
+        assert orders == [2, 1] and len(cloud) == 3
+        orders.clear()
+        with pytest.raises(ModelsNotNormal):
+            certify_normal(GOLDEN, OperatorSpec.canonical(1, 0, 1j, 0), 2)
+        assert orders == [2]
+
+    def test_orders_1_and_2_keep_the_dense_cascade_bytes(self):
+        # u = u* below order 3, so the dense Hermitian check still picks the
+        # route there; V + 2V* at q = 2 is diag(3, -3) within rounding
+        root5 = math.sqrt(5)
+        for spec, n, floats in ((U_PLUS_2V, 1, [3.0, 3.0]),
+                                (U_PLUS_2V, 2, [-root5, root5, 3.0]),
+                                (OperatorSpec.canonical(0, 0, 1, 2), 2, [-3.0, 3.0, 3.0])):
+            cloud, _ = certify_normal(GOLDEN, spec, n)
+            assert cloud.dtype == np.float64 and cloud.tolist() == floats
+
+    def test_normal_within_rounding_only_is_refused(self):
+        # e^{0.3i} times a Hermitian spec, rounded: the equations fail
+        # exactly, so the certificate's hypothesis does not hold
+        r, h, g = complex(math.cos(0.3), math.sin(0.3)), 0.7 - 0.2j, 1.3 + 0.4j
+        spec = OperatorSpec.canonical(r * h, r * h.conjugate(), r * g, r * g.conjugate())
+        with pytest.raises(ModelsNotNormal):
+            certify_normal(GOLDEN, spec, 8)
+
+    def test_exactly_rotated_spec_is_accepted(self):
+        # (1 + i) H with H = canonical(0.5 + 0.25i, 0.5 - 0.25i, 1 - 0.5i, 1 + 0.5i)
+        rotated = OperatorSpec.canonical(0.25 + 0.75j, 0.75 + 0.25j, 1.5 + 0.5j, 0.5 + 1.5j)
+        hermitian = OperatorSpec.canonical(0.5 + 0.25j, 0.5 - 0.25j, 1 - 0.5j, 1 + 0.5j)
+        cloud, cert = certify_normal(GOLDEN, rotated, 8)
+        assert len(cloud) == 55 and cert.q_pair == (21, 34)
+        reference = (1 + 1j) * certify_normal(GOLDEN, hermitian, 8)[0]
+        assert hausdorff_distance(cloud, reference) <= 1e-12 * spec_norm_bound(rotated)
 
     def test_budget(self):
         with pytest.raises(ResourceBudgetExceeded):
@@ -403,13 +443,47 @@ class TestOneSided:
             2 * 36 * math.sqrt(3 * math.pi) / math.sqrt(5), rel=1e-10)  # M = 2
 
     def test_one_dispatcher_picks_the_route(self):
-        # the shift model is normal, AM's is Hermitian; the cloud is the
-        # chosen route's output, byte for byte
+        # the spec picks the route, and the cloud is that route's output,
+        # byte for byte: a Hermitian spec the banded route, a circulant the
+        # closed form, and below order 3 a normal non-Hermitian model the
+        # normal route
         shift = OperatorSpec.canonical(1, 0, 0, 0)
-        for spec, n, route in ((shift, 8, normal_eigenvalues), (AM, 50, hermitian_eigenvalues)):
+        normal_q2 = OperatorSpec.canonical(1j, 0, 1j, 0)
+        for spec, n, route in (
+                (shift, 8, lambda p: circulant_four_term_eigenvalues(1, 0, 8)),
+                (AM, 50, lambda p: hermitian_eigenvalues(build_operator(AM, p, 50))),
+                (normal_q2, 2, lambda p: normal_eigenvalues(build_operator(normal_q2, p, 2)))):
             cloud, cert = one_sided(GOLDEN, spec, n)
-            direct = route(build_operator(spec, cert.chosen_p, n))
+            direct = route(cert.chosen_p)
             assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(direct))
+
+    def test_spec_paths_never_read_the_dense_entries(self, monkeypatch):
+        # from order 3 on, the Hermitian, circulant, diagonal and rotated
+        # routes and the grid of a non-normal spec all work from the model's
+        # nonzeros or the coefficients
+        def no_entries(model):
+            raise AssertionError(f"dense entries of a q = {model.order} model read")
+
+        monkeypatch.setattr(MatrixModel, "entries", property(no_entries))
+        for spec in (AM, OperatorSpec.canonical(1, 2, 0, 0), OperatorSpec.canonical(0, 0, 1, 2j),
+                     OperatorSpec.canonical(1j, 1j, 2j, 2j)):
+            assert len(certify_normal(GOLDEN, spec, 6)[0]) == 21
+            assert len(convergence_study(GOLDEN, spec, range(4, 7)).rows) == 3
+            assert len(one_sided(GOLDEN, spec, 10)[0]) == 10  # p = 6 shares a factor with 10
+        grid, cert = one_sided(GOLDEN, U_PLUS_2V, 987, GridParams(resolution=(4, 4)))
+        assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == 610
+
+    def test_non_normal_spec_refused_before_any_model(self, monkeypatch):
+        builds = []
+        build = build_operator
+        for module in (approx, spectral):
+            monkeypatch.setattr(module, "build_operator",
+                                lambda *a: builds.append(a[1:]) or build(*a))
+        with pytest.raises(ModelsNotNormal):
+            certify_normal(GOLDEN, U_PLUS_2V, 3)  # orders 2 and 3
+        with pytest.raises(ModelsNotNormal):
+            convergence_study(GOLDEN, U_PLUS_2V, range(1, 6))  # orders 1 to 8
+        assert builds == []
 
     def test_general_spec_rejected(self):
         with pytest.raises(NonCanonicalSpec):
@@ -561,9 +635,9 @@ class TestConvergenceStudy:
 
     def test_each_model_solved_once(self, monkeypatch):
         solved, expansions = [], []
-        solve, expand_ = approx.eigenvalues_auto, approx.expand
-        monkeypatch.setattr(approx, "eigenvalues_auto",
-                            lambda m: solved.append(m.order) or solve(m))
+        solve, expand_ = approx.model_eigenvalues, approx.expand
+        monkeypatch.setattr(approx, "model_eigenvalues",
+                            lambda spec, p, q: solved.append(q) or solve(spec, p, q))
         monkeypatch.setattr(approx, "expand",
                             lambda *a: expansions.append(a) or expand_(*a))
         table = convergence_study(GOLDEN, AM, range(3, 9))

@@ -284,9 +284,10 @@ class TestSpectrum:
 
     def test_svd_failure_takes_the_gesvd_retry_then_exits_4(self, tmp_path, capsys,
                                                               monkeypatch):
-        # the normal route of spec U reads operator norms from the SVD
-        argv = ["spectrum", "--theta", GOLDEN, "--spec", U_JSON, "--format", "csv",
-                "--out-dir"]
+        # below order 3 the dense cascade decides, and the normal route of
+        # spec iU reads operator norms from the SVD
+        argv = ["spectrum", "--theta", GOLDEN, "--spec", '{"canonical": {"a+": [0,1]}}',
+                "--level", "2", "--format", "csv", "--out-dir"]
         assert main(argv + [str(tmp_path / "plain")]) == 0
         failures = []
 
@@ -299,12 +300,23 @@ class TestSpectrum:
         assert failures
         plain, retry = (np.loadtxt(tmp_path / d / "spectrum_cloud.csv", delimiter=",",
                                    skiprows=1) for d in ("plain", "retry"))
-        assert plain.shape == retry.shape == (13, 2)
+        assert plain.shape == retry.shape == (3, 2)
         assert np.max(np.abs(plain - retry)) <= 1e-12
         monkeypatch.setattr(scipy.linalg, "svd", failing)
         assert main(argv + [str(tmp_path / "failed")]) == 4
         assert "numerical failure: SVD failed" in capsys.readouterr().err
         assert "gesvd" in failures
+
+    def test_normal_only_within_rounding_exits_3_before_any_file(self, tmp_path, capsys):
+        # e^{0.3i} times a Hermitian spec, rounded to floats, is refused
+        r, h, g = complex(math.cos(0.3), math.sin(0.3)), 0.7 - 0.2j, 1.3 + 0.4j
+        coefficients = (r * h, r * h.conjugate(), r * g, r * g.conjugate())
+        parts = {key: [c.real, c.imag] for key, c in zip(("a+", "a-", "b+", "b-"), coefficients)}
+        out = tmp_path / "out"
+        assert main(["spectrum", "--theta", GOLDEN, "--level", "8", "--out-dir", str(out),
+                     "--spec", json.dumps({"canonical": parts})]) == 3
+        assert "models are not normal" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_radius_outside_the_float_range(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -259,3 +259,51 @@ class TestBuildOperator:
             h = build_operator(CANONICAL, p, q).entries
             assert abs(np.trace(h)) < 1e-13
 
+
+
+class TestStructuralNormality:
+    """OperatorSpec.is_normal, decided on the coefficients alone, against
+    the dense normality test of the model."""
+
+    # exact binary values and values whose products round
+    POOL = (0, 1, -2, 0.5, 0.1, 1 / 3, 0.1 + 1j / 3, -0.75 + 0.25j, 1j, 1.5 - 0.1j)
+    # rotations whose products with a conjugate pair stay an exact pair
+    ROTATIONS = (1, -1, 1j, 1 + 1j, 1 - 1j, -0.5 + 0.5j)
+
+    def pattern(self, rng: np.random.Generator) -> OperatorSpec:
+        x, y = (complex(self.POOL[i]) for i in rng.integers(len(self.POOL), size=2))
+        kind = int(rng.integers(5))
+        if kind == 0:  # (i) no V terms
+            return OperatorSpec.canonical(x, y, 0, 0)
+        if kind == 1:  # (ii) no U terms
+            return OperatorSpec.canonical(0, 0, x, y)
+        if kind == 2:  # (iii) a rotated Hermitian spec
+            r = self.ROTATIONS[int(rng.integers(len(self.ROTATIONS)))]
+            return OperatorSpec.canonical(r * x, r * x.conjugate(), r * y, r * y.conjugate())
+        return OperatorSpec.canonical(*(self.POOL[i] for i in rng.integers(len(self.POOL), size=4)))
+
+    def test_classes(self):
+        assert CANONICAL.is_normal
+        assert OperatorSpec.canonical(1, 2, 0, 0).is_normal
+        assert OperatorSpec.canonical(0, 0, 1j, 3).is_normal
+        assert OperatorSpec.canonical(0.25 + 0.75j, 0.75 + 0.25j, 1.5 + 0.5j, 0.5 + 1.5j).is_normal
+        assert not OperatorSpec.canonical(1, 0, 2, 0).is_normal
+        assert not OperatorSpec.general([(1, 1, 1.0)]).is_normal  # not canonical
+        # normal within rounding only: e^{0.3i} times a Hermitian spec
+        r, h, g = complex(math.cos(0.3), math.sin(0.3)), 0.7 - 0.2j, 1.3 + 0.4j
+        spec = OperatorSpec.canonical(r * h, r * h.conjugate(), r * g, r * g.conjugate())
+        assert not spec.is_normal
+
+    def test_matches_the_dense_test_for_every_coprime_p(self):
+        from rotspec.spectral import is_normal
+
+        rng = np.random.default_rng(2024)
+        both = set()
+        for q in range(3, 65):
+            specs = [self.pattern(rng) for _ in range(4)]
+            for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
+                for spec in specs:
+                    dense = is_normal(build_operator(spec, p, q).entries)
+                    assert spec.is_normal == dense, (spec.canonical_four_term, p, q)
+                    both.add(dense)
+        assert both == {True, False}

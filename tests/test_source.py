@@ -123,3 +123,16 @@ def test_no_unused_imports():
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, f"unused imports under src/: {found}"
+
+
+def test_approx_dispatches_on_the_spec_not_on_exceptions():
+    # the spec's coefficients pick each eigen route (model_eigenvalues);
+    # a handler for a solver's refusal would be a second dispatcher
+    tree = ast.parse((PACKAGE / "approx.py").read_text(encoding="utf-8"))
+    caught = [f"approx.py:{node.lineno}: {name}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for name in (n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute)))
+              if name in ("NotNormal", "NotHermitian")]
+    assert not caught, f"solver refusals caught in approx: {caught}"

@@ -2,11 +2,12 @@
 
 Oracle strategy: planted-spectrum constructions (unitary conjugations of
 known diagonals), closed forms for circulants and 2x2 Jordan blocks,
-and dense LAPACK eigvalsh against the banded Hermitian route and against
-the normal route on rotated Hermitian models. sigma_min of a dense
-matrix has one route, the SVD; the grid routes (distances, the banded
-Gram-Cholesky test) are checked point by point against np.linalg.svd
-in test_pseudospectra.
+dense LAPACK eigvalsh against the banded Hermitian route and against
+the normal route on rotated Hermitian models, and the normal route on
+the dense entries against the routes a spec picks (model_eigenvalues).
+sigma_min of a dense matrix has one route, the SVD; the grid routes
+(distances, the banded Gram-Cholesky test) are checked point by point
+against np.linalg.svd in test_pseudospectra.
 """
 
 import math
@@ -15,14 +16,22 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rotspec.spectral as spectral
+from rotspec.approx import hausdorff_distance
 from rotspec.errors import ConvergenceFailure, NotHermitian, NotNormal
-from rotspec.matmodel import OperatorSpec, _clock_diagonal, build_operator, shift_matrix
+from rotspec.matmodel import (
+    OperatorSpec,
+    _clock_diagonal,
+    build_operator,
+    shift_matrix,
+    spec_norm_bound,
+)
 from rotspec.spectral import (
     _interleaved_band,
     circulant_four_term_eigenvalues,
-    eigenvalues_auto,
     hermitian_eigenvalues,
     is_normal,
+    model_eigenvalues,
     normal_eigenvalues,
     operator_norm,
     sigma_min_stack,
@@ -60,11 +69,14 @@ class TestRoutesReturnArrays:
         u = random_unitary(rng, 7)
         normal = u @ np.diag(lam) @ u.conj().T
         hermitian = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 3, 8)
+        spec_routes = [(model_eigenvalues(OperatorSpec.canonical(*c), p, 8), np.complex128, 8)
+                       for c in ((1, 2, 0, 0), (0, 0, 1, 2j), (1j, 1j, 2j, 2j)) for p in (2, 3)]
         for got, dtype, n in ((hermitian_eigenvalues(hermitian), np.float64, 8),
-                              (eigenvalues_auto(hermitian), np.float64, 8),
+                              (model_eigenvalues(hermitian.spec, 3, 8), np.float64, 8),
+                              (model_eigenvalues(hermitian.spec, 1, 2), np.float64, 2),
                               (normal_eigenvalues(normal), np.complex128, 7),
-                              (eigenvalues_auto(normal), np.complex128, 7),
-                              (circulant_four_term_eigenvalues(1, 2j, 9), np.complex128, 9)):
+                              (circulant_four_term_eigenvalues(1, 2j, 9), np.complex128, 9),
+                              *spec_routes):
             assert type(got) is np.ndarray and got.dtype == dtype and got.shape == (n,)
             if dtype is np.float64:
                 assert np.all(np.diff(got) >= 0)
@@ -295,6 +307,47 @@ class TestCirculant:
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
             numeric = normal_eigenvalues(h)
             assert np.allclose(analytic, numeric, atol=1e-12)
+
+
+class TestSpecRoutes:
+    """model_eigenvalues on classes (i), (ii) and (iii) against the normal
+    route on the dense entries, within 1e-12 * max(1, sum |c|): by
+    Hausdorff distance, and by the sorted real parts, imaginary parts and
+    moduli, which carry the multiplicities. (Elementwise, exact ties on
+    paper flip their lexicographic order.)"""
+
+    def test_classes_match_the_normal_route_at_every_p(self):
+        rng = np.random.default_rng(11)
+        rotations = (1j, -1j, 1 + 1j, 1 - 1j, 0.5 + 0.5j, -0.5 + 0.5j, -1 - 1j)
+        for q in range(3, 25):
+            # dyadic parts keep a rotated conjugate pair an exact pair
+            x, y = (complex(*rng.integers(-16, 17, size=2) / 8) or 1 for _ in range(2))
+            r = rotations[q % len(rotations)]
+            u, v = (complex(*rng.standard_normal(2)) for _ in range(2))
+            specs = [OperatorSpec.canonical(u, v, 0, 0), OperatorSpec.canonical(0, 0, u, v),
+                     OperatorSpec.canonical(r * x, r * x.conjugate(), r * y, r * y.conjugate())]
+            for spec in specs:
+                assert spec.is_normal and not spec.is_hermitian
+                scale = max(1.0, spec_norm_bound(spec))
+                for p in range(q):  # p sharing a factor with q too, as in one_sided
+                    got = model_eigenvalues(spec, p, q)
+                    want = normal_eigenvalues(build_operator(spec, p, q))
+                    assert got.shape == want.shape == (q,)
+                    assert hausdorff_distance(got, want) <= 1e-12 * scale
+                    for part in (np.real, np.imag, np.abs):
+                        gap = np.abs(np.sort(part(got)) - np.sort(part(want)))
+                        assert np.max(gap) <= 1e-12 * scale
+
+    def test_no_u_terms_is_the_model_diagonal_bit_for_bit(self):
+        for q in (13, 21, 89):
+            for p in (1, 5, q - 1):
+                spec = OperatorSpec.canonical(0, 0, 1.3 - 0.2j, 0.1 + 1j / 3)
+                diagonal = np.sort(np.diag(build_operator(spec, p, q).entries), kind="stable")
+                assert np.array_equal(model_eigenvalues(spec, p, q), diagonal)
+
+    def test_non_normal_spec_builds_no_model(self, monkeypatch):
+        monkeypatch.setattr(spectral, "build_operator", None)  # any build would fail
+        assert model_eigenvalues(OperatorSpec.canonical(1, 0, 2, 0), 3, 8) is None
 
 
 class TestNormal:
