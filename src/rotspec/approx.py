@@ -52,10 +52,10 @@ from .errors import (
 from .exact import PI_HI, PI_LO, float_down, float_up, sqrt_lower, sqrt_upper
 from .matmodel import OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
-    _CHUNK_BUDGET,
     GridParams,
     PseudospectrumGrid,
     _hermitian_distances,
+    _nearest_distances,
     compute_grid,
     default_region,
     level_set,
@@ -478,17 +478,12 @@ def _directed(p: np.ndarray, q: np.ndarray) -> float:
     """max over p of the distance to q, the same float as one |P| x |Q|
     pass of complex abs. Two real clouds take the distance to the nearest
     sorted neighbour: rounded subtraction is monotone, and the abs of a
-    real difference is exact. Any other pair takes row blocks of about
-    _CHUNK_BUDGET distances, whose min and max are exact. (numpy's
-    complex abs is not np.hypot, and the two can differ in the last bit,
-    so a complex p keeps the blocks.)"""
+    real difference is exact. Any other pair takes blocked nearest
+    distances. (numpy's complex abs is not np.hypot, and the two can
+    differ in the last bit, so a complex p keeps the blocks.)"""
     if not (p.imag.any() or q.imag.any()):
         return float(np.max(_hermitian_distances(np.sort(q.real), p)))
-    rows = max(1, _CHUNK_BUDGET // len(q))
-    return max(
-        float(np.max(np.min(np.abs(p[s:s + rows, None] - q[None, :]), axis=1)))
-        for s in range(0, len(p), rows)
-    )
+    return float(np.max(_nearest_distances(p, q)))
 
 
 def hausdorff_distance(P: np.ndarray, Q: np.ndarray) -> float:

@@ -176,11 +176,12 @@ def spec_norm_bound(spec: OperatorSpec) -> float:
 
 @dataclass(frozen=True)
 class MatrixModel:
-    """q x q realization of spec: term t puts values[t, i] at row i,
+    """q x q realization of spec at p/q: term t puts values[t, i] at row i,
     column columns[t, i]. entries, the dense column-major matrix, sums the
     terms in order on first use. All arrays are write-protected."""
 
     order: int
+    p: int
     spec: OperatorSpec
     columns: np.ndarray
     values: np.ndarray
@@ -240,7 +241,7 @@ def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
     for t, (j, k, c) in enumerate(spec.terms):
         columns[t] = (rows + j) % q
         values[t] = c * _clock_diagonal(p, q, power=k)[columns[t]]
-    return MatrixModel(order=q, spec=spec, columns=columns, values=values)
+    return MatrixModel(order=q, p=p, spec=spec, columns=columns, values=values)
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,21 @@ perturbation sandwich mask_S(eps) within mask_T(eps+delta) within
 mask_S(eps+2*delta) for delta = ||S - T||, and serializes grids and
 point clouds (spectra, as the bare arrays the eigen routes return).
 
-compute_grid takes one of three routes, picked by the structure of its
-input and never by an option:
+compute_grid takes one of two routes, never picked by an option:
 
-* Hermitian input (a model of a Hermitian spec, or an array equal to its
-  conjugate transpose exactly): one eigensolve, then
-  sigma_min(lambda*I - H) = dist(lambda, sigma(H)) at each point, from
-  the sorted eigenvalues by searchsorted;
-* any other model: the banded Gram-Cholesky test of
+* normal input, as the spec decides it (a model of a Hermitian spec or,
+  from order 3, of a spec with OperatorSpec.is_normal), or an array
+  equal to its conjugate transpose exactly: sigma_min(lambda*I - A) =
+  dist(lambda, sigma(A)) (Trefethen & Embree, Spectra and Pseudospectra,
+  2005, ch. 2), by searchsorted on real eigenvalues and by row blocks of
+  distances to complex ones;
+* everything else: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
-  Gram half-bandwidth, on numpy only, without the dense matrix;
-* any other array: a batched SVD of the stacks lambda*I - A.
+  Gram half-bandwidth, on numpy only, without a model's dense matrix.
 
-Grid evaluation is deterministic by construction: the last two routes
-split the points into chunks whose size depends only on the order, the
-band and the grid (never on the worker count), and workers write
-disjoint slices, so the same bytes come out at any parallelism degree.
+The band route splits the points into chunks that depend only on the
+order, the band and the grid, never on the worker count, and workers
+write disjoint slices, so the same bytes come out at any parallelism.
 """
 
 from __future__ import annotations
@@ -36,23 +35,23 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput
+from .errors import InvalidInput
 from .exact import float_up
 from .matmodel import MatrixModel
 from .spectral import (
     MatrixLike,
     _banded_sigma_min,
     _gram_band,
+    _model_spectrum,
     as_matrix,
     hermitian_eigenvalues,
     operator_norm,
-    sigma_min_stack,
 )
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
 DEFAULT_RESOLUTION = (256, 256)
-_CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB (SVD stacks: q <= 512)
+_CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB
 _BAND_POINTS = 2048      # points per banded chunk, so small orders keep small arrays
 _CSV_LINES = 4096        # cloud points per serialized piece
 
@@ -142,13 +141,8 @@ def default_region(norm_bound: float, margin: float) -> Region:
 
 def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
                  jobs: int = 1) -> PseudospectrumGrid:
-    """Sample sigma_min(lambda*I - A) over the grid, by the route the
-    structure of A picks (see the module docstring): distances to the
-    eigenvalues of a Hermitian input, the banded Gram-Cholesky test for
-    any other model, and batched SVDs for any other dense matrix. The
-    last two split the row-major points into chunks whose size depends on
-    the order and the band only, shared by a pool of jobs threads, so the
-    values do not depend on jobs."""
+    """Sample sigma_min(lambda*I - A) over the grid by the route of the
+    module docstring; the band route shares its chunks among jobs threads."""
     is_model = isinstance(A, MatrixModel)
     a = A if is_model else as_matrix(A)
     _validate_grid_request(region, resolution)
@@ -157,16 +151,17 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    hermitian = a.spec.is_hermitian if is_model else np.array_equal(a, a.conj().T)
-    if hermitian:
-        out = _hermitian_distances(hermitian_eigenvalues(a), lam)
-    elif is_model:
+    if is_model:  # below order 3 only a Hermitian spec decides normality
+        spectrum = (_model_spectrum(a.spec, a.p, a.order)
+                    if a.spec.is_hermitian or a.order >= 3 else None)
+    else:
+        spectrum = (hermitian_eigenvalues(a), 1) if np.array_equal(a, a.conj().T) else None
+    if spectrum is not None:
+        out = _spectrum_distances(*spectrum, lam)
+    else:
         gram = _gram_band(a)
         chunk = max(1, min(_BAND_POINTS, _CHUNK_BUDGET // gram.gram.size))
         out = _pooled(lambda lam_c: _banded_sigma_min(gram, lam_c), lam, chunk, jobs)
-    else:
-        chunk = max(1, min(4096, _CHUNK_BUDGET // max(1, a.size)))
-        out = _pooled(lambda lam_c: _svd_sigma_min(a, lam_c), lam, chunk, jobs)
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
@@ -187,14 +182,20 @@ def _hermitian_distances(eigs: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.hypot(np.minimum(np.abs(x - below), np.abs(above - x)), lam.imag)
 
 
-def _svd_sigma_min(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sigma_min(lambda*I - a) for a chunk of lambdas, from one batched SVD."""
-    try:
-        return sigma_min_stack(lam[:, None, None] * np.eye(a.shape[0], dtype=np.complex128) - a)
-    except ConvergenceFailure as exc:
-        raise ConvergenceFailure(
-            f"sigma_min failed in chunk starting at lambda={lam[0]}: {exc}"
-        ) from exc
+def _nearest_distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest value, in row blocks of about
+    _CHUNK_BUDGET differences: the floats of one |points| x |values| pass."""
+    rows = max(1, _CHUNK_BUDGET // len(values))
+    return np.concatenate([np.min(np.abs(points[s:s + rows, None] - values[None, :]), axis=1)
+                           for s in range(0, len(points), rows)])
+
+
+def _spectrum_distances(values: np.ndarray, r: complex, lam: np.ndarray) -> np.ndarray:
+    """dist(lambda, sigma(A)) for a normal A with eigenvalues r * values
+    (spectral._model_spectrum); |conj(r) lambda - h| = |lambda - r h|."""
+    if np.iscomplexobj(values):
+        return _nearest_distances(lam, values)
+    return _hermitian_distances(values, lam if r == 1 else lam * r.conjugate())
 
 
 def _pooled(kernel, lam: np.ndarray, chunk: int, jobs: int) -> np.ndarray:

@@ -24,11 +24,12 @@ The normal path also computes eigenvalues only, and avoids a general
 nonsymmetric eigensolver: a normal A has commuting Hermitian and skew
 parts H1 = (A+A*)/2 and H2 = (A-A*)/(2i). It diagonalizes H1 once,
 splits the eigenvalues w1 into clusters where consecutive values
-separate by more than 1e-8 * ||A||, and forms C = W* H2 W in H1's
-eigenbasis W, which commuting makes block diagonal over the clusters.
-One small Hermitian eigensolve per cluster block gives nu and the
-rotation R; mu, the diagonal of R* diag(w1) R over the cluster, is the
-|R|^2-weighted mean of its w1. The eigenvalues are mu + i*nu.
+separate by more than 1e-8 * (max |w1| + ||H2||_inf), a bound on ||A||,
+and forms C = W* H2 W in H1's eigenbasis W, which commuting makes block
+diagonal over the clusters. One small Hermitian eigensolve per cluster
+block gives nu and the rotation R; mu, the diagonal of R* diag(w1) R
+over the cluster, is the |R|^2-weighted mean of its w1. The eigenvalues
+are mu + i*nu.
 
 model_eigenvalues takes one route per model, picked by the spec's
 coefficients (OperatorSpec.is_normal decides normality exactly):
@@ -38,32 +39,28 @@ coefficients (OperatorSpec.is_normal decides normality exactly):
   (ii) no U terms         the same closed form over the powers of omega
   (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
   other canonical spec    not normal (None), and no model is built
+_model_spectrum keeps class (iii)'s real values of H and the rotation.
 
 Every singular value of a dense matrix comes from one SVD route,
-_singular_values: numpy's divide-and-conquer SVD, batched through the
-gufunc over (..., m, n) stacks, with a per-matrix retry through LAPACK's
-QR-iteration SVD (gesvd) when it fails to converge, and
+_singular_values: numpy's divide-and-conquer SVD, with a retry through
+LAPACK's QR-iteration SVD (gesvd) when it fails to converge, and
 ConvergenceFailure when the retry fails too. smallest_singular_value,
-sigma_min_stack, operator_norm and the 2-norm in is_normal all read it.
+operator_norm and the 2-norm in is_normal all read it.
 
-sigma_min(lambda*I - A) of a model takes the band instead
+Grids off the distance route take sigma_min(lambda*I - A) from the band
 (_banded_sigma_min; Trefethen & Embree, Spectra and Pseudospectra, 2005,
 ch. 39): with B the interleaved lambda*I - A, sigma_min(B) > t exactly
 when G - t^2 I is positive definite, G = B* B, and G is a Hermitian band
-of half-bandwidth at most 4J, so a band Cholesky decides each t in
-O(q * J^2). 20 halvings on that test (one more per doubling of q from
-64 on) bracket sigma_min; inverse iteration with the last passing factor
-gives a unit vector x, and the value v = ||Bx|| is never squared. As
-v >= sigma_min, two more factorizations verify it (Rump, BIT 46 (2006)
-433-452): G - v^2(1 - eta)I must factor and G - v^2(1 + eta)I must not,
-eta = 2^-40. The few points that fail resume the bisection to 44
-halvings and redo the inverse iteration, so below q = 64 a point costs
-23 factorizations and 3 band solves where the whole bisection took 45.
-The kernel is vectorized over the grid points of a chunk.
+of half-bandwidth at most 4J (q - 1 for a full array), so a band
+Cholesky decides each t in O(q * J^2). Halvings on that test bracket
+sigma_min, inverse iteration gives the value v = ||Bx||, and two more
+factorizations verify it (Rump, BIT 46 (2006) 433-452): below q = 64 a
+point costs 23 factorizations and 3 band solves, where the whole
+44-halving bisection took 45. The kernel is vectorized over the grid
+points of a chunk.
 
 scipy is loaded on first use, inside the Hermitian route and the SVD
-retry, so the non-Hermitian grid paths and `expand` never pay for its
-import.
+retry, so the band route and `expand` never pay for its import.
 """
 
 from __future__ import annotations
@@ -95,22 +92,19 @@ def as_matrix(A: MatrixLike) -> np.ndarray:
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending, of a matrix or of each matrix in a
-    (..., m, n) stack. numpy's divide-and-conquer SVD (gesdd) can fail to
-    converge; the stack is then redone a matrix at a time with LAPACK's
+    """Singular values, descending. numpy's divide-and-conquer SVD (gesdd)
+    can fail to converge; the matrix is then redone with LAPACK's
     QR-iteration driver (gesvd), a different algorithm."""
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
         import scipy.linalg
 
-        flat = a.reshape(-1, *a.shape[-2:])
         try:
-            out = [scipy.linalg.svd(m, compute_uv=False, check_finite=False,
-                                    lapack_driver="gesvd") for m in flat]
+            return scipy.linalg.svd(a, compute_uv=False, check_finite=False,
+                                    lapack_driver="gesvd")
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise ConvergenceFailure(f"SVD failed: {exc}") from exc
-        return np.reshape(out, (*a.shape[:-2], -1))
 
 
 def operator_norm(A: MatrixLike) -> float:
@@ -135,9 +129,8 @@ def is_normal(A: MatrixLike) -> bool:
     afro = float(np.linalg.norm(a))
     if dfro * q <= NORMAL_TOL * afro * afro:  # multiplied out: an empty matrix (q = 0) is normal
         return True
-    if dfro > NORMAL_TOL * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
-        if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:
-            return False
+    if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
+        return False
     nrm = operator_norm(a)
     return operator_norm(defect) <= NORMAL_TOL * nrm * nrm
 
@@ -212,7 +205,9 @@ def _commuting_pair_eigenvalues(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed on Hermitian part: {exc}") from exc
 
-    gap = CLUSTER_TOL * max(operator_norm(a), 1e-300)
+    # max |w1| + ||H2||_inf bounds ||A|| = ||H1 + i H2||
+    scale = float(np.abs(w1).max(initial=0) + np.abs(h2).sum(axis=1).max(initial=0))
+    gap = CLUSTER_TOL * max(scale, 1e-300)
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(w1) > gap) + 1, [w1.size]))
     c = basis.conj().T @ (h2 @ basis)  # block diagonal over the clusters
     values = np.empty(w1.size, dtype=np.complex128)
@@ -243,25 +238,33 @@ def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray
     """Eigenvalues of the model of a Hermitian or canonical spec at p/q by
     the route table of the module docstring; None when it is not normal,
     also at q >= 3 when omega^2 = 1 (p = 0 or 2p = q) would make it so."""
+    values, r = _model_spectrum(spec, p, q) or (None, 1)
+    return values if r == 1 else np.sort(r * values, kind="stable")
+
+
+def _model_spectrum(spec: OperatorSpec, p: int, q: int) -> Optional[tuple[np.ndarray, complex]]:
+    """(values, r), the model's eigenvalues being r * values, or None when
+    it is not normal: r = 1, except r = e^(i phi) in class (iii), whose
+    values are the real ascending ones of H = e^(-i phi) A."""
     if spec.is_hermitian:
-        return hermitian_eigenvalues(build_operator(spec, p, q))
+        return hermitian_eigenvalues(build_operator(spec, p, q)), 1
     if q <= 2:
         model = build_operator(spec, p, q)
         if _hermitian_within_tolerance(model.entries):
-            return hermitian_eigenvalues(model)
-        return _commuting_pair_eigenvalues(model.entries) if is_normal(model) else None
+            return hermitian_eigenvalues(model), 1
+        return (_commuting_pair_eigenvalues(model.entries), 1) if is_normal(model) else None
     if not spec.is_normal:
         return None
     a1, am, b1, bm = spec.canonical_four_term
     if not (b1 or bm):
-        return circulant_four_term_eigenvalues(a1, am, q)
+        return circulant_four_term_eigenvalues(a1, am, q), 1
     if not (a1 or am):  # v takes each (q/g)-th root of unity g = gcd(p, q) times
         g = math.gcd(p, q)
-        return np.repeat(circulant_four_term_eigenvalues(b1, bm, q // g), g)
+        return np.repeat(circulant_four_term_eigenvalues(b1, bm, q // g), g), 1
     r = cmath.sqrt(a1 / abs(a1) * (am / abs(am)))  # e^(i phi): |a1| = |am| in class (iii)
     h, g = a1 * r.conjugate(), b1 * r.conjugate()
     rotated = OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())
-    return np.sort(r * hermitian_eigenvalues(build_operator(rotated, p, q)), kind="stable")
+    return hermitian_eigenvalues(build_operator(rotated, p, q)), r
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +279,8 @@ def smallest_singular_value(A: MatrixLike) -> float:
     return float(_singular_values(a)[-1])
 
 
-def sigma_min_stack(stack: np.ndarray) -> np.ndarray:
-    """Batched sigma_min over a (..., q, q) stack."""
-    return _singular_values(stack)[..., -1]
-
-
 # ---------------------------------------------------------------------------
-# banded sigma_min of a model: a Gram-Cholesky test
+# banded sigma_min: a Gram-Cholesky test
 # ---------------------------------------------------------------------------
 
 _HALVINGS = 44        # bisection steps on sigma inside [0, smallest column norm]
@@ -308,7 +306,8 @@ _VERIFY_GAP = 2.0 ** -40
 
 
 class _GramBand(NamedTuple):
-    """A model scaled by norm = sum |c|, interleaved: band is the general
+    """A matrix scaled by a bound norm >= ||A||, sum |c| for a model and
+    the Frobenius norm for an array, and interleaved: band is the general
     band storage of A1' = P A P^T / norm (see _interleaved_band), and
     gram, lower, upper hold the lower bands of A1'* A1', A1' and A1'* as
     (q, w + 1) arrays, [c, d] = M[c + d, c]. w is the half-bandwidth of
@@ -322,14 +321,16 @@ class _GramBand(NamedTuple):
     upper: np.ndarray
 
 
-def _gram_band(model: MatrixModel) -> _GramBand:
-    norm = spec_norm_bound(model.spec)
+def _gram_band(A: MatrixLike) -> _GramBand:
+    model = isinstance(A, MatrixModel)
+    norm = spec_norm_bound(A.spec) if model else float(np.linalg.norm(A))
     # numpy divides a complex array by a float as a * (1/norm), which
     # overflows for a subnormal norm and zeroes the band for an infinite one
-    if norm == math.inf or 0 < norm < sys.float_info.min:
-        raise InvalidInput(f"the banded sigma_min route scales the model by sum |c| = {norm!r}, "
+    if not sys.float_info.min <= norm < math.inf:
+        raise InvalidInput(f"the banded sigma_min route scales the matrix by "
+                           f"{'sum |c|' if model else 'its Frobenius norm'} = {norm!r}, "
                            "which is not a normal float")
-    band = _interleaved_band(model) / norm
+    band = _interleaved_band(A) / norm
     k, q = band.shape[0] // 2, band.shape[1]
     gram = np.zeros((2 * k + 1, q), dtype=np.complex128)
     for d in range(min(2 * k, q - 1) + 1):
@@ -494,7 +495,7 @@ def _verified(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray, value: np.ndarra
 
 
 def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
-    """sigma_min(lam_p I - A) for each lam_p, from the model's band.
+    """sigma_min(lam_p I - A) for each lam_p, from the band of A.
 
     B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
     number near 1 for any coefficient scale. sigma_min(B) > t holds when

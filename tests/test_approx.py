@@ -442,6 +442,24 @@ class TestOneSided:
         assert cert.radius == pytest.approx(
             2 * 36 * math.sqrt(3 * math.pi) / math.sqrt(5), rel=1e-10)  # M = 2
 
+    def test_omega_squared_one_keeps_the_grid(self):
+        # at p = 0 or 2p = n the model of a spec that fails the equations
+        # can be normal (omega = 1 makes v the identity, omega = -1 makes
+        # v + v* = 2v); one_sided does not decide that case and takes the
+        # banded grid, whose values are then the distances to the spectrum
+        for theta, spec, n, p, eigs in (
+                ("decimal:0.49", OperatorSpec.canonical(1, 0, 1, -1), 4, 2,
+                 np.exp(2j * np.pi * np.arange(4) / 4)),  # U + V - V* = U
+                ("decimal:0.01", U_PLUS_2V, 10, 0,
+                 2 + np.exp(2j * np.pi * np.arange(10) / 10))):  # U + 2I
+            assert not spec.is_normal
+            grid, cert = one_sided(parse_theta(theta), spec, n, GridParams(resolution=(9, 8)))
+            assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == p
+            lam = grid.lambda_grid().ravel()
+            exact = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
+            got = grid.sigma_min_values.ravel()
+            assert np.all(np.abs(got - exact) <= 1e-10 * exact + 1e-12 * (3 + np.abs(lam)))
+
     def test_one_dispatcher_picks_the_route(self):
         # the spec picks the route, and the cloud is that route's output,
         # byte for byte: a Hermitian spec the banded route, a circulant the
@@ -583,7 +601,7 @@ class TestSetGeometry:
                 assert hausdorff_distance(a, b) == blocked
 
     def test_real_clouds_take_the_sorted_route(self, monkeypatch):
-        monkeypatch.setattr(approx, "_CHUNK_BUDGET", None)  # the blocks would fail
+        monkeypatch.setattr(approx, "_nearest_distances", None)  # the blocks would fail
         a, b = np.array([3.0, -1.0, 2.0]) + 0j, np.array([0.5, 2.5]) + 0j
         assert approx._directed(a, b) == 1.5
         with pytest.raises(TypeError):

@@ -284,9 +284,11 @@ class TestSpectrum:
 
     def test_svd_failure_takes_the_gesvd_retry_then_exits_4(self, tmp_path, capsys,
                                                               monkeypatch):
-        # below order 3 the dense cascade decides, and the normal route of
-        # spec iU reads operator norms from the SVD
-        argv = ["spectrum", "--theta", GOLDEN, "--spec", '{"canonical": {"a+": [0,1]}}',
+        # below order 3 the dense cascade decides; the order-2 model of
+        # U + (1 + 5e-11 i)V falls between is_normal's two Frobenius
+        # screens, so its normality is decided by 2-norms from the SVD
+        spec = '{"canonical": {"a+": [1,0], "b+": [1,5e-11]}}'
+        argv = ["spectrum", "--theta", GOLDEN, "--spec", spec,
                 "--level", "2", "--format", "csv", "--out-dir"]
         assert main(argv + [str(tmp_path / "plain")]) == 0
         failures = []

@@ -2,8 +2,8 @@
 
 Oracle strategy: for normal matrices sigma_min(lambda*I - A) equals the
 distance from lambda to the nearest eigenvalue, which pins every grid
-value; every route (distances, the banded Gram-Cholesky test, the SVD)
-is checked point by point against np.linalg.svd of the dense matrix;
+value; both routes (distances, the banded Gram-Cholesky test) are
+checked point by point against np.linalg.svd of the dense matrix;
 PGM bytes are checked against the documented gray mapping computed by
 hand.
 """
@@ -36,6 +36,13 @@ from rotspec.spectral import _banded_sigma_min, _gram_band, operator_norm
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
+# normal classes (i) no V terms, (ii) no U terms, (iii) (1 + i) times a
+# Hermitian spec, whose dyadic parts keep the products exact
+CLASS_I = OperatorSpec.canonical(1 + 0.5j, -0.7j, 0, 0)
+CLASS_II = OperatorSpec.canonical(0, 0, 1.3 - 0.2j, 0.1 + 1j / 3)
+CLASS_III = OperatorSpec.canonical(*((1 + 1j) * c for c in (0.5 - 0.25j, 0.5 + 0.25j,
+                                                             1.25 + 0.5j, 1.25 - 0.5j)))
+NORMAL_CLASSES = (CLASS_I, CLASS_II, CLASS_III)
 
 
 def make_grid(sigma: np.ndarray, region=(0.0, 1.0, 0.0, 1.0)) -> PseudospectrumGrid:
@@ -67,11 +74,12 @@ class TestComputeGrid:
         assert np.allclose(im, [-1, 0, 1])
 
     def test_jobs_do_not_change_bytes(self):
-        # one case per route: distances (Hermitian q=5), the band (U+2V
-        # at q=89, one chunk) and the SVD (its dense matrix, 100 points in
-        # chunks of 33)
+        # distances (Hermitian q=5, the normal classes at q=89), the band
+        # of a model (U+2V at q=89, one chunk) and of its dense array
         cases = (
             (build_operator(CANONICAL, 2, 5), (-4, 4, -1, 1), (32, 16), (1, 2, 8)),
+            *((build_operator(spec, 55, 89), (-3.5, 3.5, -3.5, 3.5), (33, 31), (1, 2, 3))
+              for spec in NORMAL_CLASSES),
             (build_operator(U_PLUS_2V, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
             (build_operator(U_PLUS_2V, 55, 89).entries, (-3.5, 3.5, -3.5, 3.5), (10, 10),
              (1, 2, 3)),
@@ -91,17 +99,23 @@ class TestComputeGrid:
             assert grid.sigma_min_values[i, j] == pytest.approx(ref, rel=1e-12)
 
     def test_chunk_stacks_stay_within_4_mib(self, monkeypatch):
+        # a dense non-Hermitian array takes the band route with a full
+        # band: its Gram stacks hold 113 points of 48 x 48, two chunks here
         sizes = []
-        real_stack = psp.sigma_min_stack
+        real_cholesky = spectral._band_cholesky
 
-        def recording(stack):
-            sizes.append(stack.nbytes)
-            return real_stack(stack)
+        def recording(g):
+            sizes.append(g.nbytes)
+            return real_cholesky(g)
 
-        monkeypatch.setattr(psp, "sigma_min_stack", recording)
-        compute_grid(build_operator(U_PLUS_2V, 89, 144).entries, (-3, 3, -3, 3), (6, 6))
-        assert max(sizes) <= 4 << 20
-        assert len(sizes) > 1
+        monkeypatch.setattr(spectral, "_band_cholesky", recording)
+        rng = np.random.default_rng(17)
+        compute_grid(rng.standard_normal((48, 48)) + 0.5j, (-3, 3, -3, 3), (12, 12))
+        # 144 points: a chunk of 113 (the 4 MiB budget), then one of 31;
+        # fallbacks factor smaller stacks
+        point = 48 * 48 * 16
+        assert max(sizes) == 113 * point <= 4 << 20
+        assert 31 * point in sizes
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -224,6 +238,20 @@ class TestBandRoute:
                 got = grid.sigma_min_values.ravel()
                 assert np.all(np.isfinite(got)) and np.all(got > 0)
                 assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, big))
+
+    def test_array_at_coefficient_scale_of_1e150_either_way(self):
+        # a non-Hermitian array is scaled by its Frobenius norm
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        for scale in (1e150, 1e-150):
+            region = tuple(scale * x for x in (-4.1, 3.9, -3.7, 4.3))
+            grid = compute_grid(scale * a, region, (6, 5))
+            lam = grid.lambda_grid().ravel()
+            ref = scale * pointwise_svd(a, lam / scale)
+            got = grid.sigma_min_values.ravel()
+            assert np.all(np.isfinite(got)) and np.all(got > 0)
+            tol = 1e-10 * ref + 1e-13 * (np.abs(lam) + scale * np.linalg.norm(a))
+            assert np.all(np.abs(got - ref) <= tol)
 
     def test_sum_of_moduli_outside_the_normal_floats_is_refused(self):
         # the band is scaled by 1/sum|c|: a subnormal sum overflows it to
@@ -375,18 +403,20 @@ class TestDistanceRoute:
     @staticmethod
     def spy(monkeypatch):
         calls = []
-        real_eigs, real_stack = psp.hermitian_eigenvalues, psp.sigma_min_stack
+        real_eigs, real_band = spectral.hermitian_eigenvalues, psp._banded_sigma_min
 
         def eigs(a):
             calls.append("eig")
             return real_eigs(a)
 
-        def stack(st):
-            calls.append("svd")
-            return real_stack(st)
+        def band(gb, lam):
+            calls.append("band")
+            return real_band(gb, lam)
 
+        # a model's eigenvalues come from spectral, an array's from psp
+        monkeypatch.setattr(spectral, "hermitian_eigenvalues", eigs)
         monkeypatch.setattr(psp, "hermitian_eigenvalues", eigs)
-        monkeypatch.setattr(psp, "sigma_min_stack", stack)
+        monkeypatch.setattr(psp, "_banded_sigma_min", band)
         return calls
 
     def test_hermitian_spec_model(self, monkeypatch):
@@ -406,14 +436,83 @@ class TestDistanceRoute:
         ref = pointwise_svd(h, grid.lambda_grid().ravel())
         assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * operator_norm(h)
 
-    def test_one_ulp_defect_keeps_the_svd(self, monkeypatch):
+    def test_one_ulp_defect_takes_the_band(self, monkeypatch):
         calls = self.spy(monkeypatch)
         h = random_hermitian(9)
         h[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
         grid = compute_grid(h, (-4, 4, -2, 2), (9, 5))
-        assert calls == ["svd"]
-        ref = pointwise_svd(h, grid.lambda_grid().ravel())
-        assert np.max(np.abs(grid.sigma_min_values.ravel() - ref) / ref) <= 1e-12
+        assert calls == ["band"]
+        lam = grid.lambda_grid().ravel()
+        ref = pointwise_svd(h, lam)
+        tol = 1e-10 * ref + 1e-13 * (np.abs(lam) + np.linalg.norm(h))
+        assert np.all(np.abs(grid.sigma_min_values.ravel() - ref) <= tol)
+
+
+class TestNormalRoute:
+    """Models of order q >= 3 of a normal spec, classes (i) no V terms,
+    (ii) no U terms and (iii) e^(i phi) times a Hermitian spec, take
+    distances to their eigenvalues: never the band, never the dense
+    matrix."""
+
+    @staticmethod
+    def distances(spec, p, q, lam):
+        return psp._spectrum_distances(*spectral._model_spectrum(spec, p, q), lam)
+
+    def test_classes_match_pointwise_svd(self):
+        # grid points, points on an eigenvalue and points 1e-6 from one,
+        # compared absolutely: near an eigenvalue both sides err by an
+        # absolute few ulps of sum |c| + |lambda|
+        for spec in NORMAL_CLASSES:
+            assert spec.is_normal and not spec.is_hermitian
+            for p, q in ((2, 3), (3, 5), (55, 89), (144, 233), (0, 5), (0, 89)):
+                model = build_operator(spec, p, q)
+                grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
+                eigs = spectral.model_eigenvalues(spec, p, q)[::max(1, q // 12)]
+                near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
+                lam = np.concatenate([grid.lambda_grid().ravel(), eigs, near])
+                got = np.concatenate([grid.sigma_min_values.ravel(),
+                                      self.distances(spec, p, q, lam[grid.sigma_min_values.size:])])
+                ref = pointwise_svd(model.entries, lam)
+                tol = 1e-12 * (spec_norm_bound(spec) + np.abs(lam))
+                assert np.all(np.abs(got - ref) <= tol), (spec, q)
+
+    def test_builds_no_dense_matrix_and_no_band(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("band route taken")
+
+        monkeypatch.setattr(psp, "_banded_sigma_min", refused)
+        monkeypatch.setattr(psp, "_gram_band", refused)
+        for spec in NORMAL_CLASSES:
+            for p, q in ((2, 3), (89, 144), (0, 8), (4, 8)):  # 2p = q: omega = -1
+                model = build_operator(spec, p, q)
+                compute_grid(model, (-3, 3, -3, 3), (5, 4))
+                assert "entries" not in vars(model)
+
+    def test_orders_below_3_of_a_non_hermitian_spec_take_the_band(self, monkeypatch):
+        # u = u* there, so the equations do not decide normality, and the
+        # spec routes only a Hermitian spec to distances
+        calls = TestDistanceRoute.spy(monkeypatch)
+        for spec in NORMAL_CLASSES:
+            for p, q in ((0, 1), (1, 2)):
+                compute_grid(build_operator(spec, p, q), (-3, 3, -3, 3), (4, 4))
+        assert calls == ["band"] * 6
+
+    def test_distance_blocks_stay_within_12_mib(self):
+        # 256 points against 4181 complex eigenvalues are 17 MB of
+        # differences in one pass; the blocks hold about 4 MiB
+        for spec in (CLASS_I, CLASS_II):
+            model = build_operator(spec, 2584, 4181)
+            tracemalloc.start()
+            try:
+                grid = compute_grid(model, (-3, 3, -3, 3), (16, 16))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 << 20
+            eigs = spectral.model_eigenvalues(spec, 2584, 4181)
+            lam = grid.lambda_grid().ravel()[::37]
+            direct = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
+            assert np.array_equal(grid.sigma_min_values.ravel()[::37], direct)
 
 
 class TestLevelSets:

@@ -136,3 +136,29 @@ def test_approx_dispatches_on_the_spec_not_on_exceptions():
                            for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute)))
               if name in ("NotNormal", "NotHermitian")]
     assert not caught, f"solver refusals caught in approx: {caught}"
+
+
+def test_every_top_level_definition_is_used():
+    # a function or class nobody calls is dead code: each top-level
+    # definition is re-exported by __init__.py or named somewhere under
+    # src/rotspec outside its own body
+    names = {}  # name -> count of its appearances as a read, an attribute or an import
+    defined = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[node.id] = names.get(node.id, 0) + 1
+            elif isinstance(node, ast.Attribute):
+                names[node.attr] = names.get(node.attr, 0) + 1
+            elif isinstance(node, ast.alias):
+                names[node.name] = names.get(node.name, 0) + 1
+        defined += [(path, node) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    dead = []
+    for path, node in defined:
+        inside = sum(1 for inner in ast.walk(node)
+                     if isinstance(inner, ast.Name) and inner.id == node.name
+                     or isinstance(inner, ast.Attribute) and inner.attr == node.name)
+        if names.get(node.name, 0) <= inside:
+            dead.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not dead, f"top-level definitions nothing uses: {dead}"

@@ -5,9 +5,9 @@ known diagonals), closed forms for circulants and 2x2 Jordan blocks,
 dense LAPACK eigvalsh against the banded Hermitian route and against
 the normal route on rotated Hermitian models, and the normal route on
 the dense entries against the routes a spec picks (model_eigenvalues).
-sigma_min of a dense matrix has one route, the SVD; the grid routes
-(distances, the banded Gram-Cholesky test) are checked point by point
-against np.linalg.svd in test_pseudospectra.
+smallest_singular_value of a dense matrix has one route, the SVD; the
+grid routes (distances, the banded Gram-Cholesky test) are checked point
+by point against np.linalg.svd in test_pseudospectra.
 """
 
 import math
@@ -34,7 +34,6 @@ from rotspec.spectral import (
     model_eigenvalues,
     normal_eigenvalues,
     operator_norm,
-    sigma_min_stack,
     smallest_singular_value,
 )
 
@@ -462,6 +461,25 @@ class TestNormal:
         assert sizes[0] == 40 and 16 in sizes[1:] and 3 in sizes[1:]
         assert_multiset_close(ev, lam, tol=1e-12 * max(1.0, np.max(np.abs(lam))))
 
+    def test_cluster_scale_takes_no_svd(self, monkeypatch):
+        # the cluster gap is scaled by max |w1| + ||H2||_inf, which the
+        # solver already has, not by a dense SVD; these inputs are normal
+        # in is_normal's Frobenius screen, which needs no SVD either
+        rng = np.random.default_rng(23)
+        u = random_unitary(rng, 30)
+        planted = u @ np.diag(rng.standard_normal(30) + 1j * rng.standard_normal(30)) @ u.conj().T
+        inputs = [shift_matrix(q).entries for q in (1, 2, 7, 64)] + [planted, np.zeros((0, 0))]
+        expect = [normal_eigenvalues(a) for a in inputs]
+
+        def no_svd(a):
+            raise AssertionError("_singular_values called")
+
+        monkeypatch.setattr(spectral, "_singular_values", no_svd)
+        for a, want in zip(inputs, expect):
+            assert normal_eigenvalues(a).tobytes() == want.tobytes()
+        for spec in (OperatorSpec.canonical(1j, 0, 1j, 0), OperatorSpec.canonical(1, 0, 0, 0)):
+            assert model_eigenvalues(spec, 1, 2).shape == (2,)
+
     def test_hermitian_input_agrees_with_hermitian_route(self):
         rng = np.random.default_rng(19)
         z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
@@ -504,8 +522,8 @@ class TestSigmaMin:
         assert smallest_singular_value(a) == 0.0
 
     def test_retry_uses_a_different_driver(self, monkeypatch):
-        # numpy's batched SVD is divide-and-conquer (gesdd); the retry
-        # must switch to QR iteration (gesvd), not rerun gesdd
+        # numpy's SVD is divide-and-conquer (gesdd); the retry must switch
+        # to QR iteration (gesvd), not rerun gesdd
         rng = np.random.default_rng(9)
         stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
         expect = np.linalg.svd(stack, compute_uv=False)[..., -1]
@@ -521,23 +539,15 @@ class TestSigmaMin:
 
         monkeypatch.setattr(np.linalg, "svd", failing)
         monkeypatch.setattr(scipy.linalg, "svd", spy)
-        got = sigma_min_stack(stack)
+        got = np.array([smallest_singular_value(m) for m in stack])
         assert drivers == ["gesvd"] * 5
         assert np.max(np.abs(got - expect) / expect) <= 1e-12
 
-    def test_stack(self):
-        rng = np.random.default_rng(8)
-        stack = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
-        out = sigma_min_stack(stack)
-        for i in range(7):
-            assert out[i] == pytest.approx(
-                np.linalg.svd(stack[i], compute_uv=False)[-1], rel=1e-12)
-
 
 class TestOneSvdRoute:
-    """operator_norm, is_normal's 2-norm, smallest_singular_value and
-    sigma_min_stack share one SVD route: numpy's SVD, then a gesvd retry,
-    then ConvergenceFailure."""
+    """operator_norm, is_normal's 2-norm and smallest_singular_value share
+    one SVD route: numpy's SVD, then a gesvd retry, then
+    ConvergenceFailure."""
 
     @staticmethod
     def fail_numpy(monkeypatch):
@@ -557,7 +567,6 @@ class TestOneSvdRoute:
         _, calls = self.fail_numpy(monkeypatch)
         assert operator_norm(a) == pytest.approx(s[0], rel=1e-12)
         assert smallest_singular_value(a) == pytest.approx(s[-1], rel=1e-12)
-        assert sigma_min_stack(a[None])[0] == pytest.approx(s[-1], rel=1e-12)
         # I + eps*E_12: ||defect||_F = sqrt(2)*eps^2 lies between the two
         # Frobenius screens, so is_normal decides by 2-norms, eps^2 against
         # 1e-10 * ||A||^2
@@ -572,8 +581,7 @@ class TestOneSvdRoute:
         failing, _ = self.fail_numpy(monkeypatch)
         monkeypatch.setattr(scipy.linalg, "svd", failing)
         a = np.array([[1, 2], [3, 4]], dtype=complex)
-        for run in (operator_norm, smallest_singular_value,
-                    lambda m: sigma_min_stack(m[None])):
+        for run in (operator_norm, smallest_singular_value):
             with pytest.raises(ConvergenceFailure, match="SVD failed"):
                 run(a)
 
