@@ -256,14 +256,19 @@ def _expand_to_level(theta: RealNumberInput, n: int, max_q: int,
 
 
 def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str]:
-    """Input gate of the Hausdorff certificates: irrational theta and the
-    canonical form; returns the irrationality caveat."""
+    """Input gate of the Hausdorff certificates: irrational theta and a
+    canonical normal spec (a Hermitian one among them), before theta is
+    expanded or any model is built; returns the irrationality caveat."""
     caveat = _irrationality_caveat(theta)
     if not spec.is_canonical:
         raise NonCanonicalSpec(
             "certified spectra need the canonical four-term form; "
             "general specs get grids with a rate flag via certify_pseudospectrum"
         )
+    if not spec.is_normal:
+        raise ModelsNotNormal("models are not normal; use certify_pseudospectrum "
+                              "(Hausdorff control of the spectrum alone is not "
+                              "available here)")
     return caveat
 
 
@@ -274,15 +279,10 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
     """Level-n cloud, the multiset union of the two model spectra in the
     eigen routes' order, and certificate; spectra memoizes the model
     spectra by convergent index and gains the two this level needs."""
-    for k in (n, n - 1):  # the larger order first: a refusal at q >= 3 builds no model
+    for k in (n - 1, n):
         if k not in spectra:
             p, q = expansion.convergent(k)
-            values = model_eigenvalues(spec, p % q, q)  # v is q-periodic in p
-            if values is None:
-                raise ModelsNotNormal("models are not normal; use certify_pseudospectrum "
-                                      "(Hausdorff control of the spectrum alone is not "
-                                      "available here)")
-            spectra[k] = values
+            spectra[k] = model_eigenvalues(spec, p % q, q)  # v is q-periodic in p
     cert = ApproximationCertificate(
         theta=theta,
         spec=spec,
@@ -559,7 +559,7 @@ def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
     clouds: dict[int, np.ndarray] = {}
     certs: dict[int, ApproximationCertificate] = {}
     spectra: dict[int, np.ndarray] = {}  # each convergent's model is solved once
-    for n in reversed(levels):  # deepest first: a spec without normal models builds none
+    for n in levels:
         clouds[n], certs[n] = _certify_level(theta, spec, expansion, n, caveat, spectra)
     ref_sharp = certs[n_max].epsilon_sharp
     rows = tuple(

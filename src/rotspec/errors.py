@@ -60,8 +60,9 @@ class ThetaRational(InvalidInput):
 
 
 class ModelsNotNormal(RotspecError):
-    """Spectrum certification needs normal models; caller should switch
-    to pseudospectrum mode."""
+    """Spectrum certification needs a normal operator, which the spec's
+    coefficients decide (OperatorSpec.is_normal) before any model is
+    built; caller should switch to pseudospectrum mode."""
 
 
 class EmptyCloud(InvalidInput):

@@ -110,9 +110,12 @@ class OperatorSpec:
     def is_normal(self) -> bool:
         """True iff the spec is canonical with a1 conj(b-1) = conj(a-1) b1 and
         a1 conj(b1) = conj(a-1) b-1, exactly on the float parts. [A, A*] = K + K*
-        for K = c1 (1 - conj(omega)) u v + c2 (1 - omega) u v* on (i, i+1), c1
-        and c2 the differences: every model is normal when they vanish, and at
-        q >= 3 with omega^2 != 1 (every convergent's model there) only then."""
+        for K = c1 (1 - conj(omega)) u v + c2 (1 - omega) u v*, c1 and c2 the
+        differences. For irrational theta, omega != 1 and the monomials U^j V^k
+        are independent in A_theta, so the equations hold iff the operator is
+        normal. Every model is normal then; a model at q >= 3 with omega^2 != 1
+        (every convergent's model there) only then, while one at q <= 2 (u = u*)
+        or omega^2 = 1 can be normal when the operator is not."""
         def times_conj(x: complex, y: complex) -> tuple[Fraction, Fraction]:
             (xr, xi), (yr, yi) = (map(Fraction, (z.real, z.imag)) for z in (x, y))
             return xr * yr + xi * yi, xi * yr - xr * yi

@@ -9,8 +9,8 @@ point clouds (spectra, as the bare arrays the eigen routes return).
 
 compute_grid takes one of two routes, never picked by an option:
 
-* normal input, as the spec decides it (a model of a Hermitian spec or,
-  from order 3, of a spec with OperatorSpec.is_normal), or an array
+* normal input, as the spec decides it (a model, of any order, of a
+  Hermitian spec or of a spec with OperatorSpec.is_normal), or an array
   equal to its conjugate transpose exactly: sigma_min(lambda*I - A) =
   dist(lambda, sigma(A)) (Trefethen & Embree, Spectra and Pseudospectra,
   2005, ch. 2), by searchsorted on real eigenvalues and by row blocks of
@@ -145,15 +145,16 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     module docstring; the band route shares its chunks among jobs threads."""
     is_model = isinstance(A, MatrixModel)
     a = A if is_model else as_matrix(A)
+    if not is_model and a.shape[0] == 0:
+        raise InvalidInput("empty matrix")
     _validate_grid_request(region, resolution)
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    if is_model:  # below order 3 only a Hermitian spec decides normality
-        spectrum = (_model_spectrum(a.spec, a.p, a.order)
-                    if a.spec.is_hermitian or a.order >= 3 else None)
+    if is_model:
+        spectrum = _model_spectrum(a.spec, a.p, a.order)
     else:
         spectrum = (hermitian_eigenvalues(a), 1) if np.array_equal(a, a.conj().T) else None
     if spectrum is not None:

@@ -32,13 +32,13 @@ over the cluster, is the |R|^2-weighted mean of its w1. The eigenvalues
 are mu + i*nu.
 
 model_eigenvalues takes one route per model, picked by the spec's
-coefficients (OperatorSpec.is_normal decides normality exactly):
+coefficients at every order (OperatorSpec.is_normal decides normality
+exactly, so no model is tested densely):
   Hermitian spec          the Hermitian route
-  order q <= 2 (u = u*)   the dense Hermitian check, then that or the normal route
   (i) no V terms          circulant_four_term_eigenvalues
   (ii) no U terms         the same closed form over the powers of omega
   (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
-  other canonical spec    not normal (None), and no model is built
+  any other spec          not normal (None), and no model is built
 _model_spectrum keeps class (iii)'s real values of H and the rotation.
 
 Every singular value of a dense matrix comes from one SVD route,
@@ -83,11 +83,13 @@ NORMAL_TOL = 1e-10        # relative normality tolerance
 
 
 def as_matrix(A: MatrixLike) -> np.ndarray:
-    if isinstance(A, MatrixModel):
-        return A.entries
-    a = np.asarray(A, dtype=np.complex128)
+    """The dense matrix of A: square, with finite entries, which LAPACK
+    (run without its own finiteness check) needs for a true answer."""
+    a = A.entries if isinstance(A, MatrixModel) else np.asarray(A, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix entries must be finite")
     return a
 
 
@@ -163,19 +165,15 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     return ab[k - kept:k + kept + 1]
 
 
-def _hermitian_within_tolerance(a: np.ndarray) -> bool:  # in Frobenius norms
-    scale = float(np.linalg.norm(a))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    return not (defect > HERMITIAN_TOL * max(scale, 1e-300) and scale > 0)
-
-
 def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
     (see the module docstring for the banded route). A Hermitian spec's
-    model is Hermitian by construction and skips the defect check."""
-    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian
-            or _hermitian_within_tolerance(as_matrix(A))):
-        raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
+    model is Hermitian by construction and skips the defect check, which
+    compares Frobenius norms."""
+    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian):
+        a = as_matrix(A)
+        if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
+            raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
     import scipy.linalg
 
     try:
@@ -194,10 +192,6 @@ def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
     a = as_matrix(A)
     if not is_normal(a):
         raise NotNormal(f"matrix is not normal within relative tolerance {NORMAL_TOL:.0e}")
-    return _commuting_pair_eigenvalues(a)
-
-
-def _commuting_pair_eigenvalues(a: np.ndarray) -> np.ndarray:
     h1 = (a + a.conj().T) / 2
     h2 = (a - a.conj().T) / 2j
     try:
@@ -236,23 +230,19 @@ def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
 
 def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray]:
     """Eigenvalues of the model of a Hermitian or canonical spec at p/q by
-    the route table of the module docstring; None when it is not normal,
-    also at q >= 3 when omega^2 = 1 (p = 0 or 2p = q) would make it so."""
+    the route table of the module docstring; None when the spec is not
+    normal, at every order, also where one model is (u = u* at q <= 2,
+    omega^2 = 1 at p = 0 or 2p = q)."""
     values, r = _model_spectrum(spec, p, q) or (None, 1)
     return values if r == 1 else np.sort(r * values, kind="stable")
 
 
 def _model_spectrum(spec: OperatorSpec, p: int, q: int) -> Optional[tuple[np.ndarray, complex]]:
     """(values, r), the model's eigenvalues being r * values, or None when
-    it is not normal: r = 1, except r = e^(i phi) in class (iii), whose
-    values are the real ascending ones of H = e^(-i phi) A."""
+    the spec is not normal: r = 1, except r = e^(i phi) in class (iii),
+    whose values are the real ascending ones of H = e^(-i phi) A."""
     if spec.is_hermitian:
         return hermitian_eigenvalues(build_operator(spec, p, q)), 1
-    if q <= 2:
-        model = build_operator(spec, p, q)
-        if _hermitian_within_tolerance(model.entries):
-            return hermitian_eigenvalues(model), 1
-        return (_commuting_pair_eigenvalues(model.entries), 1) if is_normal(model) else None
     if not spec.is_normal:
         return None
     a1, am, b1, bm = spec.canonical_four_term

@@ -257,14 +257,15 @@ class TestCertifyNormal:
             certify_normal(GOLDEN, MIXED, 3)
 
     def test_nonnormal_models_rejected(self):
-        # U + 2V is canonical but its models at q >= 3 are not normal,
-        # so no Hausdorff-certified point cloud exists
+        # U + 2V is canonical but not normal, so no Hausdorff-certified
+        # point cloud exists
         with pytest.raises(ModelsNotNormal):
             certify_normal(GOLDEN, U_PLUS_2V, 3)
 
     def test_normality_tested_once_per_model(self, monkeypatch):
-        # from order 3 on the spec's coefficients decide normality, so no
-        # model is tested densely; below it each model is tested once
+        # the spec's coefficients decide normality once, for every order, so
+        # no model is tested densely: not at q <= 2 either, where u = u*
+        # makes some models of a non-normal spec normal
         orders = []
         real_is_normal = spectral.is_normal
 
@@ -276,30 +277,27 @@ class TestCertifyNormal:
         # a normality gate in approx itself would be counted too
         monkeypatch.setattr(approx, "is_normal", counting, raising=False)
         shift = OperatorSpec.canonical(1, 0, 0, 0)
-        cloud, _ = certify_normal(GOLDEN, shift, 5)
-        assert orders == []
-        assert len(cloud) == 13
-        result, _ = one_sided(GOLDEN, shift, 8)
-        assert orders == []
-        assert isinstance(result, np.ndarray) and len(result) == 8
-        # level 2 pairs q = 1 and 2, the larger first; iU + iV is normal and
-        # not Hermitian there, U + iV is not normal at q = 2
-        cloud, _ = certify_normal(GOLDEN, OperatorSpec.canonical(1j, 0, 1j, 0), 2)
-        assert orders == [2, 1] and len(cloud) == 3
-        orders.clear()
+        for n, size in ((2, 3), (5, 13)):
+            cloud, _ = certify_normal(GOLDEN, shift, n)
+            assert len(cloud) == size
+        for n in (1, 2, 8):
+            result, _ = one_sided(GOLDEN, shift, n)
+            assert isinstance(result, np.ndarray) and len(result) == n
+        # iU + iV is not normal, though its models at q = 1 and 2 are
         with pytest.raises(ModelsNotNormal):
-            certify_normal(GOLDEN, OperatorSpec.canonical(1, 0, 1j, 0), 2)
-        assert orders == [2]
+            certify_normal(GOLDEN, OperatorSpec.canonical(1j, 0, 1j, 0), 2)
+        assert orders == []
 
-    def test_orders_1_and_2_keep_the_dense_cascade_bytes(self):
-        # u = u* below order 3, so the dense Hermitian check still picks the
-        # route there; V + 2V* at q = 2 is diag(3, -3) within rounding
-        root5 = math.sqrt(5)
-        for spec, n, floats in ((U_PLUS_2V, 1, [3.0, 3.0]),
-                                (U_PLUS_2V, 2, [-root5, root5, 3.0]),
-                                (OperatorSpec.canonical(0, 0, 1, 2), 2, [-3.0, 3.0, 3.0])):
-            cloud, _ = certify_normal(GOLDEN, spec, n)
-            assert cloud.dtype == np.float64 and cloud.tolist() == floats
+    def test_orders_1_and_2_take_the_spec_routes(self):
+        # U + 2V's models at q = 1 and 2 are Hermitian (u = u* there), but
+        # the operator is not normal, so levels 1 and 2 are refused as level
+        # 3 is; V + 2V* is class (ii), whose closed form gives diag(3, -3)
+        # at q = 2 within rounding
+        for n in (1, 2):
+            with pytest.raises(ModelsNotNormal):
+                certify_normal(GOLDEN, U_PLUS_2V, n)
+        cloud, _ = certify_normal(GOLDEN, OperatorSpec.canonical(0, 0, 1, 2), 2)
+        assert np.max(np.abs(cloud - [-3, 3, 3])) <= 1e-15 * 3
 
     def test_normal_within_rounding_only_is_refused(self):
         # e^{0.3i} times a Hermitian spec, rounded: the equations fail
@@ -463,20 +461,22 @@ class TestOneSided:
     def test_one_dispatcher_picks_the_route(self):
         # the spec picks the route, and the cloud is that route's output,
         # byte for byte: a Hermitian spec the banded route, a circulant the
-        # closed form, and below order 3 a normal non-Hermitian model the
-        # normal route
+        # closed form; a spec that is not normal gets a grid at every n,
+        # also iU + iV at n = 2, whose model there is normal
         shift = OperatorSpec.canonical(1, 0, 0, 0)
-        normal_q2 = OperatorSpec.canonical(1j, 0, 1j, 0)
         for spec, n, route in (
+                (shift, 2, lambda p: circulant_four_term_eigenvalues(1, 0, 2)),
                 (shift, 8, lambda p: circulant_four_term_eigenvalues(1, 0, 8)),
-                (AM, 50, lambda p: hermitian_eigenvalues(build_operator(AM, p, 50))),
-                (normal_q2, 2, lambda p: normal_eigenvalues(build_operator(normal_q2, p, 2)))):
+                (AM, 50, lambda p: hermitian_eigenvalues(build_operator(AM, p, 50)))):
             cloud, cert = one_sided(GOLDEN, spec, n)
             direct = route(cert.chosen_p)
             assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(direct))
+        grid, _ = one_sided(GOLDEN, OperatorSpec.canonical(1j, 0, 1j, 0), 2,
+                            GridParams(resolution=(4, 4)))
+        assert isinstance(grid, PseudospectrumGrid)
 
     def test_spec_paths_never_read_the_dense_entries(self, monkeypatch):
-        # from order 3 on, the Hermitian, circulant, diagonal and rotated
+        # at every order, the Hermitian, circulant, diagonal and rotated
         # routes and the grid of a non-normal spec all work from the model's
         # nonzeros or the coefficients
         def no_entries(model):
@@ -485,11 +485,14 @@ class TestOneSided:
         monkeypatch.setattr(MatrixModel, "entries", property(no_entries))
         for spec in (AM, OperatorSpec.canonical(1, 2, 0, 0), OperatorSpec.canonical(0, 0, 1, 2j),
                      OperatorSpec.canonical(1j, 1j, 2j, 2j)):
-            assert len(certify_normal(GOLDEN, spec, 6)[0]) == 21
-            assert len(convergence_study(GOLDEN, spec, range(4, 7)).rows) == 3
-            assert len(one_sided(GOLDEN, spec, 10)[0]) == 10  # p = 6 shares a factor with 10
-        grid, cert = one_sided(GOLDEN, U_PLUS_2V, 987, GridParams(resolution=(4, 4)))
-        assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == 610
+            for n, size in ((1, 2), (2, 3), (6, 21)):
+                assert len(certify_normal(GOLDEN, spec, n)[0]) == size
+            assert len(convergence_study(GOLDEN, spec, range(1, 7)).rows) == 6
+            for n in (1, 2, 10):  # p = 6 shares a factor with 10
+                assert len(one_sided(GOLDEN, spec, n)[0]) == n
+        for n, p in ((1, 0), (2, 1), (987, 610)):
+            grid, cert = one_sided(GOLDEN, U_PLUS_2V, n, GridParams(resolution=(4, 4)))
+            assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == p
 
     def test_non_normal_spec_refused_before_any_model(self, monkeypatch):
         builds = []
@@ -497,8 +500,9 @@ class TestOneSided:
         for module in (approx, spectral):
             monkeypatch.setattr(module, "build_operator",
                                 lambda *a: builds.append(a[1:]) or build(*a))
-        with pytest.raises(ModelsNotNormal):
-            certify_normal(GOLDEN, U_PLUS_2V, 3)  # orders 2 and 3
+        for n in (1, 2, 3):  # orders 1 to 3, Hermitian models below 3
+            with pytest.raises(ModelsNotNormal):
+                certify_normal(GOLDEN, U_PLUS_2V, n)
         with pytest.raises(ModelsNotNormal):
             convergence_study(GOLDEN, U_PLUS_2V, range(1, 6))  # orders 1 to 8
         assert builds == []

@@ -282,32 +282,40 @@ class TestSpectrum:
         assert "F(18) = 4181 > budget 4096" in err and len(err) < 200
         assert not out.exists()
 
-    def test_svd_failure_takes_the_gesvd_retry_then_exits_4(self, tmp_path, capsys,
-                                                              monkeypatch):
-        # below order 3 the dense cascade decides; the order-2 model of
-        # U + (1 + 5e-11 i)V falls between is_normal's two Frobenius
-        # screens, so its normality is decided by 2-norms from the SVD
-        spec = '{"canonical": {"a+": [1,0], "b+": [1,5e-11]}}'
-        argv = ["spectrum", "--theta", GOLDEN, "--spec", spec,
-                "--level", "2", "--format", "csv", "--out-dir"]
-        assert main(argv + [str(tmp_path / "plain")]) == 0
-        failures = []
+    def test_non_normal_spec_at_level_2_exits_3_without_an_svd(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the order-2 model of U + (1 + 5e-11 i)V is normal to within 2-norms
+        # that only an SVD tells, but the spec fails the equations, so the
+        # level is refused before any matrix is built
+        calls = []
 
         def failing(*args, **kwargs):
-            failures.append(kwargs.get("lapack_driver"))
+            calls.append(kwargs.get("lapack_driver"))
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        assert main(argv + [str(tmp_path / "retry")]) == 0
-        assert failures
-        plain, retry = (np.loadtxt(tmp_path / d / "spectrum_cloud.csv", delimiter=",",
-                                   skiprows=1) for d in ("plain", "retry"))
-        assert plain.shape == retry.shape == (3, 2)
-        assert np.max(np.abs(plain - retry)) <= 1e-12
         monkeypatch.setattr(scipy.linalg, "svd", failing)
-        assert main(argv + [str(tmp_path / "failed")]) == 4
-        assert "numerical failure: SVD failed" in capsys.readouterr().err
-        assert "gesvd" in failures
+        out = tmp_path / "out"
+        assert main(["spectrum", "--theta", GOLDEN, "--spec",
+                     '{"canonical": {"a+": [1,0], "b+": [1,5e-11]}}',
+                     "--level", "2", "--out-dir", str(out)]) == 3
+        assert "models are not normal" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_non_normal_spec_refused_at_every_level_before_any_model(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # U + 2V's models at q = 1 and 2 are Hermitian, but the operator is
+        # not normal: levels 1 and 2 exit 3 as level 3 does
+        builds = []
+        for module in (approx, spectral, cli):
+            monkeypatch.setattr(module, "build_operator", lambda *a: builds.append(a[1:]))
+        out = tmp_path / "out"
+        for argv in (["spectrum", "--level", "1"], ["spectrum", "--level", "2"],
+                     ["converge", "--n-range", "1:3"]):
+            assert main(argv + ["--theta", GOLDEN, "--spec", U2V_JSON,
+                                "--out-dir", str(out)]) == 3
+            assert "models are not normal" in capsys.readouterr().err
+        assert builds == [] and not out.exists()
 
     def test_normal_only_within_rounding_exits_3_before_any_file(self, tmp_path, capsys):
         # e^{0.3i} times a Hermitian spec, rounded to floats, is refused
@@ -511,6 +519,17 @@ class TestOnesided:
         doc = json.loads((tmp_path / "onesided_summary.json").read_text())
         assert doc["certificates"][0]["kind"] == "grid"
         assert doc["certificates"][0]["resolution"] == [6, 6]
+
+    def test_grid_kind_at_every_denominator_of_a_non_normal_spec(self, tmp_path, capsys):
+        # U + 2V's models at n = 1 and 2 are Hermitian, but the operator is
+        # not normal, so each denominator gets a grid
+        assert main(["onesided", "--theta", GOLDEN, "--n-list", "1,2", "--spec", U2V_JSON,
+                     "--resolution", "4", "4", "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("kind=grid") == 2
+        doc = json.loads((tmp_path / "onesided_summary.json").read_text())
+        assert [c["kind"] for c in doc["certificates"]] == ["grid", "grid"]
+        for n in (1, 2):
+            assert (tmp_path / f"onesided_n{n}.csv").read_text().startswith("re,im,sigma_min\n")
 
     def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(approx, "build_operator", None)  # any build would fail

@@ -129,6 +129,25 @@ class TestComputeGrid:
             with pytest.raises(InvalidInput):
                 compute_grid(np.eye(2), (-1, 1, -1, 1), (4, 4), jobs=jobs)
 
+    def test_non_finite_and_empty_arrays_are_refused(self):
+        # LAPACK and the band route run without a finiteness check, so a
+        # NaN or inf entry would give a silent wrong grid
+        for bad in (np.nan, np.inf):
+            for a in (np.array([[bad]]), np.diag([1, bad]), np.array([[0, bad], [0, 1]])):
+                with pytest.raises(InvalidInput, match="must be finite"):
+                    compute_grid(a, (-1, 1, -1, 1), (4, 4))
+                with pytest.raises(InvalidInput, match="must be finite"):
+                    matrix_fingerprint(a)
+                with pytest.raises(InvalidInput, match="must be finite"):
+                    sandwich_check(a, np.eye(a.shape[0]), 0.5)
+                with pytest.raises(InvalidInput, match="must be finite"):
+                    sandwich_check(np.eye(a.shape[0]), a, 0.5)
+        empty = np.zeros((0, 0))
+        with pytest.raises(InvalidInput, match="empty matrix"):
+            compute_grid(empty, (-1, 1, -1, 1), (4, 4))
+        with pytest.raises(InvalidInput, match="empty matrix"):
+            sandwich_check(empty, empty, 0.5)
+
     def test_scalar_matrix(self):
         grid = compute_grid(np.array([[0.5 + 0.5j]]), (0, 1, 0, 1), (3, 3))
         re, im = grid.lambda_axes()
@@ -449,7 +468,7 @@ class TestDistanceRoute:
 
 
 class TestNormalRoute:
-    """Models of order q >= 3 of a normal spec, classes (i) no V terms,
+    """Models of any order of a normal spec, classes (i) no V terms,
     (ii) no U terms and (iii) e^(i phi) times a Hermitian spec, take
     distances to their eigenvalues: never the band, never the dense
     matrix."""
@@ -488,14 +507,26 @@ class TestNormalRoute:
                 compute_grid(model, (-3, 3, -3, 3), (5, 4))
                 assert "entries" not in vars(model)
 
-    def test_orders_below_3_of_a_non_hermitian_spec_take_the_band(self, monkeypatch):
-        # u = u* there, so the equations do not decide normality, and the
-        # spec routes only a Hermitian spec to distances
+    def test_orders_below_3_of_a_normal_spec_take_distances(self, monkeypatch):
+        # the spec decides normality at every order, so q = 1 and 2 take
+        # distances as q >= 3 does (class (iii) solves its rotated Hermitian
+        # model); U + 2V's models there are Hermitian, but the spec is not
+        # normal, and they keep the band
         calls = TestDistanceRoute.spy(monkeypatch)
         for spec in NORMAL_CLASSES:
             for p, q in ((0, 1), (1, 2)):
-                compute_grid(build_operator(spec, p, q), (-3, 3, -3, 3), (4, 4))
-        assert calls == ["band"] * 6
+                model = build_operator(spec, p, q)
+                grid = compute_grid(model, (-3, 3, -3, 3), (4, 4))
+                assert "entries" not in vars(model)
+                lam = grid.lambda_grid().ravel()
+                ref = pointwise_svd(model.entries, lam)
+                tol = 1e-12 * (spec_norm_bound(spec) + np.abs(lam))
+                assert np.all(np.abs(grid.sigma_min_values.ravel() - ref) <= tol), (spec, q)
+        assert calls == ["eig"] * 2
+        calls.clear()
+        for p, q in ((0, 1), (1, 2)):
+            compute_grid(build_operator(U_PLUS_2V, p, q), (-3, 3, -3, 3), (4, 4))
+        assert calls == ["band"] * 2
 
     def test_distance_blocks_stay_within_12_mib(self):
         # 256 points against 4181 complex eigenvalues are 17 MB of

@@ -162,3 +162,16 @@ def test_every_top_level_definition_is_used():
         if names.get(node.name, 0) <= inside:
             dead.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not dead, f"top-level definitions nothing uses: {dead}"
+
+
+def test_dense_entries_are_read_in_two_places():
+    # a model's dense matrix is formed only for a dense consumer, through
+    # spectral.as_matrix, and by unitarity_defect; a spec path that reads
+    # .entries would build a q x q matrix and let a tolerance pick a route
+    readers = set()
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                readers.update(f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                               if isinstance(node, ast.Attribute) and node.attr == "entries")
+    assert readers == {"spectral.py:as_matrix", "matmodel.py:unitarity_defect"}, readers

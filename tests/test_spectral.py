@@ -18,7 +18,7 @@ import scipy.linalg
 
 import rotspec.spectral as spectral
 from rotspec.approx import hausdorff_distance
-from rotspec.errors import ConvergenceFailure, NotHermitian, NotNormal
+from rotspec.errors import ConvergenceFailure, InvalidInput, NotHermitian, NotNormal
 from rotspec.matmodel import (
     OperatorSpec,
     _clock_diagonal,
@@ -318,7 +318,7 @@ class TestSpecRoutes:
     def test_classes_match_the_normal_route_at_every_p(self):
         rng = np.random.default_rng(11)
         rotations = (1j, -1j, 1 + 1j, 1 - 1j, 0.5 + 0.5j, -0.5 + 0.5j, -1 - 1j)
-        for q in range(3, 25):
+        for q in range(1, 25):  # u = u* at q <= 2, and the routes hold there too
             # dyadic parts keep a rotated conjugate pair an exact pair
             x, y = (complex(*rng.integers(-16, 17, size=2) / 8) or 1 for _ in range(2))
             r = rotations[q % len(rotations)]
@@ -477,8 +477,9 @@ class TestNormal:
         monkeypatch.setattr(spectral, "_singular_values", no_svd)
         for a, want in zip(inputs, expect):
             assert normal_eigenvalues(a).tobytes() == want.tobytes()
-        for spec in (OperatorSpec.canonical(1j, 0, 1j, 0), OperatorSpec.canonical(1, 0, 0, 0)):
-            assert model_eigenvalues(spec, 1, 2).shape == (2,)
+        # a model's route takes none either: the spec decides its normality
+        assert model_eigenvalues(OperatorSpec.canonical(1, 0, 0, 0), 1, 2).shape == (2,)
+        assert model_eigenvalues(OperatorSpec.canonical(1j, 0, 1j, 0), 1, 2) is None
 
     def test_hermitian_input_agrees_with_hermitian_route(self):
         rng = np.random.default_rng(19)
@@ -488,6 +489,22 @@ class TestNormal:
         nv = normal_eigenvalues(a)
         assert np.allclose(nv.imag, 0, atol=1e-10)
         assert np.allclose(np.sort(nv.real), hv, atol=1e-10)
+
+
+class TestNonFiniteInput:
+    """LAPACK runs without a finiteness check, so every dense entry point
+    refuses a NaN or inf entry (through as_matrix) instead of answering
+    wrong: sigma_min 1.0 beside a NaN, eigenvalues NaN beside an inf."""
+
+    @pytest.mark.parametrize("run", [
+        spectral.as_matrix, operator_norm, is_normal, hermitian_eigenvalues,
+        normal_eigenvalues, smallest_singular_value,
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_refused(self, run, bad):
+        for a in ([[bad, 0], [0, 1]], [[1, bad], [bad, 1]], [[bad]]):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                run(np.array(a, dtype=complex))
 
 
 class TestIsNormal:
