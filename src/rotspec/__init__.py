@@ -7,12 +7,9 @@ radii so every output is a certificate rather than a heuristic picture.
 """
 
 from .contfrac import (
-    BigRational,
     ContinuedFractionExpansion,
-    DecimalString,
     GapBound,
-    QuadraticSurd,
-    RealNumberInput,
+    Theta,
     convergent_gap,
     expand,
     fibonacci,

@@ -30,13 +30,11 @@ import numpy as np
 
 from .contfrac import (
     ContinuedFractionExpansion,
-    RealNumberInput,
+    Theta,
     expand,
     fibonacci,
     round_nearest,
     tail_constant_enclosure,
-    theta_bounds,
-    theta_is_irrational,
 )
 from .errors import (
     CertificateViolation,
@@ -114,6 +112,7 @@ def sharp_bound_exact(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
 
 def sharp_bound(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
                 n: int) -> float:
+    """sharp_bound_exact at level n, rounded up to a float."""
     return float_up(sharp_bound_exact(spec, expansion, n))
 
 
@@ -135,6 +134,7 @@ def clean_bound_exact(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
 
 def clean_bound(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
                 n: int) -> float:
+    """clean_bound_exact at level n, rounded up to a float."""
     return float_up(clean_bound_exact(spec, expansion, n))
 
 
@@ -158,6 +158,7 @@ class ConstantAudit:
 
 
 def constant_audit() -> ConstantAudit:
+    """The ConstantAudit enclosures, each end rounded outward to a float."""
     s5_lo, s5_hi = sqrt_lower(5), sqrt_upper(5)
     # 14*pi*(3*sqrt(5)-1)/(sqrt(5)-1), monotone in each enclosure endpoint:
     # increasing in pi and in the numerator root, decreasing in the
@@ -178,8 +179,8 @@ def constant_audit() -> ConstantAudit:
 # certificates
 # ---------------------------------------------------------------------------
 
-def _irrationality_caveat(theta: RealNumberInput) -> Optional[str]:
-    irr = theta_is_irrational(theta)
+def _irrationality_caveat(theta: Theta) -> Optional[str]:
+    irr = theta.irrational
     if irr is False:
         raise ThetaRational(
             f"theta {theta} is exactly rational; certified radii "
@@ -195,7 +196,7 @@ class ApproximationCertificate:
     """Two-sided certificate at level n: every spectral point of the
     operator is within radius of the returned cloud and vice versa."""
 
-    theta: RealNumberInput
+    theta: Theta
     spec: OperatorSpec
     level_n: int
     pair: tuple[tuple[int, int], tuple[int, int]]  # ((p_{n-1}, q_{n-1}), (p_n, q_n))
@@ -235,7 +236,7 @@ def _check_budget(q: int, max_q: int, what: str) -> None:
         raise ResourceBudgetExceeded(f"{what} needs order q={q} > budget {max_q}")
 
 
-def _expand_to_level(theta: RealNumberInput, n: int, max_q: int,
+def _expand_to_level(theta: Theta, n: int, max_q: int,
                      label: str) -> ContinuedFractionExpansion:
     """theta expanded through convergent n + 1, for a level-n certificate
     whose order q_n fits the budget. Level n is refused before theta is
@@ -255,7 +256,7 @@ def _expand_to_level(theta: RealNumberInput, n: int, max_q: int,
     return expansion
 
 
-def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str]:
+def _spectrum_caveat(theta: Theta, spec: OperatorSpec) -> Optional[str]:
     """Input gate of the Hausdorff certificates: irrational theta and a
     canonical normal spec (a Hermitian one among them), before theta is
     expanded or any model is built; returns the irrationality caveat."""
@@ -272,7 +273,7 @@ def _spectrum_caveat(theta: RealNumberInput, spec: OperatorSpec) -> Optional[str
     return caveat
 
 
-def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
+def _certify_level(theta: Theta, spec: OperatorSpec,
                    expansion: ContinuedFractionExpansion, n: int,
                    caveat: Optional[str],
                    spectra: dict[int, np.ndarray]) -> tuple[np.ndarray, ApproximationCertificate]:
@@ -296,7 +297,7 @@ def _certify_level(theta: RealNumberInput, spec: OperatorSpec,
     return np.sort(np.concatenate([spectra[n - 1], spectra[n]]), kind="stable"), cert
 
 
-def certify_normal(theta: RealNumberInput, spec: OperatorSpec, n: int,
+def certify_normal(theta: Theta, spec: OperatorSpec, n: int,
                    max_q: int = MAX_Q) -> tuple[np.ndarray, ApproximationCertificate]:
     """sigma(h_{n-1}) union sigma(h_n) with the certified radius
     epsilon_sharp; models must be normal."""
@@ -313,7 +314,7 @@ class PseudospectrumSandwich:
     For non-canonical specs no epsilon_n exists and only the rate flag is
     carried."""
 
-    theta: RealNumberInput
+    theta: Theta
     spec: OperatorSpec
     level_n: int
     q_pair: tuple[int, int]
@@ -357,7 +358,7 @@ class PseudospectrumSandwich:
         }
 
 
-def certify_pseudospectrum(theta: RealNumberInput, spec: OperatorSpec, n: int,
+def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
                            epsilon: float,
                            grid_params: Optional[GridParams] = None,
                            max_q: int = MAX_Q) -> PseudospectrumSandwich:
@@ -411,7 +412,7 @@ class OneSidedCertificate:
     """sigma(h_{p/n}) lies within radius = C1/sqrt(n) of the operator's
     spectrum (containment one way only; no Hausdorff claim)."""
 
-    theta: RealNumberInput
+    theta: Theta
     spec: OperatorSpec
     denominator_n: int
     chosen_p: int
@@ -436,7 +437,7 @@ class OneSidedCertificate:
 OneSidedResult = Union[np.ndarray, PseudospectrumGrid]
 
 
-def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
+def one_sided(theta: Theta, spec: OperatorSpec, n: int,
               grid_params: Optional[GridParams] = None,
               max_q: int = MAX_Q) -> tuple[OneSidedResult, OneSidedCertificate]:
     """Single model at denominator n with p = round(n*theta); returns its
@@ -450,7 +451,7 @@ def one_sided(theta: RealNumberInput, spec: OperatorSpec, n: int,
     p = p_star % n
     # the hypothesis |theta - p*/n| <= 1/(2n) must hold over theta's whole
     # enclosure; |x - p*/n| is convex, so checking both ends suffices
-    if any(abs(end - Fraction(p_star, n)) > Fraction(1, 2 * n) for end in theta_bounds(theta)):
+    if any(abs(end - Fraction(p_star, n)) > Fraction(1, 2 * n) for end in theta.bounds()):
         raise PrecisionExhausted(
             f"theta {theta} is not known closely enough to certify "
             f"|theta - {p_star}/{n}| <= 1/(2n)"
@@ -524,7 +525,9 @@ class ConvergenceRow:
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    theta: RealNumberInput
+    """The rows of a convergence ladder against its deepest level reference_n."""
+
+    theta: Theta
     spec: OperatorSpec
     rows: tuple[ConvergenceRow, ...]
     reference_n: int
@@ -541,7 +544,7 @@ class ConvergenceTable:
                    f"{r.epsilon_clean:.17g},{r.empirical_dh:.17g}\n")
 
 
-def convergence_study(theta: RealNumberInput, spec: OperatorSpec,
+def convergence_study(theta: Theta, spec: OperatorSpec,
                       n_range, max_q: int = MAX_Q) -> ConvergenceTable:
     """Ladder of certificates with the deepest level as the reference
     proxy for the operator's spectrum: empirical_dH(n) compares cloud(n)

@@ -1,15 +1,16 @@
 """Continued fractions of rotation parameters in exact arithmetic.
 
 The rotation parameter theta lives in (0,1) and is given exactly as a big
-rational or quadratic surd, or approximately as a decimal string. This
+rational or quadratic surd, or approximately as a decimal string.
+parse_theta reads any of the three into one Theta: its normalized text,
+its value (a Fraction, or an exact.Surd for a quadratic surd) and a
+half-width, 0 for exact input and 10^-k for a decimal with k digits,
+which stands for the certified interval [v - 10^-k, v + 10^-k]. This
 module expands theta into partial quotients a_1..a_N and convergents
 p_k/q_k (p_0 = 0, p_1 = 1, q_0 = 1, q_1 = a_1, then the usual three-term
-recursion), entirely in exact arithmetic. Every exact theta has one
-exact .value (a Fraction for rationals, an exact.Surd for quadratic
-surds); a decimal stands for the certified interval
-[v - 10^-prec, v + 10^-prec]. One loop runs the map x -> 1/x - floor(1/x)
-on an interval (lo, hi), a point for exact theta, and emits a quotient
-only when both ends agree on it:
+recursion), entirely in exact arithmetic. One loop runs the map
+x -> 1/x - floor(1/x) on an interval (lo, hi), a point for exact theta,
+and emits a quotient only when both ends agree on it:
 
   * rational inputs terminate at the exact finite expansion,
   * quadratic surds expand to arbitrary depth, and their first recurring
@@ -43,104 +44,57 @@ from .exact import Surd, is_perfect_square, sqrt_lower, sqrt_upper
 
 
 # ---------------------------------------------------------------------------
-# theta input variants
+# theta
 # ---------------------------------------------------------------------------
 
-def _too_many_digits(what: str, length: int) -> InvalidInput:
-    return InvalidInput(f"{what} of {length} characters has a number past Python's "
-                        f"{sys.get_int_max_str_digits()}-digit int conversion limit")
+_ENCLOSURE_DIGITS = 40  # decimal digits of sqrt(d) in a surd's enclosure
 
 
 @dataclass(frozen=True)
-class BigRational:
-    """Exact rational number p/q, stored reduced with q > 0."""
+class Theta:
+    """A parsed rotation parameter: text is its normalized input text
+    (str(theta)), value its exact value (a Fraction, or a Surd for a
+    quadratic surd) or a decimal's written value, and halfwidth is 0 for
+    exact input and 10^-k for a decimal with k digits, which stands for
+    the certified interval [value - halfwidth, value + halfwidth]."""
 
-    numerator: int
-    denominator: int
-
-    def __post_init__(self):
-        if self.denominator == 0:
-            raise InvalidInput("rational denominator must be nonzero")
-        g = math.gcd(self.numerator, self.denominator)
-        num, den = self.numerator // g, self.denominator // g
-        if den < 0:
-            num, den = -num, -den
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __str__(self) -> str:
-        return f"rational:{self.numerator}/{self.denominator}"
-
-
-@dataclass(frozen=True)
-class QuadraticSurd:
-    """Exact quadratic irrational (a + b*sqrt(d))/c with integer fields;
-    d must not be a perfect square and b must be nonzero (a degenerate
-    surd is just a rational in disguise and is rejected)."""
-
-    a: int
-    b: int
-    c: int
-    d: int
+    text: str
+    value: Union[Fraction, Surd]
+    halfwidth: Fraction
 
     def __post_init__(self):
-        if self.c == 0:
-            raise InvalidInput("surd denominator c must be nonzero")
-        if self.b == 0:
-            raise InvalidInput("degenerate surd (b = 0); use a rational input")
-        if self.d < 2 or is_perfect_square(self.d):
-            raise InvalidInput(f"surd radicand d={self.d} must be >= 2 and non-square")
-
-    @property
-    def value(self) -> Surd:
-        return Surd(Fraction(self.a, self.c), Fraction(self.b, self.c), self.d)
+        surd = isinstance(self.value, Surd)
+        if surd and self.value.rb == 0:
+            raise InvalidInput(f"theta {self.text!r} is a rational surd (rb = 0)")
+        if self.halfwidth < 0 or (surd and self.halfwidth):
+            raise InvalidInput(f"theta {self.text!r} has half-width {self.halfwidth}; "
+                               "it must be >= 0, and 0 for a surd")
 
     def __str__(self) -> str:
-        return f"surd:({self.a}+{self.b}*sqrt({self.d}))/{self.c}"
-
-
-@dataclass(frozen=True)
-class DecimalString:
-    """Decimal literal standing for the certified interval
-    [v - 10^-precision, v + 10^-precision], where precision counts the
-    digits after the decimal point (last-place uncertainty)."""
-
-    digits: str
-
-    def __post_init__(self):
-        if not re.fullmatch(r"0?\.[0-9]+", self.digits):
-            raise InvalidInput(f"malformed decimal digits {self.digits!r}")
-        try:
-            Fraction(self.digits)
-        except ValueError:  # Fraction's int() past sys.get_int_max_str_digits()
-            raise _too_many_digits("decimal text", len(self.digits)) from None
+        return self.text
 
     @property
-    def precision(self) -> int:
-        return len(self.digits.split(".", 1)[1])
+    def exact(self) -> bool:
+        return self.halfwidth == 0
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.digits)
+    def irrational(self) -> Optional[bool]:
+        """True for surds, False for rationals, None (unknown, assumed) for
+        decimal inputs."""
+        return isinstance(self.value, Surd) if self.exact else None
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        ulp = Fraction(1, 10**self.precision)
-        return self.value - ulp, self.value + ulp
+    def bounds(self) -> tuple[Fraction, Fraction]:
+        """Rational enclosure of the value: a point for a rational, one of
+        width <= 2|rb| 10^-40 for a surd, the interval for a decimal."""
+        if isinstance(self.value, Surd):
+            return self.value.enclosure(_ENCLOSURE_DIGITS)
+        return self.value - self.halfwidth, self.value + self.halfwidth
 
-    def __str__(self) -> str:
-        return f"decimal:{self.digits}"
-
-
-RealNumberInput = Union[BigRational, QuadraticSurd, DecimalString]
 
 _THETA_GRAMMAR = {
     "rational": re.compile(r"rational:(-?\d+)/(-?\d+)\Z"),
     "surd": re.compile(r"surd:\((-?\d+)\+(-?\d+)\*sqrt\((\d+)\)\)/(-?\d+)\Z"),
-    "decimal": re.compile(r"decimal:(0?\.[0-9]+)\Z"),
+    "decimal": re.compile(r"decimal:(0?\.([0-9]+))\Z"),
 }
 
 
@@ -150,49 +104,37 @@ def _quoted(text: str) -> str:
     return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
 
 
-def parse_theta(text: str) -> RealNumberInput:
+def parse_theta(text: str) -> Theta:
     """Parse "rational:<p>/<q>", "surd:(<a>+<b>*sqrt(<d>))/<c>" or
-    "decimal:<digits>" into the corresponding input variant."""
+    "decimal:<digits>" into a Theta: a rational is reduced with a positive
+    denominator, a surd's integers are printed as int() prints them, and
+    a decimal's digits are kept as written."""
     try:
         if m := _THETA_GRAMMAR["rational"].fullmatch(text):
-            return BigRational(int(m.group(1)), int(m.group(2)))
+            num, den = int(m.group(1)), int(m.group(2))
+            if den == 0:
+                raise InvalidInput("rational denominator must be nonzero")
+            v = Fraction(num, den)
+            return Theta(f"rational:{v.numerator}/{v.denominator}", v, Fraction(0))
         if m := _THETA_GRAMMAR["surd"].fullmatch(text):
-            return QuadraticSurd(int(m.group(1)), int(m.group(2)),
-                                 int(m.group(4)), int(m.group(3)))
+            a, b, d, c = map(int, m.groups())
+            if c == 0:
+                raise InvalidInput("surd denominator c must be nonzero")
+            if b == 0:
+                raise InvalidInput("degenerate surd (b = 0); use a rational input")
+            if d < 2 or is_perfect_square(d):
+                raise InvalidInput(f"surd radicand d={d} must be >= 2 and non-square")
+            return Theta(f"surd:({a}+{b}*sqrt({d}))/{c}",
+                         Surd(Fraction(a, c), Fraction(b, c), d), Fraction(0))
+        if m := _THETA_GRAMMAR["decimal"].fullmatch(text):
+            return Theta(text, Fraction(m.group(1)), Fraction(1, 10 ** len(m.group(2))))
     except ValueError:  # int() past sys.get_int_max_str_digits()
-        raise _too_many_digits("theta text", len(text)) from None
-    if m := _THETA_GRAMMAR["decimal"].fullmatch(text):
-        return DecimalString(m.group(1))
+        raise InvalidInput(f"theta text of {len(text)} characters has a number past Python's "
+                           f"{sys.get_int_max_str_digits()}-digit int conversion limit") from None
     raise InvalidInput(
         f"cannot parse theta {_quoted(text)}; expected rational:<p>/<q>, "
         "surd:(<a>+<b>*sqrt(<d>))/<c> or decimal:<digits>"
     )
-
-
-def theta_is_exact(theta: RealNumberInput) -> bool:
-    return not isinstance(theta, DecimalString)
-
-
-def theta_is_irrational(theta: RealNumberInput) -> Optional[bool]:
-    """True for surds, False for rationals, None (unknown, assumed) for
-    decimal inputs."""
-    return isinstance(theta.value, Surd) if theta_is_exact(theta) else None
-
-
-def theta_bounds(theta: RealNumberInput, digits: int = 40) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of the represented value (a point for exact
-    inputs, the certified interval for decimals)."""
-    if not theta_is_exact(theta):
-        return theta.interval()
-    v = theta.value
-    return v.enclosure(digits) if theta_is_irrational(theta) else (v, v)
-
-
-def require_unit_interval(theta: RealNumberInput) -> None:
-    """Reject rotation parameters outside the open interval (0,1). For a
-    decimal input the check applies to the written value."""
-    if not 0 < theta.value < 1:
-        raise InvalidInput(f"theta {_quoted(str(theta))} is not in (0,1)")
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +145,21 @@ def require_unit_interval(theta: RealNumberInput) -> None:
 class ContinuedFractionExpansion:
     """Partial quotients a_1..a_N with convergents (p_k, q_k), k = 0..N.
 
-    exact is False only for decimal (precision-limited) inputs;
-    terminated marks a rational theta whose full finite expansion was
-    reached; periodic_part = (preperiod length, period length) for surds.
+    exact, read off theta, is False only for decimal (precision-limited)
+    inputs; terminated marks a rational theta whose full finite expansion
+    was reached; periodic_part = (preperiod length, period length) for
+    surds.
     """
 
-    theta: RealNumberInput
+    theta: Theta
     partial_quotients: tuple[int, ...]
     convergents: tuple[tuple[int, int], ...]
-    exact: bool
     periodic_part: Optional[tuple[int, int]] = None
     terminated: bool = False
+
+    @property
+    def exact(self) -> bool:
+        return self.theta.exact
 
     @property
     def n_terms(self) -> int:
@@ -261,7 +207,7 @@ def _convergents_from_quotients(quotients) -> tuple[tuple[int, int], ...]:
     return tuple(conv)
 
 
-def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion:
+def expand(theta: Theta, max_terms: int) -> ContinuedFractionExpansion:
     """Expand theta in (0,1) to at most max_terms partial quotients.
 
     Rational inputs may terminate early (exact finite expansion); surds
@@ -271,13 +217,14 @@ def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion
     """
     if max_terms < 1:
         raise InvalidInput(f"max_terms must be >= 1, got {max_terms}")
-    require_unit_interval(theta)
+    if not 0 < theta.value < 1:
+        raise InvalidInput(f"theta {_quoted(str(theta))} is not in (0,1)")
 
     # the remainder x_k = 1/x_{k-1} - a_{k-1} (x_0 = theta) lies in [lo, hi],
     # a point for exact theta
     lo = hi = theta.value
-    if not theta_is_exact(theta):
-        lo, hi = theta.interval()
+    if not theta.exact:
+        lo, hi = theta.bounds()
     quotients: list[int] = []
     seen: dict = {}  # remainder -> its index, until one recurs
     periodic_part: Optional[tuple[int, int]] = None
@@ -312,7 +259,6 @@ def expand(theta: RealNumberInput, max_terms: int) -> ContinuedFractionExpansion
         theta=theta,
         partial_quotients=tuple(quotients),
         convergents=_convergents_from_quotients(quotients),
-        exact=theta_is_exact(theta),
         periodic_part=periodic_part,
         terminated=hi == 0,
     )
@@ -361,7 +307,7 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
     theta = expansion.theta
 
     strict = certified = True
-    if theta_is_exact(theta):
+    if theta.exact:
         gap = abs(theta.value - target)
         # consecutive-convergent determinant makes the terminal gap of a
         # terminated rational an equality; every other gap is strict
@@ -379,7 +325,7 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         if not (gap < bound if strict else gap == bound):
             raise CertificateViolation(f"{violation} for {theta}")
     else:
-        tlo, thi = theta.interval()
+        tlo, thi = theta.bounds()
         lo = max(Fraction(0), tlo - target, target - thi)
         hi = max(abs(tlo - target), abs(thi - target))
         certified = hi < bound
@@ -412,7 +358,7 @@ def fibonacci(k: int) -> int:
 # exact helpers consumed by the certificate layer
 # ---------------------------------------------------------------------------
 
-def round_nearest(theta: RealNumberInput, n: int) -> tuple[int, bool]:
+def round_nearest(theta: Theta, n: int) -> tuple[int, bool]:
     """Exact nearest integer to n*theta, with ties (possible only for
     rational-valued inputs) broken to even. Returns (value, tie_was_broken)."""
     if n < 1:

@@ -43,6 +43,7 @@ from .spectral import (
     _banded_sigma_min,
     _gram_band,
     _model_spectrum,
+    _require_finite_norm,
     as_matrix,
     hermitian_eigenvalues,
     operator_norm,
@@ -153,7 +154,10 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    if is_model:
+    if is_model and a.spec.is_hermitian:  # the Hermitian route takes the model at hand
+        _require_finite_norm(a.spec)
+        spectrum = hermitian_eigenvalues(a), 1
+    elif is_model:
         spectrum = _model_spectrum(a.spec, a.p, a.order)
     else:
         spectrum = (hermitian_eigenvalues(a), 1) if np.array_equal(a, a.conj().T) else None

@@ -39,7 +39,8 @@ exactly, so no model is tested densely):
   (ii) no U terms         the same closed form over the powers of omega
   (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
   any other spec          not normal (None), and no model is built
-_model_spectrum keeps class (iii)'s real values of H and the rotation.
+_model_spectrum keeps class (iii)'s real values of H and the rotation,
+and refuses a normal spec whose sum |c| overflows before any model.
 
 Every singular value of a dense matrix comes from one SVD route,
 _singular_values: numpy's divide-and-conquer SVD, with a retry through
@@ -237,14 +238,22 @@ def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray
     return values if r == 1 else np.sort(r * values, kind="stable")
 
 
+def _require_finite_norm(spec: OperatorSpec) -> None:
+    """Refuse a spec whose sum |c| overflows: its eigenvalues would be inf or NaN."""
+    norm = spec_norm_bound(spec)
+    if not math.isfinite(norm):
+        raise InvalidInput(f"sum |c| = {norm!r} of the spec is outside the float range")
+
+
 def _model_spectrum(spec: OperatorSpec, p: int, q: int) -> Optional[tuple[np.ndarray, complex]]:
     """(values, r), the model's eigenvalues being r * values, or None when
     the spec is not normal: r = 1, except r = e^(i phi) in class (iii),
     whose values are the real ascending ones of H = e^(-i phi) A."""
+    if not (spec.is_hermitian or spec.is_normal):
+        return None
+    _require_finite_norm(spec)
     if spec.is_hermitian:
         return hermitian_eigenvalues(build_operator(spec, p, q)), 1
-    if not spec.is_normal:
-        return None
     a1, am, b1, bm = spec.canonical_four_term
     if not (b1 or bm):
         return circulant_four_term_eigenvalues(a1, am, q), 1

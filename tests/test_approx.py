@@ -384,6 +384,16 @@ class TestCertifyPseudospectrum:
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS, max_q=3)
         assert s.q_pair == (2, 3)
 
+    def test_hermitian_models_are_built_once(self, monkeypatch):
+        # compute_grid hands the model it holds to the Hermitian route
+        builds = []
+        build = build_operator
+        for module in (approx, spectral):
+            monkeypatch.setattr(module, "build_operator",
+                                lambda *a: builds.append(a[2]) or build(*a))
+        certify_pseudospectrum(GOLDEN, AM, 6, 0.5, GridParams(resolution=(4, 4)))
+        assert builds == [8, 13]
+
     def test_outer_level_is_rounded_up(self, monkeypatch):
         # 0.7 + 2*0.05 rounds to nearest below the exact sum, so a
         # sigma_min equal to the rounded-up sum must still be in the outer set

@@ -200,7 +200,8 @@ class TestExpand:
 
 
     def test_theta_past_the_int_digit_limit_exits_3(self, capsys, digit_limit):
-        for theta in ("rational:1/1" + "0" * 5000, "decimal:0." + "0" * 4400 + "1"):
+        for theta in ("rational:1/1" + "0" * 5000, "surd:(1+1*sqrt(2" + "0" * 5000 + "))/3",
+                      "decimal:0." + "0" * 4400 + "1"):
             assert main(["expand", "--theta", theta]) == 3
             err = capsys.readouterr().err
             assert f"{digit_limit}-digit" in err and len(err) < 200

@@ -10,6 +10,7 @@ re-derived in exact Fraction arithmetic inside the test.
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,10 +20,8 @@ from pathlib import Path
 import pytest
 
 from rotspec.contfrac import (
-    BigRational,
     ContinuedFractionExpansion,
-    DecimalString,
-    QuadraticSurd,
+    Theta,
     convergent_gap,
     expand,
     fibonacci,
@@ -36,6 +35,7 @@ from rotspec.errors import (
     InvalidInput,
     PrecisionExhausted,
 )
+from rotspec.exact import Surd
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
 SQRT2M1 = "surd:(-1+1*sqrt(2))/1"
@@ -45,26 +45,55 @@ INV_SQRT2 = "surd:(0+1*sqrt(2))/2"
 class TestParseTheta:
     def test_rational(self):
         th = parse_theta("rational:7/10")
-        assert isinstance(th, BigRational)
-        assert (th.numerator, th.denominator) == (7, 10)
+        assert (th.value, th.halfwidth) == (Fraction(7, 10), 0)
+        assert th.exact and th.irrational is False
         assert str(th) == "rational:7/10"
 
     def test_rational_reduces(self):
         th = parse_theta("rational:14/20")
-        assert (th.numerator, th.denominator) == (7, 10)
+        assert th.value == Fraction(7, 10)
+        assert str(th) == "rational:7/10"
 
     def test_surd(self):
         th = parse_theta(GOLDEN)
-        assert isinstance(th, QuadraticSurd)
-        assert (th.a, th.b, th.d, th.c) == (-1, 1, 5, 2)
+        assert th.value == Surd(Fraction(-1, 2), Fraction(1, 2), 5)
+        assert th.exact and th.irrational is True
         assert str(th) == GOLDEN
 
     def test_decimal(self):
         th = parse_theta("decimal:0.6180339887")
-        assert isinstance(th, DecimalString)
-        assert th.precision == 10
-        lo, hi = th.interval()
+        assert (th.value, th.halfwidth) == (Fraction(6180339887, 10 ** 10), Fraction(1, 10 ** 10))
+        assert not th.exact and th.irrational is None
+        lo, hi = th.bounds()
         assert hi - lo == 2 * Fraction(1, 10 ** 10)
+
+    @pytest.mark.parametrize("text, normalized", [
+        ("rational:14/-20", "rational:-7/10"),
+        ("rational:0/5", "rational:0/1"),
+        ("surd:(-01+1*sqrt(5))/2", "surd:(-1+1*sqrt(5))/2"),
+        ("decimal:.5", "decimal:.5"),
+    ])
+    def test_normalized_text(self, text, normalized):
+        assert str(parse_theta(text)) == normalized
+
+    def test_bounds_of_each_kind(self):
+        assert parse_theta("rational:7/10").bounds() == (Fraction(7, 10), Fraction(7, 10))
+        lo, hi = parse_theta("decimal:0.618").bounds()
+        assert (lo, hi) == (Fraction(617, 1000), Fraction(619, 1000))
+        for text, rb in ((GOLDEN, Fraction(1, 2)), ("surd:(1+-3*sqrt(7))/-4", Fraction(3, 4))):
+            th = parse_theta(text)
+            lo, hi = th.bounds()
+            assert lo < th.value < hi
+            assert hi - lo <= 2 * rb * Fraction(1, 10 ** 40)
+
+    @pytest.mark.parametrize("value, halfwidth", [
+        (Surd(Fraction(1, 3), 0, 5), Fraction(0)),           # a rational claiming irrationality
+        (Fraction(1, 2), Fraction(-1, 10)),                  # negative half-width
+        (Surd(Fraction(-1, 2), Fraction(1, 2), 5), Fraction(1, 10)),  # an inexact surd
+    ])
+    def test_theta_refuses_what_no_parse_gives(self, value, halfwidth):
+        with pytest.raises(InvalidInput):
+            Theta("theta", value, halfwidth)
 
     @pytest.mark.parametrize("bad", [
         "rational:7/0", "rational:x/2", "surd:(1+0*sqrt(2))/2",
@@ -186,7 +215,14 @@ class TestExpansionInvariants:
     def test_broken_invariant_raises(self, quotients, convergents):
         with pytest.raises(CertificateViolation):
             ContinuedFractionExpansion(theta=parse_theta(GOLDEN), partial_quotients=quotients,
-                                       convergents=convergents, exact=True)
+                                       convergents=convergents)
+
+    @pytest.mark.parametrize("text", [GOLDEN, "rational:7/10", "decimal:0.6180339887"])
+    def test_exact_is_read_off_theta(self, text):
+        theta = parse_theta(text)
+        e = ContinuedFractionExpansion(theta=theta, partial_quotients=(1, 1),
+                                       convergents=((0, 1), (1, 1), (1, 2)))
+        assert e.exact == theta.exact == (not text.startswith("decimal:"))
 
     def test_broken_determinant_raises_without_asserts(self):
         run = run_without_asserts("""
@@ -195,7 +231,7 @@ class TestExpansionInvariants:
             try:
                 ContinuedFractionExpansion(
                     theta=parse_theta("surd:(-1+1*sqrt(5))/2"), partial_quotients=(1, 1),
-                    convergents=((0, 1), (1, 1), (1, 3)), exact=True)
+                    convergents=((0, 1), (1, 1), (1, 3)))
             except CertificateViolation:
                 raise SystemExit(0)
             raise SystemExit("no violation raised for p_2 q_1 - p_1 q_2 = -2")
@@ -224,13 +260,14 @@ def reference_floor_state(P: int, D: int, Q: int) -> int:
     return (-P - s - 1) // (-Q)
 
 
-def surd_state(theta: QuadraticSurd) -> tuple[int, int, int]:
-    """(P, D, Q) with theta = (P + sqrt(D))/Q, before any rescaling."""
-    a, b, c, d = theta.a, theta.b, theta.c, theta.d
+def surd_state(theta: Theta) -> tuple[int, int, int]:
+    """(P, D, Q) with theta = (P + sqrt(D))/Q, before any rescaling, from
+    the integers a, b, d, c of theta's text (a + b*sqrt(d))/c."""
+    a, b, d, c = map(int, re.findall(r"-?\d+", str(theta)))
     return (a, b * b * d, c) if b > 0 else (-a, b * b * d, -c)
 
 
-def reference_expand_surd(theta: QuadraticSurd, max_terms: int):
+def reference_expand_surd(theta: Theta, max_terms: int):
     P, D, Q = surd_state(theta)
     if (D - P * P) % Q != 0:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
@@ -255,8 +292,8 @@ def reference_expand_surd(theta: QuadraticSurd, max_terms: int):
     return quotients, periodic_part
 
 
-def reference_expand_decimal(theta: DecimalString, max_terms: int):
-    lo, hi = theta.interval()
+def reference_expand_decimal(theta: Theta, max_terms: int):
+    lo, hi = theta.bounds()
     quotients = []
     while len(quotients) < max_terms:
         if lo <= 0:
@@ -289,9 +326,10 @@ def reference_convergents(quotients) -> tuple[tuple[int, int], ...]:
 def reference_outcome(theta, max_terms: int):
     try:
         periodic, terminated = None, False
-        if isinstance(theta, BigRational):
+        kind = str(theta).split(":")[0]
+        if kind == "rational":
             quotients, terminated = reference_expand_rational(theta.value, max_terms)
-        elif isinstance(theta, QuadraticSurd):
+        elif kind == "surd":
             quotients, periodic = reference_expand_surd(theta, max_terms)
         else:
             quotients = reference_expand_decimal(theta, max_terms)
@@ -308,14 +346,14 @@ def expand_outcome(theta, max_terms: int):
     return e.partial_quotients, e.convergents, e.periodic_part, e.terminated
 
 
-def random_unit_surd(rng: random.Random) -> QuadraticSurd:
+def random_unit_surd(rng: random.Random) -> Theta:
     while True:
         d = rng.randint(2, 60)
         if math.isqrt(d) ** 2 == d:
             continue
         b = rng.choice([x for x in range(-9, 10) if x != 0])
         c = rng.choice([x for x in range(-24, 25) if x != 0])
-        th = QuadraticSurd(rng.randint(-40, 40), b, c, d)
+        th = parse_theta(f"surd:({rng.randint(-40, 40)}+{b}*sqrt({d}))/{c}")
         if reference_floor_state(*surd_state(th)) == 0:  # an irrational in [0, 1)
             return th
 
@@ -346,7 +384,7 @@ class TestExpandAgainstReference:
         terminated = truncated = 0
         for _ in range(self.N):
             q = rng.randint(2, 10 ** rng.randint(1, 15))
-            th = BigRational(rng.randint(1, q - 1), q)
+            th = parse_theta(f"rational:{rng.randint(1, q - 1)}/{q}")
             n = rng.randint(1, 30)
             outcome = expand_outcome(th, n)
             assert outcome == reference_outcome(th, n), str(th)
@@ -361,7 +399,7 @@ class TestExpandAgainstReference:
             digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 25)))
             if int(digits) == 0:
                 continue
-            th = DecimalString("0." + digits)
+            th = parse_theta("decimal:0." + digits)
             n = rng.randint(1, 30)
             outcome = expand_outcome(th, n)
             assert outcome == reference_outcome(th, n), str(th)

@@ -432,7 +432,7 @@ class TestDistanceRoute:
             calls.append("band")
             return real_band(gb, lam)
 
-        # a model's eigenvalues come from spectral, an array's from psp
+        # model_eigenvalues reads spectral's, compute_grid psp's
         monkeypatch.setattr(spectral, "hermitian_eigenvalues", eigs)
         monkeypatch.setattr(psp, "hermitian_eigenvalues", eigs)
         monkeypatch.setattr(psp, "_banded_sigma_min", band)
@@ -527,6 +527,16 @@ class TestNormalRoute:
         for p, q in ((0, 1), (1, 2)):
             compute_grid(build_operator(U_PLUS_2V, p, q), (-3, 3, -3, 3), (4, 4))
         assert calls == ["band"] * 2
+
+    def test_sum_of_moduli_past_the_float_range_is_refused(self):
+        # sum |c| = inf made the Hermitian grid all NaN and the eigenvalues
+        # [-1e308, -1e308, inf]; the class (ii) closed form met inf as well
+        hermitian = OperatorSpec.canonical(1e308, 1e308, 0, 0)
+        with pytest.raises(InvalidInput, match="outside the float range"):
+            compute_grid(build_operator(hermitian, 1, 2), (-1, 1, -1, 1), (2, 2))
+        for spec in (hermitian, OperatorSpec.canonical(0, 0, 1e308, 1e308j)):
+            with pytest.raises(InvalidInput, match="outside the float range"):
+                spectral.model_eigenvalues(spec, 1, 3)
 
     def test_distance_blocks_stay_within_12_mib(self):
         # 256 points against 4181 complex eigenvalues are 17 MB of

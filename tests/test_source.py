@@ -175,3 +175,20 @@ def test_dense_entries_are_read_in_two_places():
                 readers.update(f"{path.name}:{fn.name}" for node in ast.walk(fn)
                                if isinstance(node, ast.Attribute) and node.attr == "entries")
     assert readers == {"spectral.py:as_matrix", "matmodel.py:unitarity_defect"}, readers
+
+
+def test_every_reexported_definition_has_a_docstring():
+    # the package's public API is what __init__.py re-exports; each of its
+    # functions and classes says what it is
+    exported = {}  # module name -> names re-exported from it
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported[node.module] = {alias.name for alias in node.names}
+    missing = [f"{path.name}:{node.lineno}: {node.name}"
+               for path, tree in _trees() if path.stem in exported
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name in exported[path.stem] and not ast.get_docstring(node)]
+    assert sum(map(len, exported.values())) > 50
+    assert not missing, f"re-exported definitions without a docstring: {missing}"
