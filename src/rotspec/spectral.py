@@ -60,15 +60,27 @@ point costs 23 factorizations and 3 band solves, where the whole
 44-halving bisection took 45. The kernel is vectorized over the grid
 points of a chunk.
 
-scipy is loaded on first use, inside the Hermitian route and the SVD
-retry, so the band route and `expand` never pay for its import.
+LAPACK is reached through one handle, _lapack(): scipy's f2py extension
+scipy.linalg._flapack, whose functions scipy.linalg.lapack re-exports,
+loaded from its file on first use (the Hermitian route and the SVD
+retry) without running scipy/linalg/__init__.py. That package import
+pulls in scipy's array-API layer and through it numpy.f2py,
+numpy.testing, numpy.ma and numpy.random: about 0.3 s and 20 MiB, where
+the handle costs a few ms and under 3 MiB. When scipy.linalg is
+imported later, it finds the module in sys.modules and shares it. The
+band route and `expand` never load it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import sys
+from pathlib import Path
+from types import ModuleType
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -94,20 +106,46 @@ def as_matrix(A: MatrixLike) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _lapack() -> ModuleType:
+    """scipy's f2py LAPACK module, scipy.linalg._flapack: the one found in
+    sys.modules, or else the extension file under scipy's linalg directory,
+    found without importing scipy and loaded on its own (see the module
+    docstring)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy, whose LAPACK module rotspec calls, is not installed",
+                          name="scipy")
+    linalg = Path(scipy.submodule_search_locations[0], "linalg")
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(str(linalg), loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {linalg}", name=name, path=str(linalg))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _singular_values(a: np.ndarray) -> np.ndarray:
     """Singular values, descending. numpy's divide-and-conquer SVD (gesdd)
     can fail to converge; the matrix is then redone with LAPACK's
-    QR-iteration driver (gesvd), a different algorithm."""
+    QR-iteration driver (gesvd), a different algorithm, called as
+    scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd") calls it,
+    with the work size from its query."""
     try:
         return np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:
-        import scipy.linalg
-
-        try:
-            return scipy.linalg.svd(a, compute_uv=False, check_finite=False,
-                                    lapack_driver="gesvd")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+        lapack = _lapack()
+        work, info = lapack.zgesvd_lwork(*a.shape, compute_uv=0)
+        if not info:
+            _, values, _, info = lapack.zgesvd(a, compute_uv=0, lwork=int(work.real))
+        if info:
+            raise ConvergenceFailure(f"SVD failed: the gesvd retry (zgesvd) returned info={info}")
+        return values
 
 
 def operator_norm(A: MatrixLike) -> float:
@@ -175,14 +213,13 @@ def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
         a = as_matrix(A)
         if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
             raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
-    import scipy.linalg
-
-    try:
-        band = _interleaved_band(A)
-        return scipy.linalg.eig_banded(band[band.shape[0] // 2:], lower=True,
-                                       eigvals_only=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"hermitian eigensolver failed: {exc}") from exc
+    band = _interleaved_band(A)
+    if band.shape[1] == 0:  # zhbevd refuses n = 0
+        return np.empty(0)
+    values, _, info = _lapack().zhbevd(band[band.shape[0] // 2:], compute_v=0, lower=1)
+    if info:
+        raise ConvergenceFailure(f"hermitian eigensolver zhbevd returned info={info}")
+    return values
 
 
 def normal_eigenvalues(A: MatrixLike) -> np.ndarray:

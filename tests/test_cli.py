@@ -10,10 +10,10 @@ import sys
 import tracemalloc
 from argparse import Namespace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import rotspec.approx as approx
 import rotspec.cli as cli
@@ -295,7 +295,7 @@ class TestSpectrum:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing)
-        monkeypatch.setattr(scipy.linalg, "svd", failing)
+        monkeypatch.setattr(spectral, "_lapack", lambda: calls.append("lapack"))
         out = tmp_path / "out"
         assert main(["spectrum", "--theta", GOLDEN, "--spec",
                      '{"canonical": {"a+": [1,0], "b+": [1,5e-11]}}',
@@ -663,6 +663,15 @@ class TestConverge:
         doc = json.loads((tmp_path / "convergence.json").read_text())
         assert doc["all_verified"] is False
 
+    def test_failed_lapack_eigensolve_exits_4(self, tmp_path, capsys, monkeypatch):
+        failing = SimpleNamespace(zhbevd=lambda ab, **kwargs: (np.zeros(ab.shape[1]), None, 1))
+        monkeypatch.setattr(spectral, "_lapack", lambda: failing)
+        code = main(["converge", "--theta", GOLDEN, "--n-range", "3:3",
+                     "--out-dir", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "zhbevd returned info=1" in err
+
     def test_numerical_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **k):
             raise ConvergenceFailure("eigensolver stalled")
@@ -824,8 +833,10 @@ class TestOptionsPerSubcommand:
 
 
 class TestLazyScipy:
-    """scipy is imported only by the routes that call it. Each check runs
-    in a fresh interpreter, because this test process has scipy loaded."""
+    """No route imports scipy.linalg, and LAPACK, scipy's extension module
+    scipy.linalg._flapack, is loaded only by the routes that call it. Each
+    check runs in a fresh interpreter, because this test process may
+    have scipy.linalg loaded."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -836,14 +847,19 @@ class TestLazyScipy:
           "--epsilon", "0.5", "--resolution", "6", "5"], False),
         (["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "11",
           "--epsilon", "0.5", "--resolution", "4", "3"], False),  # banded route, q = 89, 144
+        (["pseudospectrum", "--theta", GOLDEN, "--level", "5",
+          "--epsilon", "0.5", "--resolution", "4", "3"], True),  # distance route, Hermitian
         (["spectrum", "--theta", GOLDEN], True),
-    ], ids=["parser", "expand", "pseudospectrum", "pseudospectrum-banded", "spectrum"])
+        (["converge", "--theta", GOLDEN, "--n-range", "3:6"], True),
+    ], ids=["parser", "expand", "pseudospectrum", "pseudospectrum-banded",
+            "pseudospectrum-distances", "spectrum", "converge"])
     def test_scipy_loaded_only_where_called(self, tmp_path, argv, loaded):
         if argv is not None and argv[0] != "expand":  # expand writes no files
             argv = argv + ["--out-dir", str(tmp_path)]
         run = "cli.build_parser()" if argv is None else f"assert cli.main({argv!r}) == 0"
-        code = f"import sys\nimport rotspec.cli as cli\n{run}\nprint('scipy' in sys.modules)\n"
+        code = (f"import sys\nimport rotspec.cli as cli\n{run}\n"
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == str(loaded)
+        assert proc.stdout.splitlines()[-1] == str(["scipy.linalg._flapack"] if loaded else [])

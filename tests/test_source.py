@@ -45,6 +45,44 @@ def test_one_function_calls_the_svd():
     assert not norm2, f"matrix norms other than Frobenius: {norm2}"
 
 
+_IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_lapack_is_reached_only_through_the_handle():
+    # import scipy.linalg costs about 0.3 s and 20 MiB, so no module
+    # imports scipy; LAPACK is scipy's extension module _flapack, which
+    # only spectral._lapack names, loads and hands out
+    found = []
+    for path, tree in _trees():
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and ast.get_docstring(node) is not None}
+        handle = {id(inner) for node in ast.walk(tree)
+                  if path.name == "spectral.py" and isinstance(node, ast.FunctionDef)
+                  and node.name == "_lapack" for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [f"{path.name}:{node.lineno}: import {module}" for module in modules
+                      if module.partition(".")[0] == "scipy"]
+            if id(node) in handle or id(node) in docstrings:
+                continue
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            elif type(node) in _IDENTIFIER:
+                name = getattr(node, _IDENTIFIER[type(node)])
+            else:
+                continue
+            if "_flapack" in name or name.partition(".")[0] == "scipy":
+                found.append(f"{path.name}:{node.lineno}: {name!r}")
+    assert not found, f"scipy reached outside spectral._lapack: {found}"
+
+
 def _traced_cli():
     spec = importlib.util.spec_from_file_location("traced_cli", ROOT / "bench" / "traced_cli.py")
     module = importlib.util.module_from_spec(spec)

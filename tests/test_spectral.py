@@ -11,6 +11,12 @@ by point against np.linalg.svd in test_pseudospectra.
 """
 
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +53,21 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def sort_complex(values) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     return v[np.lexsort((v.imag, v.real))]
+
+
+class SpyLapack:
+    """A stand-in for spectral._lapack(): records the name of each LAPACK
+    function read from it, and hands out the replacement given for that
+    name or else the real function."""
+
+    def __init__(self, **replacements):
+        self.real = spectral._lapack()
+        self.replacements = replacements
+        self.calls = []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return self.replacements.get(name) or getattr(self.real, name)
 
 
 def assert_multiset_close(got, expected, tol=1e-10):
@@ -192,9 +213,12 @@ class TestBandedHermitian:
         assert _interleaved_band(a).shape == (79, 40)
         self.assert_matches_eigvalsh(a)
 
-    def test_zero_and_empty(self):
+    def test_zero_and_empty(self, monkeypatch):
         assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
-        assert hermitian_eigenvalues(np.zeros((0, 0))).shape == (0,)
+        # zhbevd refuses n = 0, so an empty input never reaches LAPACK
+        monkeypatch.setattr(spectral, "_lapack", lambda: pytest.fail("LAPACK was called"))
+        empty = hermitian_eigenvalues(np.zeros((0, 0)))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def dense_slotwise_build(spec: OperatorSpec, p: int, q: int) -> np.ndarray:
@@ -278,7 +302,7 @@ class TestModelNonzeros:
     def test_hermitian_route_never_builds_dense_entries(self):
         import tracemalloc
 
-        import scipy.linalg  # noqa: F401  (imported outside the measured window)
+        spectral._lapack()  # loaded outside the measured window
 
         tracemalloc.start()
         try:
@@ -544,20 +568,15 @@ class TestSigmaMin:
         rng = np.random.default_rng(9)
         stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
         expect = np.linalg.svd(stack, compute_uv=False)[..., -1]
-        drivers = []
-        real_svd = scipy.linalg.svd
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        def spy(*args, **kwargs):
-            drivers.append(kwargs.get("lapack_driver"))
-            return real_svd(*args, **kwargs)
-
         monkeypatch.setattr(np.linalg, "svd", failing)
-        monkeypatch.setattr(scipy.linalg, "svd", spy)
+        lapack = SpyLapack()
+        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
         got = np.array([smallest_singular_value(m) for m in stack])
-        assert drivers == ["gesvd"] * 5
+        assert lapack.calls == ["zgesvd_lwork", "zgesvd"] * 5
         assert np.max(np.abs(got - expect) / expect) <= 1e-12
 
 
@@ -595,12 +614,108 @@ class TestOneSvdRoute:
             assert len(calls) == 2  # ||A|| and ||defect||
 
     def test_failed_retry_is_a_convergence_failure(self, monkeypatch):
-        failing, _ = self.fail_numpy(monkeypatch)
-        monkeypatch.setattr(scipy.linalg, "svd", failing)
+        self.fail_numpy(monkeypatch)
+        lapack = SpyLapack(zgesvd=lambda a, **kwargs: (None, np.zeros(2), None, 1))
+        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         for run in (operator_norm, smallest_singular_value):
-            with pytest.raises(ConvergenceFailure, match="SVD failed"):
+            with pytest.raises(ConvergenceFailure, match=r"SVD failed.*zgesvd.*info=1"):
                 run(a)
+        assert lapack.calls == ["zgesvd_lwork", "zgesvd"] * 2
+
+    def test_failed_work_size_query_is_a_convergence_failure(self, monkeypatch):
+        self.fail_numpy(monkeypatch)
+        lapack = SpyLapack(zgesvd_lwork=lambda m, n, **kwargs: (0j, -2))
+        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
+        with pytest.raises(ConvergenceFailure, match="info=-2"):
+            smallest_singular_value(np.eye(2, dtype=complex))
+        assert lapack.calls == ["zgesvd_lwork"]
+
+
+class TestLapackHandle:
+    """spectral._lapack() is scipy's own LAPACK module, and the routes call
+    it exactly as scipy.linalg's public functions do: these tests hold the
+    routes to those functions bit for bit, so a relayout of scipy fails
+    here."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def test_hermitian_route_is_eig_banded_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        arrays = []
+        for p, q in ((0, 1), (1, 2), (2, 3), (55, 89), (610, 987)):
+            a, b = random_phase(rng), random_phase(rng, 2.0)
+            for spec in (OperatorSpec.canonical(1, 1, 1, 1),
+                         OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())):
+                arrays.append(build_operator(spec, p, q))
+        for n in (1, 2, 7, 40):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            arrays.append((z + z.conj().T) / 2)
+        for a in arrays:
+            band = _interleaved_band(a)
+            expect = scipy.linalg.eig_banded(band[band.shape[0] // 2:], lower=True,
+                                             eigvals_only=True)
+            got = hermitian_eigenvalues(a)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+    def test_svd_retry_is_scipy_gesvd_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        # from order 129 on, f2py's default work size for gesvd would move
+        # the last bits: the work size query must be made
+        matrices = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for n in (1, 2, 3, 6, 17, 64, 150)]
+        low_rank = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+        matrices.append(low_rank @ low_rank.conj().T)
+        expect = [scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
+                  for a in matrices]
+        TestOneSvdRoute.fail_numpy(monkeypatch)
+        for a, values in zip(matrices, expect):
+            copy = a.copy()
+            assert np.array_equal(spectral._singular_values(a), values)
+            assert np.array_equal(a, copy)  # the caller's matrix is not overwritten
+
+    def test_handle_is_scipy_linalgs_module(self):
+        lapack = spectral._lapack()
+        assert lapack is spectral._lapack()
+        assert lapack is sys.modules["scipy.linalg._flapack"]
+        assert scipy.linalg.lapack.zhbevd is lapack.zhbevd
+
+    def test_loaded_first_then_shared_with_scipy_linalg(self):
+        # a fresh interpreter, so the handle loads the file itself
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import rotspec.spectral as spectral",
+            "from rotspec.matmodel import OperatorSpec, build_operator",
+            "lapack = spectral._lapack()",
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+            "import scipy.linalg",
+            "print(scipy.linalg.lapack.zhbevd is lapack.zhbevd,",
+            "      sys.modules['scipy.linalg._flapack'] is lapack)",
+            "model = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 34, 55)",
+            "band = spectral._interleaved_band(model)",
+            "expect = scipy.linalg.eig_banded(band[2:], lower=True, eigvals_only=True)",
+            "print(np.array_equal(spectral.hermitian_eigenvalues(model), expect))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["['scipy.linalg._flapack']", "True True", "True"]
+
+    def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(spectral.importlib.util, "find_spec",
+                            lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            spectral._lapack.__wrapped__()
+
+    def test_nonzero_info_from_zhbevd_is_a_convergence_failure(self, monkeypatch):
+        lapack = SpyLapack(zhbevd=lambda ab, **kwargs: (np.zeros(ab.shape[1]), None, 2))
+        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
+        model = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 2, 3)
+        with pytest.raises(ConvergenceFailure, match=r"zhbevd.*info=2"):
+            hermitian_eigenvalues(model)
+        assert lapack.calls == ["zhbevd"]
 
 
 class TestOperatorNorm:
