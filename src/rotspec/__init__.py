@@ -28,7 +28,6 @@ from .errors import (
     ModelsNotNormal,
     NonCanonicalSpec,
     NotHermitian,
-    NotNormal,
     PrecisionExhausted,
     ResourceBudgetExceeded,
     RotspecError,
@@ -47,7 +46,6 @@ from .matmodel import (
 from .spectral import (
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
-    is_normal,
     normal_eigenvalues,
     operator_norm,
     smallest_singular_value,

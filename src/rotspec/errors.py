@@ -41,12 +41,7 @@ class EmptySpec(InvalidInput):
 
 class NotHermitian(InvalidInput):
     """Hermitian eigensolver fed a matrix that is not Hermitian within
-    tolerance."""
-
-
-class NotNormal(InvalidInput):
-    """Normal-path eigensolver fed a matrix that does not commute with
-    its adjoint within tolerance."""
+    tolerance, or a grid fed an array that is not exactly Hermitian."""
 
 
 class NonCanonicalSpec(InvalidInput):
@@ -60,9 +55,9 @@ class ThetaRational(InvalidInput):
 
 
 class ModelsNotNormal(RotspecError):
-    """Spectrum certification needs a normal operator, which the spec's
-    coefficients decide (OperatorSpec.is_normal) before any model is
-    built; caller should switch to pseudospectrum mode."""
+    """Spectrum certification and normal_eigenvalues need a normal
+    operator, which the spec's coefficients decide (OperatorSpec.is_normal)
+    before any model is built; caller should switch to pseudospectrum mode."""
 
 
 class EmptyCloud(InvalidInput):

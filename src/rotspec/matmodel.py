@@ -270,14 +270,10 @@ def commutation_defect(p: int, q: int) -> float:
 
 
 def unitarity_defect(model: MatrixModel) -> float:
-    """Operator norm of A*A - I. A one-term model (the shift, the clock,
-    any c u^j v^k) is a scaled permutation, so A*A - I is diagonal with
-    entries |a_i|^2 - 1 over its stored values; other models take the
-    dense 2-norm."""
-    if len(model.values) == 1:
-        a = model.values[0]
-        return float(np.max(np.abs(np.conj(a) * a - 1.0)))
-    from .spectral import operator_norm  # spectral imports this module
-
-    a = model.entries
-    return operator_norm(a.conj().T @ a - np.eye(model.order))
+    """Operator norm of A*A - I for a one-term model (the shift, the clock,
+    any c u^j v^k): a scaled permutation, so A*A - I is diagonal with
+    entries |a_i|^2 - 1 over its stored values. Other models are refused."""
+    if len(model.values) != 1:
+        raise InvalidInput(f"unitarity_defect takes one-term models, got {len(model.values)} terms")
+    a = model.values[0]
+    return float(np.max(np.abs(np.conj(a) * a - 1.0)))

@@ -7,17 +7,18 @@ perturbation sandwich mask_S(eps) within mask_T(eps+delta) within
 mask_S(eps+2*delta) for delta = ||S - T||, and serializes grids and
 point clouds (spectra, as the bare arrays the eigen routes return).
 
-compute_grid takes one of two routes, never picked by an option:
+compute_grid takes a model, or an array equal to its conjugate transpose
+exactly (else NotHermitian), on one of two routes that no option picks:
 
 * normal input, as the spec decides it (a model, of any order, of a
-  Hermitian spec or of a spec with OperatorSpec.is_normal), or an array
-  equal to its conjugate transpose exactly: sigma_min(lambda*I - A) =
-  dist(lambda, sigma(A)) (Trefethen & Embree, Spectra and Pseudospectra,
-  2005, ch. 2), by searchsorted on real eigenvalues and by row blocks of
-  distances to complex ones;
-* everything else: the banded Gram-Cholesky test of
+  Hermitian spec or of a spec with OperatorSpec.is_normal), or a
+  Hermitian array: sigma_min(lambda*I - A) = dist(lambda, sigma(A))
+  (Trefethen & Embree, Spectra and Pseudospectra, 2005, ch. 2), by
+  searchsorted on real eigenvalues and by row blocks of distances to
+  complex ones;
+* a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
-  Gram half-bandwidth, on numpy only, without a model's dense matrix.
+  Gram half-bandwidth, on numpy only, without the model's dense matrix.
 
 The band route splits the points into chunks that depend only on the
 order, the band and the grid, never on the worker count, and workers
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NotHermitian
 from .exact import float_up
 from .matmodel import MatrixModel
 from .spectral import (
@@ -43,7 +44,6 @@ from .spectral import (
     _banded_sigma_min,
     _gram_band,
     _model_spectrum,
-    _require_finite_norm,
     as_matrix,
     hermitian_eigenvalues,
     operator_norm,
@@ -140,27 +140,33 @@ def default_region(norm_bound: float, margin: float) -> Region:
     return (-r, r, -r, r)
 
 
+def _grid_operand(A: MatrixLike) -> MatrixLike:
+    """A model as given, or A's dense array if it is nonempty and exactly Hermitian."""
+    if isinstance(A, MatrixModel):
+        return A
+    a = as_matrix(A)
+    if a.shape[0] == 0:
+        raise InvalidInput("empty matrix")
+    if not np.array_equal(a, a.conj().T):
+        raise NotHermitian("a grid takes a model or an array equal to its conjugate transpose")
+    return a
+
+
 def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
                  jobs: int = 1) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
     module docstring; the band route shares its chunks among jobs threads."""
-    is_model = isinstance(A, MatrixModel)
-    a = A if is_model else as_matrix(A)
-    if not is_model and a.shape[0] == 0:
-        raise InvalidInput("empty matrix")
+    a = _grid_operand(A)
     _validate_grid_request(region, resolution)
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    if is_model and a.spec.is_hermitian:  # the Hermitian route takes the model at hand
-        _require_finite_norm(a.spec)
-        spectrum = hermitian_eigenvalues(a), 1
-    elif is_model:
+    if isinstance(a, MatrixModel) and not a.spec.is_hermitian:
         spectrum = _model_spectrum(a.spec, a.p, a.order)
-    else:
-        spectrum = (hermitian_eigenvalues(a), 1) if np.array_equal(a, a.conj().T) else None
+    else:  # the Hermitian route takes the array or model at hand
+        spectrum = hermitian_eigenvalues(a), 1
     if spectrum is not None:
         out = _spectrum_distances(*spectrum, lam)
     else:
@@ -262,7 +268,8 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
                    grid_params: Optional[GridParams] = None) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
     pointwise on a shared grid, delta = ||S - T||; both levels are the
-    exact sums rounded up to a float."""
+    exact sums rounded up to a float. S and T are as for compute_grid."""
+    S, T = _grid_operand(S), _grid_operand(T)
     s, t = as_matrix(S), as_matrix(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
@@ -273,8 +280,8 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     norm_scale = max(operator_norm(s), operator_norm(t))
     region = gp.region or default_region(norm_scale, epsilon / 2 + delta + 0.25)
 
-    grid_s = compute_grid(s, region, gp.resolution, gp.jobs)
-    grid_t = compute_grid(t, region, gp.resolution, gp.jobs)
+    grid_s = compute_grid(S, region, gp.resolution, gp.jobs)
+    grid_t = compute_grid(T, region, gp.resolution, gp.jobs)
     lam = grid_s.lambda_grid()
     lam_max = float(np.max(np.abs(lam)))
     slack = 1e-7 * (norm_scale + lam_max)

@@ -1,5 +1,5 @@
 """Numerical spectral kernels: Hermitian and normal eigenvalues, smallest
-singular values, operator norms, and normality tests.
+singular values and operator norms.
 
 Every eigen route returns a bare array of eigenvalues with multiplicity:
 real and ascending on the Hermitian route, complex in lexicographic
@@ -20,39 +20,28 @@ to LAPACK's banded Hermitian eigensolver, which returns the values
 without eigenvectors: O(q*J) band storage and O(q^2 * J) time, against
 O(q^3) for a dense solve.
 
-The normal path also computes eigenvalues only, and avoids a general
-nonsymmetric eigensolver: a normal A has commuting Hermitian and skew
-parts H1 = (A+A*)/2 and H2 = (A-A*)/(2i). It diagonalizes H1 once,
-splits the eigenvalues w1 into clusters where consecutive values
-separate by more than 1e-8 * (max |w1| + ||H2||_inf), a bound on ||A||,
-and forms C = W* H2 W in H1's eigenbasis W, which commuting makes block
-diagonal over the clusters. One small Hermitian eigensolve per cluster
-block gives nu and the rotation R; mu, the diagonal of R* diag(w1) R
-over the cluster, is the |R|^2-weighted mean of its w1. The eigenvalues
-are mu + i*nu.
-
-model_eigenvalues takes one route per model, picked by the spec's
-coefficients at every order (OperatorSpec.is_normal decides normality
-exactly, so no model is tested densely):
+model_eigenvalues, and normal_eigenvalues of a model, take one route per
+model, picked by the spec's coefficients at every order (the exact
+OperatorSpec.is_normal decides normality, so no model is tested densely):
   Hermitian spec          the Hermitian route
   (i) no V terms          circulant_four_term_eigenvalues
   (ii) no U terms         the same closed form over the powers of omega
   (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
-  any other spec          not normal (None), and no model is built
+  any other spec          None, no model is built; normal_eigenvalues raises ModelsNotNormal
 _model_spectrum keeps class (iii)'s real values of H and the rotation,
 and refuses a normal spec whose sum |c| overflows before any model.
 
 Every singular value of a dense matrix comes from one SVD route,
 _singular_values: numpy's divide-and-conquer SVD, with a retry through
 LAPACK's QR-iteration SVD (gesvd) when it fails to converge, and
-ConvergenceFailure when the retry fails too. smallest_singular_value,
-operator_norm and the 2-norm in is_normal all read it.
+ConvergenceFailure when the retry fails too. smallest_singular_value
+and operator_norm both read it.
 
-Grids off the distance route take sigma_min(lambda*I - A) from the band
-(_banded_sigma_min; Trefethen & Embree, Spectra and Pseudospectra, 2005,
-ch. 39): with B the interleaved lambda*I - A, sigma_min(B) > t exactly
-when G - t^2 I is positive definite, G = B* B, and G is a Hermitian band
-of half-bandwidth at most 4J (q - 1 for a full array), so a band
+Grids of models off the distance route take sigma_min(lambda*I - A)
+from the band (_banded_sigma_min; Trefethen & Embree, Spectra and
+Pseudospectra, 2005, ch. 39): with B the interleaved lambda*I - A,
+sigma_min(B) > t exactly when G - t^2 I is positive definite, G = B* B,
+and G is a Hermitian band of half-bandwidth at most 4J, so a band
 Cholesky decides each t in O(q * J^2). Halvings on that test bracket
 sigma_min, inverse iteration gives the value v = ||Bx||, and two more
 factorizations verify it (Rump, BIT 46 (2006) 433-452): below q = 64 a
@@ -85,14 +74,12 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput, NotHermitian, NotNormal
+from .errors import ConvergenceFailure, InvalidInput, ModelsNotNormal, NotHermitian
 from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 
 MatrixLike = Union[MatrixModel, np.ndarray]
 
-CLUSTER_TOL = 1e-8        # relative eigenspace clustering threshold for H1
 HERMITIAN_TOL = 1e-12     # relative Hermitian-defect acceptance
-NORMAL_TOL = 1e-10        # relative normality tolerance
 
 
 def as_matrix(A: MatrixLike) -> np.ndarray:
@@ -156,26 +143,6 @@ def operator_norm(A: MatrixLike) -> float:
     return float(_singular_values(a)[0])
 
 
-def is_normal(A: MatrixLike) -> bool:
-    """||A A* - A* A|| <= NORMAL_TOL * ||A||^2.
-
-    A Frobenius-norm screen decides clear cases first (it bounds the
-    2-norm from above, and divided by sqrt(q) from below); only the
-    borderline band pays for exact 2-norms.
-    """
-    a = as_matrix(A)
-    q = a.shape[0]
-    defect = a @ a.conj().T - a.conj().T @ a
-    dfro = float(np.linalg.norm(defect))
-    afro = float(np.linalg.norm(a))
-    if dfro * q <= NORMAL_TOL * afro * afro:  # multiplied out: an empty matrix (q = 0) is normal
-        return True
-    if dfro / np.sqrt(q) > NORMAL_TOL * afro * afro:  # ||defect||_2 >= ||defect||_F / sqrt(q)
-        return False
-    nrm = operator_norm(a)
-    return operator_norm(defect) <= NORMAL_TOL * nrm * nrm
-
-
 def _interleaved_band(A: MatrixLike) -> np.ndarray:
     """General band storage ab[k + r - c, c] = B[r, c] of B = P A P^T,
     where P is the interleave permutation 0, q-1, 1, q-2, ...; the
@@ -207,9 +174,11 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
 def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
     (see the module docstring for the banded route). A Hermitian spec's
-    model is Hermitian by construction and skips the defect check, which
-    compares Frobenius norms."""
-    if not (isinstance(A, MatrixModel) and A.spec.is_hermitian):
+    model is Hermitian by construction: it skips the defect check, which
+    compares Frobenius norms, and is refused if its sum |c| overflows."""
+    if isinstance(A, MatrixModel) and A.spec.is_hermitian:
+        _require_finite_norm(A.spec)
+    else:
         a = as_matrix(A)
         if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
             raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
@@ -220,37 +189,6 @@ def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     if info:
         raise ConvergenceFailure(f"hermitian eigensolver zhbevd returned info={info}")
     return values
-
-
-def normal_eigenvalues(A: MatrixLike) -> np.ndarray:
-    """Complex eigenvalues, in lexicographic order, of a normal matrix
-    (normality tested against NORMAL_TOL) via the commuting pair
-    (H1, H2); only H1's eigenbasis is formed, no eigenvector of A. See
-    the module docstring."""
-    a = as_matrix(A)
-    if not is_normal(a):
-        raise NotNormal(f"matrix is not normal within relative tolerance {NORMAL_TOL:.0e}")
-    h1 = (a + a.conj().T) / 2
-    h2 = (a - a.conj().T) / 2j
-    try:
-        w1, basis = np.linalg.eigh(h1)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver failed on Hermitian part: {exc}") from exc
-
-    # max |w1| + ||H2||_inf bounds ||A|| = ||H1 + i H2||
-    scale = float(np.abs(w1).max(initial=0) + np.abs(h2).sum(axis=1).max(initial=0))
-    gap = CLUSTER_TOL * max(scale, 1e-300)
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(w1) > gap) + 1, [w1.size]))
-    c = basis.conj().T @ (h2 @ basis)  # block diagonal over the clusters
-    values = np.empty(w1.size, dtype=np.complex128)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        block = c[lo:hi, lo:hi]
-        try:
-            nu, rot = np.linalg.eigh((block + block.conj().T) / 2)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"eigensolver failed on a cluster: {exc}") from exc
-        values[lo:hi] = (np.abs(rot) ** 2).T @ w1[lo:hi] + 1j * nu
-    return np.sort(values, kind="stable")
 
 
 def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
@@ -273,6 +211,15 @@ def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray
     omega^2 = 1 at p = 0 or 2p = q)."""
     values, r = _model_spectrum(spec, p, q) or (None, 1)
     return values if r == 1 else np.sort(r * values, kind="stable")
+
+
+def normal_eigenvalues(A: MatrixModel) -> np.ndarray:
+    """model_eigenvalues(A.spec, A.p, A.order) for a model A of a Hermitian
+    or normal spec; ModelsNotNormal for a model of any other spec."""
+    values = model_eigenvalues(A.spec, A.p, A.order)
+    if values is None:
+        raise ModelsNotNormal("the model's spec is not normal (OperatorSpec.is_normal)")
+    return values
 
 
 def _require_finite_norm(spec: OperatorSpec) -> None:
@@ -342,13 +289,12 @@ _VERIFY_GAP = 2.0 ** -40
 
 
 class _GramBand(NamedTuple):
-    """A matrix scaled by a bound norm >= ||A||, sum |c| for a model and
-    the Frobenius norm for an array, and interleaved: band is the general
-    band storage of A1' = P A P^T / norm (see _interleaved_band), and
-    gram, lower, upper hold the lower bands of A1'* A1', A1' and A1'* as
-    (q, w + 1) arrays, [c, d] = M[c + d, c]. w is the half-bandwidth of
-    the Gram matrix G = B* B of B = mu I - kappa A1', read off the
-    nonzeros: 2 for U + 2V, at most 4J in general."""
+    """A model scaled by its bound norm = sum |c| >= ||A|| and interleaved:
+    band is the general band storage of A1' = P A P^T / norm (see
+    _interleaved_band), and gram, lower, upper hold the lower bands of
+    A1'* A1', A1' and A1'* as (q, w + 1) arrays, [c, d] = M[c + d, c]. w
+    is the half-bandwidth of the Gram matrix G = B* B of B = mu I - kappa
+    A1', read off the nonzeros: 2 for U + 2V, at most 4J in general."""
 
     norm: float
     band: np.ndarray
@@ -357,15 +303,13 @@ class _GramBand(NamedTuple):
     upper: np.ndarray
 
 
-def _gram_band(A: MatrixLike) -> _GramBand:
-    model = isinstance(A, MatrixModel)
-    norm = spec_norm_bound(A.spec) if model else float(np.linalg.norm(A))
+def _gram_band(A: MatrixModel) -> _GramBand:
+    norm = spec_norm_bound(A.spec)
     # numpy divides a complex array by a float as a * (1/norm), which
     # overflows for a subnormal norm and zeroes the band for an infinite one
     if not sys.float_info.min <= norm < math.inf:
-        raise InvalidInput(f"the banded sigma_min route scales the matrix by "
-                           f"{'sum |c|' if model else 'its Frobenius norm'} = {norm!r}, "
-                           "which is not a normal float")
+        raise InvalidInput(f"the banded sigma_min route scales the model by sum |c| = "
+                           f"{norm!r}, which is not a normal float")
     band = _interleaved_band(A) / norm
     k, q = band.shape[0] // 2, band.shape[1]
     gram = np.zeros((2 * k + 1, q), dtype=np.complex128)

@@ -199,6 +199,12 @@ class TestUnitarity:
             assert unitarity_defect(model) == pytest.approx(dense, abs=1e-14)
             assert unitarity_defect(model) == pytest.approx(4.0, abs=1e-14)
 
+    def test_models_of_more_terms_are_refused(self):
+        for spec in (OperatorSpec.canonical(1, 0, 1, 0), CANONICAL,
+                     OperatorSpec.general([(1, 0, 1), (1, 1, 1j), (0, 2, 2)])):
+            with pytest.raises(InvalidInput, match="one-term"):
+                unitarity_defect(build_operator(spec, 2, 5))
+
 
 class TestBuildOperator:
     def test_pinned_half_model(self):
@@ -263,7 +269,8 @@ class TestBuildOperator:
 
 class TestStructuralNormality:
     """OperatorSpec.is_normal, decided on the coefficients alone, against
-    the dense normality test of the model."""
+    the dense normality test ||A A* - A* A||_2 <= 1e-10 * ||A||_2^2 of the
+    model."""
 
     # exact binary values and values whose products round
     POOL = (0, 1, -2, 0.5, 0.1, 1 / 3, 0.1 + 1j / 3, -0.75 + 0.25j, 1j, 1.5 - 0.1j)
@@ -295,7 +302,9 @@ class TestStructuralNormality:
         assert not spec.is_normal
 
     def test_matches_the_dense_test_for_every_coprime_p(self):
-        from rotspec.spectral import is_normal
+        def is_normal(a: np.ndarray) -> bool:
+            defect = a @ a.conj().T - a.conj().T @ a
+            return np.linalg.norm(defect, 2) <= 1e-10 * np.linalg.norm(a, 2) ** 2
 
         rng = np.random.default_rng(2024)
         both = set()

@@ -17,7 +17,7 @@ import pytest
 
 import rotspec.pseudospectra as psp
 import rotspec.spectral as spectral
-from rotspec.errors import ConvergenceFailure, InvalidInput
+from rotspec.errors import ConvergenceFailure, InvalidInput, NotHermitian
 from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import (
@@ -57,9 +57,10 @@ def make_grid(sigma: np.ndarray, region=(0.0, 1.0, 0.0, 1.0)) -> PseudospectrumG
 
 class TestComputeGrid:
     def test_values_equal_distance_for_normal_matrix(self):
-        eigs = np.array([0.0 + 0j, 1.0 + 0j, 0.5 + 0.5j])
-        a = np.diag(eigs)
-        grid = compute_grid(a, (-1, 2, -1, 1), (13, 9))
+        # a model of V terms alone is diagonal: its eigenvalues are its diagonal
+        model = build_operator(CLASS_II, 2, 5)
+        eigs = np.diag(model.entries)
+        grid = compute_grid(model, (-2, 2, -2, 2), (13, 9))
         re, im = grid.lambda_axes()
         for i in range(13):
             for j in range(9):
@@ -75,14 +76,13 @@ class TestComputeGrid:
 
     def test_jobs_do_not_change_bytes(self):
         # distances (Hermitian q=5, the normal classes at q=89), the band
-        # of a model (U+2V at q=89, one chunk) and of its dense array
+        # of U+2V and of the wider WIDE at q=89, one chunk each
         cases = (
             (build_operator(CANONICAL, 2, 5), (-4, 4, -1, 1), (32, 16), (1, 2, 8)),
             *((build_operator(spec, 55, 89), (-3.5, 3.5, -3.5, 3.5), (33, 31), (1, 2, 3))
               for spec in NORMAL_CLASSES),
             (build_operator(U_PLUS_2V, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
-            (build_operator(U_PLUS_2V, 55, 89).entries, (-3.5, 3.5, -3.5, 3.5), (10, 10),
-             (1, 2, 3)),
+            (build_operator(WIDE, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
         )
         for h, region, resolution, jobs in cases:
             grids = [compute_grid(h, region, resolution, jobs=j) for j in jobs]
@@ -91,16 +91,17 @@ class TestComputeGrid:
                 assert "".join(grid_to_csv(g)) == base
 
     def test_values_match_pointwise_svd(self):
-        h = build_operator(U_PLUS_2V, 55, 89).entries
-        grid = compute_grid(h, (-3.5, 3.5, -3.5, 3.5), (10, 10), jobs=3)
+        model = build_operator(U_PLUS_2V, 55, 89)
+        grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), (10, 10), jobs=3)
+        h = model.entries
         lam = grid.lambda_grid()
         for i, j in np.ndindex(*grid.resolution):
             ref = np.linalg.svd(lam[i, j] * np.eye(89) - h, compute_uv=False)[-1]
             assert grid.sigma_min_values[i, j] == pytest.approx(ref, rel=1e-12)
 
     def test_chunk_stacks_stay_within_4_mib(self, monkeypatch):
-        # a dense non-Hermitian array takes the band route with a full
-        # band: its Gram stacks hold 113 points of 48 x 48, two chunks here
+        # WIDE's Gram band at q = 144 has 7 diagonals: its stacks hold 260
+        # points of 144 x 7, two chunks here
         sizes = []
         real_cholesky = spectral._band_cholesky
 
@@ -109,13 +110,19 @@ class TestComputeGrid:
             return real_cholesky(g)
 
         monkeypatch.setattr(spectral, "_band_cholesky", recording)
-        rng = np.random.default_rng(17)
-        compute_grid(rng.standard_normal((48, 48)) + 0.5j, (-3, 3, -3, 3), (12, 12))
-        # 144 points: a chunk of 113 (the 4 MiB budget), then one of 31;
+        compute_grid(build_operator(WIDE, 89, 144), (-3, 3, -3, 3), (20, 15))
+        # 300 points: a chunk of 260 (the 4 MiB budget), then one of 40;
         # fallbacks factor smaller stacks
-        point = 48 * 48 * 16
-        assert max(sizes) == 113 * point <= 4 << 20
-        assert 31 * point in sizes
+        point = 144 * 7 * 16
+        assert max(sizes) == 260 * point <= 4 << 20
+        assert 40 * point in sizes
+
+    def test_non_hermitian_array_is_refused(self):
+        # no grid route takes a non-Hermitian array, a model's dense entries included
+        for a in (np.array([[0, 1], [0, 0]]), np.diag([1j, 2]),
+                  build_operator(U_PLUS_2V, 3, 8).entries):
+            with pytest.raises(NotHermitian):
+                compute_grid(a, (-1, 1, -1, 1), (4, 4))
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -149,7 +156,9 @@ class TestComputeGrid:
             sandwich_check(empty, empty, 0.5)
 
     def test_scalar_matrix(self):
-        grid = compute_grid(np.array([[0.5 + 0.5j]]), (0, 1, 0, 1), (3, 3))
+        # the model of (0.5 + 0.5i) U at q = 1 is the 1 x 1 matrix [0.5 + 0.5i]
+        model = build_operator(OperatorSpec.canonical(0.5 + 0.5j, 0, 0, 0), 0, 1)
+        grid = compute_grid(model, (0, 1, 0, 1), (3, 3))
         re, im = grid.lambda_axes()
         for i in range(3):
             for j in range(3):
@@ -257,20 +266,6 @@ class TestBandRoute:
                 got = grid.sigma_min_values.ravel()
                 assert np.all(np.isfinite(got)) and np.all(got > 0)
                 assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, big))
-
-    def test_array_at_coefficient_scale_of_1e150_either_way(self):
-        # a non-Hermitian array is scaled by its Frobenius norm
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        for scale in (1e150, 1e-150):
-            region = tuple(scale * x for x in (-4.1, 3.9, -3.7, 4.3))
-            grid = compute_grid(scale * a, region, (6, 5))
-            lam = grid.lambda_grid().ravel()
-            ref = scale * pointwise_svd(a, lam / scale)
-            got = grid.sigma_min_values.ravel()
-            assert np.all(np.isfinite(got)) and np.all(got > 0)
-            tol = 1e-10 * ref + 1e-13 * (np.abs(lam) + scale * np.linalg.norm(a))
-            assert np.all(np.abs(got - ref) <= tol)
 
     def test_sum_of_moduli_outside_the_normal_floats_is_refused(self):
         # the band is scaled by 1/sum|c|: a subnormal sum overflows it to
@@ -455,16 +450,13 @@ class TestDistanceRoute:
         ref = pointwise_svd(h, grid.lambda_grid().ravel())
         assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * operator_norm(h)
 
-    def test_one_ulp_defect_takes_the_band(self, monkeypatch):
+    def test_one_ulp_defect_is_refused(self, monkeypatch):
         calls = self.spy(monkeypatch)
         h = random_hermitian(9)
         h[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
-        grid = compute_grid(h, (-4, 4, -2, 2), (9, 5))
-        assert calls == ["band"]
-        lam = grid.lambda_grid().ravel()
-        ref = pointwise_svd(h, lam)
-        tol = 1e-10 * ref + 1e-13 * (np.abs(lam) + np.linalg.norm(h))
-        assert np.all(np.abs(grid.sigma_min_values.ravel() - ref) <= tol)
+        with pytest.raises(NotHermitian):
+            compute_grid(h, (-4, 4, -2, 2), (9, 5))
+        assert calls == []
 
 
 class TestNormalRoute:
@@ -534,6 +526,8 @@ class TestNormalRoute:
         hermitian = OperatorSpec.canonical(1e308, 1e308, 0, 0)
         with pytest.raises(InvalidInput, match="outside the float range"):
             compute_grid(build_operator(hermitian, 1, 2), (-1, 1, -1, 1), (2, 2))
+        with pytest.raises(InvalidInput, match="outside the float range"):
+            spectral.hermitian_eigenvalues(build_operator(hermitian, 1, 2))
         for spec in (hermitian, OperatorSpec.canonical(0, 0, 1e308, 1e308j)):
             with pytest.raises(InvalidInput, match="outside the float range"):
                 spectral.model_eigenvalues(spec, 1, 3)
@@ -631,6 +625,22 @@ class TestSandwich:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             sandwich_check(np.eye(2), np.eye(3), 0.5)
+
+    def test_non_hermitian_array_is_refused_before_any_svd(self, monkeypatch):
+        def no_svd(a):
+            raise AssertionError("_singular_values called")
+
+        monkeypatch.setattr(spectral, "_singular_values", no_svd)
+        s = np.diag([0.0, 2.0]).astype(complex)
+        jordan = np.array([[0, 1], [0, 0]], dtype=complex)
+        for pair in ((s, jordan), (jordan, s)):
+            with pytest.raises(NotHermitian):
+                sandwich_check(*pair, 0.5)
+        monkeypatch.undo()
+        # a model of a spec that is not normal takes the band route
+        model = build_operator(U_PLUS_2V, 3, 8)
+        rep = sandwich_check(model, model, 0.5, GridParams(resolution=(8, 8)))
+        assert rep.passed and rep.delta == 0.0
 
     def test_epsilon_must_be_finite(self):
         for epsilon in (np.inf, np.nan):

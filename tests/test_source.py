@@ -172,7 +172,7 @@ def test_approx_dispatches_on_the_spec_not_on_exceptions():
               if isinstance(node, ast.ExceptHandler) and node.type is not None
               for name in (n.id if isinstance(n, ast.Name) else n.attr
                            for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute)))
-              if name in ("NotNormal", "NotHermitian")]
+              if name in ("ModelsNotNormal", "NotHermitian")]
     assert not caught, f"solver refusals caught in approx: {caught}"
 
 
@@ -202,17 +202,29 @@ def test_every_top_level_definition_is_used():
     assert not dead, f"top-level definitions nothing uses: {dead}"
 
 
-def test_dense_entries_are_read_in_two_places():
+def test_dense_entries_are_read_in_one_place():
     # a model's dense matrix is formed only for a dense consumer, through
-    # spectral.as_matrix, and by unitarity_defect; a spec path that reads
-    # .entries would build a q x q matrix and let a tolerance pick a route
+    # spectral.as_matrix; a spec path that reads .entries would build a
+    # q x q matrix and let a tolerance pick a route
     readers = set()
     for path, tree in _trees():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 readers.update(f"{path.name}:{fn.name}" for node in ast.walk(fn)
                                if isinstance(node, ast.Attribute) and node.attr == "entries")
-    assert readers == {"spectral.py:as_matrix", "matmodel.py:unitarity_defect"}, readers
+    assert readers == {"spectral.py:as_matrix"}, readers
+
+
+def test_no_dense_eigensolver():
+    # the spec picks every eigen route (model_eigenvalues), and eigenvalues
+    # come from LAPACK through spectral._lapack() or in closed form; a
+    # numpy eigensolver would be a dense route that a tolerance could pick
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+             for path, tree in _trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).startswith(("np.linalg.eig", "numpy.linalg.eig"))]
+    assert not found, f"numpy eigensolvers under src/: {found}"
 
 
 def test_every_reexported_definition_has_a_docstring():

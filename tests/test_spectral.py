@@ -1,10 +1,10 @@
 """Eigensolvers and smallest singular values.
 
-Oracle strategy: planted-spectrum constructions (unitary conjugations of
-known diagonals), closed forms for circulants and 2x2 Jordan blocks,
-dense LAPACK eigvalsh against the banded Hermitian route and against
-the normal route on rotated Hermitian models, and the normal route on
-the dense entries against the routes a spec picks (model_eigenvalues).
+Oracle strategy: closed forms for circulants, clock diagonals and 2x2
+Jordan blocks, dense LAPACK eigvalsh against the banded Hermitian route
+and against rotated Hermitian models, and np.linalg.eigvals of the
+dense entries against the routes a spec picks (model_eigenvalues,
+normal_eigenvalues).
 smallest_singular_value of a dense matrix has one route, the SVD; the
 grid routes (distances, the banded Gram-Cholesky test) are checked point
 by point against np.linalg.svd in test_pseudospectra.
@@ -24,7 +24,7 @@ import scipy.linalg
 
 import rotspec.spectral as spectral
 from rotspec.approx import hausdorff_distance
-from rotspec.errors import ConvergenceFailure, InvalidInput, NotHermitian, NotNormal
+from rotspec.errors import ConvergenceFailure, InvalidInput, ModelsNotNormal, NotHermitian
 from rotspec.matmodel import (
     OperatorSpec,
     _clock_diagonal,
@@ -36,18 +36,11 @@ from rotspec.spectral import (
     _interleaved_band,
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
-    is_normal,
     model_eigenvalues,
     normal_eigenvalues,
     operator_norm,
     smallest_singular_value,
 )
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def sort_complex(values) -> np.ndarray:
@@ -84,10 +77,7 @@ def assert_multiset_close(got, expected, tol=1e-10):
 
 class TestRoutesReturnArrays:
     def test_each_route_returns_its_eigenvalues_as_an_array(self):
-        rng = np.random.default_rng(3)
-        lam = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        u = random_unitary(rng, 7)
-        normal = u @ np.diag(lam) @ u.conj().T
+        normal = build_operator(OperatorSpec.canonical(1j, 1j, 2j, 2j), 3, 7)
         hermitian = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 3, 8)
         spec_routes = [(model_eigenvalues(OperatorSpec.canonical(*c), p, 8), np.complex128, 8)
                        for c in ((1, 2, 0, 0), (0, 0, 1, 2j), (1j, 1j, 2j, 2j)) for p in (2, 3)]
@@ -316,6 +306,16 @@ class TestModelNonzeros:
         assert peak < 16 << 20  # the dense matrix alone is 107 MB
 
 
+def assert_same_spectrum(got, want, tol):
+    """By Hausdorff distance, and by the sorted real parts, imaginary parts
+    and moduli, which carry the multiplicities. (Elementwise, exact ties
+    on paper flip their lexicographic order.)"""
+    assert got.shape == want.shape
+    assert hausdorff_distance(got, want) <= tol
+    for part in (np.real, np.imag, np.abs):
+        assert np.max(np.abs(np.sort(part(got)) - np.sort(part(want)))) <= tol
+
+
 class TestCirculant:
     def test_shift_only_roots_of_unity(self):
         ev = circulant_four_term_eigenvalues(1.0, 0.0, 4)
@@ -328,16 +328,14 @@ class TestCirculant:
             analytic = circulant_four_term_eigenvalues(ap, am, q)
             spec_terms = [(1, 0, ap)] + ([(-1, 0, am)] if am != 0 else [])
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
-            numeric = normal_eigenvalues(h)
-            assert np.allclose(analytic, numeric, atol=1e-12)
+            numeric = np.linalg.eigvals(h.entries)
+            assert_same_spectrum(analytic, numeric, 1e-12 * max(1.0, abs(ap) + abs(am)))
 
 
 class TestSpecRoutes:
-    """model_eigenvalues on classes (i), (ii) and (iii) against the normal
-    route on the dense entries, within 1e-12 * max(1, sum |c|): by
-    Hausdorff distance, and by the sorted real parts, imaginary parts and
-    moduli, which carry the multiplicities. (Elementwise, exact ties on
-    paper flip their lexicographic order.)"""
+    """model_eigenvalues on classes (i), (ii) and (iii) against
+    np.linalg.eigvals of the dense entries, within 1e-12 * max(1, sum |c|)
+    (assert_same_spectrum)."""
 
     def test_classes_match_the_normal_route_at_every_p(self):
         rng = np.random.default_rng(11)
@@ -354,12 +352,9 @@ class TestSpecRoutes:
                 scale = max(1.0, spec_norm_bound(spec))
                 for p in range(q):  # p sharing a factor with q too, as in one_sided
                     got = model_eigenvalues(spec, p, q)
-                    want = normal_eigenvalues(build_operator(spec, p, q))
-                    assert got.shape == want.shape == (q,)
-                    assert hausdorff_distance(got, want) <= 1e-12 * scale
-                    for part in (np.real, np.imag, np.abs):
-                        gap = np.abs(np.sort(part(got)) - np.sort(part(want)))
-                        assert np.max(gap) <= 1e-12 * scale
+                    want = np.linalg.eigvals(build_operator(spec, p, q).entries)
+                    assert got.shape == (q,)
+                    assert_same_spectrum(got, want, 1e-12 * scale)
 
     def test_no_u_terms_is_the_model_diagonal_bit_for_bit(self):
         for q in (13, 21, 89):
@@ -373,47 +368,36 @@ class TestSpecRoutes:
         assert model_eigenvalues(OperatorSpec.canonical(1, 0, 2, 0), 3, 8) is None
 
 
+# exact rotations: their products with a conjugate pair stay an exact pair
+ROTATIONS = (1j, -1, -1j, 1 + 1j)
+
+
 class TestNormal:
+    """normal_eigenvalues of a model is model_eigenvalues at its spec, p
+    and order, and refuses a model of a spec that is not normal."""
+
     def test_shift4_roots(self):
         ev = normal_eigenvalues(shift_matrix(4))
         expect = sort_complex([1, -1, 1j, -1j])
         assert np.allclose(ev, expect, atol=1e-12)
 
     def test_diagonal(self):
-        ev = normal_eigenvalues(np.diag([1 + 2j, 3 + 0j]))
-        assert np.allclose(ev, [1 + 2j, 3 + 0j], atol=1e-15)
-
-    def test_planted_spectrum(self):
-        rng = np.random.default_rng(101)
-        for trial in range(6):
-            n = int(rng.integers(3, 12))
-            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            u = random_unitary(rng, n)
-            a = u @ np.diag(lam) @ u.conj().T
-            ev = normal_eigenvalues(a)
-            assert np.allclose(ev, sort_complex(lam), atol=1e-10)
-
-    def test_planted_with_clustered_real_parts(self):
-        # eigenvalues sharing a real part force the two-stage solver to
-        # split the H1 cluster using H2
-        rng = np.random.default_rng(77)
-        lam = np.array([1 + 1j, 1 - 1j, 1 + 0.5j, 2.0 + 0j])
-        u = random_unitary(rng, 4)
-        a = u @ np.diag(lam) @ u.conj().T
-        ev = normal_eigenvalues(a)
-        assert_multiset_close(ev, lam)
+        # (1 + 2i) v + 3 v* at p/q = 1/2 is diag(4 + 2i, -4 - 2i)
+        ev = normal_eigenvalues(build_operator(OperatorSpec.canonical(0, 0, 1 + 2j, 3), 1, 2))
+        assert np.allclose(ev, [-4 - 2j, 4 + 2j], atol=1e-15)
 
     def test_planted_with_repeated_eigenvalue(self):
-        rng = np.random.default_rng(78)
-        lam = np.array([1 + 1j, 1 + 1j, -2 + 0j])
-        u = random_unitary(rng, 3)
-        a = u @ np.diag(lam) @ u.conj().T
-        ev = normal_eigenvalues(a)
-        assert_multiset_close(ev, lam)
+        # v takes each cube root of unity twice at p/q = 2/6
+        model = build_operator(OperatorSpec.canonical(0, 0, 1 + 1j, 0), 2, 6)
+        roots = (1 + 1j) * np.exp(2j * np.pi * np.arange(3) / 3)
+        assert_multiset_close(normal_eigenvalues(model), np.repeat(roots, 2), tol=1e-15)
 
     def test_ordering_lexicographic(self):
-        ev = normal_eigenvalues(np.diag([1 + 1j, 1 - 1j, 0 + 0j]))
-        assert np.allclose(ev, [0, 1 - 1j, 1 + 1j], atol=1e-15)
+        for spec in (OperatorSpec.canonical(1, 1j, 0, 0), OperatorSpec.canonical(0, 0, 2, 1j),
+                     OperatorSpec.canonical(1j, 1j, 2j, 2j)):
+            for p, q in ((1, 2), (3, 8), (5, 12)):
+                ev = normal_eigenvalues(build_operator(spec, p, q))
+                assert ev.dtype == np.complex128 and np.array_equal(ev, sort_complex(ev))
 
     def test_stable_sort_is_the_lexsort_bit_for_bit(self):
         # numpy orders complex values by real part, then imaginary part,
@@ -433,86 +417,46 @@ class TestNormal:
 
     def test_trace_and_determinant_invariants(self):
         rng = np.random.default_rng(13)
-        u = random_unitary(rng, 6)
-        lam = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        a = u @ np.diag(lam) @ u.conj().T
-        ev = normal_eigenvalues(a)
-        assert np.sum(ev) == pytest.approx(np.trace(a), abs=1e-9)
-        assert np.prod(ev) == pytest.approx(np.linalg.det(a), abs=1e-8)
-
-    def test_empty_matrix(self):
-        ev = normal_eigenvalues(np.zeros((0, 0)))
-        assert ev.size == 0
-
-    def test_rejects_jordan(self):
-        with pytest.raises(NotNormal):
-            normal_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+        for q in (3, 6):
+            x, y = (complex(*rng.integers(-8, 9, size=2) / 8) or 1 for _ in range(2))
+            r = ROTATIONS[q % len(ROTATIONS)]
+            for spec in (OperatorSpec.canonical(x, y, 0, 0), OperatorSpec.canonical(0, 0, x, y),
+                         OperatorSpec.canonical(r * x, r * x.conjugate(),
+                                                r * y, r * y.conjugate())):
+                a = build_operator(spec, 1, q)
+                ev = normal_eigenvalues(a)
+                assert np.sum(ev) == pytest.approx(np.trace(a.entries), abs=1e-9)
+                assert np.prod(ev) == pytest.approx(np.linalg.det(a.entries), abs=1e-8)
 
     def test_rotated_hermitian_golden_models(self):
-        # e^{i phi} H is normal with spectrum e^{i phi} sigma(H); the H1
-        # clusters are H's eigenvalue clusters, mostly singletons
+        # e^{i phi} H is normal with spectrum e^{i phi} sigma(H): class
+        # (iii), solved on its rotated Hermitian model
         rng = np.random.default_rng(47)
-        for p, q in zip((0,) + TestBandedHermitian.GOLDEN_Q[:12],
-                        TestBandedHermitian.GOLDEN_Q[:13]):
+        for i, (p, q) in enumerate(zip((0,) + TestBandedHermitian.GOLDEN_Q[:12],
+                                       TestBandedHermitian.GOLDEN_Q[:13])):
             a, b = random_phase(rng), random_phase(rng)
-            spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
-            h = build_operator(spec, p % q, q).entries
-            phase = random_phase(rng)
+            r = ROTATIONS[i % len(ROTATIONS)]
+            spec = OperatorSpec.canonical(r * a, r * a.conjugate(), r * b, r * b.conjugate())
+            assert spec.is_normal
+            h = build_operator(OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate()),
+                               p % q, q).entries
             expect = np.linalg.eigvalsh(h)
-            got = normal_eigenvalues(phase * h) / phase  # back onto the real line
+            got = normal_eigenvalues(build_operator(spec, p % q, q)) / r  # onto the real line
             norm = float(np.max(np.abs(expect)))
             assert got.shape == expect.shape
             got = got[np.argsort(got.real)]
             assert np.max(np.abs(got - expect)) <= 1e-12 * max(1.0, norm)
 
-    def test_planted_large_cluster_and_triple(self, monkeypatch):
-        # 16 eigenvalues share one real part (a 16 x 16 H1 cluster) and a
-        # triple eigenvalue makes a 3 x 3 cluster with a scalar H2 block
-        rng = np.random.default_rng(48)
-        lam = np.concatenate([
-            0.3 + 1j * rng.uniform(-2, 2, 16),
-            np.full(3, -1.1 + 0.5j),
-            rng.uniform(-2, 2, 21) + 1j * rng.uniform(-2, 2, 21),
-        ])
-        u = random_unitary(rng, 40)
-        a = u @ np.diag(lam) @ u.conj().T
-        sizes = []
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda m: sizes.append(m.shape[0]) or real_eigh(m))
-        ev = normal_eigenvalues(a)
-        monkeypatch.undo()
-        assert sizes[0] == 40 and 16 in sizes[1:] and 3 in sizes[1:]
-        assert_multiset_close(ev, lam, tol=1e-12 * max(1.0, np.max(np.abs(lam))))
-
-    def test_cluster_scale_takes_no_svd(self, monkeypatch):
-        # the cluster gap is scaled by max |w1| + ||H2||_inf, which the
-        # solver already has, not by a dense SVD; these inputs are normal
-        # in is_normal's Frobenius screen, which needs no SVD either
-        rng = np.random.default_rng(23)
-        u = random_unitary(rng, 30)
-        planted = u @ np.diag(rng.standard_normal(30) + 1j * rng.standard_normal(30)) @ u.conj().T
-        inputs = [shift_matrix(q).entries for q in (1, 2, 7, 64)] + [planted, np.zeros((0, 0))]
-        expect = [normal_eigenvalues(a) for a in inputs]
-
-        def no_svd(a):
-            raise AssertionError("_singular_values called")
-
-        monkeypatch.setattr(spectral, "_singular_values", no_svd)
-        for a, want in zip(inputs, expect):
-            assert normal_eigenvalues(a).tobytes() == want.tobytes()
-        # a model's route takes none either: the spec decides its normality
-        assert model_eigenvalues(OperatorSpec.canonical(1, 0, 0, 0), 1, 2).shape == (2,)
-        assert model_eigenvalues(OperatorSpec.canonical(1j, 0, 1j, 0), 1, 2) is None
-
     def test_hermitian_input_agrees_with_hermitian_route(self):
-        rng = np.random.default_rng(19)
-        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        a = (z + z.conj().T) / 2
-        hv = hermitian_eigenvalues(a)
-        nv = normal_eigenvalues(a)
-        assert np.allclose(nv.imag, 0, atol=1e-10)
-        assert np.allclose(np.sort(nv.real), hv, atol=1e-10)
+        for p, q in ((0, 1), (1, 2), (3, 8), (55, 89)):
+            model = build_operator(OperatorSpec.canonical(1, 1, 1, 1), p, q)
+            assert np.array_equal(normal_eigenvalues(model), hermitian_eigenvalues(model))
+
+    def test_non_normal_spec_is_refused(self):
+        # U + 2V is not normal, though its models at q <= 2 are Hermitian
+        for p, q in ((0, 1), (1, 2), (3, 8)):
+            with pytest.raises(ModelsNotNormal):
+                normal_eigenvalues(build_operator(OperatorSpec.canonical(1, 0, 2, 0), p, q))
 
 
 class TestNonFiniteInput:
@@ -521,29 +465,13 @@ class TestNonFiniteInput:
     wrong: sigma_min 1.0 beside a NaN, eigenvalues NaN beside an inf."""
 
     @pytest.mark.parametrize("run", [
-        spectral.as_matrix, operator_norm, is_normal, hermitian_eigenvalues,
-        normal_eigenvalues, smallest_singular_value,
+        spectral.as_matrix, operator_norm, hermitian_eigenvalues, smallest_singular_value,
     ], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_refused(self, run, bad):
         for a in ([[bad, 0], [0, 1]], [[1, bad], [bad, 1]], [[bad]]):
             with pytest.raises(InvalidInput, match="must be finite"):
                 run(np.array(a, dtype=complex))
-
-
-class TestIsNormal:
-    def test_classes(self):
-        assert is_normal(shift_matrix(5).entries)
-        assert is_normal(np.diag([1 + 1j, 2 - 3j]))
-        assert not is_normal(np.array([[0, 1], [0, 0]], dtype=complex))
-        assert not is_normal(np.array([[1, 1], [0, 1]], dtype=complex))
-
-    def test_near_normal_perturbation(self):
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a = (z + z.conj().T) / 2
-        assert is_normal(a)
-        assert not is_normal(a + 1e-3 * np.array([[0] * 5 + [1]] + [[0] * 6] * 5))
 
 
 class TestSigmaMin:
@@ -581,9 +509,8 @@ class TestSigmaMin:
 
 
 class TestOneSvdRoute:
-    """operator_norm, is_normal's 2-norm and smallest_singular_value share
-    one SVD route: numpy's SVD, then a gesvd retry, then
-    ConvergenceFailure."""
+    """operator_norm and smallest_singular_value share one SVD route:
+    numpy's SVD, then a gesvd retry, then ConvergenceFailure."""
 
     @staticmethod
     def fail_numpy(monkeypatch):
@@ -603,15 +530,7 @@ class TestOneSvdRoute:
         _, calls = self.fail_numpy(monkeypatch)
         assert operator_norm(a) == pytest.approx(s[0], rel=1e-12)
         assert smallest_singular_value(a) == pytest.approx(s[-1], rel=1e-12)
-        # I + eps*E_12: ||defect||_F = sqrt(2)*eps^2 lies between the two
-        # Frobenius screens, so is_normal decides by 2-norms, eps^2 against
-        # 1e-10 * ||A||^2
-        for eps, normal in ((0.9e-5, True), (1.4e-5, False)):
-            calls.clear()
-            a = np.eye(3, dtype=complex)
-            a[0, 1] = eps
-            assert is_normal(a) is normal
-            assert len(calls) == 2  # ||A|| and ||defect||
+        assert len(calls) == 2
 
     def test_failed_retry_is_a_convergence_failure(self, monkeypatch):
         self.fail_numpy(monkeypatch)
