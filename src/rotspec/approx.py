@@ -58,7 +58,7 @@ from .pseudospectra import (
     default_region,
     level_set,
 )
-from .spectral import model_eigenvalues
+from .spectral import normal_eigenvalues
 
 RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
 MAX_Q = 4096  # default matrix-order budget of every entry point
@@ -283,7 +283,8 @@ def _certify_level(theta: Theta, spec: OperatorSpec,
     for k in (n - 1, n):
         if k not in spectra:
             p, q = expansion.convergent(k)
-            spectra[k] = model_eigenvalues(spec, p % q, q)  # v is q-periodic in p
+            model = build_operator(spec, p % q, q)  # v is q-periodic in p
+            spectra[k] = normal_eigenvalues(model)
     cert = ApproximationCertificate(
         theta=theta,
         spec=spec,
@@ -458,11 +459,13 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
         )
     radius = float_up(one_sided_constant_exact(spec) / sqrt_lower(n))
 
-    result: Optional[OneSidedResult] = model_eigenvalues(spec, p, n)
-    if result is None:
+    model = build_operator(spec, p, n)
+    if spec.is_normal:
+        result: OneSidedResult = normal_eigenvalues(model)
+    else:
         gp = grid_params or GridParams()
         region = gp.region or default_region(spec_norm_bound(spec), radius)
-        result = compute_grid(build_operator(spec, p, n), region, gp.resolution, gp.jobs)
+        result = compute_grid(model, region, gp.resolution, gp.jobs)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,

@@ -43,7 +43,6 @@ from .errors import (
     CertificateViolation,
     ConvergenceFailure,
     InvalidInput,
-    NotHermitian,
     PrecisionExhausted,
     ResourceBudgetExceeded,
     RotspecError,
@@ -238,8 +237,6 @@ def _resolve_spec(opts) -> OperatorSpec:
             raise InvalidInput(f"--spec is not valid JSON: {exc}")
     if doc is None:
         return OperatorSpec.canonical(1, 1, 1, 1)
-    if not isinstance(doc, dict):
-        raise InvalidInput("operator spec JSON must be an object")
     return OperatorSpec.from_json(doc)
 
 
@@ -376,10 +373,6 @@ def cmd_pseudospectrum(opts) -> int:
 
 def cmd_butterfly(opts) -> int:
     spec = _resolve_spec(opts)
-    if not spec.is_hermitian:
-        raise NotHermitian(
-            "the butterfly sweep plots real eigenvalues; the spec must be hermitian"
-        )
     q_max = opts.q_max
     if q_max < 1:
         raise _UsageError(f"--q-max must be >= 1, got {q_max}")

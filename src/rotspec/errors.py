@@ -40,8 +40,10 @@ class EmptySpec(InvalidInput):
 
 
 class NotHermitian(InvalidInput):
-    """Hermitian eigensolver fed a matrix that is not Hermitian within
-    tolerance, or a grid fed an array that is not exactly Hermitian."""
+    """Hermitian eigensolver fed a model whose spec is not Hermitian
+    (OperatorSpec.is_hermitian, at every order) or an array that is not
+    Hermitian within tolerance, or a grid fed an array that is not
+    exactly Hermitian."""
 
 
 class NonCanonicalSpec(InvalidInput):

@@ -34,57 +34,96 @@ from .errors import EmptySpec, InvalidInput, InvalidOrder
 # ---------------------------------------------------------------------------
 
 _CANONICAL_SLOTS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_CANONICAL_KEYS = ("a+", "a-", "b+", "b-")
 
 
-def _check_finite(coefficients: Iterable[complex]) -> None:
-    bad = [c for c in coefficients if not cmath.isfinite(c)]
-    if bad:
-        raise InvalidInput(f"operator spec coefficients must be finite, got {bad[0]}")
+def _json_number(value, where: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInput(f"{where} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"{where} = {value} is outside the float range")
+
+
+def _json_object(value, where: str, required: tuple[str, ...],
+                 optional: tuple[str, ...]) -> None:
+    """Refuse value unless it is an object with every required key and no unknown one."""
+    if not isinstance(value, dict):
+        raise InvalidInput(f"{where} must be a JSON object, got {value!r}")
+    unknown = [k for k in value if k not in required + optional]
+    if unknown:
+        raise InvalidInput(f"{where} has unknown keys {unknown}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise InvalidInput(f"{where} lacks the key {missing[0]!r}")
+
+
+def _json_term(t, where: str) -> tuple[int, int, complex]:
+    _json_object(t, where, ("u", "v", "re"), ("im",))
+    for key in ("u", "v"):
+        if isinstance(t[key], bool) or not isinstance(t[key], int):
+            raise InvalidInput(f'{where}: "{key}" must be a JSON integer, got {t[key]!r}')
+    return t["u"], t["v"], complex(_json_number(t["re"], f'{where}: "re"'),
+                                   _json_number(t.get("im", 0.0), f'{where}: "im"'))
+
+
+def _json_canonical(c) -> tuple[complex, ...]:
+    _json_object(c, '"canonical"', (), _CANONICAL_KEYS)
+    coeffs = []
+    for key in _CANONICAL_KEYS:
+        pair = c.get(key, [0.0, 0.0])
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InvalidInput(f'"canonical" "{key}" must be a pair [re, im], got {pair!r}')
+        coeffs.append(complex(*(_json_number(x, f'"canonical" "{key}"') for x in pair)))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """Laurent polynomial sum c_{jk} U^j V^k (negative powers are adjoints).
 
-    terms holds (u_power, v_power, coefficient) with duplicate powers
-    merged and zero coefficients dropped. canonical_four_term is set iff
-    every term sits in one of the four slots U, U*, V, V*; it stores
-    (alpha_plus, alpha_minus, beta_plus, beta_minus) including zeros.
+    terms holds (u_power, v_power, coefficient), sorted by powers, with
+    duplicate powers merged, zero coefficients dropped and every
+    coefficient finite: general and canonical build it by one merge, and
+    every other property is read off it. A spec with no terms is the
+    canonical zero operator; general refuses one.
     """
 
     terms: tuple[tuple[int, int, complex], ...]
-    canonical_four_term: Optional[tuple[complex, complex, complex, complex]] = None
 
     @staticmethod
-    def general(terms: Iterable[tuple[int, int, complex]]) -> "OperatorSpec":
+    def _merge(terms: Iterable[tuple[int, int, complex]]) -> "OperatorSpec":
         merged: dict[tuple[int, int], complex] = {}
         for j, k, c in terms:
             merged[(j, k)] = merged.get((j, k), 0) + complex(c)
-        _check_finite(merged.values())
-        kept = tuple(
-            (j, k, c) for (j, k), c in sorted(merged.items()) if c != 0
-        )
-        canonical = None
-        if kept and all((j, k) in _CANONICAL_SLOTS for j, k, _ in kept):
-            by_slot = {(j, k): c for j, k, c in kept}
-            canonical = tuple(by_slot.get(slot, 0j) for slot in _CANONICAL_SLOTS)
-        if not kept and canonical is None:
+        bad = [c for c in merged.values() if not cmath.isfinite(c)]
+        if bad:
+            raise InvalidInput(f"operator spec coefficients must be finite, got {bad[0]}")
+        return OperatorSpec(tuple((j, k, c) for (j, k), c in sorted(merged.items()) if c != 0))
+
+    @staticmethod
+    def general(terms: Iterable[tuple[int, int, complex]]) -> "OperatorSpec":
+        spec = OperatorSpec._merge(terms)
+        if not spec.terms:
             raise EmptySpec("operator spec has no nonzero terms")
-        return OperatorSpec(terms=kept, canonical_four_term=canonical)
+        return spec
 
     @staticmethod
     def canonical(alpha_plus: complex, alpha_minus: complex,
                   beta_plus: complex, beta_minus: complex) -> "OperatorSpec":
-        coeffs = (complex(alpha_plus), complex(alpha_minus),
-                  complex(beta_plus), complex(beta_minus))
-        _check_finite(coeffs)
-        # same term ordering as general() so equal specs compare equal
-        terms = tuple(
-            (j, k, c)
-            for (j, k), c in sorted(zip(_CANONICAL_SLOTS, coeffs))
-            if c != 0
-        )
-        return OperatorSpec(terms=terms, canonical_four_term=coeffs)
+        coeffs = (alpha_plus, alpha_minus, beta_plus, beta_minus)
+        return OperatorSpec._merge((j, k, c) for (j, k), c in zip(_CANONICAL_SLOTS, coeffs))
+
+    @cached_property
+    def canonical_four_term(self) -> Optional[tuple[complex, complex, complex, complex]]:
+        """(alpha_plus, alpha_minus, beta_plus, beta_minus), zeros included,
+        when every term sits in one of the slots U, U*, V, V*; else None."""
+        by_slot = {(j, k): c for j, k, c in self.terms}
+        if not by_slot.keys() <= set(_CANONICAL_SLOTS):
+            return None
+        return tuple(by_slot.get(slot, 0j) for slot in _CANONICAL_SLOTS)
 
     @property
     def is_canonical(self) -> bool:
@@ -142,34 +181,29 @@ class OperatorSpec:
 
     @staticmethod
     def from_json(doc: dict) -> "OperatorSpec":
-        if "canonical" in doc and "terms" not in doc:
-            c = doc["canonical"]
-            vals = []
-            for key in ("a+", "a-", "b+", "b-"):
-                re_, im_ = c.get(key, [0.0, 0.0])
-                vals.append(complex(re_, im_))
-            return OperatorSpec.canonical(*vals)
+        """The spec of a JSON object with "terms", "canonical" or both (which
+        must agree); InvalidInput names the first bad entry. A term is an
+        object with integer "u" and "v", a number "re" and an optional
+        number "im"; "canonical" maps any of "a+", "a-", "b+", "b-" to a
+        pair of numbers [re, im], an omitted slot being zero. Bools are not
+        numbers, and unknown keys are refused."""
+        _json_object(doc, "operator spec", (), ("terms", "canonical"))
         if "terms" not in doc:
-            raise InvalidInput('operator spec JSON needs "terms" or "canonical"')
-        spec = OperatorSpec.general(
-            (int(t["u"]), int(t["v"]), complex(float(t["re"]), float(t.get("im", 0.0))))
-            for t in doc["terms"]
-        )
-        if "canonical" in doc:
-            c = doc["canonical"]
-            stated = tuple(
-                complex(*c.get(key, [0.0, 0.0])) for key in ("a+", "a-", "b+", "b-")
-            )
-            if spec.canonical_four_term != stated:
-                raise InvalidInput("canonical block disagrees with the term list")
+            if "canonical" not in doc:
+                raise InvalidInput('operator spec JSON needs "terms" or "canonical"')
+            return OperatorSpec.canonical(*_json_canonical(doc["canonical"]))
+        if not isinstance(doc["terms"], list):
+            raise InvalidInput(f'"terms" must be a JSON list, got {doc["terms"]!r}')
+        spec = OperatorSpec.general(_json_term(t, f'"terms"[{i}]')
+                                    for i, t in enumerate(doc["terms"]))
+        if "canonical" in doc and spec.canonical_four_term != _json_canonical(doc["canonical"]):
+            raise InvalidInput("canonical block disagrees with the term list")
         return spec
 
 
 def spec_norm_bound(spec: OperatorSpec) -> float:
     """sum |c_{jk}|; bounds the operator norm of every model since u, v
     are unitary."""
-    if not spec.terms and not spec.is_canonical:
-        raise EmptySpec("operator spec has no terms")
     return float(sum(abs(c) for _, _, c in spec.terms))
 
 
@@ -236,13 +270,11 @@ def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
     matrix products and no dense matrix are formed.
     """
     _check_order(q, p)
-    if not spec.terms and not spec.is_canonical:
-        raise EmptySpec("operator spec has no terms")
     rows = np.arange(q)
     columns = np.empty((len(spec.terms), q), dtype=np.intp)
     values = np.empty((len(spec.terms), q), dtype=np.complex128)
     for t, (j, k, c) in enumerate(spec.terms):
-        columns[t] = (rows + j) % q
+        columns[t] = (rows + j % q) % q  # j may be past int64
         values[t] = c * _clock_diagonal(p, q, power=k)[columns[t]]
     return MatrixModel(order=q, p=p, spec=spec, columns=columns, values=values)
 

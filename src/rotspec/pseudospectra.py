@@ -163,10 +163,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
-    if isinstance(a, MatrixModel) and not a.spec.is_hermitian:
-        spectrum = _model_spectrum(a.spec, a.p, a.order)
-    else:  # the Hermitian route takes the array or model at hand
-        spectrum = hermitian_eigenvalues(a), 1
+    spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (hermitian_eigenvalues(a), 1)
     if spectrum is not None:
         out = _spectrum_distances(*spectrum, lam)
     else:

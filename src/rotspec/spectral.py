@@ -20,16 +20,16 @@ to LAPACK's banded Hermitian eigensolver, which returns the values
 without eigenvectors: O(q*J) band storage and O(q^2 * J) time, against
 O(q^3) for a dense solve.
 
-model_eigenvalues, and normal_eigenvalues of a model, take one route per
-model, picked by the spec's coefficients at every order (the exact
+normal_eigenvalues(A), the one eigen entry for a model, takes one route
+per model, picked by the spec's coefficients at every order (the exact
 OperatorSpec.is_normal decides normality, so no model is tested densely):
-  Hermitian spec          the Hermitian route
+  Hermitian spec          the band solve of A itself
   (i) no V terms          circulant_four_term_eigenvalues
   (ii) no U terms         the same closed form over the powers of omega
-  (iii) e^(-i phi) A = H  the Hermitian route on rotated coefficients, rotated back
-  any other spec          None, no model is built; normal_eigenvalues raises ModelsNotNormal
-_model_spectrum keeps class (iii)'s real values of H and the rotation,
-and refuses a normal spec whose sum |c| overflows before any model.
+  (iii) e^(-i phi) A = H  the band solve of H's model (the one model built), rotated back
+  any other spec          ModelsNotNormal
+_model_spectrum, shared with the grids, keeps class (iii)'s real values
+of H and the rotation, and refuses a spec whose sum |c| overflows.
 
 Every singular value of a dense matrix comes from one SVD route,
 _singular_values: numpy's divide-and-conquer SVD, with a retry through
@@ -173,15 +173,22 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
 
 def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
-    (see the module docstring for the banded route). A Hermitian spec's
-    model is Hermitian by construction: it skips the defect check, which
-    compares Frobenius norms, and is refused if its sum |c| overflows."""
-    if isinstance(A, MatrixModel) and A.spec.is_hermitian:
+    (see the module docstring for the banded route). A model is taken iff
+    its spec is Hermitian and its sum |c| finite, and is never made dense;
+    an array iff its Frobenius-norm Hermitian defect is within HERMITIAN_TOL."""
+    if isinstance(A, MatrixModel):
+        if not A.spec.is_hermitian:
+            raise NotHermitian("the model's spec is not Hermitian (OperatorSpec.is_hermitian)")
         _require_finite_norm(A.spec)
     else:
         a = as_matrix(A)
         if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
             raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
+    return _band_eigenvalues(A)
+
+
+def _band_eigenvalues(A: MatrixLike) -> np.ndarray:
+    """zhbevd on the lower half of A's interleaved band, for A Hermitian."""
     band = _interleaved_band(A)
     if band.shape[1] == 0:  # zhbevd refuses n = 0
         return np.empty(0)
@@ -196,7 +203,7 @@ def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
     """Eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the q-th
     roots of unity zeta^k, in closed form: the route of the circulant
     alpha_1 u + alpha_-1 u* and, over the powers of omega, of the
-    diagonal beta_1 v + beta_-1 v* (model_eigenvalues)."""
+    diagonal beta_1 v + beta_-1 v* (normal_eigenvalues)."""
     if q < 1:
         raise InvalidInput(f"order must be >= 1, got {q}")
     zeta = np.exp(2j * np.pi * (np.arange(q) / q))
@@ -204,22 +211,15 @@ def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
     return np.sort(values, kind="stable")
 
 
-def model_eigenvalues(spec: OperatorSpec, p: int, q: int) -> Optional[np.ndarray]:
-    """Eigenvalues of the model of a Hermitian or canonical spec at p/q by
-    the route table of the module docstring; None when the spec is not
-    normal, at every order, also where one model is (u = u* at q <= 2,
-    omega^2 = 1 at p = 0 or 2p = q)."""
-    values, r = _model_spectrum(spec, p, q) or (None, 1)
-    return values if r == 1 else np.sort(r * values, kind="stable")
-
-
 def normal_eigenvalues(A: MatrixModel) -> np.ndarray:
-    """model_eigenvalues(A.spec, A.p, A.order) for a model A of a Hermitian
-    or normal spec; ModelsNotNormal for a model of any other spec."""
-    values = model_eigenvalues(A.spec, A.p, A.order)
-    if values is None:
+    """Eigenvalues of a model A of a Hermitian or normal spec by the route
+    table of the module docstring; ModelsNotNormal for any other spec's A,
+    also where A is normal (u = u* at q <= 2, omega^2 = 1 at 2p = 0 mod q)."""
+    spectrum = _model_spectrum(A)
+    if spectrum is None:
         raise ModelsNotNormal("the model's spec is not normal (OperatorSpec.is_normal)")
-    return values
+    values, r = spectrum
+    return values if r == 1 else np.sort(r * values, kind="stable")
 
 
 def _require_finite_norm(spec: OperatorSpec) -> None:
@@ -229,15 +229,16 @@ def _require_finite_norm(spec: OperatorSpec) -> None:
         raise InvalidInput(f"sum |c| = {norm!r} of the spec is outside the float range")
 
 
-def _model_spectrum(spec: OperatorSpec, p: int, q: int) -> Optional[tuple[np.ndarray, complex]]:
-    """(values, r), the model's eigenvalues being r * values, or None when
-    the spec is not normal: r = 1, except r = e^(i phi) in class (iii),
-    whose values are the real ascending ones of H = e^(-i phi) A."""
+def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
+    """(values, r), the eigenvalues of A being r * values, or None when its
+    spec is not normal: r = 1, except r = e^(i phi) in class (iii), whose
+    values are the real ascending ones of H = e^(-i phi) A."""
+    spec, p, q = A.spec, A.p, A.order
     if not (spec.is_hermitian or spec.is_normal):
         return None
     _require_finite_norm(spec)
     if spec.is_hermitian:
-        return hermitian_eigenvalues(build_operator(spec, p, q)), 1
+        return _band_eigenvalues(A), 1
     a1, am, b1, bm = spec.canonical_four_term
     if not (b1 or bm):
         return circulant_four_term_eigenvalues(a1, am, q), 1
@@ -247,7 +248,7 @@ def _model_spectrum(spec: OperatorSpec, p: int, q: int) -> Optional[tuple[np.nda
     r = cmath.sqrt(a1 / abs(a1) * (am / abs(am)))  # e^(i phi): |a1| = |am| in class (iii)
     h, g = a1 * r.conjugate(), b1 * r.conjugate()
     rotated = OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())
-    return hermitian_eigenvalues(build_operator(rotated, p, q)), r
+    return _band_eigenvalues(build_operator(rotated, p, q)), r
 
 
 # ---------------------------------------------------------------------------

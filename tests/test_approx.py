@@ -653,9 +653,9 @@ class TestConvergenceStudy:
 
     def test_each_model_solved_once(self, monkeypatch):
         solved, expansions = [], []
-        solve, expand_ = approx.model_eigenvalues, approx.expand
-        monkeypatch.setattr(approx, "model_eigenvalues",
-                            lambda spec, p, q: solved.append(q) or solve(spec, p, q))
+        solve, expand_ = approx.normal_eigenvalues, approx.expand
+        monkeypatch.setattr(approx, "normal_eigenvalues",
+                            lambda model: solved.append(model.order) or solve(model))
         monkeypatch.setattr(approx, "expand",
                             lambda *a: expansions.append(a) or expand_(*a))
         table = convergence_study(GOLDEN, AM, range(3, 9))

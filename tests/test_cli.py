@@ -471,10 +471,13 @@ class TestButterfly:
         assert half == pytest.approx([-2 * math.sqrt(2), 2 * math.sqrt(2)], abs=1e-14)
 
     def test_rejects_nonhermitian_spec(self, tmp_path, capsys):
-        code = main(["butterfly", "--q-max", "3", "--out-dir", str(tmp_path),
+        # hermitian_eigenvalues refuses the first model, before any file
+        out = tmp_path / "out"
+        code = main(["butterfly", "--q-max", "3", "--out-dir", str(out),
                      "--spec", '{"terms": [{"u": 1, "v": 0, "re": 1, "im": 0}]}'])
         assert code == 3
-        assert "hermitian" in capsys.readouterr().err
+        assert "spec is not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_qmax_validation(self, tmp_path, capsys):
         assert main(["butterfly", "--q-max", "0", "--out-dir", str(tmp_path)]) == 2
@@ -737,10 +740,43 @@ class TestConfigAndSpecResolution:
         assert (tmp_path / "butterfly.csv").read_text() == "p,q,eigenvalue\n0,1,4\n"
         assert main(["butterfly", "--q-max", "1", "--spec", "{not json",
                      "--out-dir", str(tmp_path)]) == 3
+        assert main(["butterfly", "--q-max", "1", "--spec", "[1, 2]",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert "operator spec must be a JSON object" in capsys.readouterr().err
         assert main(["butterfly", "--q-max", "1",
                      "--spec-file", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path)]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("doc, message", [
+        ('{"terms": [{"u": 1, "v": 0}]}', '"terms"[0] lacks the key \'re\''),
+        ('{"terms": [5]}', '"terms"[0] must be a JSON object'),
+        ('{"terms": 3}', '"terms" must be a JSON list'),
+        ('{"canonical": {"a+": [1]}}', '"canonical" "a+" must be a pair'),
+        ('{"canonical": []}', '"canonical" must be a JSON object'),
+        ('{"terms": [{"u": 1.5, "v": 0, "re": 1}]}', '"terms"[0]: "u" must be a JSON integer'),
+        ('{"terms": [{"u": 1, "v": true, "re": 1}]}', '"terms"[0]: "v" must be a JSON integer'),
+        ('{"terms": [{"u": 1, "v": 0, "re": true}]}', '"terms"[0]: "re" must be a JSON number'),
+        ('{"terms": [{"u": 1, "v": 0, "re": 1, "im": "0"}]}', '"im" must be a JSON number'),
+        ('{"terms": [{"u": 1, "v": 0, "re": 1e400}]}', "must be finite"),
+        ('{"terms": [{"u": 1, "v": 0, "re": 1' + "0" * 400 + '}]}', "outside the float range"),
+        ('{"terms": [{"u": 1, "v": 0, "re": 1, "w": 2}]}', "\"terms\"[0] has unknown keys ['w']"),
+        ('{"canonical": {"zz": [1, 0]}}', "\"canonical\" has unknown keys ['zz']"),
+        ('{"canonical": {"a+": [1, false]}}', '"canonical" "a+" must be a JSON number'),
+        ('{"canonical": {}, "scale": 2}', "operator spec has unknown keys ['scale']"),
+        ('{}', 'needs "terms" or "canonical"'),
+    ])
+    def test_malformed_spec_exits_3_before_any_file(self, tmp_path, capsys, doc, message):
+        with pytest.raises(InvalidInput) as refusal:
+            OperatorSpec.from_json(json.loads(doc))
+        assert message in str(refusal.value)
+        spec_file, cfg, out = tmp_path / "spec.json", tmp_path / "run.json", tmp_path / "out"
+        spec_file.write_text(doc)
+        cfg.write_text(f'{{"spec": {doc}}}')
+        for source in (["--spec", doc], ["--spec-file", str(spec_file)], ["--config", str(cfg)]):
+            assert main(["spectrum", "--theta", GOLDEN, *source, "--out-dir", str(out)]) == 3
+            assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mutually_exclusive_spec_flags(self, tmp_path, capsys):
         code = main(["butterfly", "--q-max", "1", "--spec", "{}",
@@ -830,6 +866,32 @@ class TestOptionsPerSubcommand:
         assert "pseudospectrum: n=2 q_pair=(1, 2) epsilon=1" in capsys.readouterr().out
         doc = json.loads((tmp_path / "p" / "sandwich_report.json").read_text())
         assert doc["epsilon"] == 1.0
+
+
+class TestTracedRun:
+    """bench/traced_cli.py records a span around each call into a layer:
+    every model eigensolve of a run is one spectral.eig span."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def eig_orders(self, tmp_path, argv) -> list[int]:
+        spans = tmp_path / "spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(self.ROOT / "bench" / "traced_cli.py"), str(spans), *argv,
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(self.ROOT / "src")})
+        assert proc.returncode == 0, proc.stderr
+        return sorted(s["q"] for s in json.loads(spans.read_text()) if s["name"] == "spectral.eig")
+
+    def test_class_i_spectrum_records_both_models(self, tmp_path):
+        argv = ["spectrum", "--theta", GOLDEN, "--level", "9",
+                "--spec", '{"canonical": {"a+": [1, 0], "a-": [2, 0]}}']
+        assert self.eig_orders(tmp_path, argv) == [34, 55]
+
+    def test_converge_records_each_order_once(self, tmp_path):
+        argv = ["converge", "--theta", GOLDEN, "--n-range", "3:8"]
+        assert self.eig_orders(tmp_path, argv) == [2, 3, 5, 8, 13, 21, 34]
 
 
 class TestLazyScipy:

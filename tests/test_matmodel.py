@@ -97,6 +97,19 @@ class TestSpec:
             with pytest.raises(InvalidInput):
                 OperatorSpec.from_json(json.loads(doc))
 
+    def test_no_terms_is_the_canonical_zero_operator(self):
+        for zero in (OperatorSpec.canonical(0, 0, 0, 0), OperatorSpec.from_json({"canonical": {}})):
+            assert zero.terms == () and zero.canonical_four_term == (0j,) * 4
+            assert spec_norm_bound(zero) == 0.0
+            assert not build_operator(zero, 1, 3).values.size
+
+    def test_powers_past_int64_reduce_mod_q(self):
+        for j in (2 ** 64 + 5, -(2 ** 70) - 1):
+            big = build_operator(OperatorSpec.general([(j, 3, 1j)]), 3, 7)
+            small = build_operator(OperatorSpec.general([(j % 7, 3, 1j)]), 3, 7)
+            assert np.array_equal(big.columns, small.columns)
+            assert np.array_equal(big.values, small.values)
+
     def test_from_json_rejects_inconsistent_canonical_block(self):
         doc = CANONICAL.to_json()
         doc["canonical"]["a+"] = [2.0, 0.0]

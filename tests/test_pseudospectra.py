@@ -417,7 +417,7 @@ class TestDistanceRoute:
     @staticmethod
     def spy(monkeypatch):
         calls = []
-        real_eigs, real_band = spectral.hermitian_eigenvalues, psp._banded_sigma_min
+        real_eigs, real_band = spectral._band_eigenvalues, psp._banded_sigma_min
 
         def eigs(a):
             calls.append("eig")
@@ -427,9 +427,8 @@ class TestDistanceRoute:
             calls.append("band")
             return real_band(gb, lam)
 
-        # model_eigenvalues reads spectral's, compute_grid psp's
-        monkeypatch.setattr(spectral, "hermitian_eigenvalues", eigs)
-        monkeypatch.setattr(psp, "hermitian_eigenvalues", eigs)
+        # the zhbevd solve behind every Hermitian eigensolve, of a model or an array
+        monkeypatch.setattr(spectral, "_band_eigenvalues", eigs)
         monkeypatch.setattr(psp, "_banded_sigma_min", band)
         return calls
 
@@ -467,7 +466,8 @@ class TestNormalRoute:
 
     @staticmethod
     def distances(spec, p, q, lam):
-        return psp._spectrum_distances(*spectral._model_spectrum(spec, p, q), lam)
+        return psp._spectrum_distances(*spectral._model_spectrum(build_operator(spec, p, q)),
+                                       lam)
 
     def test_classes_match_pointwise_svd(self):
         # grid points, points on an eigenvalue and points 1e-6 from one,
@@ -478,7 +478,7 @@ class TestNormalRoute:
             for p, q in ((2, 3), (3, 5), (55, 89), (144, 233), (0, 5), (0, 89)):
                 model = build_operator(spec, p, q)
                 grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
-                eigs = spectral.model_eigenvalues(spec, p, q)[::max(1, q // 12)]
+                eigs = spectral.normal_eigenvalues(model)[::max(1, q // 12)]
                 near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
                 lam = np.concatenate([grid.lambda_grid().ravel(), eigs, near])
                 got = np.concatenate([grid.sigma_min_values.ravel(),
@@ -530,7 +530,7 @@ class TestNormalRoute:
             spectral.hermitian_eigenvalues(build_operator(hermitian, 1, 2))
         for spec in (hermitian, OperatorSpec.canonical(0, 0, 1e308, 1e308j)):
             with pytest.raises(InvalidInput, match="outside the float range"):
-                spectral.model_eigenvalues(spec, 1, 3)
+                spectral.normal_eigenvalues(build_operator(spec, 1, 3))
 
     def test_distance_blocks_stay_within_12_mib(self):
         # 256 points against 4181 complex eigenvalues are 17 MB of
@@ -544,7 +544,7 @@ class TestNormalRoute:
             finally:
                 tracemalloc.stop()
             assert peak <= 12 << 20
-            eigs = spectral.model_eigenvalues(spec, 2584, 4181)
+            eigs = spectral.normal_eigenvalues(model)
             lam = grid.lambda_grid().ravel()[::37]
             direct = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
             assert np.array_equal(grid.sigma_min_values.ravel()[::37], direct)

@@ -164,7 +164,7 @@ def test_no_unused_imports():
 
 
 def test_approx_dispatches_on_the_spec_not_on_exceptions():
-    # the spec's coefficients pick each eigen route (model_eigenvalues);
+    # the spec's coefficients pick each eigen route (normal_eigenvalues);
     # a handler for a solver's refusal would be a second dispatcher
     tree = ast.parse((PACKAGE / "approx.py").read_text(encoding="utf-8"))
     caught = [f"approx.py:{node.lineno}: {name}"
@@ -174,6 +174,20 @@ def test_approx_dispatches_on_the_spec_not_on_exceptions():
                            for n in ast.walk(node.type) if isinstance(n, (ast.Name, ast.Attribute)))
               if name in ("ModelsNotNormal", "NotHermitian")]
     assert not caught, f"solver refusals caught in approx: {caught}"
+
+
+def test_specs_are_built_by_one_merge():
+    # OperatorSpec.general and .canonical construct every spec through
+    # OperatorSpec._merge, which leaves the terms sorted, merged and
+    # finite; a direct OperatorSpec(...) call elsewhere would skip it
+    callers = set()
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                               if isinstance(node, ast.Call)
+                               and ast.unparse(node.func).rpartition(".")[2] == "OperatorSpec")
+    assert callers == {"matmodel.py:_merge"}, callers
 
 
 def test_every_top_level_definition_is_used():
@@ -216,7 +230,7 @@ def test_dense_entries_are_read_in_one_place():
 
 
 def test_no_dense_eigensolver():
-    # the spec picks every eigen route (model_eigenvalues), and eigenvalues
+    # the spec picks every eigen route (normal_eigenvalues), and eigenvalues
     # come from LAPACK through spectral._lapack() or in closed form; a
     # numpy eigensolver would be a dense route that a tolerance could pick
     found = [f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"

@@ -3,8 +3,7 @@
 Oracle strategy: closed forms for circulants, clock diagonals and 2x2
 Jordan blocks, dense LAPACK eigvalsh against the banded Hermitian route
 and against rotated Hermitian models, and np.linalg.eigvals of the
-dense entries against the routes a spec picks (model_eigenvalues,
-normal_eigenvalues).
+dense entries against the routes a spec picks (normal_eigenvalues).
 smallest_singular_value of a dense matrix has one route, the SVD; the
 grid routes (distances, the banded Gram-Cholesky test) are checked point
 by point against np.linalg.svd in test_pseudospectra.
@@ -32,11 +31,11 @@ from rotspec.matmodel import (
     shift_matrix,
     spec_norm_bound,
 )
+from rotspec.pseudospectra import compute_grid
 from rotspec.spectral import (
     _interleaved_band,
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
-    model_eigenvalues,
     normal_eigenvalues,
     operator_norm,
     smallest_singular_value,
@@ -79,11 +78,13 @@ class TestRoutesReturnArrays:
     def test_each_route_returns_its_eigenvalues_as_an_array(self):
         normal = build_operator(OperatorSpec.canonical(1j, 1j, 2j, 2j), 3, 7)
         hermitian = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 3, 8)
-        spec_routes = [(model_eigenvalues(OperatorSpec.canonical(*c), p, 8), np.complex128, 8)
+        spec_routes = [(normal_eigenvalues(build_operator(OperatorSpec.canonical(*c), p, 8)),
+                        np.complex128, 8)
                        for c in ((1, 2, 0, 0), (0, 0, 1, 2j), (1j, 1j, 2j, 2j)) for p in (2, 3)]
         for got, dtype, n in ((hermitian_eigenvalues(hermitian), np.float64, 8),
-                              (model_eigenvalues(hermitian.spec, 3, 8), np.float64, 8),
-                              (model_eigenvalues(hermitian.spec, 1, 2), np.float64, 2),
+                              (normal_eigenvalues(hermitian), np.float64, 8),
+                              (normal_eigenvalues(build_operator(hermitian.spec, 1, 2)),
+                               np.float64, 2),
                               (normal_eigenvalues(normal), np.complex128, 7),
                               (circulant_four_term_eigenvalues(1, 2j, 9), np.complex128, 9),
                               *spec_routes):
@@ -123,6 +124,16 @@ class TestHermitian:
             hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(NotHermitian):
             hermitian_eigenvalues(shift_matrix(3))
+
+    def test_model_of_a_non_hermitian_spec_is_refused_before_densifying(self):
+        # the spec decides at every order: U's model at q = 2 is a Hermitian
+        # matrix, but U is not a Hermitian operator
+        shift = build_operator(OperatorSpec.general([(1, 0, 1)]), 1, 2)
+        for model in (build_operator(OperatorSpec.canonical(1, 0, 2, 0), 377, 610), shift):
+            with pytest.raises(NotHermitian, match="spec is not Hermitian"):
+                hermitian_eigenvalues(model)
+            assert "entries" not in vars(model)
+        assert np.array_equal(shift.entries, shift.entries.conj().T)
 
     def test_weyl_stability(self):
         rng = np.random.default_rng(11)
@@ -333,7 +344,7 @@ class TestCirculant:
 
 
 class TestSpecRoutes:
-    """model_eigenvalues on classes (i), (ii) and (iii) against
+    """normal_eigenvalues on classes (i), (ii) and (iii) against
     np.linalg.eigvals of the dense entries, within 1e-12 * max(1, sum |c|)
     (assert_same_spectrum)."""
 
@@ -351,8 +362,9 @@ class TestSpecRoutes:
                 assert spec.is_normal and not spec.is_hermitian
                 scale = max(1.0, spec_norm_bound(spec))
                 for p in range(q):  # p sharing a factor with q too, as in one_sided
-                    got = model_eigenvalues(spec, p, q)
-                    want = np.linalg.eigvals(build_operator(spec, p, q).entries)
+                    model = build_operator(spec, p, q)
+                    got = normal_eigenvalues(model)
+                    want = np.linalg.eigvals(model.entries)
                     assert got.shape == (q,)
                     assert_same_spectrum(got, want, 1e-12 * scale)
 
@@ -360,12 +372,51 @@ class TestSpecRoutes:
         for q in (13, 21, 89):
             for p in (1, 5, q - 1):
                 spec = OperatorSpec.canonical(0, 0, 1.3 - 0.2j, 0.1 + 1j / 3)
-                diagonal = np.sort(np.diag(build_operator(spec, p, q).entries), kind="stable")
-                assert np.array_equal(model_eigenvalues(spec, p, q), diagonal)
+                model = build_operator(spec, p, q)
+                diagonal = np.sort(np.diag(model.entries), kind="stable")
+                assert np.array_equal(normal_eigenvalues(model), diagonal)
 
     def test_non_normal_spec_builds_no_model(self, monkeypatch):
+        model = build_operator(OperatorSpec.canonical(1, 0, 2, 0), 3, 8)
         monkeypatch.setattr(spectral, "build_operator", None)  # any build would fail
-        assert model_eigenvalues(OperatorSpec.canonical(1, 0, 2, 0), 3, 8) is None
+        with pytest.raises(ModelsNotNormal):
+            normal_eigenvalues(model)
+
+
+class TestModelAtHand:
+    """normal_eigenvalues and compute_grid solve the model they are handed:
+    a Hermitian or class (i) spec's model makes them build nothing, and a
+    class (iii) model makes them build its rotated Hermitian model once."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        built, real = [], spectral.build_operator
+
+        def build(spec, p, q):
+            built.append((spec, p, q))
+            return real(spec, p, q)
+
+        monkeypatch.setattr(spectral, "build_operator", build)
+        return built
+
+    def test_hermitian_and_class_i_models_build_nothing(self, monkeypatch):
+        models = [build_operator(OperatorSpec.canonical(*c), 34, 55)
+                  for c in ((1, 1, 1, 1), (1, 2, 0, 0))]
+        built = self.spy(monkeypatch)
+        for model in models:
+            normal_eigenvalues(model)
+            compute_grid(model, (-4, 4, -1, 1), (5, 3))
+            assert "entries" not in vars(model)
+        assert built == []
+
+    def test_class_iii_builds_only_its_rotated_model(self, monkeypatch):
+        model = build_operator(OperatorSpec.canonical(1j, 1j, 2j, 2j), 34, 55)
+        built = self.spy(monkeypatch)
+        rotated = (OperatorSpec.canonical(1, 1, 2, 2), 34, 55)
+        normal_eigenvalues(model)
+        assert built == [rotated]
+        compute_grid(model, (-4, 4, -4, 4), (5, 3))
+        assert built == [rotated] * 2 and "entries" not in vars(model)
 
 
 # exact rotations: their products with a conjugate pair stay an exact pair
@@ -373,8 +424,8 @@ ROTATIONS = (1j, -1, -1j, 1 + 1j)
 
 
 class TestNormal:
-    """normal_eigenvalues of a model is model_eigenvalues at its spec, p
-    and order, and refuses a model of a spec that is not normal."""
+    """normal_eigenvalues of a model takes the route its spec picks, and
+    refuses a model of a spec that is not normal."""
 
     def test_shift4_roots(self):
         ev = normal_eigenvalues(shift_matrix(4))
