@@ -57,6 +57,7 @@ from .pseudospectra import (
     compute_grid,
     default_region,
     level_set,
+    matrix_fingerprint,
 )
 from .spectral import normal_eigenvalues
 
@@ -202,7 +203,6 @@ class ApproximationCertificate:
     pair: tuple[tuple[int, int], tuple[int, int]]  # ((p_{n-1}, q_{n-1}), (p_n, q_n))
     epsilon_clean: float
     epsilon_sharp: float
-    mode: str  # normal_hausdorff | pseudospectrum_sandwich
     caveat: Optional[str] = None
 
     @property
@@ -221,7 +221,7 @@ class ApproximationCertificate:
             "q_pair": list(self.q_pair),
             "epsilon_sharp": self.epsilon_sharp,
             "epsilon_clean": self.epsilon_clean,
-            "mode": self.mode,
+            "mode": "normal_hausdorff",
         }
         if self.caveat:
             doc["caveat"] = self.caveat
@@ -292,7 +292,6 @@ def _certify_level(theta: Theta, spec: OperatorSpec,
         pair=(expansion.convergent(n - 1), expansion.convergent(n)),
         epsilon_clean=clean_bound(spec, expansion, n),
         epsilon_sharp=sharp_bound(spec, expansion, n),
-        mode="normal_hausdorff",
         caveat=caveat,
     )
     return np.sort(np.concatenate([spectra[n - 1], spectra[n]]), kind="stable"), cert
@@ -312,8 +311,9 @@ class PseudospectrumSandwich:
     """Grid enclosure pair: the inner union of level-epsilon masks and
     the outer union at epsilon + 2*epsilon_n (the exact sum rounded up to
     a float) bracket the operator's (epsilon + epsilon_n)-pseudospectrum.
-    For non-canonical specs no epsilon_n exists and only the rate flag is
-    carried."""
+    For non-canonical specs no epsilon_n exists and the report gives only
+    the rate flag. grid_fingerprints are the matrix_fingerprint of the models
+    behind grid_prev and grid_curr, hashed once for to_json."""
 
     theta: Theta
     spec: OperatorSpec
@@ -324,13 +324,12 @@ class PseudospectrumSandwich:
     epsilon_sharp: Optional[float]
     epsilon_clean: Optional[float]
     certified: bool
-    rate: str
     grid_prev: PseudospectrumGrid
     grid_curr: PseudospectrumGrid
+    grid_fingerprints: tuple[str, str]
     inner_mask: np.ndarray
     outer_mask: Optional[np.ndarray]
     inclusion_verified: bool
-    mode: str = "pseudospectrum_sandwich"
     caveat: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -344,18 +343,15 @@ class PseudospectrumSandwich:
             "epsilon_sharp": self.epsilon_sharp,
             "epsilon_clean": self.epsilon_clean,
             "certified": self.certified,
-            "rate": self.rate,
-            "mode": self.mode,
+            "rate": RATE_FLAG,
+            "mode": "pseudospectrum_sandwich",
             "caveat": self.caveat,
             "region": list(self.grid_prev.region),
             "resolution": list(self.grid_prev.resolution),
             "inner_count": int(self.inner_mask.sum()),
             "outer_count": int(self.outer_mask.sum()) if self.outer_mask is not None else None,
             "inclusion_verified": self.inclusion_verified,
-            "grid_fingerprints": [
-                self.grid_prev.matrix_fingerprint,
-                self.grid_curr.matrix_fingerprint,
-            ],
+            "grid_fingerprints": list(self.grid_fingerprints),
         }
 
 
@@ -371,14 +367,8 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
     expansion = _expand_to_level(theta, n, max_q, "level")
     gp = grid_params or GridParams()
 
-    if spec.is_canonical:
-        eps_sharp = sharp_bound(spec, expansion, n)
-        eps_clean = clean_bound(spec, expansion, n)
-        eps_n: Optional[float] = eps_sharp
-        certified = True
-    else:
-        eps_sharp = eps_clean = eps_n = None
-        certified = False
+    eps_n = sharp_bound(spec, expansion, n) if spec.is_canonical else None
+    eps_clean = clean_bound(spec, expansion, n) if spec.is_canonical else None
 
     h_prev, h_curr = (build_operator(spec, p % q, q)  # v is q-periodic in p
                       for p, q in map(expansion.convergent, (n - 1, n)))
@@ -400,9 +390,10 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
         theta=theta, spec=spec, level_n=n,
         q_pair=(expansion.q(n - 1), expansion.q(n)),
         epsilon=float(epsilon), epsilon_n=eps_n,
-        epsilon_sharp=eps_sharp, epsilon_clean=eps_clean,
-        certified=certified, rate=RATE_FLAG,
+        epsilon_sharp=eps_n, epsilon_clean=eps_clean,
+        certified=spec.is_canonical,
         grid_prev=grid_prev, grid_curr=grid_curr,
+        grid_fingerprints=(matrix_fingerprint(h_prev), matrix_fingerprint(h_curr)),
         inner_mask=inner, outer_mask=outer,
         inclusion_verified=verified, caveat=caveat,
     )

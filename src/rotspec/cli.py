@@ -33,6 +33,7 @@ import numpy as np
 
 from .approx import (
     MAX_Q,
+    RATE_FLAG,
     certify_normal,
     certify_pseudospectrum,
     convergence_study,
@@ -363,7 +364,7 @@ def cmd_pseudospectrum(opts) -> int:
     out.write("json", "sandwich_report.json", lambda: (dumps_17g(sandwich.to_json()), "\n"))
     eps_n = "-" if sandwich.epsilon_n is None else format(sandwich.epsilon_n, ".17g")
     print(f"pseudospectrum: n={n} q_pair={sandwich.q_pair} epsilon={epsilon:.17g} "
-          f"epsilon_n={eps_n} certified={sandwich.certified} rate={sandwich.rate}")
+          f"epsilon_n={eps_n} certified={sandwich.certified} rate={RATE_FLAG}")
     out.report()
     if not sandwich.inclusion_verified:
         print("inner/outer grid inclusion failed", file=sys.stderr)

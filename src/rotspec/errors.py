@@ -11,7 +11,9 @@ class RotspecError(Exception):
 
 class InvalidInput(RotspecError):
     """Malformed or out-of-domain input (bad grammar, theta outside (0,1),
-    negative tolerance, non-square-free nonsense, dimension mismatch)."""
+    negative tolerance, non-square-free nonsense, dimension mismatch, a
+    spec's sum |c| past the float range when it is built, a grid's spans
+    or largest |lambda| + ||A|| past it before any solve)."""
 
 
 class PrecisionExhausted(RotspecError):

@@ -19,6 +19,7 @@ agree mod q share slots, which can leave a few ulps of Hermitian defect.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -85,10 +86,10 @@ class OperatorSpec:
     """Laurent polynomial sum c_{jk} U^j V^k (negative powers are adjoints).
 
     terms holds (u_power, v_power, coefficient), sorted by powers, with
-    duplicate powers merged, zero coefficients dropped and every
-    coefficient finite: general and canonical build it by one merge, and
-    every other property is read off it. A spec with no terms is the
-    canonical zero operator; general refuses one.
+    duplicate powers merged, zero coefficients dropped, and every
+    coefficient and spec_norm_bound finite: general and canonical build it
+    by one merge, and every other property is read off it. A spec with no
+    terms is the canonical zero operator; general refuses one.
     """
 
     terms: tuple[tuple[int, int, complex], ...]
@@ -101,7 +102,10 @@ class OperatorSpec:
         bad = [c for c in merged.values() if not cmath.isfinite(c)]
         if bad:
             raise InvalidInput(f"operator spec coefficients must be finite, got {bad[0]}")
-        return OperatorSpec(tuple((j, k, c) for (j, k), c in sorted(merged.items()) if c != 0))
+        spec = OperatorSpec(tuple((j, k, c) for (j, k), c in sorted(merged.items()) if c != 0))
+        if not math.isfinite(norm := spec_norm_bound(spec)):
+            raise InvalidInput(f"sum |c| = {norm!r} of the spec is outside the float range")
+        return spec
 
     @staticmethod
     def general(terms: Iterable[tuple[int, int, complex]]) -> "OperatorSpec":
@@ -202,9 +206,12 @@ class OperatorSpec:
 
 
 def spec_norm_bound(spec: OperatorSpec) -> float:
-    """sum |c_{jk}|; bounds the operator norm of every model since u, v
-    are unitary."""
-    return float(sum(abs(c) for _, _, c in spec.terms))
+    """sum |c_{jk}|, or inf past the float range; bounds the operator norm
+    of every model since u, v are unitary."""
+    try:
+        return float(sum(abs(c) for _, _, c in spec.terms))
+    except OverflowError:  # abs(c) of one coefficient past the float range
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotHermitian
 from .exact import float_up
-from .matmodel import MatrixModel
+from .matmodel import MatrixModel, spec_norm_bound
 from .spectral import (
     MatrixLike,
     _banded_sigma_min,
@@ -73,13 +73,13 @@ class PseudospectrumGrid:
     sigma_min_values[i, j] = sigma_min(lambda_ij * I - A) with
     lambda_ij = re[i] + 1j*im[j] for the evenly spaced axes of
     lambda_axes(); index i walks the real axis, j the imaginary axis,
-    and exports iterate in row-major order (i outer, j inner).
+    and exports iterate in row-major order (i outer, j inner). No matrix
+    fingerprint: certify_pseudospectrum hashes the models it reports.
     """
 
     region: Region
     resolution: tuple[int, int]
     sigma_min_values: np.ndarray
-    matrix_fingerprint: str
 
     def __post_init__(self):
         self.sigma_min_values.setflags(write=False)
@@ -98,17 +98,12 @@ def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.n
             np.linspace(region[2], region[3], resolution[1]))
 
 
-def matrix_fingerprint(A: MatrixLike) -> str:
-    """sha256 of the shape string, then of the C-order bytes of the dense
-    matrix. A model's dense rows are built a block at a time from its
+def matrix_fingerprint(A: MatrixModel) -> str:
+    """sha256 of the shape string, then of the C-order bytes of the model's
+    dense matrix. The dense rows are built a block at a time from its
     nonzeros, summed in term order as in its entries, so the bytes match
     without the q x q matrix ever being formed."""
     h = hashlib.sha256()
-    if not isinstance(A, MatrixModel):
-        a = np.ascontiguousarray(as_matrix(A))
-        h.update(str(a.shape).encode())
-        h.update(a)
-        return h.hexdigest()
     q = A.order
     h.update(str((q, q)).encode())
     step = max(1, _CHUNK_BUDGET // q)
@@ -121,7 +116,11 @@ def matrix_fingerprint(A: MatrixLike) -> str:
     return h.hexdigest()
 
 
-def _validate_grid_request(region: Region, resolution: tuple[int, int]) -> None:
+def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> np.ndarray:
+    """The grid's nodes lambda in row-major order; InvalidInput unless they
+    and max |lambda| + ||A|| are finite (||A|| <= sum |c| for a model, <=
+    the largest absolute row sum for an array), which bounds the band
+    route's scale |lambda| + sum |c| and every distance |lambda - h|."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
     if not all(math.isfinite(x) for x in region):
@@ -130,6 +129,16 @@ def _validate_grid_request(region: Region, resolution: tuple[int, int]) -> None:
         raise InvalidInput(f"degenerate region {region}")
     if nx < 2 or ny < 2:
         raise InvalidInput(f"resolution must be >= 2 per axis, got {resolution}")
+    if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        raise InvalidInput(f"the axis spans of region {region} are outside the float range")
+    re, im = _axes(region, resolution)
+    lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
+    with np.errstate(over="ignore"):
+        norm = spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
+        scale = float(np.abs(lam).max() + norm)
+    if not math.isfinite(scale):
+        raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
+    return lam
 
 
 def default_region(norm_bound: float, margin: float) -> Region:
@@ -157,11 +166,9 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
     module docstring; the band route shares its chunks among jobs threads."""
     a = _grid_operand(A)
-    _validate_grid_request(region, resolution)
+    lam = _grid_nodes(a, region, resolution)
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
-    re, im = _axes(region, resolution)
-    lam = (re[:, None] + 1j * im[None, :]).reshape(-1)  # row-major flatten
 
     spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (hermitian_eigenvalues(a), 1)
     if spectrum is not None:
@@ -174,8 +181,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
         resolution=tuple(resolution),
-        sigma_min_values=out.reshape(re.size, im.size),
-        matrix_fingerprint=matrix_fingerprint(a),
+        sigma_min_values=out.reshape(resolution),
     )
 
 

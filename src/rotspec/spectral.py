@@ -29,7 +29,7 @@ OperatorSpec.is_normal decides normality, so no model is tested densely):
   (iii) e^(-i phi) A = H  the band solve of H's model (the one model built), rotated back
   any other spec          ModelsNotNormal
 _model_spectrum, shared with the grids, keeps class (iii)'s real values
-of H and the rotation, and refuses a spec whose sum |c| overflows.
+of H and the rotation; OperatorSpec refuses a sum |c| past the floats.
 
 Every singular value of a dense matrix comes from one SVD route,
 _singular_values: numpy's divide-and-conquer SVD, with a retry through
@@ -174,12 +174,11 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
 def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
     """All real eigenvalues, ascending, with multiplicity; no eigenvectors
     (see the module docstring for the banded route). A model is taken iff
-    its spec is Hermitian and its sum |c| finite, and is never made dense;
-    an array iff its Frobenius-norm Hermitian defect is within HERMITIAN_TOL."""
+    its spec is Hermitian, and is never made dense; an array iff its
+    Frobenius-norm Hermitian defect is within HERMITIAN_TOL."""
     if isinstance(A, MatrixModel):
         if not A.spec.is_hermitian:
             raise NotHermitian("the model's spec is not Hermitian (OperatorSpec.is_hermitian)")
-        _require_finite_norm(A.spec)
     else:
         a = as_matrix(A)
         if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
@@ -222,13 +221,6 @@ def normal_eigenvalues(A: MatrixModel) -> np.ndarray:
     return values if r == 1 else np.sort(r * values, kind="stable")
 
 
-def _require_finite_norm(spec: OperatorSpec) -> None:
-    """Refuse a spec whose sum |c| overflows: its eigenvalues would be inf or NaN."""
-    norm = spec_norm_bound(spec)
-    if not math.isfinite(norm):
-        raise InvalidInput(f"sum |c| = {norm!r} of the spec is outside the float range")
-
-
 def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
     """(values, r), the eigenvalues of A being r * values, or None when its
     spec is not normal: r = 1, except r = e^(i phi) in class (iii), whose
@@ -236,7 +228,6 @@ def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
     spec, p, q = A.spec, A.p, A.order
     if not (spec.is_hermitian or spec.is_normal):
         return None
-    _require_finite_norm(spec)
     if spec.is_hermitian:
         return _band_eigenvalues(A), 1
     a1, am, b1, bm = spec.canonical_four_term
@@ -307,8 +298,8 @@ class _GramBand(NamedTuple):
 def _gram_band(A: MatrixModel) -> _GramBand:
     norm = spec_norm_bound(A.spec)
     # numpy divides a complex array by a float as a * (1/norm), which
-    # overflows for a subnormal norm and zeroes the band for an infinite one
-    if not sys.float_info.min <= norm < math.inf:
+    # overflows for a subnormal norm (OperatorSpec refuses an infinite one)
+    if norm < sys.float_info.min:
         raise InvalidInput(f"the banded sigma_min route scales the model by sum |c| = "
                            f"{norm!r}, which is not a normal float")
     band = _interleaved_band(A) / norm

@@ -8,6 +8,7 @@ float oracle only by rounding slack.  Cloud contents are re-computed by
 calling the eigensolvers directly on independently built matrices.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import rotspec.approx as approx
+import rotspec.pseudospectra as psp
 import rotspec.spectral as spectral
 from rotspec.approx import (
     RATE_FLAG,
@@ -195,7 +197,7 @@ class TestCertifyNormal:
         assert cert.pair == ((3, 5), (5, 8))
         assert len(cloud) == 13  # q_{n-1} + q_n with multiplicity
         assert cert.epsilon_sharp == 21.508424942930496
-        assert cert.mode == "normal_hausdorff"
+        assert cert.to_json()["mode"] == "normal_hausdorff"
         assert cert.radius == min(cert.epsilon_sharp, cert.epsilon_clean)
         assert cert.radius == cert.epsilon_sharp  # sharp wins
         assert cert.caveat is None  # surd certifies irrationality
@@ -328,7 +330,7 @@ class TestCertifyPseudospectrum:
         assert s.epsilon_n == min(s.epsilon_sharp, s.epsilon_clean)
         assert s.epsilon_sharp == 55.91143287610732
         assert s.q_pair == (2, 3)
-        assert s.rate == RATE_FLAG
+        assert s.to_json()["rate"] == RATE_FLAG
         assert s.inclusion_verified
         # masks nest by construction
         assert np.all(s.outer_mask | ~s.inner_mask)
@@ -339,7 +341,6 @@ class TestCertifyPseudospectrum:
         assert not s.certified
         assert s.epsilon_n is None and s.epsilon_sharp is None
         assert s.outer_mask is None
-        assert s.rate == RATE_FLAG
         assert s.inclusion_verified  # nothing to violate
         doc = s.to_json()
         assert doc["outer_count"] is None
@@ -353,9 +354,9 @@ class TestCertifyPseudospectrum:
 
     def test_distinct_fingerprints(self):
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS)
-        assert s.grid_prev.matrix_fingerprint != s.grid_curr.matrix_fingerprint
+        assert s.grid_fingerprints[0] != s.grid_fingerprints[1]
         doc = s.to_json()
-        assert len(doc["grid_fingerprints"]) == 2
+        assert doc["grid_fingerprints"] == list(s.grid_fingerprints)
 
     def test_rational_theta_rejected(self):
         with pytest.raises(ThetaRational):
@@ -392,13 +393,57 @@ class TestCertifyPseudospectrum:
 
         def flat_grid(a, region, resolution, jobs=1):
             return PseudospectrumGrid(region=region, resolution=resolution,
-                                      sigma_min_values=np.full(resolution, level),
-                                      matrix_fingerprint="flat")
+                                      sigma_min_values=np.full(resolution, level))
 
         monkeypatch.setattr(approx, "compute_grid", flat_grid)
         s = certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
         assert s.epsilon_n == eps_n
         assert s.outer_mask.all()
+
+
+class TestFingerprints:
+    """Only the sandwich report prints fingerprints, so only
+    certify_pseudospectrum hashes, and only its two models."""
+
+    # the grid_fingerprints of a level-6 U+2V sandwich_report.json: the
+    # models at 5/8 and 8/13, pinned so moving the hash keeps its bytes
+    LEVEL_6 = ("4bffc92d13a05d479090acc9ac94ef463e891a56864f5241fece99e858a7dc1d",
+               "b07622a27322c697189f4b3e3d9a542aaf2c02186274f7cda80e3dfa226ebe3f")
+    PARAMS = GridParams(region=(-4, 4, -4, 4), resolution=(4, 4))
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        hashers, models = [], []
+        sha256, fingerprint = hashlib.sha256, psp.matrix_fingerprint
+
+        def counting_sha256(*args, **kwargs):
+            hashers.append(args)
+            return sha256(*args, **kwargs)
+
+        def recording_fingerprint(model):
+            models.append((model.p, model.order))
+            return fingerprint(model)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        for module in (psp, approx):
+            monkeypatch.setattr(module, "matrix_fingerprint", recording_fingerprint,
+                                raising=False)
+        return hashers, models
+
+    def test_onesided_grids_and_sandwich_checks_hash_nothing(self, spy):
+        result, _ = one_sided(GOLDEN, U_PLUS_2V, 8, self.PARAMS)
+        assert isinstance(result, PseudospectrumGrid)
+        psp.sandwich_check(build_operator(U_PLUS_2V, 3, 8), build_operator(U_PLUS_2V, 5, 8),
+                           0.5, self.PARAMS)
+        assert spy == ([], [])
+
+    def test_the_sandwich_hashes_its_two_models_once(self, spy):
+        hashers, models = spy
+        s = certify_pseudospectrum(GOLDEN, U_PLUS_2V, 6, 0.5, self.PARAMS)
+        assert models == [(5, 8), (8, 13)]
+        assert len(hashers) == 2
+        assert s.grid_fingerprints == self.LEVEL_6
+        assert s.to_json()["grid_fingerprints"] == list(self.LEVEL_6)
 
 
 class TestOneSided:

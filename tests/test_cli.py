@@ -78,7 +78,7 @@ def _writer(tmp_path, *formats):
 
 def _grid(sigma, region=(-1 / 3, 2 / 7, -0.1, 0.7)):
     return PseudospectrumGrid(region=region, resolution=sigma.shape,
-                              sigma_min_values=sigma, matrix_fingerprint="-")
+                              sigma_min_values=sigma)
 
 
 class TestStreamedArtifacts:
@@ -330,10 +330,11 @@ class TestSpectrum:
         assert not out.exists()
 
     def test_radius_outside_the_float_range(self, tmp_path, capsys):
+        # sum |c| = 2e307 is a float, but 204 * 1e307 * (1/5 + 1/8) is not
         out = tmp_path / "out"
-        spec = '{"canonical": {"a+": [1e308, 0], "a-": [1e308, 0]}}'
+        spec = '{"canonical": {"a+": [1e307, 0], "a-": [1e307, 0]}}'
         assert main(["spectrum", "--theta", GOLDEN, "--spec", spec, "--out-dir", str(out)]) == 3
-        assert "outside the float range" in capsys.readouterr().err
+        assert "e+308 is outside the float range" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -427,11 +428,37 @@ class TestPseudospectrum:
         args = ["pseudospectrum", "--theta", GOLDEN, "--level", "4", "--epsilon", "0.5",
                 "--resolution", "3", "3", "--region", "-1", "1", "-1", "1",
                 "--out-dir", str(tmp_path / "out")]
-        for spec in ('{"terms": [{"u": 1, "v": 1, "re": 1e-320}]}',
-                     '{"terms": [{"u": 1, "v": 1, "re": 1e308}, {"u": 2, "v": 0, "re": 1e308}]}'):
+        for spec, message in (
+                ('{"terms": [{"u": 1, "v": 1, "re": 1e-320}]}', "which is not a normal float"),
+                ('{"terms": [{"u": 1, "v": 1, "re": 1e308}, {"u": 2, "v": 0, "re": 1e308}]}',
+                 "sum |c| = inf of the spec is outside the float range")):
             assert main(args + ["--spec", spec]) == 3
-            assert "which is not a normal float" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("region, spec, command", [
+        # the axis step overflows: nodes nan and inf gave rows nan,-1,nan
+        # under a certified report, or a failed Cholesky factor (exit 4)
+        ([-1e308, 1e308, -1, 1], None, "pseudospectrum"),
+        ([-1e308, 1e308, -1, 1], U2V_JSON, "pseudospectrum"),
+        ([-1e308, 1e308, -1, 1], U2V_JSON, "onesided"),
+        # |lambda| + sum |c| overflows at the far corner: nan (band) or inf
+        ([0, 1.5e308, 0, 1.5e308], None, "pseudospectrum"),
+        ([0, 1.5e308, 0, 1.5e308], U2V_JSON, "pseudospectrum"),
+        # the default region of sum |c| = 1.4e308 spans past the range
+        (None, '{"terms": [{"u": 1, "v": 1, "re": 1.4e308}]}', "pseudospectrum"),
+    ])
+    def test_nodes_past_the_float_range_exit_3_before_any_file(self, tmp_path, capsys,
+                                                                region, spec, command):
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"region": region} if region else {}))
+        args = [command, "--theta", GOLDEN, "--resolution", "3", "3", "--config", str(cfg),
+                "--out-dir", str(out), "--format", "csv", "--format", "json"]
+        args += ["--level", "4", "--epsilon", "0.5"] if command == "pseudospectrum" else [
+            "--n-list", "8"]
+        assert main(args + (["--spec", spec] if spec else [])) == 3
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -760,6 +787,11 @@ class TestConfigAndSpecResolution:
         ('{"terms": [{"u": 1, "v": 0, "re": 1, "im": "0"}]}', '"im" must be a JSON number'),
         ('{"terms": [{"u": 1, "v": 0, "re": 1e400}]}', "must be finite"),
         ('{"terms": [{"u": 1, "v": 0, "re": 1' + "0" * 400 + '}]}', "outside the float range"),
+        # |c| alone past the float range: abs(c) raised OverflowError (exit 1)
+        ('{"terms": [{"u": 1, "v": 1, "re": 1.5e308, "im": 1.5e308}]}',
+         "sum |c| = inf of the spec is outside the float range"),
+        ('{"canonical": {"a+": [1e308, 1e308], "a-": [1e308, -1e308]}}',
+         "sum |c| = inf of the spec is outside the float range"),
         ('{"terms": [{"u": 1, "v": 0, "re": 1, "w": 2}]}', "\"terms\"[0] has unknown keys ['w']"),
         ('{"canonical": {"zz": [1, 0]}}', "\"canonical\" has unknown keys ['zz']"),
         ('{"canonical": {"a+": [1, false]}}', '"canonical" "a+" must be a JSON number'),
@@ -787,6 +819,73 @@ class TestConfigAndSpecResolution:
     def test_no_or_unknown_subcommand(self, capsys):
         assert main([]) == 2
         assert main(["frobnicate"]) == 2
+        capsys.readouterr()
+
+
+class TestReportSchema:
+    """The keys of every JSON report, in order, for a canonical spec and a
+    general one: a field moved between a record and its to_json cannot
+    drop or rename a key unseen."""
+
+    TERM = ["u", "v", "re", "im"]
+    SANDWICH = ["theta", "spec", "n", "q_pair", "epsilon", "epsilon_n", "epsilon_sharp",
+                "epsilon_clean", "certified", "rate", "mode", "caveat", "region", "resolution",
+                "inner_count", "outer_count", "inclusion_verified", "grid_fingerprints"]
+    SPECTRUM = ["theta", "spec", "n", "q_pair", "epsilon_sharp", "epsilon_clean", "mode"]
+    CONVERGENCE = ["theta", "spec", "reference_n", "all_verified", "rows"]
+    ROW = ["n", "q_prev", "q_n", "epsilon_sharp", "epsilon_clean", "empirical_dH",
+           "certified_bound", "within_bound"]
+    ONESIDED = ["theta", "spec", "n", "p", "radius", "wrapped", "tie_broken", "caveat", "kind"]
+    GENERAL_JSON = '{"terms": [{"u": 1, "v": 1, "re": 1}]}'
+
+    def report(self, tmp_path, name, args, spec=None, theta=GOLDEN):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        spec_args = ["--spec", spec] if spec else []
+        assert main([*args, "--theta", theta, *spec_args, "--out-dir", str(out),
+                     "--format", "json"]) == 0
+        return json.loads((out / name).read_text())
+
+    def check_spec(self, doc, canonical):
+        assert list(doc) == (["terms", "canonical"] if canonical else ["terms"])
+        assert all(list(term) == self.TERM for term in doc["terms"])
+        if canonical:
+            assert list(doc["canonical"]) == ["a+", "a-", "b+", "b-"]
+
+    def test_canonical_reports(self, tmp_path, capsys):
+        doc = self.report(tmp_path, "spectrum_certificate.json", ["spectrum", "--level", "4"])
+        assert list(doc) == self.SPECTRUM + ["cloud"]
+        self.check_spec(doc["spec"], canonical=True)
+        doc = self.report(tmp_path, "spectrum_certificate.json", ["spectrum", "--level", "4"],
+                          theta="decimal:0.6180339887498948")
+        assert list(doc) == self.SPECTRUM + ["caveat", "cloud"]
+        doc = self.report(tmp_path, "convergence.json", ["converge", "--n-range", "3:5"])
+        assert list(doc) == self.CONVERGENCE
+        assert all(list(row) == self.ROW for row in doc["rows"])
+        self.check_spec(doc["spec"], canonical=True)
+        grid = ["--resolution", "4", "4", "--region", "-4", "4", "-4", "4"]
+        for spec, extra in ((None, ["points"]), (U2V_JSON, ["region", "resolution"])):
+            doc = self.report(tmp_path, "onesided_summary.json",
+                              ["onesided", "--n-list", "10", *grid], spec)
+            assert list(doc) == ["certificates"]
+            assert list(doc["certificates"][0]) == self.ONESIDED + extra
+            self.check_spec(doc["certificates"][0]["spec"], canonical=True)
+            doc = self.report(tmp_path, "sandwich_report.json",
+                              ["pseudospectrum", "--level", "4", "--epsilon", "0.5", *grid], spec)
+            assert list(doc) == self.SANDWICH
+            self.check_spec(doc["spec"], canonical=True)
+        capsys.readouterr()
+
+    def test_general_reports(self, tmp_path, capsys):
+        doc = self.report(tmp_path, "sandwich_report.json",
+                          ["pseudospectrum", "--level", "4", "--epsilon", "0.5",
+                           "--resolution", "4", "4"], self.GENERAL_JSON)
+        assert list(doc) == self.SANDWICH
+        self.check_spec(doc["spec"], canonical=False)
+        # the other reports are certified for canonical specs only
+        for args in (["spectrum"], ["converge", "--n-range", "3:5"], ["onesided", "--n-list", "10"]):
+            assert main([*args, "--theta", GOLDEN, "--spec", self.GENERAL_JSON,
+                         "--out-dir", str(tmp_path / "refused")]) == 3
+        assert not (tmp_path / "refused").exists()
         capsys.readouterr()
 
 

@@ -51,7 +51,6 @@ def make_grid(sigma: np.ndarray, region=(0.0, 1.0, 0.0, 1.0)) -> PseudospectrumG
         region=region,
         resolution=sigma.shape,
         sigma_min_values=sigma,
-        matrix_fingerprint="test",
     )
 
 
@@ -136,6 +135,22 @@ class TestComputeGrid:
             with pytest.raises(InvalidInput):
                 compute_grid(np.eye(2), (-1, 1, -1, 1), (4, 4), jobs=jobs)
 
+    def test_nodes_past_the_float_range_are_refused(self):
+        # an overflowing axis step, and a |lambda| + ||A|| past the float
+        # range, gave NaN or inf values or a failed Cholesky factor
+        models = [build_operator(spec, 5, 8) for spec in (CANONICAL, U_PLUS_2V)]
+        for a in (*models, np.diag([1.0, -1.0])):
+            for region, message in (((-1e308, 1e308, -1, 1), "axis spans"),
+                                    ((0, 1.5e308, 0, 1.5e308), "max \\|lambda\\| \\+ \\|\\|A\\|\\|")):
+                with pytest.raises(InvalidInput, match=message):
+                    compute_grid(a, region, (3, 3))
+        # nodes within the range, but not once ||A|| is added
+        model = build_operator(OperatorSpec.canonical(1e308, 0, 0, 0), 0, 1)
+        for a in (model, np.array([[1e308]])):
+            with pytest.raises(InvalidInput, match="outside the float range"):
+                compute_grid(a, (0, 1e308, 0, 1e308), (2, 2))
+        assert np.isfinite(compute_grid(model, (0, 1e307, 0, 1e307), (2, 2)).sigma_min_values).all()
+
     def test_non_finite_and_empty_arrays_are_refused(self):
         # LAPACK and the band route run without a finiteness check, so a
         # NaN or inf entry would give a silent wrong grid
@@ -143,8 +158,6 @@ class TestComputeGrid:
             for a in (np.array([[bad]]), np.diag([1, bad]), np.array([[0, bad], [0, 1]])):
                 with pytest.raises(InvalidInput, match="must be finite"):
                     compute_grid(a, (-1, 1, -1, 1), (4, 4))
-                with pytest.raises(InvalidInput, match="must be finite"):
-                    matrix_fingerprint(a)
                 with pytest.raises(InvalidInput, match="must be finite"):
                     sandwich_check(a, np.eye(a.shape[0]), 0.5)
                 with pytest.raises(InvalidInput, match="must be finite"):
@@ -165,12 +178,14 @@ class TestComputeGrid:
                 assert grid.sigma_min_values[i, j] == pytest.approx(
                     abs(re[i] + 1j * im[j] - (0.5 + 0.5j)), abs=1e-14)
 
-    def test_fingerprint_recorded(self):
+    def test_fingerprint_tells_nearby_models_apart(self):
+        # a grid carries no fingerprint: certify_pseudospectrum, the one
+        # reader, hashes its two models itself
         h = build_operator(CANONICAL, 2, 5)
         grid = compute_grid(h, (-1, 1, -1, 1), (4, 4))
-        assert grid.matrix_fingerprint == matrix_fingerprint(h)
-        other = matrix_fingerprint(h.entries + 1e-12)
-        assert other != grid.matrix_fingerprint
+        assert not hasattr(grid, "matrix_fingerprint")
+        nearby = build_operator(OperatorSpec.canonical(1, 1, 1, 1 + 1e-12), 2, 5)
+        assert matrix_fingerprint(nearby) != matrix_fingerprint(h)
 
     def test_fingerprint_of_a_model_is_the_dense_formula(self):
         # u-powers 1, -1 and 3 share slots at q = 1 and 2, and these
@@ -184,7 +199,7 @@ class TestComputeGrid:
             assert "entries" not in vars(model)
             dense = np.ascontiguousarray(model.entries)
             expect = hashlib.sha256(str(dense.shape).encode() + dense.tobytes()).hexdigest()
-            assert got == expect == matrix_fingerprint(dense)
+            assert got == expect
 
     def test_model_grid_builds_no_dense_matrix(self):
         for spec in (U_PLUS_2V, CANONICAL):
@@ -269,12 +284,13 @@ class TestBandRoute:
 
     def test_sum_of_moduli_outside_the_normal_floats_is_refused(self):
         # the band is scaled by 1/sum|c|: a subnormal sum overflows it to
-        # inf/nan and an infinite sum zeroes it, so neither reaches it
-        for terms, shown in (([(1, 1, 1e-320)], "1e-320"),
-                             ([(1, 1, 1e308), (2, 0, 1e308)], "inf")):
-            model = build_operator(OperatorSpec.general(terms), 1, 2)
-            with pytest.raises(InvalidInput, match=f"sum \\|c\\| = {shown},"):
-                compute_grid(model, (-1, 1, -1, 1), (3, 3))
+        # inf/nan, so it never reaches the band; an infinite sum would
+        # zero it, and no spec has one
+        model = build_operator(OperatorSpec.general([(1, 1, 1e-320)]), 1, 2)
+        with pytest.raises(InvalidInput, match="sum \\|c\\| = 1e-320, which is not a normal"):
+            compute_grid(model, (-1, 1, -1, 1), (3, 3))
+        with pytest.raises(InvalidInput, match="sum \\|c\\| = inf of the spec is outside"):
+            OperatorSpec.general([(1, 1, 1e308), (2, 0, 1e308)])
 
     def test_jobs_across_chunk_boundaries(self):
         # 2112 points at q = 8 are chunks of 2048 + 64 (the point cap);
@@ -522,15 +538,11 @@ class TestNormalRoute:
 
     def test_sum_of_moduli_past_the_float_range_is_refused(self):
         # sum |c| = inf made the Hermitian grid all NaN and the eigenvalues
-        # [-1e308, -1e308, inf]; the class (ii) closed form met inf as well
-        hermitian = OperatorSpec.canonical(1e308, 1e308, 0, 0)
-        with pytest.raises(InvalidInput, match="outside the float range"):
-            compute_grid(build_operator(hermitian, 1, 2), (-1, 1, -1, 1), (2, 2))
-        with pytest.raises(InvalidInput, match="outside the float range"):
-            spectral.hermitian_eigenvalues(build_operator(hermitian, 1, 2))
-        for spec in (hermitian, OperatorSpec.canonical(0, 0, 1e308, 1e308j)):
+        # [-1e308, -1e308, inf]; the class (ii) closed form met inf as
+        # well: the spec is refused before any model exists
+        for coefficients in ((1e308, 1e308, 0, 0), (0, 0, 1e308, 1e308j)):
             with pytest.raises(InvalidInput, match="outside the float range"):
-                spectral.normal_eigenvalues(build_operator(spec, 1, 3))
+                OperatorSpec.canonical(*coefficients)
 
     def test_distance_blocks_stay_within_12_mib(self):
         # 256 points against 4181 complex eigenvalues are 17 MB of
@@ -612,7 +624,6 @@ class TestSandwich:
                 grid = PseudospectrumGrid(
                     region=grid.region, resolution=grid.resolution,
                     sigma_min_values=sig,
-                    matrix_fingerprint=grid.matrix_fingerprint,
                 )
             return grid
 
@@ -665,8 +676,7 @@ class TestSandwich:
 
         def planted(a, region, resolution, jobs=1):
             return PseudospectrumGrid(region=region, resolution=resolution,
-                                      sigma_min_values=next(grids),
-                                      matrix_fingerprint="planted")
+                                      sigma_min_values=next(grids))
 
         monkeypatch.setattr(psp, "compute_grid", planted)
         s, t = np.zeros((1, 1)), np.full((1, 1), delta)

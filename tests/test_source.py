@@ -256,3 +256,59 @@ def test_every_reexported_definition_has_a_docstring():
                and node.name in exported[path.stem] and not ast.get_docstring(node)]
     assert sum(map(len, exported.values())) > 50
     assert not missing, f"re-exported definitions without a docstring: {missing}"
+
+
+def _functions():
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, fn
+
+
+def test_only_the_sandwich_hashes():
+    # a fingerprint is 16 q^2 bytes of hashing (0.26 s at q = 4181), and
+    # only sandwich_report.json prints one: matrix_fingerprint is the one
+    # user of hashlib, and certify_pseudospectrum its one caller
+    importers = [path.name for path, tree in _trees() for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) and "hashlib" in {a.name for a in node.names}
+                 or isinstance(node, ast.ImportFrom) and node.module == "hashlib"]
+    users, callers = set(), set()
+    for path, fn in _functions():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "hashlib":
+                users.add(f"{path.name}:{fn.name}")
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).rpartition(".")[2] == "matrix_fingerprint"):
+                callers.add(f"{path.name}:{fn.name}")
+    assert importers == ["pseudospectra.py"], importers
+    assert users == {"pseudospectra.py:matrix_fingerprint"}, users
+    assert callers == {"approx.py:certify_pseudospectrum"}, callers
+
+
+# tests of a float against the top of the float range
+_FLOAT_RANGE = {"math.isfinite", "math.isinf", "np.isfinite", "np.isinf", "math.inf",
+                "np.inf", "sys.float_info.max"}
+
+
+def test_only_the_spec_decides_that_its_sum_of_moduli_is_a_float():
+    # OperatorSpec._merge refuses a spec whose sum |c| (spec_norm_bound)
+    # overflows, so no other code tests that value against the float range
+    def is_sum(node):
+        return (isinstance(node, ast.Call)
+                and ast.unparse(node.func).rpartition(".")[2] == "spec_norm_bound")
+
+    deciders = set()
+    for path, fn in _functions():
+        sums = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                and is_sum(node.value) for target in node.targets
+                if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if not isinstance(node, (ast.Compare, ast.Call)):
+                continue
+            inner = list(ast.walk(node))
+            if ({ast.unparse(n) for n in inner if isinstance(n, (ast.Name, ast.Attribute))}
+                    & _FLOAT_RANGE
+                    and any(is_sum(n) or isinstance(n, ast.Name) and n.id in sums
+                            for n in inner)):
+                deciders.add(f"{path.name}:{fn.name}")
+    assert deciders == {"matmodel.py:_merge"}, deciders
