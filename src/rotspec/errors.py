@@ -12,8 +12,9 @@ class RotspecError(Exception):
 class InvalidInput(RotspecError):
     """Malformed or out-of-domain input (bad grammar, theta outside (0,1),
     negative tolerance, non-square-free nonsense, dimension mismatch, a
-    spec's sum |c| past the float range when it is built, a grid's spans
-    or largest |lambda| + ||A|| past it before any solve)."""
+    spec's sum |c| past the float range when it is built, a model value
+    c * omega^m that rounds past it, a grid's spans or largest |lambda| +
+    ||A|| past it before any solve)."""
 
 
 class PrecisionExhausted(RotspecError):
@@ -43,9 +44,8 @@ class EmptySpec(InvalidInput):
 
 class NotHermitian(InvalidInput):
     """Hermitian eigensolver fed a model whose spec is not Hermitian
-    (OperatorSpec.is_hermitian, at every order) or an array that is not
-    Hermitian within tolerance, or a grid fed an array that is not
-    exactly Hermitian."""
+    (OperatorSpec.is_hermitian, at every order), or a grid fed an array
+    that is not exactly Hermitian."""
 
 
 class NonCanonicalSpec(InvalidInput):

@@ -282,7 +282,14 @@ def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
     values = np.empty((len(spec.terms), q), dtype=np.complex128)
     for t, (j, k, c) in enumerate(spec.terms):
         columns[t] = (rows + j % q) % q  # j may be past int64
-        values[t] = c * _clock_diagonal(p, q, power=k)[columns[t]]
+        phases = _clock_diagonal(p, q, power=k)[columns[t]]
+        # numpy's vector loop can flag an overflow in an intermediate of a
+        # finite product (|c| <= sum |c| is finite); one that rounds past
+        # the floats itself is refused below
+        with np.errstate(over="ignore"):
+            values[t] = c * phases
+    if not np.isfinite(values).all():
+        raise InvalidInput(f"a value c * omega^m of the model at q={q} is outside the float range")
     return MatrixModel(order=q, p=p, spec=spec, columns=columns, values=values)
 
 

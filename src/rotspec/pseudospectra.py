@@ -41,11 +41,11 @@ from .exact import float_up
 from .matmodel import MatrixModel, spec_norm_bound
 from .spectral import (
     MatrixLike,
+    _band_eigenvalues,
     _banded_sigma_min,
     _gram_band,
     _model_spectrum,
     as_matrix,
-    hermitian_eigenvalues,
     operator_norm,
 )
 
@@ -170,7 +170,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
 
-    spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (hermitian_eigenvalues(a), 1)
+    spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (_band_eigenvalues(a), 1)
     if spectrum is not None:
         out = _spectrum_distances(*spectrum, lam)
     else:

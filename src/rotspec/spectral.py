@@ -7,7 +7,9 @@ order (real part, then imaginary part) on the others. That is numpy's
 order for complex values; the stable sort keeps exact ties in input
 order.
 
-The Hermitian path computes eigenvalues only, through one banded route.
+The Hermitian path computes eigenvalues only, through one banded route,
+_band_eigenvalues: of a model of a Hermitian spec (hermitian_eigenvalues),
+or of an array a grid found exactly Hermitian (pseudospectra._grid_operand).
 A clock-and-shift model with largest |u-power| J is cyclic-banded: its
 nonzeros sit within cyclic distance J of the diagonal. The interleave
 permutation 0, q-1, 1, q-2, ... is a unitary similarity, so it leaves
@@ -78,8 +80,6 @@ from .errors import ConvergenceFailure, InvalidInput, ModelsNotNormal, NotHermit
 from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 
 MatrixLike = Union[MatrixModel, np.ndarray]
-
-HERMITIAN_TOL = 1e-12     # relative Hermitian-defect acceptance
 
 
 def as_matrix(A: MatrixLike) -> np.ndarray:
@@ -154,10 +154,9 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     if isinstance(A, MatrixModel):
         q, cols, vals = A.order, A.columns.ravel(), A.values.ravel()
         rows = np.arange(cols.size) % q
-    else:
-        a = as_matrix(A)
-        q, (rows, cols) = a.shape[0], np.nonzero(a)
-        vals = a[rows, cols]
+    else:  # a square finite array, as _grid_operand checks it
+        q, (rows, cols) = A.shape[0], np.nonzero(A)
+        vals = A[rows, cols]
     perm = np.empty(q, dtype=np.intp)
     perm[0::2] = np.arange((q + 1) // 2)
     perm[1::2] = q - 1 - np.arange(q // 2)
@@ -171,26 +170,18 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     return ab[k - kept:k + kept + 1]
 
 
-def hermitian_eigenvalues(A: MatrixLike) -> np.ndarray:
-    """All real eigenvalues, ascending, with multiplicity; no eigenvectors
-    (see the module docstring for the banded route). A model is taken iff
-    its spec is Hermitian, and is never made dense; an array iff its
-    Frobenius-norm Hermitian defect is within HERMITIAN_TOL."""
-    if isinstance(A, MatrixModel):
-        if not A.spec.is_hermitian:
-            raise NotHermitian("the model's spec is not Hermitian (OperatorSpec.is_hermitian)")
-    else:
-        a = as_matrix(A)
-        if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(np.linalg.norm(a), 1e-300):
-            raise NotHermitian(f"Hermitian defect exceeds {HERMITIAN_TOL:.0e} * ||A||")
+def hermitian_eigenvalues(A: MatrixModel) -> np.ndarray:
+    """All real eigenvalues of a model, ascending, with multiplicity; no
+    eigenvectors (see the module docstring for the banded route). A model
+    is taken iff its spec is Hermitian, and is never made dense."""
+    if not A.spec.is_hermitian:
+        raise NotHermitian("the model's spec is not Hermitian (OperatorSpec.is_hermitian)")
     return _band_eigenvalues(A)
 
 
 def _band_eigenvalues(A: MatrixLike) -> np.ndarray:
-    """zhbevd on the lower half of A's interleaved band, for A Hermitian."""
+    """zhbevd on the lower half of A's interleaved band, for A Hermitian of order >= 1."""
     band = _interleaved_band(A)
-    if band.shape[1] == 0:  # zhbevd refuses n = 0
-        return np.empty(0)
     values, _, info = _lapack().zhbevd(band[band.shape[0] // 2:], compute_v=0, lower=1)
     if info:
         raise ConvergenceFailure(f"hermitian eigensolver zhbevd returned info={info}")

@@ -436,6 +436,17 @@ class TestPseudospectrum:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_coefficient_near_the_float_range_runs_without_warning(self, tmp_path, capsys):
+        # sum |c| = 1.41e308: build_operator's complex multiply flagged an
+        # overflow in an intermediate of its finite product, on stderr (or
+        # as an error under -W error)
+        spec = '{"terms": [{"u": 1, "v": 1, "re": 1e308, "im": 1e308}]}'
+        args = ["pseudospectrum", "--theta", GOLDEN, "--level", "4", "--epsilon", "0.5",
+                "--resolution", "3", "3", "--region", "-1", "1", "-1", "1",
+                "--spec", spec, "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("region, spec, command", [
         # the axis step overflows: nodes nan and inf gave rows nan,-1,nan
         # under a certified report, or a failed Cholesky factor (exit 4)

@@ -7,6 +7,7 @@ numpy products so the structured formulas never check themselves.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,25 @@ class TestBuildOperator:
         for p, q in ((1, 3), (2, 5), (3, 8)):
             h = build_operator(CANONICAL, p, q).entries
             assert abs(np.trace(h)) < 1e-13
+
+    def test_coefficient_near_the_float_range(self):
+        # |c| = sum |c| = 1.41e308, so every c * omega^m is finite, but
+        # numpy's vector complex multiply flagged an overflow at odd q
+        c = complex(1e308, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_operator(OperatorSpec.general([(1, 1, c)]), 3, 5)
+        assert np.isfinite(model.values).all()
+        assert np.max(np.abs(np.abs(model.values) / abs(c) - 1)) <= 4 * np.finfo(float).eps
+
+    def test_value_rounding_past_the_float_range_is_refused(self):
+        # |c| rounds to the largest float, and the real part of c * omega^9
+        # at q = 10 rounds past it
+        c = 1.4543642967747877e308 + 1.056657512819493e308j
+        spec = OperatorSpec.general([(0, 1, c)])
+        assert math.isfinite(spec_norm_bound(spec))
+        with pytest.raises(InvalidInput, match="at q=10 is outside the float range"):
+            build_operator(spec, 1, 10)
 
 
 

@@ -9,6 +9,7 @@ hand.
 """
 
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -443,8 +444,10 @@ class TestDistanceRoute:
             calls.append("band")
             return real_band(gb, lam)
 
-        # the zhbevd solve behind every Hermitian eigensolve, of a model or an array
+        # the zhbevd solve behind every Hermitian eigensolve: of a model (in
+        # spectral._model_spectrum) or of an array (in compute_grid)
         monkeypatch.setattr(spectral, "_band_eigenvalues", eigs)
+        monkeypatch.setattr(psp, "_band_eigenvalues", eigs)
         monkeypatch.setattr(psp, "_banded_sigma_min", band)
         return calls
 
@@ -472,6 +475,29 @@ class TestDistanceRoute:
         with pytest.raises(NotHermitian):
             compute_grid(h, (-4, 4, -2, 2), (9, 5))
         assert calls == []
+
+    def test_hermitian_array_near_the_float_range(self):
+        # a Frobenius norm of these entries overflows; the exact test is the
+        # only Hermitian test an array meets, so the grid and the sandwich
+        # run under warnings-as-errors, and the grid is the distance to the
+        # eigenvalues +-sqrt(a^2 + b^2)
+        a, b = 1e300, 2e299
+        h = np.array([[a, b], [b, -a]])
+        r = math.hypot(a, b)
+        region = (-2 * a, 2 * a, -a, a)
+        grid = compute_grid(h, region, (9, 5))
+        lam = grid.lambda_grid()
+        expect = np.minimum(np.abs(lam - r), np.abs(lam + r))
+        assert np.max(np.abs(grid.sigma_min_values - expect)) <= 1e-12 * r
+        t = np.array([[a, b], [b, -0.9 * a]])
+        rep = sandwich_check(h, t, 0.5 * a, GridParams(resolution=(8, 8)))
+        assert rep.passed and rep.delta == pytest.approx(0.1 * a, rel=1e-12)
+        # within a factor of the same range, a non-Hermitian array is refused
+        skew = np.array([[a, 0], [2 * a, -a]])
+        with pytest.raises(NotHermitian):
+            compute_grid(skew, region, (9, 5))
+        with pytest.raises(NotHermitian):
+            sandwich_check(skew, skew, 0.5 * a)
 
 
 class TestNormalRoute:
