@@ -27,9 +27,7 @@ write disjoint slices, so the same bytes come out at any parallelism.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -102,7 +100,11 @@ def matrix_fingerprint(A: MatrixModel) -> str:
     """sha256 of the shape string, then of the C-order bytes of the model's
     dense matrix. The dense rows are built a block at a time from its
     nonzeros, summed in term order as in its entries, so the bytes match
-    without the q x q matrix ever being formed."""
+    without the q x q matrix ever being formed. hashlib is imported here,
+    its one use: it loads OpenSSL's libcrypto, about 3.4 MiB of resident
+    memory that nothing else in a launch needs."""
+    import hashlib
+
     h = hashlib.sha256()
     q = A.order
     h.update(str((q, q)).encode())
@@ -226,7 +228,9 @@ def _pooled(kernel, lam: np.ndarray, chunk: int, jobs: int) -> np.ndarray:
     if jobs == 1:
         for start in starts:
             run(start)
-    else:
+    else:  # concurrent.futures loads queue and logging: only a pool needs them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(run, starts))
     return out
@@ -271,15 +275,20 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
                    grid_params: Optional[GridParams] = None) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
     pointwise on a shared grid, delta = ||S - T||; both levels are the
-    exact sums rounded up to a float. S and T are as for compute_grid."""
+    exact sums rounded up to a float. S and T are as for compute_grid,
+    and S - T must be finite (else InvalidInput, before any SVD)."""
     S, T = _grid_operand(S), _grid_operand(T)
     s, t = as_matrix(S), as_matrix(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
     if not 0 < epsilon < math.inf:
         raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
+    with np.errstate(over="ignore"):
+        difference = s - t
+    if not np.isfinite(difference).all():
+        raise InvalidInput("S - T has entries outside the float range")
     gp = grid_params or GridParams()
-    delta = operator_norm(s - t)
+    delta = operator_norm(difference)
     norm_scale = max(operator_norm(s), operator_norm(t))
     region = gp.region or default_region(norm_scale, epsilon / 2 + delta + 0.25)
 

@@ -318,30 +318,38 @@ def _band_cholesky(g: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np
     pivot of point p was positive. A failed pivot turns the rest of that
     point's factor into nan or inf, silently, and the point is judged by
     its diagonal alone. Every call refills one buffer, f, whose column
-    views are sliced once here, so a call costs only arithmetic."""
+    views are sliced once here, and works in three more, for the conjugate
+    column, the real root 1/sqrt(pivot) and the update products, so a call
+    allocates nothing in its column loop."""
     q, width, points = g.shape
     f = np.empty_like(g)
     col_h = np.empty((width - 1, points), dtype=g.dtype)
+    product = np.empty((width - 1, points), dtype=g.dtype)
+    root = np.empty(points)
+    real_diagonal = f[:, 0].real
     steps = []
     for j in range(q):
         m = min(width - 1, q - 1 - j)
         col = f[j, 1:m + 1]
-        updates = [(f[j + i, :m + 1 - i], col[i - 1:], col_h[i - 1]) for i in range(1, m + 1)]
+        updates = [(f[j + i, :m + 1 - i], col[i - 1:], col_h[i - 1], product[:m + 1 - i])
+                   for i in range(1, m + 1)]
         steps.append((f[j, 0], f[j, 0].real, col, col_h[:m], updates))
 
     def factor(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(f, g)
-        f[:, 0] -= shift
+        np.subtract(real_diagonal, shift, out=real_diagonal)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for diagonal, pivot, col, conj, updates in steps:
-                inv = 1.0 / np.sqrt(pivot)
-                diagonal[...] = inv
+                np.sqrt(pivot, out=root)
+                np.divide(1.0, root, out=root)
+                diagonal[...] = root
                 if updates:
-                    col *= inv
+                    col *= diagonal  # the complex 1/L[c, c], as numpy would cast root
                     np.conjugate(col, out=conj)
-                    for below, column_below, head_h in updates:
-                        below -= column_below * head_h
-            return f, np.isfinite(f[:, 0].real).all(axis=0)
+                    for below, column_below, head_h, buffer in updates:
+                        np.multiply(column_below, head_h, out=buffer)
+                        below -= buffer
+            return f, np.isfinite(real_diagonal).all(axis=0)
 
     return factor
 

@@ -1035,3 +1035,38 @@ class TestLazyScipy:
                               timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(["scipy.linalg._flapack"] if loaded else [])
+
+
+class TestLazyStdlib:
+    """hashlib loads OpenSSL's libcrypto, and concurrent.futures loads
+    queue and logging; each is imported by its one user,
+    pseudospectra.matrix_fingerprint and the jobs > 1 branch of
+    pseudospectra._pooled. Each check runs in a fresh interpreter."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    LOADED = "print(sorted(m for m in ('_hashlib', 'concurrent.futures') if m in sys.modules))\n"
+
+    def run(self, body: str) -> list[str]:
+        code = f"import sys\nimport rotspec.cli as cli\n{self.LOADED}{body}"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
+        assert proc.returncode == 0, proc.stderr
+        return [line for line in proc.stdout.splitlines() if line.startswith("[")]
+
+    def test_import_and_converge_load_neither(self, tmp_path):
+        argv = ["converge", "--theta", GOLDEN, "--n-range", "3:5", "--out-dir", str(tmp_path)]
+        assert self.run(f"assert cli.main({argv!r}) == 0\n{self.LOADED}") == ["[]", "[]"]
+
+    def test_pool_writes_the_bytes_of_one_job(self, tmp_path):
+        # 64 x 40 points at q = 3 and 5 make two chunks of the band route
+        base = ["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "4",
+                "--epsilon", "0.5", "--resolution", "64", "40",
+                "--format", "csv", "--format", "json", "--format", "pgm"]
+        runs = [base + ["--jobs", str(jobs), "--out-dir", str(tmp_path / str(jobs))]
+                for jobs in (1, 2)]
+        body = "".join(f"assert cli.main({argv!r}) == 0\n{self.LOADED}" for argv in runs)
+        assert self.run(body) == ["[]", "['_hashlib']", "['_hashlib', 'concurrent.futures']"]
+        one, two = (sorted((tmp_path / str(jobs)).iterdir()) for jobs in (1, 2))
+        assert [p.name for p in one] == [p.name for p in two] and len(one) == 5
+        for a, b in zip(one, two):
+            assert a.read_bytes() == b.read_bytes(), a.name

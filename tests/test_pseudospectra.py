@@ -11,6 +11,7 @@ hand.
 import hashlib
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -678,6 +679,19 @@ class TestSandwich:
         model = build_operator(U_PLUS_2V, 3, 8)
         rep = sandwich_check(model, model, 0.5, GridParams(resolution=(8, 8)))
         assert rep.passed and rep.delta == 0.0
+
+    def test_difference_outside_the_float_range_is_refused_before_any_svd(self, monkeypatch):
+        # S and T are finite, but S - T overflows: no overflow warning, and
+        # no message that blames the entries the caller gave
+        def no_svd(a):
+            raise AssertionError("_singular_values called")
+
+        monkeypatch.setattr(spectral, "_singular_values", no_svd)
+        s = np.diag([1e308, 0.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"S - T .*float range"):
+                sandwich_check(s, -s, 0.5)
 
     def test_epsilon_must_be_finite(self):
         for epsilon in (np.inf, np.nan):

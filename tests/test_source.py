@@ -313,24 +313,47 @@ def test_one_function_compares_an_array_with_its_conjugate_transpose():
     assert found == {"pseudospectra.py:_grid_operand"}, found
 
 
+def _imports(node, module: str) -> bool:
+    return (isinstance(node, ast.Import) and module in {a.name for a in node.names}
+            or isinstance(node, ast.ImportFrom) and node.module == module)
+
+
 def test_only_the_sandwich_hashes():
     # a fingerprint is 16 q^2 bytes of hashing (0.26 s at q = 4181), and
     # only sandwich_report.json prints one: matrix_fingerprint is the one
-    # user of hashlib, and certify_pseudospectrum its one caller
-    importers = [path.name for path, tree in _trees() for node in ast.walk(tree)
-                 if isinstance(node, ast.Import) and "hashlib" in {a.name for a in node.names}
-                 or isinstance(node, ast.ImportFrom) and node.module == "hashlib"]
-    users, callers = set(), set()
+    # user of hashlib, and certify_pseudospectrum its one caller. hashlib
+    # loads OpenSSL's libcrypto (3.4 MiB of resident memory), so it is
+    # imported inside matrix_fingerprint, and no other command loads it
+    importers, users, callers = set(), set(), set()
     for path, fn in _functions():
         for node in ast.walk(fn):
+            if _imports(node, "hashlib"):
+                importers.add(f"{path.name}:{fn.name}")
             if isinstance(node, ast.Name) and node.id == "hashlib":
                 users.add(f"{path.name}:{fn.name}")
             if (isinstance(node, ast.Call)
                     and ast.unparse(node.func).rpartition(".")[2] == "matrix_fingerprint"):
                 callers.add(f"{path.name}:{fn.name}")
-    assert importers == ["pseudospectra.py"], importers
-    assert users == {"pseudospectra.py:matrix_fingerprint"}, users
+    everywhere = [path.name for path, tree in _trees() for node in ast.walk(tree)
+                  if _imports(node, "hashlib")]
+    assert everywhere == ["pseudospectra.py"], everywhere
+    assert importers == users == {"pseudospectra.py:matrix_fingerprint"}, (importers, users)
     assert callers == {"approx.py:certify_pseudospectrum"}, callers
+
+
+def test_no_module_level_thread_pool():
+    # concurrent.futures loads queue and logging; only a banded grid
+    # at jobs above 1 uses a pool, so only a function body imports it
+    found = []
+    for path, tree in _trees():
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in inside
+                  and (_imports(node, "concurrent.futures")
+                       or isinstance(node, ast.ImportFrom) and node.module == "concurrent")]
+    assert not found, f"module-level imports of concurrent.futures: {found}"
 
 
 # tests of a float against the top of the float range
