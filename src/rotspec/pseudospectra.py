@@ -98,14 +98,19 @@ def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.n
 
 def matrix_fingerprint(A: MatrixModel) -> str:
     """sha256 of the shape string, then of the C-order bytes of the model's
-    dense matrix. The dense rows are built a block at a time from its
-    nonzeros, summed in term order as in its entries, so the bytes match
-    without the q x q matrix ever being formed. hashlib is imported here,
-    its one use: it loads OpenSSL's libcrypto, about 3.4 MiB of resident
-    memory that nothing else in a launch needs."""
-    import hashlib
+    dense matrix, built a row block at a time from its nonzeros, summed in
+    term order as in its entries, so the q x q matrix is never formed. The
+    hash is CPython's built-in SHA-256, imported here: hashlib's digests
+    without the OpenSSL libcrypto that hashlib loads (3.5 MiB resident)."""
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256  # an interpreter built without it
 
-    h = hashlib.sha256()
+    h = sha256()
     q = A.order
     h.update(str((q, q)).encode())
     step = max(1, _CHUNK_BUDGET // q)
@@ -120,8 +125,7 @@ def matrix_fingerprint(A: MatrixModel) -> str:
 
 def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> np.ndarray:
     """The grid's nodes lambda in row-major order; InvalidInput unless they
-    and max |lambda| + ||A|| are finite (||A|| <= sum |c| for a model, <=
-    the largest absolute row sum for an array), which bounds the band
+    and max |lambda| + _norm_bound(A) are finite, which bounds the band
     route's scale |lambda| + sum |c| and every distance |lambda - h|."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
@@ -136,11 +140,15 @@ def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> n
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
     with np.errstate(over="ignore"):
-        norm = spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
-        scale = float(np.abs(lam).max() + norm)
+        scale = float(np.abs(lam).max() + _norm_bound(a))
     if not math.isfinite(scale):
         raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
     return lam
+
+
+def _norm_bound(a: MatrixLike) -> float:
+    """||A|| <= sum |c| for a model, <= the largest absolute row sum for an array; maybe inf."""
+    return spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
 
 
 def default_region(norm_bound: float, margin: float) -> Region:
@@ -276,7 +284,8 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
     pointwise on a shared grid, delta = ||S - T||; both levels are the
     exact sums rounded up to a float. S and T are as for compute_grid,
-    and S - T must be finite (else InvalidInput, before any SVD)."""
+    and S - T must be finite (else InvalidInput, before any SVD), as
+    must the default region when none is given (else InvalidInput)."""
     S, T = _grid_operand(S), _grid_operand(T)
     s, t = as_matrix(S), as_matrix(T)
     if s.shape != t.shape:
@@ -289,14 +298,18 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
         raise InvalidInput("S - T has entries outside the float range")
     gp = grid_params or GridParams()
     delta = operator_norm(difference)
-    norm_scale = max(operator_norm(s), operator_norm(t))
-    region = gp.region or default_region(norm_scale, epsilon / 2 + delta + 0.25)
+    norms = operator_norm(s), operator_norm(t)
+    region = gp.region or default_region(max(norms), epsilon / 2 + delta + 0.25)
+    with np.errstate(over="ignore"):  # twice the half-width bounds the span and each |lambda|
+        if gp.region is None and not math.isfinite(2 * region[1] + max(map(_norm_bound, (S, T)))):
+            raise InvalidInput(f"the default region is outside the float range: ||S|| = "
+                               f"{norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
 
     grid_s = compute_grid(S, region, gp.resolution, gp.jobs)
     grid_t = compute_grid(T, region, gp.resolution, gp.jobs)
     lam = grid_s.lambda_grid()
     lam_max = float(np.max(np.abs(lam)))
-    slack = 1e-7 * (norm_scale + lam_max)
+    slack = 1e-7 * (max(norms) + lam_max)
 
     sig_s, sig_t = grid_s.sigma_min_values, grid_t.sigma_min_values
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
@@ -352,15 +365,13 @@ def grid_to_csv(grid: PseudospectrumGrid) -> Iterator[str]:
     """One line re,im,sigma_min per grid point in row-major order, every
     float as %.17g, after the header. Yields one piece per real-axis
     value: each imaginary-axis value is formatted once, and no whole-grid
-    list of floats or lines is built."""
+    list of floats or lines is built: a row is one % operation."""
     re_ax, im_ax = grid.lambda_axes()
-    sig = grid.sigma_min_values
-    ims = [f",{y:.17g}," for y in im_ax.tolist()]
+    ims = [f",{y:.17g},%.17g\n" for y in im_ax.tolist()]
     yield "re,im,sigma_min\n"
-    for x, sig_row in zip(re_ax.tolist(), sig):
+    for x, sig_row in zip(re_ax.tolist(), grid.sigma_min_values):
         re_txt = f"{x:.17g}"
-        yield "".join([f"{re_txt}{im_txt}{s:.17g}\n"
-                       for im_txt, s in zip(ims, sig_row.tolist())])
+        yield (re_txt + re_txt.join(ims)) % tuple(sig_row.tolist())
 
 
 def grid_to_pgm(grid: PseudospectrumGrid) -> Iterator[bytes]:
@@ -370,9 +381,11 @@ def grid_to_pgm(grid: PseudospectrumGrid) -> Iterator[bytes]:
     Yields the header, then the pixel buffer."""
     nx, ny = grid.resolution
     with np.errstate(divide="ignore"):
-        logs = np.log10(grid.sigma_min_values)
-    gray = np.clip(logs, -8.0, 2.0)
-    gray = np.rint((gray + 8.0) / 10.0 * 65535.0).astype(np.uint16)
-    image = gray.T[::-1, :]  # rows = descending imaginary axis
+        gray = np.log10(grid.sigma_min_values)  # the one float buffer, worked in place
+    np.clip(gray, -8.0, 2.0, out=gray)
+    gray += 8.0
+    gray /= 10.0
+    gray *= 65535.0
+    np.rint(gray, out=gray)
     yield f"P5\n{nx} {ny}\n65535\n".encode("ascii")
-    yield image.astype(">u2").tobytes()
+    yield gray.T[::-1, :].astype(">u2").tobytes()  # rows = descending imaginary axis

@@ -310,64 +310,61 @@ def _gram_band(A: MatrixModel) -> _GramBand:
                      lower=lower[:w + 1].T.copy(), upper=upper[:w + 1].T.copy())
 
 
-def _band_cholesky(g: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Cholesky factorizations of G_p - shift_p I for a stack
-    g[c, d, p] = G_p[c + d, c] of Hermitian bands, as a function
-    shift -> (f, ok). f holds the lower band factors L, stored like g
-    except that the diagonal holds 1/L[c, c]; ok[p] says whether every
-    pivot of point p was positive. A failed pivot turns the rest of that
-    point's factor into nan or inf, silently, and the point is judged by
-    its diagonal alone. Every call refills one buffer, f, whose column
-    views are sliced once here, and works in three more, for the conjugate
-    column, the real root 1/sqrt(pivot) and the update products, so a call
-    allocates nothing in its column loop."""
-    q, width, points = g.shape
-    f = np.empty_like(g)
-    col_h = np.empty((width - 1, points), dtype=g.dtype)
-    product = np.empty((width - 1, points), dtype=g.dtype)
-    root = np.empty(points)
-    real_diagonal = f[:, 0].real
+def _band_cholesky(diagonal: np.ndarray, off: np.ndarray) -> Callable[
+        [np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Cholesky factorizations of G_p - shift_p I for a stack of Hermitian
+    bands, diagonal[c, p] = G_p[c, c] (real) and off[c, d - 1, p] =
+    G_p[c + d, c] for d = 1..w, as a function shift -> (inv, f, ok): f holds
+    the lower band factors L, laid out like off, inv[c, p] = 1/L[c, c], and
+    ok[p] says whether every pivot of point p was positive. A failed pivot
+    turns the rest of that point's factor into nan or inf, silently. A call
+    refills inv and f, whose views are sliced once here, and works in two
+    more buffers, so it allocates nothing in its column loop."""
+    q, w, points = off.shape
+    inv, f = np.empty_like(diagonal), np.empty_like(off)
+    col_h = np.empty((w, points), dtype=off.dtype)
+    product = np.empty((w, points), dtype=off.dtype)
     steps = []
     for j in range(q):
-        m = min(width - 1, q - 1 - j)
-        col = f[j, 1:m + 1]
-        updates = [(f[j + i, :m + 1 - i], col[i - 1:], col_h[i - 1], product[:m + 1 - i])
+        m = min(w, q - 1 - j)
+        col = f[j, :m]
+        updates = [(inv[j + i], f[j + i, :m - i], col[i - 1:], col_h[i - 1],
+                    product[:m + 1 - i], product[0].real, product[1:m + 1 - i])
                    for i in range(1, m + 1)]
-        steps.append((f[j, 0], f[j, 0].real, col, col_h[:m], updates))
+        steps.append((inv[j], col, col_h[:m], updates))
 
-    def factor(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        np.copyto(f, g)
-        np.subtract(real_diagonal, shift, out=real_diagonal)
+    def factor(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        np.subtract(diagonal, shift, out=inv)
+        np.copyto(f, off)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for diagonal, pivot, col, conj, updates in steps:
-                np.sqrt(pivot, out=root)
-                np.divide(1.0, root, out=root)
-                diagonal[...] = root
+            for pivot, col, conj, updates in steps:
+                np.sqrt(pivot, out=pivot)
+                np.divide(1.0, pivot, out=pivot)
                 if updates:
-                    col *= diagonal  # the complex 1/L[c, c], as numpy would cast root
+                    col *= pivot  # cast to complex, as 1/L[c, c] always was
                     np.conjugate(col, out=conj)
-                    for below, column_below, head_h, buffer in updates:
+                    for below, off_below, column_below, head_h, buffer, head, tail in updates:
                         np.multiply(column_below, head_h, out=buffer)
-                        below -= buffer
-            return f, np.isfinite(real_diagonal).all(axis=0)
+                        below -= head
+                        off_below -= tail
+            return inv, f, np.isfinite(inv).all(axis=0)
 
     return factor
 
 
-def _band_solve(f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(L L*)^{-1} x for each point's band factor from _band_cholesky."""
-    q, width, _ = f.shape
-    inv = f[:, 0].real
+def _band_solve(inv: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(L L*)^{-1} x for each point's band factor (inv, f) from _band_cholesky."""
+    q, w, _ = f.shape
     y = x.copy()
     for j in range(q):  # L y = x, by columns
         y[j] *= inv[j]
-        m = min(width - 1, q - 1 - j)
+        m = min(w, q - 1 - j)
         if m:
-            y[j + 1:j + m + 1] -= f[j, 1:m + 1] * y[j]
+            y[j + 1:j + m + 1] -= f[j, :m] * y[j]
     for j in range(q - 1, -1, -1):  # L* z = y, by rows
-        m = min(width - 1, q - 1 - j)
+        m = min(w, q - 1 - j)
         if m:
-            y[j] -= (f[j, 1:m + 1].conj() * y[j + 1:j + m + 1]).sum(axis=0)
+            y[j] -= (f[j, :m].conj() * y[j + 1:j + m + 1]).sum(axis=0)
         y[j] *= inv[j]
     return y
 
@@ -412,17 +409,24 @@ def _coarse_halvings(q: int) -> int:
     return max(_COARSE_HALVINGS, 14 + q.bit_length())
 
 
-def _gram_stack(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """g[c, d, p] = G_p[c + d, c] for G_p = B_p* B_p, B_p = mu_p I - kappa_p A1',
-    a diagonal at a time: no temporary as large as g."""
+def _gram_stack(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off) of G_p = B_p* B_p, B_p = mu_p I - kappa_p A1', as
+    _band_cholesky takes them, built in place a diagonal at a time: the
+    one temporary is a product buffer of q x points."""
     q, width = gb.gram.shape
-    g = np.empty((q, width, mu.size), dtype=np.complex128)
+    kk, km_h, km = kappa * kappa, kappa * mu.conj(), kappa * mu
+    diagonal = np.multiply(kk, gb.gram[:, 0, None].real)
+    off = np.empty((q, width - 1, mu.size), dtype=np.complex128)
+    product = np.empty((q, mu.size), dtype=np.complex128)
     for d in range(width):
-        g[:, d] = ((kappa * kappa) * gb.gram[:, d, None]
-                   - (kappa * mu.conj()) * gb.lower[:, d, None]
-                   - (kappa * mu) * gb.upper[:, d, None])
-    g[:, 0] += (mu * mu.conj()).real
-    return g
+        out = off[:, d - 1] if d else diagonal
+        if d:
+            np.multiply(kk, gb.gram[:, d, None], out=out)
+        for scale, band in ((km_h, gb.lower), (km, gb.upper)):
+            np.multiply(scale, band[:, d, None], out=product)
+            out -= product if d else product.real
+    diagonal += (mu * mu.conj()).real
+    return diagonal, off
 
 
 def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray,
@@ -432,24 +436,24 @@ def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: n
     Cholesky test, then run inverse iteration with the factor at the last
     passing shift (at -1e-13 where none passed). Returns the bracket and
     ||Bx|| for the unit vector x that the iteration ends at."""
-    g = _gram_stack(gb, mu, kappa)
-    hi = np.minimum(hi, np.sqrt(np.maximum(g[:, 0].real.min(axis=0), 0)))
-    cholesky = _band_cholesky(g)
+    diagonal, off = _gram_stack(gb, mu, kappa)
+    hi = np.minimum(hi, np.sqrt(np.maximum(diagonal.min(axis=0), 0)))
+    cholesky = _band_cholesky(diagonal, off)
     for _ in range(halvings):
         t = 0.5 * (lo + hi)
-        ok = cholesky(t * t)[1]
+        ok = cholesky(t * t)[2]
         lo, hi = np.where(ok, t, lo), np.where(ok, hi, t)
-    factor, ok = cholesky(np.where(lo > 0, lo * lo, -_SHIFT_FLOOR))
-    del cholesky, g  # at most two chunk-sized arrays are alive at a time
+    inv, factor, ok = cholesky(np.where(lo > 0, lo * lo, -_SHIFT_FLOOR))
+    del cholesky, diagonal, off  # at most two chunk-sized stacks are alive at a time
     if not ok.all():
         raise ConvergenceFailure(
             f"banded sigma_min: no Cholesky factor at lambda={lam[~ok][0]}")
     q = factor.shape[0]
     x = np.broadcast_to(_start_vector(q)[:, None], (q, lam.size))
     for _ in range(_INVERSE_STEPS):
-        x = _band_solve(factor, x)
+        x = _band_solve(inv, factor, x)
         x /= _column_norms(x)
-    del factor
+    del inv, factor
     bx = _band_matvec(gb.band, x)
     bx *= -kappa
     bx += mu * x
@@ -460,9 +464,9 @@ def _verified(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray, value: np.ndarra
     """Whether G - v^2 (1 - gap) I factors and G - v^2 (1 + gap) I does
     not, v the value. As v = ||Bx|| >= sigma_min for a unit x, the two
     tests put sigma_min^2 in (v^2 (1 - gap), v^2 (1 + gap))."""
-    cholesky = _band_cholesky(_gram_stack(gb, mu, kappa))
+    cholesky = _band_cholesky(*_gram_stack(gb, mu, kappa))
     square = value * value
-    return cholesky(square * (1 - _VERIFY_GAP))[1] & ~cholesky(square * (1 + _VERIFY_GAP))[1]
+    return cholesky(square * (1 - _VERIFY_GAP))[2] & ~cholesky(square * (1 + _VERIFY_GAP))[2]
 
 
 def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:

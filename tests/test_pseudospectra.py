@@ -102,19 +102,20 @@ class TestComputeGrid:
 
     def test_chunk_stacks_stay_within_4_mib(self, monkeypatch):
         # WIDE's Gram band at q = 144 has 7 diagonals: its stacks hold 260
-        # points of 144 x 7, two chunks here
+        # points of a real diagonal of 144 and 144 x 6 complex off-diagonals,
+        # two chunks here
         sizes = []
         real_cholesky = spectral._band_cholesky
 
-        def recording(g):
-            sizes.append(g.nbytes)
-            return real_cholesky(g)
+        def recording(diagonal, off):
+            sizes.append(diagonal.nbytes + off.nbytes)
+            return real_cholesky(diagonal, off)
 
         monkeypatch.setattr(spectral, "_band_cholesky", recording)
         compute_grid(build_operator(WIDE, 89, 144), (-3, 3, -3, 3), (20, 15))
         # 300 points: a chunk of 260 (the 4 MiB budget), then one of 40;
         # fallbacks factor smaller stacks
-        point = 144 * 7 * 16
+        point = 144 * 8 + 144 * 6 * 16
         assert max(sizes) == 260 * point <= 4 << 20
         assert 40 * point in sizes
 
@@ -384,13 +385,13 @@ class TestBandRoute:
         sizes = []
         real_cholesky = spectral._band_cholesky
 
-        def recording(g):
-            cholesky = real_cholesky(g)
+        def recording(diagonal, off):
+            cholesky = real_cholesky(diagonal, off)
 
             def factor(shift):
-                f, ok = cholesky(shift)
-                sizes.append(max(g.nbytes, f.nbytes))
-                return f, ok
+                inv, f, ok = cholesky(shift)
+                sizes.append(max(diagonal.nbytes + off.nbytes, inv.nbytes + f.nbytes))
+                return inv, f, ok
 
             return factor
 
@@ -692,6 +693,27 @@ class TestSandwich:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInput, match=r"S - T .*float range"):
                 sandwich_check(s, -s, 0.5)
+
+    def test_default_region_outside_the_float_range_is_refused(self, monkeypatch):
+        # with no region given, the derived half-width max(||S||, ||T||) +
+        # epsilon + 2 delta + 1/2 is inf at 1e308, and at 4e307 its span
+        # and corners are past the floats: the refusal names the norms, not
+        # a region the caller never gave, before any grid is computed
+        zero = np.zeros((2, 2))
+        with monkeypatch.context() as m:
+            m.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            for big in (1e308, 4e307):
+                message = f"||S|| = {big:.6e}, ||T|| = 0.000000e+00, delta = {big:.6e}"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidInput, match="default region") as refused:
+                        sandwich_check(np.diag([big, 0.0]), zero, 0.5)
+                assert message in str(refused.value)
+        # the same operators on a given region, and a derived one that fits
+        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
+        derived = GridParams(resolution=(4, 4))
+        assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, given).passed
+        assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, derived).passed
 
     def test_epsilon_must_be_finite(self):
         for epsilon in (np.inf, np.nan):

@@ -319,25 +319,33 @@ def _imports(node, module: str) -> bool:
 
 
 def test_only_the_sandwich_hashes():
-    # a fingerprint is 16 q^2 bytes of hashing (0.26 s at q = 4181), and
-    # only sandwich_report.json prints one: matrix_fingerprint is the one
-    # user of hashlib, and certify_pseudospectrum its one caller. hashlib
-    # loads OpenSSL's libcrypto (3.4 MiB of resident memory), so it is
-    # imported inside matrix_fingerprint, and no other command loads it
-    importers, users, callers = set(), set(), set()
+    # a fingerprint is 16 q^2 bytes of hashing (about 1.4 s at q = 4181),
+    # and only sandwich_report.json prints one: matrix_fingerprint is the
+    # one function that imports a hash, and certify_pseudospectrum its one
+    # caller. The hash is CPython's built-in SHA-256 (_sha2 from Python
+    # 3.12, _sha256 before), which gives hashlib's digests without loading
+    # OpenSSL's libcrypto (3.5 MiB of resident memory). hashlib is imported
+    # nowhere else, and there only in the except ImportError handler of an
+    # interpreter built without the built-in module
+    hashes = ("_sha2", "_sha256", "hashlib")
+    imports, callers = set(), set()
     for path, fn in _functions():
+        fallback = {id(node) for handler in ast.walk(fn)
+                    if isinstance(handler, ast.ExceptHandler)
+                    and ast.unparse(handler.type) == "ImportError"
+                    for node in ast.walk(handler)}
         for node in ast.walk(fn):
-            if _imports(node, "hashlib"):
-                importers.add(f"{path.name}:{fn.name}")
-            if isinstance(node, ast.Name) and node.id == "hashlib":
-                users.add(f"{path.name}:{fn.name}")
+            imports |= {(f"{path.name}:{fn.name}", module, id(node) in fallback)
+                        for module in hashes if _imports(node, module)}
             if (isinstance(node, ast.Call)
                     and ast.unparse(node.func).rpartition(".")[2] == "matrix_fingerprint"):
                 callers.add(f"{path.name}:{fn.name}")
     everywhere = [path.name for path, tree in _trees() for node in ast.walk(tree)
-                  if _imports(node, "hashlib")]
-    assert everywhere == ["pseudospectra.py"], everywhere
-    assert importers == users == {"pseudospectra.py:matrix_fingerprint"}, (importers, users)
+                  for module in hashes if _imports(node, module)]
+    assert everywhere == ["pseudospectra.py"] * 3, everywhere  # none at module level
+    where = "pseudospectra.py:matrix_fingerprint"
+    assert imports == {(where, "_sha2", False), (where, "_sha256", True),
+                       (where, "hashlib", True)}, imports
     assert callers == {"approx.py:certify_pseudospectrum"}, callers
 
 

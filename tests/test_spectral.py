@@ -555,6 +555,97 @@ class TestSigmaMin:
         assert np.max(np.abs(got - expect) / expect) <= 1e-12
 
 
+class TestBandCholesky:
+    """The band kernel's layout, against dense oracles: a stack of P
+    Hermitian band matrices G_p of half-bandwidth w, held as a real
+    diagonal[c, p] = G_p[c, c] and complex off[c, d - 1, p] = G_p[c + d, c],
+    factored as inv[c, p] = 1/L[c, c] and f (laid out like off).
+
+    Rounding margin: a Cholesky factor of a band of half-bandwidth w at
+    order q has a backward error below about (w + 2) q eps ||G|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, thm 10.3), under
+    4e-14 ||G|| here, and eigvalsh's values are as close; MARGIN is 1e-12
+    ||G||, ||G|| the largest |eigenvalue|."""
+
+    MARGIN = 1e-12
+    POINTS = 5
+    SIZES = [(q, w) for w in (2, 6) for q in (1, 2, 8, 40)]
+
+    @staticmethod
+    def stack(q: int, w: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diagonal, off, dense) of random Hermitian band matrices with
+        smallest eigenvalues between 1e-3 and 1 (from a random band H,
+        less its own smallest eigenvalue); off is 0 past the matrix."""
+        points = TestBandCholesky.POINTS
+        dense = np.zeros((points, q, q), dtype=complex)
+        for d in range(1, min(w, q - 1) + 1):
+            c, shape = np.arange(q - d), (points, q - d)
+            values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            dense[:, c + d, c], dense[:, c, c + d] = values, values.conj()
+        dense[:, np.arange(q), np.arange(q)] = rng.standard_normal((points, q))
+        lift = 10.0 ** rng.uniform(-3, 0, points) - np.linalg.eigvalsh(dense)[:, 0]
+        dense[:, np.arange(q), np.arange(q)] += lift[:, None]
+        off = np.zeros((q, w, points), dtype=complex)
+        for d in range(1, min(w, q - 1) + 1):
+            off[:q - d, d - 1] = dense[:, np.arange(d, q), np.arange(q - d)].T
+        return dense.diagonal(axis1=1, axis2=2).real.T.copy(), off, dense
+
+    @staticmethod
+    def lower(inv: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+        """Point p's dense factor L."""
+        q, w, _ = f.shape
+        low = np.diag(1 / inv[:, p]).astype(complex)
+        for d in range(1, min(w, q - 1) + 1):
+            low[np.arange(d, q), np.arange(q - d)] = f[:q - d, d - 1, p]
+        return low
+
+    @pytest.mark.parametrize("q, w", SIZES)
+    def test_ok_decides_the_sign_of_the_smallest_eigenvalue(self, q, w):
+        rng = np.random.default_rng(q * 10 + w)
+        diagonal, off, dense = self.stack(q, w, rng)
+        eigs = np.linalg.eigvalsh(dense)
+        margin = self.MARGIN * np.abs(eigs).max(axis=1)
+        factor = spectral._band_cholesky(diagonal, off)
+        for shift, passes in ((eigs[:, 0] - 2 * margin, True), (eigs[:, 0] + 2 * margin, False),
+                              (eigs[:, 0] - 1, True), (eigs[:, -1] + 1, False)):
+            inv, f, ok = factor(shift)
+            assert (ok == passes).all(), (shift - eigs[:, 0], ok)
+            for p in range(self.POINTS) if passes else ():
+                low = self.lower(inv, f, p)
+                target = dense[p] - shift[p] * np.eye(q)
+                assert np.abs(low @ low.conj().T - target).max() <= margin[p]
+
+    @pytest.mark.parametrize("q, w", SIZES)
+    def test_band_solve_inverts_the_factor(self, q, w):
+        rng = np.random.default_rng(q * 10 + w + 1)
+        diagonal, off, dense = self.stack(q, w, rng)
+        shift = np.linalg.eigvalsh(dense)[:, 0] - 0.5
+        inv, f, ok = spectral._band_cholesky(diagonal, off)(shift)
+        assert ok.all()
+        x = rng.standard_normal((q, self.POINTS)) + 1j * rng.standard_normal((q, self.POINTS))
+        y = spectral._band_solve(inv, f, x)
+        for p in range(self.POINTS):
+            expect = np.linalg.solve(dense[p] - shift[p] * np.eye(q), x[:, p])
+            assert np.linalg.norm(y[:, p] - expect) <= 1e-10 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("q, w", SIZES)
+    def test_an_indefinite_point_fails_alone(self, q, w):
+        # a negative pivot at one point turns only that point's ok false,
+        # and leaves every other point's factor the same bit for bit
+        rng = np.random.default_rng(q * 10 + w + 2)
+        diagonal, off, dense = self.stack(q, w, rng)
+        shift = np.linalg.eigvalsh(dense)[:, 0] - 0.5
+        inv, f, ok = (a.copy() for a in spectral._band_cholesky(diagonal, off)(shift))
+        assert ok.all()
+        planted, row = int(rng.integers(self.POINTS)), int(rng.integers(q))
+        diagonal[row, planted] = shift[planted] - 1  # G_p - shift_p I has -1 on its diagonal
+        inv_2, f_2, ok_2 = spectral._band_cholesky(diagonal, off)(shift)
+        assert np.flatnonzero(~ok_2).tolist() == [planted]
+        others = np.arange(self.POINTS) != planted
+        assert np.array_equal(inv_2[:, others], inv[:, others])
+        assert np.array_equal(f_2[:, :, others], f[:, :, others])
+
+
 class TestOneSvdRoute:
     """operator_norm and smallest_singular_value share one SVD route:
     numpy's SVD, then a gesvd retry, then ConvergenceFailure."""
