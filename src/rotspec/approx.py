@@ -370,10 +370,11 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
     eps_n = sharp_bound(spec, expansion, n) if spec.is_canonical else None
     eps_clean = clean_bound(spec, expansion, n) if spec.is_canonical else None
 
+    norm, margin = spec_norm_bound(spec), epsilon + 2 * (eps_n or 0.0)
+    region = gp.region or default_region(
+        norm, margin, f"sum |c| = {norm:.6e}, epsilon + 2 epsilon_n = {margin:.6e}")
     h_prev, h_curr = (build_operator(spec, p % q, q)  # v is q-periodic in p
                       for p, q in map(expansion.convergent, (n - 1, n)))
-    margin = epsilon + 2 * (eps_n or 0.0)
-    region = gp.region or default_region(spec_norm_bound(spec), margin)
     grid_prev = compute_grid(h_prev, region, gp.resolution, gp.jobs)
     grid_curr = compute_grid(h_curr, region, gp.resolution, gp.jobs)
 
@@ -455,7 +456,9 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
         result: OneSidedResult = normal_eigenvalues(model)
     else:
         gp = grid_params or GridParams()
-        region = gp.region or default_region(spec_norm_bound(spec), radius)
+        norm = spec_norm_bound(spec)
+        region = gp.region or default_region(
+            norm, radius, f"sum |c| = {norm:.6e}, radius = {radius:.6e}")
         result = compute_grid(model, region, gp.resolution, gp.jobs)
 
     cert = OneSidedCertificate(

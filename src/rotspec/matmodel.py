@@ -8,8 +8,8 @@ the canonical four-term form alpha_1 U + alpha_-1 U* + beta_1 V +
 beta_-1 V* is recognized structurally because the certified error radii
 only exist for it.
 
-A model is stored as its nonzeros, one per row and term, and the dense
-matrix is built on demand. Entries come from exact integer residues:
+A model is stored as its nonzeros, one per row and term, and no route
+of the package makes it dense. Values come from exact integer residues:
 omega^k is evaluated at the reduced exponent (p*k) mod q, and negative
 powers use conjugated phases and shifted indices, so each adjoint pair
 of terms is exactly adjoint in floating point; terms whose u-powers
@@ -221,8 +221,9 @@ def spec_norm_bound(spec: OperatorSpec) -> float:
 @dataclass(frozen=True)
 class MatrixModel:
     """q x q realization of spec at p/q: term t puts values[t, i] at row i,
-    column columns[t, i]. entries, the dense column-major matrix, sums the
-    terms in order on first use. All arrays are write-protected."""
+    column columns[t, i]. entries, the dense column-major matrix summed in
+    term order, is built on first use for an outside oracle (bench/check.py);
+    nothing in the package reads it. All arrays are write-protected."""
 
     order: int
     p: int

@@ -98,9 +98,9 @@ def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.n
 
 def matrix_fingerprint(A: MatrixModel) -> str:
     """sha256 of the shape string, then of the C-order bytes of the model's
-    dense matrix, built a row block at a time from its nonzeros, summed in
-    term order as in its entries, so the q x q matrix is never formed. The
-    hash is CPython's built-in SHA-256, imported here: hashlib's digests
+    dense matrix, built a row block at a time from its nonzeros, terms that
+    share a slot summed in term order, so the q x q matrix is never formed.
+    The hash is CPython's built-in SHA-256, imported here: hashlib's digests
     without the OpenSSL libcrypto that hashlib loads (3.5 MiB resident)."""
     try:
         from _sha2 import sha256  # Python 3.12 and later
@@ -125,7 +125,8 @@ def matrix_fingerprint(A: MatrixModel) -> str:
 
 def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> np.ndarray:
     """The grid's nodes lambda in row-major order; InvalidInput unless they
-    and max |lambda| + _norm_bound(A) are finite, which bounds the band
+    and max |lambda| + a bound on ||A|| (sum |c| for a model, the largest
+    absolute row sum for an array) are finite, which bounds the band
     route's scale |lambda| + sum |c| and every distance |lambda - h|."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
@@ -139,30 +140,28 @@ def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> n
         raise InvalidInput(f"the axis spans of region {region} are outside the float range")
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
+    norm = spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
     with np.errstate(over="ignore"):
-        scale = float(np.abs(lam).max() + _norm_bound(a))
+        scale = float(np.abs(lam).max() + norm)
     if not math.isfinite(scale):
         raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
     return lam
 
 
-def _norm_bound(a: MatrixLike) -> float:
-    """||A|| <= sum |c| for a model, <= the largest absolute row sum for an array; maybe inf."""
-    return spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
-
-
-def default_region(norm_bound: float, margin: float) -> Region:
-    """Square of half-width norm_bound + 2*margin centered at 0."""
+def default_region(norm_bound: float, margin: float, inputs: str) -> Region:
+    """Square of half-width r = norm_bound + 2*margin (1 for r = 0) centered
+    at 0. 2r + norm_bound bounds what _grid_nodes checks; past the floats,
+    it is refused with InvalidInput naming the caller's inputs."""
     r = float(norm_bound) + 2.0 * float(margin)
+    if not math.isfinite(2 * r + float(norm_bound)):
+        raise InvalidInput(f"the default region is outside the float range: {inputs}")
     if r <= 0:
         r = 1.0
     return (-r, r, -r, r)
 
 
-def _grid_operand(A: MatrixLike) -> MatrixLike:
-    """A model as given, or A's dense array if it is nonempty and exactly Hermitian."""
-    if isinstance(A, MatrixModel):
-        return A
+def _hermitian_array(A: np.ndarray) -> np.ndarray:
+    """A's array (as_matrix refuses a model) if it is nonempty and exactly Hermitian."""
     a = as_matrix(A)
     if a.shape[0] == 0:
         raise InvalidInput("empty matrix")
@@ -175,7 +174,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
                  jobs: int = 1) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
     module docstring; the band route shares its chunks among jobs threads."""
-    a = _grid_operand(A)
+    a = A if isinstance(A, MatrixModel) else _hermitian_array(A)
     lam = _grid_nodes(a, region, resolution)
     if jobs < 1:
         raise InvalidInput(f"jobs must be >= 1, got {jobs}")
@@ -279,15 +278,14 @@ class SandwichReport:
     passed: bool
 
 
-def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
+def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
                    grid_params: Optional[GridParams] = None) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
     pointwise on a shared grid, delta = ||S - T||; both levels are the
-    exact sums rounded up to a float. S and T are as for compute_grid,
-    and S - T must be finite (else InvalidInput, before any SVD), as
-    must the default region when none is given (else InvalidInput)."""
-    S, T = _grid_operand(S), _grid_operand(T)
-    s, t = as_matrix(S), as_matrix(T)
+    exact sums rounded up to a float. S and T are exactly Hermitian arrays;
+    a model is refused, as are, with InvalidInput before any grid, an S - T
+    (before any SVD), a level or a derived default region past the floats."""
+    s, t = _hermitian_array(S), _hermitian_array(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
     if not 0 < epsilon < math.inf:
@@ -299,21 +297,18 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
     gp = grid_params or GridParams()
     delta = operator_norm(difference)
     norms = operator_norm(s), operator_norm(t)
-    region = gp.region or default_region(max(norms), epsilon / 2 + delta + 0.25)
-    with np.errstate(over="ignore"):  # twice the half-width bounds the span and each |lambda|
-        if gp.region is None and not math.isfinite(2 * region[1] + max(map(_norm_bound, (S, T)))):
-            raise InvalidInput(f"the default region is outside the float range: ||S|| = "
-                               f"{norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
-
-    grid_s = compute_grid(S, region, gp.resolution, gp.jobs)
-    grid_t = compute_grid(T, region, gp.resolution, gp.jobs)
-    lam = grid_s.lambda_grid()
-    lam_max = float(np.max(np.abs(lam)))
-    slack = 1e-7 * (max(norms) + lam_max)
-
-    sig_s, sig_t = grid_s.sigma_min_values, grid_t.sigma_min_values
+    region = gp.region or default_region(
+        max(norms), epsilon / 2 + delta + 0.25,
+        f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
     outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
+
+    grid_s = compute_grid(s, region, gp.resolution, gp.jobs)
+    grid_t = compute_grid(t, region, gp.resolution, gp.jobs)
+    lam = grid_s.lambda_grid()
+    slack = 1e-7 * (max(norms) + float(np.max(np.abs(lam))))
+
+    sig_s, sig_t = grid_s.sigma_min_values, grid_t.sigma_min_values
     inner = sig_s <= epsilon
     middle = sig_t <= middle_level
     outer = sig_s <= outer_level
@@ -324,13 +319,9 @@ def sandwich_check(S: MatrixLike, T: MatrixLike, epsilon: float,
         (inner & ~middle, sig_t, middle_level),
         (middle & ~outer, sig_s, outer_level),
     ):
-        if not bad_mask.any():
-            continue
-        vals = sig[bad_mask]
-        pts = lam[bad_mask]
-        beyond = vals > level + slack
+        beyond = sig[bad_mask] > level + slack
         advisory += int(np.count_nonzero(~beyond))
-        hard.extend(complex(z) for z in pts[beyond][:32])
+        hard.extend(complex(z) for z in lam[bad_mask][beyond][:32])
 
     return SandwichReport(
         epsilon=float(epsilon),

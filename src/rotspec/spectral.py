@@ -9,7 +9,7 @@ order.
 
 The Hermitian path computes eigenvalues only, through one banded route,
 _band_eigenvalues: of a model of a Hermitian spec (hermitian_eigenvalues),
-or of an array a grid found exactly Hermitian (pseudospectra._grid_operand).
+or of an exactly Hermitian array (pseudospectra._hermitian_array).
 A clock-and-shift model with largest |u-power| J is cyclic-banded: its
 nonzeros sit within cyclic distance J of the diagonal. The interleave
 permutation 0, q-1, 1, q-2, ... is a unitary similarity, so it leaves
@@ -33,11 +33,11 @@ OperatorSpec.is_normal decides normality, so no model is tested densely):
 _model_spectrum, shared with the grids, keeps class (iii)'s real values
 of H and the rotation; OperatorSpec refuses a sum |c| past the floats.
 
-Every singular value of a dense matrix comes from one SVD route,
-_singular_values: numpy's divide-and-conquer SVD, with a retry through
-LAPACK's QR-iteration SVD (gesvd) when it fails to converge, and
-ConvergenceFailure when the retry fails too. smallest_singular_value
-and operator_norm both read it.
+Every singular value comes from one SVD route, _singular_values:
+numpy's divide-and-conquer SVD, with a retry through LAPACK's QR-iteration
+SVD (gesvd) when it fails to converge, and ConvergenceFailure when the
+retry fails too. smallest_singular_value and operator_norm both read it,
+and take arrays only: as_matrix refuses a model, never made dense.
 
 Grids of models off the distance route take sigma_min(lambda*I - A)
 from the band (_banded_sigma_min; Trefethen & Embree, Spectra and
@@ -82,10 +82,13 @@ from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 MatrixLike = Union[MatrixModel, np.ndarray]
 
 
-def as_matrix(A: MatrixLike) -> np.ndarray:
-    """The dense matrix of A: square, with finite entries, which LAPACK
-    (run without its own finiteness check) needs for a true answer."""
-    a = A.entries if isinstance(A, MatrixModel) else np.asarray(A, dtype=np.complex128)
+def as_matrix(A: np.ndarray) -> np.ndarray:
+    """A as a complex array: square, with finite entries, which LAPACK
+    (run without its own finiteness check) needs for a true answer. A
+    model is refused: it is never made dense."""
+    if isinstance(A, MatrixModel):
+        raise InvalidInput("a model is never made dense: the SVD routes take arrays only")
+    a = np.asarray(A, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -135,7 +138,7 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
         return values
 
 
-def operator_norm(A: MatrixLike) -> float:
+def operator_norm(A: np.ndarray) -> float:
     """Largest singular value."""
     a = as_matrix(A)
     if a.size == 0 or not a.any():
@@ -148,13 +151,12 @@ def _interleaved_band(A: MatrixLike) -> np.ndarray:
     where P is the interleave permutation 0, q-1, 1, q-2, ...; the
     half-bandwidth k is read off the nonzeros (the largest |r - c|), so ab
     has 2k + 1 rows and its lower half ab[k:] is LAPACK's lower band
-    storage. A model's colliding terms sum in term order, as in its
-    entries, and a sum that cancels exactly is no nonzero, as in a dense
-    scan."""
+    storage. A model's terms that share a slot sum in term order, and a
+    sum that cancels exactly is no nonzero, as in a dense scan."""
     if isinstance(A, MatrixModel):
         q, cols, vals = A.order, A.columns.ravel(), A.values.ravel()
         rows = np.arange(cols.size) % q
-    else:  # a square finite array, as _grid_operand checks it
+    else:  # a square finite array, as _hermitian_array checks it
         q, (rows, cols) = A.shape[0], np.nonzero(A)
         vals = A[rows, cols]
     perm = np.empty(q, dtype=np.intp)
@@ -237,7 +239,7 @@ def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
 # smallest singular values
 # ---------------------------------------------------------------------------
 
-def smallest_singular_value(A: MatrixLike) -> float:
+def smallest_singular_value(A: np.ndarray) -> float:
     """sigma_min(A) by the SVD; never negative."""
     a = as_matrix(A)
     if a.shape[0] == 0:

@@ -50,6 +50,7 @@ from rotspec.exact import float_up
 from rotspec.matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import GridParams, PseudospectrumGrid, cloud_to_csv
 from rotspec.spectral import circulant_four_term_eigenvalues, hermitian_eigenvalues
+from dense_oracle import dense_matrix
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -222,8 +223,8 @@ class TestCertifyNormal:
         (pa, qa), (pb, qb) = cert.pair
         a, b = build_operator(AM, pa % qa, qa), build_operator(AM, pb % qb, qb)
         block = np.zeros((8, 8), dtype=complex)
-        block[:3, :3] = a.entries
-        block[3:, 3:] = b.entries
+        block[:3, :3] = dense_matrix(a)
+        block[3:, 3:] = dense_matrix(b)
         direct = np.linalg.eigvalsh(block)
         assert np.allclose(np.sort(cloud.real), direct, atol=1e-10)
         assert np.allclose(cloud.imag, 0, atol=1e-10)
@@ -356,6 +357,20 @@ class TestCertifyPseudospectrum:
             with pytest.raises(InvalidInput):
                 certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
 
+    def test_default_region_outside_the_float_range_is_refused(self, monkeypatch):
+        # at n = 8, 1e307 (U + V) gives sum |c| = 2e307 and a margin
+        # epsilon + 2 epsilon_n of 5.1e307, so the derived region's span is
+        # past the floats: refused before any grid, naming both, not a
+        # region the caller never gave
+        big = OperatorSpec.canonical(1e307, 0, 1e307, 0)
+        with monkeypatch.context() as m:
+            m.setattr(approx, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            with pytest.raises(InvalidInput, match="default region") as refused:
+                certify_pseudospectrum(GOLDEN, big, 8, 0.5, GridParams(resolution=(4, 4)))
+        assert "sum |c| = 2.000000e+307, epsilon + 2 epsilon_n = 5." in str(refused.value)
+        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
+        assert certify_pseudospectrum(GOLDEN, big, 8, 0.5, given).inclusion_verified
+
     def test_distinct_fingerprints(self):
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS)
         assert s.grid_fingerprints[0] != s.grid_fingerprints[1]
@@ -435,12 +450,19 @@ class TestFingerprints:
                                 raising=False)
         return hashers, models
 
-    def test_onesided_grids_and_sandwich_checks_hash_nothing(self, spy):
+    def test_onesided_grids_and_sandwich_checks_hash_nothing(self, spy, monkeypatch):
         result, _ = one_sided(GOLDEN, U_PLUS_2V, 8, self.PARAMS)
         assert isinstance(result, PseudospectrumGrid)
-        psp.sandwich_check(build_operator(U_PLUS_2V, 3, 8), build_operator(U_PLUS_2V, 5, 8),
-                           0.5, self.PARAMS)
-        assert spy == ([], [])
+        s = np.diag([0.0, 2.0])
+        assert psp.sandwich_check(s, s, 0.5, self.PARAMS).passed
+        # models are refused before any SVD or grid: they are never made dense
+        calls = []
+        monkeypatch.setattr(spectral, "_singular_values", lambda a: calls.append("svd"))
+        monkeypatch.setattr(psp, "compute_grid", lambda *args: calls.append("grid"))
+        with pytest.raises(InvalidInput, match="never made dense"):
+            psp.sandwich_check(build_operator(U_PLUS_2V, 3, 8), build_operator(U_PLUS_2V, 5, 8),
+                               0.5, self.PARAMS)
+        assert calls == [] and spy == ([], [])
 
     def test_the_sandwich_hashes_its_two_models_once(self, spy):
         hashers, models = spy
@@ -452,6 +474,20 @@ class TestFingerprints:
 
 
 class TestOneSided:
+    def test_default_region_outside_the_float_range_is_refused(self, monkeypatch):
+        # at n = 8 the derived half-width sum |c| + 2 radius is inf for
+        # 3e306 (U + V), and its span is past the floats for 2e306: both
+        # are refused before any grid, naming sum |c| and the radius
+        derived, given = GridParams(resolution=(4, 4)), GridParams((-1, 1, -1, 1), (4, 4))
+        with monkeypatch.context() as m:
+            m.setattr(approx, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            for c in (3e306, 2e306):
+                with pytest.raises(InvalidInput, match="default region") as refused:
+                    one_sided(GOLDEN, OperatorSpec.canonical(c, 0, c, 0), 8, derived)
+                assert f"sum |c| = {2 * c:.6e}, radius = " in str(refused.value)
+        grid, _ = one_sided(GOLDEN, OperatorSpec.canonical(3e306, 0, 3e306, 0), 8, given)
+        assert isinstance(grid, PseudospectrumGrid)
+
     def test_golden_n10(self):
         cloud, cert = one_sided(GOLDEN, AM, 10)
         assert isinstance(cloud, np.ndarray) and len(cloud) == 10

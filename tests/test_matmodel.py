@@ -23,6 +23,7 @@ from rotspec.matmodel import (
     spec_norm_bound,
     unitarity_defect,
 )
+from dense_oracle import dense_matrix
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 
@@ -74,7 +75,7 @@ class TestSpec:
         # conjugate pairing does not give hermitian matrices
         mixed = OperatorSpec.general([(1, 1, 1 + 1j), (-1, -1, 1 - 1j)])
         assert not mixed.is_hermitian
-        a = build_operator(mixed, 1, 3).entries
+        a = dense_matrix(build_operator(mixed, 1, 3))
         assert not np.allclose(a, a.conj().T)
 
     def test_json_round_trip(self):
@@ -120,11 +121,11 @@ class TestSpec:
 
 class TestGenerators:
     def test_shift_2x2(self):
-        u = shift_matrix(2).entries
+        u = dense_matrix(shift_matrix(2))
         assert np.array_equal(u, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_clock_1_2(self):
-        v = clock_matrix(1, 2).entries
+        v = dense_matrix(clock_matrix(1, 2))
         # exp(i*pi) in floats: real part rounds to exactly -1, the
         # imaginary part keeps the sin(pi) residual of about 1.2e-16
         assert v[0, 0] == 1.0
@@ -133,8 +134,8 @@ class TestGenerators:
         assert v[0, 1] == 0 and v[1, 0] == 0
 
     def test_uv_pinned_2x2(self):
-        u = shift_matrix(2).entries
-        v = clock_matrix(1, 2).entries
+        u = dense_matrix(shift_matrix(2))
+        v = dense_matrix(clock_matrix(1, 2))
         prod = u @ v
         assert prod[0, 0] == 0 and prod[1, 1] == 0
         assert prod[1, 0] == 1.0
@@ -142,7 +143,7 @@ class TestGenerators:
 
     def test_shift_is_cyclic_permutation(self):
         for q in (1, 2, 3, 7, 16):
-            u = shift_matrix(q).entries
+            u = dense_matrix(shift_matrix(q))
             expect = np.zeros((q, q), dtype=complex)
             for i in range(q):
                 expect[i, (i + 1) % q] = 1.0
@@ -150,7 +151,7 @@ class TestGenerators:
 
     def test_clock_diagonal_phases(self):
         for p, q in ((1, 3), (2, 5), (3, 7), (5, 8)):
-            v = clock_matrix(p, q).entries
+            v = dense_matrix(clock_matrix(p, q))
             diag = np.diag(v)
             oracle = np.exp(2j * np.pi * (np.arange(q) * p % q) / q)
             assert np.max(np.abs(diag - oracle)) < 1e-15
@@ -161,6 +162,7 @@ class TestGenerators:
                   build_operator(CANONICAL, 2, 5)):
             assert m.entries.flags["F_CONTIGUOUS"]
             assert not m.entries.flags["WRITEABLE"]
+            assert m.entries.tobytes() == dense_matrix(m).tobytes()
 
     def test_invalid_orders(self):
         with pytest.raises(InvalidOrder):
@@ -174,8 +176,8 @@ class TestGenerators:
 class TestCommutation:
     def test_defect_against_dense_product(self):
         for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (7, 16)):
-            u = shift_matrix(q).entries
-            v = clock_matrix(p, q).entries
+            u = dense_matrix(shift_matrix(q))
+            v = dense_matrix(clock_matrix(p, q))
             omega = np.exp(2j * np.pi * p / q)
             dense = np.linalg.norm(u @ v - omega * (v @ u), 2)
             structural = commutation_defect(p, q)
@@ -198,7 +200,7 @@ class TestUnitarity:
         for p, q in ((1, 2), (2, 5), (3, 7), (13, 21)):
             d = unitarity_defect(clock_matrix(p, q))
             assert d <= 1e-15
-            a = clock_matrix(p, q).entries
+            a = dense_matrix(clock_matrix(p, q))
             dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
             assert abs(d - dense) <= 1e-15
 
@@ -208,7 +210,7 @@ class TestUnitarity:
         spec = OperatorSpec.general([(2, 3, 2 + 1j)])
         for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (8, 13)):
             model = build_operator(spec, p, q)
-            a = model.entries
+            a = dense_matrix(model)
             dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
             assert unitarity_defect(model) == pytest.approx(dense, abs=1e-14)
             assert unitarity_defect(model) == pytest.approx(4.0, abs=1e-14)
@@ -222,7 +224,7 @@ class TestUnitarity:
 
 class TestBuildOperator:
     def test_pinned_half_model(self):
-        h = build_operator(CANONICAL, 1, 2).entries
+        h = dense_matrix(build_operator(CANONICAL, 1, 2))
         assert np.array_equal(h, np.array([[2, 2], [2, -2]], dtype=complex))
 
     def test_exact_hermiticity_of_hermitian_specs(self):
@@ -235,7 +237,7 @@ class TestBuildOperator:
         ]
         for spec in specs:
             for p, q in ((1, 3), (2, 5), (3, 8), (5, 13), (8, 21)):
-                a = build_operator(spec, p, q).entries
+                a = dense_matrix(build_operator(spec, p, q))
                 assert np.array_equal(a, a.conj().T)
 
     def test_against_dense_power_oracle(self):
@@ -253,30 +255,30 @@ class TestBuildOperator:
                 spec = OperatorSpec.general(terms)
             except EmptySpec:
                 continue
-            u = shift_matrix(q).entries
-            v = clock_matrix(p, q).entries
+            u = dense_matrix(shift_matrix(q))
+            v = dense_matrix(clock_matrix(p, q))
             dense = np.zeros((q, q), dtype=complex)
             for j, k, c in spec.terms:
                 uj = np.linalg.matrix_power(u, j % q)
                 vk = np.linalg.matrix_power(v, k % q)
                 dense += c * (uj @ vk)
-            built = build_operator(spec, p, q).entries
+            built = dense_matrix(build_operator(spec, p, q))
             assert np.max(np.abs(built - dense)) < 1e-12
 
     def test_negative_power_is_exact_adjoint(self):
         # v^-1 must be the exact elementwise conjugate of v so that
         # hermitian specs produce exactly hermitian matrices
         for p, q in ((1, 3), (2, 5), (4, 9)):
-            plus = build_operator(OperatorSpec.general([(0, 1, 1)]), p, q).entries
-            minus = build_operator(OperatorSpec.general([(0, -1, 1)]), p, q).entries
+            plus = dense_matrix(build_operator(OperatorSpec.general([(0, 1, 1)]), p, q))
+            minus = dense_matrix(build_operator(OperatorSpec.general([(0, -1, 1)]), p, q))
             assert np.array_equal(minus, plus.conj().T)
-            uplus = build_operator(OperatorSpec.general([(1, 0, 1)]), p, q).entries
-            uminus = build_operator(OperatorSpec.general([(-1, 0, 1)]), p, q).entries
+            uplus = dense_matrix(build_operator(OperatorSpec.general([(1, 0, 1)]), p, q))
+            uminus = dense_matrix(build_operator(OperatorSpec.general([(-1, 0, 1)]), p, q))
             assert np.array_equal(uminus, uplus.conj().T)
 
     def test_trace_vanishes(self):
         for p, q in ((1, 3), (2, 5), (3, 8)):
-            h = build_operator(CANONICAL, p, q).entries
+            h = dense_matrix(build_operator(CANONICAL, p, q))
             assert abs(np.trace(h)) < 1e-13
 
     def test_coefficient_near_the_float_range(self):
@@ -345,7 +347,7 @@ class TestStructuralNormality:
             specs = [self.pattern(rng) for _ in range(4)]
             for p in (p for p in range(1, q) if math.gcd(p, q) == 1):
                 for spec in specs:
-                    dense = is_normal(build_operator(spec, p, q).entries)
+                    dense = is_normal(dense_matrix(build_operator(spec, p, q)))
                     assert spec.is_normal == dense, (spec.canonical_four_term, p, q)
                     both.add(dense)
         assert both == {True, False}

@@ -35,6 +35,7 @@ from rotspec.pseudospectra import (
     sandwich_check,
 )
 from rotspec.spectral import _banded_sigma_min, _gram_band, operator_norm
+from dense_oracle import dense_matrix
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
@@ -60,7 +61,7 @@ class TestComputeGrid:
     def test_values_equal_distance_for_normal_matrix(self):
         # a model of V terms alone is diagonal: its eigenvalues are its diagonal
         model = build_operator(CLASS_II, 2, 5)
-        eigs = np.diag(model.entries)
+        eigs = np.diag(dense_matrix(model))
         grid = compute_grid(model, (-2, 2, -2, 2), (13, 9))
         re, im = grid.lambda_axes()
         for i in range(13):
@@ -94,7 +95,7 @@ class TestComputeGrid:
     def test_values_match_pointwise_svd(self):
         model = build_operator(U_PLUS_2V, 55, 89)
         grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), (10, 10), jobs=3)
-        h = model.entries
+        h = dense_matrix(model)
         lam = grid.lambda_grid()
         for i, j in np.ndindex(*grid.resolution):
             ref = np.linalg.svd(lam[i, j] * np.eye(89) - h, compute_uv=False)[-1]
@@ -122,7 +123,7 @@ class TestComputeGrid:
     def test_non_hermitian_array_is_refused(self):
         # no grid route takes a non-Hermitian array, a model's dense entries included
         for a in (np.array([[0, 1], [0, 0]]), np.diag([1j, 2]),
-                  build_operator(U_PLUS_2V, 3, 8).entries):
+                  dense_matrix(build_operator(U_PLUS_2V, 3, 8))):
             with pytest.raises(NotHermitian):
                 compute_grid(a, (-1, 1, -1, 1), (4, 4))
 
@@ -200,7 +201,7 @@ class TestComputeGrid:
             model = build_operator(spec, p, q)
             got = matrix_fingerprint(model)
             assert "entries" not in vars(model)
-            dense = np.ascontiguousarray(model.entries)
+            dense = np.ascontiguousarray(dense_matrix(model))
             expect = hashlib.sha256(str(dense.shape).encode() + dense.tobytes()).hexdigest()
             assert got == expect
 
@@ -237,7 +238,7 @@ class TestBandRoute:
         return _banded_sigma_min(_gram_band(model), np.asarray(lam, dtype=complex))
 
     def assert_matches_svd(self, model, lam, got):
-        ref = pointwise_svd(model.entries, lam)
+        ref = pointwise_svd(dense_matrix(model), lam)
         assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, model.spec))
 
     def test_grids_match_pointwise_svd(self):
@@ -253,7 +254,7 @@ class TestBandRoute:
         for spec in (U_PLUS_2V, FOUR_TERM):
             for p, q in GOLDEN_ORDERS:
                 model = build_operator(spec, p, q)
-                eigs = np.linalg.eigvals(model.entries)[::max(1, q // 30)]
+                eigs = np.linalg.eigvals(dense_matrix(model))[::max(1, q // 30)]
                 lam = np.concatenate([eigs, eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))])
                 got = self.banded(model, lam)
                 self.assert_matches_svd(model, lam, got)
@@ -280,7 +281,7 @@ class TestBandRoute:
                 region = tuple(scale * x for x in (-3.7, 3.1, -3.3, 3.5))
                 grid = compute_grid(model, region, (6, 5))
                 lam = grid.lambda_grid().ravel()
-                ref = scale * pointwise_svd(build_operator(small, p, q).entries, lam / scale)
+                ref = scale * pointwise_svd(dense_matrix(build_operator(small, p, q)), lam / scale)
                 got = grid.sigma_min_values.ravel()
                 assert np.all(np.isfinite(got)) and np.all(got > 0)
                 assert np.all(np.abs(got - ref) <= 1e-10 * ref + sigma_tolerance(lam, big))
@@ -360,7 +361,7 @@ class TestBandRoute:
             for p, q in GOLDEN_ORDERS[2:]:
                 coarse = spectral._coarse_halvings(q)
                 model = build_operator(spec, p, q)
-                eigs = np.linalg.eigvals(model.entries)[::max(1, q // 30)]
+                eigs = np.linalg.eigvals(dense_matrix(model))[::max(1, q // 30)]
                 grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6)).lambda_grid().ravel()
                 near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
                 for lam in (np.concatenate([grid, eigs, near]), np.append(grid, eigs[0])):
@@ -458,7 +459,7 @@ class TestDistanceRoute:
         model = build_operator(CANONICAL, 55, 89)
         grid = compute_grid(model, (-4.5, 4.5, -1, 1), (19, 7))
         assert calls == ["eig"] and "entries" not in vars(model)
-        ref = pointwise_svd(model.entries, grid.lambda_grid().ravel())
+        ref = pointwise_svd(dense_matrix(model), grid.lambda_grid().ravel())
         # both sides err by a few ulps of ||A|| <= 4
         assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * 4
 
@@ -527,7 +528,7 @@ class TestNormalRoute:
                 lam = np.concatenate([grid.lambda_grid().ravel(), eigs, near])
                 got = np.concatenate([grid.sigma_min_values.ravel(),
                                       self.distances(spec, p, q, lam[grid.sigma_min_values.size:])])
-                ref = pointwise_svd(model.entries, lam)
+                ref = pointwise_svd(dense_matrix(model), lam)
                 tol = 1e-12 * (spec_norm_bound(spec) + np.abs(lam))
                 assert np.all(np.abs(got - ref) <= tol), (spec, q)
 
@@ -555,7 +556,7 @@ class TestNormalRoute:
                 grid = compute_grid(model, (-3, 3, -3, 3), (4, 4))
                 assert "entries" not in vars(model)
                 lam = grid.lambda_grid().ravel()
-                ref = pointwise_svd(model.entries, lam)
+                ref = pointwise_svd(dense_matrix(model), lam)
                 tol = 1e-12 * (spec_norm_bound(spec) + np.abs(lam))
                 assert np.all(np.abs(grid.sigma_min_values.ravel() - ref) <= tol), (spec, q)
         assert calls == ["eig"] * 2
@@ -612,7 +613,7 @@ class TestLevelSets:
 
 class TestSandwich:
     def test_identical_matrices(self):
-        h = build_operator(CANONICAL, 1, 3).entries
+        h = dense_matrix(build_operator(CANONICAL, 1, 3))
         rep = sandwich_check(h, h, 0.5, GridParams(resolution=(20, 20)))
         assert rep.passed and rep.delta == 0.0
         assert rep.hard_violations == ()
@@ -675,11 +676,13 @@ class TestSandwich:
         for pair in ((s, jordan), (jordan, s)):
             with pytest.raises(NotHermitian):
                 sandwich_check(*pair, 0.5)
-        monkeypatch.undo()
-        # a model of a spec that is not normal takes the band route
+        # a model is refused before any SVD or grid: it is never made dense
+        monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
         model = build_operator(U_PLUS_2V, 3, 8)
-        rep = sandwich_check(model, model, 0.5, GridParams(resolution=(8, 8)))
-        assert rep.passed and rep.delta == 0.0
+        for pair in ((model, model), (s, model), (model, s)):
+            with pytest.raises(InvalidInput, match="never made dense"):
+                sandwich_check(*pair, 0.5)
+        assert "entries" not in vars(model)
 
     def test_difference_outside_the_float_range_is_refused_before_any_svd(self, monkeypatch):
         # S and T are finite, but S - T overflows: no overflow warning, and
@@ -714,6 +717,14 @@ class TestSandwich:
         derived = GridParams(resolution=(4, 4))
         assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, given).passed
         assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, derived).passed
+
+    def test_levels_outside_the_float_range_are_refused_before_any_grid(self, monkeypatch):
+        # on a given region, epsilon + 2 delta = 2e308 is refused before
+        # the grids of S and T are computed, not after
+        monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
+        with pytest.raises(InvalidInput, match=r"2\.000000e\+308 is outside the float range"):
+            sandwich_check(np.diag([1e308, 0.0]), np.zeros((2, 2)), 0.5, given)
 
     def test_epsilon_must_be_finite(self):
         for epsilon in (np.inf, np.nan):
@@ -812,8 +823,15 @@ class TestSerialization:
 
 class TestRegionDefaults:
     def test_default_region_square(self):
-        r = default_region(3.0, 0.5)
+        r = default_region(3.0, 0.5, "unused")
         assert r == (-4.0, 4.0, -4.0, 4.0)
 
     def test_floor_at_unit(self):
-        assert default_region(0.0, 0.0) == (-1.0, 1.0, -1.0, 1.0)
+        assert default_region(0.0, 0.0, "unused") == (-1.0, 1.0, -1.0, 1.0)
+
+    def test_outside_the_float_range_names_the_inputs(self):
+        # twice the half-width plus the norm bound must be a float
+        assert default_region(2e307, 2e307, "unused")[1] == 6e307
+        for norm, margin in ((1e308, 0.0), (0.0, 4.5e307), (math.inf, 0.0)):
+            with pytest.raises(InvalidInput, match="default region .* float range: the inputs"):
+                default_region(norm, margin, "the inputs")

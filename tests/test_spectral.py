@@ -41,6 +41,7 @@ from rotspec.spectral import (
     operator_norm,
     smallest_singular_value,
 )
+from dense_oracle import dense_matrix
 
 
 def sort_complex(values) -> np.ndarray:
@@ -132,7 +133,7 @@ class TestHermitian:
             with pytest.raises(NotHermitian, match="spec is not Hermitian"):
                 hermitian_eigenvalues(model)
             assert "entries" not in vars(model)
-        assert np.array_equal(shift.entries, shift.entries.conj().T)
+        assert np.array_equal(dense_matrix(shift), dense_matrix(shift).conj().T)
 
     def test_weyl_stability(self):
         rng = np.random.default_rng(11)
@@ -182,15 +183,15 @@ class TestBandedHermitian:
             a, b = random_phase(rng), random_phase(rng, 2.0)
             spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
             h = build_operator(spec, int(rng.integers(q)), q)
-            assert _interleaved_band(h.entries).shape == (2 * min(3, q) - 1, q)
-            self.assert_matches_eigvalsh(h.entries)
+            assert _interleaved_band(dense_matrix(h)).shape == (2 * min(3, q) - 1, q)
+            self.assert_matches_eigvalsh(dense_matrix(h))
 
     def test_canonical_golden_convergents(self):
         rng = np.random.default_rng(42)
         for p, q in zip((0,) + self.GOLDEN_Q, self.GOLDEN_Q):
             a, b = random_phase(rng), random_phase(rng)
             spec = OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate())
-            self.assert_matches_eigvalsh(build_operator(spec, p % q, q).entries)
+            self.assert_matches_eigvalsh(dense_matrix(build_operator(spec, p % q, q)))
 
     def test_general_specs_bandwidth_2j(self):
         rng = np.random.default_rng(43)
@@ -198,12 +199,12 @@ class TestBandedHermitian:
             spec = hermitian_axis_spec(rng, u_powers, (1, 2))
             j = max(u_powers)
             for q in (7, 13, 34, 89):
-                h = build_operator(spec, int(rng.integers(1, q)), q).entries
+                h = dense_matrix(build_operator(spec, int(rng.integers(1, q)), q))
                 assert _interleaved_band(h).shape == (4 * j + 1, q)
                 self.assert_matches_eigvalsh(h)
 
     def test_clock_part_alone_is_diagonal(self):
-        h = build_operator(OperatorSpec.canonical(0, 0, 1, 1), 21, 34).entries
+        h = dense_matrix(build_operator(OperatorSpec.canonical(0, 0, 1, 1), 21, 34))
         assert _interleaved_band(h).shape == (1, 34)
         self.assert_matches_eigvalsh(h)
 
@@ -257,7 +258,8 @@ class TestModelNonzeros:
             model = build_operator(spec, p, q)
             assert "entries" not in vars(model)
             dense = dense_slotwise_build(spec, p, q)
-            assert model.entries.flags["F_CONTIGUOUS"]
+            assert dense_matrix(model).tobytes() == dense.tobytes()
+            # entries, the dense view that bench/check.py reads, is the same matrix
             assert model.entries.tobytes() == dense.tobytes()
             band, dense_band = _interleaved_band(model), _interleaved_band(dense)
             assert band.shape == dense_band.shape
@@ -288,7 +290,7 @@ class TestModelNonzeros:
                 model = build_operator(spec, int(rng.integers(q)), q)
                 got = hermitian_eigenvalues(model)
                 assert "entries" not in vars(model)
-                a = model.entries
+                a = dense_matrix(model)
                 not_bit_hermitian += not np.array_equal(a, a.conj().T)
                 expect = np.linalg.eigvalsh(a)
                 assert np.max(np.abs(got - expect)) <= \
@@ -334,7 +336,7 @@ class TestCirculant:
             analytic = circulant_four_term_eigenvalues(ap, am, q)
             spec_terms = [(1, 0, ap)] + ([(-1, 0, am)] if am != 0 else [])
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
-            numeric = np.linalg.eigvals(h.entries)
+            numeric = np.linalg.eigvals(dense_matrix(h))
             assert_same_spectrum(analytic, numeric, 1e-12 * max(1.0, abs(ap) + abs(am)))
 
 
@@ -359,7 +361,7 @@ class TestSpecRoutes:
                 for p in range(q):  # p sharing a factor with q too, as in one_sided
                     model = build_operator(spec, p, q)
                     got = normal_eigenvalues(model)
-                    want = np.linalg.eigvals(model.entries)
+                    want = np.linalg.eigvals(dense_matrix(model))
                     assert got.shape == (q,)
                     assert_same_spectrum(got, want, 1e-12 * scale)
 
@@ -368,7 +370,7 @@ class TestSpecRoutes:
             for p in (1, 5, q - 1):
                 spec = OperatorSpec.canonical(0, 0, 1.3 - 0.2j, 0.1 + 1j / 3)
                 model = build_operator(spec, p, q)
-                diagonal = np.sort(np.diag(model.entries), kind="stable")
+                diagonal = np.sort(np.diag(dense_matrix(model)), kind="stable")
                 assert np.array_equal(normal_eigenvalues(model), diagonal)
 
     def test_non_normal_spec_builds_no_model(self, monkeypatch):
@@ -471,8 +473,8 @@ class TestNormal:
                                                 r * y, r * y.conjugate())):
                 a = build_operator(spec, 1, q)
                 ev = normal_eigenvalues(a)
-                assert np.sum(ev) == pytest.approx(np.trace(a.entries), abs=1e-9)
-                assert np.prod(ev) == pytest.approx(np.linalg.det(a.entries), abs=1e-8)
+                assert np.sum(ev) == pytest.approx(np.trace(dense_matrix(a)), abs=1e-9)
+                assert np.prod(ev) == pytest.approx(np.linalg.det(dense_matrix(a)), abs=1e-8)
 
     def test_rotated_hermitian_golden_models(self):
         # e^{i phi} H is normal with spectrum e^{i phi} sigma(H): class
@@ -484,8 +486,8 @@ class TestNormal:
             r = ROTATIONS[i % len(ROTATIONS)]
             spec = OperatorSpec.canonical(r * a, r * a.conjugate(), r * b, r * b.conjugate())
             assert spec.is_normal
-            h = build_operator(OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate()),
-                               p % q, q).entries
+            h = dense_matrix(build_operator(
+                OperatorSpec.canonical(a, a.conjugate(), b, b.conjugate()), p % q, q))
             expect = np.linalg.eigvalsh(h)
             got = normal_eigenvalues(build_operator(spec, p % q, q)) / r  # onto the real line
             norm = float(np.max(np.abs(expect)))
@@ -519,6 +521,18 @@ class TestNonFiniteInput:
         for a in ([[bad, 0], [0, 1]], [[1, bad], [bad, 1]], [[bad]]):
             with pytest.raises(InvalidInput, match="must be finite"):
                 run(np.array(a, dtype=complex))
+
+    @pytest.mark.parametrize("run", [
+        spectral.as_matrix, operator_norm, smallest_singular_value,
+    ], ids=lambda f: f.__name__)
+    def test_model_refused_before_any_svd(self, run, monkeypatch):
+        # the SVD entry points take arrays only: a model is never made dense
+        monkeypatch.setattr(spectral, "_singular_values",
+                            lambda a: pytest.fail("_singular_values called"))
+        model = build_operator(OperatorSpec.canonical(1, 0, 2, 0), 3, 8)
+        with pytest.raises(InvalidInput, match="never made dense"):
+            run(model)
+        assert "entries" not in vars(model)
 
 
 class TestSigmaMin:
@@ -782,5 +796,5 @@ class TestOperatorNorm:
         assert operator_norm(np.zeros((3, 3))) == 0.0
         assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
         assert operator_norm(np.diag([1, -7, 3])) == pytest.approx(7.0, abs=1e-12)
-        h = build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1, 2).entries
+        h = dense_matrix(build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1, 2))
         assert operator_norm(h) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
