@@ -375,8 +375,8 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
         norm, margin, f"sum |c| = {norm:.6e}, epsilon + 2 epsilon_n = {margin:.6e}")
     h_prev, h_curr = (build_operator(spec, p % q, q)  # v is q-periodic in p
                       for p, q in map(expansion.convergent, (n - 1, n)))
-    grid_prev = compute_grid(h_prev, region, gp.resolution, gp.jobs)
-    grid_curr = compute_grid(h_curr, region, gp.resolution, gp.jobs)
+    grid_prev = compute_grid(h_prev, region, gp.resolution)
+    grid_curr = compute_grid(h_curr, region, gp.resolution)
 
     inner = level_set(grid_prev, epsilon) | level_set(grid_curr, epsilon)
     if eps_n is not None:
@@ -459,7 +459,7 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
         norm = spec_norm_bound(spec)
         region = gp.region or default_region(
             norm, radius, f"sum |c| = {norm:.6e}, radius = {radius:.6e}")
-        result = compute_grid(model, region, gp.resolution, gp.jobs)
+        result = compute_grid(model, region, gp.resolution)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,

@@ -16,8 +16,9 @@ file serves every subcommand. Flags override the config, which overrides
 the defaults.
 
 Deterministic batch semantics: fixed inputs produce byte-identical
-outputs at any --jobs setting. Exit codes: 0 success, 2 usage, 3 invalid
-or insufficient input, 4 numerical failure, 5 certificate violation.
+outputs. Every grid runs in one thread: --jobs is checked, then ignored.
+Exit codes: 0 success, 2 usage, 3 invalid or insufficient input,
+4 numerical failure, 5 certificate violation.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ _OPTIONS = {
                       ("csv", "json"),
                       (lambda v: _is_str(v) or _list_of(_is_str)(v),
                        "a string or a list of strings")),
-    "jobs": _Option("--jobs", {"type": int, "help": "worker threads; results are identical"},
+    "jobs": _Option("--jobs", {"type": int, "help": "accepted for compatibility and ignored; "
+                                                  "every grid runs in one thread"},
                     1, _INTEGER),
     "max_q": _Option("--max-q", {"type": int, "help": "matrix-order budget"}, MAX_Q, _INTEGER),
     "terms": _Option("--terms", {"type": int, "help": "number of partial quotients"},
@@ -249,7 +251,7 @@ def _resolve_grid_params(opts) -> GridParams:
             raise _UsageError(f"--region must be finite, got {region}")
     if opts.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {opts.jobs}")
-    return GridParams(region=region, resolution=tuple(opts.resolution), jobs=opts.jobs)
+    return GridParams(region=region, resolution=tuple(opts.resolution))
 
 
 class _Output:

@@ -19,10 +19,6 @@ exactly (else NotHermitian), on one of two routes that no option picks:
 * a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
   Gram half-bandwidth, on numpy only, without the model's dense matrix.
-
-The band route splits the points into chunks that depend only on the
-order, the band and the grid, never on the worker count, and workers
-write disjoint slices, so the same bytes come out at any parallelism.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ class GridParams:
 
     region: Optional[Region] = None
     resolution: tuple[int, int] = DEFAULT_RESOLUTION
-    jobs: int = 1
 
 
 @dataclass(frozen=True)
@@ -123,10 +118,18 @@ def matrix_fingerprint(A: MatrixModel) -> str:
     return h.hexdigest()
 
 
+def _norm_bound(a: MatrixLike) -> float:
+    """A bound on ||A||: sum |c| for a model, the largest absolute row sum
+    for an array (inf past the floats, which every caller refuses)."""
+    if isinstance(a, MatrixModel):
+        return spec_norm_bound(a.spec)
+    with np.errstate(over="ignore"):
+        return float(np.abs(a).sum(axis=1).max())
+
+
 def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> np.ndarray:
     """The grid's nodes lambda in row-major order; InvalidInput unless they
-    and max |lambda| + a bound on ||A|| (sum |c| for a model, the largest
-    absolute row sum for an array) are finite, which bounds the band
+    and max |lambda| + _norm_bound(a) are finite, which bounds the band
     route's scale |lambda| + sum |c| and every distance |lambda - h|."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
@@ -140,20 +143,21 @@ def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> n
         raise InvalidInput(f"the axis spans of region {region} are outside the float range")
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
-    norm = spec_norm_bound(a.spec) if isinstance(a, MatrixModel) else np.abs(a).sum(axis=1).max()
     with np.errstate(over="ignore"):
-        scale = float(np.abs(lam).max() + norm)
+        scale = float(np.abs(lam).max() + _norm_bound(a))
     if not math.isfinite(scale):
         raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
     return lam
 
 
-def default_region(norm_bound: float, margin: float, inputs: str) -> Region:
+def default_region(norm_bound: float, margin: float, inputs: str,
+                   grid_norm: Optional[float] = None) -> Region:
     """Square of half-width r = norm_bound + 2*margin (1 for r = 0) centered
-    at 0. 2r + norm_bound bounds what _grid_nodes checks; past the floats,
-    it is refused with InvalidInput naming the caller's inputs."""
+    at 0. 2r + grid_norm, the _norm_bound of the operands (norm_bound if
+    None), bounds what _grid_nodes checks; past the floats, it is refused
+    with InvalidInput naming the caller's inputs."""
     r = float(norm_bound) + 2.0 * float(margin)
-    if not math.isfinite(2 * r + float(norm_bound)):
+    if not math.isfinite(2 * r + float(norm_bound if grid_norm is None else grid_norm)):
         raise InvalidInput(f"the default region is outside the float range: {inputs}")
     if r <= 0:
         r = 1.0
@@ -170,14 +174,12 @@ def _hermitian_array(A: np.ndarray) -> np.ndarray:
     return a
 
 
-def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
-                 jobs: int = 1) -> PseudospectrumGrid:
+def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
-    module docstring; the band route shares its chunks among jobs threads."""
+    module docstring; the band route solves consecutive chunks of points,
+    each written into its slice of one output."""
     a = A if isinstance(A, MatrixModel) else _hermitian_array(A)
     lam = _grid_nodes(a, region, resolution)
-    if jobs < 1:
-        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
 
     spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (_band_eigenvalues(a), 1)
     if spectrum is not None:
@@ -185,7 +187,9 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int],
     else:
         gram = _gram_band(a)
         chunk = max(1, min(_BAND_POINTS, _CHUNK_BUDGET // gram.gram.size))
-        out = _pooled(lambda lam_c: _banded_sigma_min(gram, lam_c), lam, chunk, jobs)
+        out = np.empty(lam.size, dtype=np.float64)
+        for start in range(0, lam.size, chunk):
+            out[start:start + chunk] = _banded_sigma_min(gram, lam[start:start + chunk])
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
@@ -219,28 +223,6 @@ def _spectrum_distances(values: np.ndarray, r: complex, lam: np.ndarray) -> np.n
     if np.iscomplexobj(values):
         return _nearest_distances(lam, values)
     return _hermitian_distances(values, lam if r == 1 else lam * r.conjugate())
-
-
-def _pooled(kernel, lam: np.ndarray, chunk: int, jobs: int) -> np.ndarray:
-    """kernel over consecutive chunks of lam, writing disjoint slices of
-    one output: on a pool of jobs threads, or, for one job, in the calling
-    thread (a worker thread's malloc arena would keep the freed chunk
-    arrays resident, 2.4 MiB of peak RSS on a 256x256 grid at q = 8)."""
-    out = np.empty(lam.size, dtype=np.float64)
-
-    def run(start: int) -> None:
-        out[start:start + chunk] = kernel(lam[start:start + chunk])
-
-    starts = range(0, lam.size, chunk)
-    if jobs == 1:
-        for start in starts:
-            run(start)
-    else:  # concurrent.futures loads queue and logging: only a pool needs them
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, starts))
-    return out
 
 
 def level_set(grid: PseudospectrumGrid, epsilon: float) -> np.ndarray:
@@ -299,12 +281,13 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
     norms = operator_norm(s), operator_norm(t)
     region = gp.region or default_region(
         max(norms), epsilon / 2 + delta + 0.25,
-        f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
+        f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}",
+        max(_norm_bound(s), _norm_bound(t)))
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
     outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
 
-    grid_s = compute_grid(s, region, gp.resolution, gp.jobs)
-    grid_t = compute_grid(t, region, gp.resolution, gp.jobs)
+    grid_s = compute_grid(s, region, gp.resolution)
+    grid_t = compute_grid(t, region, gp.resolution)
     lam = grid_s.lambda_grid()
     slack = 1e-7 * (max(norms) + float(np.max(np.abs(lam))))
 

@@ -410,7 +410,7 @@ class TestCertifyPseudospectrum:
         monkeypatch.setattr(approx, "sharp_bound", lambda *args: eps_n)
         monkeypatch.setattr(approx, "clean_bound", lambda *args: eps_n)
 
-        def flat_grid(a, region, resolution, jobs=1):
+        def flat_grid(a, region, resolution):
             return PseudospectrumGrid(region=region, resolution=resolution,
                                       sigma_min_values=np.full(resolution, level))
 

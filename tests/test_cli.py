@@ -1040,9 +1040,9 @@ class TestLazyScipy:
 class TestLazyStdlib:
     """hashlib loads OpenSSL's libcrypto, which no command loads: the
     sandwich report's fingerprints use CPython's built-in SHA-256.
-    concurrent.futures loads queue and logging, and is imported by its one
-    user, the jobs > 1 branch of pseudospectra._pooled. Each check runs in
-    a fresh interpreter."""
+    concurrent.futures loads queue and logging, and no command loads it:
+    every grid runs in one thread at any --jobs. Each check runs in a
+    fresh interpreter."""
 
     SRC = Path(__file__).resolve().parents[1] / "src"
     LOADED = "print(sorted(m for m in ('_hashlib', 'concurrent.futures') if m in sys.modules))\n"
@@ -1058,7 +1058,7 @@ class TestLazyStdlib:
         argv = ["converge", "--theta", GOLDEN, "--n-range", "3:5", "--out-dir", str(tmp_path)]
         assert self.run(f"assert cli.main({argv!r}) == 0\n{self.LOADED}") == ["[]", "[]"]
 
-    def test_pool_writes_the_bytes_of_one_job(self, tmp_path):
+    def test_jobs_2_loads_no_pool_and_writes_the_bytes_of_jobs_1(self, tmp_path):
         # 64 x 40 points at q = 3 and 5 make two chunks of the band route
         base = ["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "4",
                 "--epsilon", "0.5", "--resolution", "64", "40",
@@ -1066,7 +1066,7 @@ class TestLazyStdlib:
         runs = [base + ["--jobs", str(jobs), "--out-dir", str(tmp_path / str(jobs))]
                 for jobs in (1, 2)]
         body = "".join(f"assert cli.main({argv!r}) == 0\n{self.LOADED}" for argv in runs)
-        assert self.run(body) == ["[]", "[]", "['concurrent.futures']"]
+        assert self.run(body) == ["[]", "[]", "[]"]
         one, two = (sorted((tmp_path / str(jobs)).iterdir()) for jobs in (1, 2))
         assert [p.name for p in one] == [p.name for p in two] and len(one) == 5
         for a, b in zip(one, two):

@@ -76,25 +76,9 @@ class TestComputeGrid:
         assert np.allclose(re, [-2, -1, 0, 1, 2])
         assert np.allclose(im, [-1, 0, 1])
 
-    def test_jobs_do_not_change_bytes(self):
-        # distances (Hermitian q=5, the normal classes at q=89), the band
-        # of U+2V and of the wider WIDE at q=89, one chunk each
-        cases = (
-            (build_operator(CANONICAL, 2, 5), (-4, 4, -1, 1), (32, 16), (1, 2, 8)),
-            *((build_operator(spec, 55, 89), (-3.5, 3.5, -3.5, 3.5), (33, 31), (1, 2, 3))
-              for spec in NORMAL_CLASSES),
-            (build_operator(U_PLUS_2V, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
-            (build_operator(WIDE, 55, 89), (-3.5, 3.5, -3.5, 3.5), (10, 10), (1, 2, 3)),
-        )
-        for h, region, resolution, jobs in cases:
-            grids = [compute_grid(h, region, resolution, jobs=j) for j in jobs]
-            base = "".join(grid_to_csv(grids[0]))
-            for g in grids[1:]:
-                assert "".join(grid_to_csv(g)) == base
-
     def test_values_match_pointwise_svd(self):
         model = build_operator(U_PLUS_2V, 55, 89)
-        grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), (10, 10), jobs=3)
+        grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), (10, 10))
         h = dense_matrix(model)
         lam = grid.lambda_grid()
         for i, j in np.ndindex(*grid.resolution):
@@ -135,9 +119,6 @@ class TestComputeGrid:
         for region in ((0, np.inf, -1, 1), (-1, 1, np.nan, 1)):
             with pytest.raises(InvalidInput):
                 compute_grid(np.eye(2), region, (4, 4))
-        for jobs in (0, -2):
-            with pytest.raises(InvalidInput):
-                compute_grid(np.eye(2), (-1, 1, -1, 1), (4, 4), jobs=jobs)
 
     def test_nodes_past_the_float_range_are_refused(self):
         # an overflowing axis step, and a |lambda| + ||A|| past the float
@@ -296,15 +277,30 @@ class TestBandRoute:
         with pytest.raises(InvalidInput, match="sum \\|c\\| = inf of the spec is outside"):
             OperatorSpec.general([(1, 1, 1e308), (2, 0, 1e308)])
 
-    def test_jobs_across_chunk_boundaries(self):
+    def test_chunk_boundaries_match_pointwise_svd(self, monkeypatch):
         # 2112 points at q = 8 are chunks of 2048 + 64 (the point cap);
-        # 625 points at q = 144 are 606 + 19 (the 4 MiB array budget)
-        for p, q, resolution in ((3, 8, (64, 33)), (89, 144, (25, 25))):
+        # 625 points at q = 144 are 606 + 19 (the 4 MiB array budget). The
+        # two points on either side of each boundary, and the grid's first
+        # and last, must land in their own slots of the one output
+        chunks = []
+        real_sigma_min = psp._banded_sigma_min
+
+        def recording(gram, lam):
+            chunks.append(lam.size)
+            return real_sigma_min(gram, lam)
+
+        monkeypatch.setattr(psp, "_banded_sigma_min", recording)
+        for p, q, resolution, sizes in ((3, 8, (64, 33), [2048, 64]),
+                                        (89, 144, (25, 25), [606, 19])):
             model = build_operator(U_PLUS_2V, p, q)
-            texts = ["".join(grid_to_csv(compute_grid(model, (-3.5, 3.5, -3.5, 3.5),
-                                                      resolution, jobs=j)))
-                     for j in (1, 2, 3)]
-            assert texts[0] == texts[1] == texts[2]
+            chunks.clear()
+            grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), resolution)
+            assert chunks == sizes
+            at = np.array([0, sizes[0] - 2, sizes[0] - 1, sizes[0], sizes[0] + 1,
+                           sum(sizes) - 1])
+            ref = pointwise_svd(dense_matrix(model), grid.lambda_grid().ravel()[at])
+            got = grid.sigma_min_values.ravel()[at]
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_value_outside_the_bracket_is_a_convergence_failure(self, monkeypatch):
         # with no inverse iteration the start vector's ||Bx||/||x|| is
@@ -642,8 +638,8 @@ class TestSandwich:
         real_compute = psp.compute_grid
         calls = {}
 
-        def corrupting(a, region, resolution, jobs=1):
-            grid = real_compute(a, region, resolution, jobs)
+        def corrupting(a, region, resolution):
+            grid = real_compute(a, region, resolution)
             tag = len(calls)
             calls[tag] = grid
             if tag == 1:  # second call = grid of T in sandwich_check
@@ -718,6 +714,23 @@ class TestSandwich:
         assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, given).passed
         assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, derived).passed
 
+    def test_default_region_bounds_the_largest_row_sum(self, monkeypatch):
+        # the symmetric Hadamard matrix H has ||H|| = 2 and row sums 4: at
+        # 2.7e307 H, twice the half-width plus the norm fits the floats,
+        # but the grid adds the largest absolute row sum to max |lambda|,
+        # so the derived region must be refused, naming the norms, before
+        # any grid; the region of an in-range input is the same as before
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
+        derived = GridParams(resolution=(4, 4))
+        with monkeypatch.context() as m:
+            m.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            with pytest.raises(InvalidInput, match=r"the default region is outside the float "
+                               r"range: \|\|S\|\| = 5\.400000e\+307, \|\|T\|\| = 5\.4"):
+                sandwich_check(2.7e307 * h, 2.7e307 * h, 0.5, derived)
+        report = sandwich_check(h, h, 0.5, derived)
+        # ||H|| + epsilon + 2 delta + 1/2, not the row sum 4 + 1
+        assert report.region == pytest.approx((-3, 3, -3, 3), rel=1e-12)
+
     def test_levels_outside_the_float_range_are_refused_before_any_grid(self, monkeypatch):
         # on a given region, epsilon + 2 delta = 2e308 is refused before
         # the grids of S and T are computed, not after
@@ -747,7 +760,7 @@ class TestSandwich:
         sig_s[:, n // 2:] = float_up(outer)    # middle (sig_t = 0) within outer
         grids = iter((sig_s, sig_t))
 
-        def planted(a, region, resolution, jobs=1):
+        def planted(a, region, resolution):
             return PseudospectrumGrid(region=region, resolution=resolution,
                                       sigma_min_values=next(grids))
 

@@ -346,19 +346,28 @@ def test_only_the_sandwich_hashes():
     assert callers == {"approx.py:certify_pseudospectrum"}, callers
 
 
-def test_no_module_level_thread_pool():
-    # concurrent.futures loads queue and logging; only a banded grid
-    # at jobs above 1 uses a pool, so only a function body imports it
-    found = []
-    for path, tree in _trees():
-        inside = {id(node) for fn in ast.walk(tree)
-                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  for node in ast.walk(fn)}
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if id(node) not in inside
-                  and (_imports(node, "concurrent.futures")
-                       or isinstance(node, ast.ImportFrom) and node.module == "concurrent")]
-    assert not found, f"module-level imports of concurrent.futures: {found}"
+_PARALLEL = {"concurrent", "threading", "multiprocessing"}
+
+
+def _parallel_imports(tree) -> list[int]:
+    """Lines of imports of concurrent.futures, threading or multiprocessing
+    (or any of their submodules), at module level or in a function body."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            and any(a.name.partition(".")[0] in _PARALLEL for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.partition(".")[0] in _PARALLEL]
+
+
+def test_nothing_imports_threads_or_processes():
+    # every grid runs in the calling thread: the band route's numpy loop
+    # holds the GIL, and a thread pool never ran faster than one thread.
+    # The check sees an import inside a function as well
+    planted = ast.parse("def f():\n    from concurrent.futures import ThreadPoolExecutor\n"
+                        "    import threading\n    import multiprocessing.pool\n")
+    assert _parallel_imports(planted) == [2, 3, 4]
+    found = [f"{path.name}:{line}" for path, tree in _trees() for line in _parallel_imports(tree)]
+    assert not found, f"imports of concurrent.futures, threading or multiprocessing: {found}"
 
 
 # tests of a float against the top of the float range
