@@ -19,6 +19,10 @@ exactly (else NotHermitian), on one of two routes that no option picks:
 * a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
   Gram half-bandwidth, on numpy only, without the model's dense matrix.
+  One call takes all of the grid's nodes: it solves them in chunks of
+  at most 4 MiB of working arrays, then redoes the points whose values
+  failed to verify in one fallback stage, so a fallback costs about its
+  points' share of a chunk's pass.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .errors import InvalidInput, NotHermitian
 from .exact import float_up
 from .matmodel import MatrixModel, spec_norm_bound
 from .spectral import (
+    _CHUNK_BUDGET,
     MatrixLike,
     _band_eigenvalues,
     _banded_sigma_min,
@@ -46,8 +51,6 @@ from .spectral import (
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
 DEFAULT_RESOLUTION = (256, 256)
-_CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB
-_BAND_POINTS = 2048      # points per banded chunk, so small orders keep small arrays
 _CSV_LINES = 4096        # cloud points per serialized piece
 
 
@@ -176,8 +179,7 @@ def _hermitian_array(A: np.ndarray) -> np.ndarray:
 
 def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
-    module docstring; the band route solves consecutive chunks of points,
-    each written into its slice of one output."""
+    module docstring; the band route is one call on all the nodes."""
     a = A if isinstance(A, MatrixModel) else _hermitian_array(A)
     lam = _grid_nodes(a, region, resolution)
 
@@ -185,11 +187,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> 
     if spectrum is not None:
         out = _spectrum_distances(*spectrum, lam)
     else:
-        gram = _gram_band(a)
-        chunk = max(1, min(_BAND_POINTS, _CHUNK_BUDGET // gram.gram.size))
-        out = np.empty(lam.size, dtype=np.float64)
-        for start in range(0, lam.size, chunk):
-            out[start:start + chunk] = _banded_sigma_min(gram, lam[start:start + chunk])
+        out = _banded_sigma_min(_gram_band(a), lam)
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),

@@ -46,10 +46,11 @@ sigma_min(B) > t exactly when G - t^2 I is positive definite, G = B* B,
 and G is a Hermitian band of half-bandwidth at most 4J, so a band
 Cholesky decides each t in O(q * J^2). Halvings on that test bracket
 sigma_min, inverse iteration gives the value v = ||Bx||, and two more
-factorizations verify it (Rump, BIT 46 (2006) 433-452): below q = 64 a
-point costs 23 factorizations and 3 band solves, where the whole
-44-halving bisection took 45. The kernel is vectorized over the grid
-points of a chunk.
+factorizations verify it (Rump, BIT 46 (2006) 433-452): at q = 8 a
+point costs 15 factorizations and 3 band solves, where the whole
+44-halving bisection took 45. The kernel takes all of a grid's nodes,
+vectorized over the points of each chunk, and redoes the points that
+fail to verify in one fallback stage after the last chunk.
 
 LAPACK is reached through one handle, _lapack(): scipy's f2py extension
 scipy.linalg._flapack, whose functions scipy.linalg.lapack re-exports,
@@ -253,23 +254,20 @@ def smallest_singular_value(A: np.ndarray) -> float:
 
 _HALVINGS = 44        # bisection steps on sigma inside [0, smallest column norm]
 _INVERSE_STEPS = 3    # shifted inverse-iteration steps after the bisection
-# The fewest halvings every point runs before its first inverse
-# iteration (see _coarse_halvings); the rest run only where the value
-# fails to verify. On U+2V at every 31st point of a 256x256 grid of
-# [-4, 4]^2, 16 / 18 / 20 / 22 / 24 of them left 166 / 76 / 57 / 50 / 44
-# of 2114 points to fall back at q = 89 and 63 / 18 / 6 / 2 / 1 of 576 at
-# q = 144: 20 is past the knee.
-_COARSE_HALVINGS = 20
+_CHUNK_BUDGET = 1 << 18  # complex entries per working array: 4 MiB
+_BAND_POINTS = 2048      # points per banded chunk, so small orders keep small arrays
 # In the units of the scaled B, where |mu| + kappa = 1 and G is formed to
 # about 1e-15: the shift below zero when no bisection test passed, and
 # the widening of the bracket, in sigma^2, before a value counts as outside.
 _SHIFT_FLOOR = 1e-13
 _BRACKET_SLACK = 2.0 ** -36
 # The relative gap, in sigma^2, between the squared value and each
-# verifying test, below _BRACKET_SLACK for every scaled value <= 1. On the
-# points above, 2^-38 / 2^-40 / 2^-42 left 47 / 57 / 87 of 2114 points to
-# fall back at q = 89 and 0 / 2 / 4 at q = 8; at 2^-40 a verified value
-# is within 4.6e-13 of sigma_min, relative, for a few more fallbacks.
+# verifying test, below _BRACKET_SLACK for every scaled value <= 1. On U+2V
+# at every 31st point of a 256x256 grid of [-4, 4]^2, 2^-38 / 2^-40 /
+# 2^-42 left 40 / 56 / 80 of 2115 points to fall back at q = 89 and 11 /
+# 16 / 23 at q = 8 (after the counts of _coarse_halvings); at 2^-40 a
+# verified value is within 4.6e-13 of sigma_min, relative, for a few more
+# fallbacks.
 _VERIFY_GAP = 2.0 ** -40
 
 
@@ -355,18 +353,24 @@ def _band_cholesky(diagonal: np.ndarray, off: np.ndarray) -> Callable[
 
 
 def _band_solve(inv: np.ndarray, f: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(L L*)^{-1} x for each point's band factor (inv, f) from _band_cholesky."""
-    q, w, _ = f.shape
+    """(L L*)^{-1} x for each point's band factor (inv, f) from _band_cholesky.
+    Each column's conjugates and products go into one (w, points) buffer
+    and each row's sum into one more, so the loops allocate nothing."""
+    q, w, points = f.shape
     y = x.copy()
+    buffer = np.empty((w, points), dtype=f.dtype)
+    total = np.empty(points, dtype=f.dtype)
     for j in range(q):  # L y = x, by columns
         y[j] *= inv[j]
         m = min(w, q - 1 - j)
         if m:
-            y[j + 1:j + m + 1] -= f[j, :m] * y[j]
+            y[j + 1:j + m + 1] -= np.multiply(f[j, :m], y[j], out=buffer[:m])
     for j in range(q - 1, -1, -1):  # L* z = y, by rows
         m = min(w, q - 1 - j)
         if m:
-            y[j] -= (f[j, :m].conj() * y[j + 1:j + m + 1]).sum(axis=0)
+            product = np.conjugate(f[j, :m], out=buffer[:m])
+            product *= y[j + 1:j + m + 1]
+            y[j] -= product.sum(axis=0, out=total)
         y[j] *= inv[j]
     return y
 
@@ -399,16 +403,44 @@ def _column_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _coarse_halvings(q: int) -> int:
-    """The halvings before the first inverse iteration at order q: 20, or
-    14 + the bit length of q when that is more. The singular values next
-    to sigma_min crowd together about like 1/q, so the bracket must narrow
-    with q for three inverse steps to reach the verifying gap. On U+2V at
-    the points of a 12x12 grid of [-4, 4]^2, 20 halvings left 2 / 2 / 5 /
-    37 / 70 of 144 points to fall back at q = 233 / 377 / 610 / 987 /
-    1597, and the counts this gives, 22 / 23 / 24 / 24 / 25, left none. A
-    fallback's column loop costs nearly as much per factorization as the
-    whole chunk's, so a chunk should rarely have one."""
-    return max(_COARSE_HALVINGS, 14 + q.bit_length())
+    """The halvings every point runs before its first inverse iteration at
+    order q: 2 * bits + 4 below q = 64 and 14 + bits from there, bits the
+    bit length of q; the rest of the 44 run only where the value fails to
+    verify. The singular values next to sigma_min crowd together about
+    like 1/q, so the bracket must narrow with q for three inverse steps to
+    reach the verifying gap. As the points that fail are redone together
+    after the last chunk, a fallback costs about its points' share of a
+    pass, and the count sits at the knee of the time against fallbacks.
+    On the 65536 points of a 256x256 grid of [-4, 4]^2, c halvings left
+    these points to fall back, for U + 2V, FOUR = U + 0.5i U* + 2V +
+    (-0.3 + 0.1i) V* and PHASE = U + 2V with the unit phases that
+    random.Random(3) draws for the benchmark's seed 3:
+
+      c =            8      10     12     14     16     20
+      U+2V   q = 5   11412  1029   125    32     20     15
+             q = 8   21713  4046   454    190    97     37
+             q = 13  36242  11001  2827   837    416    137
+             q = 34  57148  38886  13333  4235   2119   1069
+      FOUR   q = 5   10718  527    11     11     11     11
+             q = 8   22098  3644   55     23     23     23
+             q = 13  36706  10058  1567   94     38     38
+             q = 34  57435  39304  12698  2767   621    124
+      PHASE  q = 5   6956   209    16     16     16     16
+             q = 8   19684  2749   32     18     18     18
+             q = 13  36256  11137  2504   58     30     30
+             q = 34  56939  38311  10561  1806   384    77
+
+    2 * bits + 4 gives 10 / 12 / 12 / 16 there, at or just past the
+    knee; U+2V's grid at q = 5 and 8 took 0.195 / 0.443 s at those counts
+    against 0.252 / 0.552 s at 20 (best of two on a 2-vCPU Xeon). From q
+    = 64 on: on U+2V at every 31st point of a 256x256 grid of [-4, 4]^2,
+    16 / 18 / 20 / 22 / 24 halvings left 166 / 76 / 57 / 50 / 44 of 2114
+    points to fall back at q = 89 and 63 / 18 / 6 / 2 / 1 of 576 at q =
+    144, and at the points of a 12x12 grid 20 halvings left 2 / 2 / 5 /
+    37 / 70 of 144 at q = 233 / 377 / 610 / 987 / 1597, where 14 + bits,
+    22 / 23 / 24 / 24 / 25, left none."""
+    bits = q.bit_length()
+    return 2 * bits + 4 if q < 64 else 14 + bits
 
 
 def _gram_stack(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,13 +494,25 @@ def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: n
     return lo, hi, _column_norms(bx)
 
 
-def _verified(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Whether G - v^2 (1 - gap) I factors and G - v^2 (1 + gap) I does
-    not, v the value. As v = ||Bx|| >= sigma_min for a unit x, the two
-    tests put sigma_min^2 in (v^2 (1 - gap), v^2 (1 + gap))."""
-    cholesky = _band_cholesky(*_gram_stack(gb, mu, kappa))
-    square = value * value
-    return cholesky(square * (1 - _VERIFY_GAP))[2] & ~cholesky(square * (1 + _VERIFY_GAP))[2]
+def _scaled(gb: _GramBand, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scale s = |lam| + norm of each point, and mu = lam / s, kappa = norm / s."""
+    s = np.abs(lam) + gb.norm
+    return s, lam / s, gb.norm / s
+
+
+def _bracketed(lam: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               value: np.ndarray, checked: Union[bool, np.ndarray] = True) -> np.ndarray:
+    """s * value, or ConvergenceFailure for the first checked value outside
+    its bisection bracket, widened by the test's rounding."""
+    inside = ((value * value >= lo * lo - _BRACKET_SLACK)
+              & (value * value <= hi * hi + _BRACKET_SLACK))
+    bad = np.flatnonzero(checked & ~inside)
+    if bad.size:
+        bad = bad[0]
+        raise ConvergenceFailure(
+            f"banded sigma_min {s[bad] * value[bad]:.17g} at lambda={lam[bad]} lies "
+            f"outside its bisection bracket [{s[bad] * lo[bad]:.17g}, {s[bad] * hi[bad]:.17g}]")
+    return s * value
 
 
 def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
@@ -476,35 +520,48 @@ def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
 
     B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
     number near 1 for any coefficient scale. sigma_min(B) > t holds when
-    G - t^2 I, G = B* B, has a Cholesky factor. _coarse_halvings(q)
-    halvings of [0, smallest column norm of B] bracket sigma_min by that
-    test; three steps of inverse iteration with the factor at the last
-    passing shift then give a unit vector x and the value v = ||Bx||, so
-    sigma_min is never squared. Two more tests verify v: G - v^2 (1 -
-    2^-40) I must factor and G - v^2 (1 + 2^-40) I must not. A point that
-    fails either resumes its bisection for the rest of the 44 halvings and
-    redoes the inverse iteration, which gives the value of a 44-halving
-    bisection bit for bit. A value outside its bisection bracket, widened
-    by the test's rounding, is a ConvergenceFailure."""
-    s = np.abs(lam) + gb.norm
-    mu, kappa = lam / s, gb.norm / s
+    G - t^2 I, G = B* B, has a Cholesky factor. The points run in chunks
+    of at most _BAND_POINTS whose stacks fit _CHUNK_BUDGET. In each chunk,
+    _coarse_halvings(q) halvings of [0, smallest column norm of B] bracket
+    sigma_min by that test; three steps of inverse iteration with the
+    factor at the last passing shift then give a unit vector x and the
+    value v = ||Bx||, so sigma_min is never squared. Two more tests verify
+    v: G - v^2 (1 - 2^-40) I must factor and G - v^2 (1 + 2^-40) I must
+    not. The points that fail either keep their index and bracket, and
+    after the last chunk they resume their bisections together, chunked
+    the same way, for the rest of the 44 halvings and redo the inverse
+    iteration, which gives the value of a 44-halving bisection bit for
+    bit. A value outside its bisection bracket, widened by the test's
+    rounding, is a ConvergenceFailure."""
+    chunk = max(1, min(_BAND_POINTS, _CHUNK_BUDGET // gb.gram.size))
     coarse = _coarse_halvings(gb.gram.shape[0])
-    lo, hi, value = _bisect_and_iterate(gb, lam, mu, kappa, np.zeros(lam.size),
-                                        np.full(lam.size, np.inf), coarse)
-    redo = np.flatnonzero(~_verified(gb, mu, kappa, value))
-    if redo.size:
+    out = np.empty(lam.size)
+    redo = []  # (indices, lo, hi) of each chunk's points that failed to verify
+    for start in range(0, lam.size, chunk):
+        part = lam[start:start + chunk]
+        s, mu, kappa = _scaled(gb, part)
+        lo, hi, value = _bisect_and_iterate(gb, part, mu, kappa, np.zeros(part.size),
+                                            np.full(part.size, np.inf), coarse)
+        cholesky = _band_cholesky(*_gram_stack(gb, mu, kappa))
+        square = value * value
+        verified = (cholesky(square * (1 - _VERIFY_GAP))[2]
+                    & ~cholesky(square * (1 + _VERIFY_GAP))[2])
+        del cholesky  # before the next chunk builds its stacks
+        out[start:start + chunk] = _bracketed(part, s, lo, hi, value, verified)
+        failed = np.flatnonzero(~verified)
+        if failed.size:
+            redo.append((failed + start, lo[failed], hi[failed]))
+    if not redo:
+        return out
+    index, lo, hi = (np.concatenate(a) for a in zip(*redo))
+    for start in range(0, index.size, chunk):
         # numpy's loops along an axis of length 1 round differently (no
         # fused multiply-add, pairwise sums), so a lone point is redone
         # beside a copy of itself, as in a chunk of the full bisection
-        redo = np.resize(redo, max(redo.size, 2))
-        lo[redo], hi[redo], value[redo] = _bisect_and_iterate(
-            gb, lam[redo], mu[redo], kappa[redo], lo[redo], hi[redo],
-            _HALVINGS - coarse)
-    inside = ((value * value >= lo * lo - _BRACKET_SLACK)
-              & (value * value <= hi * hi + _BRACKET_SLACK))
-    if not inside.all():
-        bad = np.flatnonzero(~inside)[0]
-        raise ConvergenceFailure(
-            f"banded sigma_min {s[bad] * value[bad]:.17g} at lambda={lam[bad]} lies "
-            f"outside its bisection bracket [{s[bad] * lo[bad]:.17g}, {s[bad] * hi[bad]:.17g}]")
-    return s * value
+        at = np.arange(start, min(start + chunk, index.size))
+        at = np.resize(at, max(at.size, 2))
+        part = lam[index[at]]
+        s, mu, kappa = _scaled(gb, part)
+        out[index[at]] = _bracketed(part, s, *_bisect_and_iterate(
+            gb, part, mu, kappa, lo[at], hi[at], _HALVINGS - coarse))
+    return out

@@ -280,25 +280,25 @@ class TestBandRoute:
     def test_chunk_boundaries_match_pointwise_svd(self, monkeypatch):
         # 2112 points at q = 8 are chunks of 2048 + 64 (the point cap);
         # 625 points at q = 144 are 606 + 19 (the 4 MiB array budget). The
-        # two points on either side of each boundary, and the grid's first
-        # and last, must land in their own slots of the one output
-        chunks = []
-        real_sigma_min = psp._banded_sigma_min
-
-        def recording(gram, lam):
-            chunks.append(lam.size)
-            return real_sigma_min(gram, lam)
-
-        monkeypatch.setattr(psp, "_banded_sigma_min", recording)
+        # chunks' coarse passes take the nodes in order, the fallback
+        # passes follow them, and the two points on either side of each
+        # boundary, and the grid's first and last, must land in their own
+        # slots of the one output
+        passes = self.spy_passes(monkeypatch)
         for p, q, resolution, sizes in ((3, 8, (64, 33), [2048, 64]),
                                         (89, 144, (25, 25), [606, 19])):
             model = build_operator(U_PLUS_2V, p, q)
-            chunks.clear()
+            passes.clear()
             grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), resolution)
-            assert chunks == sizes
+            nodes = grid.lambda_grid().ravel()
+            chunks = [lam for _, lam in passes[:len(sizes)]]
+            assert [lam.size for lam in chunks] == sizes
+            assert np.array_equal(np.concatenate(chunks), nodes)
+            rest = spectral._HALVINGS - spectral._coarse_halvings(q)
+            assert [h for h, _ in passes[len(sizes):]] == [rest] * (len(passes) - len(sizes))
             at = np.array([0, sizes[0] - 2, sizes[0] - 1, sizes[0], sizes[0] + 1,
                            sum(sizes) - 1])
-            ref = pointwise_svd(dense_matrix(model), grid.lambda_grid().ravel()[at])
+            ref = pointwise_svd(dense_matrix(model), nodes[at])
             got = grid.sigma_min_values.ravel()[at]
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
@@ -322,6 +322,15 @@ class TestBandRoute:
 
         monkeypatch.setattr(spectral, "_bisect_and_iterate", recording)
         return passes
+
+    @classmethod
+    def full_bisection(cls, monkeypatch, model, lam):
+        """The values of a run whose coarse passes are the whole bisection.
+        Its fallbacks run no halving, so they redo the same inverse
+        iteration on the same brackets and keep the same values."""
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_coarse_halvings", lambda q: spectral._HALVINGS)
+            return cls.banded(model, lam)
 
     @pytest.mark.parametrize("planted", (1.01, 0.99))
     def test_planted_value_fails_verification_then_the_bracket(self, monkeypatch, planted):
@@ -349,8 +358,7 @@ class TestBandRoute:
         # at and near eigenvalues the verifying tests sit at rounding level
         # and fail, while grid points beside them verify. A point that
         # falls back, with others or alone, must get the value of a run
-        # whose coarse pass is the whole bisection and whose values all
-        # count as verified, bit for bit
+        # whose coarse pass is the whole bisection, bit for bit
         passes = self.spy_passes(monkeypatch)
         partial = lone = False
         for spec in (U_PLUS_2V, FOUR_TERM, WIDE):
@@ -369,13 +377,43 @@ class TestBandRoute:
                     redone = np.isin(lam, passes[1][1] if len(passes) > 1 else [])
                     partial |= 1 < redone.sum() < lam.size
                     lone |= redone.sum() == 1
-                    with monkeypatch.context() as m:
-                        m.setattr(spectral, "_COARSE_HALVINGS", spectral._HALVINGS)
-                        m.setattr(spectral, "_verified",
-                                  lambda gb, mu, kappa, value: np.ones(value.size, dtype=bool))
-                        full = self.banded(model, lam)
+                    full = self.full_bisection(monkeypatch, model, lam)
                     assert np.array_equal(got[redone], full[redone])
         assert partial and lone
+
+    def test_one_fallback_pass_for_the_failures_of_every_chunk(self, monkeypatch):
+        # q = 8 takes chunks of 2048 points: a node list of three chunks
+        # with eigenvalues (whose verifying tests sit at rounding level
+        # and fail) in each runs three coarse passes and one fallback pass
+        # over the failures of all three; each redone value is the full
+        # bisection's, bit for bit, and the pointwise SVD's
+        model = build_operator(U_PLUS_2V, 3, 8)
+        eigs = np.linalg.eigvals(dense_matrix(model))
+        re = np.linspace(-3.7, 3.1, 96)
+        lam = (re[:, None] + 1j * np.linspace(-3.3, 3.5, 64)[None, :]).ravel()
+        at = np.arange(eigs.size) * 733 + 5  # 5, 738, ..., 5136: chunks 0, 0, 0, 1, 1, 1, 2, 2
+        lam[at] = eigs
+        passes = self.spy_passes(monkeypatch)
+        got = self.banded(model, lam)
+        coarse = spectral._coarse_halvings(8)
+        assert [h for h, _ in passes] == [coarse] * 3 + [spectral._HALVINGS - coarse]
+        redone = np.flatnonzero(np.isin(lam, passes[3][1]))
+        assert np.isin(at, redone).all() and np.unique(redone // 2048).size == 3
+        assert np.array_equal(got[redone], self.full_bisection(monkeypatch, model, lam)[redone])
+        self.assert_matches_svd(model, lam[redone], got[redone])
+
+    @pytest.mark.parametrize("p, q, coarse, cap", ((3, 5, 10, 51), (5, 8, 12, 31),
+                                                   (8, 13, 12, 147)))
+    def test_coarse_halvings_and_fallbacks_below_64(self, monkeypatch, p, q, coarse, cap):
+        # U+2V on a 64x64 grid of [-4, 4]^2 is two chunks of 2048 points;
+        # 2 * bits + 4 coarse halvings left 51 / 31 / 147 of its 4096
+        # points to fall back at q = 5 / 8 / 13, in one pass: a retune
+        # that multiplies the fallbacks fails here
+        passes = self.spy_passes(monkeypatch)
+        compute_grid(build_operator(U_PLUS_2V, p, q), (-4, 4, -4, 4), (64, 64))
+        assert spectral._coarse_halvings(q) == coarse
+        assert [h for h, _ in passes] == [coarse, coarse, spectral._HALVINGS - coarse]
+        assert passes[2][1].size <= cap
 
     def test_band_arrays_stay_within_4_mib(self, monkeypatch):
         passes = self.spy_passes(monkeypatch)
@@ -395,7 +433,8 @@ class TestBandRoute:
         monkeypatch.setattr(spectral, "_band_cholesky", recording)
         # 625 points at q = 144 are two chunks (606 + 19); 88 points at
         # q = 987 are one full chunk
-        for p, q, resolution, chunks in ((89, 144, (25, 25), 2), (610, 987, (11, 8), 1)):
+        for p, q, resolution, chunk, chunks in ((89, 144, (25, 25), 606, 2),
+                                                (610, 987, (11, 8), 88, 1)):
             model = build_operator(U_PLUS_2V, p, q)
             passes.clear()
             sizes.clear()
@@ -406,13 +445,15 @@ class TestBandRoute:
             finally:
                 tracemalloc.stop()
             # per chunk, the coarse halvings, the factor for inverse
-            # iteration and the two verifying tests; per fallback, the
-            # remaining halvings and its own factor
+            # iteration and the two verifying tests; per fallback pass, the
+            # remaining halvings and its own factor, one pass per chunk of
+            # the points that failed to verify in any chunk
             coarse = spectral._coarse_halvings(q)
             rest = spectral._HALVINGS - coarse
-            fallbacks = len(passes) - chunks
-            assert sorted(h for h, _ in passes) == sorted([coarse] * chunks + [rest] * fallbacks)
-            assert len(sizes) == chunks * (coarse + 1 + 2) + fallbacks * (rest + 1)
+            fallbacks = sum(lam.size for _, lam in passes[chunks:])
+            fallback_passes = -(-fallbacks // chunk)
+            assert [h for h, _ in passes] == [coarse] * chunks + [rest] * fallback_passes
+            assert len(sizes) == chunks * (coarse + 1 + 2) + fallback_passes * (rest + 1)
             assert max(sizes) <= 4 << 20
             # the Gram stack and its factor, then vectors; one dense
             # matrix at q = 987 alone is 14.9 MiB

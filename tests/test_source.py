@@ -39,6 +39,31 @@ def test_one_function_calls_the_svd():
     assert svd_callers == {"spectral.py:_singular_values"}
 
 
+def test_one_function_runs_the_band_passes():
+    # the band route's chunks and its one fallback stage live in
+    # _banded_sigma_min, which takes all of a grid's nodes: compute_grid
+    # calls it once per grid, outside any loop, so no caller chunks the
+    # nodes again and pays a fallback pass per chunk
+    bisect_callers, band_calls = set(), []
+    for path, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loops = [node for node in ast.walk(fn)
+                     if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+            looped = {id(inner) for loop in loops for inner in ast.walk(loop)}
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = ast.unparse(node.func)
+                if name == "_bisect_and_iterate":
+                    bisect_callers.add(f"{path.name}:{fn.name}")
+                elif name == "_banded_sigma_min":
+                    band_calls.append((f"{path.name}:{fn.name}", id(node) in looped))
+    assert bisect_callers == {"spectral.py:_banded_sigma_min"}
+    assert band_calls == [("pseudospectra.py:compute_grid", False)]
+
+
 def test_no_numpy_norm():
     # np.linalg.norm(x, 2) would be a second SVD call, and a Frobenius norm
     # overflows from entries near 1e154 on: a Hermitian-defect tolerance
