@@ -321,9 +321,7 @@ class PseudospectrumSandwich:
     q_pair: tuple[int, int]
     epsilon: float
     epsilon_n: Optional[float]
-    epsilon_sharp: Optional[float]
     epsilon_clean: Optional[float]
-    certified: bool
     grid_prev: PseudospectrumGrid
     grid_curr: PseudospectrumGrid
     grid_fingerprints: tuple[str, str]
@@ -331,6 +329,14 @@ class PseudospectrumSandwich:
     outer_mask: Optional[np.ndarray]
     inclusion_verified: bool
     caveat: Optional[str] = None
+
+    @property
+    def epsilon_sharp(self) -> Optional[float]:
+        return self.epsilon_n  # the sharp radius is the one the sandwich uses
+
+    @property
+    def certified(self) -> bool:
+        return self.epsilon_n is not None  # epsilon_n exists for canonical specs only
 
     def to_json(self) -> dict:
         return {
@@ -390,9 +396,7 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
     return PseudospectrumSandwich(
         theta=theta, spec=spec, level_n=n,
         q_pair=(expansion.q(n - 1), expansion.q(n)),
-        epsilon=float(epsilon), epsilon_n=eps_n,
-        epsilon_sharp=eps_n, epsilon_clean=eps_clean,
-        certified=spec.is_canonical,
+        epsilon=float(epsilon), epsilon_n=eps_n, epsilon_clean=eps_clean,
         grid_prev=grid_prev, grid_curr=grid_curr,
         grid_fingerprints=(matrix_fingerprint(h_prev), matrix_fingerprint(h_curr)),
         inner_mask=inner, outer_mask=outer,

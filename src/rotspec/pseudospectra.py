@@ -19,10 +19,10 @@ exactly (else NotHermitian), on one of two routes that no option picks:
 * a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
   Gram half-bandwidth, on numpy only, without the model's dense matrix.
-  One call takes all of the grid's nodes: it solves them in chunks of
-  at most 4 MiB of working arrays, then redoes the points whose values
-  failed to verify in one fallback stage, so a fallback costs about its
-  points' share of a chunk's pass.
+  One Gram stack per pass; the kernel takes the model and all of the
+  grid's nodes, in chunks of at most 4 MiB of working arrays, and redoes
+  the points whose values failed to verify in one fallback stage, so a
+  fallback costs about its points' share of a chunk's pass.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .spectral import (
     MatrixLike,
     _band_eigenvalues,
     _banded_sigma_min,
-    _gram_band,
     _model_spectrum,
     as_matrix,
     operator_norm,
@@ -187,7 +186,7 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> 
     if spectrum is not None:
         out = _spectrum_distances(*spectrum, lam)
     else:
-        out = _banded_sigma_min(_gram_band(a), lam)
+        out = _banded_sigma_min(a, lam)
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),

@@ -48,9 +48,9 @@ Cholesky decides each t in O(q * J^2). Halvings on that test bracket
 sigma_min, inverse iteration gives the value v = ||Bx||, and two more
 factorizations verify it (Rump, BIT 46 (2006) 433-452): at q = 8 a
 point costs 15 factorizations and 3 band solves, where the whole
-44-halving bisection took 45. The kernel takes all of a grid's nodes,
-vectorized over the points of each chunk, and redoes the points that
-fail to verify in one fallback stage after the last chunk.
+44-halving bisection took 45. One Gram stack per pass; the kernel takes
+the model and all of a grid's nodes, vectorized over each chunk's
+points, and redoes the points that fail to verify in one fallback stage.
 
 LAPACK is reached through one handle, _lapack(): scipy's f2py extension
 scipy.linalg._flapack, whose functions scipy.linalg.lapack re-exports,
@@ -463,22 +463,24 @@ def _gram_stack(gb: _GramBand, mu: np.ndarray, kappa: np.ndarray) -> tuple[np.nd
     return diagonal, off
 
 
-def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: np.ndarray,
-                        lo: np.ndarray, hi: np.ndarray,
-                        halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Halve each bracket [lo, min(hi, smallest column norm of B)] by the
-    Cholesky test, then run inverse iteration with the factor at the last
-    passing shift (at -1e-13 where none passed). Returns the bracket and
-    ||Bx|| for the unit vector x that the iteration ends at."""
-    diagonal, off = _gram_stack(gb, mu, kappa)
-    hi = np.minimum(hi, np.sqrt(np.maximum(diagonal.min(axis=0), 0)))
-    cholesky = _band_cholesky(diagonal, off)
+def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                        halvings: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                                tuple[np.ndarray, np.ndarray]]:
+    """Scale by s = |lam| + norm, halve each bracket [lo, min(hi, smallest
+    column norm of B)] by the Cholesky test, then run inverse iteration
+    with the factor at the last passing shift (-1e-13 where none passed).
+    Returns s, the bracket, ||Bx|| at the iteration's unit x and the stack."""
+    s = np.abs(lam) + gb.norm
+    mu, kappa = lam / s, gb.norm / s
+    stack = _gram_stack(gb, mu, kappa)
+    hi = np.minimum(hi, np.sqrt(np.maximum(stack[0].min(axis=0), 0)))
+    cholesky = _band_cholesky(*stack)
     for _ in range(halvings):
         t = 0.5 * (lo + hi)
         ok = cholesky(t * t)[2]
         lo, hi = np.where(ok, t, lo), np.where(ok, hi, t)
     inv, factor, ok = cholesky(np.where(lo > 0, lo * lo, -_SHIFT_FLOOR))
-    del cholesky, diagonal, off  # at most two chunk-sized stacks are alive at a time
+    del cholesky  # its per-column views; the stack, one factor and the vectors stay
     if not ok.all():
         raise ConvergenceFailure(
             f"banded sigma_min: no Cholesky factor at lambda={lam[~ok][0]}")
@@ -491,13 +493,7 @@ def _bisect_and_iterate(gb: _GramBand, lam: np.ndarray, mu: np.ndarray, kappa: n
     bx = _band_matvec(gb.band, x)
     bx *= -kappa
     bx += mu * x
-    return lo, hi, _column_norms(bx)
-
-
-def _scaled(gb: _GramBand, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scale s = |lam| + norm of each point, and mu = lam / s, kappa = norm / s."""
-    s = np.abs(lam) + gb.norm
-    return s, lam / s, gb.norm / s
+    return s, lo, hi, _column_norms(bx), stack
 
 
 def _bracketed(lam: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -515,8 +511,9 @@ def _bracketed(lam: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return s * value
 
 
-def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
-    """sigma_min(lam_p I - A) for each lam_p, from the band of A.
+def _banded_sigma_min(A: MatrixModel, lam: np.ndarray) -> np.ndarray:
+    """sigma_min(lam_p I - A) for each lam_p: one Gram stack per pass; the
+    kernel takes the model A and builds its band once.
 
     B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
     number near 1 for any coefficient scale. sigma_min(B) > t holds when
@@ -525,28 +522,28 @@ def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
     _coarse_halvings(q) halvings of [0, smallest column norm of B] bracket
     sigma_min by that test; three steps of inverse iteration with the
     factor at the last passing shift then give a unit vector x and the
-    value v = ||Bx||, so sigma_min is never squared. Two more tests verify
-    v: G - v^2 (1 - 2^-40) I must factor and G - v^2 (1 + 2^-40) I must
-    not. The points that fail either keep their index and bracket, and
-    after the last chunk they resume their bisections together, chunked
-    the same way, for the rest of the 44 halvings and redo the inverse
-    iteration, which gives the value of a 44-halving bisection bit for
-    bit. A value outside its bisection bracket, widened by the test's
-    rounding, is a ConvergenceFailure."""
+    value v = ||Bx||, so sigma_min is never squared. Two more tests on the
+    stack verify v: G - v^2 (1 - 2^-40) I must factor and
+    G - v^2 (1 + 2^-40) I must not. The points that fail either keep
+    their index and bracket, and after the last chunk they resume their
+    bisections together, chunked the same way, for the rest of the 44
+    halvings and redo the inverse iteration, which gives the value of a
+    44-halving bisection bit for bit. A value outside its bisection
+    bracket, widened by the test's rounding, is a ConvergenceFailure."""
+    gb = _gram_band(A)
     chunk = max(1, min(_BAND_POINTS, _CHUNK_BUDGET // gb.gram.size))
     coarse = _coarse_halvings(gb.gram.shape[0])
     out = np.empty(lam.size)
     redo = []  # (indices, lo, hi) of each chunk's points that failed to verify
     for start in range(0, lam.size, chunk):
         part = lam[start:start + chunk]
-        s, mu, kappa = _scaled(gb, part)
-        lo, hi, value = _bisect_and_iterate(gb, part, mu, kappa, np.zeros(part.size),
-                                            np.full(part.size, np.inf), coarse)
-        cholesky = _band_cholesky(*_gram_stack(gb, mu, kappa))
+        s, lo, hi, value, stack = _bisect_and_iterate(
+            gb, part, np.zeros(part.size), np.full(part.size, np.inf), coarse)
+        cholesky = _band_cholesky(*stack)
         square = value * value
         verified = (cholesky(square * (1 - _VERIFY_GAP))[2]
                     & ~cholesky(square * (1 + _VERIFY_GAP))[2])
-        del cholesky  # before the next chunk builds its stacks
+        del cholesky, stack  # before the next chunk builds its own
         out[start:start + chunk] = _bracketed(part, s, lo, hi, value, verified)
         failed = np.flatnonzero(~verified)
         if failed.size:
@@ -561,7 +558,6 @@ def _banded_sigma_min(gb: _GramBand, lam: np.ndarray) -> np.ndarray:
         at = np.arange(start, min(start + chunk, index.size))
         at = np.resize(at, max(at.size, 2))
         part = lam[index[at]]
-        s, mu, kappa = _scaled(gb, part)
-        out[index[at]] = _bracketed(part, s, *_bisect_and_iterate(
-            gb, part, mu, kappa, lo[at], hi[at], _HALVINGS - coarse))
+        s, *found, _ = _bisect_and_iterate(gb, part, lo[at], hi[at], _HALVINGS - coarse)
+        out[index[at]] = _bracketed(part, s, *found)
     return out

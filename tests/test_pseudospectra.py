@@ -34,7 +34,7 @@ from rotspec.pseudospectra import (
     matrix_fingerprint,
     sandwich_check,
 )
-from rotspec.spectral import _banded_sigma_min, _gram_band, operator_norm
+from rotspec.spectral import _banded_sigma_min, operator_norm
 from dense_oracle import dense_matrix
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
@@ -216,7 +216,7 @@ class TestBandRoute:
 
     @staticmethod
     def banded(model, lam):
-        return _banded_sigma_min(_gram_band(model), np.asarray(lam, dtype=complex))
+        return _banded_sigma_min(model, np.asarray(lam, dtype=complex))
 
     def assert_matches_svd(self, model, lam, got):
         ref = pointwise_svd(dense_matrix(model), lam)
@@ -316,9 +316,9 @@ class TestBandRoute:
         passes = []
         real = spectral._bisect_and_iterate
 
-        def recording(gb, lam, mu, kappa, lo, hi, halvings):
+        def recording(gb, lam, lo, hi, halvings):
             passes.append((halvings, lam.copy()))
-            return real(gb, lam, mu, kappa, lo, hi, halvings)
+            return real(gb, lam, lo, hi, halvings)
 
         monkeypatch.setattr(spectral, "_bisect_and_iterate", recording)
         return passes
@@ -417,8 +417,8 @@ class TestBandRoute:
 
     def test_band_arrays_stay_within_4_mib(self, monkeypatch):
         passes = self.spy_passes(monkeypatch)
-        sizes = []
-        real_cholesky = spectral._band_cholesky
+        sizes, stacks = [], []
+        real_cholesky, real_stack = spectral._band_cholesky, spectral._gram_stack
 
         def recording(diagonal, off):
             cholesky = real_cholesky(diagonal, off)
@@ -430,7 +430,12 @@ class TestBandRoute:
 
             return factor
 
+        def stack(gb, mu, kappa):
+            stacks.append(mu.size)
+            return real_stack(gb, mu, kappa)
+
         monkeypatch.setattr(spectral, "_band_cholesky", recording)
+        monkeypatch.setattr(spectral, "_gram_stack", stack)
         # 625 points at q = 144 are two chunks (606 + 19); 88 points at
         # q = 987 are one full chunk
         for p, q, resolution, chunk, chunks in ((89, 144, (25, 25), 606, 2),
@@ -438,6 +443,7 @@ class TestBandRoute:
             model = build_operator(U_PLUS_2V, p, q)
             passes.clear()
             sizes.clear()
+            stacks.clear()
             tracemalloc.start()
             try:
                 compute_grid(model, (-3, 3, -3, 3), resolution)
@@ -454,9 +460,12 @@ class TestBandRoute:
             fallback_passes = -(-fallbacks // chunk)
             assert [h for h, _ in passes] == [coarse] * chunks + [rest] * fallback_passes
             assert len(sizes) == chunks * (coarse + 1 + 2) + fallback_passes * (rest + 1)
+            # one Gram stack per pass: the verifying pair runs on the
+            # stack of its chunk's halvings
+            assert stacks == [lam.size for _, lam in passes]
             assert max(sizes) <= 4 << 20
-            # the Gram stack and its factor, then vectors; one dense
-            # matrix at q = 987 alone is 14.9 MiB
+            # the Gram stack, one factor and the iteration vectors; one
+            # dense matrix at q = 987 alone is 14.9 MiB
             assert peak <= 12 << 20
 
 
@@ -480,9 +489,9 @@ class TestDistanceRoute:
             calls.append("eig")
             return real_eigs(a)
 
-        def band(gb, lam):
+        def band(model, lam):
             calls.append("band")
-            return real_band(gb, lam)
+            return real_band(model, lam)
 
         # the zhbevd solve behind every Hermitian eigensolve: of a model (in
         # spectral._model_spectrum) or of an array (in compute_grid)
@@ -574,7 +583,7 @@ class TestNormalRoute:
             raise AssertionError("band route taken")
 
         monkeypatch.setattr(psp, "_banded_sigma_min", refused)
-        monkeypatch.setattr(psp, "_gram_band", refused)
+        monkeypatch.setattr(spectral, "_gram_band", refused)
         for spec in NORMAL_CLASSES:
             for p, q in ((2, 3), (89, 144), (0, 8), (4, 8)):  # 2p = q: omega = -1
                 model = build_operator(spec, p, q)

@@ -41,10 +41,13 @@ def test_one_function_calls_the_svd():
 
 def test_one_function_runs_the_band_passes():
     # the band route's chunks and its one fallback stage live in
-    # _banded_sigma_min, which takes all of a grid's nodes: compute_grid
-    # calls it once per grid, outside any loop, so no caller chunks the
-    # nodes again and pays a fallback pass per chunk
-    bisect_callers, band_calls = set(), []
+    # _banded_sigma_min, which takes the model and all of a grid's nodes:
+    # compute_grid calls it once per grid, outside any loop, so no caller
+    # chunks the nodes again and pays a fallback pass per chunk. It builds
+    # the model's band, and each pass builds one Gram stack, which the
+    # chunk's verifying tests reuse
+    callers = {"_bisect_and_iterate": set(), "_gram_stack": set(), "_gram_band": set()}
+    band_calls = []
     for path, tree in _trees():
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -56,11 +59,13 @@ def test_one_function_runs_the_band_passes():
                 if not isinstance(node, ast.Call):
                     continue
                 name = ast.unparse(node.func)
-                if name == "_bisect_and_iterate":
-                    bisect_callers.add(f"{path.name}:{fn.name}")
+                if name in callers:
+                    callers[name].add(f"{path.name}:{fn.name}")
                 elif name == "_banded_sigma_min":
                     band_calls.append((f"{path.name}:{fn.name}", id(node) in looped))
-    assert bisect_callers == {"spectral.py:_banded_sigma_min"}
+    assert callers == {"_bisect_and_iterate": {"spectral.py:_banded_sigma_min"},
+                       "_gram_stack": {"spectral.py:_bisect_and_iterate"},
+                       "_gram_band": {"spectral.py:_banded_sigma_min"}}
     assert band_calls == [("pseudospectra.py:compute_grid", False)]
 
 
