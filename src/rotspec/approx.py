@@ -31,6 +31,7 @@ import numpy as np
 from .contfrac import (
     ContinuedFractionExpansion,
     Theta,
+    _quoted,
     expand,
     fibonacci,
     round_nearest,
@@ -184,7 +185,7 @@ def _irrationality_caveat(theta: Theta) -> Optional[str]:
     irr = theta.irrational
     if irr is False:
         raise ThetaRational(
-            f"theta {theta} is exactly rational; certified radii "
+            f"theta {_quoted(str(theta))} is exactly rational; certified radii "
             "need irrational theta"
         )
     if irr is None:
@@ -313,7 +314,10 @@ class PseudospectrumSandwich:
     a float) bracket the operator's (epsilon + epsilon_n)-pseudospectrum.
     For non-canonical specs no epsilon_n exists and the report gives only
     the rate flag. grid_fingerprints are the matrix_fingerprint of the models
-    behind grid_prev and grid_curr, hashed once for to_json."""
+    behind grid_prev and grid_curr, hashed once for to_json: theta, spec and
+    n name the operator, and the digests record the rounded models. Each
+    covers a model's stored terms, a finer identity than its dense bytes
+    where two terms share a slot at small q."""
 
     theta: Theta
     spec: OperatorSpec
@@ -450,7 +454,7 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
     # enclosure; |x - p*/n| is convex, so checking both ends suffices
     if any(abs(end - Fraction(p_star, n)) > Fraction(1, 2 * n) for end in theta.bounds()):
         raise PrecisionExhausted(
-            f"theta {theta} is not known closely enough to certify "
+            f"theta {_quoted(str(theta))} is not known closely enough to certify "
             f"|theta - {p_star}/{n}| <= 1/(2n)"
         )
     radius = float_up(one_sided_constant_exact(spec) / sqrt_lower(n))
@@ -498,8 +502,8 @@ def hausdorff_distance(P: np.ndarray, Q: np.ndarray) -> float:
 
 def one_sided_contains(P: np.ndarray, Q: np.ndarray, delta: float) -> bool:
     """True iff every point of P is strictly within delta of Q."""
-    if delta <= 0:
-        raise InvalidInput(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InvalidInput(f"delta must be finite and > 0, got {delta}")
     if len(P) == 0 or len(Q) == 0:
         raise EmptyCloud("containment test needs nonempty clouds")
     return _directed(P, Q) < delta

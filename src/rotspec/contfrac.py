@@ -65,9 +65,9 @@ class Theta:
     def __post_init__(self):
         surd = isinstance(self.value, Surd)
         if surd and self.value.rb == 0:
-            raise InvalidInput(f"theta {self.text!r} is a rational surd (rb = 0)")
+            raise InvalidInput(f"theta {_quoted(self.text)} is a rational surd (rb = 0)")
         if self.halfwidth < 0 or (surd and self.halfwidth):
-            raise InvalidInput(f"theta {self.text!r} has half-width {self.halfwidth}; "
+            raise InvalidInput(f"theta {_quoted(self.text)} has half-width {self.halfwidth}; "
                                "it must be >= 0, and 0 for a surd")
 
     def __str__(self) -> str:
@@ -183,8 +183,8 @@ class ContinuedFractionExpansion:
         # rather than asserted so that python -O keeps them
         a, conv = self.partial_quotients, self.convergents
         if len(conv) != len(a) + 1 or conv[0] != (0, 1):
-            raise CertificateViolation(f"convergents of {self.theta} must be (0, 1) "
-                                       "followed by one per partial quotient")
+            raise CertificateViolation(f"convergents of theta {_quoted(str(self.theta))} must "
+                                       "be (0, 1) followed by one per partial quotient")
         pm2, qm2 = 1, 0
         for k in range(1, len(conv)):
             (p, q), (pprev, qprev), ak = conv[k], conv[k - 1], a[k - 1]
@@ -192,8 +192,8 @@ class ContinuedFractionExpansion:
                     and p * qprev - pprev * q == (-1) ** (k - 1)  # gcd(p_k, q_k) = 1
                     and (k < 2 or q > qprev)):
                 raise CertificateViolation(
-                    f"convergent {k} = {p}/{q} of {self.theta} breaks a_k >= 1, the "
-                    "recursion, the determinant +-1 or increasing q_k")
+                    f"convergent {k} = {p}/{q} of theta {_quoted(str(self.theta))} breaks "
+                    "a_k >= 1, the recursion, the determinant +-1 or increasing q_k")
             pm2, qm2 = pprev, qprev
 
 
@@ -231,7 +231,7 @@ def expand(theta: Theta, max_terms: int) -> ContinuedFractionExpansion:
     while len(quotients) < max_terms and hi != 0:  # hi = 0: a rational theta ended
         if lo <= 0:
             raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"theta {_quoted(str(theta))} certifies only {len(quotients)} partial quotients "
                 f"(interval endpoint reached 0); supply more digits",
                 certified_terms=len(quotients),
             )
@@ -246,7 +246,7 @@ def expand(theta: Theta, max_terms: int) -> ContinuedFractionExpansion:
         a_hi, a_lo = math.floor(inv_hi), math.floor(inv_lo)
         if a_hi != a_lo:
             raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"theta {_quoted(str(theta))} certifies only {len(quotients)} partial quotients "
                 f"(endpoints give floors {a_hi} and {a_lo}); supply more digits "
                 "or use rational:<p>/<q> for an exact rational",
                 certified_terms=len(quotients),
@@ -323,7 +323,7 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
             lo = hi = gap
             violation = f"exact gap {gap} against bound {bound} at n={n}"
         if not (gap < bound if strict else gap == bound):
-            raise CertificateViolation(f"{violation} for {theta}")
+            raise CertificateViolation(f"{violation} for theta {_quoted(str(theta))}")
     else:
         tlo, thi = theta.bounds()
         lo = max(Fraction(0), tlo - target, target - thi)
@@ -331,7 +331,8 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         certified = hi < bound
 
     if n >= 1 and not bound < Fraction(1, q) ** 2:
-        raise CertificateViolation(f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for {theta}")
+        raise CertificateViolation(
+            f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for theta {_quoted(str(theta))}")
     return GapBound(
         n=n, p=p, q=q, bound=bound, gap_lower=lo, gap_upper=hi,
         strict=strict, certified=certified,

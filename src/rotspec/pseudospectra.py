@@ -94,11 +94,14 @@ def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.n
 
 
 def matrix_fingerprint(A: MatrixModel) -> str:
-    """sha256 of the shape string, then of the C-order bytes of the model's
-    dense matrix, built a row block at a time from its nonzeros, terms that
-    share a slot summed in term order, so the q x q matrix is never formed.
-    The hash is CPython's built-in SHA-256, imported here: hashlib's digests
-    without the OpenSSL libcrypto that hashlib loads (3.5 MiB resident)."""
+    """sha256 of what the model stores: the tag b"rotspec-model-terms/1",
+    the order as a little-endian int64, then each term's columns
+    (little-endian int64) and values (little-endian complex128) in term
+    order, O(q) bytes and no dense matrix. Where two terms share a slot
+    (u-powers equal mod a small q) the digest tells them apart, a finer
+    identity than the dense bytes, which sum them. The hash is CPython's
+    built-in SHA-256, imported here: hashlib's digests without the OpenSSL
+    libcrypto that hashlib loads (3.5 MiB resident)."""
     try:
         from _sha2 import sha256  # Python 3.12 and later
     except ImportError:
@@ -107,16 +110,11 @@ def matrix_fingerprint(A: MatrixModel) -> str:
         except ImportError:
             from hashlib import sha256  # an interpreter built without it
 
-    h = sha256()
-    q = A.order
-    h.update(str((q, q)).encode())
-    step = max(1, _CHUNK_BUDGET // q)
-    for start in range(0, q, step):
-        rows = np.arange(start, min(start + step, q))
-        block = np.zeros((rows.size, q), dtype=np.complex128)
-        for cols, vals in zip(A.columns, A.values):
-            block[rows - start, cols[rows]] += vals[rows]
-        h.update(block)
+    h = sha256(b"rotspec-model-terms/1")
+    h.update(A.order.to_bytes(8, "little"))
+    for cols, vals in zip(A.columns, A.values):
+        h.update(np.ascontiguousarray(cols, dtype="<i8"))
+        h.update(np.ascontiguousarray(vals, dtype="<c16"))
     return h.hexdigest()
 
 
@@ -225,8 +223,8 @@ def _spectrum_distances(values: np.ndarray, r: complex, lam: np.ndarray) -> np.n
 def level_set(grid: PseudospectrumGrid, epsilon: float) -> np.ndarray:
     """Boolean mask of grid points with sigma_min <= epsilon (the closed
     sublevel-set convention)."""
-    if epsilon <= 0:
-        raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     return grid.sigma_min_values <= epsilon
 
 

@@ -426,9 +426,10 @@ class TestFingerprints:
     built-in SHA-256."""
 
     # the grid_fingerprints of a level-6 U+2V sandwich_report.json: the
-    # models at 5/8 and 8/13, pinned so moving the hash keeps its bytes
-    LEVEL_6 = ("4bffc92d13a05d479090acc9ac94ef463e891a56864f5241fece99e858a7dc1d",
-               "b07622a27322c697189f4b3e3d9a542aaf2c02186274f7cda80e3dfa226ebe3f")
+    # stored terms of the models at 5/8 and 8/13, pinned so moving the
+    # hash keeps its bytes
+    LEVEL_6 = ("82f97e984659384a76451343d06a81cb6079e49ef37465b79215f29dbea29774",
+               "709653227687294ba8463cc6b10de116ad99e10754ec39bf64a3dbf3d1a5193f")
     PARAMS = GridParams(region=(-4, 4, -4, 4), resolution=(4, 4))
 
     @pytest.fixture
@@ -703,8 +704,10 @@ class TestSetGeometry:
         assert not one_sided_contains(p, q, 0.5)
         assert one_sided_contains(p, q, 1.001)
         assert not one_sided_contains(p, q, 1.0)  # strictly within
-        with pytest.raises(InvalidInput):
-            one_sided_contains(p, q, 0.0)
+        # nan would answer False and inf True
+        for delta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="finite and > 0"):
+                one_sided_contains(p, q, delta)
         with pytest.raises(EmptyCloud):
             one_sided_contains(np.array([]), q, 1.0)
 

@@ -222,6 +222,22 @@ class TestExpand:
         assert main(["expand", "--theta", "rational:3/2"]) == 3
         assert "theta 'rational:3/2' is not in (0,1)" in capsys.readouterr().err
 
+    def test_long_theta_is_quoted_up_to_64_characters_in_every_error(self, tmp_path, capsys):
+        # a rational theta refused by a certificate, and a decimal whose
+        # 3000 digits certify no quotient, each of 3011 characters
+        rational, decimal = "rational:1/" + "7" * 3000, "decimal:0.5" + "0" * 3000
+        for argv, message in (
+                (["spectrum", "--theta", rational, "--out-dir", str(tmp_path)],
+                 "is exactly rational"),
+                (["onesided", "--theta", rational, "--n", "5", "--out-dir", str(tmp_path)],
+                 "is exactly rational"),
+                (["expand", "--theta", decimal], "certifies only 0 partial quotients")):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert len(err.encode()) < 300 and f"(3011 characters) {message}" in err
+        assert main(["spectrum", "--theta", "rational:1/3", "--out-dir", str(tmp_path)]) == 3
+        assert "theta 'rational:1/3' is exactly rational" in capsys.readouterr().err
+
     def test_q_past_the_int_digit_limit_is_refused_before_any_row(self, capsys,
                                                                   digit_limit):
         # theta = sqrt(A^2 + 1) - A = [0; 2A, 2A, ...], so q_k ~ (2A)^k:

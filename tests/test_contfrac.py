@@ -298,14 +298,14 @@ def reference_expand_decimal(theta: Theta, max_terms: int):
     while len(quotients) < max_terms:
         if lo <= 0:
             raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"theta {str(theta)!r} certifies only {len(quotients)} partial quotients "
                 f"(interval endpoint reached 0); supply more digits",
                 certified_terms=len(quotients),
             )
         a_hi, a_lo = (1 / hi).__floor__(), (1 / lo).__floor__()
         if a_hi != a_lo:
             raise PrecisionExhausted(
-                f"{theta} certifies only {len(quotients)} partial quotients "
+                f"theta {str(theta)!r} certifies only {len(quotients)} partial quotients "
                 f"(endpoints give floors {a_hi} and {a_lo}); supply more digits "
                 "or use rational:<p>/<q> for an exact rational",
                 certified_terms=len(quotients),

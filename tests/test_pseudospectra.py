@@ -172,19 +172,42 @@ class TestComputeGrid:
         nearby = build_operator(OperatorSpec.canonical(1, 1, 1, 1 + 1e-12), 2, 5)
         assert matrix_fingerprint(nearby) != matrix_fingerprint(h)
 
-    def test_fingerprint_of_a_model_is_the_dense_formula(self):
-        # u-powers 1, -1 and 3 share slots at q = 1 and 2, and these
-        # coefficients sum to other bits in reverse term order; the
-        # fingerprint must sum them in term order, as the dense entries do
+    def test_fingerprint_of_a_model_is_the_stored_term_formula(self):
+        # u-powers 1, -1 and 3 share slots at q = 1 and 2; the fingerprint
+        # hashes each term's stored columns and values in term order, so
+        # it never sums them and never forms the dense matrix
         spec = OperatorSpec.general([(1, 0, 0.1), (-1, 0, 0.2), (3, 2, 0.3),
                                      (0, 1, 1 / 3), (-3, -2, 0.3 + 1j)])
         for p, q in ((0, 1), (1, 2), (89, 144)):
             model = build_operator(spec, p, q)
             got = matrix_fingerprint(model)
             assert "entries" not in vars(model)
-            dense = np.ascontiguousarray(dense_matrix(model))
-            expect = hashlib.sha256(str(dense.shape).encode() + dense.tobytes()).hexdigest()
+            stored = b"".join(cols.astype("<i8").tobytes() + vals.astype("<c16").tobytes()
+                              for cols, vals in zip(model.columns, model.values))
+            expect = hashlib.sha256(b"rotspec-model-terms/1" + q.to_bytes(8, "little")
+                                    + stored).hexdigest()
             assert got == expect
+
+    def test_fingerprint_tells_apart_terms_that_share_a_slot(self):
+        # at q = 1, U + V and 2U are both the matrix [2]: equal dense bytes,
+        # different stored terms, different digests
+        one_slot, two_terms = (build_operator(OperatorSpec.general(terms), 0, 1)
+                               for terms in ([(1, 0, 2)], [(1, 0, 1), (0, 1, 1)]))
+        assert np.array_equal(dense_matrix(one_slot), dense_matrix(two_terms))
+        assert matrix_fingerprint(one_slot) != matrix_fingerprint(two_terms)
+
+    def test_fingerprint_holds_no_row_block(self):
+        # the stored terms of U+2V at q = 4181 are 2 x 4181 x 24 bytes; a
+        # dense row block of 62 rows would be 4 MiB
+        model = build_operator(U_PLUS_2V, 2584, 4181)
+        tracemalloc.start()
+        try:
+            digest = matrix_fingerprint(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert digest == matrix_fingerprint(build_operator(U_PLUS_2V, 2584, 4181))
 
     def test_model_grid_builds_no_dense_matrix(self):
         for spec in (U_PLUS_2V, CANONICAL):
@@ -469,6 +492,60 @@ class TestBandRoute:
             assert peak <= 12 << 20
 
 
+def fourier_dual(spec: OperatorSpec, conjugated: bool = False) -> OperatorSpec:
+    """b- U + b+ U* + a+ V + a- V* for spec = a+ U + a- U* + b+ V + b- V*;
+    conjugated plants a wrong dual, with b- conjugated."""
+    a1, am, b1, bm = spec.canonical_four_term
+    return OperatorSpec.canonical(bm.conjugate() if conjugated else bm, b1, a1, am)
+
+
+class TestFourierDuality:
+    """F = (omega^(-jk) / sqrt(q)), omega = e^(2 pi i p/q), is unitary for
+    coprime p and q, with F u F* = v and F v F* = u*, so the models of a
+    canonical spec and of its fourier_dual at the same p/q are unitarily
+    similar: an oracle at orders where a dense SVD is out of reach. 1e-12
+    relative is twice the 4.6e-13 that _VERIFY_GAP allows each band value."""
+
+    NODES = np.array([0.3 + 0.2j, -1.1 + 0.7j, 2.2 - 0.4j, -0.5 - 2.5j, 1.7 + 1.9j, 3.5j])
+    HERMITIAN = (OperatorSpec.canonical(1, 1, 1.5, 1.5),
+                 OperatorSpec.canonical(1 + 0.5j, 1 - 0.5j, 2 - 0.3j, 2 + 0.3j))
+
+    @classmethod
+    def spread(cls, spec, dual, p, q, p_dual=None):
+        """The largest relative difference of the band values at NODES
+        between the model of spec at p/q and that of dual at p_dual/q."""
+        a = _banded_sigma_min(build_operator(spec, p, q), cls.NODES)
+        b = _banded_sigma_min(build_operator(dual, (p if p_dual is None else p_dual) % q, q),
+                              cls.NODES)
+        return np.max(np.abs(a - b) / a)
+
+    @pytest.mark.parametrize("p, q", ((3, 5), (144, 233), (987, 1597)))
+    @pytest.mark.parametrize("spec", (U_PLUS_2V, FOUR_TERM), ids=("U+2V", "four-term"))
+    def test_band_values_of_dual_models_agree(self, spec, p, q):
+        assert not spec.is_normal
+        assert self.spread(spec, fourier_dual(spec), p, q) <= 1e-12
+
+    @pytest.mark.parametrize("p, q", ((8, 13), (144, 233)))
+    def test_a_wrong_dual_breaks_the_agreement(self, p, q):
+        # at q = 5, p + 1 = q - p for p = 2, whose model matches; from q =
+        # 13 on a dual at p + 1 and one with a conjugated coefficient miss
+        # by 2e-3 or more
+        for spec in (U_PLUS_2V, FOUR_TERM):
+            assert self.spread(spec, fourier_dual(spec), p, q, p + 1) > 1e-12
+        assert self.spread(FOUR_TERM, fourier_dual(FOUR_TERM, conjugated=True), p, q) > 1e-12
+
+    @pytest.mark.parametrize("p, q", ((3, 5), (8, 13), (144, 233), (987, 1597)))
+    def test_hermitian_spectra_of_dual_models_agree(self, p, q):
+        for spec in self.HERMITIAN:
+            dual = fourier_dual(spec)
+            assert spec.is_hermitian and dual.is_hermitian
+            ours, theirs, wrong = (spectral.hermitian_eigenvalues(build_operator(s, r, q))
+                                   for s, r in ((spec, p), (dual, p), (dual, (p + 1) % q)))
+            tolerance = 1e-12 * spec_norm_bound(spec)
+            assert np.max(np.abs(ours - theirs)) <= tolerance
+            assert np.max(np.abs(ours - wrong)) > tolerance
+
+
 def random_hermitian(n: int) -> np.ndarray:
     """Equal to its conjugate transpose bit for bit: z + z* sums the same
     two numbers in either order."""
@@ -652,9 +729,11 @@ class TestLevelSets:
         assert mask.tolist() == [[True, True], [False, False]]
 
     def test_rejects_nonpositive(self):
+        # nan would give an all-False mask and inf an all-True one
         grid = make_grid(np.ones((2, 2)))
-        with pytest.raises(InvalidInput):
-            level_set(grid, 0.0)
+        for epsilon in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInput, match="finite and > 0"):
+                level_set(grid, epsilon)
 
 
 class TestSandwich:

@@ -346,8 +346,8 @@ def _imports(node, module: str) -> bool:
 
 
 def test_only_the_sandwich_hashes():
-    # a fingerprint is 16 q^2 bytes of hashing (about 1.4 s at q = 4181),
-    # and only sandwich_report.json prints one: matrix_fingerprint is the
+    # a fingerprint hashes the model's stored terms, 24 bytes per term and
+    # row, and only sandwich_report.json prints one: matrix_fingerprint is the
     # one function that imports a hash, and certify_pseudospectrum its one
     # caller. The hash is CPython's built-in SHA-256 (_sha2 from Python
     # 3.12, _sha256 before), which gives hashlib's digests without loading
