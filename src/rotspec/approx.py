@@ -53,8 +53,7 @@ from .matmodel import OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
     GridParams,
     PseudospectrumGrid,
-    _hermitian_distances,
-    _nearest_distances,
+    _distances,
     compute_grid,
     default_region,
     level_set,
@@ -484,12 +483,12 @@ def _directed(p: np.ndarray, q: np.ndarray) -> float:
     """max over p of the distance to q, the same float as one |P| x |Q|
     pass of complex abs. Two real clouds take the distance to the nearest
     sorted neighbour: rounded subtraction is monotone, and the abs of a
-    real difference is exact. Any other pair takes blocked nearest
-    distances. (numpy's complex abs is not np.hypot, and the two can
-    differ in the last bit, so a complex p keeps the blocks.)"""
+    real difference is exact. Any other pair takes the blocks, q cast to
+    complex: numpy's complex abs is neither np.hypot (the two can differ in
+    the last bit) nor monotone in |Re z| at fixed Im z."""
     if not (p.imag.any() or q.imag.any()):
-        return float(np.max(_hermitian_distances(np.sort(q.real), p)))
-    return float(np.max(_nearest_distances(p, q)))
+        return float(np.max(_distances(p, np.sort(q.real))))
+    return float(np.max(_distances(p, q.astype(complex, copy=False))))
 
 
 def hausdorff_distance(P: np.ndarray, Q: np.ndarray) -> float:

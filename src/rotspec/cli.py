@@ -291,26 +291,25 @@ def cmd_expand(opts) -> int:
     terms = opts.terms
     if terms < 1:
         raise _UsageError(f"--terms must be >= 1, got {terms}")
-    expansion = expand(theta, terms)
-    # one extra term supplies q_(k+1) for the last gap row when available
-    if expansion.terminated:
-        ext = expansion
-    else:
-        try:
-            ext = expand(theta, terms + 1)
-        except PrecisionExhausted:
-            ext = expansion
+    # every theta has 0 <= p_k <= q_k and q_k >= F(k) (contfrac.fibonacci), so
+    # p_k/q_k prints until q_k reaches 10**limit, the int-to-str digit limit
+    # (none when 0): the expansion stops at --terms or at the first k whose
+    # F(k) reaches it, and such a q_k is refused before any line is printed
+    limit = sys.get_int_max_str_digits()
+    unprintable, cap, f, g = 10**limit, 0, 1, 1
+    while limit and cap < terms and f < unprintable:
+        cap, f, g = cap + 1, g, f + g
+    expansion = expand(theta, cap if limit else terms)
+    k = next((k for k, (_, q) in enumerate(expansion.convergents)
+              if limit and q >= unprintable), 0)  # q_0 = 1 always prints
+    if k:
+        fits = f"--terms {k - 1} is the largest that prints" if k > 1 else "no --terms prints"
+        raise _UsageError(f"p_{k}/q_{k} has more than {limit} decimal digits; {fits}")
 
-    # every convergent exists now, so a p_k or q_k past Python's int-to-str
-    # digit limit is refused before the first line is printed
-    convergents = []
-    for k, (p, q) in enumerate(expansion.convergents):
-        try:
-            convergents.append((str(p), str(q)))
-        except ValueError:
-            limit = sys.get_int_max_str_digits()
-            fits = f"--terms {k - 1} is the largest that prints" if k > 1 else "no --terms prints"
-            raise _UsageError(f"p_{k}/q_{k} has more than {limit} decimal digits; {fits}")
+    try:  # one extra term supplies q_(k+1) for the last gap row when available
+        ext = expansion if expansion.terminated else expand(theta, terms + 1)
+    except PrecisionExhausted:
+        ext = expansion
 
     notes = [f"# theta = {theta}", f"# exact = {expansion.exact}"]
     if expansion.periodic_part is not None:
@@ -319,7 +318,7 @@ def cmd_expand(opts) -> int:
         notes.append("# terminating expansion: theta is rational")
     print("\n".join(notes))
     print("k,a_k,p_k,q_k,gap,bound")
-    for k, (p, q) in enumerate(convergents):
+    for k, (p, q) in enumerate(expansion.convergents):
         a_k = "-" if k == 0 else str(expansion.partial_quotients[k - 1])
         if k + 1 < len(ext.convergents):
             gb = convergent_gap(ext, k)

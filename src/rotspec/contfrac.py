@@ -318,12 +318,12 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
             digits = (q * qnext).bit_length() * 30103 // 100000 + 1  # exact or one more
             digits -= q * qnext < 10 ** (digits - 1)
             lo, hi = gap.enclosure(max(40, digits + 20))
-            violation = f"|theta - p_{n}/q_{n}| >= 1/(q_{n} q_{n + 1})"
         else:
             lo = hi = gap
-            violation = f"exact gap {gap} against bound {bound} at n={n}"
         if not (gap < bound if strict else gap == bound):
-            raise CertificateViolation(f"{violation} for theta {_quoted(str(theta))}")
+            # named, not printed: q_n q_(n+1) may have more digits than print
+            raise CertificateViolation(f"|theta - p_{n}/q_{n}| {'>=' if strict else '!='} "
+                                       f"1/(q_{n} q_{n + 1}) for theta {_quoted(str(theta))}")
     else:
         tlo, thi = theta.bounds()
         lo = max(Fraction(0), tlo - target, target - thi)

@@ -7,15 +7,13 @@ perturbation sandwich mask_S(eps) within mask_T(eps+delta) within
 mask_S(eps+2*delta) for delta = ||S - T||, and serializes grids and
 point clouds (spectra, as the bare arrays the eigen routes return).
 
-compute_grid takes a model, or an array equal to its conjugate transpose
-exactly (else NotHermitian), on one of two routes that no option picks:
+compute_grid takes a model (anything else is InvalidInput) on one of two
+routes that no option picks:
 
-* normal input, as the spec decides it (a model, of any order, of a
-  Hermitian spec or of a spec with OperatorSpec.is_normal), or a
-  Hermitian array: sigma_min(lambda*I - A) = dist(lambda, sigma(A))
-  (Trefethen & Embree, Spectra and Pseudospectra, 2005, ch. 2), by
-  searchsorted on real eigenvalues and by row blocks of distances to
-  complex ones;
+* a model, of any order, of a Hermitian spec or of a spec with
+  OperatorSpec.is_normal: sigma_min(lambda*I - A) = dist(lambda, sigma(A))
+  (Trefethen & Embree, Spectra and Pseudospectra, 2005, ch. 2), by the
+  nearest-point kernel _distances, which Hausdorff distances share;
 * a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
   Gram half-bandwidth, on numpy only, without the model's dense matrix.
@@ -23,6 +21,9 @@ exactly (else NotHermitian), on one of two routes that no option picks:
   grid's nodes, in chunks of at most 4 MiB of working arrays, and redoes
   the points whose values failed to verify in one fallback stage, so a
   fallback costs about its points' share of a chunk's pass.
+
+sandwich_check, the one array entry, reads its norms and grids off the
+eigenvalues of two exactly Hermitian arrays (else NotHermitian).
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ from .exact import float_up
 from .matmodel import MatrixModel, spec_norm_bound
 from .spectral import (
     _CHUNK_BUDGET,
-    MatrixLike,
     _band_eigenvalues,
     _banded_sigma_min,
     _model_spectrum,
     as_matrix,
-    operator_norm,
 )
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
@@ -118,19 +117,10 @@ def matrix_fingerprint(A: MatrixModel) -> str:
     return h.hexdigest()
 
 
-def _norm_bound(a: MatrixLike) -> float:
-    """A bound on ||A||: sum |c| for a model, the largest absolute row sum
-    for an array (inf past the floats, which every caller refuses)."""
-    if isinstance(a, MatrixModel):
-        return spec_norm_bound(a.spec)
-    with np.errstate(over="ignore"):
-        return float(np.abs(a).sum(axis=1).max())
-
-
-def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> np.ndarray:
+def _grid_nodes(norm: float, region: Region, resolution: tuple[int, int]) -> np.ndarray:
     """The grid's nodes lambda in row-major order; InvalidInput unless they
-    and max |lambda| + _norm_bound(a) are finite, which bounds the band
-    route's scale |lambda| + sum |c| and every distance |lambda - h|."""
+    and max |lambda| + norm (a bound on ||A||) are finite, which bounds the
+    band route's scale |lambda| + sum |c| and every distance |lambda - h|."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
     if not all(math.isfinite(x) for x in region):
@@ -144,47 +134,37 @@ def _grid_nodes(a: MatrixLike, region: Region, resolution: tuple[int, int]) -> n
     re, im = _axes(region, resolution)
     lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
     with np.errstate(over="ignore"):
-        scale = float(np.abs(lam).max() + _norm_bound(a))
+        scale = float(np.abs(lam).max() + norm)
     if not math.isfinite(scale):
         raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
     return lam
 
 
-def default_region(norm_bound: float, margin: float, inputs: str,
-                   grid_norm: Optional[float] = None) -> Region:
+def default_region(norm_bound: float, margin: float, inputs: str) -> Region:
     """Square of half-width r = norm_bound + 2*margin (1 for r = 0) centered
-    at 0. 2r + grid_norm, the _norm_bound of the operands (norm_bound if
-    None), bounds what _grid_nodes checks; past the floats, it is refused
-    with InvalidInput naming the caller's inputs."""
+    at 0. 2r + norm_bound bounds what _grid_nodes checks; past the floats,
+    it is refused with InvalidInput naming the caller's inputs."""
     r = float(norm_bound) + 2.0 * float(margin)
-    if not math.isfinite(2 * r + float(norm_bound if grid_norm is None else grid_norm)):
+    if not math.isfinite(2 * r + float(norm_bound)):
         raise InvalidInput(f"the default region is outside the float range: {inputs}")
     if r <= 0:
         r = 1.0
     return (-r, r, -r, r)
 
 
-def _hermitian_array(A: np.ndarray) -> np.ndarray:
-    """A's array (as_matrix refuses a model) if it is nonempty and exactly Hermitian."""
-    a = as_matrix(A)
-    if a.shape[0] == 0:
-        raise InvalidInput("empty matrix")
-    if not np.array_equal(a, a.conj().T):
-        raise NotHermitian("a grid takes a model or an array equal to its conjugate transpose")
-    return a
-
-
-def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> PseudospectrumGrid:
+def compute_grid(A: MatrixModel, region: Region, resolution: tuple[int, int]) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
     module docstring; the band route is one call on all the nodes."""
-    a = A if isinstance(A, MatrixModel) else _hermitian_array(A)
-    lam = _grid_nodes(a, region, resolution)
+    if not isinstance(A, MatrixModel):
+        raise InvalidInput(f"a grid takes a MatrixModel, got {type(A).__name__}")
+    lam = _grid_nodes(spec_norm_bound(A.spec), region, resolution)
 
-    spectrum = _model_spectrum(a) if isinstance(a, MatrixModel) else (_band_eigenvalues(a), 1)
-    if spectrum is not None:
-        out = _spectrum_distances(*spectrum, lam)
-    else:
-        out = _banded_sigma_min(a, lam)
+    spectrum = _model_spectrum(A)
+    if spectrum is None:
+        out = _banded_sigma_min(A, lam)
+    else:  # |conj(r) lambda - h| = |lambda - r h| for the eigenvalues r * h
+        values, r = spectrum
+        out = _distances(lam if r == 1 else lam * r.conjugate(), values)
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
@@ -193,31 +173,20 @@ def compute_grid(A: MatrixLike, region: Region, resolution: tuple[int, int]) -> 
     )
 
 
-def _hermitian_distances(eigs: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """sigma_min(lambda*I - H) = dist(lambda, sigma(H)) for Hermitian H:
-    the distance from Re lambda to the nearest ascending eigenvalue,
-    combined with Im lambda."""
-    x = lam.real
-    idx = np.searchsorted(eigs, x)
-    below = eigs[np.maximum(idx - 1, 0)]
-    above = eigs[np.minimum(idx, eigs.size - 1)]
-    return np.hypot(np.minimum(np.abs(x - below), np.abs(above - x)), lam.imag)
-
-
-def _nearest_distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each point's distance to the nearest value, in row blocks of about
-    _CHUNK_BUDGET differences: the floats of one |points| x |values| pass."""
+def _distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest value: for ascending real values,
+    np.hypot of Im p and the distance from Re p to its sorted neighbours; for
+    complex values, one |points| x |values| pass of complex abs in row
+    blocks of about _CHUNK_BUDGET differences."""
+    if not np.iscomplexobj(values):
+        x = points.real
+        idx = np.searchsorted(values, x)
+        below = values[np.maximum(idx - 1, 0)]
+        above = values[np.minimum(idx, values.size - 1)]
+        return np.hypot(np.minimum(np.abs(x - below), np.abs(above - x)), points.imag)
     rows = max(1, _CHUNK_BUDGET // len(values))
     return np.concatenate([np.min(np.abs(points[s:s + rows, None] - values[None, :]), axis=1)
                            for s in range(0, len(points), rows)])
-
-
-def _spectrum_distances(values: np.ndarray, r: complex, lam: np.ndarray) -> np.ndarray:
-    """dist(lambda, sigma(A)) for a normal A with eigenvalues r * values
-    (spectral._model_spectrum); |conj(r) lambda - h| = |lambda - r h|."""
-    if np.iscomplexobj(values):
-        return _nearest_distances(lam, values)
-    return _hermitian_distances(values, lam if r == 1 else lam * r.conjugate())
 
 
 def level_set(grid: PseudospectrumGrid, epsilon: float) -> np.ndarray:
@@ -255,13 +224,25 @@ class SandwichReport:
     passed: bool
 
 
+def _hermitian_array(A: np.ndarray) -> np.ndarray:
+    """A's array (as_matrix refuses a model) if it is nonempty and exactly Hermitian."""
+    a = as_matrix(A)
+    if a.shape[0] == 0:
+        raise InvalidInput("empty matrix")
+    if not np.array_equal(a, a.conj().T):
+        raise NotHermitian("sandwich_check takes arrays equal to their conjugate transpose")
+    return a
+
+
 def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
                    grid_params: Optional[GridParams] = None) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
-    pointwise on a shared grid, delta = ||S - T||; both levels are the
-    exact sums rounded up to a float. S and T are exactly Hermitian arrays;
-    a model is refused, as are, with InvalidInput before any grid, an S - T
-    (before any SVD), a level or a derived default region past the floats."""
+    pointwise on a shared grid, delta = ||S - T||, at the exact levels
+    rounded up to floats. S, T and so S - T are exactly Hermitian arrays: a
+    norm is the largest |eigenvalue|, a grid the distances to S's or T's
+    eigenvalues. A model is refused, as are, with InvalidInput before any
+    grid, an S - T (before any eigensolve), a level or a derived default
+    region past the floats."""
     s, t = _hermitian_array(S), _hermitian_array(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
@@ -272,21 +253,18 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
     if not np.isfinite(difference).all():
         raise InvalidInput("S - T has entries outside the float range")
     gp = grid_params or GridParams()
-    delta = operator_norm(difference)
-    norms = operator_norm(s), operator_norm(t)
+    eigs_s, eigs_t, eigs_d = (_band_eigenvalues(a) for a in (s, t, difference))
+    delta, *norms = (float(np.abs(e).max()) for e in (eigs_d, eigs_s, eigs_t))
     region = gp.region or default_region(
         max(norms), epsilon / 2 + delta + 0.25,
-        f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}",
-        max(_norm_bound(s), _norm_bound(t)))
+        f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
     outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
 
-    grid_s = compute_grid(s, region, gp.resolution)
-    grid_t = compute_grid(t, region, gp.resolution)
-    lam = grid_s.lambda_grid()
+    lam = _grid_nodes(max(norms), region, gp.resolution)
+    sig_s, sig_t = (_distances(lam, e) for e in (eigs_s, eigs_t))
     slack = 1e-7 * (max(norms) + float(np.max(np.abs(lam))))
 
-    sig_s, sig_t = grid_s.sigma_min_values, grid_t.sigma_min_values
     inner = sig_s <= epsilon
     middle = sig_t <= middle_level
     outer = sig_s <= outer_level
@@ -303,9 +281,9 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
 
     return SandwichReport(
         epsilon=float(epsilon),
-        delta=float(delta),
+        delta=delta,
         resolution=gp.resolution,
-        region=grid_s.region,
+        region=tuple(float(x) for x in region),
         inner_count=int(inner.sum()),
         middle_count=int(middle.sum()),
         outer_count=int(outer.sum()),

@@ -9,7 +9,7 @@ order.
 
 The Hermitian path computes eigenvalues only, through one banded route,
 _band_eigenvalues: of a model of a Hermitian spec (hermitian_eigenvalues),
-or of an exactly Hermitian array (pseudospectra._hermitian_array).
+or of an exactly Hermitian array (pseudospectra.sandwich_check).
 A clock-and-shift model with largest |u-power| J is cyclic-banded: its
 nonzeros sit within cyclic distance J of the diagonal. The interleave
 permutation 0, q-1, 1, q-2, ... is a unitary similarity, so it leaves

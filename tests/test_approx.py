@@ -456,10 +456,10 @@ class TestFingerprints:
         assert isinstance(result, PseudospectrumGrid)
         s = np.diag([0.0, 2.0])
         assert psp.sandwich_check(s, s, 0.5, self.PARAMS).passed
-        # models are refused before any SVD or grid: they are never made dense
+        # models are refused before any eigensolve or grid: they are never made dense
         calls = []
-        monkeypatch.setattr(spectral, "_singular_values", lambda a: calls.append("svd"))
-        monkeypatch.setattr(psp, "compute_grid", lambda *args: calls.append("grid"))
+        monkeypatch.setattr(psp, "_band_eigenvalues", lambda a: calls.append("eig"))
+        monkeypatch.setattr(psp, "_grid_nodes", lambda *args: calls.append("grid"))
         with pytest.raises(InvalidInput, match="never made dense"):
             psp.sandwich_check(build_operator(U_PLUS_2V, 3, 8), build_operator(U_PLUS_2V, 5, 8),
                                0.5, self.PARAMS)
@@ -688,11 +688,35 @@ class TestSetGeometry:
                 assert hausdorff_distance(a, b) == blocked
 
     def test_real_clouds_take_the_sorted_route(self, monkeypatch):
-        monkeypatch.setattr(approx, "_nearest_distances", None)  # the blocks would fail
-        a, b = np.array([3.0, -1.0, 2.0]) + 0j, np.array([0.5, 2.5]) + 0j
+        # the kernel's values: ascending floats for two real clouds (the
+        # sorted route), complex otherwise (the blocks)
+        values = []
+        real_distances = approx._distances
+
+        def recording(points, q):
+            values.append(q)
+            return real_distances(points, q)
+
+        monkeypatch.setattr(approx, "_distances", recording)
+        a, b = np.array([3.0, -1.0, 2.0]) + 0j, np.array([2.5, 0.5]) + 0j
         assert approx._directed(a, b) == 1.5
-        with pytest.raises(TypeError):
-            approx._directed(a + 1j, b)
+        assert len(values) == 1 and values[0].tolist() == [0.5, 2.5]
+        assert values[0].dtype == float
+        for p, q in ((a + 1j, b), (a.real, b + 1j), (a + 1j, b.real)):
+            values.clear()
+            approx._directed(p, q)
+            assert len(values) == 1 and values[0].dtype == complex
+
+    def test_a_complex_cloud_against_a_real_one_takes_the_blocks(self):
+        # numpy's complex abs is not monotone in |Re z| at fixed Im z: of
+        # the two differences below, the one with the larger real part has
+        # the smaller abs, 3.9004264956346972, which the blocked pass finds;
+        # the abs at the nearest sorted neighbour is 3.9004264956346977, so
+        # no sorted-neighbour route reproduces the blocks here
+        p = np.array([5.955909632649889 - 0.8133831709015653j])
+        q = np.array([2.1412360338811447, 2.141236033881145])
+        assert approx._directed(p, q) == 3.9004264956346972
+        assert one_sided_contains(p, q, 3.9004264956346977)
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from argparse import Namespace
 from pathlib import Path
@@ -20,6 +21,7 @@ import rotspec.cli as cli
 import rotspec.spectral as spectral
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
+from rotspec.contfrac import fibonacci
 from rotspec.errors import ConvergenceFailure, InvalidInput
 from rotspec.matmodel import OperatorSpec, build_operator
 from rotspec.pseudospectra import PseudospectrumGrid, cloud_to_csv, grid_to_csv, grid_to_pgm
@@ -69,6 +71,15 @@ def digit_limit():
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def low_digit_limit():
+    """Python's int/str conversion limit at its smallest, 640 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
     sys.set_int_max_str_digits(old)
 
 
@@ -251,6 +262,27 @@ class TestExpand:
         assert main(["expand", "--theta", theta, "--terms", "4"]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert rows[-1].startswith("4,2") and len(rows[-1].split(",")[3]) == 4002
+
+    def test_no_expansion_runs_past_the_printable_bound(self, capsys, low_digit_limit):
+        # every theta has q_k >= F(k), and F(3064) is the first with more
+        # than 640 digits: golden theta, whose q_k is F(k), is refused
+        # after 3064 terms, not 20001 (several seconds)
+        start = time.perf_counter()
+        assert main(["expand", "--theta", GOLDEN, "--terms", "20000"]) == 2
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: p_3064/q_3064 has more than 640 decimal digits; "
+                       "--terms 3063 is the largest that prints\n")
+        assert elapsed < 2
+        # F(3062)/F(3063) ends after 3062 terms, one short of the bound,
+        # with q = F(3063) of 640 digits: a huge --terms prints all of it
+        p, q = fibonacci(3062), fibonacci(3063)
+        assert main(["expand", "--theta", f"rational:{p}/{q}", "--terms", "1000000000"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        header = rows.index("k,a_k,p_k,q_k,gap,bound")
+        assert len(rows) - header - 1 == 3063  # k = 0..3062
+        assert rows[-1] == f"3062,2,{p},{q},0,-"
 
 
 class TestSpectrum:

@@ -71,7 +71,7 @@ class TestComputeGrid:
                 assert grid.sigma_min_values[i, j] == pytest.approx(expect, abs=1e-12)
 
     def test_axes_and_steps(self):
-        grid = compute_grid(np.eye(2, dtype=complex), (-2, 2, -1, 1), (5, 3))
+        grid = compute_grid(build_operator(CANONICAL, 1, 3), (-2, 2, -1, 1), (5, 3))
         re, im = grid.lambda_axes()
         assert np.allclose(re, [-2, -1, 0, 1, 2])
         assert np.allclose(im, [-1, 0, 1])
@@ -104,52 +104,60 @@ class TestComputeGrid:
         assert max(sizes) == 260 * point <= 4 << 20
         assert 40 * point in sizes
 
-    def test_non_hermitian_array_is_refused(self):
-        # no grid route takes a non-Hermitian array, a model's dense entries included
-        for a in (np.array([[0, 1], [0, 0]]), np.diag([1j, 2]),
+    def test_arrays_are_refused_before_any_eigensolve(self, monkeypatch):
+        # a grid takes a model only: an array, Hermitian or not, a model's
+        # dense entries included, is refused before any eigensolve or band pass
+        calls = TestDistanceRoute.spy(monkeypatch)
+        for a in (np.eye(2), np.array([[0, 1], [0, 0]]), np.diag([1j, 2]),
+                  dense_matrix(build_operator(CANONICAL, 3, 8)),
                   dense_matrix(build_operator(U_PLUS_2V, 3, 8))):
-            with pytest.raises(NotHermitian):
+            with pytest.raises(InvalidInput, match="a grid takes a MatrixModel, got ndarray"):
                 compute_grid(a, (-1, 1, -1, 1), (4, 4))
+        assert calls == []
 
     def test_validation(self):
-        with pytest.raises(InvalidInput):
-            compute_grid(np.eye(2), (1, -1, 0, 1), (8, 8))
-        with pytest.raises(InvalidInput):
-            compute_grid(np.eye(2), (-1, 1, 0, 1), (1, 8))
+        model = build_operator(CANONICAL, 1, 3)
+        with pytest.raises(InvalidInput, match="degenerate region"):
+            compute_grid(model, (1, -1, 0, 1), (8, 8))
+        with pytest.raises(InvalidInput, match="resolution must be >= 2"):
+            compute_grid(model, (-1, 1, 0, 1), (1, 8))
         for region in ((0, np.inf, -1, 1), (-1, 1, np.nan, 1)):
-            with pytest.raises(InvalidInput):
-                compute_grid(np.eye(2), region, (4, 4))
+            with pytest.raises(InvalidInput, match="region must be finite"):
+                compute_grid(model, region, (4, 4))
 
     def test_nodes_past_the_float_range_are_refused(self):
         # an overflowing axis step, and a |lambda| + ||A|| past the float
-        # range, gave NaN or inf values or a failed Cholesky factor
+        # range, gave NaN or inf values or a failed Cholesky factor; the
+        # sandwich's arrays meet the same node check with their norm
         models = [build_operator(spec, 5, 8) for spec in (CANONICAL, U_PLUS_2V)]
-        for a in (*models, np.diag([1.0, -1.0])):
-            for region, message in (((-1e308, 1e308, -1, 1), "axis spans"),
-                                    ((0, 1.5e308, 0, 1.5e308), "max \\|lambda\\| \\+ \\|\\|A\\|\\|")):
+        for region, message in (((-1e308, 1e308, -1, 1), "axis spans"),
+                                ((0, 1.5e308, 0, 1.5e308), "max \\|lambda\\| \\+ \\|\\|A\\|\\|")):
+            for a in models:
                 with pytest.raises(InvalidInput, match=message):
                     compute_grid(a, region, (3, 3))
+            with pytest.raises(InvalidInput, match=message):
+                sandwich_check(np.diag([1.0, -1.0]), np.eye(2), 0.5, GridParams(region, (3, 3)))
         # nodes within the range, but not once ||A|| is added
         model = build_operator(OperatorSpec.canonical(1e308, 0, 0, 0), 0, 1)
-        for a in (model, np.array([[1e308]])):
-            with pytest.raises(InvalidInput, match="outside the float range"):
-                compute_grid(a, (0, 1e308, 0, 1e308), (2, 2))
+        huge = GridParams((0, 1e308, 0, 1e308), (2, 2))
+        with pytest.raises(InvalidInput, match="outside the float range"):
+            compute_grid(model, huge.region, huge.resolution)
+        with pytest.raises(InvalidInput, match="outside the float range"):
+            sandwich_check(np.array([[1e308]]), np.array([[1e308]]), 0.5, huge)
         assert np.isfinite(compute_grid(model, (0, 1e307, 0, 1e307), (2, 2)).sigma_min_values).all()
+        assert sandwich_check(np.array([[1e308]]), np.array([[1e308]]), 0.5,
+                              GridParams((0, 1e307, 0, 1e307), (2, 2))).passed
 
     def test_non_finite_and_empty_arrays_are_refused(self):
-        # LAPACK and the band route run without a finiteness check, so a
-        # NaN or inf entry would give a silent wrong grid
+        # LAPACK runs without a finiteness check, so a NaN or inf entry
+        # would give a silent wrong sandwich
         for bad in (np.nan, np.inf):
             for a in (np.array([[bad]]), np.diag([1, bad]), np.array([[0, bad], [0, 1]])):
-                with pytest.raises(InvalidInput, match="must be finite"):
-                    compute_grid(a, (-1, 1, -1, 1), (4, 4))
                 with pytest.raises(InvalidInput, match="must be finite"):
                     sandwich_check(a, np.eye(a.shape[0]), 0.5)
                 with pytest.raises(InvalidInput, match="must be finite"):
                     sandwich_check(np.eye(a.shape[0]), a, 0.5)
         empty = np.zeros((0, 0))
-        with pytest.raises(InvalidInput, match="empty matrix"):
-            compute_grid(empty, (-1, 1, -1, 1), (4, 4))
         with pytest.raises(InvalidInput, match="empty matrix"):
             sandwich_check(empty, empty, 0.5)
 
@@ -317,8 +325,10 @@ class TestBandRoute:
             chunks = [lam for _, lam in passes[:len(sizes)]]
             assert [lam.size for lam in chunks] == sizes
             assert np.array_equal(np.concatenate(chunks), nodes)
-            rest = spectral._HALVINGS - spectral._coarse_halvings(q)
-            assert [h for h, _ in passes[len(sizes):]] == [rest] * (len(passes) - len(sizes))
+            coarse = spectral._coarse_halvings(q)
+            rest = spectral._HALVINGS - coarse
+            assert [h for h, _ in passes] == ([("coarse", coarse)] * len(sizes)
+                                              + [("fallback", rest)] * (len(passes) - len(sizes)))
             at = np.array([0, sizes[0] - 2, sizes[0] - 1, sizes[0], sizes[0] + 1,
                            sum(sizes) - 1])
             ref = pointwise_svd(dense_matrix(model), nodes[at])
@@ -334,13 +344,18 @@ class TestBandRoute:
 
     @staticmethod
     def spy_passes(monkeypatch):
-        """(halvings, lambdas) of every bisection pass: the coarse pass of
-        each chunk, then the fallback of the points that failed to verify."""
+        """((kind, halvings), lambdas) of every bisection pass: the coarse
+        pass of each chunk, then the fallback of the points that failed to
+        verify. The bracket tells them apart, not the halvings, which are
+        equal (22) at q = 144 and 233: a coarse pass starts from hi = inf,
+        a fallback from the finite hi its coarse pass left."""
         passes = []
         real = spectral._bisect_and_iterate
 
         def recording(gb, lam, lo, hi, halvings):
-            passes.append((halvings, lam.copy()))
+            kind = ("fallback" if np.isfinite(hi).all()
+                    else "coarse" if np.isinf(hi).all() else "mixed")
+            passes.append(((kind, halvings), lam.copy()))
             return real(gb, lam, lo, hi, halvings)
 
         monkeypatch.setattr(spectral, "_bisect_and_iterate", recording)
@@ -367,7 +382,7 @@ class TestBandRoute:
         rest = spectral._HALVINGS - coarse
         passes = self.spy_passes(monkeypatch)
         self.banded(model, [lam])
-        assert [h for h, _ in passes] == [coarse]
+        assert [h for h, _ in passes] == [("coarse", coarse)]
         real_matvec = spectral._band_matvec
         ratio = lam / spec_norm_bound(U_PLUS_2V)
         monkeypatch.setattr(spectral, "_band_matvec", lambda band, x: (
@@ -375,33 +390,34 @@ class TestBandRoute:
         passes.clear()
         with pytest.raises(ConvergenceFailure, match="outside its bisection bracket"):
             self.banded(model, [lam])
-        assert [h for h, _ in passes] == [coarse, rest]
+        assert [h for h, _ in passes] == [("coarse", coarse), ("fallback", rest)]
 
-    def test_fallback_equals_the_full_bisection_bit_for_bit(self, monkeypatch):
+    @pytest.mark.parametrize("spec", (U_PLUS_2V, FOUR_TERM, WIDE),
+                             ids=("U+2V", "four-term", "wide"))
+    def test_fallback_equals_the_full_bisection_bit_for_bit(self, monkeypatch, spec):
         # at and near eigenvalues the verifying tests sit at rounding level
         # and fail, while grid points beside them verify. A point that
         # falls back, with others or alone, must get the value of a run
         # whose coarse pass is the whole bisection, bit for bit
         passes = self.spy_passes(monkeypatch)
         partial = lone = False
-        for spec in (U_PLUS_2V, FOUR_TERM, WIDE):
-            for p, q in GOLDEN_ORDERS[2:]:
-                coarse = spectral._coarse_halvings(q)
-                model = build_operator(spec, p, q)
-                eigs = np.linalg.eigvals(dense_matrix(model))[::max(1, q // 30)]
-                grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6)).lambda_grid().ravel()
-                near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
-                for lam in (np.concatenate([grid, eigs, near]), np.append(grid, eigs[0])):
-                    passes.clear()
-                    got = self.banded(model, lam)
-                    # one chunk: its coarse pass, then at most one fallback
-                    rest = spectral._HALVINGS - coarse
-                    assert [h for h, _ in passes] in ([coarse], [coarse, rest])
-                    redone = np.isin(lam, passes[1][1] if len(passes) > 1 else [])
-                    partial |= 1 < redone.sum() < lam.size
-                    lone |= redone.sum() == 1
-                    full = self.full_bisection(monkeypatch, model, lam)
-                    assert np.array_equal(got[redone], full[redone])
+        for p, q in GOLDEN_ORDERS[2:]:
+            coarse = spectral._coarse_halvings(q)
+            model = build_operator(spec, p, q)
+            eigs = np.linalg.eigvals(dense_matrix(model))[::max(1, q // 30)]
+            grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6)).lambda_grid().ravel()
+            near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
+            for lam in (np.concatenate([grid, eigs, near]), np.append(grid, eigs[0])):
+                passes.clear()
+                got = self.banded(model, lam)
+                # one chunk: its coarse pass, then at most one fallback
+                chunk, fallback = ("coarse", coarse), ("fallback", spectral._HALVINGS - coarse)
+                assert [h for h, _ in passes] in ([chunk], [chunk, fallback])
+                redone = np.isin(lam, passes[1][1] if len(passes) > 1 else [])
+                partial |= 1 < redone.sum() < lam.size
+                lone |= redone.sum() == 1
+                full = self.full_bisection(monkeypatch, model, lam)
+                assert np.array_equal(got[redone], full[redone])
         assert partial and lone
 
     def test_one_fallback_pass_for_the_failures_of_every_chunk(self, monkeypatch):
@@ -419,7 +435,8 @@ class TestBandRoute:
         passes = self.spy_passes(monkeypatch)
         got = self.banded(model, lam)
         coarse = spectral._coarse_halvings(8)
-        assert [h for h, _ in passes] == [coarse] * 3 + [spectral._HALVINGS - coarse]
+        assert [h for h, _ in passes] == ([("coarse", coarse)] * 3
+                                          + [("fallback", spectral._HALVINGS - coarse)])
         redone = np.flatnonzero(np.isin(lam, passes[3][1]))
         assert np.isin(at, redone).all() and np.unique(redone // 2048).size == 3
         assert np.array_equal(got[redone], self.full_bisection(monkeypatch, model, lam)[redone])
@@ -435,7 +452,8 @@ class TestBandRoute:
         passes = self.spy_passes(monkeypatch)
         compute_grid(build_operator(U_PLUS_2V, p, q), (-4, 4, -4, 4), (64, 64))
         assert spectral._coarse_halvings(q) == coarse
-        assert [h for h, _ in passes] == [coarse, coarse, spectral._HALVINGS - coarse]
+        assert [h for h, _ in passes] == [("coarse", coarse)] * 2 + [
+            ("fallback", spectral._HALVINGS - coarse)]
         assert passes[2][1].size <= cap
 
     def test_band_arrays_stay_within_4_mib(self, monkeypatch):
@@ -481,7 +499,8 @@ class TestBandRoute:
             rest = spectral._HALVINGS - coarse
             fallbacks = sum(lam.size for _, lam in passes[chunks:])
             fallback_passes = -(-fallbacks // chunk)
-            assert [h for h, _ in passes] == [coarse] * chunks + [rest] * fallback_passes
+            assert [h for h, _ in passes] == ([("coarse", coarse)] * chunks
+                                              + [("fallback", rest)] * fallback_passes)
             assert len(sizes) == chunks * (coarse + 1 + 2) + fallback_passes * (rest + 1)
             # one Gram stack per pass: the verifying pair runs on the
             # stack of its chunk's halvings
@@ -555,7 +574,8 @@ def random_hermitian(n: int) -> np.ndarray:
 
 
 class TestDistanceRoute:
-    """Hermitian inputs take one eigensolve and distances to its values."""
+    """Models of Hermitian specs, and the sandwich's Hermitian arrays, take
+    one eigensolve and distances to its values."""
 
     @staticmethod
     def spy(monkeypatch):
@@ -571,7 +591,7 @@ class TestDistanceRoute:
             return real_band(model, lam)
 
         # the zhbevd solve behind every Hermitian eigensolve: of a model (in
-        # spectral._model_spectrum) or of an array (in compute_grid)
+        # spectral._model_spectrum) or of an array (in sandwich_check)
         monkeypatch.setattr(spectral, "_band_eigenvalues", eigs)
         monkeypatch.setattr(psp, "_band_eigenvalues", eigs)
         monkeypatch.setattr(psp, "_banded_sigma_min", band)
@@ -586,42 +606,45 @@ class TestDistanceRoute:
         # both sides err by a few ulps of ||A|| <= 4
         assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * 4
 
-    def test_exactly_hermitian_dense_matrix(self, monkeypatch):
-        calls = self.spy(monkeypatch)
+    def test_exactly_hermitian_dense_matrix(self):
+        # the sandwich's grid values: the band eigensolve of the array and
+        # the sorted-neighbour distances to its ascending values
         h = random_hermitian(9)
-        grid = compute_grid(h, (-4, 4, -2, 2), (9, 5))
-        assert calls == ["eig"]
-        ref = pointwise_svd(h, grid.lambda_grid().ravel())
-        assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * operator_norm(h)
+        eigs = spectral._band_eigenvalues(h)
+        assert eigs.dtype == float and np.all(np.diff(eigs) >= 0)
+        lam = psp._grid_nodes(operator_norm(h), (-4, 4, -2, 2), (9, 5))
+        ref = pointwise_svd(h, lam)
+        assert np.max(np.abs(psp._distances(lam, eigs) - ref)) <= 1e-12 * operator_norm(h)
 
     def test_one_ulp_defect_is_refused(self, monkeypatch):
         calls = self.spy(monkeypatch)
         h = random_hermitian(9)
-        h[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
-        with pytest.raises(NotHermitian):
-            compute_grid(h, (-4, 4, -2, 2), (9, 5))
+        defect = h.copy()
+        defect[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
+        for pair in ((defect, h), (h, defect)):
+            with pytest.raises(NotHermitian):
+                sandwich_check(*pair, 0.5, GridParams((-4, 4, -2, 2), (9, 5)))
         assert calls == []
+        assert sandwich_check(h, h, 0.5, GridParams((-4, 4, -2, 2), (9, 5))).passed
+        assert calls == ["eig"] * 3
 
     def test_hermitian_array_near_the_float_range(self):
         # a Frobenius norm of these entries overflows; the exact test is the
-        # only Hermitian test an array meets, so the grid and the sandwich
-        # run under warnings-as-errors, and the grid is the distance to the
-        # eigenvalues +-sqrt(a^2 + b^2)
-        a, b = 1e300, 2e299
-        h = np.array([[a, b], [b, -a]])
+        # only Hermitian test an array meets, so the eigensolve, the
+        # distances and the sandwich run under warnings-as-errors, and the
+        # grid is the distance to the eigenvalues +-sqrt(a^2 + b^2)
+        h, t = near_range_pair()
+        a, b = h[0, 0], h[0, 1]
         r = math.hypot(a, b)
-        region = (-2 * a, 2 * a, -a, a)
-        grid = compute_grid(h, region, (9, 5))
-        lam = grid.lambda_grid()
+        eigs = spectral._band_eigenvalues(h)
+        assert eigs == pytest.approx([-r, r], rel=1e-12)
+        lam = psp._grid_nodes(r, (-2 * a, 2 * a, -a, a), (9, 5))
         expect = np.minimum(np.abs(lam - r), np.abs(lam + r))
-        assert np.max(np.abs(grid.sigma_min_values - expect)) <= 1e-12 * r
-        t = np.array([[a, b], [b, -0.9 * a]])
+        assert np.max(np.abs(psp._distances(lam, eigs) - expect)) <= 1e-12 * r
         rep = sandwich_check(h, t, 0.5 * a, GridParams(resolution=(8, 8)))
         assert rep.passed and rep.delta == pytest.approx(0.1 * a, rel=1e-12)
         # within a factor of the same range, a non-Hermitian array is refused
         skew = np.array([[a, 0], [2 * a, -a]])
-        with pytest.raises(NotHermitian):
-            compute_grid(skew, region, (9, 5))
         with pytest.raises(NotHermitian):
             sandwich_check(skew, skew, 0.5 * a)
 
@@ -634,8 +657,10 @@ class TestNormalRoute:
 
     @staticmethod
     def distances(spec, p, q, lam):
-        return psp._spectrum_distances(*spectral._model_spectrum(build_operator(spec, p, q)),
-                                       lam)
+        """compute_grid's values at any points: distances to the values,
+        for class (iii) from the points rotated by conj(r)."""
+        values, r = spectral._model_spectrum(build_operator(spec, p, q))
+        return psp._distances(lam if r == 1 else lam * r.conjugate(), values)
 
     def test_classes_match_pointwise_svd(self):
         # grid points, points on an eigenvalue and points 1e-6 from one,
@@ -736,27 +761,43 @@ class TestLevelSets:
                 level_set(grid, epsilon)
 
 
+def random_pair() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(9)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    s = (z + z.conj().T) / 2
+    t = s + 0.05 * np.diag(rng.standard_normal(6))
+    return s, (t + t.conj().T) / 2
+
+
+def near_range_pair() -> tuple[np.ndarray, np.ndarray]:
+    a, b = 1e300, 2e299
+    return np.array([[a, b], [b, -a]]), np.array([[a, b], [b, -0.9 * a]])
+
+
 class TestSandwich:
+    PAIRS = {
+        "identical": lambda: (dense_matrix(build_operator(CANONICAL, 1, 3)),) * 2,
+        "diagonal": lambda: (np.diag([0.0, 2.0]).astype(complex),
+                             np.diag([0.1, 2.1]).astype(complex)),
+        "random": random_pair,
+        "near_range": near_range_pair,
+    }
+
     def test_identical_matrices(self):
-        h = dense_matrix(build_operator(CANONICAL, 1, 3))
+        h, _ = self.PAIRS["identical"]()
         rep = sandwich_check(h, h, 0.5, GridParams(resolution=(20, 20)))
         assert rep.passed and rep.delta == 0.0
         assert rep.hard_violations == ()
         assert rep.inner_count <= rep.middle_count <= rep.outer_count
 
     def test_diagonal_shift_pair(self):
-        s = np.diag([0.0, 2.0]).astype(complex)
-        t = np.diag([0.1, 2.1]).astype(complex)
+        s, t = self.PAIRS["diagonal"]()
         rep = sandwich_check(s, t, 0.5, GridParams(resolution=(24, 24)))
         assert rep.passed
         assert rep.delta == pytest.approx(0.1, abs=1e-12)
 
     def test_random_hermitian_pair(self):
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = (z + z.conj().T) / 2
-        t = s + 0.05 * np.diag(rng.standard_normal(6))
-        t = (t + t.conj().T) / 2
+        s, t = random_pair()
         rep = sandwich_check(s, t, 0.4, GridParams(resolution=(28, 28)))
         assert rep.passed
         assert rep.grid_too_coarse == (rep.advisory_count > 0)
@@ -764,58 +805,83 @@ class TestSandwich:
     def test_detects_corrupted_sigma(self, monkeypatch):
         # corrupt one sigma_min value beyond slack: the middle-mask point
         # must be flagged as a hard violation
-        real_compute = psp.compute_grid
-        calls = {}
+        real_distances = psp._distances
+        calls = []
 
-        def corrupting(a, region, resolution):
-            grid = real_compute(a, region, resolution)
-            tag = len(calls)
-            calls[tag] = grid
-            if tag == 1:  # second call = grid of T in sandwich_check
-                sig = grid.sigma_min_values.copy()
-                ij = np.unravel_index(np.argmax(sig), sig.shape)
-                sig[ij] = 1e-9  # claims lambda is nearly singular for T
-                grid = PseudospectrumGrid(
-                    region=grid.region, resolution=grid.resolution,
-                    sigma_min_values=sig,
-                )
-            return grid
+        def corrupting(points, values):
+            sig = real_distances(points, values)
+            calls.append(values)
+            if len(calls) == 2:  # second call = grid of T in sandwich_check
+                sig[np.argmax(sig)] = 1e-9  # claims lambda is nearly singular for T
+            return sig
 
-        monkeypatch.setattr(psp, "compute_grid", corrupting)
+        monkeypatch.setattr(psp, "_distances", corrupting)
         s = np.diag([0.0, 2.0]).astype(complex)
         rep = psp.sandwich_check(s, s, 0.5, GridParams(resolution=(16, 16)))
+        assert len(calls) == 2
         assert not rep.passed
         assert len(rep.hard_violations) >= 1
+
+    def test_takes_no_svd_and_no_grid(self, monkeypatch):
+        # the norms and both grids come from the three eigensolves alone
+        monkeypatch.setattr(spectral, "_singular_values",
+                            lambda a: pytest.fail("_singular_values called"))
+        monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+        monkeypatch.setattr(psp, "PseudospectrumGrid",
+                            lambda *args, **kwargs: pytest.fail("PseudospectrumGrid built"))
+        rep = sandwich_check(*random_pair(), 0.4, GridParams(resolution=(28, 28)))
+        assert rep.passed and rep.inner_count > 0
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_norms_match_the_svd(self, monkeypatch, pair):
+        # delta is the report's; ||S|| and ||T|| are the norm that
+        # sandwich_check(S, S) and (T, T) hand default_region
+        s, t = self.PAIRS[pair]()
+        norms = []
+        real_region = psp.default_region
+
+        def recording(norm_bound, *args):
+            norms.append(norm_bound)
+            return real_region(norm_bound, *args)
+
+        monkeypatch.setattr(psp, "default_region", recording)
+        rep = sandwich_check(s, t, 0.5, GridParams(resolution=(4, 4)))
+        sandwich_check(s, s, 0.5, GridParams(resolution=(4, 4)))
+        sandwich_check(t, t, 0.5, GridParams(resolution=(4, 4)))
+        for got, a in ((rep.delta, s - t), (norms[1], s), (norms[2], t)):
+            assert got == pytest.approx(operator_norm(a), rel=1e-12, abs=0)
+        assert norms[0] == max(norms[1:])
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             sandwich_check(np.eye(2), np.eye(3), 0.5)
 
-    def test_non_hermitian_array_is_refused_before_any_svd(self, monkeypatch):
-        def no_svd(a):
-            raise AssertionError("_singular_values called")
+    def test_non_hermitian_array_is_refused_before_any_eigensolve(self, monkeypatch):
+        def no_eigensolve(a):
+            raise AssertionError("_band_eigenvalues called")
 
-        monkeypatch.setattr(spectral, "_singular_values", no_svd)
+        monkeypatch.setattr(psp, "_band_eigenvalues", no_eigensolve)
         s = np.diag([0.0, 2.0]).astype(complex)
         jordan = np.array([[0, 1], [0, 0]], dtype=complex)
         for pair in ((s, jordan), (jordan, s)):
             with pytest.raises(NotHermitian):
                 sandwich_check(*pair, 0.5)
-        # a model is refused before any SVD or grid: it is never made dense
-        monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+        # a model is refused before any eigensolve or grid: it is never made dense
+        monkeypatch.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
         model = build_operator(U_PLUS_2V, 3, 8)
         for pair in ((model, model), (s, model), (model, s)):
             with pytest.raises(InvalidInput, match="never made dense"):
                 sandwich_check(*pair, 0.5)
         assert "entries" not in vars(model)
 
-    def test_difference_outside_the_float_range_is_refused_before_any_svd(self, monkeypatch):
+    def test_difference_outside_the_float_range_is_refused_before_any_eigensolve(self,
+                                                                                 monkeypatch):
         # S and T are finite, but S - T overflows: no overflow warning, and
         # no message that blames the entries the caller gave
-        def no_svd(a):
-            raise AssertionError("_singular_values called")
+        def no_eigensolve(a):
+            raise AssertionError("_band_eigenvalues called")
 
-        monkeypatch.setattr(spectral, "_singular_values", no_svd)
+        monkeypatch.setattr(psp, "_band_eigenvalues", no_eigensolve)
         s = np.diag([1e308, 0.0]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -829,7 +895,7 @@ class TestSandwich:
         # a region the caller never gave, before any grid is computed
         zero = np.zeros((2, 2))
         with monkeypatch.context() as m:
-            m.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            m.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
             for big in (1e308, 4e307):
                 message = f"||S|| = {big:.6e}, ||T|| = 0.000000e+00, delta = {big:.6e}"
                 with warnings.catch_warnings():
@@ -843,19 +909,22 @@ class TestSandwich:
         assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, given).passed
         assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, derived).passed
 
-    def test_default_region_bounds_the_largest_row_sum(self, monkeypatch):
-        # the symmetric Hadamard matrix H has ||H|| = 2 and row sums 4: at
-        # 2.7e307 H, twice the half-width plus the norm fits the floats,
-        # but the grid adds the largest absolute row sum to max |lambda|,
-        # so the derived region must be refused, naming the norms, before
-        # any grid; the region of an in-range input is the same as before
+    def test_default_region_bounds_the_largest_eigenvalue(self, monkeypatch):
+        # the symmetric Hadamard matrix H has ||H|| = 2 and row sums 4: the
+        # grid adds the norm, the largest |eigenvalue|, to max |lambda|, so
+        # at 2.7e307 H, where twice the half-width plus the norm fits the
+        # floats, the derived region gives a finite report; at 4e307 H it
+        # is refused, naming the norms, before any grid
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
         derived = GridParams(resolution=(4, 4))
         with monkeypatch.context() as m:
-            m.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+            m.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
             with pytest.raises(InvalidInput, match=r"the default region is outside the float "
-                               r"range: \|\|S\|\| = 5\.400000e\+307, \|\|T\|\| = 5\.4"):
-                sandwich_check(2.7e307 * h, 2.7e307 * h, 0.5, derived)
+                               r"range: \|\|S\|\| = 8\.000000e\+307, \|\|T\|\| = 8\.0"):
+                sandwich_check(4e307 * h, 4e307 * h, 0.5, derived)
+        big = sandwich_check(2.7e307 * h, 2.7e307 * h, 0.5, derived)
+        assert big.passed and big.region == pytest.approx((-5.4e307, 5.4e307) * 2, rel=1e-12)
+        assert big.inner_count == 0 and big.delta == 0.0
         report = sandwich_check(h, h, 0.5, derived)
         # ||H|| + epsilon + 2 delta + 1/2, not the row sum 4 + 1
         assert report.region == pytest.approx((-3, 3, -3, 3), rel=1e-12)
@@ -863,7 +932,7 @@ class TestSandwich:
     def test_levels_outside_the_float_range_are_refused_before_any_grid(self, monkeypatch):
         # on a given region, epsilon + 2 delta = 2e308 is refused before
         # the grids of S and T are computed, not after
-        monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
+        monkeypatch.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
         given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
         with pytest.raises(InvalidInput, match=r"2\.000000e\+308 is outside the float range"):
             sandwich_check(np.diag([1e308, 0.0]), np.zeros((2, 2)), 0.5, given)
@@ -888,18 +957,14 @@ class TestSandwich:
         sig_t[:, : n // 2] = float_up(middle)  # inner (sig_s = 0) within middle
         sig_s[:, n // 2:] = float_up(outer)    # middle (sig_t = 0) within outer
         grids = iter((sig_s, sig_t))
-
-        def planted(a, region, resolution):
-            return PseudospectrumGrid(region=region, resolution=resolution,
-                                      sigma_min_values=next(grids))
-
-        monkeypatch.setattr(psp, "compute_grid", planted)
+        monkeypatch.setattr(psp, "_distances", lambda points, values: next(grids).ravel())
         s, t = np.zeros((1, 1)), np.full((1, 1), delta)
         rep = psp.sandwich_check(s, t, epsilon, GridParams(resolution=(n, n)))
         assert rep.delta == delta
         assert rep.middle_count == rep.outer_count == n * n
         assert rep.advisory_count == 0 and not rep.grid_too_coarse
         assert rep.passed
+        assert next(grids, None) is None  # both planted grids were read
 
 
 class TestSerialization:

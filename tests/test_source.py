@@ -69,6 +69,20 @@ def test_one_function_runs_the_band_passes():
     assert band_calls == [("pseudospectra.py:compute_grid", False)]
 
 
+def test_the_grid_module_reaches_no_singular_value():
+    # compute_grid takes models, and sandwich_check reads its norms and
+    # grids off eigenvalues: pseudospectra imports, names and calls none
+    # of the SVD entry points
+    svd = {"operator_norm", "smallest_singular_value", "_singular_values"}
+    tree = ast.parse((PACKAGE / "pseudospectra.py").read_text(encoding="utf-8"))
+    found = sorted(f"{node.lineno}: {name}" for node in ast.walk(tree)
+                   for name in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                                else [node.id] if isinstance(node, ast.Name)
+                                else [node.attr] if isinstance(node, ast.Attribute) else [])
+                   if name in svd)
+    assert not found, f"SVD entry points named in pseudospectra: {found}"
+
+
 def test_no_numpy_norm():
     # np.linalg.norm(x, 2) would be a second SVD call, and a Frobenius norm
     # overflows from entries near 1e154 on: a Hermitian-defect tolerance
@@ -331,8 +345,9 @@ def _compared(node) -> list:
 
 
 def test_one_function_compares_an_array_with_its_conjugate_transpose():
-    # exact equality in pseudospectra._hermitian_array is the one Hermitian
-    # test for arrays; the spec decides for models. A second test, such as
+    # exact equality in pseudospectra._hermitian_array, which only
+    # sandwich_check calls, is the one Hermitian test for arrays; the spec
+    # decides for models. A second test, such as
     # a tolerance on A - A*, would be a second rule for the same input
     found = {f"{path.name}:{fn.name}" for path, fn in _functions()
              for node in ast.walk(fn)
