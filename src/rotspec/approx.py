@@ -531,8 +531,6 @@ class ConvergenceRow:
 class ConvergenceTable:
     """The rows of a convergence ladder against its deepest level reference_n."""
 
-    theta: Theta
-    spec: OperatorSpec
     rows: tuple[ConvergenceRow, ...]
     reference_n: int
 
@@ -581,4 +579,4 @@ def convergence_study(theta: Theta, spec: OperatorSpec,
         )
         for n in levels
     )
-    return ConvergenceTable(theta=theta, spec=spec, rows=rows, reference_n=n_max)
+    return ConvergenceTable(rows=rows, reference_n=n_max)

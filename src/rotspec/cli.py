@@ -265,16 +265,25 @@ class _Output:
 
     def write(self, fmt: str, name: str,
               payload: Callable[[], Iterable[str | bytes]]) -> None:
-        """Write the pieces of payload() to name, each as it arrives, if
-        fmt was requested; the payload is built only then. Text pieces
-        are written as UTF-8."""
+        """Write the pieces of payload() to name.partial, each as it arrives
+        (text as UTF-8), and rename it to name, if fmt was requested; the
+        payload is built only then. A failure removes it and any directory this write made."""
         if fmt not in self.formats:
             return
+        made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
         self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
-        with open(path, "wb") as fh:
-            for piece in payload():
-                fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
+        partial = self.dir / f"{name}.partial"
+        try:
+            with open(partial, "wb") as fh:
+                for piece in payload():
+                    fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
+            partial.replace(path)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            for d in made:  # the deepest first
+                d.rmdir()
+            raise
         self.written.append(path)
 
     def report(self) -> None:
@@ -380,19 +389,23 @@ def cmd_butterfly(opts) -> int:
         raise _UsageError(f"--q-max must be >= 1, got {q_max}")
     if q_max > opts.max_q:
         raise ResourceBudgetExceeded(f"--q-max {q_max} exceeds the order budget {opts.max_q}")
-    # every eigensolve finishes before the first file is opened
-    spectra = [(p, q, hermitian_eigenvalues(build_operator(spec, p, q)))
-               for q in range(1, q_max + 1) for p in range(q) if math.gcd(p, q) == 1]
-    fractions = len(spectra)
-    rows = sum(eigen.size for _, _, eigen in spectra)
+    fractions = rows = 0
 
-    def csv() -> Iterator[str]:
+    def csv() -> Iterator[str]:  # one spectrum at a time, not all 0.2 q_max^3 rows
+        nonlocal fractions, rows
         yield "p,q,eigenvalue\n"
-        for p, q, eigen in spectra:
-            yield "".join([f"{p},{q},{v:.17g}\n" for v in eigen.tolist()])
+        for q in range(1, q_max + 1):
+            for p in range(q):
+                if math.gcd(p, q) == 1:
+                    eigen = hermitian_eigenvalues(build_operator(spec, p, q))
+                    fractions, rows = fractions + 1, rows + eigen.size
+                    yield "".join([f"{p},{q},{v:.17g}\n" for v in eigen.tolist()])
 
     out = _Output(opts)
-    out.write("csv", "butterfly.csv", csv)
+    pieces = csv()
+    out.write("csv", "butterfly.csv", lambda: pieces)
+    for _ in pieces:  # a run without the CSV still solves every fraction
+        pass
     out.write("json", "butterfly_summary.json",
               lambda: (dumps_17g({"spec": spec.to_json(), "q_max": q_max,
                                   "fractions": fractions, "rows": rows}), "\n"))

@@ -179,8 +179,10 @@ class ContinuedFractionExpansion:
         return self.convergent(k)[1]
 
     def __post_init__(self):
-        # exact-integer recursion invariants; cheap, always on, and raised
-        # rather than asserted so that python -O keeps them
+        """Raise, also under python -O, unless (p_0, q_0) = (0, 1), a_k >= 1 and
+        the recursion holds from (p_-1, q_-1) = (1, 0). The rest follows from
+        these: D_k = p_k q_(k-1) - p_(k-1) q_k = -D_(k-1) and D_1 = p_1 = 1, so
+        D_k = (-1)^(k-1); q_0 = 1 and q_k >= q_(k-1) + q_(k-2) > q_(k-1) for k >= 2."""
         a, conv = self.partial_quotients, self.convergents
         if len(conv) != len(a) + 1 or conv[0] != (0, 1):
             raise CertificateViolation(f"convergents of theta {_quoted(str(self.theta))} must "
@@ -188,12 +190,10 @@ class ContinuedFractionExpansion:
         pm2, qm2 = 1, 0
         for k in range(1, len(conv)):
             (p, q), (pprev, qprev), ak = conv[k], conv[k - 1], a[k - 1]
-            if not (ak >= 1 and p == ak * pprev + pm2 and q == ak * qprev + qm2
-                    and p * qprev - pprev * q == (-1) ** (k - 1)  # gcd(p_k, q_k) = 1
-                    and (k < 2 or q > qprev)):
+            if not (ak >= 1 and p == ak * pprev + pm2 and q == ak * qprev + qm2):
                 raise CertificateViolation(
                     f"convergent {k} = {p}/{q} of theta {_quoted(str(self.theta))} breaks "
-                    "a_k >= 1, the recursion, the determinant +-1 or increasing q_k")
+                    "a_k >= 1 or the recursion")
             pm2, qm2 = pprev, qprev
 
 
@@ -275,8 +275,7 @@ class GapBound:
     gap_lower/gap_upper is a rational enclosure of the gap (a point for
     rational theta); strict records whether gap < bound strictly (it
     fails, with exact equality, only at the final index of a terminated
-    rational expansion). For n >= 1, convergent_gap also checks
-    bound < (1/q_n)^2 and raises CertificateViolation when it fails.
+    rational expansion).
     """
 
     n: int
@@ -330,9 +329,6 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         hi = max(abs(tlo - target), abs(thi - target))
         certified = hi < bound
 
-    if n >= 1 and not bound < Fraction(1, q) ** 2:
-        raise CertificateViolation(
-            f"1/(q_{n} q_{n + 1}) >= 1/q_{n}^2 for theta {_quoted(str(theta))}")
     return GapBound(
         n=n, p=p, q=q, bound=bound, gap_lower=lo, gap_upper=hi,
         strict=strict, certified=certified,

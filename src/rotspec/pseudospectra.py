@@ -81,10 +81,6 @@ class PseudospectrumGrid:
     def lambda_axes(self) -> tuple[np.ndarray, np.ndarray]:
         return _axes(self.region, self.resolution)
 
-    def lambda_grid(self) -> np.ndarray:
-        re, im = self.lambda_axes()
-        return re[:, None] + 1j * im[None, :]
-
 
 def _axes(region: Region, resolution: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The real and imaginary grid axes."""

@@ -1,5 +1,5 @@
-"""The dense matrix of a model, for test oracles: no route of the package
-forms it."""
+"""The dense matrix of a model and the nodes of a grid, for test oracles:
+no route of the package forms either."""
 
 import numpy as np
 
@@ -12,3 +12,9 @@ def dense_matrix(model) -> np.ndarray:
     for cols, vals in zip(model.columns, model.values):
         a[np.arange(q), cols] += vals
     return a
+
+
+def grid_nodes(grid) -> np.ndarray:
+    """The complex nodes re[i] + 1j*im[j] of a grid, indexed [i, j]."""
+    re, im = grid.lambda_axes()
+    return re[:, None] + 1j * im[None, :]

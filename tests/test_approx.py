@@ -50,7 +50,7 @@ from rotspec.exact import float_up
 from rotspec.matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import GridParams, PseudospectrumGrid, cloud_to_csv
 from rotspec.spectral import circulant_four_term_eigenvalues, hermitian_eigenvalues
-from dense_oracle import dense_matrix
+from dense_oracle import dense_matrix, grid_nodes
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -536,7 +536,7 @@ class TestOneSided:
             assert not spec.is_normal
             grid, cert = one_sided(parse_theta(theta), spec, n, GridParams(resolution=(9, 8)))
             assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == p
-            lam = grid.lambda_grid().ravel()
+            lam = grid_nodes(grid).ravel()
             exact = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
             got = grid.sigma_min_values.ravel()
             assert np.all(np.abs(got - exact) <= 1e-10 * exact + 1e-12 * (3 + np.abs(lam)))

@@ -130,7 +130,7 @@ class TestStreamedArtifacts:
     def test_convergence_csv(self, tmp_path):
         rows = tuple(ConvergenceRow(n, n - 1, n, 0.1 * n, 1 / 3 * n, 1e-300 * n, 0.5 * n)
                      for n in range(3, 7))
-        table = ConvergenceTable(theta=None, spec=None, rows=rows, reference_n=6)
+        table = ConvergenceTable(rows=rows, reference_n=6)
         _writer(tmp_path, "csv").write("csv", "convergence.csv", table.to_csv)
         lines = ["n,q_prev,q_n,epsilon_sharp,epsilon_clean,empirical_dH"]
         lines.extend(f"{r.n},{r.q_prev},{r.q_n},{r.epsilon_sharp:.17g},"
@@ -577,6 +577,61 @@ class TestButterfly:
         assert "budget 50" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_memory_holds_one_spectrum(self, tmp_path, capsys):
+        # the rows number about 0.2 q_max^3, and each fraction's are written
+        # as they are solved: the peak stays flat from 40 to 120
+        main(["butterfly", "--q-max", "2", "--out-dir", str(tmp_path / "warm")])
+        peaks = {}
+        for q_max in (40, 120):
+            tracemalloc.start()
+            try:
+                assert main(["butterfly", "--q-max", str(q_max), "--format", "csv",
+                             "--out-dir", str(tmp_path / str(q_max))]) == 0
+                peaks[q_max] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[120] < 2**20 and abs(peaks[120] - peaks[40]) < 2**18, peaks
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_failure_mid_stream_leaves_no_csv(self, tmp_path, capsys, monkeypatch, fresh):
+        out = tmp_path / "out"
+        if not fresh:
+            out.mkdir()
+        calls = []
+
+        def solve(model):
+            calls.append(model.order)
+            if len(calls) == 20:
+                raise ConvergenceFailure("planted")
+            return hermitian_eigenvalues(model)
+
+        monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
+        assert main(["butterfly", "--q-max", "12", "--out-dir", str(out)]) == 4
+        assert "planted" in capsys.readouterr().err
+        assert len(calls) == 20
+        assert (not out.exists()) if fresh else not list(out.iterdir())
+
+    def test_json_only_run_solves_every_fraction(self, tmp_path, capsys, monkeypatch):
+        both, json_only = tmp_path / "both", tmp_path / "json"
+        assert main(["butterfly", "--q-max", "9", "--out-dir", str(both)]) == 0
+        orders = []
+
+        def solve(model):
+            orders.append(model.order)
+            return hermitian_eigenvalues(model)
+
+        monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
+        assert main(["butterfly", "--q-max", "9", "--format", "json",
+                     "--out-dir", str(json_only)]) == 0
+        capsys.readouterr()
+        assert [p.name for p in json_only.iterdir()] == ["butterfly_summary.json"]
+        summary = "butterfly_summary.json"
+        assert (json_only / summary).read_bytes() == (both / summary).read_bytes()
+        doc = json.loads((both / summary).read_text())
+        assert orders == [q for q in range(1, 10) for p in range(q) if math.gcd(p, q) == 1]
+        assert (doc["fractions"], doc["rows"]) == (len(orders), sum(orders))
+
 
 class TestOnesided:
     def test_cloud_kind(self, tmp_path, capsys):
@@ -735,12 +790,10 @@ class TestConverge:
         assert not out.exists()
 
     def test_violation_exits_5_after_writing(self, tmp_path, capsys, monkeypatch):
-        spec = OperatorSpec.canonical(1, 1, 1, 1)
         bad_row = ConvergenceRow(n=3, q_prev=2, q_n=3, epsilon_sharp=1.0,
                                  epsilon_clean=2.0, empirical_dh=10.0,
                                  certified_bound=1.5)
-        table = ConvergenceTable(theta="x", spec=spec, rows=(bad_row,),
-                                 reference_n=3)
+        table = ConvergenceTable(rows=(bad_row,), reference_n=3)
         monkeypatch.setattr(cli, "convergence_study", lambda *a, **k: table)
         code = main(["converge", "--theta", GOLDEN, "--n-range", "3:3",
                      "--out-dir", str(tmp_path)])

@@ -239,6 +239,55 @@ class TestExpansionInvariants:
         assert run.returncode == 0, run.stdout + run.stderr
 
 
+def shifted_convergents(expansion: ContinuedFractionExpansion):
+    """Each copy of the convergents with one p_k or q_k moved by +-1, with
+    the entry it moved."""
+    for k, pair in enumerate(expansion.convergents):
+        for j in (0, 1):
+            for delta in (-1, 1):
+                moved = list(pair)
+                moved[j] += delta
+                yield (k, "pq"[j], delta), (expansion.convergents[:k] + (tuple(moved),)
+                                            + expansion.convergents[k + 1:])
+
+
+class TestShiftedConvergents:
+    """The base, a_k >= 1 and the recursion are all that __post_init__
+    checks: every single entry moved by one breaks the recursion (or the
+    base), so the determinant and increasing q_k need no check of their own."""
+
+    @pytest.mark.parametrize("text", [GOLDEN, SQRT2M1, "rational:7/10"])
+    def test_every_shift_of_one_entry_raises(self, text):
+        e = expand(parse_theta(text), 30)
+        kept = []
+        for entry, convergents in shifted_convergents(e):
+            try:
+                ContinuedFractionExpansion(e.theta, e.partial_quotients, convergents)
+            except CertificateViolation:
+                continue
+            kept.append(entry)
+        assert not kept, f"shifted entries accepted: {kept}"
+
+    def test_every_shift_raises_without_asserts(self):
+        run = run_without_asserts("""
+            import sys
+            sys.path.insert(0, %r)
+            from test_contfrac import shifted_convergents
+            from rotspec.contfrac import ContinuedFractionExpansion, expand, parse_theta
+            from rotspec.errors import CertificateViolation
+            e = expand(parse_theta("surd:(-1+1*sqrt(5))/2"), 30)
+            kept = []
+            for entry, convergents in shifted_convergents(e):
+                try:
+                    ContinuedFractionExpansion(e.theta, e.partial_quotients, convergents)
+                except CertificateViolation:
+                    continue
+                kept.append(entry)
+            raise SystemExit(f"shifted entries accepted: {kept}" if kept else 0)
+        """ % str(Path(__file__).resolve().parent))
+        assert run.returncode == 0, run.stdout + run.stderr
+
+
 # The expansion routines that the single interval loop of expand replaced,
 # kept here as an oracle: one routine per kind of theta, with the
 # integer-state machine on (P + sqrt(D))/Q for quadratic surds.

@@ -35,7 +35,7 @@ from rotspec.pseudospectra import (
     sandwich_check,
 )
 from rotspec.spectral import _banded_sigma_min, operator_norm
-from dense_oracle import dense_matrix
+from dense_oracle import dense_matrix, grid_nodes
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 U_PLUS_2V = OperatorSpec.canonical(1, 0, 2, 0)
@@ -80,7 +80,7 @@ class TestComputeGrid:
         model = build_operator(U_PLUS_2V, 55, 89)
         grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), (10, 10))
         h = dense_matrix(model)
-        lam = grid.lambda_grid()
+        lam = grid_nodes(grid)
         for i, j in np.ndindex(*grid.resolution):
             ref = np.linalg.svd(lam[i, j] * np.eye(89) - h, compute_uv=False)[-1]
             assert grid.sigma_min_values[i, j] == pytest.approx(ref, rel=1e-12)
@@ -259,7 +259,7 @@ class TestBandRoute:
             for p, q in GOLDEN_ORDERS:
                 model = build_operator(spec, p, q)
                 grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
-                self.assert_matches_svd(model, grid.lambda_grid().ravel(),
+                self.assert_matches_svd(model, grid_nodes(grid).ravel(),
                                         grid.sigma_min_values.ravel())
 
     def test_at_and_near_eigenvalues(self):
@@ -279,7 +279,7 @@ class TestBandRoute:
             roots = np.exp(2j * np.pi * np.arange(q) / q)
             grid = compute_grid(model, (-1.5, 1.5, -1.2, 1.2), (9, 7))
             on_grid = grid.sigma_min_values.ravel()
-            lam = np.concatenate([grid.lambda_grid().ravel(), roots, 1.000001 * roots])
+            lam = np.concatenate([grid_nodes(grid).ravel(), roots, 1.000001 * roots])
             exact = np.min(np.abs(lam[:, None] - roots[None, :]), axis=1)
             got = np.concatenate([on_grid, self.banded(model, lam[on_grid.size:])])
             assert np.all(np.abs(got - exact) <= 1e-10 * exact + sigma_tolerance(lam, spec))
@@ -292,7 +292,7 @@ class TestBandRoute:
                 model = build_operator(big, p, q)
                 region = tuple(scale * x for x in (-3.7, 3.1, -3.3, 3.5))
                 grid = compute_grid(model, region, (6, 5))
-                lam = grid.lambda_grid().ravel()
+                lam = grid_nodes(grid).ravel()
                 ref = scale * pointwise_svd(dense_matrix(build_operator(small, p, q)), lam / scale)
                 got = grid.sigma_min_values.ravel()
                 assert np.all(np.isfinite(got)) and np.all(got > 0)
@@ -321,7 +321,7 @@ class TestBandRoute:
             model = build_operator(U_PLUS_2V, p, q)
             passes.clear()
             grid = compute_grid(model, (-3.5, 3.5, -3.5, 3.5), resolution)
-            nodes = grid.lambda_grid().ravel()
+            nodes = grid_nodes(grid).ravel()
             chunks = [lam for _, lam in passes[:len(sizes)]]
             assert [lam.size for lam in chunks] == sizes
             assert np.array_equal(np.concatenate(chunks), nodes)
@@ -405,7 +405,7 @@ class TestBandRoute:
             coarse = spectral._coarse_halvings(q)
             model = build_operator(spec, p, q)
             eigs = np.linalg.eigvals(dense_matrix(model))[::max(1, q // 30)]
-            grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6)).lambda_grid().ravel()
+            grid = grid_nodes(compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))).ravel()
             near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
             for lam in (np.concatenate([grid, eigs, near]), np.append(grid, eigs[0])):
                 passes.clear()
@@ -602,7 +602,7 @@ class TestDistanceRoute:
         model = build_operator(CANONICAL, 55, 89)
         grid = compute_grid(model, (-4.5, 4.5, -1, 1), (19, 7))
         assert calls == ["eig"] and "entries" not in vars(model)
-        ref = pointwise_svd(dense_matrix(model), grid.lambda_grid().ravel())
+        ref = pointwise_svd(dense_matrix(model), grid_nodes(grid).ravel())
         # both sides err by a few ulps of ||A|| <= 4
         assert np.max(np.abs(grid.sigma_min_values.ravel() - ref)) <= 1e-12 * 4
 
@@ -673,7 +673,7 @@ class TestNormalRoute:
                 grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
                 eigs = spectral.normal_eigenvalues(model)[::max(1, q // 12)]
                 near = eigs + 1e-6 * np.exp(1j * np.arange(eigs.size))
-                lam = np.concatenate([grid.lambda_grid().ravel(), eigs, near])
+                lam = np.concatenate([grid_nodes(grid).ravel(), eigs, near])
                 got = np.concatenate([grid.sigma_min_values.ravel(),
                                       self.distances(spec, p, q, lam[grid.sigma_min_values.size:])])
                 ref = pointwise_svd(dense_matrix(model), lam)
@@ -703,7 +703,7 @@ class TestNormalRoute:
                 model = build_operator(spec, p, q)
                 grid = compute_grid(model, (-3, 3, -3, 3), (4, 4))
                 assert "entries" not in vars(model)
-                lam = grid.lambda_grid().ravel()
+                lam = grid_nodes(grid).ravel()
                 ref = pointwise_svd(dense_matrix(model), lam)
                 tol = 1e-12 * (spec_norm_bound(spec) + np.abs(lam))
                 assert np.all(np.abs(grid.sigma_min_values.ravel() - ref) <= tol), (spec, q)
@@ -734,7 +734,7 @@ class TestNormalRoute:
                 tracemalloc.stop()
             assert peak <= 12 << 20
             eigs = spectral.normal_eigenvalues(model)
-            lam = grid.lambda_grid().ravel()[::37]
+            lam = grid_nodes(grid).ravel()[::37]
             direct = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
             assert np.array_equal(grid.sigma_min_values.ravel()[::37], direct)
 

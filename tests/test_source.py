@@ -240,12 +240,19 @@ def test_specs_are_built_by_one_merge():
     assert callers == {"matmodel.py:_merge"}, callers
 
 
+# methods that only code outside src/ reads: bench/check.py builds its
+# dense oracle from MatrixModel.entries until the benchmark change of
+# ROADMAP item 1 moves it to the model's columns and values
+_READ_OUTSIDE_SRC = {"MatrixModel.entries"}
+
+
 def test_every_top_level_definition_is_used():
-    # a function or class nobody calls is dead code: each top-level
-    # definition is re-exported by __init__.py or named somewhere under
-    # src/rotspec outside its own body
+    # a function, class, method or property nobody calls is dead code: each
+    # top-level definition is re-exported by __init__.py or named somewhere
+    # under src/rotspec outside its own body, and so is each non-dunder
+    # method or property of a class, as an attribute of any object
     names = {}  # name -> count of its appearances as a read, an attribute or an import
-    defined = []
+    defined = []  # (path, qualified name, node)
     for path, tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -254,16 +261,21 @@ def test_every_top_level_definition_is_used():
                 names[node.attr] = names.get(node.attr, 0) + 1
             elif isinstance(node, ast.alias):
                 names[node.name] = names.get(node.name, 0) + 1
-        defined += [(path, node) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path, f"{node.name}.{method.name}", method) for method in node.body
+                            if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not method.name.startswith("__")]
     dead = []
-    for path, node in defined:
+    for path, qualname, node in defined:
         inside = sum(1 for inner in ast.walk(node)
                      if isinstance(inner, ast.Name) and inner.id == node.name
                      or isinstance(inner, ast.Attribute) and inner.attr == node.name)
-        if names.get(node.name, 0) <= inside:
-            dead.append(f"{path.name}:{node.lineno}: {node.name}")
-    assert not dead, f"top-level definitions nothing uses: {dead}"
+        if names.get(node.name, 0) <= inside and qualname not in _READ_OUTSIDE_SRC:
+            dead.append(f"{path.name}:{node.lineno}: {qualname}")
+    assert not dead, f"definitions nothing uses: {dead}"
 
 
 def test_dense_entries_are_read_in_one_place():
