@@ -47,11 +47,8 @@ from .spectral import (
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
     normal_eigenvalues,
-    operator_norm,
-    smallest_singular_value,
 )
 from .pseudospectra import (
-    GridParams,
     PseudospectrumGrid,
     SandwichReport,
     cloud_to_csv,

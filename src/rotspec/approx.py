@@ -33,12 +33,10 @@ from .contfrac import (
     Theta,
     _quoted,
     expand,
-    fibonacci,
     round_nearest,
     tail_constant_enclosure,
 )
 from .errors import (
-    CertificateViolation,
     EmptyCloud,
     IndexOutOfRange,
     InvalidInput,
@@ -51,8 +49,9 @@ from .errors import (
 from .exact import PI_HI, PI_LO, float_down, float_up, sqrt_lower, sqrt_upper
 from .matmodel import OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
-    GridParams,
+    DEFAULT_RESOLUTION,
     PseudospectrumGrid,
+    Region,
     _distances,
     compute_grid,
     default_region,
@@ -119,18 +118,22 @@ def sharp_bound(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
 
 def clean_bound_exact(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
                       n: int) -> Fraction:
-    """204 * M * (1/q_{n-1} + 1/q_n)."""
+    """204 * M * (1/q_{n-1} + 1/q_n), which majorizes sharp_bound_exact
+    at every level, so no level computes the sharp radius to compare.
+
+    Proof: the weights satisfy |a1| + |a-1| <= 2M and |b1| + |b-1| <= 2M
+    (each |c| is rounded up alone, and M is the largest), and q_{n+1} >
+    q_n, so with PI_HI and T_hi the enclosures sharp_bound_exact uses,
+    sharp <= 2M (2 PI_HI (1/q_{n-1} + 1/q_n) + 2 PI_HI T_hi/q_n
+                  + PI_HI/q_{n-1} + 5 PI_HI/q_n + 5 PI_HI T_hi/q_n)
+           = 2M (3 PI_HI/q_{n-1} + 7 PI_HI (1 + T_hi)/q_n)
+          <= 14 PI_HI (1 + T_hi) M (1/q_{n-1} + 1/q_n),
+    and 14 PI_HI (1 + T_hi) = 203.112... <= 204: with 1 + T =
+    (3 sqrt(5) - 1)/(sqrt(5) - 1), this is the constant constant_audit
+    encloses."""
     _, _, m_up = _canonical_weights(spec)
     qm, qn, _ = _q_triple(expansion, n)
-    value = 204 * m_up * (Fraction(1, qm) + Fraction(1, qn))
-    # the clean constant majorizes the sharp expression by construction
-    sharp = sharp_bound_exact(spec, expansion, n)
-    if sharp > value:
-        raise CertificateViolation(
-            f"sharp radius {float(sharp):.17g} exceeds the clean radius "
-            f"{float(value):.17g} at level n={n}"
-        )
-    return value
+    return 204 * m_up * (Fraction(1, qm) + Fraction(1, qn))
 
 
 def clean_bound(spec: OperatorSpec, expansion: ContinuedFractionExpansion,
@@ -207,7 +210,7 @@ class ApproximationCertificate:
 
     @property
     def radius(self) -> float:
-        return self.epsilon_sharp  # clean_bound refuses a sharp radius above the clean one
+        return self.epsilon_sharp  # at most epsilon_clean (clean_bound_exact's proof)
 
     @property
     def q_pair(self) -> tuple[int, int]:
@@ -244,12 +247,12 @@ def _expand_to_level(theta: Theta, n: int, max_q: int,
     exceeds the budget: n reaches the first index k with F(k) > max_q,
     and the message names F(k), never q_n. Then q_n itself is checked,
     with label naming the level."""
-    k = 0
-    while fibonacci(k) <= max_q:
-        k += 1
+    k, f, g = 0, 1, 1  # F(k), F(k + 1)
+    while f <= max_q:
+        k, f, g = k + 1, g, f + g
     if n >= k:
         raise ResourceBudgetExceeded(
-            f"level n={n} needs order q_{n} >= F({k}) = {fibonacci(k)} > budget {max_q}")
+            f"level n={n} needs order q_{n} >= F({k}) = {f} > budget {max_q}")
     expansion = expand(theta, n + 1)
     _q_triple(expansion, n)
     _check_budget(expansion.q(n), max_q, f"{label} n={n}")
@@ -312,9 +315,12 @@ class PseudospectrumSandwich:
     the outer union at epsilon + 2*epsilon_n (the exact sum rounded up to
     a float) bracket the operator's (epsilon + epsilon_n)-pseudospectrum.
     For non-canonical specs no epsilon_n exists and the report gives only
-    the rate flag. grid_fingerprints are the matrix_fingerprint of the models
-    behind grid_prev and grid_curr, hashed once for to_json: theta, spec and
-    n name the operator, and the digests record the rounded models. Each
+    the rate flag. inclusion_verified checks outer | ~inner on masks
+    nested by construction (the outer level is at least epsilon, on the
+    same two grids), so no input makes it False and `pseudospectrum` exit
+    5. grid_fingerprints are the matrix_fingerprint of the models behind
+    grid_prev and grid_curr, hashed once for to_json: theta, spec and n
+    name the operator, and the digests record the rounded models. Each
     covers a model's stored terms, a finer identity than its dense bytes
     where two terms share a slot at small q."""
 
@@ -366,26 +372,27 @@ class PseudospectrumSandwich:
 
 def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
                            epsilon: float,
-                           grid_params: Optional[GridParams] = None,
+                           region: Optional[Region] = None,
+                           resolution: tuple[int, int] = DEFAULT_RESOLUTION,
                            max_q: int = MAX_Q) -> PseudospectrumSandwich:
     """Grids for both convergent models plus the sandwich masks; the
-    operator itself is never materialized. max_q bounds the model order."""
+    operator itself is never materialized. region None derives one from
+    sum |c| and the levels; max_q bounds the model order."""
     if not 0 < epsilon < math.inf:
         raise InvalidInput(f"epsilon must be finite and > 0, got {epsilon}")
     caveat = _irrationality_caveat(theta)
     expansion = _expand_to_level(theta, n, max_q, "level")
-    gp = grid_params or GridParams()
 
     eps_n = sharp_bound(spec, expansion, n) if spec.is_canonical else None
     eps_clean = clean_bound(spec, expansion, n) if spec.is_canonical else None
 
     norm, margin = spec_norm_bound(spec), epsilon + 2 * (eps_n or 0.0)
-    region = gp.region or default_region(
+    region = region or default_region(
         norm, margin, f"sum |c| = {norm:.6e}, epsilon + 2 epsilon_n = {margin:.6e}")
     h_prev, h_curr = (build_operator(spec, p % q, q)  # v is q-periodic in p
                       for p, q in map(expansion.convergent, (n - 1, n)))
-    grid_prev = compute_grid(h_prev, region, gp.resolution)
-    grid_curr = compute_grid(h_curr, region, gp.resolution)
+    grid_prev = compute_grid(h_prev, region, resolution)
+    grid_curr = compute_grid(h_curr, region, resolution)
 
     inner = level_set(grid_prev, epsilon) | level_set(grid_curr, epsilon)
     if eps_n is not None:
@@ -438,11 +445,13 @@ OneSidedResult = Union[np.ndarray, PseudospectrumGrid]
 
 
 def one_sided(theta: Theta, spec: OperatorSpec, n: int,
-              grid_params: Optional[GridParams] = None,
+              region: Optional[Region] = None,
+              resolution: tuple[int, int] = DEFAULT_RESOLUTION,
               max_q: int = MAX_Q) -> tuple[OneSidedResult, OneSidedCertificate]:
     """Single model at denominator n with p = round(n*theta); returns its
     spectrum (normal case) or a sigma_min grid, plus the sqrt(n)-rate
-    certificate. max_q bounds the model order n."""
+    certificate. region None derives one from sum |c| and the radius;
+    max_q bounds the model order n."""
     if n < 1:
         raise InvalidInput(f"denominator must be >= 1, got {n}")
     _check_budget(n, max_q, f"denominator n={n}")
@@ -462,11 +471,10 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
     if spec.is_normal:
         result: OneSidedResult = normal_eigenvalues(model)
     else:
-        gp = grid_params or GridParams()
         norm = spec_norm_bound(spec)
-        region = gp.region or default_region(
+        region = region or default_region(
             norm, radius, f"sum |c| = {norm:.6e}, radius = {radius:.6e}")
-        result = compute_grid(model, region, gp.resolution)
+        result = compute_grid(model, region, resolution)
 
     cert = OneSidedCertificate(
         theta=theta, spec=spec, denominator_n=n, chosen_p=p, radius=radius,

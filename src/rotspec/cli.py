@@ -52,8 +52,8 @@ from .errors import (
 from .matmodel import OperatorSpec, build_operator
 from .pseudospectra import (
     DEFAULT_RESOLUTION,
-    GridParams,
     PseudospectrumGrid,
+    Region,
     cloud_to_csv,
     grid_to_csv,
     grid_to_pgm,
@@ -243,7 +243,8 @@ def _resolve_spec(opts) -> OperatorSpec:
     return OperatorSpec.from_json(doc)
 
 
-def _resolve_grid_params(opts) -> GridParams:
+def _resolve_grid_params(opts) -> tuple[Optional[Region], tuple[int, int]]:
+    """The grid's region (None: derived from the norms) and resolution."""
     region = opts.region
     if region is not None:
         region = tuple(float(x) for x in region)
@@ -251,7 +252,7 @@ def _resolve_grid_params(opts) -> GridParams:
             raise _UsageError(f"--region must be finite, got {region}")
     if opts.jobs < 1:
         raise _UsageError(f"--jobs must be >= 1, got {opts.jobs}")
-    return GridParams(region=region, resolution=tuple(opts.resolution))
+    return region, tuple(opts.resolution)
 
 
 class _Output:
@@ -267,22 +268,28 @@ class _Output:
               payload: Callable[[], Iterable[str | bytes]]) -> None:
         """Write the pieces of payload() to name.partial, each as it arrives
         (text as UTF-8), and rename it to name, if fmt was requested; the
-        payload is built only then. A failure removes it and any directory this write made."""
+        payload is built only then. A failure removes it and any directory
+        this write made; an OSError, such as an --out-dir that is a file,
+        is then InvalidInput naming the path."""
         if fmt not in self.formats:
             return
         made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
-        self.dir.mkdir(parents=True, exist_ok=True)
         path = self.dir / name
         partial = self.dir / f"{name}.partial"
         try:
+            self.dir.mkdir(parents=True, exist_ok=True)
             with open(partial, "wb") as fh:
                 for piece in payload():
                     fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
             partial.replace(path)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            for d in made:  # the deepest first
-                d.rmdir()
+        except BaseException as exc:
+            if partial.exists():
+                partial.unlink()
+            for d in made:  # the deepest first, each if the write made it
+                if d.is_dir():
+                    d.rmdir()
+            if isinstance(exc, OSError):
+                raise InvalidInput(f"cannot write {path}: {exc}") from exc
             raise
         self.written.append(path)
 
@@ -364,8 +371,9 @@ def cmd_pseudospectrum(opts) -> int:
     epsilon = float(opts.epsilon)
     if not 0 < epsilon < math.inf:
         raise _UsageError(f"--epsilon must be finite and > 0, got {epsilon}")
-    gp = _resolve_grid_params(opts)
-    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, gp, max_q=opts.max_q)
+    region, resolution = _resolve_grid_params(opts)
+    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, region, resolution,
+                                      max_q=opts.max_q)
     out = _Output(opts)
     out.write("csv", "grid_prev.csv", lambda: grid_to_csv(sandwich.grid_prev))
     out.write("csv", "grid_curr.csv", lambda: grid_to_csv(sandwich.grid_curr))
@@ -438,9 +446,10 @@ def cmd_onesided(opts) -> int:
     if max(n_list) > opts.max_q:
         raise ResourceBudgetExceeded(
             f"--n-list entry {max(n_list)} exceeds the order budget {opts.max_q}")
-    gp = _resolve_grid_params(opts)
+    region, resolution = _resolve_grid_params(opts)
     # every denominator is certified before the first file is written
-    runs = [(n, *one_sided(theta, spec, n, gp, max_q=opts.max_q)) for n in n_list]
+    runs = [(n, *one_sided(theta, spec, n, region, resolution, max_q=opts.max_q))
+            for n in n_list]
     out = _Output(opts)
     summaries = []
     for n, result, cert in runs:

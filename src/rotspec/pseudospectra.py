@@ -43,21 +43,12 @@ from .spectral import (
     _band_eigenvalues,
     _banded_sigma_min,
     _model_spectrum,
-    as_matrix,
 )
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
 DEFAULT_RESOLUTION = (256, 256)
 _CSV_LINES = 4096        # cloud points per serialized piece
-
-
-@dataclass(frozen=True)
-class GridParams:
-    """Grid request: region None means derive one from the matrix norms."""
-
-    region: Optional[Region] = None
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION
 
 
 @dataclass(frozen=True)
@@ -221,8 +212,16 @@ class SandwichReport:
 
 
 def _hermitian_array(A: np.ndarray) -> np.ndarray:
-    """A's array (as_matrix refuses a model) if it is nonempty and exactly Hermitian."""
-    a = as_matrix(A)
+    """A as a complex array if it is square, nonempty, finite (LAPACK, run
+    without its own finiteness check, needs that for a true answer) and
+    exactly Hermitian. A model is refused: it is never made dense."""
+    if isinstance(A, MatrixModel):
+        raise InvalidInput("a model is never made dense: sandwich_check takes arrays only")
+    a = np.asarray(A, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix entries must be finite")
     if a.shape[0] == 0:
         raise InvalidInput("empty matrix")
     if not np.array_equal(a, a.conj().T):
@@ -231,14 +230,16 @@ def _hermitian_array(A: np.ndarray) -> np.ndarray:
 
 
 def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
-                   grid_params: Optional[GridParams] = None) -> SandwichReport:
+                   region: Optional[Region] = None,
+                   resolution: tuple[int, int] = DEFAULT_RESOLUTION) -> SandwichReport:
     """Verify mask_S(eps) <= mask_T(eps+delta) <= mask_S(eps+2*delta)
     pointwise on a shared grid, delta = ||S - T||, at the exact levels
-    rounded up to floats. S, T and so S - T are exactly Hermitian arrays: a
-    norm is the largest |eigenvalue|, a grid the distances to S's or T's
-    eigenvalues. A model is refused, as are, with InvalidInput before any
-    grid, an S - T (before any eigensolve), a level or a derived default
-    region past the floats."""
+    rounded up to floats; region None derives one from the norms. S, T
+    and so S - T are exactly Hermitian arrays: a norm is the largest
+    |eigenvalue|, a grid the distances to S's or T's eigenvalues. A model
+    is refused, as are, with InvalidInput before any grid, an S - T
+    (before any eigensolve), a level or a derived default region past the
+    floats."""
     s, t = _hermitian_array(S), _hermitian_array(T)
     if s.shape != t.shape:
         raise InvalidInput(f"order mismatch {s.shape} vs {t.shape}")
@@ -248,16 +249,15 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
         difference = s - t
     if not np.isfinite(difference).all():
         raise InvalidInput("S - T has entries outside the float range")
-    gp = grid_params or GridParams()
     eigs_s, eigs_t, eigs_d = (_band_eigenvalues(a) for a in (s, t, difference))
     delta, *norms = (float(np.abs(e).max()) for e in (eigs_d, eigs_s, eigs_t))
-    region = gp.region or default_region(
+    region = region or default_region(
         max(norms), epsilon / 2 + delta + 0.25,
         f"||S|| = {norms[0]:.6e}, ||T|| = {norms[1]:.6e}, delta = {delta:.6e}")
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
     outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
 
-    lam = _grid_nodes(max(norms), region, gp.resolution)
+    lam = _grid_nodes(max(norms), region, resolution)
     sig_s, sig_t = (_distances(lam, e) for e in (eigs_s, eigs_t))
     slack = 1e-7 * (max(norms) + float(np.max(np.abs(lam))))
 
@@ -278,7 +278,7 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
     return SandwichReport(
         epsilon=float(epsilon),
         delta=delta,
-        resolution=gp.resolution,
+        resolution=tuple(resolution),
         region=tuple(float(x) for x in region),
         inner_count=int(inner.sum()),
         middle_count=int(middle.sum()),

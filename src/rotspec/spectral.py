@@ -1,5 +1,5 @@
-"""Numerical spectral kernels: Hermitian and normal eigenvalues, smallest
-singular values and operator norms.
+"""Numerical spectral kernels: Hermitian and normal eigenvalues, and the
+banded smallest singular values of models.
 
 Every eigen route returns a bare array of eigenvalues with multiplicity:
 real and ascending on the Hermitian route, complex in lexicographic
@@ -33,14 +33,10 @@ OperatorSpec.is_normal decides normality, so no model is tested densely):
 _model_spectrum, shared with the grids, keeps class (iii)'s real values
 of H and the rotation; OperatorSpec refuses a sum |c| past the floats.
 
-Every singular value comes from one SVD route, _singular_values:
-numpy's divide-and-conquer SVD, with a retry through LAPACK's QR-iteration
-SVD (gesvd) when it fails to converge, and ConvergenceFailure when the
-retry fails too. smallest_singular_value and operator_norm both read it,
-and take arrays only: as_matrix refuses a model, never made dense.
-
-Grids of models off the distance route take sigma_min(lambda*I - A)
-from the band (_banded_sigma_min; Trefethen & Embree, Spectra and
+No singular value comes from an SVD. Grids of models of normal specs
+take sigma_min(lambda*I - A) = dist(lambda, sigma(A)) from the eigen
+routes above (pseudospectra); grids of all other models take it from
+the band (_banded_sigma_min; Trefethen & Embree, Spectra and
 Pseudospectra, 2005, ch. 39): with B the interleaved lambda*I - A,
 sigma_min(B) > t exactly when G - t^2 I is positive definite, G = B* B,
 and G is a Hermitian band of half-bandwidth at most 4J, so a band
@@ -52,15 +48,16 @@ point costs 15 factorizations and 3 band solves, where the whole
 the model and all of a grid's nodes, vectorized over each chunk's
 points, and redoes the points that fail to verify in one fallback stage.
 
-LAPACK is reached through one handle, _lapack(): scipy's f2py extension
+LAPACK is reached through one handle, _lapack(), for one function, the
+banded Hermitian eigensolver zhbevd: scipy's f2py extension
 scipy.linalg._flapack, whose functions scipy.linalg.lapack re-exports,
-loaded from its file on first use (the Hermitian route and the SVD
-retry) without running scipy/linalg/__init__.py. That package import
-pulls in scipy's array-API layer and through it numpy.f2py,
-numpy.testing, numpy.ma and numpy.random: about 0.3 s and 20 MiB, where
-the handle costs a few ms and under 3 MiB. When scipy.linalg is
-imported later, it finds the module in sys.modules and shares it. The
-band route and `expand` never load it.
+loaded from its file on first use without running
+scipy/linalg/__init__.py. That package import pulls in scipy's
+array-API layer and through it numpy.f2py, numpy.testing, numpy.ma and
+numpy.random: about 0.3 s and 20 MiB, where the handle costs a few ms
+and under 3 MiB. When scipy.linalg is imported later, it finds the
+module in sys.modules and shares it. The band sigma_min route, the
+closed forms and `expand` never load it.
 """
 
 from __future__ import annotations
@@ -83,26 +80,12 @@ from .matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 MatrixLike = Union[MatrixModel, np.ndarray]
 
 
-def as_matrix(A: np.ndarray) -> np.ndarray:
-    """A as a complex array: square, with finite entries, which LAPACK
-    (run without its own finiteness check) needs for a true answer. A
-    model is refused: it is never made dense."""
-    if isinstance(A, MatrixModel):
-        raise InvalidInput("a model is never made dense: the SVD routes take arrays only")
-    a = np.asarray(A, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix entries must be finite")
-    return a
-
-
 @functools.cache
 def _lapack() -> ModuleType:
-    """scipy's f2py LAPACK module, scipy.linalg._flapack: the one found in
-    sys.modules, or else the extension file under scipy's linalg directory,
-    found without importing scipy and loaded on its own (see the module
-    docstring)."""
+    """scipy's f2py LAPACK module, scipy.linalg._flapack, whose zhbevd the
+    Hermitian route calls (its one use): the one found in sys.modules, or
+    else the extension file under scipy's linalg directory, found without
+    importing scipy and loaded on its own (see the module docstring)."""
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
@@ -119,32 +102,6 @@ def _lapack() -> ModuleType:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
-
-
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values, descending. numpy's divide-and-conquer SVD (gesdd)
-    can fail to converge; the matrix is then redone with LAPACK's
-    QR-iteration driver (gesvd), a different algorithm, called as
-    scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd") calls it,
-    with the work size from its query."""
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:
-        lapack = _lapack()
-        work, info = lapack.zgesvd_lwork(*a.shape, compute_uv=0)
-        if not info:
-            _, values, _, info = lapack.zgesvd(a, compute_uv=0, lwork=int(work.real))
-        if info:
-            raise ConvergenceFailure(f"SVD failed: the gesvd retry (zgesvd) returned info={info}")
-        return values
-
-
-def operator_norm(A: np.ndarray) -> float:
-    """Largest singular value."""
-    a = as_matrix(A)
-    if a.size == 0 or not a.any():
-        return 0.0
-    return float(_singular_values(a)[0])
 
 
 def _interleaved_band(A: MatrixLike) -> np.ndarray:
@@ -234,18 +191,6 @@ def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
     h, g = a1 * r.conjugate(), b1 * r.conjugate()
     rotated = OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())
     return _band_eigenvalues(build_operator(rotated, p, q)), r
-
-
-# ---------------------------------------------------------------------------
-# smallest singular values
-# ---------------------------------------------------------------------------
-
-def smallest_singular_value(A: np.ndarray) -> float:
-    """sigma_min(A) by the SVD; never negative."""
-    a = as_matrix(A)
-    if a.shape[0] == 0:
-        raise InvalidInput("empty matrix")
-    return float(_singular_values(a)[-1])
 
 
 # ---------------------------------------------------------------------------

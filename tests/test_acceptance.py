@@ -29,15 +29,12 @@ from rotspec.matmodel import (
     clock_matrix,
     commutation_defect,
     shift_matrix,
+    spec_norm_bound,
     unitarity_defect,
 )
-from rotspec.pseudospectra import GridParams, sandwich_check
-from rotspec.spectral import (
-    hermitian_eigenvalues,
-    normal_eigenvalues,
-    operator_norm,
-    smallest_singular_value,
-)
+from rotspec.pseudospectra import compute_grid, sandwich_check
+from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
+from dense_oracle import dense_matrix, grid_nodes
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -105,26 +102,51 @@ def test_criterion_03_eigensolver_oracles():
           f"({elapsed:.1f}s < 120s)")
 
 
+def random_normal_spec(rng: np.random.Generator, kind: int) -> OperatorSpec:
+    """A canonical spec of a Hermitian spec (kind 0) or of normal class
+    (i) no V terms, (ii) no U terms or (iii) z times a Hermitian spec
+    (kinds 1, 2, 3). The coefficients are dyadic with few bits, so class
+    (iii)'s products, and with them OperatorSpec.is_normal, are exact."""
+    def dyadic() -> complex:
+        re, im = rng.integers(-32, 33, 2)
+        return complex(re, im) / 16
+
+    h, g = dyadic() or 1, dyadic() or 1
+    if kind == 0:
+        return OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())
+    if kind == 1:
+        return OperatorSpec.canonical(h, dyadic(), 0, 0)
+    if kind == 2:
+        return OperatorSpec.canonical(0, 0, g, dyadic())
+    z = complex(*rng.integers(1, 5, 2)) / 4 * complex(1, 1) ** int(rng.integers(4))
+    return OperatorSpec.canonical(z * h, z * h.conjugate(), z * g, z * g.conjugate())
+
+
 def test_criterion_04_normal_distance_identity():
+    # the grids the CLI computes for models of normal specs take
+    # sigma_min(lambda I - A) = dist(lambda, sigma(A)); each grid value
+    # must match the SVD of the dense model
     rng = np.random.default_rng(20240817)
     worst_ratio = 0.0
-    for _ in range(50):
-        m = int(rng.integers(2, 65))
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        a = (z + z.conj().T) / 2
-        evals = np.linalg.eigvalsh(a)
-        norm_a = operator_norm(a)
-        for _ in range(20):
-            lam = complex(rng.uniform(-1.5, 1.5) * norm_a,
-                          rng.uniform(-1.5, 1.5) * norm_a)
-            sigma = smallest_singular_value(lam * np.eye(m) - a)
-            expect = float(np.min(np.abs(lam - evals)))
-            tol = 1e-7 * (norm_a + abs(lam))
-            assert abs(sigma - expect) <= tol
-            if tol > 0:
-                worst_ratio = max(worst_ratio, abs(sigma - expect) / tol)
-    print(f"PASS criterion 4: 50 matrices x 20 points, max |sigma_min - dist| "
-          f"= {worst_ratio:.2e} of the 1e-7*(||A||+|lambda|) budget")
+    for i in range(50):
+        spec = random_normal_spec(rng, i % 4)
+        assert spec.is_hermitian or spec.is_normal
+        q = int(rng.integers(2, 65))
+        p = next(p for p in map(int, rng.permutation(q)) if math.gcd(p, q) == 1)
+        model = build_operator(spec, p, q)
+        norm = spec_norm_bound(spec)
+        re_min, re_max = np.sort(rng.uniform(-1.5, 1.5, 2) * norm)
+        im_min, im_max = np.sort(rng.uniform(-1.5, 1.5, 2) * norm)
+        grid = compute_grid(model, (re_min, re_max, im_min, im_max), (5, 4))
+        lam = grid_nodes(grid).ravel()
+        shifted = lam[:, None, None] * np.eye(q) - dense_matrix(model)
+        expect = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+        sigma = grid.sigma_min_values.ravel()
+        tol = 1e-7 * (norm + np.abs(lam))
+        assert np.all(np.abs(sigma - expect) <= tol), (spec, p, q)
+        worst_ratio = max(worst_ratio, float(np.max(np.abs(sigma - expect) / tol)))
+    print(f"PASS criterion 4: 50 normal models (q <= 64) x 20 grid points, "
+          f"max |sigma_min - svd| = {worst_ratio:.2e} of the 1e-7*(sum |c| + |lambda|) budget")
 
 
 def test_criterion_05_two_sided_rate_ladder():
@@ -171,7 +193,6 @@ def test_criterion_06_sharpness_floor():
 def test_criterion_07_sandwich_bulk():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
-    gp = GridParams(resolution=(128, 128))
     total_hard = 0
     deltas = []
     for _ in range(100):
@@ -180,9 +201,9 @@ def test_criterion_07_sandwich_bulk():
         s = (z + z.conj().T) / 2
         w = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         e = (w + w.conj().T) / 2
-        e *= rng.uniform(0.01, 0.5) / operator_norm(e)
+        e *= rng.uniform(0.01, 0.5) / np.linalg.norm(e, 2)
         eps = float(rng.uniform(0.2, 1.0))
-        rep = sandwich_check(s, s + e, eps, gp)
+        rep = sandwich_check(s, s + e, eps, resolution=(128, 128))
         assert rep.passed, f"hard violations at delta={rep.delta}"
         total_hard += len(rep.hard_violations)
         deltas.append(rep.delta)

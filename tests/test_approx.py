@@ -9,6 +9,7 @@ calling the eigensolvers directly on independently built matrices.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -34,9 +35,8 @@ from rotspec.approx import (
     sharp_bound_exact,
 )
 from rotspec.cli import dumps_17g
-from rotspec.contfrac import expand, parse_theta
+from rotspec.contfrac import expand, parse_theta, tail_constant_enclosure
 from rotspec.errors import (
-    CertificateViolation,
     EmptyCloud,
     IndexOutOfRange,
     InvalidInput,
@@ -46,9 +46,9 @@ from rotspec.errors import (
     ResourceBudgetExceeded,
     ThetaRational,
 )
-from rotspec.exact import float_up
+from rotspec.exact import PI_HI, float_up
 from rotspec.matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
-from rotspec.pseudospectra import GridParams, PseudospectrumGrid, cloud_to_csv
+from rotspec.pseudospectra import PseudospectrumGrid, cloud_to_csv
 from rotspec.spectral import circulant_four_term_eigenvalues, hermitian_eigenvalues
 from dense_oracle import dense_matrix, grid_nodes
 
@@ -101,12 +101,9 @@ class TestBounds:
                 for n in range(1, 9):
                     assert (sharp_bound_exact(spec, e, n)
                             <= clean_bound_exact(spec, e, n))
-
-    def test_clean_majorization_is_checked(self, monkeypatch):
-        e = expand(GOLDEN, 9)
-        monkeypatch.setattr(approx, "sharp_bound_exact", lambda *a: Fraction(10 ** 6))
-        with pytest.raises(CertificateViolation):
-            clean_bound_exact(AM, e, 5)
+        # the majorization at every level (clean_bound_exact's proof):
+        # 14 pi (1 + T) rounded up stays below 204
+        assert 14 * PI_HI * (1 + tail_constant_enclosure()[1]) <= 204
 
     def test_bounds_strictly_decrease(self):
         e = expand(GOLDEN, 10)
@@ -193,6 +190,17 @@ class TestDefaultBudget:
             certify_normal(GOLDEN, AM, 9, max_q=50)
         with pytest.raises(Expanded):
             certify_normal(GOLDEN, AM, 17)  # F(17) = 2584 fits: expansion goes ahead
+
+    def test_level_gate_is_linear_in_the_budget_digits(self):
+        # the gate walks F(k) once up to the budget: a budget of 4000
+        # digits takes about 19000 steps, where recomputing F(0..k) at
+        # each k took tens of seconds
+        start = time.perf_counter()
+        cloud, cert = certify_normal(GOLDEN, AM, 5, max_q=10 ** 4000)
+        elapsed = time.perf_counter() - start
+        expect_cloud, expect_cert = certify_normal(GOLDEN, AM, 5)
+        assert np.array_equal(cloud, expect_cloud) and cert == expect_cert
+        assert elapsed < 1.0, elapsed
 
 
 class TestCertifyNormal:
@@ -327,10 +335,10 @@ class TestCertifyNormal:
 
 
 class TestCertifyPseudospectrum:
-    PARAMS = GridParams(region=(-6, 6, -6, 6), resolution=(20, 20))
+    PARAMS = dict(region=(-6, 6, -6, 6), resolution=(20, 20))
 
     def test_canonical_is_certified(self):
-        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS)
+        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, **self.PARAMS)
         assert s.certified
         assert s.epsilon_n == min(s.epsilon_sharp, s.epsilon_clean)
         assert s.epsilon_sharp == 55.91143287610732
@@ -342,7 +350,7 @@ class TestCertifyPseudospectrum:
 
     def test_general_gets_rate_only(self):
         s = certify_pseudospectrum(GOLDEN, MIXED, 3, 0.5,
-                                   GridParams(resolution=(12, 12)))
+                                   resolution=(12, 12))
         assert not s.certified
         assert s.epsilon_n is None and s.epsilon_sharp is None
         assert s.outer_mask is None
@@ -355,7 +363,7 @@ class TestCertifyPseudospectrum:
     def test_epsilon_validation(self):
         for epsilon in (0.0, math.inf, math.nan):
             with pytest.raises(InvalidInput):
-                certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
+                certify_pseudospectrum(GOLDEN, AM, 3, epsilon, **self.PARAMS)
 
     def test_default_region_outside_the_float_range_is_refused(self, monkeypatch):
         # at n = 8, 1e307 (U + V) gives sum |c| = 2e307 and a margin
@@ -366,13 +374,13 @@ class TestCertifyPseudospectrum:
         with monkeypatch.context() as m:
             m.setattr(approx, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
             with pytest.raises(InvalidInput, match="default region") as refused:
-                certify_pseudospectrum(GOLDEN, big, 8, 0.5, GridParams(resolution=(4, 4)))
+                certify_pseudospectrum(GOLDEN, big, 8, 0.5, resolution=(4, 4))
         assert "sum |c| = 2.000000e+307, epsilon + 2 epsilon_n = 5." in str(refused.value)
-        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
-        assert certify_pseudospectrum(GOLDEN, big, 8, 0.5, given).inclusion_verified
+        given = dict(region=(-1, 1, -1, 1), resolution=(4, 4))
+        assert certify_pseudospectrum(GOLDEN, big, 8, 0.5, **given).inclusion_verified
 
     def test_distinct_fingerprints(self):
-        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS)
+        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, **self.PARAMS)
         assert s.grid_fingerprints[0] != s.grid_fingerprints[1]
         doc = s.to_json()
         assert doc["grid_fingerprints"] == list(s.grid_fingerprints)
@@ -380,14 +388,14 @@ class TestCertifyPseudospectrum:
     def test_rational_theta_rejected(self):
         with pytest.raises(ThetaRational):
             certify_pseudospectrum(parse_theta("rational:1/3"), AM, 2, 0.5,
-                                   self.PARAMS)
+                                   **self.PARAMS)
 
     def test_budget_checked_before_any_model(self, monkeypatch):
         monkeypatch.setattr(approx, "build_operator", None)  # any build would fail
         with pytest.raises(ResourceBudgetExceeded):
-            certify_pseudospectrum(GOLDEN, AM, 12, 0.5, self.PARAMS, max_q=50)
+            certify_pseudospectrum(GOLDEN, AM, 12, 0.5, **self.PARAMS, max_q=50)
         monkeypatch.undo()
-        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, self.PARAMS, max_q=3)
+        s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, **self.PARAMS, max_q=3)
         assert s.q_pair == (2, 3)
 
     def test_hermitian_models_are_built_once(self, monkeypatch):
@@ -397,7 +405,7 @@ class TestCertifyPseudospectrum:
         for module in (approx, spectral):
             monkeypatch.setattr(module, "build_operator",
                                 lambda *a: builds.append(a[2]) or build(*a))
-        certify_pseudospectrum(GOLDEN, AM, 6, 0.5, GridParams(resolution=(4, 4)))
+        certify_pseudospectrum(GOLDEN, AM, 6, 0.5, resolution=(4, 4))
         assert builds == [8, 13]
 
     def test_outer_level_is_rounded_up(self, monkeypatch):
@@ -415,7 +423,7 @@ class TestCertifyPseudospectrum:
                                       sigma_min_values=np.full(resolution, level))
 
         monkeypatch.setattr(approx, "compute_grid", flat_grid)
-        s = certify_pseudospectrum(GOLDEN, AM, 3, epsilon, self.PARAMS)
+        s = certify_pseudospectrum(GOLDEN, AM, 3, epsilon, **self.PARAMS)
         assert s.epsilon_n == eps_n
         assert s.outer_mask.all()
 
@@ -430,7 +438,7 @@ class TestFingerprints:
     # hash keeps its bytes
     LEVEL_6 = ("82f97e984659384a76451343d06a81cb6079e49ef37465b79215f29dbea29774",
                "709653227687294ba8463cc6b10de116ad99e10754ec39bf64a3dbf3d1a5193f")
-    PARAMS = GridParams(region=(-4, 4, -4, 4), resolution=(4, 4))
+    PARAMS = dict(region=(-4, 4, -4, 4), resolution=(4, 4))
 
     @pytest.fixture
     def spy(self, monkeypatch):
@@ -452,22 +460,22 @@ class TestFingerprints:
         return hashers, models
 
     def test_onesided_grids_and_sandwich_checks_hash_nothing(self, spy, monkeypatch):
-        result, _ = one_sided(GOLDEN, U_PLUS_2V, 8, self.PARAMS)
+        result, _ = one_sided(GOLDEN, U_PLUS_2V, 8, **self.PARAMS)
         assert isinstance(result, PseudospectrumGrid)
         s = np.diag([0.0, 2.0])
-        assert psp.sandwich_check(s, s, 0.5, self.PARAMS).passed
+        assert psp.sandwich_check(s, s, 0.5, **self.PARAMS).passed
         # models are refused before any eigensolve or grid: they are never made dense
         calls = []
         monkeypatch.setattr(psp, "_band_eigenvalues", lambda a: calls.append("eig"))
         monkeypatch.setattr(psp, "_grid_nodes", lambda *args: calls.append("grid"))
         with pytest.raises(InvalidInput, match="never made dense"):
             psp.sandwich_check(build_operator(U_PLUS_2V, 3, 8), build_operator(U_PLUS_2V, 5, 8),
-                               0.5, self.PARAMS)
+                               0.5, **self.PARAMS)
         assert calls == [] and spy == ([], [])
 
     def test_the_sandwich_hashes_its_two_models_once(self, spy):
         hashers, models = spy
-        s = certify_pseudospectrum(GOLDEN, U_PLUS_2V, 6, 0.5, self.PARAMS)
+        s = certify_pseudospectrum(GOLDEN, U_PLUS_2V, 6, 0.5, **self.PARAMS)
         assert models == [(5, 8), (8, 13)]
         assert len(hashers) == 2
         assert s.grid_fingerprints == self.LEVEL_6
@@ -479,14 +487,15 @@ class TestOneSided:
         # at n = 8 the derived half-width sum |c| + 2 radius is inf for
         # 3e306 (U + V), and its span is past the floats for 2e306: both
         # are refused before any grid, naming sum |c| and the radius
-        derived, given = GridParams(resolution=(4, 4)), GridParams((-1, 1, -1, 1), (4, 4))
+        derived = dict(resolution=(4, 4))
+        given = dict(region=(-1, 1, -1, 1), resolution=(4, 4))
         with monkeypatch.context() as m:
             m.setattr(approx, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
             for c in (3e306, 2e306):
                 with pytest.raises(InvalidInput, match="default region") as refused:
-                    one_sided(GOLDEN, OperatorSpec.canonical(c, 0, c, 0), 8, derived)
+                    one_sided(GOLDEN, OperatorSpec.canonical(c, 0, c, 0), 8, **derived)
                 assert f"sum |c| = {2 * c:.6e}, radius = " in str(refused.value)
-        grid, _ = one_sided(GOLDEN, OperatorSpec.canonical(3e306, 0, 3e306, 0), 8, given)
+        grid, _ = one_sided(GOLDEN, OperatorSpec.canonical(3e306, 0, 3e306, 0), 8, **given)
         assert isinstance(grid, PseudospectrumGrid)
 
     def test_golden_n10(self):
@@ -517,7 +526,7 @@ class TestOneSided:
         assert np.allclose(np.sort(cloud.real), np.sort(direct), atol=1e-12)
 
     def test_nonnormal_model_gets_grid(self):
-        result, cert = one_sided(GOLDEN, U_PLUS_2V, 5, GridParams(resolution=(8, 8)))
+        result, cert = one_sided(GOLDEN, U_PLUS_2V, 5, resolution=(8, 8))
         assert isinstance(result, PseudospectrumGrid)
         assert cert.chosen_p == 3  # round(5*0.618...) = 3
         assert cert.radius == pytest.approx(
@@ -534,7 +543,7 @@ class TestOneSided:
                 ("decimal:0.01", U_PLUS_2V, 10, 0,
                  2 + np.exp(2j * np.pi * np.arange(10) / 10))):  # U + 2I
             assert not spec.is_normal
-            grid, cert = one_sided(parse_theta(theta), spec, n, GridParams(resolution=(9, 8)))
+            grid, cert = one_sided(parse_theta(theta), spec, n, resolution=(9, 8))
             assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == p
             lam = grid_nodes(grid).ravel()
             exact = np.min(np.abs(lam[:, None] - eigs[None, :]), axis=1)
@@ -555,7 +564,7 @@ class TestOneSided:
             direct = route(cert.chosen_p)
             assert "".join(cloud_to_csv(cloud)) == "".join(cloud_to_csv(direct))
         grid, _ = one_sided(GOLDEN, OperatorSpec.canonical(1j, 0, 1j, 0), 2,
-                            GridParams(resolution=(4, 4)))
+                            resolution=(4, 4))
         assert isinstance(grid, PseudospectrumGrid)
 
     def test_spec_paths_never_read_the_dense_entries(self, monkeypatch):
@@ -574,7 +583,7 @@ class TestOneSided:
             for n in (1, 2, 10):  # p = 6 shares a factor with 10
                 assert len(one_sided(GOLDEN, spec, n)[0]) == n
         for n, p in ((1, 0), (2, 1), (987, 610)):
-            grid, cert = one_sided(GOLDEN, U_PLUS_2V, n, GridParams(resolution=(4, 4)))
+            grid, cert = one_sided(GOLDEN, U_PLUS_2V, n, resolution=(4, 4))
             assert isinstance(grid, PseudospectrumGrid) and cert.chosen_p == p
 
     def test_non_normal_spec_refused_before_any_model(self, monkeypatch):

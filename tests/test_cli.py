@@ -321,6 +321,25 @@ class TestSpectrum:
             assert "must be finite" in capsys.readouterr().err
         capsys.readouterr()
 
+    def test_unwritable_out_dir_exits_3(self, tmp_path):
+        # an --out-dir that is a file, or that lies under one, cannot be
+        # created: the run exits 3 naming the path, with no traceback and
+        # nothing left behind
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        src = Path(__file__).resolve().parents[1] / "src"
+        for out_dir in (blocker, blocker / "sub"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "rotspec.cli", "spectrum", "--theta", GOLDEN,
+                 "--level", "3", "--out-dir", str(out_dir)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            assert proc.returncode == 3, proc.stderr
+            assert str(out_dir / "spectrum_cloud.csv") in proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker"]
+            assert blocker.read_bytes() == b""
+
     def test_deep_level_refused_before_expansion(self, tmp_path, capsys):
         # expanding to q_25000 would take seconds, and formatting it (over
         # 5000 digits) would raise; q_n >= F(n) refuses the level first

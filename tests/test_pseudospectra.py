@@ -23,7 +23,6 @@ from rotspec.errors import ConvergenceFailure, InvalidInput, NotHermitian
 from rotspec.exact import float_up
 from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import (
-    GridParams,
     PseudospectrumGrid,
     cloud_to_csv,
     compute_grid,
@@ -34,7 +33,7 @@ from rotspec.pseudospectra import (
     matrix_fingerprint,
     sandwich_check,
 )
-from rotspec.spectral import _banded_sigma_min, operator_norm
+from rotspec.spectral import _banded_sigma_min
 from dense_oracle import dense_matrix, grid_nodes
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
@@ -136,17 +135,18 @@ class TestComputeGrid:
                 with pytest.raises(InvalidInput, match=message):
                     compute_grid(a, region, (3, 3))
             with pytest.raises(InvalidInput, match=message):
-                sandwich_check(np.diag([1.0, -1.0]), np.eye(2), 0.5, GridParams(region, (3, 3)))
+                sandwich_check(np.diag([1.0, -1.0]), np.eye(2), 0.5, region=region,
+                               resolution=(3, 3))
         # nodes within the range, but not once ||A|| is added
         model = build_operator(OperatorSpec.canonical(1e308, 0, 0, 0), 0, 1)
-        huge = GridParams((0, 1e308, 0, 1e308), (2, 2))
+        huge = dict(region=(0, 1e308, 0, 1e308), resolution=(2, 2))
         with pytest.raises(InvalidInput, match="outside the float range"):
-            compute_grid(model, huge.region, huge.resolution)
+            compute_grid(model, **huge)
         with pytest.raises(InvalidInput, match="outside the float range"):
-            sandwich_check(np.array([[1e308]]), np.array([[1e308]]), 0.5, huge)
+            sandwich_check(np.array([[1e308]]), np.array([[1e308]]), 0.5, **huge)
         assert np.isfinite(compute_grid(model, (0, 1e307, 0, 1e307), (2, 2)).sigma_min_values).all()
         assert sandwich_check(np.array([[1e308]]), np.array([[1e308]]), 0.5,
-                              GridParams((0, 1e307, 0, 1e307), (2, 2))).passed
+                              region=(0, 1e307, 0, 1e307), resolution=(2, 2)).passed
 
     def test_non_finite_and_empty_arrays_are_refused(self):
         # LAPACK runs without a finiteness check, so a NaN or inf entry
@@ -612,9 +612,9 @@ class TestDistanceRoute:
         h = random_hermitian(9)
         eigs = spectral._band_eigenvalues(h)
         assert eigs.dtype == float and np.all(np.diff(eigs) >= 0)
-        lam = psp._grid_nodes(operator_norm(h), (-4, 4, -2, 2), (9, 5))
+        lam = psp._grid_nodes(np.linalg.norm(h, 2), (-4, 4, -2, 2), (9, 5))
         ref = pointwise_svd(h, lam)
-        assert np.max(np.abs(psp._distances(lam, eigs) - ref)) <= 1e-12 * operator_norm(h)
+        assert np.max(np.abs(psp._distances(lam, eigs) - ref)) <= 1e-12 * np.linalg.norm(h, 2)
 
     def test_one_ulp_defect_is_refused(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -623,9 +623,9 @@ class TestDistanceRoute:
         defect[2, 5] = complex(np.nextafter(h[2, 5].real, np.inf), h[2, 5].imag)
         for pair in ((defect, h), (h, defect)):
             with pytest.raises(NotHermitian):
-                sandwich_check(*pair, 0.5, GridParams((-4, 4, -2, 2), (9, 5)))
+                sandwich_check(*pair, 0.5, region=(-4, 4, -2, 2), resolution=(9, 5))
         assert calls == []
-        assert sandwich_check(h, h, 0.5, GridParams((-4, 4, -2, 2), (9, 5))).passed
+        assert sandwich_check(h, h, 0.5, region=(-4, 4, -2, 2), resolution=(9, 5)).passed
         assert calls == ["eig"] * 3
 
     def test_hermitian_array_near_the_float_range(self):
@@ -641,7 +641,7 @@ class TestDistanceRoute:
         lam = psp._grid_nodes(r, (-2 * a, 2 * a, -a, a), (9, 5))
         expect = np.minimum(np.abs(lam - r), np.abs(lam + r))
         assert np.max(np.abs(psp._distances(lam, eigs) - expect)) <= 1e-12 * r
-        rep = sandwich_check(h, t, 0.5 * a, GridParams(resolution=(8, 8)))
+        rep = sandwich_check(h, t, 0.5 * a, resolution=(8, 8))
         assert rep.passed and rep.delta == pytest.approx(0.1 * a, rel=1e-12)
         # within a factor of the same range, a non-Hermitian array is refused
         skew = np.array([[a, 0], [2 * a, -a]])
@@ -785,20 +785,20 @@ class TestSandwich:
 
     def test_identical_matrices(self):
         h, _ = self.PAIRS["identical"]()
-        rep = sandwich_check(h, h, 0.5, GridParams(resolution=(20, 20)))
+        rep = sandwich_check(h, h, 0.5, resolution=(20, 20))
         assert rep.passed and rep.delta == 0.0
         assert rep.hard_violations == ()
         assert rep.inner_count <= rep.middle_count <= rep.outer_count
 
     def test_diagonal_shift_pair(self):
         s, t = self.PAIRS["diagonal"]()
-        rep = sandwich_check(s, t, 0.5, GridParams(resolution=(24, 24)))
+        rep = sandwich_check(s, t, 0.5, resolution=(24, 24))
         assert rep.passed
         assert rep.delta == pytest.approx(0.1, abs=1e-12)
 
     def test_random_hermitian_pair(self):
         s, t = random_pair()
-        rep = sandwich_check(s, t, 0.4, GridParams(resolution=(28, 28)))
+        rep = sandwich_check(s, t, 0.4, resolution=(28, 28))
         assert rep.passed
         assert rep.grid_too_coarse == (rep.advisory_count > 0)
 
@@ -817,19 +817,18 @@ class TestSandwich:
 
         monkeypatch.setattr(psp, "_distances", corrupting)
         s = np.diag([0.0, 2.0]).astype(complex)
-        rep = psp.sandwich_check(s, s, 0.5, GridParams(resolution=(16, 16)))
+        rep = psp.sandwich_check(s, s, 0.5, resolution=(16, 16))
         assert len(calls) == 2
         assert not rep.passed
         assert len(rep.hard_violations) >= 1
 
     def test_takes_no_svd_and_no_grid(self, monkeypatch):
         # the norms and both grids come from the three eigensolves alone
-        monkeypatch.setattr(spectral, "_singular_values",
-                            lambda a: pytest.fail("_singular_values called"))
+        # (no function under src/ takes an SVD: test_source)
         monkeypatch.setattr(psp, "compute_grid", lambda *args: pytest.fail("compute_grid called"))
         monkeypatch.setattr(psp, "PseudospectrumGrid",
                             lambda *args, **kwargs: pytest.fail("PseudospectrumGrid built"))
-        rep = sandwich_check(*random_pair(), 0.4, GridParams(resolution=(28, 28)))
+        rep = sandwich_check(*random_pair(), 0.4, resolution=(28, 28))
         assert rep.passed and rep.inner_count > 0
 
     @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -845,11 +844,11 @@ class TestSandwich:
             return real_region(norm_bound, *args)
 
         monkeypatch.setattr(psp, "default_region", recording)
-        rep = sandwich_check(s, t, 0.5, GridParams(resolution=(4, 4)))
-        sandwich_check(s, s, 0.5, GridParams(resolution=(4, 4)))
-        sandwich_check(t, t, 0.5, GridParams(resolution=(4, 4)))
+        rep = sandwich_check(s, t, 0.5, resolution=(4, 4))
+        sandwich_check(s, s, 0.5, resolution=(4, 4))
+        sandwich_check(t, t, 0.5, resolution=(4, 4))
         for got, a in ((rep.delta, s - t), (norms[1], s), (norms[2], t)):
-            assert got == pytest.approx(operator_norm(a), rel=1e-12, abs=0)
+            assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=0)
         assert norms[0] == max(norms[1:])
 
     def test_shape_mismatch(self):
@@ -904,10 +903,9 @@ class TestSandwich:
                         sandwich_check(np.diag([big, 0.0]), zero, 0.5)
                 assert message in str(refused.value)
         # the same operators on a given region, and a derived one that fits
-        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
-        derived = GridParams(resolution=(4, 4))
-        assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, given).passed
-        assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, derived).passed
+        assert sandwich_check(np.diag([4e307, 0.0]), zero, 0.5, region=(-1, 1, -1, 1),
+                              resolution=(4, 4)).passed
+        assert sandwich_check(np.diag([2e307, 0.0]), zero, 0.5, resolution=(4, 4)).passed
 
     def test_default_region_bounds_the_largest_eigenvalue(self, monkeypatch):
         # the symmetric Hadamard matrix H has ||H|| = 2 and row sums 4: the
@@ -916,16 +914,16 @@ class TestSandwich:
         # floats, the derived region gives a finite report; at 4e307 H it
         # is refused, naming the norms, before any grid
         h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], float)
-        derived = GridParams(resolution=(4, 4))
+        derived = dict(resolution=(4, 4))
         with monkeypatch.context() as m:
             m.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
             with pytest.raises(InvalidInput, match=r"the default region is outside the float "
                                r"range: \|\|S\|\| = 8\.000000e\+307, \|\|T\|\| = 8\.0"):
-                sandwich_check(4e307 * h, 4e307 * h, 0.5, derived)
-        big = sandwich_check(2.7e307 * h, 2.7e307 * h, 0.5, derived)
+                sandwich_check(4e307 * h, 4e307 * h, 0.5, **derived)
+        big = sandwich_check(2.7e307 * h, 2.7e307 * h, 0.5, **derived)
         assert big.passed and big.region == pytest.approx((-5.4e307, 5.4e307) * 2, rel=1e-12)
         assert big.inner_count == 0 and big.delta == 0.0
-        report = sandwich_check(h, h, 0.5, derived)
+        report = sandwich_check(h, h, 0.5, **derived)
         # ||H|| + epsilon + 2 delta + 1/2, not the row sum 4 + 1
         assert report.region == pytest.approx((-3, 3, -3, 3), rel=1e-12)
 
@@ -933,9 +931,9 @@ class TestSandwich:
         # on a given region, epsilon + 2 delta = 2e308 is refused before
         # the grids of S and T are computed, not after
         monkeypatch.setattr(psp, "_grid_nodes", lambda *args: pytest.fail("_grid_nodes called"))
-        given = GridParams(region=(-1, 1, -1, 1), resolution=(4, 4))
         with pytest.raises(InvalidInput, match=r"2\.000000e\+308 is outside the float range"):
-            sandwich_check(np.diag([1e308, 0.0]), np.zeros((2, 2)), 0.5, given)
+            sandwich_check(np.diag([1e308, 0.0]), np.zeros((2, 2)), 0.5,
+                           region=(-1, 1, -1, 1), resolution=(4, 4))
 
     def test_epsilon_must_be_finite(self):
         for epsilon in (np.inf, np.nan):
@@ -959,12 +957,40 @@ class TestSandwich:
         grids = iter((sig_s, sig_t))
         monkeypatch.setattr(psp, "_distances", lambda points, values: next(grids).ravel())
         s, t = np.zeros((1, 1)), np.full((1, 1), delta)
-        rep = psp.sandwich_check(s, t, epsilon, GridParams(resolution=(n, n)))
+        rep = psp.sandwich_check(s, t, epsilon, resolution=(n, n))
         assert rep.delta == delta
         assert rep.middle_count == rep.outer_count == n * n
         assert rep.advisory_count == 0 and not rep.grid_too_coarse
         assert rep.passed
         assert next(grids, None) is None  # both planted grids were read
+
+
+class TestHermitianArray:
+    """sandwich_check's one array check, _hermitian_array: LAPACK runs
+    without a finiteness check, so a NaN or inf entry is refused instead
+    of answered wrong, as are a model (never made dense), a non-square or
+    empty array and one that is not exactly Hermitian."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entries_are_refused(self, bad):
+        for a in ([[bad, 0], [0, 1]], [[1, bad], [bad, 1]], [[bad]]):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                psp._hermitian_array(np.array(a, dtype=complex))
+
+    def test_every_refusal_names_its_cause(self):
+        model = build_operator(U_PLUS_2V, 3, 8)
+        for a, error, message in (
+                (model, InvalidInput, "never made dense"),
+                (np.zeros((2, 3)), InvalidInput, r"expected a square matrix, got shape \(2, 3\)"),
+                (np.zeros(4), InvalidInput, "expected a square matrix"),
+                (np.zeros((0, 0)), InvalidInput, "empty matrix"),
+                (np.array([[0, 1], [0, 0]]), NotHermitian, "conjugate transpose")):
+            with pytest.raises(error, match=message):
+                psp._hermitian_array(a)
+        assert "entries" not in vars(model)
+        h = np.array([[1, 2j], [-2j, 3]])
+        a = psp._hermitian_array(h)
+        assert a.dtype == np.complex128 and np.array_equal(a, h)
 
 
 class TestSerialization:

@@ -25,18 +25,39 @@ def test_no_assert_statements():
     assert not found, f"assert statements under src/: {found}"
 
 
-def test_one_function_calls_the_svd():
-    # every singular value goes through one route, with one retry and one
-    # failure policy
-    svd_callers = set()
-    for path, tree in _trees():
-        for fn in ast.walk(tree):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.svd":
-                    svd_callers.add(f"{path.name}:{fn.name}")
-    assert svd_callers == {"spectral.py:_singular_values"}
+_IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+_SVD_CALLS = {"np.linalg.svd", "numpy.linalg.svd"}
+_SVD_DRIVERS = ("zgesvd", "zgesdd")
+
+
+def _svd_uses(tree) -> list[int]:
+    """Lines that call numpy's SVD or name a LAPACK SVD driver, as an
+    identifier, an attribute, an import or a string."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in _SVD_CALLS:
+            found.append(node.lineno)
+            continue
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        elif type(node) in _IDENTIFIER:
+            name = getattr(node, _IDENTIFIER[type(node)])
+        else:
+            continue
+        if any(driver in name for driver in _SVD_DRIVERS):
+            found.append(getattr(node, "lineno", None))
+    return found
+
+
+def test_no_function_takes_an_svd():
+    # every sigma_min is a model's: the distance to the eigenvalues for a
+    # normal spec, the band's Gram-Cholesky test for any other, so no
+    # code under src/ calls numpy's SVD or reaches LAPACK's SVD drivers
+    planted = ast.parse("def f(a, lapack):\n    s = np.linalg.svd(a)\n"
+                        "    return lapack.zgesvd(a), getattr(lapack, 'zgesdd_lwork')\n")
+    assert _svd_uses(planted) == [2, 3, 3]
+    found = [f"{path.name}:{line}" for path, tree in _trees() for line in _svd_uses(tree)]
+    assert not found, f"SVD calls or drivers under src/: {found}"
 
 
 def test_one_function_runs_the_band_passes():
@@ -69,33 +90,17 @@ def test_one_function_runs_the_band_passes():
     assert band_calls == [("pseudospectra.py:compute_grid", False)]
 
 
-def test_the_grid_module_reaches_no_singular_value():
-    # compute_grid takes models, and sandwich_check reads its norms and
-    # grids off eigenvalues: pseudospectra imports, names and calls none
-    # of the SVD entry points
-    svd = {"operator_norm", "smallest_singular_value", "_singular_values"}
-    tree = ast.parse((PACKAGE / "pseudospectra.py").read_text(encoding="utf-8"))
-    found = sorted(f"{node.lineno}: {name}" for node in ast.walk(tree)
-                   for name in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                                else [node.id] if isinstance(node, ast.Name)
-                                else [node.attr] if isinstance(node, ast.Attribute) else [])
-                   if name in svd)
-    assert not found, f"SVD entry points named in pseudospectra: {found}"
-
-
 def test_no_numpy_norm():
-    # np.linalg.norm(x, 2) would be a second SVD call, and a Frobenius norm
-    # overflows from entries near 1e154 on: a Hermitian-defect tolerance
-    # on it accepted a non-Hermitian array at 1e300
+    # np.linalg.norm(x, 2) is an SVD, which no code under src/ takes
+    # (test_no_function_takes_an_svd), and a Frobenius norm overflows from
+    # entries near 1e154 on: a Hermitian-defect tolerance on it accepted a
+    # non-Hermitian array at 1e300
     found = [f"{path.name}:{node.lineno}"
              for path, tree in _trees()
              for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and ast.unparse(node.func) in ("np.linalg.norm", "numpy.linalg.norm")]
     assert not found, f"np.linalg.norm under src/: {found}"
-
-
-_IDENTIFIER = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
 def test_lapack_is_reached_only_through_the_handle():

@@ -1,12 +1,12 @@
-"""Eigensolvers and smallest singular values.
+"""Eigensolvers and the banded smallest-singular-value kernels.
 
-Oracle strategy: closed forms for circulants, clock diagonals and 2x2
-Jordan blocks, dense LAPACK eigvalsh against the banded Hermitian route
-and against rotated Hermitian models, and np.linalg.eigvals of the
-dense entries against the routes a spec picks (normal_eigenvalues).
-smallest_singular_value of a dense matrix has one route, the SVD; the
-grid routes (distances, the banded Gram-Cholesky test) are checked point
-by point against np.linalg.svd in test_pseudospectra.
+Oracle strategy: closed forms for circulants and clock diagonals, dense
+LAPACK eigvalsh against the banded Hermitian route and against rotated
+Hermitian models, and np.linalg.eigvals of the dense entries against the
+routes a spec picks (normal_eigenvalues).
+No route takes an SVD: the grid routes (distances, the banded
+Gram-Cholesky test) are checked point by point against np.linalg.svd in
+test_pseudospectra.
 """
 
 import math
@@ -23,7 +23,7 @@ import scipy.linalg
 
 import rotspec.spectral as spectral
 from rotspec.approx import hausdorff_distance
-from rotspec.errors import ConvergenceFailure, InvalidInput, ModelsNotNormal, NotHermitian
+from rotspec.errors import ConvergenceFailure, ModelsNotNormal, NotHermitian
 from rotspec.matmodel import (
     MatrixModel,
     OperatorSpec,
@@ -38,8 +38,6 @@ from rotspec.spectral import (
     circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
     normal_eigenvalues,
-    operator_norm,
-    smallest_singular_value,
 )
 from dense_oracle import dense_matrix
 
@@ -143,7 +141,7 @@ class TestHermitian:
         e = (e + e.T) / 2 * 1e-6
         va = spectral._band_eigenvalues(a)
         vb = spectral._band_eigenvalues(a + e)
-        assert np.max(np.abs(va - vb)) <= operator_norm(e) + 1e-12
+        assert np.max(np.abs(va - vb)) <= np.linalg.norm(e, 2) + 1e-12
 
 
 def random_phase(rng: np.random.Generator, modulus: float = 1.0) -> complex:
@@ -507,68 +505,6 @@ class TestNormal:
                 normal_eigenvalues(build_operator(OperatorSpec.canonical(1, 0, 2, 0), p, q))
 
 
-class TestNonFiniteInput:
-    """LAPACK runs without a finiteness check, so every dense entry point
-    refuses a NaN or inf entry (through as_matrix) instead of answering
-    wrong: sigma_min 1.0 beside a NaN. Grids of arrays refuse them the same
-    way (test_pseudospectra)."""
-
-    @pytest.mark.parametrize("run", [
-        spectral.as_matrix, operator_norm, smallest_singular_value,
-    ], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
-    def test_refused(self, run, bad):
-        for a in ([[bad, 0], [0, 1]], [[1, bad], [bad, 1]], [[bad]]):
-            with pytest.raises(InvalidInput, match="must be finite"):
-                run(np.array(a, dtype=complex))
-
-    @pytest.mark.parametrize("run", [
-        spectral.as_matrix, operator_norm, smallest_singular_value,
-    ], ids=lambda f: f.__name__)
-    def test_model_refused_before_any_svd(self, run, monkeypatch):
-        # the SVD entry points take arrays only: a model is never made dense
-        monkeypatch.setattr(spectral, "_singular_values",
-                            lambda a: pytest.fail("_singular_values called"))
-        model = build_operator(OperatorSpec.canonical(1, 0, 2, 0), 3, 8)
-        with pytest.raises(InvalidInput, match="never made dense"):
-            run(model)
-        assert "entries" not in vars(model)
-
-
-class TestSigmaMin:
-    def test_diagonal(self):
-        a = np.diag([3.0, 0.5, 2.0]).astype(complex)
-        assert smallest_singular_value(a) == pytest.approx(0.5, abs=1e-14)
-
-    def test_jordan_closed_form(self):
-        # sigma_min([[a,1],[0,a]])^2 = (1 + 2a^2 - sqrt(1 + 4a^2)) / 2
-        for a_val in (0.09, 0.5, 2.0):
-            m = np.array([[a_val, 1], [0, a_val]], dtype=complex)
-            closed = math.sqrt((1 + 2 * a_val ** 2 - math.sqrt(1 + 4 * a_val ** 2)) / 2)
-            assert smallest_singular_value(m) == pytest.approx(closed, rel=1e-12)
-
-    def test_singular_matrix(self):
-        a = np.array([[1, 0], [0, 0]], dtype=complex)
-        assert smallest_singular_value(a) == 0.0
-
-    def test_retry_uses_a_different_driver(self, monkeypatch):
-        # numpy's SVD is divide-and-conquer (gesdd); the retry must switch
-        # to QR iteration (gesvd), not rerun gesdd
-        rng = np.random.default_rng(9)
-        stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
-        expect = np.linalg.svd(stack, compute_uv=False)[..., -1]
-
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", failing)
-        lapack = SpyLapack()
-        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
-        got = np.array([smallest_singular_value(m) for m in stack])
-        assert lapack.calls == ["zgesvd_lwork", "zgesvd"] * 5
-        assert np.max(np.abs(got - expect) / expect) <= 1e-12
-
-
 class TestBandCholesky:
     """The band kernel's layout, against dense oracles: a stack of P
     Hermitian band matrices G_p of half-bandwidth w, held as a real
@@ -660,49 +596,6 @@ class TestBandCholesky:
         assert np.array_equal(f_2[:, :, others], f[:, :, others])
 
 
-class TestOneSvdRoute:
-    """operator_norm and smallest_singular_value share one SVD route:
-    numpy's SVD, then a gesvd retry, then ConvergenceFailure."""
-
-    @staticmethod
-    def fail_numpy(monkeypatch):
-        calls = []
-
-        def failing(*args, **kwargs):
-            calls.append(kwargs.get("lapack_driver"))
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(np.linalg, "svd", failing)
-        return failing, calls
-
-    def test_every_consumer_takes_the_retry(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        s = np.linalg.svd(a, compute_uv=False)
-        _, calls = self.fail_numpy(monkeypatch)
-        assert operator_norm(a) == pytest.approx(s[0], rel=1e-12)
-        assert smallest_singular_value(a) == pytest.approx(s[-1], rel=1e-12)
-        assert len(calls) == 2
-
-    def test_failed_retry_is_a_convergence_failure(self, monkeypatch):
-        self.fail_numpy(monkeypatch)
-        lapack = SpyLapack(zgesvd=lambda a, **kwargs: (None, np.zeros(2), None, 1))
-        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        for run in (operator_norm, smallest_singular_value):
-            with pytest.raises(ConvergenceFailure, match=r"SVD failed.*zgesvd.*info=1"):
-                run(a)
-        assert lapack.calls == ["zgesvd_lwork", "zgesvd"] * 2
-
-    def test_failed_work_size_query_is_a_convergence_failure(self, monkeypatch):
-        self.fail_numpy(monkeypatch)
-        lapack = SpyLapack(zgesvd_lwork=lambda m, n, **kwargs: (0j, -2))
-        monkeypatch.setattr(spectral, "_lapack", lambda: lapack)
-        with pytest.raises(ConvergenceFailure, match="info=-2"):
-            smallest_singular_value(np.eye(2, dtype=complex))
-        assert lapack.calls == ["zgesvd_lwork"]
-
-
 class TestLapackHandle:
     """spectral._lapack() is scipy's own LAPACK module, and the routes call
     it exactly as scipy.linalg's public functions do: these tests hold the
@@ -730,22 +623,6 @@ class TestLapackHandle:
             got = (hermitian_eigenvalues(a) if isinstance(a, MatrixModel)
                    else spectral._band_eigenvalues(a))
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
-
-    def test_svd_retry_is_scipy_gesvd_bit_for_bit(self, monkeypatch):
-        rng = np.random.default_rng(72)
-        # from order 129 on, f2py's default work size for gesvd would move
-        # the last bits: the work size query must be made
-        matrices = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                    for n in (1, 2, 3, 6, 17, 64, 150)]
-        low_rank = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
-        matrices.append(low_rank @ low_rank.conj().T)
-        expect = [scipy.linalg.svd(a, compute_uv=False, lapack_driver="gesvd")
-                  for a in matrices]
-        TestOneSvdRoute.fail_numpy(monkeypatch)
-        for a, values in zip(matrices, expect):
-            copy = a.copy()
-            assert np.array_equal(spectral._singular_values(a), values)
-            assert np.array_equal(a, copy)  # the caller's matrix is not overwritten
 
     def test_handle_is_scipy_linalgs_module(self):
         lapack = spectral._lapack()
@@ -790,11 +667,3 @@ class TestLapackHandle:
             hermitian_eigenvalues(model)
         assert lapack.calls == ["zhbevd"]
 
-
-class TestOperatorNorm:
-    def test_values(self):
-        assert operator_norm(np.zeros((3, 3))) == 0.0
-        assert operator_norm(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
-        assert operator_norm(np.diag([1, -7, 3])) == pytest.approx(7.0, abs=1e-12)
-        h = dense_matrix(build_operator(OperatorSpec.canonical(1, 1, 1, 1), 1, 2))
-        assert operator_norm(h) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
