@@ -8,6 +8,7 @@ float oracle only by rounding slack.  Cloud contents are re-computed by
 calling the eigensolvers directly on independently built matrices.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -35,7 +36,7 @@ from rotspec.approx import (
     sharp_bound_exact,
 )
 from rotspec.cli import dumps_17g
-from rotspec.contfrac import expand, parse_theta, tail_constant_enclosure
+from rotspec.contfrac import expand, fibonacci, parse_theta, tail_constant_enclosure
 from rotspec.errors import (
     EmptyCloud,
     IndexOutOfRange,
@@ -190,6 +191,27 @@ class TestDefaultBudget:
             certify_normal(GOLDEN, AM, 9, max_q=50)
         with pytest.raises(Expanded):
             certify_normal(GOLDEN, AM, 17)  # F(17) = 2584 fits: expansion goes ahead
+
+    @pytest.mark.parametrize("max_q", [1, 2, 3, 50, 4096, 10 ** 20, 10 ** 100],
+                             ids=lambda b: f"{b}" if b < 10 ** 6 else f"1e{len(str(b)) - 1}")
+    def test_level_gate_names_the_first_fibonacci_past_the_budget(self, monkeypatch, max_q):
+        # the gate carries F(k), F(k + 1) through one loop; against
+        # contfrac.fibonacci, level k - 1 reaches the expansion and level k
+        # is refused, naming F(k), for the first k with F(k) > max_q
+        class Expanded(Exception):
+            pass
+
+        def no_expansion(*args, **kwargs):
+            raise Expanded
+
+        monkeypatch.setattr(approx, "expand", no_expansion)
+        k = next(k for k in itertools.count() if fibonacci(k) > max_q)
+        with pytest.raises(ResourceBudgetExceeded) as refused:
+            certify_normal(GOLDEN, AM, k, max_q=max_q)
+        assert str(refused.value) == (f"level n={k} needs order q_{k} >= F({k}) = "
+                                      f"{fibonacci(k)} > budget {max_q}")
+        with pytest.raises(Expanded):
+            certify_normal(GOLDEN, AM, k - 1, max_q=max_q)
 
     def test_level_gate_is_linear_in_the_budget_digits(self):
         # the gate walks F(k) once up to the budget: a budget of 4000

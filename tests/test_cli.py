@@ -340,6 +340,26 @@ class TestSpectrum:
             assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker"]
             assert blocker.read_bytes() == b""
 
+    @pytest.mark.parametrize("args", [
+        ["spectrum", "--theta", GOLDEN, "--level", "3"],
+        ["pseudospectrum", "--theta", GOLDEN, "--level", "3", "--epsilon", "0.5",
+         "--resolution", "3", "3"],
+        ["butterfly", "--q-max", "3"],
+        ["onesided", "--theta", GOLDEN, "--n-list", "5", "--resolution", "3", "3"],
+        ["converge", "--theta", GOLDEN, "--n-range", "1:2"],
+    ], ids=lambda args: args[0])
+    def test_every_writing_command_exits_3_on_an_unwritable_out_dir(self, tmp_path, capsys,
+                                                                    args):
+        # every command writes through the one writer, so each turns an
+        # --out-dir under a file into exit 3 naming the path it could not
+        # write, and leaves nothing behind
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        assert main([*args, "--out-dir", str(blocker / "sub")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {blocker / 'sub'}")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker"]
+
     def test_deep_level_refused_before_expansion(self, tmp_path, capsys):
         # expanding to q_25000 would take seconds, and formatting it (over
         # 5000 digits) would raise; q_n >= F(n) refuses the level first

@@ -739,6 +739,45 @@ class TestNormalRoute:
             assert np.array_equal(grid.sigma_min_values.ravel()[::37], direct)
 
 
+class TestOrderTwoClosedForm:
+    """At order 2 sigma_min has a closed form that takes no SVD: for
+    M = lambda*I - A with F = ||M||_F^2 and d = |det M|, the squared
+    singular values are the roots of s^2 - F s + d^2, so sigma_min^2 =
+    2 d^2 / (F + sqrt(F^2 - 4 d^2)). Both routes meet it: the band route
+    for U + 2V and the other non-normal specs, distances for the
+    Hermitian spec and the normal classes."""
+
+    @staticmethod
+    def closed_form(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        m = lam[:, None, None] * np.eye(2) - a
+        f = np.sum(np.abs(m) ** 2, axis=(1, 2))
+        d = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0])
+        return np.sqrt(2 * d ** 2 / (f + np.sqrt(np.maximum(f ** 2 - 4 * d ** 2, 0))))
+
+    @pytest.mark.parametrize("spec", [U_PLUS_2V, FOUR_TERM, WIDE, CANONICAL, *NORMAL_CLASSES],
+                             ids=["u_plus_2v", "four_term", "wide", "canonical",
+                                  "class_i", "class_ii", "class_iii"])
+    def test_grid_and_eigenvalues_meet_the_closed_form(self, spec):
+        model = build_operator(spec, 1, 2)
+        a = dense_matrix(model)
+        grid = compute_grid(model, (-3.7, 3.1, -3.3, 3.5), (7, 6))
+        lam = grid_nodes(grid).ravel()
+        exact = self.closed_form(a, lam)
+        got = grid.sigma_min_values.ravel()
+        assert np.all(np.abs(got - exact) <= 1e-10 * exact + sigma_tolerance(lam, spec))
+        # on the eigenvalues, where lambda*I - A is singular, by the route
+        # compute_grid picks
+        eigs = np.linalg.eigvals(a)
+        spectrum = spectral._model_spectrum(model)
+        if spectrum is None:
+            on_eigs = _banded_sigma_min(model, eigs)
+        else:
+            values, r = spectrum
+            on_eigs = psp._distances(eigs * r.conjugate(), values)
+        assert np.all(on_eigs <= 1e-12 * spec_norm_bound(spec))
+        assert np.all(np.abs(on_eigs - self.closed_form(a, eigs)) <= sigma_tolerance(eigs, spec))
+
+
 class TestLevelSets:
     def test_monotone_in_epsilon(self):
         h = build_operator(CANONICAL, 1, 3)
@@ -850,6 +889,19 @@ class TestSandwich:
         for got, a in ((rep.delta, s - t), (norms[1], s), (norms[2], t)):
             assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-12, abs=0)
         assert norms[0] == max(norms[1:])
+
+    @pytest.mark.parametrize("difference, delta", [
+        (np.zeros((3, 3)), 0.0),
+        (np.eye(5), 1.0),
+        (np.diag([1.0, -7.0, 3.0]), 7.0),
+        # U + U* + V + V* at theta = 1/2 is [[2, 2], [2, -2]], eigenvalues +-2 sqrt 2
+        (dense_matrix(build_operator(CANONICAL, 1, 2)), 2 * math.sqrt(2)),
+    ], ids=["zero", "identity", "diagonal", "canonical_q2"])
+    def test_delta_closed_forms(self, difference, delta):
+        # delta = ||S - T||, the largest |eigenvalue| of the difference
+        rep = sandwich_check(difference, np.zeros_like(difference), 0.5, resolution=(4, 4))
+        assert rep.delta == pytest.approx(delta, rel=1e-12, abs=0)
+        assert rep.passed
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
