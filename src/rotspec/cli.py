@@ -263,17 +263,18 @@ class _Output:
         self.dir = Path(opts.out_dir)
         self.formats = opts.format
         self.written: list[Path] = []
+        self.made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
 
     def write(self, fmt: str, name: str,
               payload: Callable[[], Iterable[str | bytes]]) -> None:
         """Write the pieces of payload() to name.partial, each as it arrives
         (text as UTF-8), and rename it to name, if fmt was requested; the
-        payload is built only then. A failure removes it and any directory
-        this write made; an OSError, such as an --out-dir that is a file,
-        is then InvalidInput naming the path."""
+        payload is built only then. A failure removes it, the artifacts
+        this run wrote before it and the directories the run made, so a
+        run whose write fails leaves nothing; an OSError, such as an
+        --out-dir that is a file, is then InvalidInput naming the path."""
         if fmt not in self.formats:
             return
-        made = [d for d in (self.dir, *self.dir.parents) if not d.exists()]
         path = self.dir / name
         partial = self.dir / f"{name}.partial"
         try:
@@ -283,11 +284,13 @@ class _Output:
                     fh.write(piece.encode("utf-8") if isinstance(piece, str) else piece)
             partial.replace(path)
         except BaseException as exc:
-            if partial.exists():
-                partial.unlink()
-            for d in made:  # the deepest first, each if the write made it
+            for done in (partial, *self.written):
+                if done.exists():
+                    done.unlink()
+            for d in self.made:  # the deepest first, each if the run made it
                 if d.is_dir():
                     d.rmdir()
+            self.written.clear()
             if isinstance(exc, OSError):
                 raise InvalidInput(f"cannot write {path}: {exc}") from exc
             raise

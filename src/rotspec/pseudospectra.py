@@ -13,14 +13,21 @@ routes that no option picks:
 * a model, of any order, of a Hermitian spec or of a spec with
   OperatorSpec.is_normal: sigma_min(lambda*I - A) = dist(lambda, sigma(A))
   (Trefethen & Embree, Spectra and Pseudospectra, 2005, ch. 2), by the
-  nearest-point kernel _distances, which Hausdorff distances share;
+  nearest-point kernel _distances, which Hausdorff distances share and
+  which fills one output block by block;
 * a model of any other spec: the banded Gram-Cholesky test of
   spectral._banded_sigma_min, O(q * w^2) per factorization with w the
   Gram half-bandwidth, on numpy only, without the model's dense matrix.
-  One Gram stack per pass; the kernel takes the model and all of the
-  grid's nodes, in chunks of at most 4 MiB of working arrays, and redoes
-  the points whose values failed to verify in one fallback stage, so a
+  One Gram stack per pass; the kernel takes the model and the grid's
+  nodes, in chunks of at most 4 MiB of working arrays, and redoes the
+  points whose values failed to verify in one fallback stage, so a
   fallback costs about its points' share of a chunk's pass.
+
+No grid holds its nodes: _grid_nodes validates a grid from its axes and
+corners and returns a row-major node source, _Nodes, that builds the
+nodes of each slice or index array it is read with, bit for bit those of
+the whole array. A grid's peak memory is its 8 B per node of output plus
+one chunk's or block's working set, on either route.
 
 sandwich_check, the one array entry, reads its norms and grids off the
 eigenvalues of two exactly Hermitian arrays (else NotHermitian).
@@ -49,6 +56,10 @@ Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
 DEFAULT_RESOLUTION = (256, 256)
 _CSV_LINES = 4096        # cloud points per serialized piece
+# nodes per block of real distances, a multiple of 64 so that numpy's
+# vector loops end where they ended on the whole array; about as many
+# pixels per PGM piece
+_NODE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,10 +115,29 @@ def matrix_fingerprint(A: MatrixModel) -> str:
     return h.hexdigest()
 
 
-def _grid_nodes(norm: float, region: Region, resolution: tuple[int, int]) -> np.ndarray:
-    """The grid's nodes lambda in row-major order; InvalidInput unless they
-    and max |lambda| + norm (a bound on ||A||) are finite, which bounds the
-    band route's scale |lambda| + sum |c| and every distance |lambda - h|."""
+class _Nodes:
+    """A grid's nodes re[i] + 1j*im[j] in row-major order, times rotation,
+    built only for the slice or index array they are read with: each is
+    the float-plus-complex sum that (re[:, None] + 1j*im[None, :]).reshape(-1)
+    holds, bit for bit, and no grid holds all of its nodes at once. reach
+    is max |lambda|, over the corner nodes."""
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, reach: float):
+        self.re, self.im, self.rotation, self.reach = re, 1j * im, 1, reach
+        self.size = re.size * im.size
+
+    def __getitem__(self, at) -> np.ndarray:
+        i, j = np.divmod(np.arange(*at.indices(self.size)) if isinstance(at, slice) else at,
+                         self.im.size)
+        lam = self.re[i] + self.im[j]
+        return lam if self.rotation == 1 else lam * self.rotation
+
+
+def _grid_nodes(norm: float, region: Region, resolution: tuple[int, int]) -> _Nodes:
+    """The grid's nodes; InvalidInput unless max |lambda| + norm (a bound
+    on ||A||), read off the corner nodes, is finite, which bounds the band
+    route's scale |lambda| + sum |c| and every distance |lambda - h|, and
+    unless one grid's values, which each route allocates, can be."""
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
     if not all(math.isfinite(x) for x in region):
@@ -118,13 +148,17 @@ def _grid_nodes(norm: float, region: Region, resolution: tuple[int, int]) -> np.
         raise InvalidInput(f"resolution must be >= 2 per axis, got {resolution}")
     if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
         raise InvalidInput(f"the axis spans of region {region} are outside the float range")
-    re, im = _axes(region, resolution)
-    lam = (re[:, None] + 1j * im[None, :]).reshape(-1)
     with np.errstate(over="ignore"):
-        scale = float(np.abs(lam).max() + norm)
-    if not math.isfinite(scale):
+        corners = np.array([re_min, re_max])[:, None] + 1j * np.array([im_min, im_max])
+        reach = float(np.abs(corners).max())
+    if not math.isfinite(reach + norm):
         raise InvalidInput(f"max |lambda| + ||A|| over region {region} is outside the float range")
-    return lam
+    try:  # tried and freed here, so a route's own allocation is no MemoryError
+        np.empty(nx * ny)
+    except (MemoryError, ValueError) as exc:  # past the address space, or past intp
+        raise InvalidInput(f"resolution {nx}x{ny} needs {8 * nx * ny} bytes for a grid's "
+                           f"values, more than can be allocated") from exc
+    return _Nodes(*_axes(region, resolution), reach)
 
 
 def default_region(norm_bound: float, margin: float, inputs: str) -> Region:
@@ -141,17 +175,18 @@ def default_region(norm_bound: float, margin: float, inputs: str) -> Region:
 
 def compute_grid(A: MatrixModel, region: Region, resolution: tuple[int, int]) -> PseudospectrumGrid:
     """Sample sigma_min(lambda*I - A) over the grid by the route of the
-    module docstring; the band route is one call on all the nodes."""
+    module docstring; each route is one call on the grid's node source."""
     if not isinstance(A, MatrixModel):
         raise InvalidInput(f"a grid takes a MatrixModel, got {type(A).__name__}")
-    lam = _grid_nodes(spec_norm_bound(A.spec), region, resolution)
+    nodes = _grid_nodes(spec_norm_bound(A.spec), region, resolution)
 
     spectrum = _model_spectrum(A)
     if spectrum is None:
-        out = _banded_sigma_min(A, lam)
+        out = _banded_sigma_min(A, nodes)
     else:  # |conj(r) lambda - h| = |lambda - r h| for the eigenvalues r * h
         values, r = spectrum
-        out = _distances(lam if r == 1 else lam * r.conjugate(), values)
+        nodes.rotation = r.conjugate()
+        out = _distances(nodes, values)
 
     return PseudospectrumGrid(
         region=tuple(float(x) for x in region),
@@ -160,20 +195,28 @@ def compute_grid(A: MatrixModel, region: Region, resolution: tuple[int, int]) ->
     )
 
 
-def _distances(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each point's distance to the nearest value: for ascending real values,
-    np.hypot of Im p and the distance from Re p to its sorted neighbours; for
-    complex values, one |points| x |values| pass of complex abs in row
-    blocks of about _CHUNK_BUDGET differences."""
-    if not np.iscomplexobj(values):
-        x = points.real
-        idx = np.searchsorted(values, x)
-        below = values[np.maximum(idx - 1, 0)]
-        above = values[np.minimum(idx, values.size - 1)]
-        return np.hypot(np.minimum(np.abs(x - below), np.abs(above - x)), points.imag)
-    rows = max(1, _CHUNK_BUDGET // len(values))
-    return np.concatenate([np.min(np.abs(points[s:s + rows, None] - values[None, :]), axis=1)
-                           for s in range(0, len(points), rows)])
+def _distances(points, values: np.ndarray) -> np.ndarray:
+    """Each point's distance to the nearest value, the points (an array or
+    a grid's _Nodes) read in blocks into one output: for ascending real
+    values, np.hypot of Im p and the distance from Re p to its sorted
+    neighbours, _NODE_BLOCK points at a time; for complex values, one
+    |points| x |values| pass of complex abs in row blocks of about
+    _CHUNK_BUDGET differences."""
+    out = np.empty(points.size)
+    real = not np.iscomplexobj(values)
+    rows = _NODE_BLOCK if real else max(1, _CHUNK_BUDGET // len(values))
+    for s in range(0, points.size, rows):
+        p = points[s:s + rows]
+        if real:
+            x = p.real
+            idx = np.searchsorted(values, x)
+            below = values[np.maximum(idx - 1, 0)]
+            above = values[np.minimum(idx, values.size - 1)]
+            np.hypot(np.minimum(np.abs(x - below), np.abs(above - x)), p.imag,
+                     out=out[s:s + rows])
+        else:
+            np.min(np.abs(p[:, None] - values[None, :]), axis=1, out=out[s:s + rows])
+    return out
 
 
 def level_set(grid: PseudospectrumGrid, epsilon: float) -> np.ndarray:
@@ -257,9 +300,9 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
     middle_level = float_up(Fraction(epsilon) + Fraction(delta))
     outer_level = float_up(Fraction(epsilon) + 2 * Fraction(delta))
 
-    lam = _grid_nodes(max(norms), region, resolution)
-    sig_s, sig_t = (_distances(lam, e) for e in (eigs_s, eigs_t))
-    slack = 1e-7 * (max(norms) + float(np.max(np.abs(lam))))
+    nodes = _grid_nodes(max(norms), region, resolution)
+    sig_s, sig_t = (_distances(nodes, e) for e in (eigs_s, eigs_t))
+    slack = 1e-7 * (max(norms) + nodes.reach)
 
     inner = sig_s <= epsilon
     middle = sig_t <= middle_level
@@ -273,7 +316,7 @@ def sandwich_check(S: np.ndarray, T: np.ndarray, epsilon: float,
     ):
         beyond = sig[bad_mask] > level + slack
         advisory += int(np.count_nonzero(~beyond))
-        hard.extend(complex(z) for z in lam[bad_mask][beyond][:32])
+        hard.extend(complex(z) for z in nodes[np.flatnonzero(bad_mask)[beyond][:32]])
 
     return SandwichReport(
         epsilon=float(epsilon),
@@ -321,14 +364,18 @@ def grid_to_pgm(grid: PseudospectrumGrid) -> Iterator[bytes]:
     """16-bit big-endian P5 graymap: gray = round((clip(log10 sigma, -8, 2)
     + 8)/10 * 65535). Pixel row r, column c shows grid point i = c,
     j = ny-1-r, so the top image row is the largest imaginary part.
-    Yields the header, then the pixel buffer."""
+    Yields the header, then the pixels in blocks of rows of about
+    _NODE_BLOCK pixels, each worked in place in one float buffer."""
     nx, ny = grid.resolution
-    with np.errstate(divide="ignore"):
-        gray = np.log10(grid.sigma_min_values)  # the one float buffer, worked in place
-    np.clip(gray, -8.0, 2.0, out=gray)
-    gray += 8.0
-    gray /= 10.0
-    gray *= 65535.0
-    np.rint(gray, out=gray)
+    image = grid.sigma_min_values.T[::-1, :]  # rows = descending imaginary axis
     yield f"P5\n{nx} {ny}\n65535\n".encode("ascii")
-    yield gray.T[::-1, :].astype(">u2").tobytes()  # rows = descending imaginary axis
+    rows = max(1, _NODE_BLOCK // nx)
+    for start in range(0, ny, rows):
+        with np.errstate(divide="ignore"):
+            gray = np.log10(image[start:start + rows])
+        np.clip(gray, -8.0, 2.0, out=gray)
+        gray += 8.0
+        gray /= 10.0
+        gray *= 65535.0
+        np.rint(gray, out=gray)
+        yield gray.astype(">u2").tobytes()

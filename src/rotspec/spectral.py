@@ -45,8 +45,10 @@ sigma_min, inverse iteration gives the value v = ||Bx||, and two more
 factorizations verify it (Rump, BIT 46 (2006) 433-452): at q = 8 a
 point costs 15 factorizations and 3 band solves, where the whole
 44-halving bisection took 45. One Gram stack per pass; the kernel takes
-the model and all of a grid's nodes, vectorized over each chunk's
-points, and redoes the points that fail to verify in one fallback stage.
+the model and a grid's nodes, which it reads only by size, slice and
+index array (an array, or the source of pseudospectra that builds the
+nodes of each read), vectorized over each chunk's points, and redoes the
+points that fail to verify in one fallback stage.
 
 LAPACK is reached through one handle, _lapack(), for one function, the
 banded Hermitian eigensolver zhbevd: scipy's f2py extension
@@ -458,7 +460,9 @@ def _bracketed(lam: np.ndarray, s: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 def _banded_sigma_min(A: MatrixModel, lam: np.ndarray) -> np.ndarray:
     """sigma_min(lam_p I - A) for each lam_p: one Gram stack per pass; the
-    kernel takes the model A and builds its band once.
+    kernel takes the model A and builds its band once. lam is read only
+    as lam.size, lam[start:start + chunk] and lam[index]: an array, or a
+    grid's node source, which holds one chunk's nodes at a time.
 
     B = P(lam I - A)P^T is scaled by s = |lam| + norm, which keeps every
     number near 1 for any coefficient scale. sigma_min(B) > t holds when

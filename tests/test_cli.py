@@ -360,6 +360,31 @@ class TestSpectrum:
         assert err.startswith(f"error: cannot write {blocker / 'sub'}")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker"]
 
+    def test_a_failed_artifact_removes_the_run_s_earlier_ones(self, tmp_path, capsys):
+        # the certificate cannot replace a directory of its name: the cloud
+        # CSV written before it goes too, and nothing is reported written
+        out = tmp_path / "od"
+        (out / "spectrum_certificate.json").mkdir(parents=True)
+        assert main(["spectrum", "--theta", GOLDEN, "--level", "5", "--out-dir", str(out)]) == 3
+        std = capsys.readouterr()
+        assert std.err.startswith(f"error: cannot write {out / 'spectrum_certificate.json'}")
+        assert "wrote" not in std.out
+        assert sorted(p.name for p in out.rglob("*")) == ["spectrum_certificate.json"]
+
+    def test_a_failed_artifact_removes_the_directories_the_run_made(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # a failure while formatting the second artifact, under an
+        # --out-dir two levels below what exists
+        def planted(obj, indent=0):
+            raise InvalidInput("planted")
+
+        monkeypatch.setattr(cli, "dumps_17g", planted)
+        out = tmp_path / "new" / "sub"
+        assert main(["spectrum", "--theta", GOLDEN, "--level", "5", "--out-dir", str(out)]) == 3
+        std = capsys.readouterr()
+        assert std.err == "error: planted\n" and "wrote" not in std.out
+        assert list(tmp_path.iterdir()) == []
+
     def test_deep_level_refused_before_expansion(self, tmp_path, capsys):
         # expanding to q_25000 would take seconds, and formatting it (over
         # 5000 digits) would raise; q_n >= F(n) refuses the level first
@@ -568,6 +593,18 @@ class TestPseudospectrum:
         assert main(["onesided", "--theta", GOLDEN, "--n-list", "8", "--jobs", "0",
                      "--out-dir", str(out)]) == 2
         capsys.readouterr()
+        assert not out.exists()
+
+    def test_unallocatable_resolution_exits_3(self, tmp_path, capsys):
+        # 10^7 x 10^7 grid values are 728 TiB: refused naming the
+        # resolution and the bytes, before any file, with no traceback
+        out = tmp_path / "out"
+        assert main(["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "3",
+                     "--epsilon", "0.5", "--resolution", "10000000", "10000000",
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: resolution 10000000x10000000 needs 800000000000000 bytes for a grid's "
+            "values, more than can be allocated\n")
         assert not out.exists()
 
 

@@ -8,6 +8,7 @@ PGM bytes are checked against the documented gray mapping computed by
 hand.
 """
 
+import cmath
 import hashlib
 import math
 import tracemalloc
@@ -612,7 +613,7 @@ class TestDistanceRoute:
         h = random_hermitian(9)
         eigs = spectral._band_eigenvalues(h)
         assert eigs.dtype == float and np.all(np.diff(eigs) >= 0)
-        lam = psp._grid_nodes(np.linalg.norm(h, 2), (-4, 4, -2, 2), (9, 5))
+        lam = psp._grid_nodes(np.linalg.norm(h, 2), (-4, 4, -2, 2), (9, 5))[:]  # all the nodes, as an array
         ref = pointwise_svd(h, lam)
         assert np.max(np.abs(psp._distances(lam, eigs) - ref)) <= 1e-12 * np.linalg.norm(h, 2)
 
@@ -638,7 +639,7 @@ class TestDistanceRoute:
         r = math.hypot(a, b)
         eigs = spectral._band_eigenvalues(h)
         assert eigs == pytest.approx([-r, r], rel=1e-12)
-        lam = psp._grid_nodes(r, (-2 * a, 2 * a, -a, a), (9, 5))
+        lam = psp._grid_nodes(r, (-2 * a, 2 * a, -a, a), (9, 5))[:]
         expect = np.minimum(np.abs(lam - r), np.abs(lam + r))
         assert np.max(np.abs(psp._distances(lam, eigs) - expect)) <= 1e-12 * r
         rep = sandwich_check(h, t, 0.5 * a, resolution=(8, 8))
@@ -776,6 +777,118 @@ class TestOrderTwoClosedForm:
             on_eigs = psp._distances(eigs * r.conjugate(), values)
         assert np.all(on_eigs <= 1e-12 * spec_norm_bound(spec))
         assert np.all(np.abs(on_eigs - self.closed_form(a, eigs)) <= sigma_tolerance(eigs, spec))
+
+
+def whole_distances(lam: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The distance kernel on a whole array of nodes at once, as the grids
+    took it when they built all of their nodes: the oracle of the blocks."""
+    if not np.iscomplexobj(values):
+        idx = np.searchsorted(values, lam.real)
+        below = values[np.maximum(idx - 1, 0)]
+        above = values[np.minimum(idx, values.size - 1)]
+        return np.hypot(np.minimum(np.abs(lam.real - below), np.abs(above - lam.real)), lam.imag)
+    rows = max(1, psp._CHUNK_BUDGET // len(values))
+    return np.concatenate([np.min(np.abs(lam[s:s + rows, None] - values[None, :]), axis=1)
+                           for s in range(0, len(lam), rows)])
+
+
+ODD_REGION = (-3.7, 3.1, -3.3, 3.5)
+
+
+class TestNodeSource:
+    """A grid's nodes are built for each slice or index array read, never
+    all at once, and hold the bits of the whole row-major array; so do the
+    grid values of both routes, and a grid's peak memory is its output
+    plus one chunk's working set."""
+
+    @staticmethod
+    def whole(region, resolution) -> np.ndarray:
+        re, im = psp._axes(region, resolution)
+        return (re[:, None] + 1j * im[None, :]).reshape(-1)
+
+    @staticmethod
+    def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("resolution", ((257, 130), (2, 3), (130, 2)))
+    def test_reads_equal_the_whole_array(self, resolution):
+        nodes = psp._grid_nodes(4.0, ODD_REGION, resolution)
+        whole = self.whole(ODD_REGION, resolution)
+        assert nodes.size == whole.size
+        assert nodes.reach == np.abs(whole).max()
+        for at in (slice(None), slice(0, 1), slice(5, 5), slice(3, 4099),
+                   slice(whole.size - 7, whole.size + 9)):
+            assert self.same_bits(nodes[at], whole[at]), at
+        index = np.random.default_rng(7).integers(0, whole.size, 50)
+        for at in (index, index[:1], index[:0], np.arange(whole.size)[::-3]):
+            assert self.same_bits(nodes[at], whole[at])
+        # class (iii)'s rotated frame, read in the distance blocks
+        r = cmath.exp(0.7j)
+        nodes.rotation = r
+        blocks = [nodes[s:s + psp._NODE_BLOCK] for s in range(0, nodes.size, psp._NODE_BLOCK)]
+        assert self.same_bits(np.concatenate(blocks), whole * r)
+
+    @pytest.mark.parametrize("p, q, resolution", ((3, 5, (257, 130)), (5, 8, (257, 130)),
+                                                  (89, 144, (37, 29))))
+    def test_band_values_equal_those_of_the_whole_array(self, monkeypatch, p, q, resolution):
+        # 17 chunks of 2048 points at q = 5 and 8, two of 606 at q = 144,
+        # each grid with a fallback stage that reads its nodes by index
+        model = build_operator(U_PLUS_2V, p, q)
+        passes = TestBandRoute.spy_passes(monkeypatch)
+        grid = compute_grid(model, ODD_REGION, resolution)
+        kinds = [kind for (kind, _), _ in passes]
+        assert kinds.count("coarse") == -(-grid.sigma_min_values.size
+                                          // (2048 if q < 144 else 606))
+        assert kinds[-1] == "fallback"
+        whole = _banded_sigma_min(model, self.whole(ODD_REGION, resolution))
+        assert self.same_bits(grid.sigma_min_values.ravel(), whole)
+
+    @pytest.mark.parametrize("spec", (CANONICAL, *NORMAL_CLASSES),
+                             ids=("hermitian", "class_i", "class_ii", "class_iii"))
+    def test_distance_values_equal_those_of_the_whole_array(self, spec):
+        # 257 x 130 nodes are three real blocks, and 12 complex row blocks
+        # against 89 eigenvalues
+        for p, q in ((3, 5), (55, 89)):
+            values, r = spectral._model_spectrum(build_operator(spec, p, q))
+            grid = compute_grid(build_operator(spec, p, q), ODD_REGION, (257, 130))
+            lam = self.whole(ODD_REGION, (257, 130))
+            expect = whole_distances(lam if r == 1 else lam * r.conjugate(), values)
+            assert self.same_bits(grid.sigma_min_values.ravel(), expect), (spec, q)
+
+    @staticmethod
+    def traced_peak(model, resolution) -> tuple[int, int]:
+        tracemalloc.start()
+        try:
+            grid = compute_grid(model, (-4, 4, -4, 4), resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, grid.sigma_min_values.nbytes
+
+    def test_band_grid_peak_is_its_output_and_one_chunk(self):
+        # 512 x 512 nodes would be 4 MiB, their |lambda| 2 MiB more
+        peak, output = self.traced_peak(build_operator(U_PLUS_2V, 5, 8), (512, 512))
+        assert peak <= output + (4 << 20), peak
+
+    @pytest.mark.parametrize("spec", (CANONICAL, CLASS_I), ids=("hermitian", "class_i"))
+    def test_distance_grid_peak_is_its_output_and_one_block(self, spec):
+        # 1024 x 1024 nodes would be 16 MiB, the real route's temporaries
+        # 40 MiB more; one complex block's differences and their abs are 6 MiB
+        peak, output = self.traced_peak(build_operator(spec, 5, 8), (1024, 1024))
+        assert peak <= output + (8 << 20), peak
+
+    def test_unallocatable_resolution_is_refused(self):
+        # 10^7 x 10^7 values are 728 TiB, past any address space; 10^10 x
+        # 10^10 are past intp
+        models = [build_operator(spec, 5, 8) for spec in (U_PLUS_2V, CANONICAL, CLASS_I)]
+        s = np.diag([1.0, -1.0])
+        for n, size in ((10**7, "800000000000000"), (10**10, "800000000000000000000")):
+            message = f"resolution {n}x{n} needs {size} bytes"
+            for model in models:
+                with pytest.raises(InvalidInput, match=message):
+                    compute_grid(model, (-4, 4, -4, 4), (n, n))
+            with pytest.raises(InvalidInput, match=message):
+                sandwich_check(s, s, 0.5, resolution=(n, n))
 
 
 class TestLevelSets:
@@ -1104,6 +1217,37 @@ class TestSerialization:
         data = b"".join(grid_to_pgm(grid))
         pix = np.frombuffer(data[-8:], dtype=">u2").reshape(2, 2)
         assert pix[1, 0] == 0
+
+    @pytest.mark.parametrize("resolution", ((257, 130), (3, 20000), (20000, 3), (2, 2)))
+    def test_pgm_blocks_equal_the_whole_buffer(self, resolution):
+        # the same elementwise steps on one whole-grid buffer; 257 columns
+        # are 63 image rows per block, 20000 one
+        rng = np.random.default_rng(11)
+        sigma = 10.0 ** rng.uniform(-10, 4, resolution)
+        sigma.flat[::97] = 0.0
+        with np.errstate(divide="ignore"):
+            gray = np.log10(sigma)
+        np.clip(gray, -8.0, 2.0, out=gray)
+        gray += 8.0
+        gray /= 10.0
+        gray *= 65535.0
+        np.rint(gray, out=gray)
+        nx, ny = resolution
+        expect = f"P5\n{nx} {ny}\n65535\n".encode() + gray.T[::-1, :].astype(">u2").tobytes()
+        assert b"".join(grid_to_pgm(make_grid(sigma))) == expect
+
+    def test_pgm_memory_is_one_block(self):
+        # whole, the 1024 x 1024 pixels were an 8 MiB float buffer and two
+        # 2 MiB byte copies, 12 MiB beside the grid's own 8 MiB
+        grid = make_grid(np.random.default_rng(12).random((1024, 1024)))
+        tracemalloc.start()
+        try:
+            size = sum(len(piece) for piece in grid_to_pgm(grid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(b"P5\n1024 1024\n65535\n") + 2 * 1024 * 1024
+        assert peak < grid.sigma_min_values.nbytes / 8, peak
 
 
 class TestRegionDefaults:
