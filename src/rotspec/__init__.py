@@ -37,11 +37,7 @@ from .matmodel import (
     MatrixModel,
     OperatorSpec,
     build_operator,
-    clock_matrix,
-    commutation_defect,
-    shift_matrix,
     spec_norm_bound,
-    unitarity_defect,
 )
 from .spectral import (
     circulant_four_term_eigenvalues,
@@ -60,7 +56,6 @@ from .pseudospectra import (
 )
 from .approx import (
     ApproximationCertificate,
-    ConstantAudit,
     ConvergenceTable,
     OneSidedCertificate,
     PseudospectrumSandwich,

@@ -9,8 +9,11 @@ attached to finite data:
     epsilon_n, where epsilon_n has a clean form 204*M*(1/q_{n-1} + 1/q_n)
     and a sharper practical form assembled from 2*pi / tail-sum pieces;
   * one-sided sqrt(n) certificates: for any denominator n and
-    p = round(n*theta), sigma(h_{p/n}) lies within C1/sqrt(n) of the
-    operator's spectrum, C1 = 36*M*sqrt(3*pi).
+    p = round(n*theta), r = C1/sqrt(n), C1 = 36*M*sqrt(3*pi), bounds the
+    perturbation between the operator h and the model h_{p/n}, so
+    sigma(h_{p/n}) lies in Lambda_r(h) = {lambda : sigma_min(lambda - h) <= r}
+    and Lambda_eps(h_{p/n}) in Lambda_{eps+r}(h) (Trefethen & Embree 2005,
+    ch. 2); for a normal h, Lambda_r(h) is sigma(h) + D(0, r).
 
 Every irrational constant enters through rational enclosures and the
 final float conversion rounds up, so returned radii are true bounds.
@@ -340,10 +343,6 @@ class PseudospectrumSandwich:
     caveat: Optional[str] = None
 
     @property
-    def epsilon_sharp(self) -> Optional[float]:
-        return self.epsilon_n  # the sharp radius is the one the sandwich uses
-
-    @property
     def certified(self) -> bool:
         return self.epsilon_n is not None  # epsilon_n exists for canonical specs only
 
@@ -355,7 +354,7 @@ class PseudospectrumSandwich:
             "q_pair": list(self.q_pair),
             "epsilon": self.epsilon,
             "epsilon_n": self.epsilon_n,
-            "epsilon_sharp": self.epsilon_sharp,
+            "epsilon_sharp": self.epsilon_n,  # the sharp radius is the one the sandwich uses
             "epsilon_clean": self.epsilon_clean,
             "certified": self.certified,
             "rate": RATE_FLAG,
@@ -416,8 +415,9 @@ def certify_pseudospectrum(theta: Theta, spec: OperatorSpec, n: int,
 
 @dataclass(frozen=True)
 class OneSidedCertificate:
-    """sigma(h_{p/n}) lies within radius = C1/sqrt(n) of the operator's
-    spectrum (containment one way only; no Hausdorff claim)."""
+    """sigma(h_{p/n}) lies in the operator's closed radius-pseudospectrum,
+    radius = C1/sqrt(n): within radius of sigma(h) when h is normal
+    (containment one way only; no Hausdorff claim)."""
 
     theta: Theta
     spec: OperatorSpec
@@ -448,10 +448,11 @@ def one_sided(theta: Theta, spec: OperatorSpec, n: int,
               region: Optional[Region] = None,
               resolution: tuple[int, int] = DEFAULT_RESOLUTION,
               max_q: int = MAX_Q) -> tuple[OneSidedResult, OneSidedCertificate]:
-    """Single model at denominator n with p = round(n*theta); returns its
-    spectrum (normal case) or a sigma_min grid, plus the sqrt(n)-rate
-    certificate. region None derives one from sum |c| and the radius;
-    max_q bounds the model order n."""
+    """Single model at denominator n with p = round(n*theta), plus the
+    sqrt(n)-rate certificate: its spectrum for a normal spec, within radius
+    of the operator's; else a sigma_min grid, the model's epsilon-pseudospectrum
+    lying in the operator's (epsilon + radius)-pseudospectrum. region None
+    derives one from sum |c| and the radius; max_q bounds the model order n."""
     if n < 1:
         raise InvalidInput(f"denominator must be >= 1, got {n}")
     _check_budget(n, max_q, f"denominator n={n}")

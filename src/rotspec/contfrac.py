@@ -172,9 +172,6 @@ class ContinuedFractionExpansion:
             )
         return self.convergents[k]
 
-    def p(self, k: int) -> int:
-        return self.convergent(k)[0]
-
     def q(self, k: int) -> int:
         return self.convergent(k)[1]
 

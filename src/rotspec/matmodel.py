@@ -244,13 +244,6 @@ class MatrixModel:
         return a
 
 
-def _check_order(q: int, p: int) -> None:
-    if q < 1:
-        raise InvalidOrder(f"matrix order must be >= 1, got q={q}")
-    if not 0 <= p < q:
-        raise InvalidOrder(f"need 0 <= p < q, got p={p}, q={q}")
-
-
 def _clock_diagonal(p: int, q: int, power: int = 1) -> np.ndarray:
     """Diagonal of v^power: phases omega^(power*k) with the exponent
     reduced mod q exactly; negative powers conjugate the positive phase."""
@@ -260,24 +253,17 @@ def _clock_diagonal(p: int, q: int, power: int = 1) -> np.ndarray:
     return np.conj(phases) if power < 0 else phases
 
 
-def shift_matrix(q: int) -> MatrixModel:
-    """Cyclic forward shift: ones at (i, i+1), i = 1..q-1, and at (q, 1)."""
-    return build_operator(OperatorSpec.general([(1, 0, 1)]), 0, q)
-
-
-def clock_matrix(p: int, q: int) -> MatrixModel:
-    """diag(1, omega, ..., omega^{q-1}) with omega = e^{2 pi i p/q}."""
-    return build_operator(OperatorSpec.general([(0, 1, 1)]), p, q)
-
-
 def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
-    """Evaluate sum c_{jk} u^j v^k at u = shift_matrix(q), v = clock_matrix(p,q).
+    """Evaluate sum c_{jk} u^j v^k at u the cyclic shift and v the clock diagonal.
 
     u^j v^k has its only nonzero per row i at column (i+j) mod q, with
     value (v^k)_{(i+j) mod q}; the model stores these per term, so no
     matrix products and no dense matrix are formed.
     """
-    _check_order(q, p)
+    if q < 1:
+        raise InvalidOrder(f"matrix order must be >= 1, got q={q}")
+    if not 0 <= p < q:
+        raise InvalidOrder(f"need 0 <= p < q, got p={p}, q={q}")
     rows = np.arange(q)
     columns = np.empty((len(spec.terms), q), dtype=np.intp)
     values = np.empty((len(spec.terms), q), dtype=np.complex128)
@@ -292,35 +278,3 @@ def build_operator(spec: OperatorSpec, p: int, q: int) -> MatrixModel:
     if not np.isfinite(values).all():
         raise InvalidInput(f"a value c * omega^m of the model at q={q} is outside the float range")
     return MatrixModel(order=q, p=p, spec=spec, columns=columns, values=values)
-
-
-# ---------------------------------------------------------------------------
-# exact structural checks
-# ---------------------------------------------------------------------------
-
-def commutation_defect(p: int, q: int) -> float:
-    """Operator norm of u v - omega v u.
-
-    Both products are supported on the shift pattern (i, (i+1) mod q):
-    (u v)_{i,.} = d_{(i+1) mod q} and (omega v u)_{i,.} = omega d_i for
-    d the clock diagonal. A matrix with at most one nonzero per row and
-    column is a scaled permutation, whose 2-norm is the largest entry
-    modulus; and because u has exactly one 1 per row, the dense products
-    would produce bit-identical entries (1.0*x = x, x + 0.0 = x in IEEE),
-    so this equals the dense-arithmetic norm.
-    """
-    _check_order(q, p)
-    d = _clock_diagonal(p, q)
-    omega = cmath.exp(2j * cmath.pi * (p / q))
-    diff = np.roll(d, -1) - omega * d
-    return float(np.max(np.abs(diff)))
-
-
-def unitarity_defect(model: MatrixModel) -> float:
-    """Operator norm of A*A - I for a one-term model (the shift, the clock,
-    any c u^j v^k): a scaled permutation, so A*A - I is diagonal with
-    entries |a_i|^2 - 1 over its stored values. Other models are refused."""
-    if len(model.values) != 1:
-        raise InvalidInput(f"unitarity_defect takes one-term models, got {len(model.values)} terms")
-    a = model.values[0]
-    return float(np.max(np.abs(np.conj(a) * a - 1.0)))

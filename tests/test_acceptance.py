@@ -23,18 +23,10 @@ from rotspec.approx import (
 )
 from rotspec.cli import main
 from rotspec.contfrac import convergent_gap, expand, fibonacci, parse_theta
-from rotspec.matmodel import (
-    OperatorSpec,
-    build_operator,
-    clock_matrix,
-    commutation_defect,
-    shift_matrix,
-    spec_norm_bound,
-    unitarity_defect,
-)
+from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import compute_grid, sandwich_check
 from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
-from dense_oracle import dense_matrix, grid_nodes
+from dense_oracle import clock, clock_shift_defects, dense_matrix, grid_nodes, shift
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -64,9 +56,9 @@ def test_criterion_02_commutation_and_unitarity():
     fibs = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
     worst_comm = worst_unit = 0.0
     for p, q in zip(fibs, fibs[1:]):  # (p, q) = (q_{n-1}, q_n), golden convergents
-        worst_comm = max(worst_comm, commutation_defect(p, q))
-        worst_unit = max(worst_unit, unitarity_defect(shift_matrix(q)),
-                         unitarity_defect(clock_matrix(p, q)))
+        # read off build_operator's own models, not a second construction
+        comm, unit = clock_shift_defects(shift(q), clock(p, q), np.exp(2j * np.pi * p / q))
+        worst_comm, worst_unit = max(worst_comm, comm), max(worst_unit, unit)
     assert worst_comm <= 1e-12
     assert worst_unit <= 1e-13
     elapsed = time.perf_counter() - t0
@@ -89,7 +81,7 @@ def test_criterion_03_eigensolver_oracles():
     worst_n = 0.0
     qs = list(range(2, 65)) + [96, 128, 192, 256, 384, 512]
     for q in qs:
-        got = normal_eigenvalues(shift_matrix(q))
+        got = normal_eigenvalues(shift(q))
         roots = np.exp(2j * np.pi * np.arange(q) / q)
         d1 = np.max(np.min(np.abs(got[:, None] - roots[None, :]), axis=1))
         d2 = np.max(np.min(np.abs(roots[:, None] - got[None, :]), axis=1))

@@ -362,8 +362,8 @@ class TestCertifyPseudospectrum:
     def test_canonical_is_certified(self):
         s = certify_pseudospectrum(GOLDEN, AM, 3, 0.5, **self.PARAMS)
         assert s.certified
-        assert s.epsilon_n == min(s.epsilon_sharp, s.epsilon_clean)
-        assert s.epsilon_sharp == 55.91143287610732
+        assert s.epsilon_n == 55.91143287610732 <= s.epsilon_clean
+        assert s.to_json()["epsilon_sharp"] == s.epsilon_n
         assert s.q_pair == (2, 3)
         assert s.to_json()["rate"] == RATE_FLAG
         assert s.inclusion_verified
@@ -374,11 +374,12 @@ class TestCertifyPseudospectrum:
         s = certify_pseudospectrum(GOLDEN, MIXED, 3, 0.5,
                                    resolution=(12, 12))
         assert not s.certified
-        assert s.epsilon_n is None and s.epsilon_sharp is None
+        assert s.epsilon_n is None
         assert s.outer_mask is None
         assert s.inclusion_verified  # nothing to violate
         doc = s.to_json()
         assert doc["outer_count"] is None
+        assert doc["epsilon_n"] is None and doc["epsilon_sharp"] is None
         assert doc["certified"] is False
         assert doc["rate"] == RATE_FLAG
 

@@ -184,7 +184,7 @@ class TestExpansion:
     def test_convergent_accessors(self):
         e = expand(parse_theta(GOLDEN), 5)
         assert e.convergent(0) == (0, 1)
-        assert e.p(4) == 3 and e.q(4) == 5
+        assert e.convergent(4) == (3, 5) and e.q(4) == 5
         with pytest.raises(IndexOutOfRange):
             e.convergent(6)
         with pytest.raises(IndexOutOfRange):

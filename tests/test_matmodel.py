@@ -5,6 +5,7 @@ claims (commutation, unitarity, hermiticity) are re-verified by dense
 numpy products so the structured formulas never check themselves.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -16,14 +17,11 @@ from rotspec.errors import EmptySpec, InvalidInput, InvalidOrder
 from rotspec.matmodel import (
     MatrixModel,
     OperatorSpec,
+    _clock_diagonal,
     build_operator,
-    clock_matrix,
-    commutation_defect,
-    shift_matrix,
     spec_norm_bound,
-    unitarity_defect,
 )
-from dense_oracle import dense_matrix
+from dense_oracle import clock, clock_shift_defects, dense_matrix, shift
 
 CANONICAL = OperatorSpec.canonical(1, 1, 1, 1)
 
@@ -121,11 +119,11 @@ class TestSpec:
 
 class TestGenerators:
     def test_shift_2x2(self):
-        u = dense_matrix(shift_matrix(2))
+        u = dense_matrix(shift(2))
         assert np.array_equal(u, np.array([[0, 1], [1, 0]], dtype=complex))
 
     def test_clock_1_2(self):
-        v = dense_matrix(clock_matrix(1, 2))
+        v = dense_matrix(clock(1, 2))
         # exp(i*pi) in floats: real part rounds to exactly -1, the
         # imaginary part keeps the sin(pi) residual of about 1.2e-16
         assert v[0, 0] == 1.0
@@ -134,8 +132,8 @@ class TestGenerators:
         assert v[0, 1] == 0 and v[1, 0] == 0
 
     def test_uv_pinned_2x2(self):
-        u = dense_matrix(shift_matrix(2))
-        v = dense_matrix(clock_matrix(1, 2))
+        u = dense_matrix(shift(2))
+        v = dense_matrix(clock(1, 2))
         prod = u @ v
         assert prod[0, 0] == 0 and prod[1, 1] == 0
         assert prod[1, 0] == 1.0
@@ -143,7 +141,7 @@ class TestGenerators:
 
     def test_shift_is_cyclic_permutation(self):
         for q in (1, 2, 3, 7, 16):
-            u = dense_matrix(shift_matrix(q))
+            u = dense_matrix(shift(q))
             expect = np.zeros((q, q), dtype=complex)
             for i in range(q):
                 expect[i, (i + 1) % q] = 1.0
@@ -151,14 +149,14 @@ class TestGenerators:
 
     def test_clock_diagonal_phases(self):
         for p, q in ((1, 3), (2, 5), (3, 7), (5, 8)):
-            v = dense_matrix(clock_matrix(p, q))
+            v = dense_matrix(clock(p, q))
             diag = np.diag(v)
             oracle = np.exp(2j * np.pi * (np.arange(q) * p % q) / q)
             assert np.max(np.abs(diag - oracle)) < 1e-15
             assert np.count_nonzero(v - np.diag(diag)) == 0
 
     def test_column_major_storage(self):
-        for m in (shift_matrix(5), clock_matrix(2, 5),
+        for m in (shift(5), clock(2, 5),
                   build_operator(CANONICAL, 2, 5)):
             assert m.entries.flags["F_CONTIGUOUS"]
             assert not m.entries.flags["WRITEABLE"]
@@ -166,21 +164,29 @@ class TestGenerators:
 
     def test_invalid_orders(self):
         with pytest.raises(InvalidOrder):
-            shift_matrix(0)
+            shift(0)
         with pytest.raises(InvalidOrder):
-            clock_matrix(1, -3)
+            clock(1, -3)
         with pytest.raises(InvalidOrder):
             build_operator(CANONICAL, 1, 0)
+
+
+# criterion 2's bounds on the defects of the shift and clock models
+COMMUTATION_BOUND, UNITARITY_BOUND = 1e-12, 1e-13
+GOLDEN_PAIRS = ((2, 3), (55, 89), (987, 1597))  # (q_{n-1}, q_n)
+
+
+def omega(p: int, q: int) -> complex:
+    return np.exp(2j * np.pi * p / q)
 
 
 class TestCommutation:
     def test_defect_against_dense_product(self):
         for p, q in ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (7, 16)):
-            u = dense_matrix(shift_matrix(q))
-            v = dense_matrix(clock_matrix(p, q))
-            omega = np.exp(2j * np.pi * p / q)
-            dense = np.linalg.norm(u @ v - omega * (v @ u), 2)
-            structural = commutation_defect(p, q)
+            u = dense_matrix(shift(q))
+            v = dense_matrix(clock(p, q))
+            dense = np.linalg.norm(u @ v - omega(p, q) * (v @ u), 2)
+            structural, _ = clock_shift_defects(shift(q), clock(p, q), omega(p, q))
             assert structural <= 1e-15
             # scaled permutation: 2-norm equals max modulus, and the
             # structural value reproduces the dense one exactly
@@ -188,19 +194,29 @@ class TestCommutation:
 
     def test_p_zero_exact(self):
         for q in (1, 2, 5, 9):
-            assert commutation_defect(0, q) == 0.0
+            assert clock_shift_defects(shift(q), clock(0, q), 1.0)[0] == 0.0
+
+    def test_conjugated_clock_phases_break_the_bound(self, monkeypatch):
+        # v* u = conj(omega) u v*, so a clock built with conjugated phases
+        # misses omega by |omega - conj(omega)| = 2 |sin(2 pi p/q)|
+        monkeypatch.setattr("rotspec.matmodel._clock_diagonal",
+                            lambda p, q, power=1: np.conj(_clock_diagonal(p, q, power)))
+        for p, q in GOLDEN_PAIRS:
+            comm, unit = clock_shift_defects(shift(q), clock(p, q), omega(p, q))
+            assert comm > COMMUTATION_BOUND
+            assert unit <= UNITARITY_BOUND
 
 
 class TestUnitarity:
     def test_shift_exact(self):
         for q in (1, 2, 3, 8, 51):
-            assert unitarity_defect(shift_matrix(q)) == 0.0
+            assert clock_shift_defects(shift(q), clock(0, q), 1.0)[1] == 0.0
 
     def test_clock_near_machine(self):
         for p, q in ((1, 2), (2, 5), (3, 7), (13, 21)):
-            d = unitarity_defect(clock_matrix(p, q))
+            _, d = clock_shift_defects(shift(q), clock(p, q), omega(p, q))
             assert d <= 1e-15
-            a = dense_matrix(clock_matrix(p, q))
+            a = dense_matrix(clock(p, q))
             dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
             assert abs(d - dense) <= 1e-15
 
@@ -212,15 +228,19 @@ class TestUnitarity:
             model = build_operator(spec, p, q)
             a = dense_matrix(model)
             dense = np.linalg.norm(a.conj().T @ a - np.eye(q), 2)
-            assert unitarity_defect(model) == pytest.approx(dense, abs=1e-14)
-            assert unitarity_defect(model) == pytest.approx(4.0, abs=1e-14)
+            _, d = clock_shift_defects(model, clock(p, q), omega(p, q))
+            assert d == pytest.approx(dense, abs=1e-14)
+            assert d == pytest.approx(4.0, abs=1e-14)
 
-    def test_models_of_more_terms_are_refused(self):
-        for spec in (OperatorSpec.canonical(1, 0, 1, 0), CANONICAL,
-                     OperatorSpec.general([(1, 0, 1), (1, 1, 1j), (0, 2, 2)])):
-            with pytest.raises(InvalidInput, match="one-term"):
-                unitarity_defect(build_operator(spec, 2, 5))
-
+    def test_one_scaled_value_breaks_the_bound(self):
+        for p, q in GOLDEN_PAIRS:
+            u, v = shift(q), clock(p, q)
+            assert clock_shift_defects(u, v, omega(p, q))[1] <= UNITARITY_BOUND
+            scale = np.ones(q)
+            scale[q // 2] = 1 + 1e-9
+            for pair in ((dataclasses.replace(u, values=u.values * scale), v),
+                         (u, dataclasses.replace(v, values=v.values * scale))):
+                assert clock_shift_defects(*pair, omega(p, q))[1] > UNITARITY_BOUND
 
 class TestBuildOperator:
     def test_pinned_half_model(self):
@@ -255,8 +275,8 @@ class TestBuildOperator:
                 spec = OperatorSpec.general(terms)
             except EmptySpec:
                 continue
-            u = dense_matrix(shift_matrix(q))
-            v = dense_matrix(clock_matrix(p, q))
+            u = dense_matrix(shift(q))
+            v = dense_matrix(clock(p, q))
             dense = np.zeros((q, q), dtype=complex)
             for j, k, c in spec.terms:
                 uj = np.linalg.matrix_power(u, j % q)

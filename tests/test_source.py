@@ -283,6 +283,50 @@ def test_every_top_level_definition_is_used():
     assert not dead, f"definitions nothing uses: {dead}"
 
 
+_NOT_PLAIN = {"property", "cached_property", "staticmethod"}
+
+
+def _uncalled_methods(trees) -> list[str]:
+    """Plain methods (not dunders, properties or static methods) that no
+    call calls or takes as an argument outside the method's own body,
+    matched by attribute name as test_every_top_level_definition_is_used
+    matches: a method merely read is never run."""
+    methods, uses = [], []  # (path, class, node); (attribute name, node)
+    for path, tree in trees:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += [(path, cls.name, fn) for fn in cls.body
+                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not fn.name.startswith("__")
+                            and not {ast.unparse(d) for d in fn.decorator_list} & _NOT_PLAIN]
+        uses += [(operand.attr, operand) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 for operand in (node.func, *node.args, *(k.value for k in node.keywords))
+                 if isinstance(operand, ast.Attribute)]
+    found = []
+    for path, cls, fn in methods:
+        inside = {id(node) for node in ast.walk(fn)}
+        if not any(name == fn.name and id(node) not in inside for name, node in uses):
+            found.append(f"{path.name}:{fn.lineno}: {cls}.{fn.name}")
+    return found
+
+
+def test_every_plain_method_is_called():
+    # a method that is only named, never called, escapes the rule above
+    # whenever an attribute of another object shares its name (a field p
+    # hid ContinuedFractionExpansion.p); a method passed uncalled to a call,
+    # as cmd_converge passes ConvergenceTable.to_csv to _Output.write, runs
+    planted = ast.parse("class A:\n"
+                        "    def run(self): return self.dead, self.run()\n"
+                        "    def passed(self): return 1\n"
+                        "    def dead(self): return self.dead()\n"
+                        "    @property\n    def prop(self): return 1\n"
+                        "    @staticmethod\n    def static(): return 1\n"
+                        "A().run(A().passed)\n")
+    assert _uncalled_methods([(Path("planted.py"), planted)]) == ["planted.py:4: A.dead"]
+    found = _uncalled_methods(_trees())
+    assert not found, f"methods nothing calls: {found}"
+
+
 def test_dense_entries_are_read_in_one_place():
     # the one reader is bench/check.py's oracle: no code under src/ reads
     # a model's dense matrix, since .entries builds a q x q array that no

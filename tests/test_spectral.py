@@ -29,7 +29,6 @@ from rotspec.matmodel import (
     OperatorSpec,
     _clock_diagonal,
     build_operator,
-    shift_matrix,
     spec_norm_bound,
 )
 from rotspec.pseudospectra import compute_grid
@@ -39,7 +38,7 @@ from rotspec.spectral import (
     hermitian_eigenvalues,
     normal_eigenvalues,
 )
-from dense_oracle import dense_matrix
+from dense_oracle import dense_matrix, shift
 
 
 def sort_complex(values) -> np.ndarray:
@@ -121,7 +120,7 @@ class TestHermitian:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            hermitian_eigenvalues(shift_matrix(3))
+            hermitian_eigenvalues(shift(3))
 
     def test_model_of_a_non_hermitian_spec_is_refused_before_densifying(self):
         # the spec decides at every order: U's model at q = 2 is a Hermitian
@@ -423,7 +422,7 @@ class TestNormal:
     refuses a model of a spec that is not normal."""
 
     def test_shift4_roots(self):
-        ev = normal_eigenvalues(shift_matrix(4))
+        ev = normal_eigenvalues(shift(4))
         expect = sort_complex([1, -1, 1j, -1j])
         assert np.allclose(ev, expect, atol=1e-12)
 
