@@ -31,6 +31,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
+from .constants import DEFAULT_RESOLUTION, MAX_Q, RATE_FLAG
 from .contfrac import (
     ContinuedFractionExpansion,
     Theta,
@@ -52,7 +53,6 @@ from .errors import (
 from .exact import PI_HI, PI_LO, float_down, float_up, sqrt_lower, sqrt_upper
 from .matmodel import OperatorSpec, build_operator, spec_norm_bound
 from .pseudospectra import (
-    DEFAULT_RESOLUTION,
     PseudospectrumGrid,
     Region,
     _distances,
@@ -62,9 +62,6 @@ from .pseudospectra import (
     matrix_fingerprint,
 )
 from .spectral import normal_eigenvalues
-
-RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"
-MAX_Q = 4096  # default matrix-order budget of every entry point
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ not read, while a config key it does not read is ignored, so one config
 file serves every subcommand. Flags override the config, which overrides
 the defaults.
 
+The numeric modules are bound as the package's lazy modules and their
+functions read as attributes at call time, and the defaults come from
+`constants`: numpy loads when a computing command reads its operator
+spec, and `expand`, `--help` and a usage error found before the spec is
+read never load it.
+
 Deterministic batch semantics: fixed inputs produce byte-identical
 outputs. Every grid runs in one thread: --jobs is checked, then ignored.
 Exit codes: 0 success, 2 usage, 3 invalid or insufficient input,
@@ -30,16 +36,8 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-import numpy as np
-
-from .approx import (
-    MAX_Q,
-    RATE_FLAG,
-    certify_normal,
-    certify_pseudospectrum,
-    convergence_study,
-    one_sided,
-)
+from . import approx, matmodel, pseudospectra, spectral
+from .constants import DEFAULT_RESOLUTION, MAX_Q, RATE_FLAG
 from .contfrac import convergent_gap, expand, parse_theta
 from .errors import (
     CertificateViolation,
@@ -49,16 +47,6 @@ from .errors import (
     ResourceBudgetExceeded,
     RotspecError,
 )
-from .matmodel import OperatorSpec, build_operator
-from .pseudospectra import (
-    DEFAULT_RESOLUTION,
-    PseudospectrumGrid,
-    Region,
-    cloud_to_csv,
-    grid_to_csv,
-    grid_to_pgm,
-)
-from .spectral import hermitian_eigenvalues
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -166,12 +154,13 @@ def dumps_17g(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
-    if isinstance(obj, (float, np.floating)):
+    np = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
+    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
         x = float(obj)
         if not math.isfinite(x):
             raise InvalidInput(f"non-finite value {x} in JSON output")
         return format(x, ".17g")
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return str(int(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -226,7 +215,7 @@ def _resolve_theta(opts):
     return parse_theta(opts.theta)
 
 
-def _resolve_spec(opts) -> OperatorSpec:
+def _resolve_spec(opts) -> matmodel.OperatorSpec:
     doc = opts.spec  # --spec text, or the config's object
     if opts.spec_file is not None:  # --spec excludes it, and it overrides the config
         try:
@@ -239,11 +228,11 @@ def _resolve_spec(opts) -> OperatorSpec:
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"--spec is not valid JSON: {exc}")
     if doc is None:
-        return OperatorSpec.canonical(1, 1, 1, 1)
-    return OperatorSpec.from_json(doc)
+        return matmodel.OperatorSpec.canonical(1, 1, 1, 1)
+    return matmodel.OperatorSpec.from_json(doc)
 
 
-def _resolve_grid_params(opts) -> tuple[Optional[Region], tuple[int, int]]:
+def _resolve_grid_params(opts) -> tuple[Optional[pseudospectra.Region], tuple[int, int]]:
     """The grid's region (None: derived from the norms) and resolution."""
     region = opts.region
     if region is not None:
@@ -354,9 +343,9 @@ def cmd_spectrum(opts) -> int:
     theta = _resolve_theta(opts)
     spec = _resolve_spec(opts)
     n = opts.level
-    cloud, cert = certify_normal(theta, spec, n, max_q=opts.max_q)
+    cloud, cert = approx.certify_normal(theta, spec, n, max_q=opts.max_q)
     out = _Output(opts)
-    out.write("csv", "spectrum_cloud.csv", lambda: cloud_to_csv(cloud))
+    out.write("csv", "spectrum_cloud.csv", lambda: pseudospectra.cloud_to_csv(cloud))
     out.write("json", "spectrum_certificate.json",
               lambda: (dumps_17g(cert.to_json(cloud)), "\n"))
     print(f"spectrum: n={n} q_pair={cert.q_pair} points={len(cloud)} "
@@ -375,13 +364,13 @@ def cmd_pseudospectrum(opts) -> int:
     if not 0 < epsilon < math.inf:
         raise _UsageError(f"--epsilon must be finite and > 0, got {epsilon}")
     region, resolution = _resolve_grid_params(opts)
-    sandwich = certify_pseudospectrum(theta, spec, n, epsilon, region, resolution,
-                                      max_q=opts.max_q)
+    sandwich = approx.certify_pseudospectrum(theta, spec, n, epsilon, region, resolution,
+                                             max_q=opts.max_q)
     out = _Output(opts)
-    out.write("csv", "grid_prev.csv", lambda: grid_to_csv(sandwich.grid_prev))
-    out.write("csv", "grid_curr.csv", lambda: grid_to_csv(sandwich.grid_curr))
-    out.write("pgm", "grid_prev.pgm", lambda: grid_to_pgm(sandwich.grid_prev))
-    out.write("pgm", "grid_curr.pgm", lambda: grid_to_pgm(sandwich.grid_curr))
+    out.write("csv", "grid_prev.csv", lambda: pseudospectra.grid_to_csv(sandwich.grid_prev))
+    out.write("csv", "grid_curr.csv", lambda: pseudospectra.grid_to_csv(sandwich.grid_curr))
+    out.write("pgm", "grid_prev.pgm", lambda: pseudospectra.grid_to_pgm(sandwich.grid_prev))
+    out.write("pgm", "grid_curr.pgm", lambda: pseudospectra.grid_to_pgm(sandwich.grid_curr))
     out.write("json", "sandwich_report.json", lambda: (dumps_17g(sandwich.to_json()), "\n"))
     eps_n = "-" if sandwich.epsilon_n is None else format(sandwich.epsilon_n, ".17g")
     print(f"pseudospectrum: n={n} q_pair={sandwich.q_pair} epsilon={epsilon:.17g} "
@@ -408,7 +397,7 @@ def cmd_butterfly(opts) -> int:
         for q in range(1, q_max + 1):
             for p in range(q):
                 if math.gcd(p, q) == 1:
-                    eigen = hermitian_eigenvalues(build_operator(spec, p, q))
+                    eigen = spectral.hermitian_eigenvalues(matmodel.build_operator(spec, p, q))
                     fractions, rows = fractions + 1, rows + eigen.size
                     yield "".join([f"{p},{q},{v:.17g}\n" for v in eigen.tolist()])
 
@@ -451,22 +440,22 @@ def cmd_onesided(opts) -> int:
             f"--n-list entry {max(n_list)} exceeds the order budget {opts.max_q}")
     region, resolution = _resolve_grid_params(opts)
     # every denominator is certified before the first file is written
-    runs = [(n, *one_sided(theta, spec, n, region, resolution, max_q=opts.max_q))
+    runs = [(n, *approx.one_sided(theta, spec, n, region, resolution, max_q=opts.max_q))
             for n in n_list]
     out = _Output(opts)
     summaries = []
     for n, result, cert in runs:
         entry = cert.to_json()
-        if isinstance(result, PseudospectrumGrid):
+        if isinstance(result, pseudospectra.PseudospectrumGrid):
             entry["kind"] = "grid"
             entry["region"] = list(result.region)
             entry["resolution"] = list(result.resolution)
-            out.write("csv", f"onesided_n{n}.csv", lambda: grid_to_csv(result))
-            out.write("pgm", f"onesided_n{n}.pgm", lambda: grid_to_pgm(result))
+            out.write("csv", f"onesided_n{n}.csv", lambda: pseudospectra.grid_to_csv(result))
+            out.write("pgm", f"onesided_n{n}.pgm", lambda: pseudospectra.grid_to_pgm(result))
         else:
             entry["kind"] = "cloud"
             entry["points"] = len(result)
-            out.write("csv", f"onesided_n{n}.csv", lambda: cloud_to_csv(result))
+            out.write("csv", f"onesided_n{n}.csv", lambda: pseudospectra.cloud_to_csv(result))
         summaries.append(entry)
         print(f"onesided: n={n} p={cert.chosen_p} radius={cert.radius:.17g} "
               f"kind={entry['kind']}")
@@ -496,7 +485,7 @@ def cmd_converge(opts) -> int:
     if opts.n_range is None:
         raise _UsageError("--n-range is required, e.g. --n-range 3:8")
     levels = _parse_n_range(opts.n_range)
-    table = convergence_study(theta, spec, levels, max_q=opts.max_q)
+    table = approx.convergence_study(theta, spec, levels, max_q=opts.max_q)
 
     def report() -> dict:
         return {

@@ -42,6 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .constants import DEFAULT_RESOLUTION
 from .errors import InvalidInput, NotHermitian
 from .exact import float_up
 from .matmodel import MatrixModel, spec_norm_bound
@@ -54,7 +55,6 @@ from .spectral import (
 
 Region = tuple[float, float, float, float]  # re_min, re_max, im_min, im_max
 
-DEFAULT_RESOLUTION = (256, 256)
 _CSV_LINES = 4096        # cloud points per serialized piece
 # nodes per block of real distances, a multiple of 64 so that numpy's
 # vector loops end where they ended on the whole array; about as many

@@ -10,6 +10,8 @@ import sys
 import time
 import tracemalloc
 from argparse import Namespace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ import pytest
 
 import rotspec.approx as approx
 import rotspec.cli as cli
+import rotspec.matmodel as matmodel
 import rotspec.spectral as spectral
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
@@ -63,6 +66,17 @@ class TestDumps17g:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             dumps_17g({"x": {1, 2}})
+
+    def test_other_real_numbers_are_refused(self):
+        # only floats, ints and numpy's floating and integer scalars print
+        for x in (Fraction(1, 3), Decimal("0.1")):
+            with pytest.raises(TypeError):
+                dumps_17g(x)
+
+    def test_numpy_scalars(self):
+        assert dumps_17g(np.float64(0.1)) == "0.10000000000000001"
+        assert dumps_17g(np.float32(0.1)) == "0.10000000149011612"
+        assert dumps_17g(np.int64(-7)) == "-7"
 
 
 @pytest.fixture
@@ -420,7 +434,7 @@ class TestSpectrum:
         # U + 2V's models at q = 1 and 2 are Hermitian, but the operator is
         # not normal: levels 1 and 2 exit 3 as level 3 does
         builds = []
-        for module in (approx, spectral, cli):
+        for module in (approx, spectral, matmodel):
             monkeypatch.setattr(module, "build_operator", lambda *a: builds.append(a[1:]))
         out = tmp_path / "out"
         for argv in (["spectrum", "--level", "1"], ["spectrum", "--level", "2"],
@@ -646,7 +660,7 @@ class TestButterfly:
         capsys.readouterr()
 
     def test_max_q_budget(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "build_operator", None)  # any build would fail
+        monkeypatch.setattr(matmodel, "build_operator", None)  # any build would fail
         code = main(["butterfly", "--q-max", "60", "--max-q", "50",
                      "--out-dir", str(tmp_path)])
         assert code == 3
@@ -682,7 +696,7 @@ class TestButterfly:
                 raise ConvergenceFailure("planted")
             return hermitian_eigenvalues(model)
 
-        monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
+        monkeypatch.setattr(spectral, "hermitian_eigenvalues", solve)
         assert main(["butterfly", "--q-max", "12", "--out-dir", str(out)]) == 4
         assert "planted" in capsys.readouterr().err
         assert len(calls) == 20
@@ -697,7 +711,7 @@ class TestButterfly:
             orders.append(model.order)
             return hermitian_eigenvalues(model)
 
-        monkeypatch.setattr(cli, "hermitian_eigenvalues", solve)
+        monkeypatch.setattr(spectral, "hermitian_eigenvalues", solve)
         assert main(["butterfly", "--q-max", "9", "--format", "json",
                      "--out-dir", str(json_only)]) == 0
         capsys.readouterr()
@@ -766,8 +780,8 @@ class TestOnesided:
 
     def test_max_q_reaches_the_library(self, tmp_path, capsys, monkeypatch):
         seen = []
-        real = cli.one_sided
-        monkeypatch.setattr(cli, "one_sided",
+        real = approx.one_sided
+        monkeypatch.setattr(approx, "one_sided",
                             lambda *a, **kw: seen.append(kw.get("max_q")) or real(*a, **kw))
         assert main(["onesided", "--theta", GOLDEN, "--n-list", "10", "--max-q", "5000",
                      "--out-dir", str(tmp_path)]) == 0
@@ -812,8 +826,8 @@ class TestOnesided:
         # a repeat is dropped, first occurrence kept, from the flag and
         # from a config list alike
         seen = []
-        real = cli.one_sided
-        monkeypatch.setattr(cli, "one_sided",
+        real = approx.one_sided
+        monkeypatch.setattr(approx, "one_sided",
                             lambda theta, spec, n, *a, **kw: seen.append(n)
                             or real(theta, spec, n, *a, **kw))
         cfg = tmp_path / "run.json"
@@ -870,7 +884,7 @@ class TestConverge:
                                  epsilon_clean=2.0, empirical_dh=10.0,
                                  certified_bound=1.5)
         table = ConvergenceTable(rows=(bad_row,), reference_n=3)
-        monkeypatch.setattr(cli, "convergence_study", lambda *a, **k: table)
+        monkeypatch.setattr(approx, "convergence_study", lambda *a, **k: table)
         code = main(["converge", "--theta", GOLDEN, "--n-range", "3:3",
                      "--out-dir", str(tmp_path)])
         assert code == 5
@@ -893,7 +907,7 @@ class TestConverge:
     def test_numerical_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def boom(*a, **k):
             raise ConvergenceFailure("eigensolver stalled")
-        monkeypatch.setattr(cli, "convergence_study", boom)
+        monkeypatch.setattr(approx, "convergence_study", boom)
         code = main(["converge", "--theta", GOLDEN, "--n-range", "3:3",
                      "--out-dir", str(tmp_path)])
         assert code == 4
@@ -1212,6 +1226,86 @@ class TestLazyScipy:
                               timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(["scipy.linalg._flapack"] if loaded else [])
+
+
+class TestLazyNumpy:
+    """Importing rotspec and rotspec.cli loads no numpy, and neither do
+    the parser, --help, expand or a usage error raised before a spec is
+    read; the first command that computes loads it. Each check runs in a
+    fresh interpreter, because this test process has numpy loaded."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    NUMERIC = ("rotspec.matmodel", "rotspec.spectral", "rotspec.pseudospectra",
+               "rotspec.approx")
+
+    def run(self, body: str) -> list[str]:
+        code = f"import sys\nimport rotspec.cli as cli\n{body}\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(self.SRC)})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    @pytest.mark.parametrize("argv, code, loaded", [
+        (None, 0, False),  # import and build the parser only
+        (["--help"], 0, False),
+        (["expand", "--theta", GOLDEN, "--terms", "6"], 0, False),
+        (["expand", "--terms", "6"], 2, False),  # --theta missing
+        (["spectrum", "--level", "3"], 2, False),  # --theta missing, found before the spec
+        (["spectrum", "--theta", GOLDEN, "--level", "3"], 0, True),
+        (["pseudospectrum", "--theta", GOLDEN, "--spec", U2V_JSON, "--level", "3",
+          "--epsilon", "0.5", "--resolution", "6", "5"], 0, True),
+    ], ids=["parser", "help", "expand", "expand-usage-error", "spectrum-usage-error",
+            "spectrum", "pseudospectrum"])
+    def test_numpy_loaded_only_where_computed(self, tmp_path, argv, code, loaded):
+        if argv is not None and argv[0] in ("spectrum", "pseudospectrum"):
+            argv = argv + ["--out-dir", str(tmp_path)]
+        run = "cli.build_parser()" if argv is None else f"assert cli.main({argv!r}) == {code}"
+        assert self.run(f"{run}\nprint('numpy' in sys.modules)")[-1] == str(loaded)
+
+    def test_numeric_modules_are_registered_unloaded(self):
+        # a traced run finds the numeric modules in sys.modules before main
+        # runs; reading an attribute of one loads it, and numpy with it
+        names = ", ".join(map(repr, self.NUMERIC))
+        assert self.run(f"print(all(m in sys.modules for m in ({names})), 'numpy' in sys.modules)\n"
+                        "sys.modules['rotspec.approx'].MAX_Q\n"
+                        "print('numpy' in sys.modules)") == ["True False", "True"]
+
+    def test_expand_prints_the_same_with_numpy_blocked(self):
+        run = f"assert cli.main(['expand', '--theta', {GOLDEN!r}, '--terms', '8']) == 0"
+        lines = self.run(run)
+        assert len(lines) == 13 and self.run(f"sys.modules['numpy'] = None\n{run}") == lines
+
+
+_EXPORTS = {
+    "contfrac": ("ContinuedFractionExpansion", "GapBound", "Theta", "convergent_gap", "expand",
+                 "fibonacci", "parse_theta", "round_nearest", "tail_constant_enclosure"),
+    "errors": ("CertificateViolation", "ConvergenceFailure", "EmptyCloud", "EmptySpec",
+               "IndexOutOfRange", "InvalidInput", "InvalidOrder", "ModelsNotNormal",
+               "NonCanonicalSpec", "NotHermitian", "PrecisionExhausted",
+               "ResourceBudgetExceeded", "RotspecError", "ThetaRational"),
+    "matmodel": ("MatrixModel", "OperatorSpec", "build_operator", "spec_norm_bound"),
+    "spectral": ("circulant_four_term_eigenvalues", "hermitian_eigenvalues",
+                 "normal_eigenvalues"),
+    "pseudospectra": ("PseudospectrumGrid", "SandwichReport", "cloud_to_csv", "compute_grid",
+                      "grid_to_csv", "grid_to_pgm", "level_set", "sandwich_check"),
+    "approx": ("ApproximationCertificate", "ConvergenceTable", "OneSidedCertificate",
+               "PseudospectrumSandwich", "certify_normal", "certify_pseudospectrum",
+               "clean_bound", "constant_audit", "convergence_study", "hausdorff_distance",
+               "one_sided", "one_sided_contains", "sharp_bound"),
+}
+
+
+def test_every_export_resolves_and_is_listed():
+    import rotspec
+
+    listed = dir(rotspec)
+    names = [(module, name) for module, names in _EXPORTS.items() for name in names]
+    assert len(names) == 51
+    for module, name in names:
+        assert getattr(rotspec, name) is getattr(getattr(rotspec, module), name), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no attribute 'spectral_radius'"):
+        rotspec.spectral_radius
 
 
 class TestLazyStdlib:
