@@ -8,13 +8,14 @@ radii so every output is a certificate rather than a heuristic picture.
 Importing the package loads no numpy. `contfrac` and `errors` load
 with it; the numeric modules `matmodel`, `spectral`, `pseudospectra` and
 `approx` are in sys.modules from the start but run at the first read of
-one of their attributes, such as `rotspec.certify_normal`. So numpy
-loads at the first command that computes, and the CLI's `expand`,
-`--help` and usage errors found before a spec is read never load it.
+one of their attributes, such as `rotspec.certify_normal` (a star import
+reads them all, so it loads numpy). So numpy loads at the first command
+that computes, and the CLI's `expand`, `--help` and usage errors found
+before a spec is read never load it.
 """
 
-import importlib.util
-import sys
+import importlib.util as _util
+import sys as _sys
 
 from .contfrac import (
     ContinuedFractionExpansion,
@@ -57,11 +58,14 @@ _LAZY = {
                "one_sided", "one_sided_contains", "sharp_bound"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+# the eager imports above and the lazy names; a star import reads them all
+__all__ = [name for name, value in globals().items()
+           if name[0] != "_" and not isinstance(value, type(_sys))] + [*_SOURCE]
 
 for _module in _LAZY:
-    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec = _util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    globals()[_module] = _sys.modules[_spec.name] = _util.module_from_spec(_spec)
     _spec.loader.exec_module(globals()[_module])
 del _module, _spec
 

@@ -31,7 +31,6 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .constants import DEFAULT_RESOLUTION, MAX_Q, RATE_FLAG
 from .contfrac import (
     ContinuedFractionExpansion,
     Theta,
@@ -41,6 +40,9 @@ from .contfrac import (
     tail_constant_enclosure,
 )
 from .errors import (
+    DEFAULT_RESOLUTION,
+    MAX_Q,
+    RATE_FLAG,
     EmptyCloud,
     IndexOutOfRange,
     InvalidInput,

@@ -17,7 +17,7 @@ the defaults.
 
 The numeric modules are bound as the package's lazy modules and their
 functions read as attributes at call time, and the defaults come from
-`constants`: numpy loads when a computing command reads its operator
+`errors`: numpy loads when a computing command reads its operator
 spec, and `expand`, `--help` and a usage error found before the spec is
 read never load it.
 
@@ -37,9 +37,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import approx, matmodel, pseudospectra, spectral
-from .constants import DEFAULT_RESOLUTION, MAX_Q, RATE_FLAG
 from .contfrac import convergent_gap, expand, parse_theta
 from .errors import (
+    DEFAULT_RESOLUTION,
+    MAX_Q,
+    RATE_FLAG,
     CertificateViolation,
     ConvergenceFailure,
     InvalidInput,

@@ -1,8 +1,15 @@
-"""Typed failure modes shared across the package.
+"""Typed failure modes shared across the package, and the defaults that
+the library's entry points share with the CLI.
 
 Each error corresponds to one contract violation category and carries a
 human-readable message; the CLI maps these onto distinct exit codes.
+This module loads no numpy, so the CLI reads the defaults before any
+numeric module runs.
 """
+
+MAX_Q = 4096  # default matrix-order budget of every entry point
+DEFAULT_RESOLUTION = (256, 256)  # grid points per axis
+RATE_FLAG = "O(1/q_{n-1} + 1/q_n)"  # the convergence rate of a general spec
 
 
 class RotspecError(Exception):

@@ -42,8 +42,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .constants import DEFAULT_RESOLUTION
-from .errors import InvalidInput, NotHermitian
+from .errors import DEFAULT_RESOLUTION, InvalidInput, NotHermitian
 from .exact import float_up
 from .matmodel import MatrixModel, spec_norm_bound
 from .spectral import (

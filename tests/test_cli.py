@@ -1304,6 +1304,11 @@ def test_every_export_resolves_and_is_listed():
     for module, name in names:
         assert getattr(rotspec, name) is getattr(getattr(rotspec, module), name), name
         assert name in listed, name
+    # a star import brings exactly the 51 names, lazy ones included
+    star = {}
+    exec("from rotspec import *", star)
+    del star["__builtins__"]
+    assert star == {name: getattr(rotspec, name) for _, name in names}
     with pytest.raises(AttributeError, match="no attribute 'spectral_radius'"):
         rotspec.spectral_radius
 
