@@ -23,7 +23,6 @@ from .contfrac import (
     Theta,
     convergent_gap,
     expand,
-    fibonacci,
     parse_theta,
     round_nearest,
     tail_constant_enclosure,
@@ -48,8 +47,7 @@ from .errors import (
 # the names re-exported from each lazily loaded module
 _LAZY = {
     "matmodel": ("MatrixModel", "OperatorSpec", "build_operator", "spec_norm_bound"),
-    "spectral": ("circulant_four_term_eigenvalues", "hermitian_eigenvalues",
-                 "normal_eigenvalues"),
+    "spectral": ("hermitian_eigenvalues", "normal_eigenvalues"),
     "pseudospectra": ("PseudospectrumGrid", "SandwichReport", "cloud_to_csv", "compute_grid",
                       "grid_to_csv", "grid_to_pgm", "level_set", "sandwich_check"),
     "approx": ("ApproximationCertificate", "ConvergenceTable", "OneSidedCertificate",

@@ -205,7 +205,7 @@ class ApproximationCertificate:
     theta: Theta
     spec: OperatorSpec
     level_n: int
-    pair: tuple[tuple[int, int], tuple[int, int]]  # ((p_{n-1}, q_{n-1}), (p_n, q_n))
+    q_pair: tuple[int, int]  # (q_{n-1}, q_n)
     epsilon_clean: float
     epsilon_sharp: float
     caveat: Optional[str] = None
@@ -213,10 +213,6 @@ class ApproximationCertificate:
     @property
     def radius(self) -> float:
         return self.epsilon_sharp  # at most epsilon_clean (clean_bound_exact's proof)
-
-    @property
-    def q_pair(self) -> tuple[int, int]:
-        return self.pair[0][1], self.pair[1][1]
 
     def to_json(self, cloud: Optional[np.ndarray] = None) -> dict:
         doc = {
@@ -294,7 +290,7 @@ def _certify_level(theta: Theta, spec: OperatorSpec,
         theta=theta,
         spec=spec,
         level_n=n,
-        pair=(expansion.convergent(n - 1), expansion.convergent(n)),
+        q_pair=(expansion.q(n - 1), expansion.q(n)),
         epsilon_clean=clean_bound(spec, expansion, n),
         epsilon_sharp=sharp_bound(spec, expansion, n),
         caveat=caveat,

@@ -19,10 +19,11 @@ and emits a quotient only when both ends agree on it:
     ends disagree.
 
 On top of the expansion sit the quantitative facts the error radii need:
-the gap bound |theta - p_n/q_n| < 1/(q_n q_{n+1}), the Fibonacci numbers
-F(k) <= q_{n+k}/q_n that bound a level's order from below, and the
-geometric tail-sum constant 2*sqrt(5)/(sqrt(5)-1), which bounds
-sum_k 1/q_{n+k} by its value over q_n.
+the gap bound |theta - p_n/q_n| < 1/(q_n q_{n+1}) and the geometric
+tail-sum constant 2*sqrt(5)/(sqrt(5)-1), which bounds sum_k 1/q_{n+k} by
+its value over q_n. The Fibonacci bound q_{n+k} >= F(k) q_n (F(0) = F(1)
+= 1), which bounds a level's order from below, is counted where it is
+used: in approx's level gate and the CLI's expand.
 """
 
 from __future__ import annotations
@@ -145,10 +146,8 @@ def parse_theta(text: str) -> Theta:
 class ContinuedFractionExpansion:
     """Partial quotients a_1..a_N with convergents (p_k, q_k), k = 0..N.
 
-    exact, read off theta, is False only for decimal (precision-limited)
-    inputs; terminated marks a rational theta whose full finite expansion
-    was reached; periodic_part = (preperiod length, period length) for
-    surds.
+    terminated marks a rational theta whose full finite expansion was
+    reached; periodic_part = (preperiod length, period length) for surds.
     """
 
     theta: Theta
@@ -156,14 +155,6 @@ class ContinuedFractionExpansion:
     convergents: tuple[tuple[int, int], ...]
     periodic_part: Optional[tuple[int, int]] = None
     terminated: bool = False
-
-    @property
-    def exact(self) -> bool:
-        return self.theta.exact
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.partial_quotients)
 
     def convergent(self, k: int) -> tuple[int, int]:
         if not 0 <= k < len(self.convergents):
@@ -307,7 +298,7 @@ def convergent_gap(expansion: ContinuedFractionExpansion, n: int) -> GapBound:
         gap = abs(theta.value - target)
         # consecutive-convergent determinant makes the terminal gap of a
         # terminated rational an equality; every other gap is strict
-        strict = not (expansion.terminated and n == expansion.n_terms - 1)
+        strict = not (expansion.terminated and n == len(expansion.partial_quotients) - 1)
         if isinstance(gap, Surd):
             # the decimal digits of q*q_{n+1}, from its bit length: an int
             # of 4300 digits or more cannot be formatted
@@ -336,16 +327,6 @@ def tail_constant_enclosure(digits: int = 30) -> tuple[Fraction, Fraction]:
     """Rational enclosure of 2*sqrt(5)/(sqrt(5)-1) = (5+sqrt(5))/2, the
     geometric tail-sum constant (about 3.618034)."""
     return (5 + sqrt_lower(5, digits)) / 2, (5 + sqrt_upper(5, digits)) / 2
-
-
-def fibonacci(k: int) -> int:
-    """F(0) = 1 = F(1), F(2) = 2, F(k) = F(k-1) + F(k-2)."""
-    if k < 0:
-        raise InvalidInput(f"Fibonacci index must be >= 0, got {k}")
-    a, b = 1, 1
-    for _ in range(k):
-        a, b = b, a + b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ normal_eigenvalues(A), the one eigen entry for a model, takes one route
 per model, picked by the spec's coefficients at every order (the exact
 OperatorSpec.is_normal decides normality, so no model is tested densely):
   Hermitian spec          the band solve of A itself
-  (i) no V terms          circulant_four_term_eigenvalues
+  (i) no V terms          _circulant_eigenvalues
   (ii) no U terms         the same closed form over the powers of omega
   (iii) e^(-i phi) A = H  the band solve of H's model (the one model built), rotated back
   any other spec          ModelsNotNormal
@@ -150,8 +150,7 @@ def _band_eigenvalues(A: MatrixLike) -> np.ndarray:
     return values
 
 
-def circulant_four_term_eigenvalues(alpha_plus: complex, alpha_minus: complex,
-                                    q: int) -> np.ndarray:
+def _circulant_eigenvalues(alpha_plus: complex, alpha_minus: complex, q: int) -> np.ndarray:
     """Eigenvalues alpha_1 zeta^k + alpha_-1 conj(zeta^k) over the q-th
     roots of unity zeta^k, in closed form: the route of the circulant
     alpha_1 u + alpha_-1 u* and, over the powers of omega, of the
@@ -185,10 +184,10 @@ def _model_spectrum(A: MatrixModel) -> Optional[tuple[np.ndarray, complex]]:
         return _band_eigenvalues(A), 1
     a1, am, b1, bm = spec.canonical_four_term
     if not (b1 or bm):
-        return circulant_four_term_eigenvalues(a1, am, q), 1
+        return _circulant_eigenvalues(a1, am, q), 1
     if not (a1 or am):  # v takes each (q/g)-th root of unity g = gcd(p, q) times
         g = math.gcd(p, q)
-        return np.repeat(circulant_four_term_eigenvalues(b1, bm, q // g), g), 1
+        return np.repeat(_circulant_eigenvalues(b1, bm, q // g), g), 1
     r = cmath.sqrt(a1 / abs(a1) * (am / abs(am)))  # e^(i phi): |a1| = |am| in class (iii)
     h, g = a1 * r.conjugate(), b1 * r.conjugate()
     rotated = OperatorSpec.canonical(h, h.conjugate(), g, g.conjugate())

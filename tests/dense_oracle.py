@@ -1,10 +1,19 @@
-"""Test oracles: the shift and clock models, their commutation and
-unitarity defects, the dense matrix of a model and the nodes of a grid.
-No route of the package forms any of them."""
+"""Test oracles: the Fibonacci numbers, the shift and clock models, their
+commutation and unitarity defects, the dense matrix of a model and the
+nodes of a grid. No route of the package forms any of them."""
 
 import numpy as np
 
 from rotspec.matmodel import OperatorSpec, build_operator
+
+
+def fibonacci(k: int) -> int:
+    """F(0) = 1 = F(1), F(2) = 2, F(k) = F(k-1) + F(k-2): every theta has
+    q_(n+k) >= F(k) q_n, with equality for golden theta from n = 0."""
+    a, b = 1, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
 
 
 def shift(q: int):

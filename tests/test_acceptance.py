@@ -22,11 +22,11 @@ from rotspec.approx import (
     one_sided_contains,
 )
 from rotspec.cli import main
-from rotspec.contfrac import convergent_gap, expand, fibonacci, parse_theta
+from rotspec.contfrac import convergent_gap, expand, parse_theta
 from rotspec.matmodel import OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import compute_grid, sandwich_check
 from rotspec.spectral import hermitian_eigenvalues, normal_eigenvalues
-from dense_oracle import clock, clock_shift_defects, dense_matrix, grid_nodes, shift
+from dense_oracle import clock, clock_shift_defects, dense_matrix, fibonacci, grid_nodes, shift
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")

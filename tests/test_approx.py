@@ -36,7 +36,7 @@ from rotspec.approx import (
     sharp_bound_exact,
 )
 from rotspec.cli import dumps_17g
-from rotspec.contfrac import expand, fibonacci, parse_theta, tail_constant_enclosure
+from rotspec.contfrac import expand, parse_theta, tail_constant_enclosure
 from rotspec.errors import (
     EmptyCloud,
     IndexOutOfRange,
@@ -50,8 +50,8 @@ from rotspec.errors import (
 from rotspec.exact import PI_HI, float_up
 from rotspec.matmodel import MatrixModel, OperatorSpec, build_operator, spec_norm_bound
 from rotspec.pseudospectra import PseudospectrumGrid, cloud_to_csv
-from rotspec.spectral import circulant_four_term_eigenvalues, hermitian_eigenvalues
-from dense_oracle import dense_matrix, grid_nodes
+from rotspec.spectral import _circulant_eigenvalues, hermitian_eigenvalues
+from dense_oracle import dense_matrix, fibonacci, grid_nodes
 
 GOLDEN = parse_theta("surd:(-1+1*sqrt(5))/2")
 SQRT2M1 = parse_theta("surd:(-1+1*sqrt(2))/1")
@@ -229,7 +229,6 @@ class TestCertifyNormal:
     def test_golden_level5(self):
         cloud, cert = certify_normal(GOLDEN, AM, 5)
         assert cert.q_pair == (5, 8)
-        assert cert.pair == ((3, 5), (5, 8))
         assert len(cloud) == 13  # q_{n-1} + q_n with multiplicity
         assert cert.epsilon_sharp == 21.508424942930496
         assert cert.to_json()["mode"] == "normal_hausdorff"
@@ -250,7 +249,7 @@ class TestCertifyNormal:
         # the cloud is the spectrum of the direct sum of the two models
         cloud, cert = certify_normal(GOLDEN, AM, 4)
         assert cert.q_pair == (3, 5)
-        (pa, qa), (pb, qb) = cert.pair
+        (pa, qa), (pb, qb) = expand(GOLDEN, 4).convergents[3:]
         a, b = build_operator(AM, pa % qa, qa), build_operator(AM, pb % qb, qb)
         block = np.zeros((8, 8), dtype=complex)
         block[:3, :3] = dense_matrix(a)
@@ -580,8 +579,8 @@ class TestOneSided:
         # also iU + iV at n = 2, whose model there is normal
         shift = OperatorSpec.canonical(1, 0, 0, 0)
         for spec, n, route in (
-                (shift, 2, lambda p: circulant_four_term_eigenvalues(1, 0, 2)),
-                (shift, 8, lambda p: circulant_four_term_eigenvalues(1, 0, 8)),
+                (shift, 2, lambda p: _circulant_eigenvalues(1, 0, 2)),
+                (shift, 8, lambda p: _circulant_eigenvalues(1, 0, 8)),
                 (AM, 50, lambda p: hermitian_eigenvalues(build_operator(AM, p, 50)))):
             cloud, cert = one_sided(GOLDEN, spec, n)
             direct = route(cert.chosen_p)

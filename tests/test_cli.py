@@ -24,11 +24,11 @@ import rotspec.matmodel as matmodel
 import rotspec.spectral as spectral
 from rotspec.approx import ConvergenceRow, ConvergenceTable
 from rotspec.cli import dumps_17g, main
-from rotspec.contfrac import fibonacci
 from rotspec.errors import ConvergenceFailure, InvalidInput
 from rotspec.matmodel import OperatorSpec, build_operator
 from rotspec.pseudospectra import PseudospectrumGrid, cloud_to_csv, grid_to_csv, grid_to_pgm
 from rotspec.spectral import hermitian_eigenvalues
+from dense_oracle import fibonacci
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
 U2V_JSON = '{"canonical": {"a+": [1,0], "a-": [0,0], "b+": [2,0], "b-": [0,0]}}'
@@ -668,11 +668,12 @@ class TestButterfly:
         assert not list(tmp_path.iterdir())
 
     def test_memory_holds_one_spectrum(self, tmp_path, capsys):
-        # the rows number about 0.2 q_max^3, and each fraction's are written
-        # as they are solved: the peak stays flat from 40 to 120
+        # the rows number about 0.2 q_max^3, 44,231 at 60 (about 3 MiB held
+        # at once), and each fraction's are written as they are solved: the
+        # peak stays flat from 30 to 60
         main(["butterfly", "--q-max", "2", "--out-dir", str(tmp_path / "warm")])
         peaks = {}
-        for q_max in (40, 120):
+        for q_max in (30, 60):
             tracemalloc.start()
             try:
                 assert main(["butterfly", "--q-max", str(q_max), "--format", "csv",
@@ -681,7 +682,7 @@ class TestButterfly:
             finally:
                 tracemalloc.stop()
         capsys.readouterr()
-        assert peaks[120] < 2**20 and abs(peaks[120] - peaks[40]) < 2**18, peaks
+        assert peaks[60] < 2**20 and abs(peaks[60] - peaks[30]) < 2**18, peaks
 
     @pytest.mark.parametrize("fresh", [True, False])
     def test_failure_mid_stream_leaves_no_csv(self, tmp_path, capsys, monkeypatch, fresh):
@@ -1278,14 +1279,13 @@ class TestLazyNumpy:
 
 _EXPORTS = {
     "contfrac": ("ContinuedFractionExpansion", "GapBound", "Theta", "convergent_gap", "expand",
-                 "fibonacci", "parse_theta", "round_nearest", "tail_constant_enclosure"),
+                 "parse_theta", "round_nearest", "tail_constant_enclosure"),
     "errors": ("CertificateViolation", "ConvergenceFailure", "EmptyCloud", "EmptySpec",
                "IndexOutOfRange", "InvalidInput", "InvalidOrder", "ModelsNotNormal",
                "NonCanonicalSpec", "NotHermitian", "PrecisionExhausted",
                "ResourceBudgetExceeded", "RotspecError", "ThetaRational"),
     "matmodel": ("MatrixModel", "OperatorSpec", "build_operator", "spec_norm_bound"),
-    "spectral": ("circulant_four_term_eigenvalues", "hermitian_eigenvalues",
-                 "normal_eigenvalues"),
+    "spectral": ("hermitian_eigenvalues", "normal_eigenvalues"),
     "pseudospectra": ("PseudospectrumGrid", "SandwichReport", "cloud_to_csv", "compute_grid",
                       "grid_to_csv", "grid_to_pgm", "level_set", "sandwich_check"),
     "approx": ("ApproximationCertificate", "ConvergenceTable", "OneSidedCertificate",
@@ -1300,11 +1300,11 @@ def test_every_export_resolves_and_is_listed():
 
     listed = dir(rotspec)
     names = [(module, name) for module, names in _EXPORTS.items() for name in names]
-    assert len(names) == 51
+    assert len(names) == 49
     for module, name in names:
         assert getattr(rotspec, name) is getattr(getattr(rotspec, module), name), name
         assert name in listed, name
-    # a star import brings exactly the 51 names, lazy ones included
+    # a star import brings exactly the 49 names, lazy ones included
     star = {}
     exec("from rotspec import *", star)
     del star["__builtins__"]

@@ -24,7 +24,6 @@ from rotspec.contfrac import (
     Theta,
     convergent_gap,
     expand,
-    fibonacci,
     parse_theta,
     round_nearest,
     tail_constant_enclosure,
@@ -36,6 +35,8 @@ from rotspec.errors import (
     PrecisionExhausted,
 )
 from rotspec.exact import Surd
+
+from dense_oracle import fibonacci
 
 GOLDEN = "surd:(-1+1*sqrt(5))/2"
 SQRT2M1 = "surd:(-1+1*sqrt(2))/1"
@@ -110,7 +111,7 @@ class TestExpansion:
         e = expand(parse_theta(GOLDEN), 40)
         assert e.partial_quotients == (1,) * 40
         assert e.periodic_part == (0, 1)
-        assert e.exact and not e.terminated
+        assert e.theta.exact and not e.terminated
 
     def test_golden_convergents_are_fibonacci(self):
         e = expand(parse_theta(GOLDEN), 40)
@@ -162,13 +163,13 @@ class TestExpansion:
         # find how deep the decimal certifies, then check the full prefix
         try:
             e = expand(dec, 30)
-            certified = e.n_terms
+            certified = len(e.partial_quotients)
         except PrecisionExhausted as exc:
             certified = exc.certified_terms
         assert certified >= 8
         e = expand(dec, certified)
         assert e.partial_quotients == surd.partial_quotients[:certified]
-        assert not e.exact
+        assert not e.theta.exact
 
     def test_decimal_one_half_exhausts_immediately(self):
         with pytest.raises(PrecisionExhausted) as err:
@@ -222,7 +223,7 @@ class TestExpansionInvariants:
         theta = parse_theta(text)
         e = ContinuedFractionExpansion(theta=theta, partial_quotients=(1, 1),
                                        convergents=((0, 1), (1, 1), (1, 2)))
-        assert e.exact == theta.exact == (not text.startswith("decimal:"))
+        assert e.theta.exact == theta.exact == (not text.startswith("decimal:"))
 
     def test_broken_determinant_raises_without_asserts(self):
         run = run_without_asserts("""

@@ -245,10 +245,16 @@ def test_specs_are_built_by_one_merge():
     assert callers == {"matmodel.py:_merge"}, callers
 
 
-# methods that only code outside src/ reads: bench/check.py builds its
-# dense oracle from MatrixModel.entries until the benchmark change of
-# ROADMAP item 1 moves it to the model's columns and values
-_READ_OUTSIDE_SRC = {"MatrixModel.entries"}
+# definitions that only code outside src/ reads, each with its reader:
+# bench/check.py builds its dense oracle from MatrixModel.entries until the
+# benchmark change of ROADMAP item 1 moves it to the model's columns and
+# values, and acceptance criteria 7, 8 and 9 check the other three
+_READ_OUTSIDE_SRC = {
+    "MatrixModel.entries": "bench/check.py",
+    "sandwich_check": "tests/test_acceptance.py::test_criterion_07_sandwich_bulk",
+    "one_sided_contains": "tests/test_acceptance.py::test_criterion_08_one_sided_containment",
+    "constant_audit": "tests/test_acceptance.py::test_criterion_09_constant_audit",
+}
 
 
 def _lazy_exports() -> dict[str, tuple[str, ...]]:
@@ -261,25 +267,21 @@ def _lazy_exports() -> dict[str, tuple[str, ...]]:
     return tables[0]
 
 
-def test_every_top_level_definition_is_used():
-    # a function, class, method or property nobody calls is dead code: each
-    # top-level definition is re-exported by __init__.py (an import or an
-    # entry of its lazy table) or named somewhere under src/rotspec outside
-    # its own body, and so is each non-dunder method or property of a
-    # class, as an attribute of any object; a module's __getattr__ and
-    # __dir__ are dunders the interpreter calls
+def _unused_definitions(trees) -> list[str]:
+    """Top-level functions and classes (not dunders), and the non-dunder
+    methods and properties of those classes, whose name appears nowhere
+    outside their own body as a read, an attribute of any object or an
+    import; __init__.py's re-exports (its imports and its lazy table, a
+    literal of strings) are no reads."""
     names = {}  # name -> count of its appearances as a read, an attribute or an import
-    for exported in _lazy_exports().values():
-        for name in exported:
-            names[name] = names.get(name, 0) + 1
     defined = []  # (path, qualified name, node)
-    for path, tree in _trees():
+    for path, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names[node.id] = names.get(node.id, 0) + 1
             elif isinstance(node, ast.Attribute):
                 names[node.attr] = names.get(node.attr, 0) + 1
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
                 names[node.name] = names.get(node.name, 0) + 1
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -294,9 +296,26 @@ def test_every_top_level_definition_is_used():
         inside = sum(1 for inner in ast.walk(node)
                      if isinstance(inner, ast.Name) and inner.id == node.name
                      or isinstance(inner, ast.Attribute) and inner.attr == node.name)
-        if names.get(node.name, 0) <= inside and qualname not in _READ_OUTSIDE_SRC:
+        if names.get(node.name, 0) <= inside:
             dead.append(f"{path.name}:{node.lineno}: {qualname}")
-    assert not dead, f"definitions nothing uses: {dead}"
+    return dead
+
+
+def test_every_top_level_definition_is_used():
+    # a function, class, method or property that no code under src/rotspec
+    # reads is dead code, exported or not: the public API is what the
+    # package itself uses, besides the few definitions of _READ_OUTSIDE_SRC;
+    # a module's __getattr__ and __dir__ are dunders the interpreter calls
+    planted = [(Path("mod.py"), ast.parse("def used(): return 1\n"
+                                          "def exported(): return exported\n"
+                                          "class A:\n    def run(self): return used()\n"
+                                          "A().run()\n")),
+               (Path("__init__.py"), ast.parse("from .mod import A, exported\n"
+                                               "_LAZY = {'mod': ('exported',)}\n"))]
+    assert _unused_definitions(planted) == ["mod.py:2: exported"]
+    # the listed names stay unread under src/, and nothing else is
+    unread = {found.rpartition(" ")[2]: found for found in _unused_definitions(_trees())}
+    assert set(unread) == set(_READ_OUTSIDE_SRC), f"definitions nothing under src/ reads: {unread}"
 
 
 _NOT_PLAIN = {"property", "cached_property", "staticmethod"}
@@ -379,7 +398,7 @@ def test_every_reexported_definition_has_a_docstring():
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and node.name in exported[path.stem] and not ast.get_docstring(node)]
-    assert sum(map(len, exported.values())) > 50
+    assert sum(map(len, exported.values())) >= 49
     assert not missing, f"re-exported definitions without a docstring: {missing}"
 
 

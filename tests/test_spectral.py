@@ -33,8 +33,8 @@ from rotspec.matmodel import (
 )
 from rotspec.pseudospectra import compute_grid
 from rotspec.spectral import (
+    _circulant_eigenvalues,
     _interleaved_band,
-    circulant_four_term_eigenvalues,
     hermitian_eigenvalues,
     normal_eigenvalues,
 )
@@ -85,7 +85,7 @@ class TestRoutesReturnArrays:
                               (normal_eigenvalues(build_operator(hermitian.spec, 1, 2)),
                                np.float64, 2),
                               (normal_eigenvalues(normal), np.complex128, 7),
-                              (circulant_four_term_eigenvalues(1, 2j, 9), np.complex128, 9),
+                              (_circulant_eigenvalues(1, 2j, 9), np.complex128, 9),
                               *spec_routes):
             assert type(got) is np.ndarray and got.dtype == dtype and got.shape == (n,)
             if dtype is np.float64:
@@ -323,14 +323,14 @@ def assert_same_spectrum(got, want, tol):
 
 class TestCirculant:
     def test_shift_only_roots_of_unity(self):
-        ev = circulant_four_term_eigenvalues(1.0, 0.0, 4)
+        ev = _circulant_eigenvalues(1.0, 0.0, 4)
         assert np.allclose(sort_complex(ev),
                            sort_complex(np.exp(2j * np.pi * np.arange(4) / 4)),
                            atol=1e-14)
 
     def test_matches_matrix_route(self):
         for ap, am, q in ((1, 1, 4), (1, 1, 7), (2j, -0.5, 5), (1 + 1j, 0, 6)):
-            analytic = circulant_four_term_eigenvalues(ap, am, q)
+            analytic = _circulant_eigenvalues(ap, am, q)
             spec_terms = [(1, 0, ap)] + ([(-1, 0, am)] if am != 0 else [])
             h = build_operator(OperatorSpec.general(spec_terms), 0, q)
             numeric = np.linalg.eigvals(dense_matrix(h))
@@ -457,7 +457,7 @@ class TestNormal:
                 got = np.sort(v, kind="stable")
                 assert got.tobytes() == v[np.lexsort((v.imag, v.real))].tobytes()
         # the circulant oracle's real parts 2cos(2 pi k/q) tie in pairs
-        ev = circulant_four_term_eigenvalues(1, 1, 12)
+        ev = _circulant_eigenvalues(1, 1, 12)
         assert ev.tobytes() == sort_complex(ev).tobytes()
 
     def test_trace_and_determinant_invariants(self):
