@@ -303,44 +303,37 @@ def cmd_expand(opts) -> int:
         raise _UsageError(f"--terms must be >= 1, got {terms}")
     # every theta has 0 <= p_k <= q_k and q_k >= F(k) (F(0) = F(1) = 1), so
     # p_k/q_k prints until q_k reaches 10**limit, the int-to-str digit limit
-    # (none when 0). theta is expanded once, to --terms + 1 quotients, the
-    # last for the last gap row, but not past the first k whose F(k) reaches
-    # that bound: such a q_k is refused before any line is printed. A decimal
-    # that certifies --terms quotients and no more is expanded again to --terms
+    # (none when 0): the expansion stops at --terms or at the first k whose
+    # F(k) reaches it, and such a q_k is refused before any line is printed
     limit = sys.get_int_max_str_digits()
     unprintable, cap, f, g = 10**limit, 0, 1, 1
-    while limit and cap <= terms and f < unprintable:
+    while limit and cap < terms and f < unprintable:
         cap, f, g = cap + 1, g, f + g
-    if not limit:
-        cap = terms + 1
-    try:
-        expansion = expand(theta, cap)
-    except PrecisionExhausted:
-        expansion = expand(theta, min(cap, terms))
-    convergents = expansion.convergents[:terms + 1]
-    k = next((k for k, (_, q) in enumerate(convergents)
+    expansion = expand(theta, cap if limit else terms)
+    k = next((k for k, (_, q) in enumerate(expansion.convergents)
               if limit and q >= unprintable), 0)  # q_0 = 1 always prints
     if k:
         fits = f"--terms {k - 1} is the largest that prints" if k > 1 else "no --terms prints"
         raise _UsageError(f"p_{k}/q_{k} has more than {limit} decimal digits; {fits}")
 
-    # the period, first recurring at quotient sum(periodic_part), and the
-    # end of a rational are noted when found within --terms quotients
-    periodic = expansion.periodic_part
-    terminated = expansion.terminated and len(convergents) == len(expansion.convergents)
+    try:  # one extra term supplies q_(k+1) for the last gap row when available
+        ext = expansion if expansion.terminated else expand(theta, terms + 1)
+    except PrecisionExhausted:
+        ext = expansion
+
     notes = [f"# theta = {theta}", f"# exact = {theta.exact}"]
-    if periodic is not None and sum(periodic) < terms:
-        notes.append(f"# periodic_part = {periodic}")
-    if terminated:
+    if expansion.periodic_part is not None:
+        notes.append(f"# periodic_part = {expansion.periodic_part}")
+    if expansion.terminated:
         notes.append("# terminating expansion: theta is rational")
     print("\n".join(notes))
     print("k,a_k,p_k,q_k,gap,bound")
-    for k, (p, q) in enumerate(convergents):
+    for k, (p, q) in enumerate(expansion.convergents):
         a_k = "-" if k == 0 else str(expansion.partial_quotients[k - 1])
-        if k + 1 < len(expansion.convergents):
-            gb = convergent_gap(expansion, k)
+        if k + 1 < len(ext.convergents):
+            gb = convergent_gap(ext, k)
             gap, bound = format(gb.gap_float, ".17g"), format(float(gb.bound), ".17g")
-        elif terminated:
+        elif expansion.terminated:
             gap, bound = "0", "-"
         else:
             gap = bound = "-"

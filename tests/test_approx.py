@@ -196,7 +196,7 @@ class TestDefaultBudget:
                              ids=lambda b: f"{b}" if b < 10 ** 6 else f"1e{len(str(b)) - 1}")
     def test_level_gate_names_the_first_fibonacci_past_the_budget(self, monkeypatch, max_q):
         # the gate carries F(k), F(k + 1) through one loop; against
-        # contfrac.fibonacci, level k - 1 reaches the expansion and level k
+        # dense_oracle.fibonacci, level k - 1 reaches the expansion and level k
         # is refused, naming F(k), for the first k with F(k) > max_q
         class Expanded(Exception):
             pass

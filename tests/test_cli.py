@@ -219,6 +219,29 @@ class TestExpand:
         assert main(["expand", "--theta", "decimal:0.6180339887", "--terms", "25"]) == 3
         assert "certifies only" in capsys.readouterr().err
 
+    def test_decimal_at_its_certified_depth(self, capsys):
+        # 22 quotients print, but q_23 for the last gap row is not certified
+        assert main(["expand", "--theta", "decimal:0.6180339887", "--terms", "22"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        rows = out[out.index("k,a_k,p_k,q_k,gap,bound") + 1:]
+        assert len(rows) == 23
+        assert rows[-1] == "22,1,17711,28657,-,-"
+        assert rows[-2].split(",")[4] != "-"
+
+    def test_rational_cut_before_its_end(self, capsys):
+        # 7/10 = [0; 1, 2, 3]: two terms do not terminate, and q_3 still
+        # supplies the last gap row, where gap == bound == 1/(q_2 q_3)
+        assert main(["expand", "--theta", "rational:7/10", "--terms", "2"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert not any(line.startswith("# terminating") for line in out)
+        assert out[-1] == "2,2,2,3,0.033333333333333333,0.033333333333333333"
+
+    @pytest.mark.parametrize("terms,noted", [(1, False), (2, True)])
+    def test_golden_period_is_noted_once_it_recurs(self, capsys, terms, noted):
+        assert main(["expand", "--theta", GOLDEN, "--terms", str(terms)]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert ("# periodic_part = (0, 1)" in out) is noted
+
     def test_uncertifiable_decimal(self, capsys):
         assert main(["expand", "--theta", "decimal:0.5"]) == 3
         capsys.readouterr()
