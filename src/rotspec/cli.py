@@ -66,7 +66,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON float, or an int within the float range, which float() takes."""
+    return isinstance(value, float) or _is_int(value) and abs(value) <= sys.float_info.max
 
 
 def _list_of(item, length: Optional[int] = None):
@@ -156,14 +157,12 @@ def dumps_17g(obj, indent: int = 0) -> str:
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
-    np = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
-    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise InvalidInput(f"non-finite value {x} in JSON output")
-        return format(x, ".17g")
-    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
-        return str(int(obj))
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvalidInput(f"non-finite value {obj} in JSON output")
+        return format(obj, ".17g")
+    if isinstance(obj, int):
+        return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -173,13 +172,22 @@ def dumps_17g(obj, indent: int = 0) -> str:
 # option resolution: flags > config file > defaults
 # ---------------------------------------------------------------------------
 
+def _decode(source: str | Path, what: str):
+    """The JSON document of source: the text itself, or a UTF-8 file's path.
+    A file that cannot be read or is not UTF-8, text that is not JSON, an
+    integer past Python's int digit limit and nesting past the recursion
+    limit are each InvalidInput led by what."""
+    try:
+        return json.loads(source.read_text(encoding="utf-8") if isinstance(source, Path)
+                          else source)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{what}: {exc}")
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInput(f"cannot read config {path}: {exc}")
+    doc = _decode(Path(path), f"cannot read config {path}")
     if not isinstance(doc, dict):
         raise InvalidInput("config must be a JSON object")
     unknown = sorted(k for k in doc if k not in _OPTIONS or _OPTIONS[k].config is None)
@@ -220,15 +228,9 @@ def _resolve_theta(opts):
 def _resolve_spec(opts) -> matmodel.OperatorSpec:
     doc = opts.spec  # --spec text, or the config's object
     if opts.spec_file is not None:  # --spec excludes it, and it overrides the config
-        try:
-            doc = json.loads(Path(opts.spec_file).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInput(f"cannot read spec file: {exc}")
+        doc = _decode(Path(opts.spec_file), "cannot read spec file")
     elif isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"--spec is not valid JSON: {exc}")
+        doc = _decode(doc, "--spec is not valid JSON")
     if doc is None:
         return matmodel.OperatorSpec.canonical(1, 1, 1, 1)
     return matmodel.OperatorSpec.from_json(doc)

@@ -2,15 +2,16 @@
 
 The rotation parameter theta lives in (0,1) and is given exactly as a big
 rational or quadratic surd, or approximately as a decimal string.
-parse_theta reads any of the three into one Theta: its normalized text,
-its value (a Fraction, or an exact.Surd for a quadratic surd) and a
-half-width, 0 for exact input and 10^-k for a decimal with k digits,
-which stands for the certified interval [v - 10^-k, v + 10^-k]. This
-module expands theta into partial quotients a_1..a_N and convergents
-p_k/q_k (p_0 = 0, p_1 = 1, q_0 = 1, q_1 = a_1, then the usual three-term
-recursion), entirely in exact arithmetic. One loop runs the map
-x -> 1/x - floor(1/x) on an interval (lo, hi), a point for exact theta,
-and emits a quotient only when both ends agree on it:
+parse_theta reads any of the three into one Theta, which refuses a value
+outside (0,1): its normalized text, its value (a Fraction, or an
+exact.Surd for a quadratic surd) and a half-width, 0 for exact input and
+10^-k for a decimal with k digits, which stands for the certified
+interval [v - 10^-k, v + 10^-k]. This module expands theta into partial
+quotients a_1..a_N and convergents p_k/q_k (p_0 = 0, p_1 = 1, q_0 = 1,
+q_1 = a_1, then the usual three-term recursion), entirely in exact
+arithmetic. One loop runs the map x -> 1/x - floor(1/x) on an interval
+(lo, hi), a point for exact theta, and emits a quotient only when both
+ends agree on it:
 
   * rational inputs terminate at the exact finite expansion,
   * quadratic surds expand to arbitrary depth, and their first recurring
@@ -57,7 +58,8 @@ class Theta:
     (str(theta)), value its exact value (a Fraction, or a Surd for a
     quadratic surd) or a decimal's written value, and halfwidth is 0 for
     exact input and 10^-k for a decimal with k digits, which stands for
-    the certified interval [value - halfwidth, value + halfwidth]."""
+    the certified interval [value - halfwidth, value + halfwidth]. A value
+    outside (0,1) is InvalidInput."""
 
     text: str
     value: Union[Fraction, Surd]
@@ -70,6 +72,8 @@ class Theta:
         if self.halfwidth < 0 or (surd and self.halfwidth):
             raise InvalidInput(f"theta {_quoted(self.text)} has half-width {self.halfwidth}; "
                                "it must be >= 0, and 0 for a surd")
+        if not 0 < self.value < 1:
+            raise InvalidInput(f"theta {_quoted(self.text)} is not in (0,1)")
 
     def __str__(self) -> str:
         return self.text
@@ -205,8 +209,6 @@ def expand(theta: Theta, max_terms: int) -> ContinuedFractionExpansion:
     """
     if max_terms < 1:
         raise InvalidInput(f"max_terms must be >= 1, got {max_terms}")
-    if not 0 < theta.value < 1:
-        raise InvalidInput(f"theta {_quoted(str(theta))} is not in (0,1)")
 
     # the remainder x_k = 1/x_{k-1} - a_{k-1} (x_0 = theta) lies in [lo, hi],
     # a point for exact theta

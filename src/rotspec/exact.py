@@ -4,11 +4,12 @@ Every analytic constant that enters a certified error radius is produced
 here as a pair of rationals (lower, upper) bracketing the true value, so
 that downstream bounds can be rounded outward instead of trusting float
 round-off. Quadratic surds a + b*sqrt(d) (class Surd) are exact numbers
-that mix with ints and Fractions: + and - with ints, Fractions and
-same-radicand surds, * by a rational, 1 / s, abs(s), -s, math.floor(s),
-the comparisons <, <=, >, >= and == in either operand order, and hashing
-consistent with ==. Every decision is made in exact integer arithmetic;
-no floating point is involved in any of them.
+that mix with ints and Fractions as far as the expansion needs: s - x for
+an int, a Fraction or a same-radicand surd x, s * r for a rational r,
+r / s, abs(s), -s, math.floor(s), the comparisons <, <=, >, >= and == in
+either operand order, and hashing consistent with ==. Every decision is
+made in exact integer arithmetic; no floating point is involved in any of
+them.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ def _surd_sign(ra: Fraction, rb: Fraction, d: int) -> int:
 class Surd:
     """Exact value ra + rb*sqrt(d), ra/rb rational, d a non-square
     integer >= 2. Immutable. Surds with different radicands are not
-    compared or added (ValueError); anything but an int, a Fraction or a
-    Surd is not a Surd operand (TypeError, or == is False).
+    compared or subtracted (ValueError); anything but an int, a Fraction
+    or a Surd is not a Surd operand (TypeError, or == is False).
     """
 
     __slots__ = ("ra", "rb", "d")
@@ -138,24 +139,13 @@ class Surd:
     def __abs__(self) -> "Surd":
         return -self if self.sign() < 0 else self
 
-    def __add__(self, other) -> "Surd":
-        ra, rb = self._parts(other)
-        return Surd(self.ra + ra, self.rb + rb, self.d)
-
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Surd":
         ra, rb = self._parts(other)
         return Surd(self.ra - ra, self.rb - rb, self.d)
 
-    def __rsub__(self, other) -> "Surd":
-        return -self + other
-
     def __mul__(self, other: Rational) -> "Surd":
         r = Fraction(other)
         return Surd(self.ra * r, self.rb * r, self.d)
-
-    __rmul__ = __mul__
 
     def __rtruediv__(self, other: Rational) -> "Surd":
         """other/(ra + rb*sqrt(d)) via the conjugate; the norm

@@ -46,7 +46,8 @@ class TestDumps17g:
         assert dumps_17g(True) == "true"
         assert dumps_17g(None) == "null"
         assert dumps_17g(5) == "5"
-        assert dumps_17g(np.int32(7)) == "7"
+        with pytest.raises(TypeError):
+            dumps_17g(np.int32(7))
         assert dumps_17g('say "hi"') == json.dumps('say "hi"')
 
     def test_nested_document_parses(self):
@@ -68,15 +69,17 @@ class TestDumps17g:
             dumps_17g({"x": {1, 2}})
 
     def test_other_real_numbers_are_refused(self):
-        # only floats, ints and numpy's floating and integer scalars print
+        # only floats and ints print, subclasses such as np.float64 included
         for x in (Fraction(1, 3), Decimal("0.1")):
             with pytest.raises(TypeError):
                 dumps_17g(x)
 
     def test_numpy_scalars(self):
+        # np.float64 subclasses float; no other numpy scalar reaches the writer
         assert dumps_17g(np.float64(0.1)) == "0.10000000000000001"
-        assert dumps_17g(np.float32(0.1)) == "0.10000000149011612"
-        assert dumps_17g(np.int64(-7)) == "-7"
+        for x in (np.float32(0.1), np.int64(-7)):
+            with pytest.raises(TypeError):
+                dumps_17g(x)
 
 
 @pytest.fixture
@@ -765,6 +768,18 @@ class TestOnesided:
         assert certs[1]["radius"] == 15.629787098458582
         assert all(c["kind"] == "cloud" for c in certs)
 
+    def test_theta_outside_the_unit_interval_exits_3_before_any_file(self, tmp_path, capsys):
+        # phi = 1.618...: onesided would certify it with the p of phi - 1
+        phi, out = "surd:(1+1*sqrt(5))/2", tmp_path / "out"
+        for argv in (["onesided", "--n-list", "10,50"], ["spectrum"],
+                     ["converge", "--n-range", "3:5"], ["pseudospectrum", "--epsilon", "0.5"],
+                     ["expand"]):
+            extra = [] if argv == ["expand"] else ["--out-dir", str(out)]
+            assert main([*argv, "--theta", phi, *extra]) == 3
+            std = capsys.readouterr()
+            assert std.err == f"error: theta '{phi}' is not in (0,1)\n" and std.out == ""
+        assert not out.exists()
+
     def test_grid_kind_for_nonnormal_model(self, tmp_path, capsys):
         code = main(["onesided", "--theta", GOLDEN, "--n-list", "5",
                      "--spec", U2V_JSON, "--resolution", "6", "6",
@@ -886,6 +901,17 @@ class TestConverge:
         assert [r["n"] for r in doc["rows"]] == [3, 4, 5, 6]
         assert doc["rows"][-1]["empirical_dH"] == 0.0
 
+    def test_config_range_list_prints_the_rows_of_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n_range": [3, 5]}))
+        rows = []
+        for name, source in (("config", ["--config", str(cfg)]), ("flag", ["--n-range", "3:5"])):
+            assert main(["converge", "--theta", GOLDEN, *source,
+                         "--out-dir", str(tmp_path / name)]) == 0
+            rows.append([line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("converge:")])
+        assert rows[0] == rows[1] and [r.split()[1] for r in rows[0]] == ["n=3", "n=4", "n=5"]
+
     def test_range_validation(self, tmp_path, capsys):
         base = ["converge", "--theta", GOLDEN, "--out-dir", str(tmp_path)]
         assert main(base) == 2
@@ -982,6 +1008,40 @@ class TestConfigAndSpecResolution:
         assert main(["expand", "--config", str(bad)]) == 3
         assert main(["expand", "--config", str(tmp_path / "missing.json")]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", [
+        b'{"terms": 1' + b"0" * 4300 + b"}",   # one digit past the int digit limit
+        b"[" * 100_000 + b"]" * 100_000,       # past the recursion limit
+        b'{"theta": "\xe9"}',                  # Latin-1, not UTF-8
+    ], ids=["digits", "nesting", "encoding"])
+    def test_undecodable_json_exits_3_on_one_line(self, tmp_path, capsys, digit_limit, text):
+        doc, out = tmp_path / "doc.json", tmp_path / "out"
+        doc.write_bytes(text)
+        sources = [(["--config", str(doc)], f"error: cannot read config {doc}: "),
+                   (["--spec-file", str(doc)], "error: cannot read spec file: ")]
+        if text.isascii():
+            sources.append((["--spec", text.decode()], "error: --spec is not valid JSON: "))
+        for source, prefix in sources:
+            assert main(["spectrum", "--theta", GOLDEN, *source, "--out-dir", str(out)]) == 3
+            std = capsys.readouterr()
+            assert std.err.startswith(prefix) and std.err.count("\n") == 1 and std.out == ""
+        assert not out.exists()
+
+    def test_config_int_past_the_float_range_exits_3(self, tmp_path, capsys):
+        cfg, out = tmp_path / "run.json", tmp_path / "out"
+        big = 10 ** 400  # float() of it raised OverflowError (exit 1)
+        for argv, wrong, kind in (
+                (["pseudospectrum"], {"epsilon": big}, "a number"),
+                (["pseudospectrum", "--epsilon", "0.5"], {"region": [0, big, 0, 1]},
+                 "a list of four numbers"),
+                (["onesided", "--n-list", "5", "--spec", U2V_JSON], {"region": [0, 1, -big, 1]},
+                 "a list of four numbers")):
+            cfg.write_text(json.dumps(wrong))
+            assert main([*argv, "--theta", GOLDEN, "--config", str(cfg),
+                         "--out-dir", str(out)]) == 3
+            key = next(iter(wrong))
+            assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be {kind}")
+        assert not out.exists()
 
     def test_spec_sources(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

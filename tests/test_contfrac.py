@@ -69,8 +69,7 @@ class TestParseTheta:
         assert hi - lo == 2 * Fraction(1, 10 ** 10)
 
     @pytest.mark.parametrize("text, normalized", [
-        ("rational:14/-20", "rational:-7/10"),
-        ("rational:0/5", "rational:0/1"),
+        ("rational:-14/-20", "rational:7/10"),
         ("surd:(-01+1*sqrt(5))/2", "surd:(-1+1*sqrt(5))/2"),
         ("decimal:.5", "decimal:.5"),
     ])
@@ -81,7 +80,7 @@ class TestParseTheta:
         assert parse_theta("rational:7/10").bounds() == (Fraction(7, 10), Fraction(7, 10))
         lo, hi = parse_theta("decimal:0.618").bounds()
         assert (lo, hi) == (Fraction(617, 1000), Fraction(619, 1000))
-        for text, rb in ((GOLDEN, Fraction(1, 2)), ("surd:(1+-3*sqrt(7))/-4", Fraction(3, 4))):
+        for text, rb in ((GOLDEN, Fraction(1, 2)), ("surd:(5+-3*sqrt(7))/-4", Fraction(3, 4))):
             th = parse_theta(text)
             lo, hi = th.bounds()
             assert lo < th.value < hi
@@ -177,10 +176,13 @@ class TestExpansion:
         assert err.value.certified_terms == 0
 
     def test_unit_interval_enforced(self):
-        for text in ("rational:3/2", "rational:0/1", "rational:-1/3",
-                     "surd:(0+1*sqrt(2))/1", "decimal:0.0"):
-            with pytest.raises(InvalidInput):
-                expand(parse_theta(text), 5)
+        # the type refuses it, so no entry sees such a theta
+        for text in ("rational:3/2", "rational:0/1", "rational:0/5", "rational:14/-20",
+                     "surd:(0+1*sqrt(2))/1", "surd:(1+1*sqrt(5))/2", "decimal:0.0"):
+            with pytest.raises(InvalidInput, match=r"is not in \(0,1\)"):
+                parse_theta(text)
+        with pytest.raises(InvalidInput, match=r"theta 'phi' is not in \(0,1\)"):
+            Theta("phi", Surd(Fraction(1, 2), Fraction(1, 2), 5), Fraction(0))
 
     def test_convergent_accessors(self):
         e = expand(parse_theta(GOLDEN), 5)
@@ -403,9 +405,12 @@ def random_unit_surd(rng: random.Random) -> Theta:
             continue
         b = rng.choice([x for x in range(-9, 10) if x != 0])
         c = rng.choice([x for x in range(-24, 25) if x != 0])
-        th = parse_theta(f"surd:({rng.randint(-40, 40)}+{b}*sqrt({d}))/{c}")
-        if reference_floor_state(*surd_state(th)) == 0:  # an irrational in [0, 1)
-            return th
+        try:
+            th = parse_theta(f"surd:({rng.randint(-40, 40)}+{b}*sqrt({d}))/{c}")
+        except InvalidInput:  # outside (0,1)
+            continue
+        assert reference_floor_state(*surd_state(th)) == 0  # an irrational in (0, 1)
+        return th
 
 
 class TestExpandAgainstReference:

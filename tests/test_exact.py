@@ -188,12 +188,16 @@ class TestSurd:
             assert s.ra * r.rb + s.rb * r.ra == 0
 
     def test_affine_arithmetic(self):
-        s = Surd(0, 1, 2)  # sqrt(2)
-        t = 3 - s * 2      # 3 - 2*sqrt(2) > 0
+        s = Surd(0, 1, 2)   # sqrt(2)
+        t = -(s * 2 - 3)    # 3 - 2*sqrt(2) > 0
         assert t.sign() == 1
         assert t.floor() == 0
-        assert (s + 1).floor() == 2
+        assert (s - -1).floor() == 2
         assert (-s).floor() == -2  # -1.414... floors to -2
+        for op in (lambda: s + 1, lambda: 1 + s, lambda: 3 - s, lambda: 2 * s,
+                   lambda: Fraction(1, 4) * s):
+            with pytest.raises(TypeError):  # only s - x and s * r are defined
+                op()
 
     def test_immutable(self):
         s = Surd(0, 1, 2)
@@ -224,7 +228,7 @@ class TestSurdProtocol:
             t = Surd(t.ra, t.rb, s.d)
             assert (s < t) == ((s - t).sign() < 0) == (t > s)
             assert (s == t) == (s.ra == t.ra and s.rb == t.rb)
-            assert s - t + t == s and t + (s - t) == s
+            assert s - (s - t) == t and (s - t) - (s - t) == 0
         golden = Surd(Fraction(-1, 2), Fraction(1, 2), 5)
         assert golden < Surd(0, Fraction(1, 2), 5) and Surd(0, 1, 5) > golden
         with pytest.raises(ValueError):
@@ -237,7 +241,7 @@ class TestSurdProtocol:
         a = Surd(Fraction(1, 2), Fraction(3, 4), 7)
         b = Surd(Fraction(2, 4), Fraction(6, 8), 7)
         assert a == b and hash(a) == hash(b)
-        assert len({a, b, Surd(1, 1, 7) - Fraction(1, 2) - Fraction(1, 4) * Surd(0, 1, 7)}) == 1
+        assert len({a, b, Surd(1, 1, 7) - Fraction(1, 2) - Surd(0, 1, 7) * Fraction(1, 4)}) == 1
         # rb = 0 leaves a rational, which equals and hashes like the int or Fraction
         for r in (3, Fraction(-5, 7)):
             z = Surd(r, 0, 7)

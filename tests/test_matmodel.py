@@ -169,6 +169,9 @@ class TestGenerators:
             clock(1, -3)
         with pytest.raises(InvalidOrder):
             build_operator(CANONICAL, 1, 0)
+        for p in (-1, 5):  # 0 <= p < q
+            with pytest.raises(InvalidOrder, match=f"need 0 <= p < q, got p={p}, q=5"):
+                build_operator(CANONICAL, p, 5)
 
 
 # criterion 2's bounds on the defects of the shift and clock models
